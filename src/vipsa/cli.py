@@ -109,6 +109,15 @@ def parse_config_text(text: str, origin: str) -> dict:
     return values
 
 
+def make_grid(nx: int, ny: int, **couplings):
+    """GridSpec.make, with the grids it rejects reported as a CliError."""
+    from .lattice import GridSpec
+    try:
+        return GridSpec.make(nx, ny, **couplings)
+    except ValueError as err:
+        raise CliError(str(err)) from None
+
+
 @dataclass
 class Experiment:
     """A fully validated run request with every default resolved."""
@@ -144,8 +153,10 @@ class Experiment:
         return experiment
 
     def validate(self, origin: str) -> None:
-        if self.nx < 1 or self.ny < 1 or self.nx * self.ny < 2:
-            raise CliError(f"{origin}: grid {self.nx}x{self.ny} is too small")
+        try:
+            self.grid()
+        except CliError as err:
+            raise CliError(f"{origin}: {err}") from None
         if (self.n_up is None) != (self.n_down is None):
             raise CliError(f"{origin}: set both n_up and n_down or neither")
         sites = self.nx * self.ny
@@ -157,8 +168,7 @@ class Experiment:
             raise CliError(f"{origin}: layers must be at least 1")
 
     def grid(self):
-        from .lattice import GridSpec
-        return GridSpec.make(
+        return make_grid(
             self.nx, self.ny, t=self.t, u=self.u,
             bc_x=None if self.bc_x == "auto" else self.bc_x,
             bc_y=None if self.bc_y == "auto" else self.bc_y,
@@ -195,18 +205,18 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
     """Diagonalize in the requested register, reusing an on-disk artifact."""
     from .hamiltonians import GroundSpace, build_kspace, build_real, ground_space
 
-    if register == "k":
-        h = build_kspace(grid)[0]
-    else:
-        h = build_real(grid)
-    if cache_dir is None:
+    def solve():
+        h = build_kspace(grid)[0] if register == "k" else build_real(grid)
         return ground_space(h, grid.n_qubits, n_up, n_down)
+
+    if cache_dir is None:
+        return solve()
 
     digest = hashlib.sha256(_grid_key(grid, n_up, n_down, register).encode()).hexdigest()
     path = cache_dir / f"ground-{register}-{grid.label()}-{digest[:12]}.npz"
     if path.exists():
         return GroundSpace.load(path)
-    result = ground_space(h, grid.n_qubits, n_up, n_down)
+    result = solve()
     cache_dir.mkdir(parents=True, exist_ok=True)
     result.save(path)
     return result
@@ -318,16 +328,20 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
 
 
 def cmd_ed(args) -> int:
-    from .hamiltonians import build_kspace, build_real, ground_space
-    from .lattice import GridSpec, default_filling
+    from .hamiltonians import build_kspace, build_real, ground_space, sector_basis
+    from .lattice import default_filling
 
     nx, ny = _parse_grid_arg(args.grid)
     registers = ("k", "real") if args.register == "both" else (args.register,)
     rows = []
     for u in _parse_u_list(args.u):
-        grid = GridSpec.make(nx, ny, t=args.t, u=u)
+        grid = make_grid(nx, ny, t=args.t, u=u)
         if args.sector:
             n_up, n_down = _parse_sector_arg(args.sector)
+            try:
+                sector_basis(grid.n_qubits, n_up, n_down)
+            except ValueError as err:
+                raise CliError(str(err)) from None
         else:
             n_up, n_down = default_filling(grid)
         for register in registers:
@@ -432,10 +446,10 @@ def cmd_compare(args) -> int:
 def cmd_pool_info(args) -> int:
     from .core import build_pool
     from .hamiltonians import interaction_quadruples
-    from .lattice import DEGENERACY_TOL, GridSpec
+    from .lattice import DEGENERACY_TOL
 
     nx, ny = _parse_grid_arg(args.grid)
-    grid = GridSpec.make(nx, ny, t=args.t, u=args.u)
+    grid = make_grid(nx, ny, t=args.t, u=args.u)
     table = interaction_quadruples(grid)
     diagonal = repeated = zero_gap = 0
     survivors = 0

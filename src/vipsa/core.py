@@ -31,8 +31,12 @@ from .statevector import (
     StateVector,
     apply_pauli_sum,
     basis_state,
-    expectation_and_gradient,
+    expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
+    orbit_overlap,
     pool_generator_overlap,
+    sector_expectation_and_gradient,
+    sector_orbit,
+    sector_run,
 )
 
 
@@ -103,6 +107,13 @@ def pool_gradients(psi: StateVector, h, pool: list[PoolOperator]) -> np.ndarray:
     image = _apply_operator(h, psi)
     return np.array([2.0 * pool_generator_overlap(p.term, image, psi).real
                      for p in pool])
+
+
+def sector_pool_gradients(x: np.ndarray, h, orbits) -> np.ndarray:
+    """pool_gradients for a real sector vector x, real sector matrix h and
+    the pool's orbit tables over the same basis."""
+    image = h @ x
+    return np.array([2.0 * orbit_overlap(orbit, image, x) for orbit in orbits])
 
 
 def select(gradients: np.ndarray, r: float, labels: list[str]) -> list[int]:
@@ -208,17 +219,11 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig,
                       np.array(history) if keep_history else None)
 
 
-def adam_optimize(circuit: AnsatzCircuit, h, config: VipsaConfig) -> AdamResult:
-    """Re-optimize every circuit parameter; leaves the circuit at the best point."""
-    apply_h = lambda psi: _apply_operator(h, psi)
-
-    def evaluate(thetas):
-        circuit.set_thetas(thetas)
-        return expectation_and_gradient(circuit, apply_h)
-
-    result = adam_minimize(circuit.thetas(), evaluate, config)
-    circuit.set_thetas(result.thetas)
-    return result
+def adam_optimize(x0: np.ndarray, orbits, thetas: np.ndarray, h,
+                  config: VipsaConfig) -> AdamResult:
+    """Re-optimize every angle of the sector circuit `orbits`, starting at thetas."""
+    return adam_minimize(
+        thetas, lambda t: sector_expectation_and_gradient(x0, orbits, t, h), config)
 
 
 @dataclass(frozen=True)
@@ -276,6 +281,11 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     with each finished EpochRecord.  When the pool gradient drops below eps1
     a terminal record with an empty selection is emitted, so a trace always
     shows the state the loop stopped in.
+
+    The loop works on one real vector over the (n_up, n_down) sector basis,
+    with every pool generator as an orbit table into it.  The returned
+    circuit holds the same rotations at their final angles on the full
+    register, for replay against the reference kernels.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
@@ -286,15 +296,24 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     sector = SectorHamiltonian(h_k, grid.n_qubits, n_up, n_down)
     if reference is None:
         reference = ground_space(h_k, grid.n_qubits, n_up, n_down)
+    if not np.array_equal(reference.states, sector.states):
+        raise ValueError("reference ground space is not over the run's sector basis")
+    # states and generators are real, so the imaginary part of h, which is
+    # antisymmetric, adds nothing to <x|h|x> or to <h x|A x>
+    h = sector.matrix.real
+    orbits = [sector_orbit(p.term, sector.states) for p in pool]
     sea = fermi_sea(grid, n_up, n_down)
-    circuit = AnsatzCircuit(basis_state(sea.occupied_qubits(), grid.n_qubits), [])
+    initial = basis_state(sea.occupied_qubits(), grid.n_qubits)
+    x0 = initial.amplitudes[sector.states].real.copy()
+    gates: list[int] = []  # pool index of each rotation, in circuit order
+    thetas = np.zeros(0)
+    x = x0
 
     records: list[EpochRecord] = []
     step_energies: list[tuple[int, int, float]] = []
     status = "exhausted"
     for epoch in range(config.max_epochs):
-        psi = circuit.run()
-        grads = pool_gradients(psi, sector, pool)
+        grads = sector_pool_gradients(x, h, orbits)
         max_gradient = float(np.abs(grads).max()) if len(grads) else 0.0
         if max_gradient < config.eps1:
             status = "converged"
@@ -302,36 +321,40 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
                 epoch=epoch,
                 max_gradient=max_gradient,
                 selected=(),
-                n_params=len(circuit.gates),
+                n_params=len(gates),
                 inner_steps=0,
-                energy=float(sector.expectation(psi)),
-                fidelity=fidelity(psi, reference),
+                energy=float(x @ (h @ x)),
+                fidelity=reference.sector_fidelity(x),
             )
             records.append(terminal)
             if progress is not None:
                 progress(terminal)
             break
         chosen = select(grads, config.r, labels)
-        for i in chosen:
-            circuit.gates.append(PoolRotation(pool[i].term, 0.0))
-        outcome = adam_optimize(circuit, sector, config)
+        gates.extend(chosen)
+        circuit_orbits = [orbits[i] for i in gates]
+        outcome = adam_optimize(x0, circuit_orbits, np.append(thetas, np.zeros(len(chosen))),
+                                h, config)
+        thetas = outcome.thetas
+        x = sector_run(x0, circuit_orbits, thetas)
         record = EpochRecord(
             epoch=epoch,
             max_gradient=max_gradient,
             selected=tuple(labels[i] for i in chosen),
-            n_params=len(circuit.gates),
+            n_params=len(gates),
             inner_steps=outcome.steps,
             energy=outcome.energy,
-            fidelity=fidelity(circuit.run(), reference),
+            fidelity=reference.sector_fidelity(x),
         )
         records.append(record)
         step_energies.extend((epoch, s, e) for s, e in enumerate(outcome.energies))
         if progress is not None:
             progress(record)
 
-    final_energy = records[-1].energy if records else sector.expectation(circuit.run())
+    circuit = AnsatzCircuit(initial, [PoolRotation(pool[i].term, theta)
+                                      for i, theta in zip(gates, thetas)])
     return RunResult(grid, n_up, n_down, len(pool), records, status,
-                     final_energy, reference, circuit, step_energies)
+                     records[-1].energy, reference, circuit, step_energies)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ Basis index bit q equals the occupation of qubit q (qubit 0 is the least
 significant bit).  All gate applications are O(2^n) array passes with no
 matrix ever materialized; the pool and hopping rotations use the closed
 forms that follow from A^3 = -A and h^3 = h, so there is no Trotter error.
+
+The pool rotations also have sector-coordinate kernels that act in place on
+a real vector over one (n_up, n_down) sector; the adaptive loop runs on
+those, and the 2^n register serves as their reference.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +122,23 @@ def _quadruple_qubits(o: LadderTerm) -> tuple[int, int, int, int]:
     return qubits
 
 
+def _quadruple_orbits(a: int, b: int, c: int, d: int, states: np.ndarray):
+    """Orbits of O = c†_a c†_b c_c c_d starting in the given basis states.
+
+    Returns (mask, dst, sign) with O|s> = sign(s)|dst(s)> for s in
+    states[mask] and zero on the other states; O† maps dst back to s with
+    the same sign.
+    """
+    bit = lambda q: (states >> q) & 1
+    mask = (bit(d) == 1) & (bit(c) == 1) & (bit(b) == 0) & (bit(a) == 0)
+    state = states[mask]
+    parity = np.zeros(len(state), dtype=np.int8)
+    for q in (d, c, b, a):
+        parity += _parity(state & np.uint32((1 << q) - 1))
+        state ^= np.uint32(1 << q)
+    return mask, state, np.where(parity & 1, -1.0, 1.0)
+
+
 @lru_cache(maxsize=None)
 def _quadruple_arrays(a: int, b: int, c: int, d: int, n_qubits: int):
     """Support and sign of O = c†_a c†_b c_c c_d on the full register.
@@ -125,16 +147,8 @@ def _quadruple_arrays(a: int, b: int, c: int, d: int, n_qubits: int):
     zero elsewhere; O† maps dst back to src with the same sign.
     """
     idx = _indices(n_qubits)
-    bit = lambda q: (idx >> q) & 1
-    mask = (bit(d) == 1) & (bit(c) == 1) & (bit(b) == 0) & (bit(a) == 0)
-    src = idx[mask]
-    parity = np.zeros(len(src), dtype=np.int8)
-    state = src.copy()
-    for q, occupy in ((d, False), (c, False), (b, True), (a, True)):
-        parity += _parity(state & np.uint32((1 << q) - 1))
-        state ^= np.uint32(1 << q)
-    sign = np.where(parity & 1, -1.0, 1.0)
-    return src, state, sign  # state is now src ^ flip
+    mask, dst, sign = _quadruple_orbits(a, b, c, d, idx)
+    return idx[mask], dst, sign
 
 
 def apply_pool_generator(o: LadderTerm, psi: StateVector) -> StateVector:
@@ -170,6 +184,57 @@ def apply_pool_unitary(o: LadderTerm, theta: float, psi: StateVector) -> StateVe
     out[dst] = c * v_dst + s * sign * v_src
     out[src] = c * v_src - s * sign * v_dst
     return StateVector(psi.n_qubits, out)
+
+
+# --- sector coordinates ------------------------------------------------------
+#
+# Pool rotations conserve (n_up, n_down), so a state over the sorted sector
+# bitstrings of `sector_basis` stays there, and a generator is just pairs of
+# positions into them.
+
+
+class Orbit(NamedTuple):
+    """A = O - O† over a sorted sector basis, as positions into it.
+
+    A|states[src]> = sign |states[dst]> and A|states[dst]> = -sign |states[src]>.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    sign: np.ndarray
+
+
+def sector_orbit(o: LadderTerm, states: np.ndarray) -> Orbit:
+    """Orbit table of the pool generator O - O† over sorted sector bitstrings."""
+    mask, targets, sign = _quadruple_orbits(*_quadruple_qubits(o), states)
+    dst = np.searchsorted(states, targets)
+    if not np.array_equal(states[np.minimum(dst, len(states) - 1)], targets):
+        raise ValueError("pool operator leaves the sector")
+    return Orbit(np.flatnonzero(mask), dst, sign)
+
+
+def rotate_orbit(x: np.ndarray, orbit: Orbit, theta: float) -> None:
+    """exp(theta*A) applied in place to a sector vector; the closed form of
+    apply_pool_unitary restricted to the sector."""
+    src, dst, sign = orbit
+    v_src, v_dst = x[src], x[dst]
+    s, c = math.sin(theta), math.cos(theta)
+    x[dst] = c * v_dst + s * sign * v_src
+    x[src] = c * v_src - s * sign * v_dst
+
+
+def orbit_overlap(orbit: Orbit, phi: np.ndarray, psi: np.ndarray) -> float:
+    """<phi|A|psi> for real sector vectors."""
+    src, dst, sign = orbit
+    return float(np.dot(phi[dst], sign * psi[src]) - np.dot(phi[src], sign * psi[dst]))
+
+
+def sector_run(x0: np.ndarray, orbits, thetas) -> np.ndarray:
+    """The rotations exp(thetas[k] * A_k), in order, applied to a copy of x0."""
+    x = x0.copy()
+    for orbit, theta in zip(orbits, thetas):
+        rotate_orbit(x, orbit, theta)
+    return x
 
 
 def _hopping_qubits(pair) -> tuple[int, int]:
@@ -431,6 +496,26 @@ def circuit_gradient(circuit: AnsatzCircuit, h: PauliSum) -> np.ndarray:
         raise ValueError("circuit_gradient requires a Hermitian Pauli sum")
     _, grads = expectation_and_gradient(circuit, lambda psi: apply_pauli_sum(h, psi))
     return grads
+
+
+def sector_expectation_and_gradient(x0: np.ndarray, orbits, thetas, h):
+    """expectation_and_gradient for pool rotations on a real sector vector.
+
+    x0 is the initial state and h a real symmetric matrix, both over the same
+    sector basis as the orbits.  The forward state and the back-propagated
+    h|psi> are rotated in place, so one evaluation allocates two vectors of
+    sector length.
+    """
+    x = sector_run(x0, orbits, thetas)
+    b = h @ x
+    energy = float(x @ b)
+    grads = np.zeros(len(orbits))
+    for pos in range(len(orbits) - 1, -1, -1):
+        grads[pos] = 2.0 * orbit_overlap(orbits[pos], b, x)
+        if pos:
+            rotate_orbit(x, orbits[pos], -thetas[pos])
+            rotate_orbit(b, orbits[pos], -thetas[pos])
+    return energy, grads
 
 
 def sector_weights(psi: StateVector) -> dict[tuple[int, int], float]:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vipsa.cli import main
@@ -122,6 +123,44 @@ def test_ground_space_cache_is_reused(tmp_path, capsys):
     _, _ = run_config(tmp_path, "again", u=4.0, max_epochs=1,
                       output=tmp_path / "again")
     assert cache[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
+
+
+def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
+    from vipsa import hamiltonians
+    from vipsa.cli import cached_ground_space
+
+    grid = GridSpec.make(2, 2, u=4.0)
+    cold = {register: cached_ground_space(grid, 2, 2, register, tmp_path)
+            for register in ("k", "real")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hamiltonian built on a cache hit")
+
+    monkeypatch.setattr(hamiltonians, "build_kspace", refuse)
+    monkeypatch.setattr(hamiltonians, "build_real", refuse)
+    for register, space in cold.items():
+        warm = cached_ground_space(grid, 2, 2, register, tmp_path)
+        np.testing.assert_array_equal(warm.vectors, space.vectors)
+
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def test_grid_rejected_by_the_library_is_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = write(tmp_path / "thin.cfg", "nx = 1\nny = 3\n")
+    assert main(["run", str(config)]) == 1
+    assert "1x3" in one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == [config]  # nothing written
+
+
+def test_ed_rejects_impossible_sector(capsys):
+    assert main(["ed", "--grid", "2x2", "--u", "4", "--sector", "9,9"]) == 1
+    assert "(9,9)" in one_error_line(capsys)
 
 
 def test_ed_registers_agree(capsys):

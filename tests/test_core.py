@@ -1,5 +1,7 @@
 """Adaptive-loop components: pool, gradients, selection, ADAM, first order."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from vipsa.fermions import jordan_wigner_sum
 from vipsa.hamiltonians import (
     SectorHamiltonian,
     build_kspace,
+    fidelity,
     ground_space,
     spin_operators,
 )
@@ -233,6 +236,29 @@ def test_run_energies_descend():
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
     assert result.records[0].selected  # interacting problem selects something
     assert result.pool_size == POOL_SIZES[(2, 2)]
+
+
+def test_run_records_match_full_register_replay():
+    # a run cut after k epochs repeats the first k records, and its returned
+    # circuit, replayed on the full register, gives the k-th record's numbers
+    grid = GridSpec.make(2, 3, u=4.0)
+    h, _ = build_kspace(grid)
+    config = VipsaConfig(max_epochs=3, max_inner_steps=40)
+    full = vipsa_run(grid, config=config)
+    for epochs in range(1, len(full.records) + 1):
+        run = vipsa_run(grid, config=replace(config, max_epochs=epochs), reference=full.ground)
+        assert run.records == full.records[:epochs]
+        psi = run.circuit.run()
+        assert abs(expectation(h, psi) - run.records[-1].energy) <= 1e-12
+        assert abs(fidelity(psi, run.ground) - run.records[-1].fidelity) <= 1e-12
+        assert psi.max_imag() <= 1e-12
+
+
+def test_run_rejects_reference_from_another_sector():
+    grid = u4(2, 2)
+    other = ground_space(build_kspace(grid)[0], grid.n_qubits, 1, 2)
+    with pytest.raises(ValueError):
+        vipsa_run(grid, 2, 2, reference=other)
 
 
 def test_run_first_epoch_selection_is_clean():

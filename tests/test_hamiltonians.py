@@ -172,6 +172,15 @@ def test_iterative_solver_matches_dense():
     np.testing.assert_allclose(dense.values, krylov.values, atol=1e-9)
 
 
+def test_iterative_ground_space_is_reproducible():
+    # the Lanczos start vector is fixed, so two solves agree bit for bit
+    grid = GridSpec.make(2, 3, u=4.0)
+    h, _ = build_kspace(grid)
+    first, second = (ground_space(h, grid.n_qubits, 3, 3, dense_cutoff=0) for _ in range(2))
+    np.testing.assert_array_equal(first.vectors, second.vectors)
+    assert first.energy == second.energy
+
+
 def test_sector_violation_detected():
     bad = PauliSum.from_terms([(1.0, ((0, "X"),))])
     states = sector_basis(4, 1, 1)
