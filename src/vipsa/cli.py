@@ -12,6 +12,8 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -200,9 +202,19 @@ def _grid_key(grid, n_up: int, n_down: int, register: str) -> str:
             f"{grid.t!r} {grid.u!r} {n_up} {n_down}")
 
 
+# what np.load raises on a truncated or otherwise damaged .npz, and
+# GroundSpace.load on one saved under another key
+UNREADABLE_CACHE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
+
+
 def cached_ground_space(grid, n_up: int, n_down: int, register: str,
                         cache_dir: Path | None):
-    """Diagonalize in the requested register, reusing an on-disk artifact."""
+    """Diagonalize in the requested register, reusing an on-disk artifact.
+
+    The file stores its cache key.  One that cannot be read, or holds another
+    key, is rebuilt and replaced; a new file is written next to its final name
+    and renamed into place, so a crash mid-write leaves no partial file there.
+    """
     from .hamiltonians import GroundSpace, build_kspace, build_real, ground_space
 
     def solve():
@@ -212,13 +224,24 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
     if cache_dir is None:
         return solve()
 
-    digest = hashlib.sha256(_grid_key(grid, n_up, n_down, register).encode()).hexdigest()
+    key = _grid_key(grid, n_up, n_down, register)
+    digest = hashlib.sha256(key.encode()).hexdigest()
     path = cache_dir / f"ground-{register}-{grid.label()}-{digest[:12]}.npz"
     if path.exists():
-        return GroundSpace.load(path)
+        try:
+            return GroundSpace.load(path, key)
+        except UNREADABLE_CACHE:
+            pass
     result = solve()
     cache_dir.mkdir(parents=True, exist_ok=True)
-    result.save(path)
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as handle:
+            result.save(handle, key)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return result
 
 

@@ -23,6 +23,7 @@ from .hamiltonians import (
     fidelity,
     ground_space,
     interaction_quadruples,
+    real_part,
 )
 from .lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
 from .statevector import (
@@ -300,7 +301,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         raise ValueError("reference ground space is not over the run's sector basis")
     # states and generators are real, so the imaginary part of h, which is
     # antisymmetric, adds nothing to <x|h|x> or to <h x|A x>
-    h = sector.matrix.real
+    h = real_part(sector.matrix)
     orbits = [sector_orbit(p.term, sector.states) for p in pool]
     sea = fermi_sea(grid, n_up, n_down)
     initial = basis_state(sea.occupied_qubits(), grid.n_qubits)

@@ -205,7 +205,12 @@ def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
 
 
 def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.sparse.csr_matrix:
-    """<i|h|j> over the given basis, verifying h does not leave it."""
+    """<i|h|j> over the given basis, verifying h does not leave it.
+
+    Entries whose Pauli-string amplitudes cancel to exactly zero are not
+    stored; every flip pattern reaches a distinct (row, column) pair, so no
+    stored entry is a sum of several.
+    """
     groups: dict[int, list[tuple[complex, np.uint32]]] = {}
     for coeff, flip, yz in _compiled_terms(h, n_qubits):
         groups.setdefault(int(flip), []).append((coeff, yz))
@@ -217,9 +222,10 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
         for coeff, yz in entries:
             amp += np.where(_parity(states & yz), -coeff, coeff)
         if flip == 0:
-            rows.append(source)
-            cols.append(source)
-            data.append(amp)
+            keep = amp != 0
+            rows.append(source[keep])
+            cols.append(source[keep])
+            data.append(amp[keep])
             continue
         targets = states ^ np.uint32(flip)
         idx = np.searchsorted(states, targets)
@@ -228,18 +234,27 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
         stray = np.abs(amp[~found])
         if stray.size and stray.max() > AMPLITUDE_DROP_TOL:
             raise ValueError("operator couples states outside the sector")
-        rows.append(idx_c[found])
-        cols.append(source[found])
-        data.append(amp[found])
+        keep = found & (amp != 0)
+        rows.append(idx_c[keep])
+        cols.append(source[keep])
+        data.append(amp[keep])
     matrix = scipy.sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim), dtype=np.complex128)
     return matrix.tocsr()
 
 
-def _as_real_if_possible(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+def real_part(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    """Real part of a CSR matrix, with contiguous float64 data of its own
+    (``matrix.real`` keeps a strided view into the complex data)."""
+    return scipy.sparse.csr_matrix((matrix.data.real.copy(), matrix.indices, matrix.indptr),
+                                   shape=matrix.shape)
+
+
+def as_real_if_possible(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    """real_part(matrix) if its imaginary part is negligible, else matrix."""
     if matrix.nnz == 0 or np.abs(matrix.data.imag).max() <= 1e-12:
-        return matrix.real
+        return real_part(matrix)
     return matrix
 
 
@@ -271,7 +286,7 @@ def sector_diagonalize(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     states = sector_basis(n_qubits, n_up, n_down)
     dim = len(states)
     how_many = min(how_many, dim)
-    matrix = _as_real_if_possible(sector_matrix(h, states, n_qubits))
+    matrix = as_real_if_possible(sector_matrix(h, states, n_qubits))
     if dim <= dense_cutoff:
         vals, vecs = np.linalg.eigh(matrix.toarray())
     else:
@@ -286,7 +301,8 @@ class GroundSpace:
 
     `vectors` has one column per ground state, expressed over `states`, the
     sorted sector bitstrings.  Stored artifacts (`save`/`load`) keep exactly
-    these fields: n_qubits, n_up, n_down, energy, vectors, states.
+    these fields: n_qubits, n_up, n_down, energy, vectors, states, plus an
+    optional key naming the problem they solve.
     """
 
     n_qubits: int
@@ -300,14 +316,20 @@ class GroundSpace:
     def degeneracy(self) -> int:
         return self.vectors.shape[1]
 
-    def save(self, path) -> None:
+    def save(self, path, key: str | None = None) -> None:
+        """Write the fields, and key if given, to path (a name or binary file)."""
+        extra = {} if key is None else {"key": np.array(key)}
         np.savez_compressed(path, n_qubits=self.n_qubits, n_up=self.n_up,
                             n_down=self.n_down, energy=self.energy,
-                            vectors=self.vectors, states=self.states)
+                            vectors=self.vectors, states=self.states, **extra)
 
     @classmethod
-    def load(cls, path) -> "GroundSpace":
+    def load(cls, path, key: str | None = None) -> "GroundSpace":
+        """Read a saved ground space; with a key, raise ValueError unless the
+        file was saved under the same key."""
         with np.load(path) as data:
+            if key is not None and ("key" not in data or str(data["key"]) != key):
+                raise ValueError(f"{path} was not saved under the key {key!r}")
             return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
                        float(data["energy"]), data["vectors"], data["states"])
 
@@ -324,7 +346,7 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
         raise ValueError("ground space requires a Hermitian operator")
     states = sector_basis(n_qubits, n_up, n_down)
     dim = len(states)
-    matrix = _as_real_if_possible(sector_matrix(h, states, n_qubits))
+    matrix = as_real_if_possible(sector_matrix(h, states, n_qubits))
     if dim <= dense_cutoff:
         vals, vecs = np.linalg.eigh(matrix.toarray())
     else:
@@ -407,7 +429,7 @@ def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector,
 
     if h0.is_diagonal():
         # the sector bitstrings are themselves the h0 eigenbasis
-        levels = diagonal_values(h0, n)[states]
+        levels = diagonal_values(h0, n, states)
         degenerate = np.abs(levels - e0) <= degeneracy_tol
         if degenerate.sum() != 1:
             raise ValueError("phi0 is degenerate within its sector")
@@ -418,7 +440,7 @@ def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector,
         if dim > dense_cutoff:
             raise ValueError(f"sector dimension {dim} too large for the dense "
                              "perturbation solve; use a diagonal h0")
-        matrix = _as_real_if_possible(sector_matrix(h0, states, n))
+        matrix = as_real_if_possible(sector_matrix(h0, states, n))
         levels, vecs = np.linalg.eigh(matrix.toarray())
         degenerate = np.abs(levels - e0) <= degeneracy_tol
         if degenerate.sum() != 1:

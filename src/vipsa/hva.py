@@ -7,6 +7,10 @@ exactly into two-qubit-pair rotations; one parameter drives each matching and
 one drives the interaction of each layer.  The reference point is the Slater
 determinant of the lowest real hopping orbitals, which makes the all-zero
 parameter point an exact stationary state of the optimization.
+
+The run works on one complex vector over the (n_up, n_down) sector, with the
+hopping gates as orbit tables and the interaction as its values on the
+sector bitstrings; the gate circuit on the 2^n register is the reference.
 """
 
 from dataclasses import dataclass
@@ -18,18 +22,25 @@ from .fermions import hopping_pair
 from .hamiltonians import (
     GroundSpace,
     SectorHamiltonian,
+    as_real_if_possible,
     build_real,
-    fidelity,
+    fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
     onsite_interaction,
+    sector_basis,
 )
 from .lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index, real_orbital_basis
 from .statevector import (
     AnsatzCircuit,
     DiagonalPhase,
     HoppingRotation,
+    SectorPhase,
     StateVector,
+    diagonal_values,
     expectation_and_gradient,
+    sector_expectation_and_gradient,
+    sector_hopping_orbit,
+    sector_run,
     slater_statevector,
 )
 
@@ -97,6 +108,10 @@ class HvaAnsatz:
     take -t * theta of their matching, and each of the two interaction gates
     per layer takes theta_U / 2 on the full U sum.  Gradients are folded back
     through the same map.
+
+    Each gate exists twice: in `sector_gates`, as an orbit table or diagonal
+    phase over `states`, acting on the Slater amplitudes `x0` there; and in
+    `circuit`, on the full register, as the reference.
     """
 
     def __init__(self, grid: GridSpec, n_up: int, n_down: int, layers: int = 10):
@@ -107,19 +122,29 @@ class HvaAnsatz:
                                     + sum(energies[s] for s in order[:n_down]))
         initial = slater_statevector(w, order[:n_up], order[:n_down])
         interaction = onsite_interaction(grid)
+        self.states = sector_basis(grid.n_qubits, n_up, n_down)
+        self.x0 = initial.amplitudes[self.states]
+        phase = SectorPhase(diagonal_values(interaction, grid.n_qubits, self.states))
+        orbits = {}  # one table per hopping pair, shared by every layer
 
         gates = []
+        self.sector_gates = []
         self._map: list[tuple[int, float]] = []  # (parameter index, scale) per gate
 
         def add_interaction(param: int):
             gates.append(DiagonalPhase(interaction, 0.0))
+            self.sector_gates.append(phase)
             self._map.append((param, 0.5))
 
         def add_matching(param: int, matching: tuple[Edge, ...]):
             for i, j in matching:
                 for spin in (UP, DOWN):
-                    pair = hopping_pair(qubit_index(i, spin), qubit_index(j, spin))
+                    qubits = qubit_index(i, spin), qubit_index(j, spin)
+                    pair = hopping_pair(*qubits)
+                    if qubits not in orbits:
+                        orbits[qubits] = sector_hopping_orbit(pair, self.states)
                     gates.append(HoppingRotation(pair, 0.0))
+                    self.sector_gates.append(orbits[qubits])
                     self._map.append((param, -grid.t))
 
         per_layer = self.layout.params_per_layer
@@ -140,23 +165,37 @@ class HvaAnsatz:
     def n_params(self) -> int:
         return self.layout.n_params
 
-    def set_parameters(self, params: np.ndarray) -> None:
+    def angles(self, params: np.ndarray) -> np.ndarray:
+        """Gate angles of a parameter vector."""
         if len(params) != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {len(params)}")
-        self.circuit.set_thetas([scale * params[idx] for idx, scale in self._map])
+        return np.array([scale * params[idx] for idx, scale in self._map])
+
+    def fold(self, per_gate: np.ndarray) -> np.ndarray:
+        """Per-gate gradients summed back onto the parameters."""
+        grads = np.zeros(self.n_params)
+        for gate_grad, (idx, scale) in zip(per_gate, self._map):
+            grads[idx] += scale * gate_grad
+        return grads
+
+    def sector_state(self, params: np.ndarray) -> np.ndarray:
+        """The ansatz state over `states`."""
+        return sector_run(self.x0, self.sector_gates, self.angles(params))
+
+    def set_parameters(self, params: np.ndarray) -> None:
+        self.circuit.set_thetas(self.angles(params))
 
     def state(self, params: np.ndarray) -> StateVector:
+        """The ansatz state on the full register (reference)."""
         self.set_parameters(params)
         return self.circuit.run()
 
     def energy_and_gradient(self, params: np.ndarray, apply_h,
                             final: StateVector | None = None) -> tuple[float, np.ndarray]:
+        """Energy and parameter gradient on the full register (reference)."""
         self.set_parameters(params)
         energy, per_gate = expectation_and_gradient(self.circuit, apply_h, final=final)
-        grads = np.zeros(self.n_params)
-        for gate_grad, (idx, scale) in zip(per_gate, self._map):
-            grads[idx] += scale * gate_grad
-        return energy, grads
+        return energy, self.fold(per_gate)
 
 
 @dataclass(frozen=True)
@@ -192,7 +231,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     stationary, the optimization proper starts from STATIONARY_KICK on every
     parameter.  Per-evaluation energy and fidelity are recorded, along with
     the parameter vector itself so any intermediate state can be
-    reconstructed exactly.
+    reconstructed exactly.  Every evaluation runs on the sector vector.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
@@ -201,15 +240,20 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     sector = SectorHamiltonian(h, grid.n_qubits, n_up, n_down)
     if reference is None:
         reference = ground_space(h, grid.n_qubits, n_up, n_down)
+    if not np.array_equal(reference.states, sector.states):
+        raise ValueError("reference ground space is not over the run's sector basis")
+    matrix = as_real_if_possible(sector.matrix)
     ansatz = HvaAnsatz(grid, n_up, n_down, layers)
 
     records: list[HvaStepRecord] = []
 
     def evaluate(params):
-        ansatz.set_parameters(params)
-        final = ansatz.circuit.run()
-        fid = fidelity(final, reference)  # before the gradient sweep reuses the buffer
-        energy, grads = ansatz.energy_and_gradient(params, sector.apply, final=final)
+        thetas = ansatz.angles(params)
+        final = sector_run(ansatz.x0, ansatz.sector_gates, thetas)
+        fid = reference.sector_fidelity(final)  # before the gradient sweep reuses the buffer
+        energy, per_gate = sector_expectation_and_gradient(
+            ansatz.x0, ansatz.sector_gates, thetas, matrix, final=final)
+        grads = ansatz.fold(per_gate)
         record = HvaStepRecord(len(records), energy, fid, float(np.abs(grads).max()))
         records.append(record)
         if progress is not None:
@@ -222,7 +266,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         start = np.full(ansatz.n_params, STATIONARY_KICK)
     outcome: AdamResult = adam_minimize(start, evaluate, config, keep_history=True)
     status = "converged" if outcome.converged else "exhausted"
-    final_fid = fidelity(ansatz.state(outcome.thetas), reference)
+    final_fid = reference.sector_fidelity(ansatz.sector_state(outcome.thetas))
     history = np.vstack([np.zeros(ansatz.n_params), outcome.history])
     return HvaResult(grid, n_up, n_down, ansatz.layout, records, status,
                      outcome.energy, final_fid, reference, outcome.thetas,

@@ -6,9 +6,10 @@ significant bit).  All gate applications are O(2^n) array passes with no
 matrix ever materialized; the pool and hopping rotations use the closed
 forms that follow from A^3 = -A and h^3 = h, so there is no Trotter error.
 
-The pool rotations also have sector-coordinate kernels that act in place on
-a real vector over one (n_up, n_down) sector; the adaptive loop runs on
-those, and the 2^n register serves as their reference.
+Every gate also has a sector-coordinate kernel that acts in place on a
+vector over one (n_up, n_down) sector: pool and hopping rotations as orbit
+tables, diagonal phases as their values on the sector bitstrings.  Both
+ansätze run on those, and the 2^n register serves as their reference.
 """
 
 from __future__ import annotations
@@ -186,57 +187,6 @@ def apply_pool_unitary(o: LadderTerm, theta: float, psi: StateVector) -> StateVe
     return StateVector(psi.n_qubits, out)
 
 
-# --- sector coordinates ------------------------------------------------------
-#
-# Pool rotations conserve (n_up, n_down), so a state over the sorted sector
-# bitstrings of `sector_basis` stays there, and a generator is just pairs of
-# positions into them.
-
-
-class Orbit(NamedTuple):
-    """A = O - O† over a sorted sector basis, as positions into it.
-
-    A|states[src]> = sign |states[dst]> and A|states[dst]> = -sign |states[src]>.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    sign: np.ndarray
-
-
-def sector_orbit(o: LadderTerm, states: np.ndarray) -> Orbit:
-    """Orbit table of the pool generator O - O† over sorted sector bitstrings."""
-    mask, targets, sign = _quadruple_orbits(*_quadruple_qubits(o), states)
-    dst = np.searchsorted(states, targets)
-    if not np.array_equal(states[np.minimum(dst, len(states) - 1)], targets):
-        raise ValueError("pool operator leaves the sector")
-    return Orbit(np.flatnonzero(mask), dst, sign)
-
-
-def rotate_orbit(x: np.ndarray, orbit: Orbit, theta: float) -> None:
-    """exp(theta*A) applied in place to a sector vector; the closed form of
-    apply_pool_unitary restricted to the sector."""
-    src, dst, sign = orbit
-    v_src, v_dst = x[src], x[dst]
-    s, c = math.sin(theta), math.cos(theta)
-    x[dst] = c * v_dst + s * sign * v_src
-    x[src] = c * v_src - s * sign * v_dst
-
-
-def orbit_overlap(orbit: Orbit, phi: np.ndarray, psi: np.ndarray) -> float:
-    """<phi|A|psi> for real sector vectors."""
-    src, dst, sign = orbit
-    return float(np.dot(phi[dst], sign * psi[src]) - np.dot(phi[src], sign * psi[dst]))
-
-
-def sector_run(x0: np.ndarray, orbits, thetas) -> np.ndarray:
-    """The rotations exp(thetas[k] * A_k), in order, applied to a copy of x0."""
-    x = x0.copy()
-    for orbit, theta in zip(orbits, thetas):
-        rotate_orbit(x, orbit, theta)
-    return x
-
-
 def _hopping_qubits(pair) -> tuple[int, int]:
     terms = list(pair)
     if len(terms) != 2:
@@ -254,20 +204,22 @@ def _hopping_qubits(pair) -> tuple[int, int]:
     return i, j
 
 
-@lru_cache(maxsize=None)
-def _hopping_arrays(i: int, j: int, n_qubits: int):
-    """Support and sign of h = c†_i c_j + c†_j c_i; h maps src <-> dst.
+def _hopping_orbits(i: int, j: int, states: np.ndarray):
+    """Orbits of h = c†_i c_j + c†_j c_i starting in the given basis states.
 
-    h^3 = h (eigenvalues {-1, 0, 1}) is checked numerically on two random
-    vectors when the arrays are first built.
+    Returns (mask, dst, sign) with h|s> = sign(s)|dst(s)> for s in
+    states[mask]; h maps dst back to s with the same sign.
     """
-    idx = _indices(n_qubits)
-    mask = (((idx >> j) & 1) == 1) & (((idx >> i) & 1) == 0)
-    src = idx[mask]
+    mask = (((states >> j) & 1) == 1) & (((states >> i) & 1) == 0)
+    src = states[mask]
     parity = _parity(src & np.uint32((1 << j) - 1))
     parity += _parity((src ^ np.uint32(1 << j)) & np.uint32((1 << i) - 1))
-    sign = np.where(parity & 1, -1.0, 1.0)
-    dst = src ^ np.uint32((1 << i) | (1 << j))
+    return mask, src ^ np.uint32((1 << i) | (1 << j)), np.where(parity & 1, -1.0, 1.0)
+
+
+def _check_hopping_cube(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, dim: int) -> None:
+    """h^3 = h (eigenvalues {-1, 0, 1}) for h mapping positions src <-> dst
+    with sign, checked numerically on two random vectors of length dim."""
 
     def apply_h(amps):
         out = np.zeros_like(amps)
@@ -277,10 +229,18 @@ def _hopping_arrays(i: int, j: int, n_qubits: int):
 
     rng = np.random.default_rng(1234)
     for _ in range(2):
-        v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         if np.linalg.norm(apply_h(apply_h(apply_h(v))) - apply_h(v)) > 1e-10 * np.linalg.norm(v):
             raise ValueError("hopping generator fails the h^3 = h check")
 
+
+@lru_cache(maxsize=None)
+def _hopping_arrays(i: int, j: int, n_qubits: int):
+    """Support and sign of h = c†_i c_j + c†_j c_i; h maps src <-> dst."""
+    idx = _indices(n_qubits)
+    mask, dst, sign = _hopping_orbits(i, j, idx)
+    src = idx[mask]
+    _check_hopping_cube(src, dst, sign, 1 << n_qubits)
     return src, dst, sign
 
 
@@ -305,12 +265,13 @@ def apply_hopping_unitary(pair, theta: float, psi: StateVector) -> StateVector:
     return StateVector(psi.n_qubits, out)
 
 
-def diagonal_values(d: PauliSum, n_qubits: int) -> np.ndarray:
-    """Diagonal of a Z/identity Pauli sum over all basis states."""
+def diagonal_values(d: PauliSum, n_qubits: int, states: np.ndarray | None = None) -> np.ndarray:
+    """Diagonal of a Z/identity Pauli sum over the given basis states, by
+    default all 2^n of them."""
     if not d.is_diagonal():
         raise ValueError("expected a diagonal (Z-only) Pauli sum")
-    idx = _indices(n_qubits)
-    values = np.zeros(1 << n_qubits, dtype=np.complex128)
+    idx = _indices(n_qubits) if states is None else states
+    values = np.zeros(len(idx), dtype=np.complex128)
     for coeff, letters in d:
         _, _, zm = letters_to_masks(letters)
         if zm >> n_qubits:
@@ -373,6 +334,104 @@ def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
     dets = np.linalg.det(blocks)
     psi.amplitudes[np.asarray(indices)] = dets
     return psi
+
+
+# --- sector coordinates ------------------------------------------------------
+#
+# Every gate here conserves (n_up, n_down), so a state over the sorted sector
+# bitstrings of `sector_basis` stays there.  A rotation generator is pairs of
+# positions into them, and a diagonal phase its values on them.
+
+
+class Orbit(NamedTuple):
+    """Anti-Hermitian generator G over a sorted sector basis, as positions into it.
+
+    G|states[src]> = phase*sign|states[dst]> and
+    G|states[dst]> = -conj(phase)*sign|states[src]>, so G^2 = -1 on the
+    orbits.  phase is 1 for a pool generator O - O† and -i for a hopping
+    generator -i(c†_i c_j + c†_j c_i).
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    sign: np.ndarray
+    phase: complex = 1.0
+
+
+class SectorPhase(NamedTuple):
+    """Generator -i*d of exp(-i*theta*d) for a diagonal d, by its values on
+    the sector bitstrings."""
+
+    values: np.ndarray
+    phase = -1j
+
+
+def _positions(states: np.ndarray, targets: np.ndarray, what: str) -> np.ndarray:
+    positions = np.searchsorted(states, targets)
+    if not np.array_equal(states[np.minimum(positions, len(states) - 1)], targets):
+        raise ValueError(f"{what} leaves the sector")
+    return positions
+
+
+def sector_orbit(o: LadderTerm, states: np.ndarray) -> Orbit:
+    """Orbit table of the pool generator O - O† over sorted sector bitstrings."""
+    mask, targets, sign = _quadruple_orbits(*_quadruple_qubits(o), states)
+    return Orbit(np.flatnonzero(mask), _positions(states, targets, "pool operator"), sign)
+
+
+def sector_hopping_orbit(pair, states: np.ndarray) -> Orbit:
+    """Orbit table of the hopping generator -i(c†_i c_j + c†_j c_i) over
+    sorted sector bitstrings."""
+    mask, targets, sign = _hopping_orbits(*_hopping_qubits(pair), states)
+    src, dst = np.flatnonzero(mask), _positions(states, targets, "hopping generator")
+    _check_hopping_cube(src, dst, sign, len(states))
+    return Orbit(src, dst, sign, -1j)
+
+
+def rotate_orbit(x: np.ndarray, orbit: Orbit, theta: float) -> None:
+    """exp(theta*G) applied in place to a sector vector; the closed form of
+    apply_pool_unitary and apply_hopping_unitary restricted to the sector.
+
+    With a real phase the coefficients stay real, so a real vector stays real.
+    """
+    src, dst, sign, phase = orbit
+    v_src, v_dst = x[src], x[dst]
+    s, c = math.sin(theta), math.cos(theta)
+    x[dst] = c * v_dst + s * phase * sign * v_src
+    x[src] = c * v_src - s * phase.conjugate() * sign * v_dst
+
+
+def orbit_overlap(orbit: Orbit, phi: np.ndarray, psi: np.ndarray):
+    """<phi|G|psi> for sector vectors; real for real vectors and a real phase."""
+    src, dst, sign, phase = orbit
+    return (phase * np.vdot(phi[dst], sign * psi[src])
+            - phase.conjugate() * np.vdot(phi[src], sign * psi[dst]))
+
+
+def rotate_sector(x: np.ndarray, gate: Orbit | SectorPhase, theta: float) -> None:
+    """exp(theta*G) applied in place, for an orbit table or a diagonal phase."""
+    if isinstance(gate, SectorPhase):
+        x *= np.exp(theta * gate.phase * gate.values)
+    else:
+        rotate_orbit(x, gate, theta)
+
+
+def sector_overlap(gate: Orbit | SectorPhase, phi: np.ndarray, psi: np.ndarray):
+    """<phi|G|psi>, for an orbit table or a diagonal phase."""
+    if isinstance(gate, SectorPhase):
+        return gate.phase * np.vdot(phi, gate.values * psi)
+    return orbit_overlap(gate, phi, psi)
+
+
+def sector_run(x0: np.ndarray, gates, thetas) -> np.ndarray:
+    """The gates exp(thetas[k] * G_k), in order, applied to a copy of x0.
+
+    The copy is complex only if x0 or a generator's phase is.
+    """
+    x = x0.astype(np.result_type(x0, *{gate.phase for gate in gates}))
+    for gate, theta in zip(gates, thetas):
+        rotate_sector(x, gate, theta)
+    return x
 
 
 # --- ansatz circuits -------------------------------------------------------
@@ -498,23 +557,26 @@ def circuit_gradient(circuit: AnsatzCircuit, h: PauliSum) -> np.ndarray:
     return grads
 
 
-def sector_expectation_and_gradient(x0: np.ndarray, orbits, thetas, h):
-    """expectation_and_gradient for pool rotations on a real sector vector.
+def sector_expectation_and_gradient(x0: np.ndarray, gates, thetas, h,
+                                    final: np.ndarray | None = None):
+    """expectation_and_gradient for orbit rotations and diagonal phases on a
+    sector vector.
 
-    x0 is the initial state and h a real symmetric matrix, both over the same
-    sector basis as the orbits.  The forward state and the back-propagated
-    h|psi> are rotated in place, so one evaluation allocates two vectors of
-    sector length.
+    x0 is the initial state and h a Hermitian matrix, both over the same
+    sector basis as the gates; final, if given, is sector_run(x0, gates,
+    thetas) and is used as the sweep's buffer.  The forward state and the
+    back-propagated h|psi> are rotated in place, so one evaluation allocates
+    two vectors of sector length.  Real x0, h and phases keep both real.
     """
-    x = sector_run(x0, orbits, thetas)
+    x = sector_run(x0, gates, thetas) if final is None else final
     b = h @ x
-    energy = float(x @ b)
-    grads = np.zeros(len(orbits))
-    for pos in range(len(orbits) - 1, -1, -1):
-        grads[pos] = 2.0 * orbit_overlap(orbits[pos], b, x)
+    energy = float(np.vdot(x, b).real)
+    grads = np.zeros(len(gates))
+    for pos in range(len(gates) - 1, -1, -1):
+        grads[pos] = 2.0 * sector_overlap(gates[pos], b, x).real
         if pos:
-            rotate_orbit(x, orbits[pos], -thetas[pos])
-            rotate_orbit(b, orbits[pos], -thetas[pos])
+            rotate_sector(x, gates[pos], -thetas[pos])
+            rotate_sector(b, gates[pos], -thetas[pos])
     return energy, grads
 
 

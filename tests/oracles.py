@@ -63,3 +63,30 @@ def dense_ladder_term(term, n_qubits: int) -> np.ndarray:
         factor = dense_create(q, n_qubits) if kind == "+" else dense_annihilate(q, n_qubits)
         out = out @ factor
     return out
+
+
+def dense_sector_block(pauli_sum, states, n_qubits: int) -> np.ndarray:
+    """<r|h|c> for r, c over the given sorted basis states.
+
+    A Pauli string maps |c> to a single basis state, with amplitude the
+    product of the single-qubit entries <r_q|P_q|c_q>, so the block is
+    filled column by column without forming a 2^n matrix.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    if np.any(states >> n_qubits):
+        raise ValueError("basis state outside the register")
+    dim = len(states)
+    out = np.zeros((dim, dim), dtype=complex)
+    columns = np.arange(dim)
+    for coeff, letters in pauli_sum:
+        rows = states.copy()
+        value = np.full(dim, coeff, dtype=complex)
+        for q, p in letters:
+            bit = (states >> q) & 1
+            flipped = bit ^ 1 if p in "XY" else bit
+            value *= PAULI[p][flipped, bit]
+            rows ^= (flipped ^ bit) << q
+        position = np.minimum(np.searchsorted(states, rows), dim - 1)
+        inside = states[position] == rows
+        np.add.at(out, (position[inside], columns[inside]), value[inside])
+    return out

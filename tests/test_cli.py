@@ -125,6 +125,32 @@ def test_ground_space_cache_is_reused(tmp_path, capsys):
     assert cache[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
 
 
+def truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def plant_other_problem(path: Path) -> None:
+    from vipsa.hamiltonians import GroundSpace
+    GroundSpace.load(path).save(path, key="some other problem")
+
+
+@pytest.mark.parametrize("damage", [truncate, plant_other_problem])
+def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
+    from vipsa.hamiltonians import GroundSpace
+
+    code, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
+    cache, = (tmp_path / "cache").glob("*.npz")
+    damage(cache)
+    code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
+    assert code in (0, 2)
+    assert (again / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [cache.name]
+    GroundSpace.load(cache, key=None)
+    stamp = cache.stat().st_mtime_ns
+    run_config(tmp_path, "third", u=4.0, max_epochs=1)
+    assert cache.stat().st_mtime_ns == stamp  # the rebuilt file is a cache hit
+
+
 def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
     from vipsa import hamiltonians
     from vipsa.cli import cached_ground_space

@@ -7,6 +7,7 @@ from vipsa.fermions import PauliSum
 from vipsa.hamiltonians import (
     GroundSpace,
     SectorHamiltonian,
+    as_real_if_possible,
     build_kspace,
     build_real,
     fidelity,
@@ -14,13 +15,14 @@ from vipsa.hamiltonians import (
     hamiltonian_pair,
     interaction_quadruples,
     kinetic_kspace,
+    real_part,
     rs_perturbation,
     sector_basis,
     sector_diagonalize,
     sector_matrix,
     spin_operators,
 )
-from vipsa.lattice import DOWN, UP, GridSpec, fermi_sea, real_orbital_basis
+from vipsa.lattice import DOWN, UP, GridSpec, default_filling, fermi_sea, real_orbital_basis
 from vipsa.statevector import (
     StateVector,
     apply_pauli_sum,
@@ -30,7 +32,7 @@ from vipsa.statevector import (
     slater_statevector,
 )
 
-from oracles import dense_pauli_sum
+from oracles import dense_pauli_sum, dense_sector_block
 
 
 def test_real_2x2_dense_shape():
@@ -181,6 +183,30 @@ def test_iterative_ground_space_is_reproducible():
     assert first.energy == second.energy
 
 
+def test_sector_block_oracle_matches_dense_slice():
+    grid = GridSpec.make(2, 2, u=4.0)
+    h, _ = build_kspace(grid)
+    states = sector_basis(grid.n_qubits, 2, 2)
+    full = dense_pauli_sum(h, grid.n_qubits)
+    np.testing.assert_allclose(dense_sector_block(h, states, grid.n_qubits),
+                               full[np.ix_(states, states)], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("register", ["k", "real"])
+def test_sector_matrix_stores_only_nonzeros(shape, register):
+    grid = GridSpec.make(*shape, u=4.0)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    matrix = sector_matrix(h, states, grid.n_qubits)
+    assert matrix.nnz == matrix.count_nonzero()
+    np.testing.assert_allclose(matrix.toarray(), dense_sector_block(h, states, grid.n_qubits),
+                               rtol=0, atol=1e-12)
+    for real in (real_part(matrix), as_real_if_possible(matrix)):
+        assert real.data.dtype == np.float64 and real.data.flags.c_contiguous
+        np.testing.assert_array_equal(real.toarray(), matrix.toarray().real)
+
+
 def test_sector_violation_detected():
     bad = PauliSum.from_terms([(1.0, ((0, "X"),))])
     states = sector_basis(4, 1, 1)
@@ -224,6 +250,19 @@ def test_ground_space_roundtrip(tmp_path):
     assert loaded.degeneracy == gs.degeneracy
     np.testing.assert_array_equal(loaded.states, gs.states)
     np.testing.assert_allclose(loaded.vectors, gs.vectors)
+
+
+def test_ground_space_load_checks_the_key(tmp_path):
+    grid = GridSpec.make(2, 2, u=4.0)
+    gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
+    gs.save(tmp_path / "keyed.npz", key="real 2x2 u=4")
+    gs.save(tmp_path / "plain.npz")
+    loaded = GroundSpace.load(tmp_path / "keyed.npz", key="real 2x2 u=4")
+    np.testing.assert_array_equal(loaded.vectors, gs.vectors)
+    GroundSpace.load(tmp_path / "keyed.npz")  # no key asked for, none checked
+    for name in ("keyed.npz", "plain.npz"):
+        with pytest.raises(ValueError):
+            GroundSpace.load(tmp_path / name, key="real 2x2 u=5")
 
 
 def test_sector_hamiltonian_fast_apply():

@@ -1,16 +1,36 @@
 """Layered ansatz: layout, exactness, stationary start, optimization."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from vipsa import hamiltonians, statevector
 from vipsa.core import VipsaConfig
 from vipsa.fermions import hopping_pair, jordan_wigner_sum
-from vipsa.hamiltonians import SectorHamiltonian, build_real, ground_space, spin_operators
-from vipsa.lattice import DOWN, UP, GridSpec, hopping_edges, qubit_index, real_orbital_basis
+from vipsa.hamiltonians import (
+    SectorHamiltonian,
+    as_real_if_possible,
+    build_real,
+    fidelity,
+    ground_space,
+    spin_operators,
+)
+from vipsa.lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index, real_orbital_basis
 from vipsa.hva import HvaAnsatz, build_layout, edge_matchings, hva_run
-from vipsa.statevector import AnsatzCircuit, HoppingRotation, basis_state, expectation
+from vipsa.statevector import (
+    AnsatzCircuit,
+    HoppingRotation,
+    basis_state,
+    expectation,
+    sector_expectation_and_gradient,
+)
 from oracles import dense_pauli_sum
+
+TOL = 1e-12
 
 
 PARAMS_PER_LAYER = {(2, 2): 3, (2, 3): 5, (2, 4): 4, (3, 3): 7}
@@ -140,3 +160,64 @@ def test_trajectory_conserves_spin():
     for got_sz, got_s2 in values[1:]:
         assert got_sz == pytest.approx(base_sz, abs=1e-8)
         assert got_s2 == pytest.approx(base_s2, abs=1e-8)
+
+
+@lru_cache(maxsize=None)
+def hva_problem(nx, ny, u, layers):
+    grid = GridSpec.make(nx, ny, u=u)
+    filling = default_filling(grid)
+    h = build_real(grid)
+    sector = SectorHamiltonian(h, grid.n_qubits, *filling)
+    return (HvaAnsatz(grid, *filling, layers), sector,
+            ground_space(h, grid.n_qubits, *filling))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sector_evaluation_matches_full_register(shape, seed):
+    ansatz, sector, gs = hva_problem(*shape, 4.0, 3)
+    params = np.random.default_rng(seed).uniform(-1.0, 1.0, ansatz.n_params)
+    energy, grads = ansatz.energy_and_gradient(params, sector.apply)
+
+    thetas = ansatz.angles(params)
+    x = ansatz.sector_state(params)
+    assert abs(gs.sector_fidelity(x) - fidelity(ansatz.state(params), gs)) <= TOL
+    got_energy, per_gate = sector_expectation_and_gradient(
+        ansatz.x0, ansatz.sector_gates, thetas, as_real_if_possible(sector.matrix), final=x)
+    assert abs(got_energy - energy) <= TOL
+    np.testing.assert_allclose(ansatz.fold(per_gate), grads, rtol=0, atol=TOL)
+
+
+def test_run_records_match_full_register_replay():
+    ansatz, sector, gs = hva_problem(2, 3, 4.0, 3)
+    result = hva_run(ansatz.grid, config=VipsaConfig(max_inner_steps=12, eps2=1e-9),
+                     layers=3, reference=gs)
+    assert len(result.records) == len(result.history) > 2
+    for record, params in zip(result.records, result.history):
+        energy, _ = result.ansatz.energy_and_gradient(params, sector.apply)
+        assert abs(record.energy - energy) <= TOL
+        assert abs(record.fidelity - fidelity(result.ansatz.state(params), gs)) <= TOL
+    final = fidelity(result.ansatz.state(result.parameters), gs)
+    assert abs(result.final_fidelity - final) <= TOL
+
+
+def test_run_rejects_reference_over_another_sector():
+    grid = GridSpec.make(2, 2, u=4.0)
+    other = ground_space(build_real(grid), grid.n_qubits, 3, 1)
+    with pytest.raises(ValueError):
+        hva_run(grid, 2, 2, config=VipsaConfig(max_inner_steps=1), layers=1, reference=other)
+
+
+def test_run_path_stays_off_the_full_register(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-register kernel reached by the run path")
+
+    monkeypatch.setattr(statevector, "_hopping_arrays", refuse)
+    for cls in (statevector.HoppingRotation, statevector.DiagonalPhase):
+        monkeypatch.setattr(cls, "apply", refuse)
+        monkeypatch.setattr(cls, "generator_apply", refuse)
+    monkeypatch.setattr(hamiltonians.SectorHamiltonian, "apply", refuse)
+    result = hva_run(GridSpec.make(2, 2, u=4.0), config=VipsaConfig(max_inner_steps=5),
+                     layers=2)
+    assert len(result.records) == 7

@@ -1,4 +1,4 @@
-"""Sector-coordinate pool kernels against the full-register reference kernels."""
+"""Sector-coordinate kernels against the full-register reference kernels."""
 
 from functools import lru_cache
 
@@ -8,20 +8,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vipsa.core import build_pool, pool_gradients, sector_pool_gradients
-from vipsa.fermions import ANNIHILATE, CREATE, LadderTerm
-from vipsa.hamiltonians import SectorHamiltonian, build_kspace, sector_basis
+from vipsa.fermions import ANNIHILATE, CREATE, LadderTerm, hopping_pair
+from vipsa.hamiltonians import SectorHamiltonian, build_kspace, onsite_interaction, sector_basis
 from vipsa.lattice import GridSpec, default_filling
 from vipsa.statevector import (
     AnsatzCircuit,
+    DiagonalPhase,
+    HoppingRotation,
     PoolRotation,
+    SectorPhase,
     StateVector,
+    apply_diagonal_phase,
+    apply_hopping_unitary,
     apply_pool_unitary,
     circuit_gradient,
+    diagonal_values,
     orbit_overlap,
     pool_generator_overlap,
     rotate_orbit,
+    rotate_sector,
     sector_expectation_and_gradient,
+    sector_hopping_orbit,
     sector_orbit,
+    sector_overlap,
+    sector_run,
 )
 
 TOL = 1e-12
@@ -41,8 +51,22 @@ def sector_problems(draw):
     return n_qubits, sector_basis(n_qubits, n_up, n_down), term
 
 
-def random_sector_vector(states, seed):
-    v = np.random.default_rng(seed).normal(size=len(states))
+@st.composite
+def hopping_problems(draw):
+    """A sector of 4-6 orbital pairs and a same-spin hopping pair."""
+    n_pairs = draw(st.integers(4, 6))
+    n_qubits = 2 * n_pairs
+    spin = draw(st.integers(0, 1))
+    i, j = draw(st.permutations(range(n_pairs)))[:2]
+    states = sector_basis(n_qubits, draw(st.integers(0, n_pairs)), draw(st.integers(0, n_pairs)))
+    return n_qubits, states, hopping_pair(2 * i + spin, 2 * j + spin)
+
+
+def random_sector_vector(states, seed, complex_=False):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=len(states))
+    if complex_:
+        v = v + 1j * rng.normal(size=len(states))
     return v / np.linalg.norm(v)
 
 
@@ -88,12 +112,87 @@ def test_orbit_overlap_matches_full_register(problem, seed):
     assert expected.imag == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(hopping_problems(), seeds, angles)
+def test_hopping_orbit_rotation_matches_full_register(problem, seed, theta):
+    n_qubits, states, pair = problem
+    x = random_sector_vector(states, seed, complex_=True)
+    expected = apply_hopping_unitary(pair, theta, full_register(x, states, n_qubits))
+
+    rotated = x.copy()
+    orbit = sector_hopping_orbit(pair, states)
+    rotate_orbit(rotated, orbit, theta)
+    np.testing.assert_allclose(rotated, expected.amplitudes[states], rtol=0, atol=TOL)
+    assert abs(np.linalg.norm(rotated) - 1.0) <= TOL
+    rotate_orbit(rotated, orbit, -theta)
+    np.testing.assert_allclose(rotated, x, rtol=0, atol=TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hopping_problems(), seeds)
+def test_hopping_orbit_overlap_matches_full_register(problem, seed):
+    n_qubits, states, pair = problem
+    phi = random_sector_vector(states, seed, complex_=True)
+    psi = random_sector_vector(states, seed + 1, complex_=True)
+    image = HoppingRotation(pair).generator_apply(full_register(psi, states, n_qubits))
+    expected = full_register(phi, states, n_qubits).dot(image)
+    got = orbit_overlap(sector_hopping_orbit(pair, states), phi, psi)
+    assert abs(got - expected) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(sector_problems(), seeds, angles)
+def test_pool_orbit_on_complex_vectors_matches_full_register(problem, seed, theta):
+    n_qubits, states, term = problem
+    x = random_sector_vector(states, seed, complex_=True)
+    phi = random_sector_vector(states, seed + 1, complex_=True)
+    orbit = sector_orbit(term, states)
+    expected = apply_pool_unitary(term, theta, full_register(x, states, n_qubits))
+    overlap = pool_generator_overlap(term, full_register(phi, states, n_qubits),
+                                     full_register(x, states, n_qubits))
+    assert abs(orbit_overlap(orbit, phi, x) - overlap) <= TOL
+    rotate_orbit(x, orbit, theta)
+    np.testing.assert_allclose(x, expected.amplitudes[states], rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("shape", ((2, 2), (2, 3)))
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, theta=angles)
+def test_sector_phase_matches_full_register(shape, seed, theta):
+    grid = GridSpec.make(*shape, u=3.0)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    d = onsite_interaction(grid)
+    x = random_sector_vector(states, seed, complex_=True)
+    phi = random_sector_vector(states, seed + 1, complex_=True)
+    gate = SectorPhase(diagonal_values(d, grid.n_qubits, states))
+    full = full_register(x, states, grid.n_qubits)
+    overlap = full_register(phi, states, grid.n_qubits).dot(DiagonalPhase(d).generator_apply(full))
+    assert abs(sector_overlap(gate, phi, x) - overlap) <= TOL
+    rotate_sector(x, gate, theta)
+    expected = apply_diagonal_phase(d, theta, full)
+    np.testing.assert_allclose(x, expected.amplitudes[states], rtol=0, atol=TOL)
+
+
+def test_real_phases_keep_the_sweep_real():
+    grid, _, sector, pool, orbits = grid_problem(2, 2, 4.0)
+    x0 = random_sector_vector(sector.states, 5)
+    thetas = np.linspace(-0.5, 0.5, len(orbits))
+    assert sector_run(x0, orbits, thetas).dtype == np.float64
+    energy, grads = sector_expectation_and_gradient(x0, orbits, thetas, sector.matrix.real)
+    assert isinstance(energy, float) and grads.dtype == np.float64
+
+    hop = sector_hopping_orbit(hopping_pair(0, 2), sector.states)
+    assert sector_run(x0, orbits + [hop], np.append(thetas, 0.3)).dtype == np.complex128
+
+
 def test_orbit_rejects_operator_leaving_the_sector():
     states = sector_basis(8, 2, 2)
     # two down electrons become two up electrons
     term = LadderTerm(1.0, ((0, CREATE), (2, CREATE), (1, ANNIHILATE), (3, ANNIHILATE)))
     with pytest.raises(ValueError):
         sector_orbit(term, states)
+    with pytest.raises(ValueError):
+        sector_hopping_orbit(hopping_pair(0, 1), states)  # up electron hops to a down orbital
 
 
 @lru_cache(maxsize=None)
