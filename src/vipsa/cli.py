@@ -211,9 +211,11 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
                         cache_dir: Path | None):
     """Diagonalize in the requested register, reusing an on-disk artifact.
 
-    The file stores its cache key.  One that cannot be read, or holds another
-    key, is rebuilt and replaced; a new file is written next to its final name
-    and renamed into place, so a crash mid-write leaves no partial file there.
+    The file stores its cache key and the sector Hamiltonian, so a hit needs
+    no Hamiltonian build.  One that cannot be read, holds another key, or has
+    no sector matrix (an older format) is rebuilt and replaced; a new file is
+    written next to its final name and renamed into place, so a crash
+    mid-write leaves no partial file there.
     """
     from .hamiltonians import GroundSpace, build_kspace, build_real, ground_space
 
@@ -229,9 +231,11 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
     path = cache_dir / f"ground-{register}-{grid.label()}-{digest[:12]}.npz"
     if path.exists():
         try:
-            return GroundSpace.load(path, key)
+            cached = GroundSpace.load(path, key)
         except UNREADABLE_CACHE:
-            pass
+            cached = None
+        if cached is not None and cached.matrix is not None:
+            return cached
     result = solve()
     cache_dir.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -350,8 +354,18 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
         raise CliError(f"bad sector '{text}', expected N_UP,N_DOWN like 5,4") from None
 
 
+def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, int]:
+    """(energy, degeneracy) of one register's ground space.  The Hamiltonian
+    and the space, sector matrix included, are freed on return, before the
+    next register is built."""
+    from .hamiltonians import build_kspace, build_real, ground_space
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    ground = ground_space(h, grid.n_qubits, n_up, n_down)
+    return ground.energy, ground.degeneracy
+
+
 def cmd_ed(args) -> int:
-    from .hamiltonians import build_kspace, build_real, ground_space, sector_basis
+    from .hamiltonians import sector_basis
     from .lattice import default_filling
 
     nx, ny = _parse_grid_arg(args.grid)
@@ -368,10 +382,8 @@ def cmd_ed(args) -> int:
         else:
             n_up, n_down = default_filling(grid)
         for register in registers:
-            h = build_kspace(grid)[0] if register == "k" else build_real(grid)
-            ground = ground_space(h, grid.n_qubits, n_up, n_down)
             rows.append([f"{nx}x{ny}", u, n_up, n_down, register,
-                         ground.energy, ground.degeneracy])
+                         *_ground_energy(grid, register, n_up, n_down)])
 
     header = ("grid", "u", "n_up", "n_down", "register", "energy", "degeneracy")
     widths = [6, 8, 5, 7, 9, 16, 11]
@@ -467,34 +479,22 @@ def cmd_compare(args) -> int:
 # ------------------------------------------------------------- pool-info ---
 
 def cmd_pool_info(args) -> int:
-    from .core import build_pool
+    from collections import Counter
+
+    from .core import build_pool, pool_class
     from .hamiltonians import interaction_quadruples
-    from .lattice import DEGENERACY_TOL
 
     nx, ny = _parse_grid_arg(args.grid)
     grid = make_grid(nx, ny, t=args.t, u=args.u)
     table = interaction_quadruples(grid)
-    diagonal = repeated = zero_gap = 0
-    survivors = 0
-    for q in table:
-        if q.is_diagonal:
-            diagonal += 1
-        elif q.up_to == q.up_from or q.down_to == q.down_from:
-            repeated += 1
-        elif abs(q.energy_gap) <= DEGENERACY_TOL:
-            zero_gap += 1
-        else:
-            survivors += 1
-    pool = build_pool(grid)
+    counts = Counter(pool_class(q) for q in table)
     print(f"grid {grid.label()} ({grid.bc_x} x {grid.bc_y}), U={grid.u:g}")
     print(f"  interaction table entries: {len(table)}")
-    print(f"  excluded diagonal:         {diagonal}")
-    print(f"  excluded one-sided:        {repeated}")
-    print(f"  excluded zero-gap:         {zero_gap}")
-    print(f"  conjugate duplicates:      {survivors // 2}")
-    print(f"  pool size:                 {len(pool)}")
-    if len(pool) != survivors // 2:
-        raise CliError("pool size disagrees with the quadruple classification")
+    print(f"  excluded diagonal:         {counts['diagonal']}")
+    print(f"  excluded one-sided:        {counts['one-sided']}")
+    print(f"  excluded zero-gap:         {counts['zero-gap']}")
+    print(f"  conjugate duplicates:      {counts['pool'] // 2}")
+    print(f"  pool size:                 {len(build_pool(grid))}")
     return 0
 
 

@@ -15,15 +15,15 @@ import numpy as np
 
 from .fermions import LadderTerm, PauliSum, jordan_wigner
 from .hamiltonians import (
-    AMPLITUDE_DROP_TOL,
     GroundSpace,
     InteractionQuadruple,
-    SectorHamiltonian,
     build_kspace,
     fidelity,
     ground_space,
     interaction_quadruples,
     real_part,
+    real_sector_matrix,
+    sector_basis,
 )
 from .lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
 from .statevector import (
@@ -67,26 +67,31 @@ def _pool_label(q: InteractionQuadruple) -> str:
     return f"A{q.up_to},{q.down_to}|{q.down_from},{q.up_from}"
 
 
+def pool_class(q: InteractionQuadruple) -> str:
+    """Where a quadruple stands with respect to the pool, checked in this order:
+    "diagonal" (a density-density term), "one-sided" (one spin keeps its
+    mode, so fewer than four distinct orbitals), "zero-gap" (no kinetic
+    energy change) or "pool" (one orientation of a pool operator)."""
+    if q.is_diagonal:
+        return "diagonal"
+    if q.up_to == q.up_from or q.down_to == q.down_from:
+        return "one-sided"
+    if abs(q.energy_gap) <= DEGENERACY_TOL:
+        return "zero-gap"
+    return "pool"
+
+
 def build_pool(grid: GridSpec) -> list[PoolOperator]:
-    """Pool of scattering rotations: nonzero gap, four distinct orbitals.
+    """Pool of scattering rotations: the quadruples of class "pool".
 
     Of each conjugate pair only the lexicographically smaller orientation is
     kept; its rotation already covers both directions.  Order is canonical
     (sorted by index tuple) so downstream gate sequences are reproducible.
     """
-    pool = []
-    for q in interaction_quadruples(grid):
-        if abs(q.amplitude) <= AMPLITUDE_DROP_TOL:
-            continue
-        if abs(q.energy_gap) <= DEGENERACY_TOL:
-            continue
-        forward = (q.up_to, q.down_to, q.down_from, q.up_from)
-        if forward >= q.conjugate_indices():
-            continue
-        if q.up_to == q.up_from or q.down_to == q.down_from:
-            # same-mode moves have fewer than four distinct orbitals
-            continue
-        pool.append(PoolOperator(q, q.ladder_term(), _pool_label(q)))
+    pool = [PoolOperator(q, q.ladder_term(), _pool_label(q))
+            for q in interaction_quadruples(grid)
+            if pool_class(q) == "pool"
+            and (q.up_to, q.down_to, q.down_from, q.up_from) < q.conjugate_indices()]
     pool.sort(key=lambda p: (p.quadruple.up_to, p.quadruple.down_to,
                              p.quadruple.down_from, p.quadruple.up_from))
     return pool
@@ -153,8 +158,9 @@ class VipsaConfig:
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"r must be in (0, 1], got {self.r}")
         for name in ("eps1", "eps2", "lr", "stabilizer"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name, low in (("beta1", 0.0), ("beta2", 0.0)):
             if not low <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
@@ -278,10 +284,11 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     """Full adaptive loop in the mode register of one grid.
 
     The reference ground space (for fidelities) is diagonalized on the spot
-    unless a precomputed one is passed in.  `progress`, if given, is called
-    with each finished EpochRecord.  When the pool gradient drops below eps1
-    a terminal record with an empty selection is emitted, so a trace always
-    shows the state the loop stopped in.
+    unless a precomputed one is passed in; the sector Hamiltonian is taken
+    from it, and built only when it carries none.  `progress`, if given, is
+    called with each finished EpochRecord.  When the pool gradient drops
+    below eps1 a terminal record with an empty selection is emitted, so a
+    trace always shows the state the loop stopped in.
 
     The loop works on one real vector over the (n_up, n_down) sector basis,
     with every pool generator as an orbit table into it.  The returned
@@ -291,21 +298,23 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
-    h_k, _ = build_kspace(grid)
     pool = build_pool(grid)
     labels = [p.label for p in pool]
-    sector = SectorHamiltonian(h_k, grid.n_qubits, n_up, n_down)
+    states = sector_basis(grid.n_qubits, n_up, n_down)
     if reference is None:
-        reference = ground_space(h_k, grid.n_qubits, n_up, n_down)
-    if not np.array_equal(reference.states, sector.states):
+        reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down)
+    if not np.array_equal(reference.states, states):
         raise ValueError("reference ground space is not over the run's sector basis")
+    matrix = reference.matrix
+    if matrix is None:
+        matrix = real_sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
     # states and generators are real, so the imaginary part of h, which is
     # antisymmetric, adds nothing to <x|h|x> or to <h x|A x>
-    h = real_part(sector.matrix)
-    orbits = [sector_orbit(p.term, sector.states) for p in pool]
+    h = matrix if not np.iscomplexobj(matrix.data) else real_part(matrix)
+    orbits = [sector_orbit(p.term, states) for p in pool]
     sea = fermi_sea(grid, n_up, n_down)
     initial = basis_state(sea.occupied_qubits(), grid.n_qubits)
-    x0 = initial.amplitudes[sector.states].real.copy()
+    x0 = initial.amplitudes[states].real.copy()
     gates: list[int] = []  # pool index of each rotation, in circuit order
     thetas = np.zeros(0)
     x = x0

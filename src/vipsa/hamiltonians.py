@@ -12,7 +12,7 @@ works in a fixed (n_up, n_down) occupation sector.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -258,6 +258,12 @@ def as_real_if_possible(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_mat
     return matrix
 
 
+def real_sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.sparse.csr_matrix:
+    """as_real_if_possible(sector_matrix(h, states, n_qubits)): the sector
+    Hamiltonian as the solvers and the runs use it."""
+    return as_real_if_possible(sector_matrix(h, states, n_qubits))
+
+
 def _lowest_eigenpairs(matrix, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     ncv = min(dim, max(2 * k + 16, 48))
     # a fixed generic start vector makes the returned basis of a degenerate
@@ -266,6 +272,33 @@ def _lowest_eigenpairs(matrix, dim: int, k: int) -> tuple[np.ndarray, np.ndarray
     vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=0, v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def _sector_spectrum(h: PauliSum, n_qubits: int, n_up: int, n_down: int, k: int,
+                     dense_cutoff: int, widen_tol: float | None = None):
+    """(states, matrix, values, vectors) of h on the (n_up, n_down) sector.
+
+    The matrix is real_sector_matrix(h, states, n_qubits).  Up to dense_cutoff
+    every eigenpair comes from a dense solve; above it, the lowest k from
+    Lanczos, with k doubled while all of them lie within widen_tol of the
+    lowest.  Values ascend.
+    """
+    if not h.is_hermitian():
+        raise ValueError("sector diagonalization requires a Hermitian operator")
+    states = sector_basis(n_qubits, n_up, n_down)
+    dim = len(states)
+    matrix = real_sector_matrix(h, states, n_qubits)
+    if dim <= dense_cutoff:
+        vals, vecs = np.linalg.eigh(matrix.toarray())
+        return states, matrix, vals, vecs
+    k = min(dim - 2, k)
+    while True:
+        vals, vecs = _lowest_eigenpairs(matrix, dim, k)
+        if (widen_tol is None or (vals <= vals[0] + widen_tol).sum() < len(vals)
+                or k == dim - 2):
+            return states, matrix, vals, vecs
+        # the whole returned window is degenerate; widen it
+        k = min(dim - 2, 2 * k)
 
 
 @dataclass(frozen=True)
@@ -281,17 +314,9 @@ def sector_diagonalize(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
                        how_many: int = 6,
                        dense_cutoff: int = DENSE_SECTOR_CUTOFF) -> SectorEigen:
     """Lowest eigenpairs of h restricted to the (n_up, n_down) sector."""
-    if not h.is_hermitian():
-        raise ValueError("sector diagonalization requires a Hermitian operator")
-    states = sector_basis(n_qubits, n_up, n_down)
-    dim = len(states)
-    how_many = min(how_many, dim)
-    matrix = as_real_if_possible(sector_matrix(h, states, n_qubits))
-    if dim <= dense_cutoff:
-        vals, vecs = np.linalg.eigh(matrix.toarray())
-    else:
-        k = min(dim - 2, max(how_many + 4, 10))
-        vals, vecs = _lowest_eigenpairs(matrix, dim, k)
+    states, _, vals, vecs = _sector_spectrum(h, n_qubits, n_up, n_down,
+                                             max(how_many + 4, 10), dense_cutoff)
+    how_many = min(how_many, len(states))
     return SectorEigen(vals[:how_many].copy(), vecs[:, :how_many].copy(), states)
 
 
@@ -300,9 +325,12 @@ class GroundSpace:
     """Orthonormal basis of the degenerate ground eigenspace of one sector.
 
     `vectors` has one column per ground state, expressed over `states`, the
-    sorted sector bitstrings.  Stored artifacts (`save`/`load`) keep exactly
-    these fields: n_qubits, n_up, n_down, energy, vectors, states, plus an
-    optional key naming the problem they solve.
+    sorted sector bitstrings.  `matrix`, if present, is the sector Hamiltonian
+    the space was solved from, over the same basis, so a run can reuse it
+    instead of building it again.  Stored artifacts (`save`/`load`) keep
+    exactly these fields: n_qubits, n_up, n_down, energy, vectors, states,
+    the matrix when there is one, plus an optional key naming the problem
+    they solve.
     """
 
     n_qubits: int
@@ -311,27 +339,47 @@ class GroundSpace:
     energy: float
     vectors: np.ndarray
     states: np.ndarray
+    matrix: scipy.sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        dim = len(self.states)
+        if self.matrix is not None and self.matrix.shape != (dim, dim):
+            raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
+                             f"{dim} sector states")
 
     @property
     def degeneracy(self) -> int:
         return self.vectors.shape[1]
 
     def save(self, path, key: str | None = None) -> None:
-        """Write the fields, and key if given, to path (a name or binary file)."""
+        """Write the fields, and key if given, to path (a name or binary file).
+
+        The file is not compressed: the sector matrix dominates it, and
+        compressing it costs far more time than reading the raw arrays back.
+        """
         extra = {} if key is None else {"key": np.array(key)}
-        np.savez_compressed(path, n_qubits=self.n_qubits, n_up=self.n_up,
-                            n_down=self.n_down, energy=self.energy,
-                            vectors=self.vectors, states=self.states, **extra)
+        if self.matrix is not None:
+            extra.update(matrix_shape=np.array(self.matrix.shape), matrix_data=self.matrix.data,
+                         matrix_indices=self.matrix.indices, matrix_indptr=self.matrix.indptr)
+        np.savez(path, n_qubits=self.n_qubits, n_up=self.n_up,
+                 n_down=self.n_down, energy=self.energy,
+                 vectors=self.vectors, states=self.states, **extra)
 
     @classmethod
     def load(cls, path, key: str | None = None) -> "GroundSpace":
         """Read a saved ground space; with a key, raise ValueError unless the
-        file was saved under the same key."""
+        file was saved under the same key.  A file without a sector matrix
+        loads with matrix None."""
         with np.load(path) as data:
             if key is not None and ("key" not in data or str(data["key"]) != key):
                 raise ValueError(f"{path} was not saved under the key {key!r}")
+            matrix = None
+            if "matrix_data" in data:
+                matrix = scipy.sparse.csr_matrix(
+                    (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
+                    shape=tuple(int(n) for n in data["matrix_shape"]))
             return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
-                       float(data["energy"]), data["vectors"], data["states"])
+                       float(data["energy"]), data["vectors"], data["states"], matrix)
 
     def sector_fidelity(self, x: np.ndarray) -> float:
         """Total squared overlap with a state given over `states`."""
@@ -341,25 +389,15 @@ class GroundSpace:
 def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
                  tol: float = GROUND_DEGENERACY_TOL,
                  dense_cutoff: int = DENSE_SECTOR_CUTOFF) -> GroundSpace:
-    """Ground multiplet of the sector, degeneracy resolved at tolerance tol."""
-    if not h.is_hermitian():
-        raise ValueError("ground space requires a Hermitian operator")
-    states = sector_basis(n_qubits, n_up, n_down)
-    dim = len(states)
-    matrix = as_real_if_possible(sector_matrix(h, states, n_qubits))
-    if dim <= dense_cutoff:
-        vals, vecs = np.linalg.eigh(matrix.toarray())
-    else:
-        k = min(dim - 2, 12)
-        while True:
-            vals, vecs = _lowest_eigenpairs(matrix, dim, k)
-            if (vals <= vals[0] + tol).sum() < len(vals) or k == dim - 2:
-                break
-            # the whole returned window is degenerate; widen it
-            k = min(dim - 2, 2 * k)
+    """Ground multiplet of the sector, degeneracy resolved at tolerance tol.
+
+    The returned space keeps the sector matrix it was solved from.
+    """
+    states, matrix, vals, vecs = _sector_spectrum(h, n_qubits, n_up, n_down, 12,
+                                                  dense_cutoff, widen_tol=tol)
     count = int((vals <= vals[0] + tol).sum())
     basis, _ = np.linalg.qr(vecs[:, :count])
-    return GroundSpace(n_qubits, n_up, n_down, float(vals[0]), basis, states)
+    return GroundSpace(n_qubits, n_up, n_down, float(vals[0]), basis, states, matrix)
 
 
 def fidelity(psi: StateVector, gs: GroundSpace) -> float:
@@ -440,7 +478,7 @@ def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector,
         if dim > dense_cutoff:
             raise ValueError(f"sector dimension {dim} too large for the dense "
                              "perturbation solve; use a diagonal h0")
-        matrix = as_real_if_possible(sector_matrix(h0, states, n))
+        matrix = real_sector_matrix(h0, states, n)
         levels, vecs = np.linalg.eigh(matrix.toarray())
         degenerate = np.abs(levels - e0) <= degeneracy_tol
         if degenerate.sum() != 1:

@@ -21,12 +21,11 @@ from .core import AdamResult, VipsaConfig, adam_minimize
 from .fermions import hopping_pair
 from .hamiltonians import (
     GroundSpace,
-    SectorHamiltonian,
-    as_real_if_possible,
     build_real,
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
     onsite_interaction,
+    real_sector_matrix,
     sector_basis,
 )
 from .lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index, real_orbital_basis
@@ -232,17 +231,19 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     parameter.  Per-evaluation energy and fidelity are recorded, along with
     the parameter vector itself so any intermediate state can be
     reconstructed exactly.  Every evaluation runs on the sector vector.
+    The sector Hamiltonian comes from the reference ground space, diagonalized
+    on the spot unless passed in, and is built only when it carries none.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
-    h = build_real(grid)
-    sector = SectorHamiltonian(h, grid.n_qubits, n_up, n_down)
     if reference is None:
-        reference = ground_space(h, grid.n_qubits, n_up, n_down)
-    if not np.array_equal(reference.states, sector.states):
+        reference = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
+    if not np.array_equal(reference.states, sector_basis(grid.n_qubits, n_up, n_down)):
         raise ValueError("reference ground space is not over the run's sector basis")
-    matrix = as_real_if_possible(sector.matrix)
+    matrix = reference.matrix
+    if matrix is None:
+        matrix = real_sector_matrix(build_real(grid), reference.states, grid.n_qubits)
     ansatz = HvaAnsatz(grid, n_up, n_down, layers)
 
     records: list[HvaStepRecord] = []

@@ -54,6 +54,9 @@ class GridSpec:
         for bc in (self.bc_x, self.bc_y):
             if bc not in (OPEN, PERIODIC):
                 raise ValueError(f"unknown boundary condition {bc!r}")
+        for name in ("t", "u"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def make(cls, nx: int, ny: int, t: float = 1.0, u: float = 0.0,

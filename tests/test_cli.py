@@ -35,12 +35,14 @@ cache_dir = {cache}
 
 
 def run_config(tmp_path, name, **fields) -> tuple[int, Path]:
-    fields.setdefault("cache", tmp_path / "cache")
+    fields.setdefault("cache", tmp_path / "cache")  # None switches the cache off
     fields.setdefault("output", tmp_path / name)
     extra = "".join(f"{k} = {v}\n" for k, v in fields.items()
                     if k not in ("u", "ansatz", "output", "cache"))
+    if fields["cache"] is None:
+        extra += "cache = off\n"
     text = BASE.format(u=fields.get("u", 4.0), ansatz=fields.get("ansatz", "vipsa"),
-                       output=fields["output"], cache=fields["cache"]) + extra
+                       output=fields["output"], cache=fields["cache"] or tmp_path / "off") + extra
     config = write(tmp_path / f"{name}.cfg", text)
     return main(["run", str(config)]), Path(fields["output"])
 
@@ -134,7 +136,30 @@ def plant_other_problem(path: Path) -> None:
     GroundSpace.load(path).save(path, key="some other problem")
 
 
-@pytest.mark.parametrize("damage", [truncate, plant_other_problem])
+def plant_old_format(path: Path) -> None:
+    # the format before the sector matrix was stored
+    from vipsa.hamiltonians import GroundSpace
+    with np.load(path) as data:
+        key = str(data["key"])
+    old = GroundSpace.load(path)
+    GroundSpace(old.n_qubits, old.n_up, old.n_down, old.energy,
+                old.vectors, old.states).save(path, key=key)
+
+
+def plant_misfit_matrix(path: Path) -> None:
+    from vipsa.hamiltonians import GroundSpace
+    matrix = GroundSpace.load(path).matrix
+    block = matrix[:-1, :-1].tocsr()
+    with np.load(path) as data:
+        fields = dict(data)
+    fields.update(matrix_shape=np.array(block.shape), matrix_data=block.data,
+                  matrix_indices=block.indices, matrix_indptr=block.indptr)
+    with open(path, "wb") as handle:
+        np.savez(handle, **fields)
+
+
+@pytest.mark.parametrize("damage", [truncate, plant_other_problem, plant_old_format,
+                                    plant_misfit_matrix])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
@@ -145,7 +170,7 @@ def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     assert code in (0, 2)
     assert (again / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [cache.name]
-    GroundSpace.load(cache, key=None)
+    assert GroundSpace.load(cache, key=None).matrix is not None
     stamp = cache.stat().st_mtime_ns
     run_config(tmp_path, "third", u=4.0, max_epochs=1)
     assert cache.stat().st_mtime_ns == stamp  # the rebuilt file is a cache hit
@@ -169,6 +194,58 @@ def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
         np.testing.assert_array_equal(warm.vectors, space.vectors)
 
 
+def run_artifacts(out: Path) -> dict:
+    return {name: (out / name).read_bytes()
+            for name in ("trace.csv", "steps.csv", "manifest.json")}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("Hamiltonian built on a cache hit")
+
+
+HAMILTONIAN_BUILDERS = [("hamiltonians", "sector_matrix"), ("hamiltonians", "build_kspace"),
+                        ("hamiltonians", "build_real"), ("core", "build_kspace"),
+                        ("hva", "build_real")]
+
+
+@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
+def test_warm_run_loads_the_hamiltonian(tmp_path, capsys, monkeypatch, ansatz):
+    import vipsa
+
+    settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 2, "max_inner_steps": 20,
+                "layers": 2}
+    _, cold = run_config(tmp_path, "cold", **settings)
+    for module, name in HAMILTONIAN_BUILDERS:
+        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    code, warm = run_config(tmp_path, "warm", **settings)
+    assert code in (0, 2)
+    assert run_artifacts(warm) == run_artifacts(cold)
+
+
+@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
+def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, ansatz):
+    from vipsa import hamiltonians
+
+    calls = []
+    build = hamiltonians.sector_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonians, "sector_matrix", counted)
+    settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 2, "max_inner_steps": 20,
+                "layers": 2}
+    _, uncached = run_config(tmp_path, "uncached", cache=None, **settings)
+    assert len(calls) == 1
+    _, filled = run_config(tmp_path, "filled", **settings)
+    assert len(calls) == 2
+    _, warm = run_config(tmp_path, "warm", **settings)
+    assert len(calls) == 2
+    assert not (tmp_path / "off").exists()
+    assert run_artifacts(uncached) == run_artifacts(filled) == run_artifacts(warm)
+
+
 def one_error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -187,6 +264,40 @@ def test_grid_rejected_by_the_library_is_one_line(tmp_path, capsys, monkeypatch)
 def test_ed_rejects_impossible_sector(capsys):
     assert main(["ed", "--grid", "2x2", "--u", "4", "--sector", "9,9"]) == 1
     assert "(9,9)" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [["--grid", "2x2", "--u", "nan"],
+                                  ["--grid", "3x3", "--u", "inf"],
+                                  ["--grid", "2x2", "--u", "4", "--t", "nan"]])
+def test_ed_rejects_non_finite_couplings(capsys, argv):
+    assert main(["ed", *argv]) == 1
+    assert "must be finite" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("line", ["u = nan", "u = inf", "t = nan", "lr = nan",
+                                  "eps1 = inf", "eps2 = nan", "stabilizer = nan"])
+def test_run_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    coupling = "" if line.startswith("u ") else "u = 4\n"
+    config = write(tmp_path / "bad.cfg", f"nx = 2\nny = 2\n{coupling}{line}\n")
+    assert main(["run", str(config)]) == 1
+    assert line.split()[0] in one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == [config]  # nothing written
+
+
+POOL_INFO_2X3 = """grid 2x3 (open x periodic), U=4
+  interaction table entries: 216
+  excluded diagonal:         36
+  excluded one-sided:        0
+  excluded zero-gap:         54
+  conjugate duplicates:      63
+  pool size:                 63
+"""
+
+
+def test_pool_info_table(capsys):
+    assert main(["pool-info", "--grid", "2x3", "--u", "4"]) == 0
+    assert capsys.readouterr().out == POOL_INFO_2X3
 
 
 def test_ed_registers_agree(capsys):

@@ -10,6 +10,7 @@ from vipsa.core import (
     adam_minimize,
     build_pool,
     first_order_oracle,
+    pool_class,
     pool_gradients,
     select,
     vipsa_run,
@@ -20,6 +21,7 @@ from vipsa.hamiltonians import (
     build_kspace,
     fidelity,
     ground_space,
+    interaction_quadruples,
     spin_operators,
 )
 from vipsa.lattice import GridSpec, fermi_sea
@@ -61,6 +63,22 @@ def test_pool_structure(shape):
         key = (q.up_to, q.down_to, q.down_from, q.up_from)
         assert q.conjugate_indices() not in forward  # one orientation per pair
         forward.add(key)
+
+
+@pytest.mark.parametrize("shape", sorted(POOL_SIZES))
+def test_pool_classes_partition_the_table(shape):
+    grid = u4(*shape)
+    table = interaction_quadruples(grid)
+    classes = [pool_class(q) for q in table]
+    assert set(classes) <= {"diagonal", "one-sided", "zero-gap", "pool"}
+    assert classes.count("pool") == 2 * len(build_pool(grid))
+    pooled = {p.quadruple for p in build_pool(grid)}
+    assert all(pool_class(q) == "pool" for q in pooled)
+    for q, cls in zip(table, classes):
+        if cls == "diagonal":
+            assert q.is_diagonal
+        elif cls == "zero-gap":
+            assert abs(q.energy_gap) <= 1e-9
 
 
 def test_pool_zero_coupling_is_empty():
@@ -214,6 +232,13 @@ def test_config_validation():
         VipsaConfig(eps1=-1.0)
     with pytest.raises(ValueError):
         VipsaConfig(convergence_window=0)
+
+
+@pytest.mark.parametrize("name", ["eps1", "eps2", "lr", "stabilizer"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_settings(name, value):
+    with pytest.raises(ValueError, match=name):
+        VipsaConfig(**{name: value})
 
 
 def test_run_without_coupling_stops_at_sea():

@@ -252,6 +252,31 @@ def test_ground_space_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.vectors, gs.vectors)
 
 
+@pytest.mark.parametrize("register", ["k", "real"])
+def test_ground_space_keeps_the_sector_matrix(tmp_path, register):
+    grid = GridSpec.make(2, 3, u=4.0)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    gs = ground_space(h, grid.n_qubits, 3, 3, dense_cutoff=0)
+    fresh = as_real_if_possible(sector_matrix(h, gs.states, grid.n_qubits))
+    gs.save(tmp_path / "gs.npz")
+    for matrix in (gs.matrix, GroundSpace.load(tmp_path / "gs.npz").matrix):
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(matrix, part), getattr(fresh, part))
+            assert getattr(matrix, part).dtype == getattr(fresh, part).dtype
+        assert matrix.shape == fresh.shape
+
+
+def test_ground_space_without_matrix_roundtrips(tmp_path):
+    grid = GridSpec.make(2, 2, u=4.0)
+    gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
+    bare = GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors, gs.states)
+    bare.save(tmp_path / "bare.npz")
+    assert GroundSpace.load(tmp_path / "bare.npz").matrix is None
+    with pytest.raises(ValueError, match="does not fit"):
+        GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
+                    gs.states[:-1], gs.matrix)
+
+
 def test_ground_space_load_checks_the_key(tmp_path):
     grid = GridSpec.make(2, 2, u=4.0)
     gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)

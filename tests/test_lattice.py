@@ -40,6 +40,13 @@ def test_boundary_override_and_validation():
         GridSpec.make(1, 4)
 
 
+@pytest.mark.parametrize("coupling", ["t", "u"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_couplings_are_rejected(coupling, value):
+    with pytest.raises(ValueError, match=f"{coupling} must be finite"):
+        GridSpec.make(2, 2, **{coupling: value})
+
+
 def test_mode_energies_match_hand_values():
     # Per-axis energies -2t*cos(k); open axes use standing-wave momenta.
     cases = {
