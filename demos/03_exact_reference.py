@@ -8,21 +8,18 @@ basis change on the single-particle space.
     python3 demos/03_exact_reference.py
 """
 
-import numpy as np
-
 from vipsa import (
     GridSpec,
-    basis_state,
     build_kspace,
     default_filling,
     fermi_sea,
-    fidelity,
     ground_space,
     hamiltonian_pair,
     rs_perturbation,
     sector_diagonalize,
 )
 from vipsa.hamiltonians import kinetic_kspace
+from vipsa.statevector import basis_state
 
 
 def main():
@@ -38,12 +35,15 @@ def main():
     for kv, rv in zip(k_eig.values, r_eig.values):
         print(f"  {kv:>16.10f} {rv:>16.10f} {abs(kv - rv):>12.2e}")
 
+    # the ground space lives on the sorted sector bitstrings; the sea is one
+    # of them
     gs = ground_space(pair.k_space, grid.n_qubits, n_up, n_down)
     sea = fermi_sea(grid, n_up, n_down)
-    psi = basis_state(sea.occupied_qubits(), grid.n_qubits)
-    print(f"\nGround energy {gs.energy:.10f}, degeneracy {gs.degeneracy}.")
+    x = (gs.states == sum(1 << q for q in sea.occupied_qubits())).astype(float)
+    print(f"\nGround energy {gs.energy:.10f}, degeneracy {gs.degeneracy}, "
+          f"sector dimension {len(gs.states)}.")
     print(f"The Fermi sea starts at energy {sea.energy:g} with ground-space "
-          f"fidelity {fidelity(psi, gs):.4f}: index-order filling picks one")
+          f"fidelity {gs.sector_fidelity(x):.4f}: index-order filling picks one")
     print("orientation of the half-filled zero-energy shell, and on this grid")
     print("that orientation carries no weight on the unique ground state.")
     print("The recovery benchmarks therefore run on the other grids.")

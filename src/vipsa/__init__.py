@@ -16,17 +16,14 @@ from .core import (
     VipsaConfig,
     build_pool,
     first_order_oracle,
-    pool_gradients,
     select,
     vipsa_run,
 )
 from .hamiltonians import (
     GroundSpace,
     HamiltonianPair,
-    SectorHamiltonian,
     build_kspace,
     build_real,
-    fidelity,
     ground_space,
     hamiltonian_pair,
     interaction_quadruples,
@@ -36,12 +33,10 @@ from .hamiltonians import (
 )
 from .hva import HvaAnsatz, HvaLayout, HvaResult, build_layout, hva_run
 from .lattice import GridSpec, default_filling, fermi_sea
-from .statevector import AnsatzCircuit, PoolRotation, StateVector, basis_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzCircuit",
     "GridSpec",
     "GroundSpace",
     "HamiltonianPair",
@@ -49,25 +44,19 @@ __all__ = [
     "HvaLayout",
     "HvaResult",
     "PoolOperator",
-    "PoolRotation",
     "RunResult",
-    "SectorHamiltonian",
-    "StateVector",
     "VipsaConfig",
-    "basis_state",
     "build_kspace",
     "build_layout",
     "build_pool",
     "build_real",
     "default_filling",
     "fermi_sea",
-    "fidelity",
     "first_order_oracle",
     "ground_space",
     "hamiltonian_pair",
     "hva_run",
     "interaction_quadruples",
-    "pool_gradients",
     "rs_perturbation",
     "sector_diagonalize",
     "select",

@@ -203,7 +203,7 @@ def _grid_key(grid, n_up: int, n_down: int, register: str) -> str:
 
 
 # what np.load raises on a truncated or otherwise damaged .npz, and
-# GroundSpace.load on one saved under another key
+# GroundSpace.load on one saved under another key or without a sector matrix
 UNREADABLE_CACHE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
 
 
@@ -212,10 +212,11 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
     """Diagonalize in the requested register, reusing an on-disk artifact.
 
     The file stores its cache key and the sector Hamiltonian, so a hit needs
-    no Hamiltonian build.  One that cannot be read, holds another key, or has
-    no sector matrix (an older format) is rebuilt and replaced; a new file is
-    written next to its final name and renamed into place, so a crash
-    mid-write leaves no partial file there.
+    no Hamiltonian build.  One that cannot be read (an older format without
+    the sector matrix included) or holds another key is rebuilt and
+    replaced; a new file is written next to its final name and renamed into
+    place, so a crash mid-write leaves no partial file there.  With no
+    cache_dir the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace, build_kspace, build_real, ground_space
 
@@ -231,11 +232,9 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
     path = cache_dir / f"ground-{register}-{grid.label()}-{digest[:12]}.npz"
     if path.exists():
         try:
-            cached = GroundSpace.load(path, key)
+            return GroundSpace.load(path, key)
         except UNREADABLE_CACHE:
-            cached = None
-        if cached is not None and cached.matrix is not None:
-            return cached
+            pass
     result = solve()
     cache_dir.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -292,9 +291,10 @@ def cmd_run(args) -> int:
         trace_rows = [[_format(v) for v in epoch_csv_row(r)] for r in result.records]
         step_rows = [[epoch, step, _format(energy)]
                      for epoch, step, energy in result.step_energies]
-        manifest_extra = {"pool_size": result.pool_size,
-                          "n_params": len(result.circuit.gates)}
-        final_fidelity = result.final_fidelity if result.records else None
+        manifest_extra = {"pool_size": result.pool_size, "n_params": len(result.gates)}
+        if result.status == "empty-pool":
+            print("  empty pool: no off-diagonal scattering move has four distinct orbitals "
+                  "and a nonzero kinetic gap, so no rotation can leave the Fermi sea")
     else:
         result = hva_run(grid, n_up, n_down, config, layers=experiment.layers,
                          reference=ground)
@@ -304,9 +304,8 @@ def cmd_run(args) -> int:
         step_rows = [[0, r.step, _format(r.energy)] for r in result.records]
         manifest_extra = {"layers": experiment.layers,
                           "n_params": result.layout.n_params}
-        final_fidelity = result.final_fidelity
         print(f"  {len(result.records) - 1} steps: E={result.final_energy:.8f} "
-              f"fid={final_fidelity:.4f}")
+              f"fid={result.final_fidelity:.4f}")
 
     _write_csv(out / "trace.csv", EPOCH_CSV_COLUMNS, trace_rows)
     _write_csv(out / "steps.csv", ("epoch", "step", "energy"), step_rows)
@@ -318,7 +317,7 @@ def cmd_run(args) -> int:
         "optimizer": {key: getattr(config, key) for key in OPTIMIZER_KEYS},
         "status": result.status,
         "final_energy": float(result.final_energy),
-        "final_fidelity": None if final_fidelity is None else float(final_fidelity),
+        "final_fidelity": float(result.final_fidelity),
         "ground_energy": float(ground.energy),
         "ground_degeneracy": ground.degeneracy,
         "rows": {"trace": len(trace_rows), "steps": len(step_rows)},
@@ -358,9 +357,7 @@ def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, 
     """(energy, degeneracy) of one register's ground space.  The Hamiltonian
     and the space, sector matrix included, are freed on return, before the
     next register is built."""
-    from .hamiltonians import build_kspace, build_real, ground_space
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
-    ground = ground_space(h, grid.n_qubits, n_up, n_down)
+    ground = cached_ground_space(grid, n_up, n_down, register, None)
     return ground.energy, ground.degeneracy
 
 

@@ -18,20 +18,17 @@ from .hamiltonians import (
     GroundSpace,
     InteractionQuadruple,
     build_kspace,
-    fidelity,
+    fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
     interaction_quadruples,
     real_part,
-    real_sector_matrix,
     sector_basis,
+    sector_matrix,
 )
 from .lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
 from .statevector import (
-    AnsatzCircuit,
-    PoolRotation,
     StateVector,
     apply_pauli_sum,
-    basis_state,
     expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     orbit_overlap,
     pool_generator_overlap,
@@ -123,7 +120,11 @@ def sector_pool_gradients(x: np.ndarray, h, orbits) -> np.ndarray:
 
 
 def select(gradients: np.ndarray, r: float, labels: list[str]) -> list[int]:
-    """Indices with |g| >= r * max|g|, strongest first, ties broken by label."""
+    """Indices with |g| >= r * max|g|, strongest first.
+
+    Only exactly equal magnitudes fall back to label order; magnitudes that
+    differ by a rounding error keep their magnitude order.
+    """
     if not 0.0 < r <= 1.0:
         raise ValueError(f"selection ratio must be in (0, 1], got {r}")
     if len(gradients) != len(labels):
@@ -264,17 +265,24 @@ class RunResult:
     n_down: int
     pool_size: int
     records: list[EpochRecord]
-    status: str  # "converged" if the gradient test ended the loop, else "exhausted"
+    # "converged" if the gradient test ended the loop, "empty-pool" if the
+    # interaction has off-diagonal moves but none enters the pool, else "exhausted"
+    status: str
     final_energy: float
     ground: GroundSpace
-    circuit: AnsatzCircuit
+    gates: list[str]      # pool label of each rotation, in circuit order
+    thetas: np.ndarray    # final angle of each rotation
     step_energies: list[tuple[int, int, float]] = field(default_factory=list)
 
     @property
     def final_fidelity(self) -> float:
-        if self.records:
-            return self.records[-1].fidelity
-        return fidelity(self.circuit.run(), self.ground)
+        return self.records[-1].fidelity
+
+
+def _sea_vector(grid: GridSpec, n_up: int, n_down: int, states: np.ndarray) -> np.ndarray:
+    """The Fermi sea as a real vector over the sorted sector bitstrings."""
+    sea = sum(1 << q for q in fermi_sea(grid, n_up, n_down).occupied_qubits())
+    return (states == sea).astype(float)
 
 
 def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
@@ -285,15 +293,14 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
 
     The reference ground space (for fidelities) is diagonalized on the spot
     unless a precomputed one is passed in; the sector Hamiltonian is taken
-    from it, and built only when it carries none.  `progress`, if given, is
-    called with each finished EpochRecord.  When the pool gradient drops
-    below eps1 a terminal record with an empty selection is emitted, so a
-    trace always shows the state the loop stopped in.
+    from it.  `progress`, if given, is called with each finished EpochRecord.
+    When the pool gradient drops below eps1 a terminal record with an empty
+    selection is emitted, so a trace always shows the state the loop stopped
+    in.
 
     The loop works on one real vector over the (n_up, n_down) sector basis,
-    with every pool generator as an orbit table into it.  The returned
-    circuit holds the same rotations at their final angles on the full
-    register, for replay against the reference kernels.
+    with every pool generator as an orbit table into it.  The result names
+    the rotations by pool label, with their final angles.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
@@ -305,16 +312,13 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down)
     if not np.array_equal(reference.states, states):
         raise ValueError("reference ground space is not over the run's sector basis")
-    matrix = reference.matrix
-    if matrix is None:
-        matrix = real_sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
     # states and generators are real, so the imaginary part of h, which is
     # antisymmetric, adds nothing to <x|h|x> or to <h x|A x>
-    h = matrix if not np.iscomplexobj(matrix.data) else real_part(matrix)
+    h = reference.matrix
+    if np.iscomplexobj(h.data):
+        h = real_part(h)
     orbits = [sector_orbit(p.term, states) for p in pool]
-    sea = fermi_sea(grid, n_up, n_down)
-    initial = basis_state(sea.occupied_qubits(), grid.n_qubits)
-    x0 = initial.amplitudes[states].real.copy()
+    x0 = _sea_vector(grid, n_up, n_down, states)
     gates: list[int] = []  # pool index of each rotation, in circuit order
     thetas = np.zeros(0)
     x = x0
@@ -327,6 +331,8 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         max_gradient = float(np.abs(grads).max()) if len(grads) else 0.0
         if max_gradient < config.eps1:
             status = "converged"
+            if not pool and any(not q.is_diagonal for q in interaction_quadruples(grid)):
+                status = "empty-pool"
             terminal = EpochRecord(
                 epoch=epoch,
                 max_gradient=max_gradient,
@@ -361,17 +367,16 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         if progress is not None:
             progress(record)
 
-    circuit = AnsatzCircuit(initial, [PoolRotation(pool[i].term, theta)
-                                      for i, theta in zip(gates, thetas)])
-    return RunResult(grid, n_up, n_down, len(pool), records, status,
-                     records[-1].energy, reference, circuit, step_energies)
+    return RunResult(grid, n_up, n_down, len(pool), records, status, records[-1].energy,
+                     reference, [labels[i] for i in gates], thetas, step_energies)
 
 
 @dataclass(frozen=True)
 class FirstOrderResult:
-    thetas: np.ndarray          # one angle per pool operator, canonical order
-    reference: StateVector      # normalized (1 - sum V O / gap)|sea>
-    sequential: StateVector     # the assigned rotations applied in pool order
+    thetas: np.ndarray      # one angle per pool operator, canonical order
+    states: np.ndarray      # the sorted sector bitstrings both states live on
+    reference: np.ndarray   # normalized (1 - sum V O / gap)|sea>
+    sequential: np.ndarray  # the assigned rotations applied in pool order
 
 
 def first_order_oracle(grid: GridSpec, n_up: int | None = None,
@@ -379,23 +384,24 @@ def first_order_oracle(grid: GridSpec, n_up: int | None = None,
     """Weak-coupling angle assignment sin(theta) = -V/gap and its target.
 
     The reference state applies the first-order correction as plain linear
-    algebra over the full orientation table; the sequential state instead
-    runs the pool rotations at the assigned angles.  The two agree to second
-    order in the interaction strength.
+    algebra, one sector matrix of sum V/gap O over the full orientation
+    table; the sequential state instead runs the pool rotations at the
+    assigned angles.  The two agree to second order in the interaction
+    strength.
     """
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
-    sea = fermi_sea(grid, n_up, n_down)
-    phi0 = basis_state(sea.occupied_qubits(), grid.n_qubits)
+    states = sector_basis(grid.n_qubits, n_up, n_down)
+    x0 = _sea_vector(grid, n_up, n_down, states)
 
-    accumulated = phi0.amplitudes.copy()
+    correction = []
     for q in interaction_quadruples(grid):
         if q.is_diagonal or abs(q.energy_gap) <= DEGENERACY_TOL:
             continue
-        image = apply_pauli_sum(jordan_wigner(q.ladder_term(), grid.n_qubits), phi0)
-        accumulated -= (q.amplitude / q.energy_gap) * image.amplitudes
-    accumulated /= np.linalg.norm(accumulated)
-    reference = StateVector(grid.n_qubits, accumulated)
+        correction.extend(jordan_wigner(q.ladder_term().scaled(q.amplitude / q.energy_gap),
+                                        grid.n_qubits))
+    reference = x0 - sector_matrix(PauliSum.from_terms(correction), states, grid.n_qubits) @ x0
+    reference /= np.linalg.norm(reference)
 
     pool = build_pool(grid)
     thetas = np.zeros(len(pool))
@@ -405,5 +411,5 @@ def first_order_oracle(grid: GridSpec, n_up: int | None = None,
             raise ValueError(f"|V/gap| = {abs(ratio):.3f} > 1 for {p.label}; "
                              "the angle assignment needs weak coupling")
         thetas[i] = math.asin(ratio)
-    circuit = AnsatzCircuit(phi0, [PoolRotation(p.term, t) for p, t in zip(pool, thetas)])
-    return FirstOrderResult(thetas, reference, circuit.run())
+    sequential = sector_run(x0, [sector_orbit(p.term, states) for p in pool], thetas)
+    return FirstOrderResult(thetas, states, reference, sequential)

@@ -11,7 +11,6 @@ works in a fixed (n_up, n_down) occupation sector.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import scipy.sparse.linalg
 
 from .fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, hopping_pair, jordan_wigner, number_term
 from .lattice import DOWN, UP, GridSpec, axis_energies, axis_wavefunctions, enumerate_modes, hopping_edges, qubit_index
-from .statevector import StateVector, _compiled_terms, _parity, apply_pauli_sum, diagonal_values, expectation, sector_weights
+from .statevector import StateVector, _compiled_terms, _parity, sector_basis
 
 # Dense sector solves above this dimension would need gigabytes and minutes on
 # a single core; fall back to restarted Lanczos there.
@@ -187,23 +186,6 @@ def spin_operators(n_sites: int) -> tuple[PauliSum, PauliSum]:
 # sector-restricted exact diagonalization
 
 
-def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
-    """Sorted bitstrings with n_up even-qubit and n_down odd-qubit particles."""
-    if n_qubits % 2:
-        raise ValueError("register must pair up/down qubits")
-    n_sites = n_qubits // 2
-    if not (0 <= n_up <= n_sites and 0 <= n_down <= n_sites):
-        raise ValueError(f"sector ({n_up},{n_down}) does not fit {n_sites} orbitals")
-    ups = [sum(1 << (2 * i) for i in combo)
-           for combo in itertools.combinations(range(n_sites), n_up)]
-    downs = [sum(1 << (2 * i + 1) for i in combo)
-             for combo in itertools.combinations(range(n_sites), n_down)]
-    states = np.fromiter((u | d for u in ups for d in downs),
-                         dtype=np.uint32, count=len(ups) * len(downs))
-    states.sort()
-    return states
-
-
 def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.sparse.csr_matrix:
     """<i|h|j> over the given basis, verifying h does not leave it.
 
@@ -215,6 +197,8 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
     for coeff, flip, yz in _compiled_terms(h, n_qubits):
         groups.setdefault(int(flip), []).append((coeff, yz))
     dim = len(states)
+    if not groups:
+        return scipy.sparse.csr_matrix((dim, dim), dtype=np.complex128)
     source = np.arange(dim)
     rows, cols, data = [], [], []
     for flip, entries in groups.items():
@@ -325,12 +309,11 @@ class GroundSpace:
     """Orthonormal basis of the degenerate ground eigenspace of one sector.
 
     `vectors` has one column per ground state, expressed over `states`, the
-    sorted sector bitstrings.  `matrix`, if present, is the sector Hamiltonian
-    the space was solved from, over the same basis, so a run can reuse it
-    instead of building it again.  Stored artifacts (`save`/`load`) keep
-    exactly these fields: n_qubits, n_up, n_down, energy, vectors, states,
-    the matrix when there is one, plus an optional key naming the problem
-    they solve.
+    sorted sector bitstrings.  `matrix` is the sector Hamiltonian the space
+    was solved from, over the same basis, so a run can reuse it instead of
+    building it again.  Stored artifacts (`save`/`load`) keep exactly these
+    fields: n_qubits, n_up, n_down, energy, vectors, states and the matrix,
+    plus an optional key naming the problem they solve.
     """
 
     n_qubits: int
@@ -339,11 +322,11 @@ class GroundSpace:
     energy: float
     vectors: np.ndarray
     states: np.ndarray
-    matrix: scipy.sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+    matrix: scipy.sparse.csr_matrix = field(repr=False, compare=False)
 
     def __post_init__(self):
         dim = len(self.states)
-        if self.matrix is not None and self.matrix.shape != (dim, dim):
+        if self.matrix.shape != (dim, dim):
             raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
                              f"{dim} sector states")
 
@@ -358,26 +341,23 @@ class GroundSpace:
         compressing it costs far more time than reading the raw arrays back.
         """
         extra = {} if key is None else {"key": np.array(key)}
-        if self.matrix is not None:
-            extra.update(matrix_shape=np.array(self.matrix.shape), matrix_data=self.matrix.data,
-                         matrix_indices=self.matrix.indices, matrix_indptr=self.matrix.indptr)
         np.savez(path, n_qubits=self.n_qubits, n_up=self.n_up,
                  n_down=self.n_down, energy=self.energy,
-                 vectors=self.vectors, states=self.states, **extra)
+                 vectors=self.vectors, states=self.states,
+                 matrix_shape=np.array(self.matrix.shape), matrix_data=self.matrix.data,
+                 matrix_indices=self.matrix.indices, matrix_indptr=self.matrix.indptr, **extra)
 
     @classmethod
     def load(cls, path, key: str | None = None) -> "GroundSpace":
         """Read a saved ground space; with a key, raise ValueError unless the
         file was saved under the same key.  A file without a sector matrix
-        loads with matrix None."""
+        (the format before it was stored) raises KeyError."""
         with np.load(path) as data:
             if key is not None and ("key" not in data or str(data["key"]) != key):
                 raise ValueError(f"{path} was not saved under the key {key!r}")
-            matrix = None
-            if "matrix_data" in data:
-                matrix = scipy.sparse.csr_matrix(
-                    (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
-                    shape=tuple(int(n) for n in data["matrix_shape"]))
+            matrix = scipy.sparse.csr_matrix(
+                (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
+                shape=tuple(int(n) for n in data["matrix_shape"]))
             return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
                        float(data["energy"]), data["vectors"], data["states"], matrix)
 
@@ -445,45 +425,46 @@ def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector,
 
     phi0 must be a normalized eigenstate of h0, non-degenerate within its own
     occupation sector; degenerate reference states are rejected because the
-    second-order sum would need the degenerate theory.
+    second-order sum would need the degenerate theory.  Everything after
+    locating that sector runs on its sector matrices.
     """
-    if not h1.is_hermitian():
-        raise ValueError("perturbation requires a Hermitian h1")
+    if not (h0.is_hermitian() and h1.is_hermitian()):
+        raise ValueError("perturbation requires a Hermitian h0 and h1")
     if abs(phi0.norm() - 1.0) > 1e-10:
         raise ValueError("phi0 must be normalized")
-    weights = sector_weights(phi0)
-    if len(weights) != 1:
-        raise ValueError("phi0 must occupy a single (n_up, n_down) sector")
-    (n_up, n_down), = weights.keys()
     n = phi0.n_qubits
+    support = np.flatnonzero(np.abs(phi0.amplitudes) ** 2 > 1e-14).astype(np.uint32)
+    up = np.uint32(sum(1 << q for q in range(0, n, 2)))
+    sectors = set(zip(np.bitwise_count(support & up).tolist(),
+                      np.bitwise_count(support & ~up).tolist()))
+    if len(sectors) != 1:
+        raise ValueError("phi0 must occupy a single (n_up, n_down) sector")
+    (n_up, n_down), = sectors
     states = sector_basis(n, n_up, n_down)
+    x = phi0.amplitudes[states]
+    m0 = real_sector_matrix(h0, states, n)
+    m1 = real_sector_matrix(h1, states, n)
 
-    e0 = expectation(h0, phi0)
-    residual = apply_pauli_sum(h0, phi0).amplitudes - e0 * phi0.amplitudes
-    if np.linalg.norm(residual) > 1e-8 * max(1.0, abs(e0)):
+    e0 = np.vdot(x, m0 @ x).real
+    if np.linalg.norm(m0 @ x - e0 * x) > 1e-8 * max(1.0, abs(e0)):
         raise ValueError("phi0 is not an eigenstate of h0")
-    e1 = expectation(h1, phi0)
-    image = apply_pauli_sum(h1, phi0).amplitudes[states]
+    image = m1 @ x
+    e1 = np.vdot(x, image).real
 
     if h0.is_diagonal():
         # the sector bitstrings are themselves the h0 eigenbasis
-        levels = diagonal_values(h0, n, states)
-        degenerate = np.abs(levels - e0) <= degeneracy_tol
-        if degenerate.sum() != 1:
-            raise ValueError("phi0 is degenerate within its sector")
-        excited = ~degenerate
-        e2 = np.sum(np.abs(image[excited]) ** 2 / (e0 - levels[excited]))
+        levels = m0.diagonal()
+        overlaps = image
     else:
         dim = len(states)
         if dim > dense_cutoff:
             raise ValueError(f"sector dimension {dim} too large for the dense "
                              "perturbation solve; use a diagonal h0")
-        matrix = real_sector_matrix(h0, states, n)
-        levels, vecs = np.linalg.eigh(matrix.toarray())
-        degenerate = np.abs(levels - e0) <= degeneracy_tol
-        if degenerate.sum() != 1:
-            raise ValueError("phi0 is degenerate within its sector")
+        levels, vecs = np.linalg.eigh(m0.toarray())
         overlaps = vecs.conj().T @ image
-        excited = ~degenerate
-        e2 = np.sum(np.abs(overlaps[excited]) ** 2 / (e0 - levels[excited]))
+    degenerate = np.abs(levels - e0) <= degeneracy_tol
+    if degenerate.sum() != 1:
+        raise ValueError("phi0 is degenerate within its sector")
+    excited = ~degenerate
+    e2 = np.sum(np.abs(overlaps[excited]) ** 2 / (e0 - levels[excited]))
     return float(e0), float(e1), float(e2)

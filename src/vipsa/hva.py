@@ -10,7 +10,7 @@ parameter point an exact stationary state of the optimization.
 
 The run works on one complex vector over the (n_up, n_down) sector, with the
 hopping gates as orbit tables and the interaction as its values on the
-sector bitstrings; the gate circuit on the 2^n register is the reference.
+sector bitstrings.
 """
 
 from dataclasses import dataclass
@@ -25,22 +25,17 @@ from .hamiltonians import (
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
     onsite_interaction,
-    real_sector_matrix,
     sector_basis,
 )
 from .lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index, real_orbital_basis
 from .statevector import (
-    AnsatzCircuit,
-    DiagonalPhase,
-    HoppingRotation,
     SectorPhase,
-    StateVector,
     diagonal_values,
-    expectation_and_gradient,
+    expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     sector_expectation_and_gradient,
     sector_hopping_orbit,
     sector_run,
-    slater_statevector,
+    slater_amplitudes,
 )
 
 Edge = tuple[int, int]
@@ -101,16 +96,14 @@ def build_layout(grid: GridSpec, layers: int = 10) -> HvaLayout:
 
 
 class HvaAnsatz:
-    """Gate expansion of a layout plus the shared-parameter bookkeeping.
+    """Gate expansion of a layout over the (n_up, n_down) sector, plus the
+    shared-parameter bookkeeping.
 
     Gate angles are derived from the reduced parameter vector: hopping gates
     take -t * theta of their matching, and each of the two interaction gates
     per layer takes theta_U / 2 on the full U sum.  Gradients are folded back
-    through the same map.
-
-    Each gate exists twice: in `sector_gates`, as an orbit table or diagonal
-    phase over `states`, acting on the Slater amplitudes `x0` there; and in
-    `circuit`, on the full register, as the reference.
+    through the same map.  Each gate in `sector_gates` is an orbit table or a
+    diagonal phase over `states`, acting on the Slater amplitudes `x0` there.
     """
 
     def __init__(self, grid: GridSpec, n_up: int, n_down: int, layers: int = 10):
@@ -119,19 +112,15 @@ class HvaAnsatz:
         energies, w, order = real_orbital_basis(grid)
         self.initial_energy = float(sum(energies[s] for s in order[:n_up])
                                     + sum(energies[s] for s in order[:n_down]))
-        initial = slater_statevector(w, order[:n_up], order[:n_down])
-        interaction = onsite_interaction(grid)
         self.states = sector_basis(grid.n_qubits, n_up, n_down)
-        self.x0 = initial.amplitudes[self.states]
-        phase = SectorPhase(diagonal_values(interaction, grid.n_qubits, self.states))
+        self.x0 = slater_amplitudes(w, order[:n_up], order[:n_down], self.states)
+        phase = SectorPhase(diagonal_values(onsite_interaction(grid), grid.n_qubits, self.states))
         orbits = {}  # one table per hopping pair, shared by every layer
 
-        gates = []
         self.sector_gates = []
         self._map: list[tuple[int, float]] = []  # (parameter index, scale) per gate
 
         def add_interaction(param: int):
-            gates.append(DiagonalPhase(interaction, 0.0))
             self.sector_gates.append(phase)
             self._map.append((param, 0.5))
 
@@ -139,10 +128,8 @@ class HvaAnsatz:
             for i, j in matching:
                 for spin in (UP, DOWN):
                     qubits = qubit_index(i, spin), qubit_index(j, spin)
-                    pair = hopping_pair(*qubits)
                     if qubits not in orbits:
-                        orbits[qubits] = sector_hopping_orbit(pair, self.states)
-                    gates.append(HoppingRotation(pair, 0.0))
+                        orbits[qubits] = sector_hopping_orbit(hopping_pair(*qubits), self.states)
                     self.sector_gates.append(orbits[qubits])
                     self._map.append((param, -grid.t))
 
@@ -158,7 +145,6 @@ class HvaAnsatz:
                 add_matching(base + offset, matching)
                 offset += 1
             add_interaction(base)
-        self.circuit = AnsatzCircuit(initial, gates)
 
     @property
     def n_params(self) -> int:
@@ -180,21 +166,6 @@ class HvaAnsatz:
     def sector_state(self, params: np.ndarray) -> np.ndarray:
         """The ansatz state over `states`."""
         return sector_run(self.x0, self.sector_gates, self.angles(params))
-
-    def set_parameters(self, params: np.ndarray) -> None:
-        self.circuit.set_thetas(self.angles(params))
-
-    def state(self, params: np.ndarray) -> StateVector:
-        """The ansatz state on the full register (reference)."""
-        self.set_parameters(params)
-        return self.circuit.run()
-
-    def energy_and_gradient(self, params: np.ndarray, apply_h,
-                            final: StateVector | None = None) -> tuple[float, np.ndarray]:
-        """Energy and parameter gradient on the full register (reference)."""
-        self.set_parameters(params)
-        energy, per_gate = expectation_and_gradient(self.circuit, apply_h, final=final)
-        return energy, self.fold(per_gate)
 
 
 @dataclass(frozen=True)
@@ -232,7 +203,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     the parameter vector itself so any intermediate state can be
     reconstructed exactly.  Every evaluation runs on the sector vector.
     The sector Hamiltonian comes from the reference ground space, diagonalized
-    on the spot unless passed in, and is built only when it carries none.
+    on the spot unless passed in.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
@@ -241,9 +212,6 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         reference = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
     if not np.array_equal(reference.states, sector_basis(grid.n_qubits, n_up, n_down)):
         raise ValueError("reference ground space is not over the run's sector basis")
-    matrix = reference.matrix
-    if matrix is None:
-        matrix = real_sector_matrix(build_real(grid), reference.states, grid.n_qubits)
     ansatz = HvaAnsatz(grid, n_up, n_down, layers)
 
     records: list[HvaStepRecord] = []
@@ -253,7 +221,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         final = sector_run(ansatz.x0, ansatz.sector_gates, thetas)
         fid = reference.sector_fidelity(final)  # before the gradient sweep reuses the buffer
         energy, per_gate = sector_expectation_and_gradient(
-            ansatz.x0, ansatz.sector_gates, thetas, matrix, final=final)
+            ansatz.x0, ansatz.sector_gates, thetas, reference.matrix, final=final)
         grads = ansatz.fold(per_gate)
         record = HvaStepRecord(len(records), energy, fid, float(np.abs(grads).max()))
         records.append(record)

@@ -8,8 +8,9 @@ forms that follow from A^3 = -A and h^3 = h, so there is no Trotter error.
 
 Every gate also has a sector-coordinate kernel that acts in place on a
 vector over one (n_up, n_down) sector: pool and hopping rotations as orbit
-tables, diagonal phases as their values on the sector bitstrings.  Both
-ansätze run on those, and the 2^n register serves as their reference.
+tables, diagonal phases as their values on the sector bitstrings, Slater
+determinants by their amplitudes on those bitstrings.  Every run and oracle
+uses those; the 2^n kernels are the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -288,14 +289,14 @@ def apply_diagonal_phase(d: PauliSum, theta: float, psi: StateVector) -> StateVe
     return StateVector(psi.n_qubits, phases * psi.amplitudes)
 
 
-def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
-    """Slater determinant of the given orbitals in the qubit register.
+def slater_amplitudes(w: np.ndarray, occ_up, occ_down, states: np.ndarray) -> np.ndarray:
+    """Slater determinant of the given orbitals over sorted sector bitstrings.
 
     w columns are single-particle orbitals over sites; spin-orbital
     (site, spin) sits on qubit 2*site + spin.  The amplitude on every
-    fixed-occupation bitstring is the determinant of the corresponding
-    rows/columns of the spin-expanded transform, evaluated in one batched
-    det call over the (n_up, n_down) sector.
+    bitstring is the determinant of the corresponding rows/columns of the
+    spin-expanded transform, evaluated in one batched det call; each
+    bitstring holds len(occ_up) + len(occ_down) particles.
     """
     w = np.asarray(w)
     n_sites = w.shape[0]
@@ -313,26 +314,20 @@ def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
     w_big[0::2, 0::2] = w
     w_big[1::2, 1::2] = w
     cols = sorted([2 * m for m in occ_up] + [2 * m + 1 for m in occ_down])
+    occupied = (states[:, None] >> np.arange(n_qubits, dtype=np.uint32)) & 1
+    if np.any(occupied.sum(axis=1) != len(cols)):
+        raise ValueError("basis states do not hold the occupied orbitals' particle count")
+    rows = np.nonzero(occupied)[1].reshape(len(states), len(cols))  # (n_states, k)
+    return np.linalg.det(w_big[rows][:, :, cols])
 
-    up_sets = list(itertools.combinations(range(n_sites), len(occ_up)))
-    down_sets = list(itertools.combinations(range(n_sites), len(occ_down)))
-    rows, indices = [], []
-    for ups in up_sets:
-        up_qubits = [2 * s for s in ups]
-        up_mask = sum(1 << q for q in up_qubits)
-        for downs in down_sets:
-            down_qubits = [2 * s + 1 for s in downs]
-            rows.append(sorted(up_qubits + down_qubits))
-            indices.append(up_mask + sum(1 << q for q in down_qubits))
 
-    psi = StateVector.zero(n_qubits)
-    if not cols:
-        psi.amplitudes[0] = 1.0
-        return psi
-    row_array = np.asarray(rows)  # (n_states, k)
-    blocks = w_big[row_array][:, :, cols]  # (n_states, k, k)
-    dets = np.linalg.det(blocks)
-    psi.amplitudes[np.asarray(indices)] = dets
+def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
+    """slater_amplitudes of the (n_up, n_down) sector on the full register."""
+    occ_up, occ_down = list(occ_up), list(occ_down)
+    n_sites = np.asarray(w).shape[0]
+    states = sector_basis(2 * n_sites, len(occ_up), len(occ_down))
+    psi = StateVector.zero(2 * n_sites)
+    psi.amplitudes[states] = slater_amplitudes(w, occ_up, occ_down, states)
     return psi
 
 
@@ -341,6 +336,23 @@ def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
 # Every gate here conserves (n_up, n_down), so a state over the sorted sector
 # bitstrings of `sector_basis` stays there.  A rotation generator is pairs of
 # positions into them, and a diagonal phase its values on them.
+
+
+def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
+    """Sorted bitstrings with n_up even-qubit and n_down odd-qubit particles."""
+    if n_qubits % 2:
+        raise ValueError("register must pair up/down qubits")
+    n_sites = n_qubits // 2
+    if not (0 <= n_up <= n_sites and 0 <= n_down <= n_sites):
+        raise ValueError(f"sector ({n_up},{n_down}) does not fit {n_sites} orbitals")
+    ups = [sum(1 << (2 * i) for i in combo)
+           for combo in itertools.combinations(range(n_sites), n_up)]
+    downs = [sum(1 << (2 * i + 1) for i in combo)
+             for combo in itertools.combinations(range(n_sites), n_down)]
+    states = np.fromiter((u | d for u in ups for d in downs),
+                         dtype=np.uint32, count=len(ups) * len(downs))
+    states.sort()
+    return states
 
 
 class Orbit(NamedTuple):
@@ -578,21 +590,3 @@ def sector_expectation_and_gradient(x0: np.ndarray, gates, thetas, h,
             rotate_sector(x, gates[pos], -thetas[pos])
             rotate_sector(b, gates[pos], -thetas[pos])
     return energy, grads
-
-
-def sector_weights(psi: StateVector) -> dict[tuple[int, int], float]:
-    """Probability weight per (n_up, n_down) occupation sector."""
-    idx = _indices(psi.n_qubits)
-    up_mask = np.uint32(sum(1 << q for q in range(0, psi.n_qubits, 2)))
-    down_mask = np.uint32(sum(1 << q for q in range(1, psi.n_qubits, 2)))
-    n_up = np.bitwise_count(idx & up_mask)
-    n_down = np.bitwise_count(idx & down_mask)
-    prob = np.abs(psi.amplitudes) ** 2
-    weights: dict[tuple[int, int], float] = {}
-    for nu in range(psi.n_qubits // 2 + 1):
-        sel_u = n_up == nu
-        for nd in range(psi.n_qubits // 2 + 1):
-            w = float(prob[sel_u & (n_down == nd)].sum())
-            if w > 1e-14:
-                weights[(nu, nd)] = w
-    return weights

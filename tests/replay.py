@@ -1,0 +1,82 @@
+"""Full-register replays of sector-resident runs and ansätze.
+
+The library keeps every state over the sorted (n_up, n_down) sector basis.
+These helpers rebuild the same circuits as gate objects on the 2^n register,
+so tests can check results against the reference kernels: the adaptive
+circuit from the pool labels and angles a RunResult records, the layered
+circuit from an HvaAnsatz's layout and parameter map.  `refuse_full_register`
+does the opposite: it makes every 2^n kernel raise, so a test can show that
+a sector path never reaches one.
+"""
+
+from vipsa import core, hamiltonians, hva, statevector
+from vipsa.core import build_pool
+from vipsa.fermions import hopping_pair
+from vipsa.hamiltonians import onsite_interaction
+from vipsa.lattice import DOWN, UP, fermi_sea, qubit_index
+from vipsa.statevector import (
+    AnsatzCircuit,
+    DiagonalPhase,
+    HoppingRotation,
+    PoolRotation,
+    StateVector,
+    basis_state,
+    expectation_and_gradient,
+)
+
+
+def adaptive_circuit(run) -> AnsatzCircuit:
+    """The run's rotations at their final angles, applied to the Fermi sea."""
+    terms = {p.label: p.term for p in build_pool(run.grid)}
+    sea = fermi_sea(run.grid, run.n_up, run.n_down)
+    return AnsatzCircuit(basis_state(sea.occupied_qubits(), run.grid.n_qubits),
+                         [PoolRotation(terms[label], theta)
+                          for label, theta in zip(run.gates, run.thetas)])
+
+
+def hva_circuit(ansatz, params) -> AnsatzCircuit:
+    """The layered ansatz at a parameter vector: per layer a half interaction
+    step, the vertical then the horizontal matchings, and the second half
+    step, applied to the Slater amplitudes scattered onto the register."""
+    grid, layout = ansatz.grid, ansatz.layout
+    interaction = onsite_interaction(grid)
+    gates = []
+    for _ in range(layout.layers):
+        gates.append(DiagonalPhase(interaction))
+        for matching in layout.vertical + layout.horizontal:
+            for i, j in matching:
+                for spin in (UP, DOWN):
+                    pair = hopping_pair(qubit_index(i, spin), qubit_index(j, spin))
+                    gates.append(HoppingRotation(pair))
+        gates.append(DiagonalPhase(interaction))
+    initial = StateVector.zero(grid.n_qubits)
+    initial.amplitudes[ansatz.states] = ansatz.x0
+    circuit = AnsatzCircuit(initial, gates)
+    circuit.set_thetas(ansatz.angles(params))
+    return circuit
+
+
+def hva_energy_and_gradient(ansatz, params, apply_h):
+    """Energy and parameter gradient of the layered ansatz on the full register."""
+    energy, per_gate = expectation_and_gradient(hva_circuit(ansatz, params), apply_h)
+    return energy, ansatz.fold(per_gate)
+
+
+FULL_REGISTER_KERNELS = ("basis_state", "slater_statevector", "apply_pauli_sum",
+                         "_quadruple_arrays", "_hopping_arrays")
+
+
+def refuse_full_register(monkeypatch) -> None:
+    """Make every 2^n kernel raise, at each name a vipsa module looks it up by."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-register kernel reached from a sector path")
+
+    for module in (core, hamiltonians, hva, statevector):
+        for name in FULL_REGISTER_KERNELS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for cls in (statevector.PoolRotation, statevector.HoppingRotation, statevector.DiagonalPhase):
+        monkeypatch.setattr(cls, "apply", refuse)
+        monkeypatch.setattr(cls, "generator_apply", refuse)
+    monkeypatch.setattr(hamiltonians.SectorHamiltonian, "apply", refuse)

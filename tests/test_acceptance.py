@@ -17,7 +17,7 @@ from vipsa.core import (
     VipsaConfig,
     build_pool,
     first_order_oracle,
-    pool_gradients,
+    sector_pool_gradients,
     select,
     vipsa_run,
 )
@@ -30,14 +30,15 @@ from vipsa.fermions import (
     jordan_wigner_sum,
 )
 from vipsa.hamiltonians import (
-    SectorHamiltonian,
     build_kspace,
     build_real,
     fidelity,
     ground_space,
     hamiltonian_pair,
     kinetic_kspace,
+    real_sector_matrix,
     rs_perturbation,
+    sector_basis,
     sector_diagonalize,
     spin_operators,
 )
@@ -49,9 +50,12 @@ from vipsa.statevector import (
     basis_state,
     circuit_gradient,
     expectation,
+    sector_expectation_and_gradient,
+    sector_orbit,
 )
 
 from oracles import dense_ladder_term, dense_pauli_string, dense_pauli_sum
+from replay import adaptive_circuit, hva_circuit
 from test_statevector import (
     finite_difference_gradient,
     random_hermitian_sum,
@@ -219,11 +223,12 @@ def test_criterion_6_first_selection_is_sound():
         grid = GridSpec.make(nx, ny, u=4.0)
         n_up, n_down = default_filling(grid)
         sea = fermi_sea(grid, n_up, n_down)
-        psi = basis_state(sea.occupied_qubits(), grid.n_qubits)
+        states = sector_basis(grid.n_qubits, n_up, n_down)
+        x = (states == sum(1 << q for q in sea.occupied_qubits())).astype(float)
         h_k, _ = build_kspace(grid)
-        sector = SectorHamiltonian(h_k, grid.n_qubits, n_up, n_down)
         pool = build_pool(grid)
-        grads = pool_gradients(psi, sector, pool)
+        grads = sector_pool_gradients(x, real_sector_matrix(h_k, states, grid.n_qubits),
+                                      [sector_orbit(p.term, states) for p in pool])
         chosen = select(grads, config.r, [p.label for p in pool])
         assert chosen
 
@@ -257,8 +262,7 @@ def test_criterion_7_weak_coupling_agreement():
     norms = {}
     for u in (0.05, 0.1):
         result = first_order_oracle(GridSpec.make(2, 4, u=u))
-        norms[u] = float(np.linalg.norm(result.sequential.amplitudes
-                                        - result.reference.amplitudes))
+        norms[u] = float(np.linalg.norm(result.sequential - result.reference))
     ratio = norms[0.1] / norms[0.05]
     assert 3.2 <= ratio <= 4.8, f"residual ratio {ratio}"
 
@@ -288,9 +292,10 @@ def test_criterion_8_hva_zero_start_is_stationary():
         grid = GridSpec.make(nx, ny, u=4.0)
         n_up, n_down = default_filling(grid)
         ansatz = HvaAnsatz(grid, n_up, n_down, layers=10)
-        sector = SectorHamiltonian(build_real(grid), grid.n_qubits, n_up, n_down)
-        _, grads = ansatz.energy_and_gradient(np.zeros(ansatz.n_params),
-                                              sector.apply)
+        h = real_sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
+        _, per_gate = sector_expectation_and_gradient(
+            ansatz.x0, ansatz.sector_gates, ansatz.angles(np.zeros(ansatz.n_params)), h)
+        grads = ansatz.fold(per_gate)
         top = float(np.abs(grads).max())
         assert top <= 1e-10, f"{nx}x{ny}: max |g| = {top}"
         details.append(f"{nx}x{ny} max |g| {top:.1e}")
@@ -304,7 +309,7 @@ def test_criterion_9_spin_conservation(runs_2x2):
     hva = hva_run(grid, config=VipsaConfig(max_inner_steps=40))
     sz_vals, s2_vals = [], []
     for params in hva.history:
-        psi = hva.ansatz.state(params)
+        psi = hva_circuit(hva.ansatz, params).run()
         sz_vals.append(expectation(s_z, psi))
         s2_vals.append(expectation(s_squared, psi))
     hva_sz = max(sz_vals) - min(sz_vals)
@@ -314,7 +319,7 @@ def test_criterion_9_spin_conservation(runs_2x2):
     # adaptive circuits: <S_z> frozen across every gate prefix
     sz_spread = 0.0
     for run in runs_2x2.values():
-        circuit = run.circuit
+        circuit = adaptive_circuit(run)
         values = [expectation(s_z,
                               AnsatzCircuit(circuit.initial, circuit.gates[:k]).run())
                   for k in range(len(circuit.gates) + 1)]
@@ -340,7 +345,7 @@ def test_criterion_10_adaptive_states_stay_real(runs_2x2):
     worst = 0.0
     prefixes = 0
     for run in runs_2x2.values():
-        circuit = run.circuit
+        circuit = adaptive_circuit(run)
         for k in range(len(circuit.gates) + 1):
             psi = AnsatzCircuit(circuit.initial, circuit.gates[:k]).run()
             worst = max(worst, psi.max_imag())

@@ -57,6 +57,20 @@ def test_run_without_coupling_exits_clean(tmp_path, capsys):
     assert float(trace[0]["energy"]) == pytest.approx(sea.energy, abs=1e-12)
 
 
+def test_run_without_hopping_reports_an_empty_pool(tmp_path, capsys):
+    # at t = 0 every mode has the same energy, so every off-diagonal move has
+    # zero kinetic gap: the pool is empty although the sea is not the ground state
+    code, out = run_config(tmp_path, "flat", u=4.0, t=0.0)
+    assert code == 2
+    printed = capsys.readouterr().out
+    assert "status empty-pool" in printed
+    assert sum("empty pool:" in line for line in printed.splitlines()) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "empty-pool" and manifest["pool_size"] == 0
+    assert manifest["final_fidelity"] < 0.99
+    assert manifest["final_energy"] - manifest["ground_energy"] > 1.0
+
+
 def test_run_writes_consistent_artifacts(tmp_path, capsys):
     code, out = run_config(tmp_path, "bench", u=4.0, max_epochs=5)
     assert code in (0, 2)
@@ -138,12 +152,10 @@ def plant_other_problem(path: Path) -> None:
 
 def plant_old_format(path: Path) -> None:
     # the format before the sector matrix was stored
-    from vipsa.hamiltonians import GroundSpace
     with np.load(path) as data:
-        key = str(data["key"])
-    old = GroundSpace.load(path)
-    GroundSpace(old.n_qubits, old.n_up, old.n_down, old.energy,
-                old.vectors, old.states).save(path, key=key)
+        fields = {name: data[name] for name in data.files if not name.startswith("matrix_")}
+    with open(path, "wb") as handle:
+        np.savez(handle, **fields)
 
 
 def plant_misfit_matrix(path: Path) -> None:

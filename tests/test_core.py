@@ -12,26 +12,33 @@ from vipsa.core import (
     first_order_oracle,
     pool_class,
     pool_gradients,
+    sector_pool_gradients,
     select,
     vipsa_run,
 )
-from vipsa.fermions import jordan_wigner_sum
+from vipsa.fermions import jordan_wigner
 from vipsa.hamiltonians import (
-    SectorHamiltonian,
     build_kspace,
     fidelity,
     ground_space,
     interaction_quadruples,
+    kinetic_kspace,
+    real_sector_matrix,
+    rs_perturbation,
+    sector_basis,
     spin_operators,
 )
-from vipsa.lattice import GridSpec, fermi_sea
+from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
 from vipsa.statevector import (
     AnsatzCircuit,
     PoolRotation,
+    apply_pauli_sum,
     basis_state,
     expectation,
+    sector_orbit,
 )
 from oracles import dense_pauli_sum
+from replay import adaptive_circuit, refuse_full_register
 
 
 def u4(nx, ny):
@@ -111,6 +118,13 @@ def sea_state(grid, n_up, n_down):
     return basis_state(sea.occupied_qubits(), grid.n_qubits), sea
 
 
+def sea_vector(grid, n_up, n_down):
+    """The Fermi sea over the sorted sector basis, with that basis."""
+    states = sector_basis(grid.n_qubits, n_up, n_down)
+    sea = fermi_sea(grid, n_up, n_down)
+    return (states == sum(1 << q for q in sea.occupied_qubits())).astype(float), states, sea
+
+
 def test_pool_gradients_match_finite_difference():
     grid = u4(2, 2)
     h, _ = build_kspace(grid)
@@ -131,10 +145,11 @@ def test_annihilating_operators_have_zero_gradient():
     grid = u4(3, 3)
     h, _ = build_kspace(grid)
     pool = build_pool(grid)
-    psi, sea = sea_state(grid, 5, 4)
+    x, states, sea = sea_vector(grid, 5, 4)
     occ_up = {m.slot for m in sea.occupied_up}
     occ_dn = {m.slot for m in sea.occupied_down}
-    grads = pool_gradients(psi, h, pool)
+    grads = sector_pool_gradients(x, real_sector_matrix(h, states, grid.n_qubits),
+                                  [sector_orbit(p.term, states) for p in pool])
 
     checked = 0
     for p, g in zip(pool, grads):
@@ -273,10 +288,35 @@ def test_run_records_match_full_register_replay():
     for epochs in range(1, len(full.records) + 1):
         run = vipsa_run(grid, config=replace(config, max_epochs=epochs), reference=full.ground)
         assert run.records == full.records[:epochs]
-        psi = run.circuit.run()
+        psi = adaptive_circuit(run).run()
         assert abs(expectation(h, psi) - run.records[-1].energy) <= 1e-12
         assert abs(fidelity(psi, run.ground) - run.records[-1].fidelity) <= 1e-12
         assert psi.max_imag() <= 1e-12
+
+
+def test_run_path_stays_off_the_full_register(monkeypatch):
+    # the adaptive loop and both perturbation oracles, with every 2^n kernel
+    # made to raise, give the same results as without the guard
+    grid = u4(2, 2)
+    config = VipsaConfig(max_epochs=2, max_inner_steps=20)
+    weak = GridSpec.make(2, 2, u=0.3)
+    h, _ = build_kspace(weak)
+    h0 = kinetic_kspace(weak)
+    phi0, _ = sea_state(weak, 1, 1)
+
+    def results():
+        run = vipsa_run(grid, config=config)
+        first = first_order_oracle(weak, 2, 2)
+        return (run.records, run.gates, run.thetas, first.reference, first.sequential,
+                rs_perturbation(h0, h - h0, phi0))
+
+    expected = results()
+    refuse_full_register(monkeypatch)
+    got = results()
+    assert got[:2] == expected[:2]
+    for a, b in zip(got[2:5], expected[2:5]):
+        np.testing.assert_array_equal(a, b)
+    assert got[5] == expected[5]
 
 
 def test_run_rejects_reference_from_another_sector():
@@ -308,19 +348,42 @@ def test_first_order_without_coupling_is_identity():
     grid = GridSpec.make(2, 3, u=0.0)
     result = first_order_oracle(grid, 3, 3)
     assert len(result.thetas) == 0
-    psi, _ = sea_state(grid, 3, 3)
-    assert abs(result.reference.dot(psi)) == pytest.approx(1.0, abs=1e-12)
-    assert abs(result.sequential.dot(psi)) == pytest.approx(1.0, abs=1e-12)
+    x, states, _ = sea_vector(grid, 3, 3)
+    np.testing.assert_array_equal(result.states, states)
+    assert abs(np.vdot(result.reference, x)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(result.sequential, x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_order_states_agree_to_second_order():
     norms = {}
     for u in (0.1, 0.05):
         result = first_order_oracle(GridSpec.make(2, 4, u=u), 4, 4)
-        diff = result.sequential.amplitudes - result.reference.amplitudes
+        diff = result.sequential - result.reference
         norms[u] = np.linalg.norm(diff)
     ratio = norms[0.1] / norms[0.05]
     assert 3.2 <= ratio <= 4.8
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+def test_first_order_states_match_full_register(shape):
+    # the sector states equal the full-register construction: the first-order
+    # correction by Pauli-sum application, the sequential state by replaying
+    # the pool rotations
+    grid = GridSpec.make(*shape, u=0.3)
+    result = first_order_oracle(grid)
+    phi0, _ = sea_state(grid, *default_filling(grid))
+    accumulated = phi0.amplitudes.copy()
+    for q in interaction_quadruples(grid):
+        if q.is_diagonal or abs(q.energy_gap) <= DEGENERACY_TOL:
+            continue
+        image = apply_pauli_sum(jordan_wigner(q.ladder_term(), grid.n_qubits), phi0)
+        accumulated -= (q.amplitude / q.energy_gap) * image.amplitudes
+    accumulated /= np.linalg.norm(accumulated)
+    sequential = AnsatzCircuit(phi0, [PoolRotation(p.term, t) for p, t in
+                                      zip(build_pool(grid), result.thetas)]).run()
+    for full, sector in ((accumulated, result.reference), (sequential.amplitudes, result.sequential)):
+        np.testing.assert_allclose(full[result.states], sector, rtol=0, atol=1e-12)
+        assert np.linalg.norm(full) == pytest.approx(np.linalg.norm(sector), abs=1e-12)
 
 
 def test_first_order_rejects_strong_coupling():

@@ -234,7 +234,7 @@ def test_ground_space_free_sea_and_fidelity():
     random = rng.normal(size=(gs.degeneracy, gs.degeneracy))
     q, _ = np.linalg.qr(random)
     rotated = GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy,
-                          gs.vectors @ q, gs.states)
+                          gs.vectors @ q, gs.states, gs.matrix)
     mixed = StateVector(grid.n_qubits,
                         psi.amplitudes * 0.8 + 0.6 * basis_state({0, 1, 2, 3}, 8).amplitudes)
     assert fidelity(mixed, rotated) == pytest.approx(fidelity(mixed, gs), abs=1e-10)
@@ -266,12 +266,14 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, register):
         assert matrix.shape == fresh.shape
 
 
-def test_ground_space_without_matrix_roundtrips(tmp_path):
+def test_ground_space_without_matrix_fails_to_load(tmp_path):
     grid = GridSpec.make(2, 2, u=4.0)
     gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
-    bare = GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors, gs.states)
-    bare.save(tmp_path / "bare.npz")
-    assert GroundSpace.load(tmp_path / "bare.npz").matrix is None
+    # the file format before the sector matrix was stored
+    np.savez(tmp_path / "bare.npz", n_qubits=gs.n_qubits, n_up=gs.n_up, n_down=gs.n_down,
+             energy=gs.energy, vectors=gs.vectors, states=gs.states)
+    with pytest.raises(KeyError):
+        GroundSpace.load(tmp_path / "bare.npz")
     with pytest.raises(ValueError, match="does not fit"):
         GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
                     gs.states[:-1], gs.matrix)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from vipsa import hamiltonians, statevector
 from vipsa.core import VipsaConfig
 from vipsa.fermions import hopping_pair, jordan_wigner_sum
 from vipsa.hamiltonians import (
@@ -29,6 +28,7 @@ from vipsa.statevector import (
     sector_expectation_and_gradient,
 )
 from oracles import dense_pauli_sum
+from replay import hva_circuit, hva_energy_and_gradient, refuse_full_register
 
 TOL = 1e-12
 
@@ -111,7 +111,7 @@ def test_zero_parameters_are_stationary(shape, filling):
     grid = GridSpec.make(*shape, u=2.0)
     ansatz = HvaAnsatz(grid, *filling)
     sector = SectorHamiltonian(build_real(grid), grid.n_qubits, *filling)
-    energy, grads = ansatz.energy_and_gradient(np.zeros(ansatz.n_params), sector.apply)
+    energy, grads = hva_energy_and_gradient(ansatz, np.zeros(ansatz.n_params), sector.apply)
     assert energy == pytest.approx(slater_reference_energy(grid, *filling), abs=1e-10)
     assert np.max(np.abs(grads)) <= 1e-10
 
@@ -119,18 +119,18 @@ def test_zero_parameters_are_stationary(shape, filling):
 def test_states_are_normalized_and_complex_off_axis():
     grid = GridSpec.make(2, 2, u=2.0)
     ansatz = HvaAnsatz(grid, 2, 2)
-    zero_state = ansatz.state(np.zeros(ansatz.n_params))
+    zero_state = hva_circuit(ansatz, np.zeros(ansatz.n_params)).run()
     assert zero_state.max_imag() == 0.0
     params = np.full(ansatz.n_params, 0.2)
-    state = ansatz.state(params)
+    state = hva_circuit(ansatz, params).run()
     assert state.norm() == pytest.approx(1.0, abs=1e-10)
     assert state.max_imag() > 1e-3  # interaction phases leave the real axis
 
 
-def test_set_parameters_rejects_wrong_length():
+def test_angles_reject_wrong_length():
     ansatz = HvaAnsatz(GridSpec.make(2, 2, u=1.0), 2, 2)
     with pytest.raises(ValueError):
-        ansatz.set_parameters(np.zeros(ansatz.n_params + 1))
+        ansatz.angles(np.zeros(ansatz.n_params + 1))
 
 
 def test_optimization_reaches_ground_state():
@@ -154,7 +154,7 @@ def test_trajectory_conserves_spin():
     sz, s2 = spin_operators(grid.n_sites)
     values = []
     for row in result.history[:: max(1, len(result.history) // 8)]:
-        state = result.ansatz.state(row)
+        state = hva_circuit(result.ansatz, row).run()
         values.append((expectation(sz, state), expectation(s2, state)))
     base_sz, base_s2 = values[0]
     for got_sz, got_s2 in values[1:]:
@@ -178,11 +178,11 @@ def hva_problem(nx, ny, u, layers):
 def test_sector_evaluation_matches_full_register(shape, seed):
     ansatz, sector, gs = hva_problem(*shape, 4.0, 3)
     params = np.random.default_rng(seed).uniform(-1.0, 1.0, ansatz.n_params)
-    energy, grads = ansatz.energy_and_gradient(params, sector.apply)
+    energy, grads = hva_energy_and_gradient(ansatz, params, sector.apply)
 
     thetas = ansatz.angles(params)
     x = ansatz.sector_state(params)
-    assert abs(gs.sector_fidelity(x) - fidelity(ansatz.state(params), gs)) <= TOL
+    assert abs(gs.sector_fidelity(x) - fidelity(hva_circuit(ansatz, params).run(), gs)) <= TOL
     got_energy, per_gate = sector_expectation_and_gradient(
         ansatz.x0, ansatz.sector_gates, thetas, as_real_if_possible(sector.matrix), final=x)
     assert abs(got_energy - energy) <= TOL
@@ -195,10 +195,10 @@ def test_run_records_match_full_register_replay():
                      layers=3, reference=gs)
     assert len(result.records) == len(result.history) > 2
     for record, params in zip(result.records, result.history):
-        energy, _ = result.ansatz.energy_and_gradient(params, sector.apply)
+        energy, _ = hva_energy_and_gradient(result.ansatz, params, sector.apply)
         assert abs(record.energy - energy) <= TOL
-        assert abs(record.fidelity - fidelity(result.ansatz.state(params), gs)) <= TOL
-    final = fidelity(result.ansatz.state(result.parameters), gs)
+        assert abs(record.fidelity - fidelity(hva_circuit(result.ansatz, params).run(), gs)) <= TOL
+    final = fidelity(hva_circuit(result.ansatz, result.parameters).run(), gs)
     assert abs(result.final_fidelity - final) <= TOL
 
 
@@ -210,14 +210,7 @@ def test_run_rejects_reference_over_another_sector():
 
 
 def test_run_path_stays_off_the_full_register(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("full-register kernel reached by the run path")
-
-    monkeypatch.setattr(statevector, "_hopping_arrays", refuse)
-    for cls in (statevector.HoppingRotation, statevector.DiagonalPhase):
-        monkeypatch.setattr(cls, "apply", refuse)
-        monkeypatch.setattr(cls, "generator_apply", refuse)
-    monkeypatch.setattr(hamiltonians.SectorHamiltonian, "apply", refuse)
+    refuse_full_register(monkeypatch)
     result = hva_run(GridSpec.make(2, 2, u=4.0), config=VipsaConfig(max_inner_steps=5),
                      layers=2)
     assert len(result.records) == 7

@@ -31,11 +31,30 @@ from vipsa.statevector import (
     expectation,
     expectation_and_gradient,
     pool_generator_overlap,
-    sector_weights,
+    sector_basis,
+    slater_amplitudes,
     slater_statevector,
 )
 
-from oracles import dense_ladder_term, dense_pauli_sum
+from oracles import dense_create, dense_ladder_term, dense_pauli_sum
+
+
+def sector_weights(psi: StateVector) -> dict[tuple[int, int], float]:
+    """Probability weight per (n_up, n_down) occupation sector."""
+    idx = np.arange(1 << psi.n_qubits, dtype=np.uint32)
+    up_mask = np.uint32(sum(1 << q for q in range(0, psi.n_qubits, 2)))
+    down_mask = np.uint32(sum(1 << q for q in range(1, psi.n_qubits, 2)))
+    n_up = np.bitwise_count(idx & up_mask)
+    n_down = np.bitwise_count(idx & down_mask)
+    prob = np.abs(psi.amplitudes) ** 2
+    weights: dict[tuple[int, int], float] = {}
+    for nu in range(psi.n_qubits // 2 + 1):
+        sel_u = n_up == nu
+        for nd in range(psi.n_qubits // 2 + 1):
+            w = float(prob[sel_u & (n_down == nd)].sum())
+            if w > 1e-14:
+                weights[(nu, nd)] = w
+    return weights
 
 
 def random_state(n, rng, real=False):
@@ -269,6 +288,26 @@ def test_slater_fermi_sea_energy():
 
     weights = sector_weights(psi)
     assert set(weights) == {(n_up, n_down)}
+
+
+@pytest.mark.parametrize("occ_up,occ_down", [([0, 2], [1]), ([1], [0, 2]), ([], [2]), ([], [])])
+def test_slater_amplitudes_match_dense_creation(occ_up, occ_down):
+    # b†_c = sum_r w[r, c] c†_r for each occupied spin-orbital c, applied in
+    # ascending qubit order to the vacuum, with dense Jordan-Wigner matrices
+    rng = np.random.default_rng(7)
+    w, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    n = 6
+    cols = sorted([2 * m for m in occ_up] + [2 * m + 1 for m in occ_down])
+    state = basis_state(set(), n).amplitudes
+    for c in reversed(cols):
+        spin, orbital = c % 2, c // 2
+        state = sum(w[site, orbital] * dense_create(2 * site + spin, n)
+                    for site in range(3)) @ state
+    states = sector_basis(n, len(occ_up), len(occ_down))
+    np.testing.assert_allclose(slater_amplitudes(w, occ_up, occ_down, states), state[states],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(slater_statevector(w, occ_up, occ_down).amplitudes, state,
+                               rtol=0, atol=1e-12)
 
 
 def test_slater_validation():
