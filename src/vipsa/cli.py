@@ -399,6 +399,8 @@ def cmd_ed(args) -> int:
 # --------------------------------------------------------------- compare ---
 
 def _load_run(directory: str) -> dict:
+    """The parts of one run's artifacts that compare uses; a missing file is
+    a CliError, and so is one that is not what `vipsa run` writes."""
     path = Path(directory)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
@@ -406,45 +408,49 @@ def _load_run(directory: str) -> dict:
             steps = list(csv.DictReader(handle))
         with open(path / "trace.csv", newline="") as handle:
             trace = list(csv.DictReader(handle))
+        run = {"name": path.name,
+               "grid": json.dumps(manifest["grid"], sort_keys=True),
+               "sector": json.dumps(manifest["sector"], sort_keys=True),
+               "reference": float(manifest["ground_energy"]),
+               "energies": [float(row["energy"]) for row in steps],
+               "fidelities": _fidelity_by_step(manifest["ansatz"], steps, trace)}
     except OSError as err:
         raise CliError(f"cannot read run artifact: {err}") from None
-    return {"name": path.name, "manifest": manifest, "steps": steps, "trace": trace}
+    except (ValueError, KeyError, TypeError, csv.Error) as err:
+        detail = f"missing field {err}" if isinstance(err, KeyError) else str(err)
+        raise CliError(f"damaged run artifact in {path}: {detail}") from None
+    if not run["energies"]:
+        raise CliError(f"damaged run artifact in {path}: steps.csv has no rows")
+    return run
 
 
-def _fidelity_by_step(run: dict) -> dict[int, float]:
+def _fidelity_by_step(ansatz: str, steps: list[dict], trace: list[dict]) -> dict[int, float]:
     """Map global optimizer-step index to the fidelity known at that step."""
-    if run["manifest"]["ansatz"] == "hva":
-        return {i: float(row["fidelity"]) for i, row in enumerate(run["trace"])}
+    if ansatz == "hva":
+        return {i: float(row["fidelity"]) for i, row in enumerate(trace)}
     # one fidelity per epoch, attached to the last step of that epoch
     counts = {}
-    for i, row in enumerate(run["steps"]):
+    for i, row in enumerate(steps):
         counts[row["epoch"]] = i
     return {counts[row["epoch"]]: float(row["fidelity"])
-            for row in run["trace"] if row["epoch"] in counts}
+            for row in trace if row["epoch"] in counts}
 
 
 def cmd_compare(args) -> int:
     runs = [_load_run(d) for d in args.runs]
-    grids = {json.dumps(run["manifest"]["grid"], sort_keys=True) for run in runs}
-    if len(grids) > 1:
+    if len({run["grid"] for run in runs}) > 1:
         raise CliError("runs use different grids; comparison is meaningless")
-    sectors = {json.dumps(run["manifest"]["sector"], sort_keys=True) for run in runs}
-    if len(sectors) > 1:
+    if len({run["sector"] for run in runs}) > 1:
         raise CliError("runs use different fillings; comparison is meaningless")
 
     for run in runs:
-        reference = run["manifest"]["ground_energy"]
-        energies = [float(row["energy"]) for row in run["steps"]]
-        run["errors"] = [e - reference for e in energies]
-        run["energies"] = energies
-        run["fidelities"] = _fidelity_by_step(run)
-        hit = next((i for i, err in enumerate(run["errors"]) if err <= args.threshold),
-                   None)
-        run["hit"] = hit
+        run["errors"] = [e - run["reference"] for e in run["energies"]]
+        run["hit"] = next((i for i, err in enumerate(run["errors"]) if err <= args.threshold),
+                          None)
 
     for run in runs:
         hit = "never" if run["hit"] is None else str(run["hit"])
-        print(f"{run['name']}: {len(run['steps'])} steps, "
+        print(f"{run['name']}: {len(run['energies'])} steps, "
               f"final error {run['errors'][-1]:.6f}, "
               f"steps to error<={args.threshold:g}: {hit}")
 
@@ -453,7 +459,7 @@ def cmd_compare(args) -> int:
         columns += [f"{run['name']}/energy", f"{run['name']}/error",
                     f"{run['name']}/fidelity"]
     table = []
-    for step in range(max(len(run["steps"]) for run in runs)):
+    for step in range(max(len(run["energies"]) for run in runs)):
         row = [step]
         for run in runs:
             if step < len(run["energies"]):

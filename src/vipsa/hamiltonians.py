@@ -21,9 +21,16 @@ from .fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, hopping_pair, jo
 from .lattice import DOWN, UP, GridSpec, axis_energies, axis_wavefunctions, enumerate_modes, hopping_edges, qubit_index
 from .statevector import StateVector, _compiled_terms, _parity, sector_basis
 
-# Dense sector solves above this dimension would need gigabytes and minutes on
-# a single core; fall back to restarted Lanczos there.
-DENSE_SECTOR_CUTOFF = 2400
+# Connected blocks of a sector matrix up to this dimension are solved dense,
+# larger ones by restarted Lanczos.  On one core of a Xeon, with k = 12, the
+# two cross between 250 and 300 states (dense 6 ms against Lanczos 8 ms at
+# 248, 18 ms against 10 ms at 300, 19 ms against 10 ms at 400, 50 ms against
+# 15 ms at 628).  The cutoff sits a little above, so that the 2x3 site
+# register (400 states, one block) keeps its full spectrum from one solve.
+DENSE_SECTOR_CUTOFF = 400
+# rs_perturbation's dense solve of a non-diagonal h0: above this dimension it
+# would need gigabytes and minutes on a single core.
+DENSE_PERTURBATION_LIMIT = 2400
 GROUND_DEGENERACY_TOL = 1e-8
 AMPLITUDE_DROP_TOL = 1e-12
 
@@ -248,41 +255,111 @@ def real_sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.
     return as_real_if_possible(sector_matrix(h, states, n_qubits))
 
 
-def _lowest_eigenpairs(matrix, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    ncv = min(dim, max(2 * k + 16, 48))
-    # a fixed generic start vector makes the returned basis of a degenerate
-    # multiplet, and so every stored artifact, the same from run to run
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=0, v0=v0)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+def _lowest_eigenpairs(matrix, k: int, widen_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest min(dim - 2, k) eigenpairs from Lanczos, with k doubled while
+    all of them lie within widen_tol of the lowest.  Values ascend."""
+    dim = matrix.shape[0]
+    k = min(dim - 2, k)
+    while True:
+        ncv = min(dim, max(2 * k + 16, 48))
+        # a fixed generic start vector makes the returned basis of a degenerate
+        # multiplet, and so every stored artifact, the same from run to run
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=0, v0=v0)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        if (widen_tol is None or (vals <= vals[0] + widen_tol).sum() < len(vals)
+                or k == dim - 2):
+            return vals, vecs
+        # the whole returned window is degenerate; widen it
+        k = min(dim - 2, 2 * k)
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """What _sector_spectrum found: `labels` gives the connected block of each
+    sector state, `owners` the block each vector is supported on."""
+
+    states: np.ndarray
+    matrix: scipy.sparse.csr_matrix
+    labels: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    owners: np.ndarray
 
 
 def _sector_spectrum(h: PauliSum, n_qubits: int, n_up: int, n_down: int, k: int,
-                     dense_cutoff: int, widen_tol: float | None = None):
-    """(states, matrix, values, vectors) of h on the (n_up, n_down) sector.
+                     dense_cutoff: int, widen_tol: float | None = None) -> _Spectrum:
+    """Lowest eigenpairs of h on the (n_up, n_down) sector, block by block.
 
-    The matrix is real_sector_matrix(h, states, n_qubits).  Up to dense_cutoff
-    every eigenpair comes from a dense solve; above it, the lowest k from
-    Lanczos, with k doubled while all of them lie within widen_tol of the
-    lowest.  Values ascend.
+    The matrix is real_sector_matrix(h, states, n_qubits).  Its connected
+    components are blocks h never mixes, and each is solved on its own: up to
+    dense_cutoff states, or when too small for a Lanczos window of k, every
+    eigenpair comes from one batched dense solve per block size; above it,
+    the lowest k come from Lanczos (see _lowest_eigenpairs).  An eigenvalue
+    a Lanczos block did not return lies at or above its window top, so the
+    merged values at or below the lowest top are the lowest of the whole
+    sector.  Of those, the lowest k are kept, with every one within widen_tol
+    of the lowest (all of them when k covers the sector), so the vectors stay
+    about (dim, k) even when every state is a block of its own, as at U = 0
+    in the mode register.  Values ascend; each vector lives on one block.
     """
+    # imported here, not with the module: it adds about 1 MiB to every
+    # process, and a run that loads its ground space from the cache solves nothing
+    import scipy.sparse.csgraph
+
     if not h.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
     states = sector_basis(n_qubits, n_up, n_down)
     dim = len(states)
     matrix = real_sector_matrix(h, states, n_qubits)
-    if dim <= dense_cutoff:
-        vals, vecs = np.linalg.eigh(matrix.toarray())
-        return states, matrix, vals, vecs
-    k = min(dim - 2, k)
-    while True:
-        vals, vecs = _lowest_eigenpairs(matrix, dim, k)
-        if (widen_tol is None or (vals <= vals[0] + widen_tol).sum() < len(vals)
-                or k == dim - 2):
-            return states, matrix, vals, vecs
-        # the whole returned window is degenerate; widen it
-        k = min(dim - 2, 2 * k)
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)
+    sizes = np.bincount(labels, minlength=n_blocks)
+    starts = np.cumsum(sizes) - sizes
+    members = np.argsort(labels, kind="stable")  # block by block, ascending within each
+    dense = (sizes <= dense_cutoff) | (sizes <= k + 2)
+
+    # each piece is (blocks, rows, values, vectors) of shapes (b,), (b, s),
+    # (b, m) and (b, s, m): m eigenpairs of each of b blocks of s states
+    pieces = []
+    top = np.inf
+    if dense.any():
+        coo = matrix.tocoo()
+        position = np.empty(dim, dtype=np.intp)
+        position[members] = np.arange(dim) - starts[labels[members]]
+        for size in np.unique(sizes[dense]):
+            blocks = np.flatnonzero(dense & (sizes == size))
+            slot = np.full(n_blocks, -1)
+            slot[blocks] = np.arange(len(blocks))
+            where = slot[labels[coo.row]]
+            entry = where >= 0
+            stack = np.zeros((len(blocks), size, size), dtype=matrix.dtype)
+            stack[where[entry], position[coo.row[entry]], position[coo.col[entry]]] = coo.data[entry]
+            vals, vecs = np.linalg.eigh(stack)
+            pieces.append((blocks, members[starts[blocks, None] + np.arange(size)], vals, vecs))
+    for block in np.flatnonzero(~dense):
+        rows = members[starts[block]:starts[block] + sizes[block]]
+        vals, vecs = _lowest_eigenpairs(matrix if n_blocks == 1 else matrix[rows][:, rows],
+                                        k, widen_tol)
+        top = min(top, vals[-1])
+        pieces.append((np.array([block]), rows[None], vals[None], vecs[None]))
+
+    values = np.concatenate([vals.ravel() for _, _, vals, _ in pieces])
+    order = np.argsort(values, kind="stable")
+    known = int((values <= top).sum())
+    wanted = k if widen_tol is None else max(k, int((values <= values[order[0]] + widen_tol).sum()))
+    keep = order[:min(known, wanted)]
+
+    offsets = np.cumsum([0] + [vals.size for _, _, vals, _ in pieces])
+    piece_of = np.searchsorted(offsets, keep, side="right") - 1
+    vectors = np.zeros((dim, len(keep)), dtype=np.result_type(*(piece[3] for piece in pieces)))
+    owners = np.empty(len(keep), dtype=labels.dtype)
+    for index, (blocks, rows, vals, vecs) in enumerate(pieces):
+        columns = np.flatnonzero(piece_of == index)
+        block, pair = np.divmod(keep[columns] - offsets[index], vals.shape[1])
+        vectors[rows[block], columns[:, None]] = vecs[block, :, pair]
+        owners[columns] = blocks[block]
+    return _Spectrum(states, matrix, labels, values[keep], vectors, owners)
 
 
 @dataclass(frozen=True)
@@ -298,10 +375,9 @@ def sector_diagonalize(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
                        how_many: int = 6,
                        dense_cutoff: int = DENSE_SECTOR_CUTOFF) -> SectorEigen:
     """Lowest eigenpairs of h restricted to the (n_up, n_down) sector."""
-    states, _, vals, vecs = _sector_spectrum(h, n_qubits, n_up, n_down,
-                                             max(how_many + 4, 10), dense_cutoff)
-    how_many = min(how_many, len(states))
-    return SectorEigen(vals[:how_many].copy(), vecs[:, :how_many].copy(), states)
+    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, max(how_many + 4, 10), dense_cutoff)
+    return SectorEigen(spectrum.values[:how_many].copy(), spectrum.vectors[:, :how_many].copy(),
+                       spectrum.states)
 
 
 @dataclass(frozen=True)
@@ -371,13 +447,20 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
                  dense_cutoff: int = DENSE_SECTOR_CUTOFF) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at tolerance tol.
 
-    The returned space keeps the sector matrix it was solved from.
+    The returned space keeps the sector matrix it was solved from, and each
+    of its vectors lives on one connected block of that matrix.
     """
-    states, matrix, vals, vecs = _sector_spectrum(h, n_qubits, n_up, n_down, 12,
-                                                  dense_cutoff, widen_tol=tol)
-    count = int((vals <= vals[0] + tol).sum())
-    basis, _ = np.linalg.qr(vecs[:, :count])
-    return GroundSpace(n_qubits, n_up, n_down, float(vals[0]), basis, states, matrix)
+    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, 12, dense_cutoff, widen_tol=tol)
+    values, owners = spectrum.values, spectrum.owners
+    count = int((values <= values[0] + tol).sum())
+    # orthonormalize block by block, so no vector leaks into another block
+    basis = np.zeros_like(spectrum.vectors[:, :count])
+    for block in np.unique(owners[:count]):
+        rows = np.flatnonzero(spectrum.labels == block)
+        columns = np.flatnonzero(owners[:count] == block)
+        basis[np.ix_(rows, columns)] = np.linalg.qr(spectrum.vectors[np.ix_(rows, columns)])[0]
+    return GroundSpace(n_qubits, n_up, n_down, float(values[0]), basis, spectrum.states,
+                       spectrum.matrix)
 
 
 def fidelity(psi: StateVector, gs: GroundSpace) -> float:
@@ -420,7 +503,7 @@ class SectorHamiltonian:
 
 def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector,
                     degeneracy_tol: float = GROUND_DEGENERACY_TOL,
-                    dense_cutoff: int = DENSE_SECTOR_CUTOFF) -> tuple[float, float, float]:
+                    dense_cutoff: int = DENSE_PERTURBATION_LIMIT) -> tuple[float, float, float]:
     """(E0, E1, E2) for the split h0 + h1 around the eigenstate phi0 of h0.
 
     phi0 must be a normalized eigenstate of h0, non-degenerate within its own

@@ -12,6 +12,8 @@ the 2x2 adaptive runs) live in module-scoped fixtures.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from vipsa.core import (
     VipsaConfig,
@@ -186,6 +188,25 @@ def test_criterion_4_degeneracies_and_fidelity_sum(ground_3x3):
               f"3x3 interacting ground degeneracy 4 at every u; fidelity "
               f"{total:.6f} equals the 4-term overlap sum "
               f"(dev {abs(total - sum(overlaps)):.1e})")
+
+
+def test_ground_vectors_each_live_on_one_block(ground_3x3):
+    gs = ground_3x3[6.0]
+    labels = scipy.sparse.csgraph.connected_components(gs.matrix, directed=False)[1]
+    owners = [np.unique(labels[column != 0]) for column in gs.vectors.T]
+    assert all(len(owner) == 1 for owner in owners)
+    assert len({int(owner[0]) for owner in owners}) == 4  # one member in each of 4 blocks
+    np.testing.assert_allclose(gs.vectors.T @ gs.vectors, np.eye(4), rtol=0, atol=1e-12)
+
+    # the sea's fidelity is the one a single whole-sector solve gives
+    whole_vals, whole_vecs = scipy.sparse.linalg.eigsh(
+        gs.matrix, k=12, which="SA", tol=0,
+        v0=np.random.default_rng(0).standard_normal(len(gs.states)))
+    whole = whole_vecs[:, whole_vals <= whole_vals.min() + 1e-8]
+    assert whole.shape[1] == 4 and whole_vals.min() == pytest.approx(gs.energy, abs=1e-10)
+    sea = sum(1 << q for q in fermi_sea(GridSpec.make(3, 3), 5, 4).occupied_qubits())
+    x = (gs.states == sea).astype(float)
+    assert gs.sector_fidelity(x) == pytest.approx(np.sum((whole.T @ x) ** 2), abs=1e-12)
 
 
 def test_criterion_5_ground_state_recovery(runs_2x2, ground_3x3):

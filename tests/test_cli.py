@@ -322,6 +322,14 @@ def test_ed_registers_agree(capsys):
     assert by_key[("0", "k")] == pytest.approx(sea.energy, abs=1e-9)
 
 
+def test_ed_free_3x3_is_the_fourfold_sea(capsys):
+    # at U = 0 every sector state is a block of its own
+    assert main(["ed", "--grid", "3x3", "--u", "0", "--register", "both"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[4], row[5], row[6]) for row in rows] == [("k", "-15.00000000", "4"),
+                                                         ("real", "-15.00000000", "4")]
+
+
 def test_ed_writes_csv(tmp_path, capsys):
     target = tmp_path / "ed.csv"
     assert main(["ed", "--grid", "2x2", "--u", "4", "--csv", str(target)]) == 0
@@ -349,6 +357,28 @@ def test_compare_rejects_grid_mismatch(tmp_path, capsys):
     assert main(["run", str(config)]) in (0, 2)
     assert main(["compare", str(small), str(wide_out)]) == 1
     assert "different grids" in capsys.readouterr().err
+
+
+def plant_bad_json(run: Path) -> None:
+    (run / "manifest.json").write_text("{not json")
+
+
+def plant_empty_manifest(run: Path) -> None:
+    (run / "manifest.json").write_text("{}")
+
+
+def plant_header_only_steps(run: Path) -> None:
+    steps = run / "steps.csv"
+    steps.write_text(steps.read_text().splitlines()[0] + "\n")
+
+
+@pytest.mark.parametrize("damage", [plant_bad_json, plant_empty_manifest, plant_header_only_steps])
+def test_compare_reports_a_damaged_artifact_in_one_line(tmp_path, capsys, damage):
+    _, out = run_config(tmp_path, "solo", u=4.0, max_epochs=1)
+    capsys.readouterr()
+    damage(out)
+    assert main(["compare", str(out)]) == 1
+    assert "damaged run artifact" in one_error_line(capsys)
 
 
 def test_pool_info_counts_add_up(capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from vipsa.fermions import PauliSum
 from vipsa.hamiltonians import (
@@ -16,6 +18,7 @@ from vipsa.hamiltonians import (
     interaction_quadruples,
     kinetic_kspace,
     real_part,
+    real_sector_matrix,
     rs_perturbation,
     sector_basis,
     sector_diagonalize,
@@ -181,6 +184,64 @@ def test_iterative_ground_space_is_reproducible():
     first, second = (ground_space(h, grid.n_qubits, 3, 3, dense_cutoff=0) for _ in range(2))
     np.testing.assert_array_equal(first.vectors, second.vectors)
     assert first.energy == second.energy
+
+
+def test_sectors_too_small_for_lanczos_are_solved_dense():
+    # a one-state sector (and one-state blocks) leave no room for a Lanczos window
+    grid = GridSpec.make(2, 2, u=4.0)
+    h, _ = build_kspace(grid)
+    empty = ground_space(h, grid.n_qubits, 0, 0, dense_cutoff=0)
+    assert empty.degeneracy == 1 and empty.energy == pytest.approx(0.0, abs=1e-12)
+    single = sector_diagonalize(h, grid.n_qubits, 1, 0, how_many=10 ** 9, dense_cutoff=0)
+    states = sector_basis(grid.n_qubits, 1, 0)
+    np.testing.assert_allclose(
+        single.values, np.linalg.eigvalsh(dense_sector_block(h, states, grid.n_qubits)),
+        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dense_cutoff", [400, 66, 0])  # all dense, mixed, all Lanczos
+def test_block_spectra_match_the_whole_sector(dense_cutoff):
+    grid = GridSpec.make(2, 3, u=4.0)
+    h, _ = build_kspace(grid)
+    states = sector_basis(grid.n_qubits, 3, 3)
+    matrix = real_sector_matrix(h, states, grid.n_qubits)
+    whole = np.linalg.eigvalsh(matrix.toarray())
+    how_many = 10 ** 9 if dense_cutoff == 400 else 6
+    eig = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=how_many,
+                             dense_cutoff=dense_cutoff)
+    assert len(eig.values) == min(how_many, len(states))
+    np.testing.assert_allclose(eig.values, whole[:len(eig.values)], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(matrix @ eig.vectors, eig.vectors * eig.values, rtol=0, atol=1e-9)
+
+
+def test_block_spectra_match_a_whole_sector_lanczos_solve():
+    grid = GridSpec.make(2, 4, u=4.0)
+    h, _ = build_kspace(grid)
+    states = sector_basis(grid.n_qubits, 4, 4)
+    matrix = real_sector_matrix(h, states, grid.n_qubits)
+    assert scipy.sparse.csgraph.connected_components(matrix, directed=False)[0] == 8
+    whole = scipy.sparse.linalg.eigsh(matrix, k=12, which="SA", tol=0,
+                                      v0=np.random.default_rng(0).standard_normal(len(states)))[0]
+    eig = sector_diagonalize(h, grid.n_qubits, 4, 4, how_many=12)
+    np.testing.assert_allclose(eig.values, np.sort(whole), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("register,calls", [("k", 8), ("real", 1)])
+def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
+    # the solver looks eigsh up at call time, so a patched (or traced) eigsh
+    # sees every block's solve
+    grid = GridSpec.make(2, 4, u=4.0)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    seen = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(matrix, *args, **kwargs):
+        seen.append(matrix.shape[0])
+        return eigsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    gs = ground_space(h, grid.n_qubits, 4, 4)
+    assert len(seen) == calls and sum(seen) == len(gs.states)
 
 
 def test_sector_block_oracle_matches_dense_slice():
