@@ -2,8 +2,9 @@
 
 Only the standard library is imported at module scope so that the thread-count
 environment variable (read in the package __init__) takes effect before numpy
-loads.  Config files are plain ``key = value`` text; every key is validated
-before any computation starts, and nothing is written on a config error.
+loads.  Config files are plain ``key = value`` text; every value is checked by
+the library call that uses it before any computation starts, and nothing is
+written on a config error.
 """
 
 import argparse
@@ -14,28 +15,35 @@ import os
 import sys
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .core import VipsaConfig
+    from .lattice import GridSpec
 
 
 class CliError(Exception):
     """User-facing failure; rendered as one line on stderr, exit code 1."""
 
 
+@contextmanager
+def library_checks(origin: str | None = None):
+    """Report the ValueError a library call raises on bad input as one
+    CliError line, prefixed with its origin if given."""
+    try:
+        yield
+    except ValueError as err:
+        raise CliError(f"{origin}: {err}" if origin else str(err)) from None
+
+
 # ---------------------------------------------------------------- config ---
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_boundary(text: str) -> str:
-    if text not in ("open", "periodic", "auto"):
-        raise ValueError("expected open, periodic, or auto")
-    return text
+def _parse_boundary(text: str) -> str | None:
+    # None picks the axis's default boundary; GridSpec checks any other name
+    return None if text == "auto" else text
 
 
 def _parse_ansatz(text: str) -> str:
@@ -60,26 +68,26 @@ def _parse_path(text: str) -> str:
 
 
 CONFIG_SCHEMA = {
-    "nx": _parse_int,
-    "ny": _parse_int,
+    "nx": int,
+    "ny": int,
     "bc_x": _parse_boundary,
     "bc_y": _parse_boundary,
-    "t": _parse_float,
-    "u": _parse_float,
-    "n_up": _parse_int,
-    "n_down": _parse_int,
+    "t": float,
+    "u": float,
+    "n_up": int,
+    "n_down": int,
     "ansatz": _parse_ansatz,
-    "layers": _parse_int,
-    "r": _parse_float,
-    "eps1": _parse_float,
-    "eps2": _parse_float,
-    "lr": _parse_float,
-    "beta1": _parse_float,
-    "beta2": _parse_float,
-    "stabilizer": _parse_float,
-    "max_epochs": _parse_int,
-    "max_inner_steps": _parse_int,
-    "convergence_window": _parse_int,
+    "layers": int,
+    "r": float,
+    "eps1": float,
+    "eps2": float,
+    "lr": float,
+    "beta1": float,
+    "beta2": float,
+    "stabilizer": float,
+    "max_epochs": int,
+    "max_inner_steps": int,
+    "convergence_window": int,
     "output": _parse_path,
     "cache": _parse_switch,
     "cache_dir": _parse_path,
@@ -111,36 +119,29 @@ def parse_config_text(text: str, origin: str) -> dict:
     return values
 
 
-def make_grid(nx: int, ny: int, **couplings):
-    """GridSpec.make, with the grids it rejects reported as a CliError."""
-    from .lattice import GridSpec
-    try:
-        return GridSpec.make(nx, ny, **couplings)
-    except ValueError as err:
-        raise CliError(str(err)) from None
-
-
-@dataclass
+@dataclass(frozen=True)
 class Experiment:
-    """A fully validated run request with every default resolved."""
+    """A run request, resolved into the library objects that carry it out."""
 
-    nx: int
-    ny: int
-    bc_x: str = "auto"
-    bc_y: str = "auto"
-    t: float = 1.0
-    u: float = 0.0
-    n_up: int | None = None
-    n_down: int | None = None
-    ansatz: str = "vipsa"
-    layers: int = 10
-    optimizer: dict = field(default_factory=dict)
-    output: str | None = None
-    cache: bool = True
-    cache_dir: str = "vipsa-cache"
+    ansatz: str
+    grid: "GridSpec"
+    sector: tuple[int, int]
+    config: "VipsaConfig"
+    layers: int
+    output: Path
+    cache_dir: Path | None
 
     @classmethod
     def from_file(cls, path: str) -> "Experiment":
+        """Parse a config file and resolve every value through the library
+        call that owns its rule, so a bad value fails here, before any
+        output is written.  Only rules about the file itself are checked
+        by the CLI."""
+        from .core import VipsaConfig
+        from .hva import build_layout
+        from .lattice import GridSpec, default_filling
+        from .statevector import sector_basis
+
         try:
             text = Path(path).read_text()
         except OSError as err:
@@ -149,50 +150,23 @@ class Experiment:
         for key in ("nx", "ny"):
             if key not in values:
                 raise CliError(f"{path}: missing required key '{key}'")
-        optimizer = {key: values.pop(key) for key in OPTIMIZER_KEYS if key in values}
-        experiment = cls(optimizer=optimizer, **values)
-        experiment.validate(path)
-        return experiment
+        if ("n_up" in values) != ("n_down" in values):
+            raise CliError(f"{path}: set both n_up and n_down or neither")
 
-    def validate(self, origin: str) -> None:
-        try:
-            self.grid()
-        except CliError as err:
-            raise CliError(f"{origin}: {err}") from None
-        if (self.n_up is None) != (self.n_down is None):
-            raise CliError(f"{origin}: set both n_up and n_down or neither")
-        sites = self.nx * self.ny
-        for name in ("n_up", "n_down"):
-            count = getattr(self, name)
-            if count is not None and not 0 <= count <= sites:
-                raise CliError(f"{origin}: {name}={count} does not fit {sites} sites")
-        if self.layers < 1:
-            raise CliError(f"{origin}: layers must be at least 1")
+        def given(*keys):  # unset keys take the library's defaults
+            return {key: values[key] for key in keys if key in values}
 
-    def grid(self):
-        return make_grid(
-            self.nx, self.ny, t=self.t, u=self.u,
-            bc_x=None if self.bc_x == "auto" else self.bc_x,
-            bc_y=None if self.bc_y == "auto" else self.bc_y,
-        )
-
-    def filling(self, grid) -> tuple[int, int]:
-        if self.n_up is not None:
-            return self.n_up, self.n_down
-        from .lattice import default_filling
-        return default_filling(grid)
-
-    def vipsa_config(self):
-        from .core import VipsaConfig
-        try:
-            return VipsaConfig(**self.optimizer)
-        except ValueError as err:
-            raise CliError(f"bad optimizer setting: {err}") from None
-
-    def output_dir(self) -> Path:
-        if self.output is not None:
-            return Path(self.output)
-        return Path("runs") / f"{self.ansatz}-{self.nx}x{self.ny}-u{self.u:g}"
+        with library_checks(path):
+            grid = GridSpec.make(values["nx"], values["ny"], **given("t", "u", "bc_x", "bc_y"))
+            sector = ((values["n_up"], values["n_down"]) if "n_up" in values
+                      else default_filling(grid))
+            sector_basis(grid.n_qubits, *sector)
+            layers = build_layout(grid, **given("layers")).layers
+            config = VipsaConfig(**given(*OPTIMIZER_KEYS))
+        ansatz = values.get("ansatz", "vipsa")
+        output = values.get("output", f"runs/{ansatz}-{grid.nx}x{grid.ny}-u{grid.u:g}")
+        cache_dir = Path(values.get("cache_dir", "vipsa-cache")) if values.get("cache", True) else None
+        return cls(ansatz, grid, sector, config, layers, Path(output), cache_dir)
 
 
 # ------------------------------------------------------- ground-space cache
@@ -265,56 +239,45 @@ def _format(value):
 
 
 def cmd_run(args) -> int:
-    experiment = Experiment.from_file(args.config)
+    run = Experiment.from_file(args.config)
     from .core import EPOCH_CSV_COLUMNS, epoch_csv_row, vipsa_run
     from .hva import hva_run
 
-    grid = experiment.grid()
-    n_up, n_down = experiment.filling(grid)
-    config = experiment.vipsa_config()
-    cache_dir = Path(experiment.cache_dir) if experiment.cache else None
-    register = "k" if experiment.ansatz == "vipsa" else "real"
-    ground = cached_ground_space(grid, n_up, n_down, register, cache_dir)
+    grid, (n_up, n_down) = run.grid, run.sector
+    register = "k" if run.ansatz == "vipsa" else "real"
+    ground = cached_ground_space(grid, n_up, n_down, register, run.cache_dir)
 
-    out = experiment.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    print(f"{experiment.ansatz} on {grid.label()} "
+    run.output.mkdir(parents=True, exist_ok=True)
+    print(f"{run.ansatz} on {grid.label()} "
           f"(U={grid.u:g}, t={grid.t:g}, sector ({n_up},{n_down})), "
           f"ED energy {ground.energy:.8f}")
 
-    if experiment.ansatz == "vipsa":
-        result = vipsa_run(grid, n_up, n_down, config, reference=ground,
+    if run.ansatz == "vipsa":
+        result = vipsa_run(grid, n_up, n_down, run.config, reference=ground,
                            progress=lambda r: print(
                                f"  epoch {r.epoch}: E={r.energy:.8f} "
                                f"fid={r.fidelity:.4f} max|g|={r.max_gradient:.2e} "
                                f"selected {r.n_selected}"))
-        trace_rows = [[_format(v) for v in epoch_csv_row(r)] for r in result.records]
-        step_rows = [[epoch, step, _format(energy)]
-                     for epoch, step, energy in result.step_energies]
-        manifest_extra = {"pool_size": result.pool_size, "n_params": len(result.gates)}
+        manifest_extra = {"pool_size": result.pool_size}
         if result.status == "empty-pool":
             print("  empty pool: no off-diagonal scattering move has four distinct orbitals "
                   "and a nonzero kinetic gap, so no rotation can leave the Fermi sea")
     else:
-        result = hva_run(grid, n_up, n_down, config, layers=experiment.layers,
-                         reference=ground)
-        trace_rows = [[r.step, _format(r.max_gradient), 0,
-                       result.layout.n_params, 1, _format(r.energy), _format(r.fidelity)]
-                      for r in result.records]
-        step_rows = [[0, r.step, _format(r.energy)] for r in result.records]
-        manifest_extra = {"layers": experiment.layers,
-                          "n_params": result.layout.n_params}
+        result = hva_run(grid, n_up, n_down, run.config, layers=run.layers, reference=ground)
+        manifest_extra = {"layers": run.layers}
         print(f"  {len(result.records) - 1} steps: E={result.final_energy:.8f} "
               f"fid={result.final_fidelity:.4f}")
 
-    _write_csv(out / "trace.csv", EPOCH_CSV_COLUMNS, trace_rows)
-    _write_csv(out / "steps.csv", ("epoch", "step", "energy"), step_rows)
+    trace_rows = [[_format(v) for v in epoch_csv_row(r)] for r in result.records]
+    step_rows = [[epoch, step, _format(energy)] for epoch, step, energy in result.step_energies]
+    _write_csv(run.output / "trace.csv", EPOCH_CSV_COLUMNS, trace_rows)
+    _write_csv(run.output / "steps.csv", ("epoch", "step", "energy"), step_rows)
     manifest = {
-        "ansatz": experiment.ansatz,
+        "ansatz": run.ansatz,
         "grid": {"nx": grid.nx, "ny": grid.ny, "bc_x": grid.bc_x,
                  "bc_y": grid.bc_y, "t": grid.t, "u": grid.u},
         "sector": {"n_up": n_up, "n_down": n_down},
-        "optimizer": {key: getattr(config, key) for key in OPTIMIZER_KEYS},
+        "optimizer": {key: getattr(run.config, key) for key in OPTIMIZER_KEYS},
         "status": result.status,
         "final_energy": float(result.final_energy),
         "final_fidelity": float(result.final_fidelity),
@@ -322,9 +285,10 @@ def cmd_run(args) -> int:
         "ground_degeneracy": ground.degeneracy,
         "rows": {"trace": len(trace_rows), "steps": len(step_rows)},
         **manifest_extra,
+        "n_params": result.records[-1].n_params,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"status {result.status}; artifacts in {out}")
+    (run.output / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"status {result.status}; artifacts in {run.output}")
     return 0 if result.status == "converged" else 2
 
 
@@ -340,9 +304,12 @@ def _parse_grid_arg(text: str) -> tuple[int, int]:
 
 def _parse_u_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        couplings = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise CliError(f"bad coupling list '{text}', expected e.g. 2,4,6") from None
+        couplings = []
+    if not couplings:
+        raise CliError(f"bad coupling list '{text}', expected e.g. 2,4,6")
+    return couplings
 
 
 def _parse_sector_arg(text: str) -> tuple[int, int]:
@@ -362,25 +329,21 @@ def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, 
 
 
 def cmd_ed(args) -> int:
-    from .hamiltonians import sector_basis
-    from .lattice import default_filling
+    from .lattice import GridSpec, default_filling
+    from .statevector import sector_basis
 
     nx, ny = _parse_grid_arg(args.grid)
+    couplings = _parse_u_list(args.u)
     registers = ("k", "real") if args.register == "both" else (args.register,)
-    rows = []
-    for u in _parse_u_list(args.u):
-        grid = make_grid(nx, ny, t=args.t, u=u)
-        if args.sector:
-            n_up, n_down = _parse_sector_arg(args.sector)
-            try:
-                sector_basis(grid.n_qubits, n_up, n_down)
-            except ValueError as err:
-                raise CliError(str(err)) from None
-        else:
-            n_up, n_down = default_filling(grid)
-        for register in registers:
-            rows.append([f"{nx}x{ny}", u, n_up, n_down, register,
-                         *_ground_energy(grid, register, n_up, n_down)])
+    # every grid and the sector are checked before any Hamiltonian is built;
+    # the sector depends only on the grid's shape, not on its coupling
+    with library_checks():
+        grids = [GridSpec.make(nx, ny, t=args.t, u=u) for u in couplings]
+        n_up, n_down = _parse_sector_arg(args.sector) if args.sector else default_filling(grids[0])
+        sector_basis(grids[0].n_qubits, n_up, n_down)
+    rows = [[f"{nx}x{ny}", grid.u, n_up, n_down, register,
+             *_ground_energy(grid, register, n_up, n_down)]
+            for grid in grids for register in registers]
 
     header = ("grid", "u", "n_up", "n_down", "register", "energy", "degeneracy")
     widths = [6, 8, 5, 7, 9, 16, 11]
@@ -487,8 +450,11 @@ def cmd_pool_info(args) -> int:
     from .core import build_pool, pool_class
     from .hamiltonians import interaction_quadruples
 
+    from .lattice import GridSpec
+
     nx, ny = _parse_grid_arg(args.grid)
-    grid = make_grid(nx, ny, t=args.t, u=args.u)
+    with library_checks():
+        grid = GridSpec.make(nx, ny, t=args.t, u=args.u)
     table = interaction_quadruples(grid)
     counts = Counter(pool_class(q) for q in table)
     print(f"grid {grid.label()} ({grid.bc_x} x {grid.bc_y}), U={grid.u:g}")

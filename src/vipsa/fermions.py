@@ -201,11 +201,6 @@ class PauliSum:
     def is_diagonal(self) -> bool:
         return all(all(letter == "Z" for _, letter in k) for k in self._terms)
 
-    def max_qubit(self) -> int:
-        """Largest qubit index touched; -1 for scalar sums."""
-        qubits = [q for letters in self._terms for q, _ in letters]
-        return max(qubits) if qubits else -1
-
     def to_text(self) -> str:
         """One term per line: coefficient then letter-qubit tokens, e.g. '0.125 X0 Y3 Z5'."""
         lines = []

@@ -443,16 +443,16 @@ class GroundSpace:
 
 
 def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
-                 tol: float = GROUND_DEGENERACY_TOL,
                  dense_cutoff: int = DENSE_SECTOR_CUTOFF) -> GroundSpace:
-    """Ground multiplet of the sector, degeneracy resolved at tolerance tol.
+    """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
     The returned space keeps the sector matrix it was solved from, and each
     of its vectors lives on one connected block of that matrix.
     """
-    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, 12, dense_cutoff, widen_tol=tol)
+    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, 12, dense_cutoff,
+                                widen_tol=GROUND_DEGENERACY_TOL)
     values, owners = spectrum.values, spectrum.owners
-    count = int((values <= values[0] + tol).sum())
+    count = int((values <= values[0] + GROUND_DEGENERACY_TOL).sum())
     # orthonormalize block by block, so no vector leaks into another block
     basis = np.zeros_like(spectrum.vectors[:, :count])
     for block in np.unique(owners[:count]):
@@ -501,9 +501,7 @@ class SectorHamiltonian:
 # Rayleigh-Schrodinger perturbation oracle
 
 
-def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector,
-                    degeneracy_tol: float = GROUND_DEGENERACY_TOL,
-                    dense_cutoff: int = DENSE_PERTURBATION_LIMIT) -> tuple[float, float, float]:
+def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector) -> tuple[float, float, float]:
     """(E0, E1, E2) for the split h0 + h1 around the eigenstate phi0 of h0.
 
     phi0 must be a normalized eigenstate of h0, non-degenerate within its own
@@ -540,12 +538,12 @@ def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector,
         overlaps = image
     else:
         dim = len(states)
-        if dim > dense_cutoff:
+        if dim > DENSE_PERTURBATION_LIMIT:
             raise ValueError(f"sector dimension {dim} too large for the dense "
                              "perturbation solve; use a diagonal h0")
         levels, vecs = np.linalg.eigh(m0.toarray())
         overlaps = vecs.conj().T @ image
-    degenerate = np.abs(levels - e0) <= degeneracy_tol
+    degenerate = np.abs(levels - e0) <= GROUND_DEGENERACY_TOL
     if degenerate.sum() != 1:
         raise ValueError("phi0 is degenerate within its sector")
     excited = ~degenerate

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdamResult, VipsaConfig, adam_minimize
+from .core import AdamResult, EpochRecord, VipsaConfig, adam_minimize
 from .fermions import hopping_pair
 from .hamiltonians import (
     GroundSpace,
@@ -86,7 +86,7 @@ class HvaLayout:
 
 def build_layout(grid: GridSpec, layers: int = 10) -> HvaLayout:
     if layers < 1:
-        raise ValueError("need at least one layer")
+        raise ValueError(f"layers must be at least 1, got {layers}")
     horizontal, vertical = hopping_edges(grid)
     return HvaLayout(
         grid, layers,
@@ -109,9 +109,7 @@ class HvaAnsatz:
     def __init__(self, grid: GridSpec, n_up: int, n_down: int, layers: int = 10):
         self.layout = build_layout(grid, layers)
         self.grid = grid
-        energies, w, order = real_orbital_basis(grid)
-        self.initial_energy = float(sum(energies[s] for s in order[:n_up])
-                                    + sum(energies[s] for s in order[:n_down]))
+        _, w, order = real_orbital_basis(grid)
         self.states = sector_basis(grid.n_qubits, n_up, n_down)
         self.x0 = slater_amplitudes(w, order[:n_up], order[:n_down], self.states)
         phase = SectorPhase(diagonal_values(onsite_interaction(grid), grid.n_qubits, self.states))
@@ -168,21 +166,13 @@ class HvaAnsatz:
         return sector_run(self.x0, self.sector_gates, self.angles(params))
 
 
-@dataclass(frozen=True)
-class HvaStepRecord:
-    step: int
-    energy: float
-    fidelity: float
-    max_gradient: float
-
-
 @dataclass
 class HvaResult:
     grid: GridSpec
     n_up: int
     n_down: int
     layout: HvaLayout
-    records: list[HvaStepRecord]
+    records: list[EpochRecord]  # one per evaluation, as a one-step epoch
     status: str  # "converged" | "exhausted"
     final_energy: float
     final_fidelity: float
@@ -191,16 +181,21 @@ class HvaResult:
     history: np.ndarray  # parameter vector per evaluation, aligned with records
     ansatz: HvaAnsatz
 
+    @property
+    def step_energies(self) -> list[tuple[int, int, float]]:
+        """(epoch, step, energy) per evaluation, all in epoch 0."""
+        return [(0, r.epoch, r.energy) for r in self.records]
+
 
 def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
             config: VipsaConfig | None = None, layers: int = 10,
-            reference: GroundSpace | None = None, progress=None) -> HvaResult:
+            reference: GroundSpace | None = None) -> HvaResult:
     """Optimize all layer parameters from zero against the site-register model.
 
     The exact all-zero point is evaluated and recorded first; since it is
     stationary, the optimization proper starts from STATIONARY_KICK on every
-    parameter.  Per-evaluation energy and fidelity are recorded, along with
-    the parameter vector itself so any intermediate state can be
+    parameter.  Each evaluation is recorded as a one-step EpochRecord, along
+    with the parameter vector itself so any intermediate state can be
     reconstructed exactly.  Every evaluation runs on the sector vector.
     The sector Hamiltonian comes from the reference ground space, diagonalized
     on the spot unless passed in.
@@ -214,7 +209,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         raise ValueError("reference ground space is not over the run's sector basis")
     ansatz = HvaAnsatz(grid, n_up, n_down, layers)
 
-    records: list[HvaStepRecord] = []
+    records: list[EpochRecord] = []
 
     def evaluate(params):
         thetas = ansatz.angles(params)
@@ -223,10 +218,8 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         energy, per_gate = sector_expectation_and_gradient(
             ansatz.x0, ansatz.sector_gates, thetas, reference.matrix, final=final)
         grads = ansatz.fold(per_gate)
-        record = HvaStepRecord(len(records), energy, fid, float(np.abs(grads).max()))
-        records.append(record)
-        if progress is not None:
-            progress(record)
+        records.append(EpochRecord(len(records), float(np.abs(grads).max()), (),
+                                   ansatz.n_params, 1, energy, fid))
         return energy, grads
 
     start = np.zeros(ansatz.n_params)

@@ -339,12 +339,16 @@ def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
 
 
 def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
-    """Sorted bitstrings with n_up even-qubit and n_down odd-qubit particles."""
+    """Sorted bitstrings with n_up even-qubit and n_down odd-qubit particles,
+    as uint32, so at most 32 qubits."""
     if n_qubits % 2:
         raise ValueError("register must pair up/down qubits")
+    if n_qubits > 32:
+        raise ValueError(f"{n_qubits} qubits exceed the 32-qubit limit of sector bitstrings")
     n_sites = n_qubits // 2
     if not (0 <= n_up <= n_sites and 0 <= n_down <= n_sites):
-        raise ValueError(f"sector ({n_up},{n_down}) does not fit {n_sites} orbitals")
+        raise ValueError(f"sector (n_up, n_down) = ({n_up},{n_down}) does not fit "
+                         f"{n_sites} orbitals")
     ups = [sum(1 << (2 * i) for i in combo)
            for combo in itertools.combinations(range(n_sites), n_up)]
     downs = [sum(1 << (2 * i + 1) for i in combo)
@@ -511,8 +515,6 @@ class DiagonalPhase:
         return StateVector(psi.n_qubits,
                            -1j * self._values(psi.n_qubits) * psi.amplitudes)
 
-
-Gate = PoolRotation | HoppingRotation | DiagonalPhase
 
 
 @dataclass

@@ -297,6 +297,49 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, line):
     assert list(tmp_path.iterdir()) == [config]  # nothing written
 
 
+@pytest.mark.parametrize("body, detail", [
+    ("nx = 2\nny = 2\nn_up = 9\nn_down = 1\n", "n_up"),
+    ("nx = 2\nny = 2\nn_up = 1\n", "n_down"),
+    ("nx = 2\nny = 2\nlayers = 0\n", "layers"),
+    ("nx = 2\nny = 2\nbc_x = twisted\n", "twisted"),
+    ("nx = 4\nny = 5\n", "32-qubit"),
+])
+def test_run_rejects_before_building_or_writing(tmp_path, capsys, monkeypatch, body, detail):
+    import vipsa
+
+    monkeypatch.chdir(tmp_path)
+    for module, name in HAMILTONIAN_BUILDERS:
+        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    config = write(tmp_path / "bad.cfg", body)
+    assert main(["run", str(config)]) == 1
+    assert detail in one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == [config]  # nothing written
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["--grid", "4x5", "--u", "1", "--sector", "1,0"], "32-qubit"),
+    (["--grid", "4x5", "--u", "1"], "32-qubit"),
+    (["--grid", "2x2", "--u", ","], "coupling list"),
+])
+def test_ed_rejects_before_building(capsys, monkeypatch, argv, detail):
+    import vipsa
+
+    for module, name in HAMILTONIAN_BUILDERS:
+        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    assert main(["ed", *argv]) == 1
+    assert detail in one_error_line(capsys)
+
+
+def test_readme_lists_every_config_key():
+    from vipsa.cli import CONFIG_SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### `vipsa run config.txt`")[1].split("\n### ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    listed = [key for row in rows for key in row.split("|")[1].split("`")[1::2]]
+    assert sorted(listed) == sorted(CONFIG_SCHEMA)
+
+
 POOL_INFO_2X3 = """grid 2x3 (open x periodic), U=4
   interaction table entries: 216
   excluded diagonal:         36
