@@ -14,8 +14,8 @@ SHAPES = ((2, 2), (2, 3), (2, 4), (3, 3))
 
 
 def main():
-    print("Boundary rule: length-2 axes fold to open chains, longer axes")
-    print("stay periodic, so no bond is ever counted twice.\n")
+    print("Boundary rule: length-2 axes are open chains (a periodic one is")
+    print("refused), longer axes default to periodic, so no bond counts twice.\n")
     for nx, ny in SHAPES:
         grid = GridSpec.make(nx, ny)
         print(f"  {grid.label()}: x {grid.bc_x}, y {grid.bc_y}, "

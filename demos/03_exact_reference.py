@@ -18,8 +18,6 @@ from vipsa import (
     rs_perturbation,
     sector_diagonalize,
 )
-from vipsa.hamiltonians import kinetic_kspace
-from vipsa.statevector import basis_state
 
 
 def main():
@@ -54,13 +52,8 @@ def main():
     print(f"  {'u':>5} {'E0+E1+E2':>14} {'exact':>14} {'gap':>10}")
     for u in (0.1, 0.2, 0.4):
         grid = GridSpec.make(2, 4, u=u)
-        h, _ = build_kspace(grid)
-        h0 = kinetic_kspace(grid)
-        h1 = h + (-1.0) * h0
-        sea = fermi_sea(grid, 4, 4)
-        phi0 = basis_state(sea.occupied_qubits(), grid.n_qubits)
-        e0, e1, e2 = rs_perturbation(h0, h1, phi0)
-        exact = ground_space(h, grid.n_qubits, 4, 4).energy
+        e0, e1, e2 = rs_perturbation(grid, 4, 4)
+        exact = ground_space(build_kspace(grid)[0], grid.n_qubits, 4, 4).energy
         series = e0 + e1 + e2
         print(f"  {u:>5.2f} {series:>14.8f} {exact:>14.8f} "
               f"{abs(series - exact):>10.2e}")

@@ -16,6 +16,7 @@ from .core import (
     VipsaConfig,
     build_pool,
     first_order_oracle,
+    rs_perturbation,
     select,
     vipsa_run,
 )
@@ -27,7 +28,6 @@ from .hamiltonians import (
     ground_space,
     hamiltonian_pair,
     interaction_quadruples,
-    rs_perturbation,
     sector_diagonalize,
     spin_operators,
 )

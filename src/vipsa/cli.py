@@ -189,8 +189,8 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
     no Hamiltonian build.  One that cannot be read (an older format without
     the sector matrix included) or holds another key is rebuilt and
     replaced; a new file is written next to its final name and renamed into
-    place, so a crash mid-write leaves no partial file there.  With no
-    cache_dir the space is solved and nothing is read or written.
+    place, so a crash mid-write leaves no partial file there.  cache_dir
+    must exist; with None the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace, build_kspace, build_real, ground_space
 
@@ -210,7 +210,6 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
         except UNREADABLE_CACHE:
             pass
     result = solve()
-    cache_dir.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "wb") as handle:
@@ -225,10 +224,13 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
 # ------------------------------------------------------------------- run ---
 
 def _write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            writer.writerows(rows)
+    except OSError as err:
+        raise CliError(f"cannot write output: {err}") from None
 
 
 def _format(value):
@@ -243,11 +245,16 @@ def cmd_run(args) -> int:
     from .core import EPOCH_CSV_COLUMNS, epoch_csv_row, vipsa_run
     from .hva import hva_run
 
+    # a directory that cannot be made fails here, before any Hamiltonian is built
+    for directory in filter(None, (run.cache_dir, run.output)):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise CliError(f"cannot create directory: {err}") from None
+
     grid, (n_up, n_down) = run.grid, run.sector
     register = "k" if run.ansatz == "vipsa" else "real"
     ground = cached_ground_space(grid, n_up, n_down, register, run.cache_dir)
-
-    run.output.mkdir(parents=True, exist_ok=True)
     print(f"{run.ansatz} on {grid.label()} "
           f"(U={grid.u:g}, t={grid.t:g}, sector ({n_up},{n_down})), "
           f"ED energy {ground.energy:.8f}")

@@ -23,11 +23,12 @@ from .hamiltonians import (
     interaction_quadruples,
     real_part,
     sector_basis,
-    sector_matrix,
 )
-from .lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
+from .lattice import DEGENERACY_TOL, DOWN, UP, GridSpec, default_filling, enumerate_modes, fermi_sea
 from .statevector import (
     StateVector,
+    _ladder_orbits,
+    _positions,
     apply_pauli_sum,
     expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     orbit_overlap,
@@ -371,11 +372,34 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
                      reference, [labels[i] for i in gates], thetas, step_energies)
 
 
+def _sea_scattering(grid: GridSpec, n_up: int, n_down: int):
+    """What both weak-coupling oracles expand the Fermi sea with.
+
+    Returns (states, x0, v_x0, levels) over the sorted (n_up, n_down) sector
+    bitstrings: the sea x0, the interaction applied to it, and the kinetic
+    level sum_k eps_k (n_k_up + n_k_down) of every bitstring.  V x0 comes from
+    sending the sea's one bitstring through each scattering quadruple, so no
+    Pauli string and no sector matrix is built.
+    """
+    states = sector_basis(grid.n_qubits, n_up, n_down)
+    x0 = _sea_vector(grid, n_up, n_down, states)
+    sea = states[x0 == 1.0]
+    v_x0 = np.zeros(len(states))
+    for q in interaction_quadruples(grid):
+        _, targets, sign = _ladder_orbits(q.ladder_term().factors, sea)
+        v_x0[_positions(states, targets, "interaction term")] += q.amplitude * sign
+    mode_energy = np.zeros(grid.n_qubits)
+    for mode in enumerate_modes(grid):
+        mode_energy[[mode.qubit(UP), mode.qubit(DOWN)]] = mode.energy
+    occupied = (states[:, None] >> np.arange(grid.n_qubits, dtype=np.uint32)) & 1
+    return states, x0, v_x0, occupied @ mode_energy
+
+
 @dataclass(frozen=True)
 class FirstOrderResult:
     thetas: np.ndarray      # one angle per pool operator, canonical order
     states: np.ndarray      # the sorted sector bitstrings both states live on
-    reference: np.ndarray   # normalized (1 - sum V O / gap)|sea>
+    reference: np.ndarray   # normalized (1 + R V)|sea>, R the resolvent
     sequential: np.ndarray  # the assigned rotations applied in pool order
 
 
@@ -384,23 +408,19 @@ def first_order_oracle(grid: GridSpec, n_up: int | None = None,
     """Weak-coupling angle assignment sin(theta) = -V/gap and its target.
 
     The reference state applies the first-order correction as plain linear
-    algebra, one sector matrix of sum V/gap O over the full orientation
-    table; the sequential state instead runs the pool rotations at the
+    algebra: V|sea> scaled by the resolvent 1/(E0 - level) of each
+    bitstring's kinetic level, which is 0 on the levels degenerate with the
+    sea's E0.  The sequential state instead runs the pool rotations at the
     assigned angles.  The two agree to second order in the interaction
     strength.
     """
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
-    states = sector_basis(grid.n_qubits, n_up, n_down)
-    x0 = _sea_vector(grid, n_up, n_down, states)
-
-    correction = []
-    for q in interaction_quadruples(grid):
-        if q.is_diagonal or abs(q.energy_gap) <= DEGENERACY_TOL:
-            continue
-        correction.extend(jordan_wigner(q.ladder_term().scaled(q.amplitude / q.energy_gap),
-                                        grid.n_qubits))
-    reference = x0 - sector_matrix(PauliSum.from_terms(correction), states, grid.n_qubits) @ x0
+    states, x0, v_x0, levels = _sea_scattering(grid, n_up, n_down)
+    e0 = levels @ x0
+    off = np.abs(levels - e0) > DEGENERACY_TOL
+    reference = x0.copy()
+    reference[off] += v_x0[off] / (e0 - levels[off])
     reference /= np.linalg.norm(reference)
 
     pool = build_pool(grid)
@@ -413,3 +433,26 @@ def first_order_oracle(grid: GridSpec, n_up: int | None = None,
         thetas[i] = math.asin(ratio)
     sequential = sector_run(x0, [sector_orbit(p.term, states) for p in pool], thetas)
     return FirstOrderResult(thetas, states, reference, sequential)
+
+
+def rs_perturbation(grid: GridSpec, n_up: int | None = None,
+                    n_down: int | None = None) -> tuple[float, float, float]:
+    """(E0, E1, E2) of the Rayleigh-Schrodinger series around the Fermi sea.
+
+    The mode-register Hamiltonian splits into the diagonal kinetic term and
+    the interaction V.  E0 is the sea's kinetic level, E1 = <sea|V|sea> and
+    E2 = sum |<s|V|sea>|^2 / (E0 - level(s)) over the sector bitstrings s
+    whose level differs from E0.  The sector defaults to default_filling.
+    A sea degenerate within its sector is rejected, because the second-order
+    sum would need the degenerate theory.
+    """
+    if n_up is None or n_down is None:
+        n_up, n_down = default_filling(grid)
+    _, x0, v_x0, levels = _sea_scattering(grid, n_up, n_down)
+    e0 = levels @ x0
+    off = np.abs(levels - e0) > DEGENERACY_TOL
+    if np.count_nonzero(~off) != 1:
+        raise ValueError(f"the Fermi sea of sector ({n_up},{n_down}) is degenerate "
+                         "within its sector")
+    e2 = np.sum(v_x0[off] ** 2 / (e0 - levels[off]))
+    return float(e0), float(x0 @ v_x0), float(e2)

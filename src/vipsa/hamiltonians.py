@@ -6,8 +6,8 @@ table of two-body scattering quadruples.  The quadruple table doubles as the
 source of the variational operator pool, so it is exposed as first-class data
 rather than hidden inside the Pauli sum.
 
-Everything downstream (ground spaces, fidelities, the perturbation oracle)
-works in a fixed (n_up, n_down) occupation sector.
+Everything downstream (ground spaces, fidelities) works in a fixed
+(n_up, n_down) occupation sector.
 """
 
 import itertools
@@ -28,9 +28,6 @@ from .statevector import StateVector, _compiled_terms, _parity, sector_basis
 # 15 ms at 628).  The cutoff sits a little above, so that the 2x3 site
 # register (400 states, one block) keeps its full spectrum from one solve.
 DENSE_SECTOR_CUTOFF = 400
-# rs_perturbation's dense solve of a non-diagonal h0: above this dimension it
-# would need gigabytes and minutes on a single core.
-DENSE_PERTURBATION_LIMIT = 2400
 GROUND_DEGENERACY_TOL = 1e-8
 AMPLITUDE_DROP_TOL = 1e-12
 
@@ -495,57 +492,3 @@ class SectorHamiltonian:
         if abs(value.imag) > 1e-10:
             raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
         return float(value.real)
-
-
-# ---------------------------------------------------------------------------
-# Rayleigh-Schrodinger perturbation oracle
-
-
-def rs_perturbation(h0: PauliSum, h1: PauliSum, phi0: StateVector) -> tuple[float, float, float]:
-    """(E0, E1, E2) for the split h0 + h1 around the eigenstate phi0 of h0.
-
-    phi0 must be a normalized eigenstate of h0, non-degenerate within its own
-    occupation sector; degenerate reference states are rejected because the
-    second-order sum would need the degenerate theory.  Everything after
-    locating that sector runs on its sector matrices.
-    """
-    if not (h0.is_hermitian() and h1.is_hermitian()):
-        raise ValueError("perturbation requires a Hermitian h0 and h1")
-    if abs(phi0.norm() - 1.0) > 1e-10:
-        raise ValueError("phi0 must be normalized")
-    n = phi0.n_qubits
-    support = np.flatnonzero(np.abs(phi0.amplitudes) ** 2 > 1e-14).astype(np.uint32)
-    up = np.uint32(sum(1 << q for q in range(0, n, 2)))
-    sectors = set(zip(np.bitwise_count(support & up).tolist(),
-                      np.bitwise_count(support & ~up).tolist()))
-    if len(sectors) != 1:
-        raise ValueError("phi0 must occupy a single (n_up, n_down) sector")
-    (n_up, n_down), = sectors
-    states = sector_basis(n, n_up, n_down)
-    x = phi0.amplitudes[states]
-    m0 = real_sector_matrix(h0, states, n)
-    m1 = real_sector_matrix(h1, states, n)
-
-    e0 = np.vdot(x, m0 @ x).real
-    if np.linalg.norm(m0 @ x - e0 * x) > 1e-8 * max(1.0, abs(e0)):
-        raise ValueError("phi0 is not an eigenstate of h0")
-    image = m1 @ x
-    e1 = np.vdot(x, image).real
-
-    if h0.is_diagonal():
-        # the sector bitstrings are themselves the h0 eigenbasis
-        levels = m0.diagonal()
-        overlaps = image
-    else:
-        dim = len(states)
-        if dim > DENSE_PERTURBATION_LIMIT:
-            raise ValueError(f"sector dimension {dim} too large for the dense "
-                             "perturbation solve; use a diagonal h0")
-        levels, vecs = np.linalg.eigh(m0.toarray())
-        overlaps = vecs.conj().T @ image
-    degenerate = np.abs(levels - e0) <= GROUND_DEGENERACY_TOL
-    if degenerate.sum() != 1:
-        raise ValueError("phi0 is degenerate within its sector")
-    excited = ~degenerate
-    e2 = np.sum(np.abs(overlaps[excited]) ** 2 / (e0 - levels[excited]))
-    return float(e0), float(e1), float(e2)

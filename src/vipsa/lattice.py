@@ -7,9 +7,9 @@ Conventions used throughout the package:
   ``UP = 0``, ``DOWN = 1``.  The same rule is used for the real-space
   register (orbital = site) and the momentum register (orbital = mode
   slot ``mx + nx*my``).
-* Boundary conditions are per axis.  An axis of length 2 defaults to
-  open (a periodic wrap would double the single bond), longer axes
-  default to periodic.
+* Boundary conditions are per axis.  An axis of length 2 must be open
+  (its periodic wrap would repeat its one bond), longer axes default
+  to periodic.
 * Open axes carry standing-wave momenta ``k = pi*(m+1)/(L+1)``;
   periodic axes carry Bloch momenta ``k = 2*pi*m/L``.  Either way the
   single-particle energy of a mode is ``-2t*(cos kx + cos ky)``, which
@@ -51,9 +51,11 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid {self.nx}x{self.ny} is too small")
-        for bc in (self.bc_x, self.bc_y):
+        for axis, length, bc in (("x", self.nx, self.bc_x), ("y", self.ny, self.bc_y)):
             if bc not in (OPEN, PERIODIC):
                 raise ValueError(f"unknown boundary condition {bc!r}")
+            if bc == PERIODIC and length == 2:
+                raise ValueError(f"a periodic {axis} axis needs length 3 or more, got 2")
         for name in ("t", "u"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -225,20 +227,17 @@ def default_filling(grid: GridSpec) -> tuple[int, int]:
 
 
 def hopping_edges(grid: GridSpec) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Nearest-neighbour bonds as (site, site) pairs, split by axis.
-
-    Periodic wraps are skipped on length-2 axes so no bond is counted twice.
-    """
+    """Nearest-neighbour bonds as (site, site) pairs, split by axis."""
     horizontal, vertical = [], []
     for y in range(grid.ny):
         for x in range(grid.nx - 1):
             horizontal.append((grid.site_index(x, y), grid.site_index(x + 1, y)))
-        if grid.bc_x == PERIODIC and grid.nx > 2:
+        if grid.bc_x == PERIODIC:
             horizontal.append((grid.site_index(grid.nx - 1, y), grid.site_index(0, y)))
     for x in range(grid.nx):
         for y in range(grid.ny - 1):
             vertical.append((grid.site_index(x, y), grid.site_index(x, y + 1)))
-        if grid.bc_y == PERIODIC and grid.ny > 2:
+        if grid.bc_y == PERIODIC:
             vertical.append((grid.site_index(x, grid.ny - 1), grid.site_index(x, 0)))
     return horizontal, vertical
 

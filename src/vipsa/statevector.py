@@ -112,7 +112,8 @@ def expectation(h: PauliSum, psi: StateVector) -> float:
     return value.real
 
 
-def _quadruple_qubits(o: LadderTerm) -> tuple[int, int, int, int]:
+def _pool_factors(o: LadderTerm):
+    """Factors of a pool operator c†_a c†_b c_c c_d on four distinct qubits."""
     kinds = tuple(kind for _, kind in o.factors)
     if len(o.factors) != 4 or kinds != (CREATE, CREATE, ANNIHILATE, ANNIHILATE):
         raise ValueError("pool operator must be c† c† c c")
@@ -121,41 +122,50 @@ def _quadruple_qubits(o: LadderTerm) -> tuple[int, int, int, int]:
         raise ValueError(f"pool operator has repeated orbitals {qubits}")
     if complex(o.coeff) != 1.0:
         raise ValueError("pool operator coefficient must be 1")
-    return qubits
+    return o.factors
 
 
-def _quadruple_orbits(a: int, b: int, c: int, d: int, states: np.ndarray):
-    """Orbits of O = c†_a c†_b c_c c_d starting in the given basis states.
+def _ladder_orbits(factors, states: np.ndarray):
+    """Where the ordered ladder product `factors` sends each basis state.
 
-    Returns (mask, dst, sign) with O|s> = sign(s)|dst(s)> for s in
-    states[mask] and zero on the other states; O† maps dst back to s with
-    the same sign.
+    factors are (qubit, CREATE | ANNIHILATE) in operator order, as in
+    LadderTerm, so the last one acts first.  On each qubit the factors must
+    alternate between the two kinds; a qubit may repeat (c†_q c_q).  Returns
+    (src, dst, sign): the product maps states[src] to sign * |dst> and every
+    other state to zero, with src positions into states and dst bitstrings.
     """
-    bit = lambda q: (states >> q) & 1
-    mask = (bit(d) == 1) & (bit(c) == 1) & (bit(b) == 0) & (bit(a) == 0)
-    state = states[mask]
-    parity = np.zeros(len(state), dtype=np.int8)
-    for q in (d, c, b, a):
-        parity += _parity(state & np.uint32((1 << q) - 1))
-        state ^= np.uint32(1 << q)
-    return mask, state, np.where(parity & 1, -1.0, 1.0)
+    care = want = 0
+    kind_on: dict[int, str] = {}
+    for q, kind in reversed(factors):
+        if kind_on.get(q) == kind:
+            raise ValueError(f"ladder factors do not alternate on qubit {q}")
+        if q not in kind_on:
+            # the first factor to act on q needs it occupied to annihilate
+            care |= 1 << q
+            want |= (kind == ANNIHILATE) << q
+        kind_on[q] = kind
+    src = np.flatnonzero((states & np.uint32(care)) == want)
+    dst = states[src]
+    parity = np.zeros(len(src), dtype=np.uint8)
+    for q, _ in reversed(factors):
+        parity += np.bitwise_count(dst & np.uint32((1 << q) - 1))
+        dst ^= np.uint32(1 << q)
+    return src, dst, np.where(parity & 1, -1.0, 1.0)
 
 
 @lru_cache(maxsize=None)
-def _quadruple_arrays(a: int, b: int, c: int, d: int, n_qubits: int):
-    """Support and sign of O = c†_a c†_b c_c c_d on the full register.
+def _quadruple_arrays(factors, n_qubits: int):
+    """Support and sign of a pool operator O on the full register.
 
     Returns (src, dst, sign) with O|s> = sign(s)|s^flip> for s in src and
     zero elsewhere; O† maps dst back to src with the same sign.
     """
-    idx = _indices(n_qubits)
-    mask, dst, sign = _quadruple_orbits(a, b, c, d, idx)
-    return idx[mask], dst, sign
+    return _ladder_orbits(factors, _indices(n_qubits))
 
 
 def apply_pool_generator(o: LadderTerm, psi: StateVector) -> StateVector:
     """(O - O†)|psi> as a single signed bit-flip pass."""
-    src, dst, sign = _quadruple_arrays(*_quadruple_qubits(o), psi.n_qubits)
+    src, dst, sign = _quadruple_arrays(_pool_factors(o), psi.n_qubits)
     amps = psi.amplitudes
     out = np.zeros_like(amps)
     out[dst] = sign * amps[src]
@@ -165,7 +175,7 @@ def apply_pool_generator(o: LadderTerm, psi: StateVector) -> StateVector:
 
 def pool_generator_overlap(o: LadderTerm, phi: StateVector, psi: StateVector) -> complex:
     """<phi|(O - O†)|psi> without materializing the intermediate state."""
-    src, dst, sign = _quadruple_arrays(*_quadruple_qubits(o), phi.n_qubits)
+    src, dst, sign = _quadruple_arrays(_pool_factors(o), phi.n_qubits)
     amps_phi, amps_psi = phi.amplitudes, psi.amplitudes
     return complex(np.vdot(amps_phi[dst], sign * amps_psi[src])
                    - np.vdot(amps_phi[src], sign * amps_psi[dst]))
@@ -178,7 +188,7 @@ def apply_pool_unitary(o: LadderTerm, theta: float, psi: StateVector) -> StateVe
     2-state orbits A connects, so the exponential is a plane rotation on
     every orbit: cos(theta) on both ends, sin(theta) across.
     """
-    src, dst, sign = _quadruple_arrays(*_quadruple_qubits(o), psi.n_qubits)
+    src, dst, sign = _quadruple_arrays(_pool_factors(o), psi.n_qubits)
     out = psi.amplitudes.copy()
     v_src = out[src].copy()
     v_dst = out[dst].copy()
@@ -188,7 +198,9 @@ def apply_pool_unitary(o: LadderTerm, theta: float, psi: StateVector) -> StateVe
     return StateVector(psi.n_qubits, out)
 
 
-def _hopping_qubits(pair) -> tuple[int, int]:
+def _hopping_factors(pair):
+    """Factors of c†_i c_j, the first term of the hopping pair
+    c†_i c_j + c†_j c_i."""
     terms = list(pair)
     if len(terms) != 2:
         raise ValueError("hopping generator must be a Hermitian pair of terms")
@@ -202,20 +214,7 @@ def _hopping_qubits(pair) -> tuple[int, int]:
         raise ValueError("hopping generator must be c†_i c_j + c†_j c_i")
     if complex(first.coeff) != 1.0 or complex(second.coeff) != 1.0:
         raise ValueError("hopping generator coefficients must be 1")
-    return i, j
-
-
-def _hopping_orbits(i: int, j: int, states: np.ndarray):
-    """Orbits of h = c†_i c_j + c†_j c_i starting in the given basis states.
-
-    Returns (mask, dst, sign) with h|s> = sign(s)|dst(s)> for s in
-    states[mask]; h maps dst back to s with the same sign.
-    """
-    mask = (((states >> j) & 1) == 1) & (((states >> i) & 1) == 0)
-    src = states[mask]
-    parity = _parity(src & np.uint32((1 << j) - 1))
-    parity += _parity((src ^ np.uint32(1 << j)) & np.uint32((1 << i) - 1))
-    return mask, src ^ np.uint32((1 << i) | (1 << j)), np.where(parity & 1, -1.0, 1.0)
+    return first.factors
 
 
 def _check_hopping_cube(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, dim: int) -> None:
@@ -236,17 +235,15 @@ def _check_hopping_cube(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, dim:
 
 
 @lru_cache(maxsize=None)
-def _hopping_arrays(i: int, j: int, n_qubits: int):
+def _hopping_arrays(factors, n_qubits: int):
     """Support and sign of h = c†_i c_j + c†_j c_i; h maps src <-> dst."""
-    idx = _indices(n_qubits)
-    mask, dst, sign = _hopping_orbits(i, j, idx)
-    src = idx[mask]
+    src, dst, sign = _ladder_orbits(factors, _indices(n_qubits))
     _check_hopping_cube(src, dst, sign, 1 << n_qubits)
     return src, dst, sign
 
 
 def apply_hopping_generator(pair, psi: StateVector) -> StateVector:
-    src, dst, sign = _hopping_arrays(*_hopping_qubits(pair), psi.n_qubits)
+    src, dst, sign = _hopping_arrays(_hopping_factors(pair), psi.n_qubits)
     amps = psi.amplitudes
     out = np.zeros_like(amps)
     out[dst] = sign * amps[src]
@@ -256,7 +253,7 @@ def apply_hopping_generator(pair, psi: StateVector) -> StateVector:
 
 def apply_hopping_unitary(pair, theta: float, psi: StateVector) -> StateVector:
     """exp(-i*theta*h)|psi> with h = c†_i c_j + c†_j c_i, closed form via h^3 = h."""
-    src, dst, sign = _hopping_arrays(*_hopping_qubits(pair), psi.n_qubits)
+    src, dst, sign = _hopping_arrays(_hopping_factors(pair), psi.n_qubits)
     out = psi.amplitudes.copy()
     v_src = out[src].copy()
     v_dst = out[dst].copy()
@@ -391,15 +388,15 @@ def _positions(states: np.ndarray, targets: np.ndarray, what: str) -> np.ndarray
 
 def sector_orbit(o: LadderTerm, states: np.ndarray) -> Orbit:
     """Orbit table of the pool generator O - O† over sorted sector bitstrings."""
-    mask, targets, sign = _quadruple_orbits(*_quadruple_qubits(o), states)
-    return Orbit(np.flatnonzero(mask), _positions(states, targets, "pool operator"), sign)
+    src, targets, sign = _ladder_orbits(_pool_factors(o), states)
+    return Orbit(src, _positions(states, targets, "pool operator"), sign)
 
 
 def sector_hopping_orbit(pair, states: np.ndarray) -> Orbit:
     """Orbit table of the hopping generator -i(c†_i c_j + c†_j c_i) over
     sorted sector bitstrings."""
-    mask, targets, sign = _hopping_orbits(*_hopping_qubits(pair), states)
-    src, dst = np.flatnonzero(mask), _positions(states, targets, "hopping generator")
+    src, targets, sign = _ladder_orbits(_hopping_factors(pair), states)
+    dst = _positions(states, targets, "hopping generator")
     _check_hopping_cube(src, dst, sign, len(states))
     return Orbit(src, dst, sign, -1j)
 
@@ -459,7 +456,7 @@ class PoolRotation:
     kind = "PoolRotation"
 
     def __init__(self, o: LadderTerm, theta: float = 0.0):
-        _quadruple_qubits(o)  # validate eagerly
+        _pool_factors(o)  # validate eagerly
         self.o = o
         self.theta = float(theta)
 
@@ -476,7 +473,7 @@ class HoppingRotation:
     kind = "HoppingRotation"
 
     def __init__(self, pair, theta: float = 0.0):
-        _hopping_qubits(pair)
+        _hopping_factors(pair)
         self.pair = tuple(pair)
         self.theta = float(theta)
 

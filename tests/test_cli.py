@@ -302,6 +302,7 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, line):
     ("nx = 2\nny = 2\nn_up = 1\n", "n_down"),
     ("nx = 2\nny = 2\nlayers = 0\n", "layers"),
     ("nx = 2\nny = 2\nbc_x = twisted\n", "twisted"),
+    ("nx = 2\nny = 3\nbc_x = periodic\n", "periodic x axis"),
     ("nx = 4\nny = 5\n", "32-qubit"),
 ])
 def test_run_rejects_before_building_or_writing(tmp_path, capsys, monkeypatch, body, detail):
@@ -328,6 +329,33 @@ def test_ed_rejects_before_building(capsys, monkeypatch, argv, detail):
         monkeypatch.setattr(getattr(vipsa, module), name, refuse)
     assert main(["ed", *argv]) == 1
     assert detail in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key", ["cache", "output"])
+def test_run_rejects_a_directory_that_is_a_file(tmp_path, capsys, monkeypatch, key):
+    import vipsa
+
+    for module, name in HAMILTONIAN_BUILDERS:
+        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    taken = write(tmp_path / "taken", "")
+    code, _ = run_config(tmp_path, "blocked", **{key: taken})
+    assert code == 1
+    assert str(taken) in one_error_line(capsys)
+
+
+def test_ed_csv_into_a_missing_directory_is_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "ed.csv"
+    assert main(["ed", "--grid", "2x2", "--u", "4", "--csv", str(target)]) == 1
+    assert str(target) in one_error_line(capsys)
+
+
+def test_compare_csv_into_a_missing_directory_is_one_line(tmp_path, capsys):
+    code, out = run_config(tmp_path, "first", u=4.0, max_epochs=1)
+    assert code in (0, 2)
+    capsys.readouterr()
+    target = tmp_path / "missing" / "merged.csv"
+    assert main(["compare", str(out), "--csv", str(target)]) == 1
+    assert str(target) in one_error_line(capsys)
 
 
 def test_readme_lists_every_config_key():

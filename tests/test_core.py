@@ -1,10 +1,13 @@
 """Adaptive-loop components: pool, gradients, selection, ADAM, first order."""
 
+import importlib
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vipsa
 from vipsa.core import (
     VipsaConfig,
     adam_minimize,
@@ -12,6 +15,7 @@ from vipsa.core import (
     first_order_oracle,
     pool_class,
     pool_gradients,
+    rs_perturbation,
     sector_pool_gradients,
     select,
     vipsa_run,
@@ -24,7 +28,6 @@ from vipsa.hamiltonians import (
     interaction_quadruples,
     kinetic_kspace,
     real_sector_matrix,
-    rs_perturbation,
     sector_basis,
     spin_operators,
 )
@@ -300,15 +303,12 @@ def test_run_path_stays_off_the_full_register(monkeypatch):
     grid = u4(2, 2)
     config = VipsaConfig(max_epochs=2, max_inner_steps=20)
     weak = GridSpec.make(2, 2, u=0.3)
-    h, _ = build_kspace(weak)
-    h0 = kinetic_kspace(weak)
-    phi0, _ = sea_state(weak, 1, 1)
 
     def results():
         run = vipsa_run(grid, config=config)
         first = first_order_oracle(weak, 2, 2)
         return (run.records, run.gates, run.thetas, first.reference, first.sequential,
-                rs_perturbation(h0, h - h0, phi0))
+                rs_perturbation(weak, 1, 1))
 
     expected = results()
     refuse_full_register(monkeypatch)
@@ -384,6 +384,67 @@ def test_first_order_states_match_full_register(shape):
     for full, sector in ((accumulated, result.reference), (sequential.amplitudes, result.sequential)):
         np.testing.assert_allclose(full[result.states], sector, rtol=0, atol=1e-12)
         assert np.linalg.norm(full) == pytest.approx(np.linalg.norm(sector), abs=1e-12)
+
+
+def test_oracles_build_no_pauli_strings(monkeypatch):
+    # with the Jordan-Wigner map and the Pauli-sum sector matrix made to raise
+    # at every name a vipsa module looks them up by, both weak-coupling
+    # oracles still give the same results
+    grid = GridSpec.make(2, 4, u=0.1)
+
+    def results():
+        first = first_order_oracle(grid, 4, 4)
+        return first.reference, first.sequential, rs_perturbation(grid, 4, 4)
+
+    expected = results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Pauli-string path reached from a weak-coupling oracle")
+
+    for info in pkgutil.iter_modules(vipsa.__path__):
+        module = importlib.import_module(f"vipsa.{info.name}")
+        for name in ("jordan_wigner", "sector_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    got = results()
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+    assert got[2] == expected[2]
+
+
+def pauli_sum_expansion(shape, n_up, n_down, u):
+    """The first-order reference and (E0, E1, E2) built as before the
+    scattering-table oracles: from the sector matrices of the kinetic term
+    and of the interaction, both assembled from Pauli sums."""
+    grid = GridSpec.make(*shape, u=u)
+    x0, states, _ = sea_vector(grid, n_up, n_down)
+    h, _ = build_kspace(grid)
+    h0 = kinetic_kspace(grid)
+    levels = real_sector_matrix(h0, states, grid.n_qubits).diagonal()
+    image = real_sector_matrix(h - h0, states, grid.n_qubits) @ x0
+    e0 = levels @ x0
+    excited = np.abs(levels - e0) > DEGENERACY_TOL
+    reference = x0.copy()
+    reference[excited] += image[excited] / (e0 - levels[excited])
+    reference /= np.linalg.norm(reference)
+    e2 = np.sum(image[excited] ** 2 / (e0 - levels[excited]))
+    return reference, (e0, x0 @ image, e2)
+
+
+@pytest.mark.parametrize("u", [0.1, 0.3])
+@pytest.mark.parametrize("shape, sector, series", [
+    ((2, 2), (1, 1), True),
+    ((2, 4), (4, 4), True),
+    ((2, 3), (3, 3), False),
+    ((3, 3), (5, 4), False),
+])
+def test_oracles_match_pauli_sum_construction(shape, sector, series, u):
+    reference, expansion = pauli_sum_expansion(shape, *sector, u)
+    result = first_order_oracle(GridSpec.make(*shape, u=u), *sector)
+    np.testing.assert_allclose(result.reference, reference, rtol=0, atol=1e-12)
+    if series:
+        np.testing.assert_allclose(rs_perturbation(GridSpec.make(*shape, u=u), *sector),
+                                   expansion, rtol=0, atol=1e-12)
 
 
 def test_first_order_rejects_strong_coupling():

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
+from vipsa.core import rs_perturbation
 from vipsa.fermions import PauliSum
 from vipsa.hamiltonians import (
     GroundSpace,
@@ -19,7 +20,6 @@ from vipsa.hamiltonians import (
     kinetic_kspace,
     real_part,
     real_sector_matrix,
-    rs_perturbation,
     sector_basis,
     sector_diagonalize,
     sector_matrix,
@@ -32,7 +32,7 @@ from vipsa.statevector import (
     apply_pool_generator,
     basis_state,
     expectation,
-    slater_statevector,
+    slater_amplitudes,
 )
 
 from oracles import dense_pauli_sum, dense_sector_block
@@ -369,15 +369,10 @@ def test_sector_hamiltonian_fast_apply():
 
 
 def test_perturbation_trivial_and_sign():
-    grid = GridSpec.make(2, 2, u=4.0)
-    h0 = kinetic_kspace(grid)
-    sea = fermi_sea(grid, 1, 1)
-    phi0 = basis_state(sea.occupied_qubits(), grid.n_qubits)
-    e0, e1, e2 = rs_perturbation(h0, PauliSum.zero(), phi0)
+    e0, e1, e2 = rs_perturbation(GridSpec.make(2, 2), 1, 1)
     assert (e0, e1, e2) == (pytest.approx(-4.0), 0.0, 0.0)
 
-    h_full, _ = build_kspace(grid)
-    e0, e1, e2 = rs_perturbation(h0, h_full - h0, phi0)
+    e0, e1, e2 = rs_perturbation(GridSpec.make(2, 2, u=4.0), 1, 1)
     assert e0 == pytest.approx(-4.0, abs=1e-12)
     assert e1 == pytest.approx(1.0, abs=1e-12)  # U * sum |phi(r)|^4 = 4/16 * 4
     assert e2 < 0
@@ -385,32 +380,31 @@ def test_perturbation_trivial_and_sign():
 
 def test_perturbation_rejects_degenerate_reference():
     grid = GridSpec.make(2, 2, u=4.0)
-    sea = fermi_sea(grid, 2, 2)
-    assert sea.degeneracy == 4
-    phi0 = basis_state(sea.occupied_qubits(), grid.n_qubits)
-    h_full, _ = build_kspace(grid)
-    h0 = kinetic_kspace(grid)
+    assert fermi_sea(grid, 2, 2).degeneracy == 4
     with pytest.raises(ValueError):
-        rs_perturbation(h0, h_full - h0, phi0)
+        rs_perturbation(grid, 2, 2)
 
 
 def test_perturbation_registers_agree():
-    # same physics through the diagonal path (mode register) and the dense
-    # eigenbasis path (site register)
-    u = 0.8
-    grid = GridSpec.make(2, 2, u=u)
-    h0_k = kinetic_kspace(grid)
-    h_k, _ = build_kspace(grid)
-    sea = fermi_sea(grid, 1, 1)
-    phi_k = basis_state(sea.occupied_qubits(), grid.n_qubits)
-    from_k = rs_perturbation(h0_k, h_k - h0_k, phi_k)
+    # the mode-register series against the same series in the site register,
+    # by dense algebra in the eigenbasis of the hopping term around the
+    # Slater determinant of the lowest orbital
+    grid = GridSpec.make(2, 2, u=0.8)
+    from_k = rs_perturbation(grid, 1, 1)
 
     free = GridSpec.make(2, 2)
-    h0_r = build_real(free)
-    h1_r = build_real(grid) - h0_r
+    states = sector_basis(grid.n_qubits, 1, 1)
+    h0 = dense_sector_block(build_real(free), states, grid.n_qubits)
+    h1 = dense_sector_block(build_real(grid), states, grid.n_qubits) - h0
     _, w, order = real_orbital_basis(free)
-    phi_r = slater_statevector(w, [order[0]], [order[0]])
-    from_r = rs_perturbation(h0_r, h1_r, phi_r)
+    phi = slater_amplitudes(w, [order[0]], [order[0]], states)
+    levels, vectors = np.linalg.eigh(h0)
+    e0 = np.vdot(phi, h0 @ phi).real
+    excited = np.abs(levels - e0) > 1e-8
+    assert np.count_nonzero(~excited) == 1
+    overlaps = vectors[:, excited].conj().T @ (h1 @ phi)
+    from_r = (e0, np.vdot(phi, h1 @ phi).real,
+              np.sum(np.abs(overlaps) ** 2 / (e0 - levels[excited])))
     np.testing.assert_allclose(from_k, from_r, atol=1e-10)
 
 
@@ -418,11 +412,8 @@ def test_perturbation_third_order_scaling():
     results = {}
     for u in (0.1, 0.2):
         grid = GridSpec.make(2, 2, u=u)
-        h0 = kinetic_kspace(grid)
+        e0, e1, e2 = rs_perturbation(grid, 1, 1)
         h, _ = build_kspace(grid)
-        sea = fermi_sea(grid, 1, 1)
-        phi0 = basis_state(sea.occupied_qubits(), grid.n_qubits)
-        e0, e1, e2 = rs_perturbation(h0, h - h0, phi0)
         exact = sector_diagonalize(h, grid.n_qubits, 1, 1, how_many=1).values[0]
         results[u] = abs(exact - (e0 + e1 + e2))
     assert results[0.2] > 1e-10

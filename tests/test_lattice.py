@@ -143,9 +143,13 @@ def test_hopping_edges_counts():
 
 
 def test_length_two_periodic_axis_not_double_counted():
-    g = GridSpec(2, 2, "periodic", "open")
-    h, _ = hopping_edges(g)
-    assert len(h) == 2  # wrap on a length-2 axis is the same bond
+    # the wrap of a length-2 axis is its one bond again, which the site
+    # register would count once and the momentum register twice
+    for bc_x, bc_y in (("periodic", "open"), ("open", "periodic")):
+        with pytest.raises(ValueError, match="length 3 or more"):
+            GridSpec(2, 2, bc_x, bc_y)
+    with pytest.raises(ValueError, match="periodic x axis"):
+        GridSpec.make(2, 3, u=4.0, bc_x="periodic")
 
 
 def test_real_orbital_basis_diagonalizes_hopping():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from vipsa.core import build_pool, pool_gradients, sector_pool_gradients
 from vipsa.fermions import ANNIHILATE, CREATE, LadderTerm, hopping_pair
 from vipsa.hamiltonians import SectorHamiltonian, build_kspace, onsite_interaction, sector_basis
-from vipsa.lattice import GridSpec, default_filling
+from vipsa.lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index
 from vipsa.statevector import (
     AnsatzCircuit,
     DiagonalPhase,
@@ -18,6 +18,8 @@ from vipsa.statevector import (
     PoolRotation,
     SectorPhase,
     StateVector,
+    _ladder_orbits,
+    _positions,
     apply_diagonal_phase,
     apply_hopping_unitary,
     apply_pool_unitary,
@@ -33,6 +35,8 @@ from vipsa.statevector import (
     sector_overlap,
     sector_run,
 )
+
+from oracles import dense_ladder_term
 
 TOL = 1e-12
 
@@ -62,6 +66,19 @@ def hopping_problems(draw):
     return n_qubits, states, hopping_pair(2 * i + spin, 2 * j + spin)
 
 
+@st.composite
+def ladder_products(draw):
+    """An ordered product of 2 or 4 ladder factors on 4 or 6 orbitals, which
+    may repeat an orbital, and a sector of that register."""
+    n_pairs = draw(st.integers(2, 3))
+    n_qubits = 2 * n_pairs
+    factor = st.tuples(st.integers(0, n_qubits - 1), st.sampled_from((CREATE, ANNIHILATE)))
+    size = draw(st.sampled_from((2, 4)))
+    factors = tuple(draw(st.lists(factor, min_size=size, max_size=size)))
+    states = sector_basis(n_qubits, draw(st.integers(0, n_pairs)), draw(st.integers(0, n_pairs)))
+    return n_qubits, states, factors
+
+
 def random_sector_vector(states, seed, complex_=False):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=len(states))
@@ -78,6 +95,65 @@ def full_register(x, states, n_qubits):
 
 seeds = st.integers(0, 2**32 - 1)
 angles = st.floats(-np.pi, np.pi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ladder_products())
+def test_ladder_orbits_match_dense_product(problem):
+    n_qubits, states, factors = problem
+    dense = dense_ladder_term(LadderTerm(1.0, factors), n_qubits)[:, states]
+    try:
+        src, dst, sign = _ladder_orbits(factors, states)
+    except ValueError:
+        # an orbital meets the same kind twice in a row: the product is zero
+        assert not dense.any()
+        return
+    expected = np.zeros_like(dense)
+    expected[dst, src] = sign
+    np.testing.assert_array_equal(dense, expected)
+
+
+def per_operator_orbit(factors, states):
+    """The orbit table as the separate pool and hopping builders made it: an
+    occupancy mask per factor kind, then the Jordan-Wigner parity of each
+    factor in the order they act."""
+    qubits = [q for q, _ in factors]
+    bit = lambda q: (states >> q) & 1
+    if len(factors) == 4:
+        a, b, c, d = qubits
+        mask = (bit(d) == 1) & (bit(c) == 1) & (bit(b) == 0) & (bit(a) == 0)
+    else:
+        i, j = qubits
+        mask = (bit(j) == 1) & (bit(i) == 0)
+    state = states[mask]
+    parity = np.zeros(len(state), dtype=np.int8)
+    for q in reversed(qubits):
+        parity += (np.bitwise_count(state & np.uint32((1 << q) - 1)) & 1).astype(np.int8)
+        state ^= np.uint32(1 << q)
+    return np.flatnonzero(mask), _positions(states, state, "operator"), np.where(parity & 1, -1.0, 1.0)
+
+
+def test_tables_match_the_per_operator_builders():
+    # every 3x3 (5,4) pool table and every 2x4 (4,4) hopping table is
+    # bit-identical to the tables of the builders _ladder_orbits replaced
+    grid = GridSpec.make(3, 3, u=6.0)
+    states = sector_basis(grid.n_qubits, 5, 4)
+    pool = build_pool(grid)
+    tables = [(sector_orbit(p.term, states), per_operator_orbit(p.term.factors, states))
+              for p in pool]
+    grid = GridSpec.make(2, 4, u=4.0)
+    states = sector_basis(grid.n_qubits, 4, 4)
+    horizontal, vertical = hopping_edges(grid)
+    for i, j in horizontal + vertical:
+        for spin in (UP, DOWN):
+            pair = hopping_pair(qubit_index(i, spin), qubit_index(j, spin))
+            tables.append((sector_hopping_orbit(pair, states),
+                           per_operator_orbit(pair[0].factors, states)))
+    assert len(pool) == 232 and len(tables) == 232 + 2 * 12
+    for orbit, expected in tables:
+        for got, want in zip(orbit[:3], expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
