@@ -348,11 +348,15 @@ def cmd_ed(args) -> int:
         grids = [GridSpec.make(nx, ny, t=args.t, u=u) for u in couplings]
         n_up, n_down = _parse_sector_arg(args.sector) if args.sector else default_filling(grids[0])
         sector_basis(grids[0].n_qubits, n_up, n_down)
+    header = ("grid", "u", "n_up", "n_down", "register", "energy", "degeneracy")
+    if args.csv:
+        # an unwritable path fails here, before any Hamiltonian is built; the
+        # header alone stands in until the rows are known
+        _write_csv(Path(args.csv), header, [])
     rows = [[f"{nx}x{ny}", grid.u, n_up, n_down, register,
              *_ground_energy(grid, register, n_up, n_down)]
             for grid in grids for register in registers]
 
-    header = ("grid", "u", "n_up", "n_down", "register", "energy", "degeneracy")
     widths = [6, 8, 5, 7, 9, 16, 11]
     print("".join(name.rjust(w) for name, w in zip(header, widths)))
     for row in rows:

@@ -32,7 +32,7 @@ from .statevector import (
     apply_pauli_sum,
     expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     orbit_overlap,
-    pool_generator_overlap,
+    register_orbit,
     sector_expectation_and_gradient,
     sector_orbit,
     sector_run,
@@ -108,8 +108,9 @@ def pool_gradients(psi: StateVector, h, pool: list[PoolOperator]) -> np.ndarray:
     For Hermitian h and anti-Hermitian A the commutator expectation reduces
     exactly to 2 Re <h psi|A psi>, so each operator costs only two gathers.
     """
-    image = _apply_operator(h, psi)
-    return np.array([2.0 * pool_generator_overlap(p.term, image, psi).real
+    image = _apply_operator(h, psi).amplitudes
+    return np.array([2.0 * orbit_overlap(register_orbit(p.term, psi.n_qubits), image,
+                                         psi.amplitudes).real
                      for p in pool])
 
 

@@ -108,15 +108,6 @@ def letters_to_masks(letters: Letters) -> tuple[int, int, int]:
     return xm, ym, zm
 
 
-def _format_coeff(c: complex) -> str:
-    c = complex(c)
-    if c.imag == 0.0:
-        return repr(c.real)
-    if c.real == 0.0:
-        return repr(c.imag) + "j"
-    return f"({c.real!r}{c.imag:+}j)"
-
-
 class PauliSum:
     """Canonicalized linear combination of Pauli strings.
 
@@ -200,35 +191,6 @@ class PauliSum:
 
     def is_diagonal(self) -> bool:
         return all(all(letter == "Z" for _, letter in k) for k in self._terms)
-
-    def to_text(self) -> str:
-        """One term per line: coefficient then letter-qubit tokens, e.g. '0.125 X0 Y3 Z5'."""
-        lines = []
-        for coeff, letters in self.terms():
-            tokens = " ".join(f"{letter}{q}" for q, letter in letters) or "I"
-            lines.append(f"{_format_coeff(coeff)} {tokens}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliSum":
-        acc: dict[Letters, complex] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            coeff = complex(parts[0])
-            letters = []
-            for token in parts[1:]:
-                if token == "I":
-                    continue
-                if token[0] not in "XYZ":
-                    raise ValueError(f"bad Pauli token {token!r}")
-                letters.append((int(token[1:]), token[0]))
-            letters.sort()
-            key = tuple(letters)
-            acc[key] = acc.get(key, 0.0) + coeff
-        return cls(acc)
 
     def __repr__(self) -> str:
         return f"PauliSum({len(self._terms)} terms)"

@@ -286,14 +286,15 @@ class _Spectrum:
 
 
 def _sector_spectrum(h: PauliSum, n_qubits: int, n_up: int, n_down: int, k: int,
-                     dense_cutoff: int, widen_tol: float | None = None) -> _Spectrum:
+                     widen_tol: float | None = None) -> _Spectrum:
     """Lowest eigenpairs of h on the (n_up, n_down) sector, block by block.
 
     The matrix is real_sector_matrix(h, states, n_qubits).  Its connected
-    components are blocks h never mixes, and each is solved on its own: up to
-    dense_cutoff states, or when too small for a Lanczos window of k, every
-    eigenpair comes from one batched dense solve per block size; above it,
-    the lowest k come from Lanczos (see _lowest_eigenpairs).  An eigenvalue
+    components are blocks h never mixes, and each is solved on its own: up
+    to DENSE_SECTOR_CUTOFF states (read at call time), or when too small for
+    a Lanczos window of k, every eigenpair comes from one batched dense solve
+    per block size; above it, the lowest k come from Lanczos (see
+    _lowest_eigenpairs).  An eigenvalue
     a Lanczos block did not return lies at or above its window top, so the
     merged values at or below the lowest top are the lowest of the whole
     sector.  Of those, the lowest k are kept, with every one within widen_tol
@@ -314,7 +315,7 @@ def _sector_spectrum(h: PauliSum, n_qubits: int, n_up: int, n_down: int, k: int,
     sizes = np.bincount(labels, minlength=n_blocks)
     starts = np.cumsum(sizes) - sizes
     members = np.argsort(labels, kind="stable")  # block by block, ascending within each
-    dense = (sizes <= dense_cutoff) | (sizes <= k + 2)
+    dense = (sizes <= DENSE_SECTOR_CUTOFF) | (sizes <= k + 2)
 
     # each piece is (blocks, rows, values, vectors) of shapes (b,), (b, s),
     # (b, m) and (b, s, m): m eigenpairs of each of b blocks of s states
@@ -369,10 +370,9 @@ class SectorEigen:
 
 
 def sector_diagonalize(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
-                       how_many: int = 6,
-                       dense_cutoff: int = DENSE_SECTOR_CUTOFF) -> SectorEigen:
+                       how_many: int = 6) -> SectorEigen:
     """Lowest eigenpairs of h restricted to the (n_up, n_down) sector."""
-    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, max(how_many + 4, 10), dense_cutoff)
+    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, max(how_many + 4, 10))
     return SectorEigen(spectrum.values[:how_many].copy(), spectrum.vectors[:, :how_many].copy(),
                        spectrum.states)
 
@@ -439,15 +439,13 @@ class GroundSpace:
         return float(np.sum(np.abs(self.vectors.conj().T @ x) ** 2))
 
 
-def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
-                 dense_cutoff: int = DENSE_SECTOR_CUTOFF) -> GroundSpace:
+def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
     The returned space keeps the sector matrix it was solved from, and each
     of its vectors lives on one connected block of that matrix.
     """
-    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, 12, dense_cutoff,
-                                widen_tol=GROUND_DEGENERACY_TOL)
+    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, 12, widen_tol=GROUND_DEGENERACY_TOL)
     values, owners = spectrum.values, spectrum.owners
     count = int((values <= values[0] + GROUND_DEGENERACY_TOL).sum())
     # orthonormalize block by block, so no vector leaks into another block

@@ -1,16 +1,18 @@
-"""Dense statevector kernels: matrix-free Pauli sums, closed-form gates,
+"""Statevector kernels: matrix-free Pauli sums, closed-form gates,
 Slater preparation, and adjoint-method circuit gradients.
 
 Basis index bit q equals the occupation of qubit q (qubit 0 is the least
-significant bit).  All gate applications are O(2^n) array passes with no
-matrix ever materialized; the pool and hopping rotations use the closed
-forms that follow from A^3 = -A and h^3 = h, so there is no Trotter error.
+significant bit).  Every gate conserves (n_up, n_down), so it acts on a
+vector over sorted bitstrings: pool and hopping rotations as orbit tables,
+diagonal phases as their values on the bitstrings, Slater determinants by
+their amplitudes on them.  The rotations use the closed forms that follow
+from A^3 = -A and h^3 = h, so there is no Trotter error, and no matrix is
+ever materialized.
 
-Every gate also has a sector-coordinate kernel that acts in place on a
-vector over one (n_up, n_down) sector: pool and hopping rotations as orbit
-tables, diagonal phases as their values on the sector bitstrings, Slater
-determinants by their amplitudes on those bitstrings.  Every run and oracle
-uses those; the 2^n kernels are the reference they are tested against.
+Every run and oracle keeps its state on one (n_up, n_down) sector.  The
+full 2^n register is one more sorted basis, every bitstring, on which a
+position and a bitstring are the same number; the gate classes run it
+through the same kernels as the reference that tests check sectors against.
 """
 
 from __future__ import annotations
@@ -153,51 +155,6 @@ def _ladder_orbits(factors, states: np.ndarray):
     return src, dst, np.where(parity & 1, -1.0, 1.0)
 
 
-@lru_cache(maxsize=None)
-def _quadruple_arrays(factors, n_qubits: int):
-    """Support and sign of a pool operator O on the full register.
-
-    Returns (src, dst, sign) with O|s> = sign(s)|s^flip> for s in src and
-    zero elsewhere; O† maps dst back to src with the same sign.
-    """
-    return _ladder_orbits(factors, _indices(n_qubits))
-
-
-def apply_pool_generator(o: LadderTerm, psi: StateVector) -> StateVector:
-    """(O - O†)|psi> as a single signed bit-flip pass."""
-    src, dst, sign = _quadruple_arrays(_pool_factors(o), psi.n_qubits)
-    amps = psi.amplitudes
-    out = np.zeros_like(amps)
-    out[dst] = sign * amps[src]
-    out[src] = -sign * amps[dst]
-    return StateVector(psi.n_qubits, out)
-
-
-def pool_generator_overlap(o: LadderTerm, phi: StateVector, psi: StateVector) -> complex:
-    """<phi|(O - O†)|psi> without materializing the intermediate state."""
-    src, dst, sign = _quadruple_arrays(_pool_factors(o), phi.n_qubits)
-    amps_phi, amps_psi = phi.amplitudes, psi.amplitudes
-    return complex(np.vdot(amps_phi[dst], sign * amps_psi[src])
-                   - np.vdot(amps_phi[src], sign * amps_psi[dst]))
-
-
-def apply_pool_unitary(o: LadderTerm, theta: float, psi: StateVector) -> StateVector:
-    """exp(theta*(O - O†)) |psi> in closed form.
-
-    With A = O - O†, A^2 = -(OO† + O†O) is minus the projector onto the
-    2-state orbits A connects, so the exponential is a plane rotation on
-    every orbit: cos(theta) on both ends, sin(theta) across.
-    """
-    src, dst, sign = _quadruple_arrays(_pool_factors(o), psi.n_qubits)
-    out = psi.amplitudes.copy()
-    v_src = out[src].copy()
-    v_dst = out[dst].copy()
-    s, c = math.sin(theta), math.cos(theta)
-    out[dst] = c * v_dst + s * sign * v_src
-    out[src] = c * v_src - s * sign * v_dst
-    return StateVector(psi.n_qubits, out)
-
-
 def _hopping_factors(pair):
     """Factors of c†_i c_j, the first term of the hopping pair
     c†_i c_j + c†_j c_i."""
@@ -217,50 +174,17 @@ def _hopping_factors(pair):
     return first.factors
 
 
-def _check_hopping_cube(src: np.ndarray, dst: np.ndarray, sign: np.ndarray, dim: int) -> None:
-    """h^3 = h (eigenvalues {-1, 0, 1}) for h mapping positions src <-> dst
-    with sign, checked numerically on two random vectors of length dim."""
-
-    def apply_h(amps):
-        out = np.zeros_like(amps)
-        out[dst] = sign * amps[src]
-        out[src] = sign * amps[dst]
-        return out
-
+def _check_hopping_cube(orbit: Orbit, dim: int) -> None:
+    """h^3 = h (eigenvalues {-1, 0, 1}) for the hopping term h = iG of an
+    orbit table, that is G^3 = -G, checked numerically on two random
+    vectors of length dim."""
     rng = np.random.default_rng(1234)
     for _ in range(2):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        if np.linalg.norm(apply_h(apply_h(apply_h(v))) - apply_h(v)) > 1e-10 * np.linalg.norm(v):
+        g_v = apply_generator(orbit, v)
+        g3_v = apply_generator(orbit, apply_generator(orbit, g_v))
+        if np.linalg.norm(g3_v + g_v) > 1e-10 * np.linalg.norm(v):
             raise ValueError("hopping generator fails the h^3 = h check")
-
-
-@lru_cache(maxsize=None)
-def _hopping_arrays(factors, n_qubits: int):
-    """Support and sign of h = c†_i c_j + c†_j c_i; h maps src <-> dst."""
-    src, dst, sign = _ladder_orbits(factors, _indices(n_qubits))
-    _check_hopping_cube(src, dst, sign, 1 << n_qubits)
-    return src, dst, sign
-
-
-def apply_hopping_generator(pair, psi: StateVector) -> StateVector:
-    src, dst, sign = _hopping_arrays(_hopping_factors(pair), psi.n_qubits)
-    amps = psi.amplitudes
-    out = np.zeros_like(amps)
-    out[dst] = sign * amps[src]
-    out[src] = sign * amps[dst]
-    return StateVector(psi.n_qubits, out)
-
-
-def apply_hopping_unitary(pair, theta: float, psi: StateVector) -> StateVector:
-    """exp(-i*theta*h)|psi> with h = c†_i c_j + c†_j c_i, closed form via h^3 = h."""
-    src, dst, sign = _hopping_arrays(_hopping_factors(pair), psi.n_qubits)
-    out = psi.amplitudes.copy()
-    v_src = out[src].copy()
-    v_dst = out[dst].copy()
-    s, c = math.sin(theta), math.cos(theta)
-    out[dst] = c * v_dst - 1j * s * sign * v_src
-    out[src] = c * v_src - 1j * s * sign * v_dst
-    return StateVector(psi.n_qubits, out)
 
 
 def diagonal_values(d: PauliSum, n_qubits: int, states: np.ndarray | None = None) -> np.ndarray:
@@ -278,12 +202,6 @@ def diagonal_values(d: PauliSum, n_qubits: int, states: np.ndarray | None = None
     if np.abs(values.imag).max() > 1e-12:
         raise ValueError("diagonal Pauli sum is not Hermitian")
     return values.real
-
-
-def apply_diagonal_phase(d: PauliSum, theta: float, psi: StateVector) -> StateVector:
-    """exp(-i*theta*d)|psi> for diagonal d, one fused amplitude-wise pass."""
-    phases = np.exp(-1j * theta * diagonal_values(d, psi.n_qubits))
-    return StateVector(psi.n_qubits, phases * psi.amplitudes)
 
 
 def slater_amplitudes(w: np.ndarray, occ_up, occ_down, states: np.ndarray) -> np.ndarray:
@@ -332,7 +250,8 @@ def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
 #
 # Every gate here conserves (n_up, n_down), so a state over the sorted sector
 # bitstrings of `sector_basis` stays there.  A rotation generator is pairs of
-# positions into them, and a diagonal phase its values on them.
+# positions into them, and a diagonal phase its values on them.  The same
+# kernels serve the full register, whose sorted basis is every bitstring.
 
 
 def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
@@ -396,16 +315,29 @@ def sector_hopping_orbit(pair, states: np.ndarray) -> Orbit:
     """Orbit table of the hopping generator -i(c†_i c_j + c†_j c_i) over
     sorted sector bitstrings."""
     src, targets, sign = _ladder_orbits(_hopping_factors(pair), states)
-    dst = _positions(states, targets, "hopping generator")
-    _check_hopping_cube(src, dst, sign, len(states))
-    return Orbit(src, dst, sign, -1j)
+    orbit = Orbit(src, _positions(states, targets, "hopping generator"), sign, -1j)
+    _check_hopping_cube(orbit, len(states))
+    return orbit
+
+
+@lru_cache(maxsize=None)
+def register_orbit(generator, n_qubits: int) -> Orbit:
+    """Orbit table of a pool operator O (a LadderTerm) or of a hopping pair
+    over every bitstring of the register, where positions are bitstrings."""
+    states = _indices(n_qubits)
+    if isinstance(generator, LadderTerm):
+        return sector_orbit(generator, states)
+    return sector_hopping_orbit(generator, states)
 
 
 def rotate_orbit(x: np.ndarray, orbit: Orbit, theta: float) -> None:
-    """exp(theta*G) applied in place to a sector vector; the closed form of
-    apply_pool_unitary and apply_hopping_unitary restricted to the sector.
+    """exp(theta*G) applied in place to a vector over the orbit table's basis.
 
-    With a real phase the coefficients stay real, so a real vector stays real.
+    G^2 is minus the projector onto the 2-state orbits G connects (for a
+    pool generator A = O - O†, A^2 = -(OO† + O†O)), so the exponential is a
+    plane rotation on every orbit: cos(theta) on both ends, sin(theta)
+    across.  With a real phase the coefficients stay real, so a real vector
+    stays real.
     """
     src, dst, sign, phase = orbit
     v_src, v_dst = x[src], x[dst]
@@ -419,6 +351,17 @@ def orbit_overlap(orbit: Orbit, phi: np.ndarray, psi: np.ndarray):
     src, dst, sign, phase = orbit
     return (phase * np.vdot(phi[dst], sign * psi[src])
             - phase.conjugate() * np.vdot(phi[src], sign * psi[dst]))
+
+
+def apply_generator(gate: Orbit | SectorPhase, x: np.ndarray) -> np.ndarray:
+    """G x, out of place, for an orbit table or a diagonal phase."""
+    if isinstance(gate, SectorPhase):
+        return gate.phase * gate.values * x
+    src, dst, sign, phase = gate
+    out = np.zeros(len(x), dtype=np.result_type(x, phase))
+    out[dst] = phase * sign * x[src]
+    out[src] = -phase.conjugate() * sign * x[dst]
+    return out
 
 
 def rotate_sector(x: np.ndarray, gate: Orbit | SectorPhase, theta: float) -> None:
@@ -450,6 +393,23 @@ def sector_run(x0: np.ndarray, gates, thetas) -> np.ndarray:
 # --- ansatz circuits -------------------------------------------------------
 
 
+# Each gate class names its generator over every bitstring of the register
+# (`sector_gate`) and runs it through the sector kernels.
+
+
+def _rotated(gate, psi: StateVector, inverse: bool) -> StateVector:
+    """A gate object's exp(+-theta*G)|psi>, on a copy of the amplitudes."""
+    theta = -gate.theta if inverse else gate.theta
+    rotated = sector_run(psi.amplitudes, [gate.sector_gate(psi.n_qubits)], [theta])
+    return StateVector(psi.n_qubits, rotated)
+
+
+def _generated(gate, psi: StateVector) -> StateVector:
+    """A gate object's G|psi>."""
+    image = apply_generator(gate.sector_gate(psi.n_qubits), psi.amplitudes)
+    return StateVector(psi.n_qubits, image)
+
+
 class PoolRotation:
     """exp(theta * (O - O†)) for a quadruple operator O."""
 
@@ -460,11 +420,14 @@ class PoolRotation:
         self.o = o
         self.theta = float(theta)
 
+    def sector_gate(self, n_qubits: int) -> Orbit:
+        return register_orbit(self.o, n_qubits)
+
     def apply(self, psi: StateVector, inverse: bool = False) -> StateVector:
-        return apply_pool_unitary(self.o, -self.theta if inverse else self.theta, psi)
+        return _rotated(self, psi, inverse)
 
     def generator_apply(self, psi: StateVector) -> StateVector:
-        return apply_pool_generator(self.o, psi)
+        return _generated(self, psi)
 
 
 class HoppingRotation:
@@ -477,13 +440,14 @@ class HoppingRotation:
         self.pair = tuple(pair)
         self.theta = float(theta)
 
+    def sector_gate(self, n_qubits: int) -> Orbit:
+        return register_orbit(self.pair, n_qubits)
+
     def apply(self, psi: StateVector, inverse: bool = False) -> StateVector:
-        return apply_hopping_unitary(self.pair, -self.theta if inverse else self.theta, psi)
+        return _rotated(self, psi, inverse)
 
     def generator_apply(self, psi: StateVector) -> StateVector:
-        out = apply_hopping_generator(self.pair, psi)
-        out.amplitudes *= -1j
-        return out
+        return _generated(self, psi)
 
 
 class DiagonalPhase:
@@ -496,22 +460,18 @@ class DiagonalPhase:
             raise ValueError("DiagonalPhase needs a diagonal Pauli sum")
         self.d = d
         self.theta = float(theta)
-        self._diag: np.ndarray | None = None
+        self._phase: SectorPhase | None = None
 
-    def _values(self, n_qubits: int) -> np.ndarray:
-        if self._diag is None or len(self._diag) != (1 << n_qubits):
-            self._diag = diagonal_values(self.d, n_qubits)
-        return self._diag
+    def sector_gate(self, n_qubits: int) -> SectorPhase:
+        if self._phase is None or len(self._phase.values) != (1 << n_qubits):
+            self._phase = SectorPhase(diagonal_values(self.d, n_qubits))
+        return self._phase
 
     def apply(self, psi: StateVector, inverse: bool = False) -> StateVector:
-        theta = -self.theta if inverse else self.theta
-        phases = np.exp(-1j * theta * self._values(psi.n_qubits))
-        return StateVector(psi.n_qubits, phases * psi.amplitudes)
+        return _rotated(self, psi, inverse)
 
     def generator_apply(self, psi: StateVector) -> StateVector:
-        return StateVector(psi.n_qubits,
-                           -1j * self._values(psi.n_qubits) * psi.amplitudes)
-
+        return _generated(self, psi)
 
 
 @dataclass

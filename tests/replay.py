@@ -63,7 +63,10 @@ def hva_energy_and_gradient(ansatz, params, apply_h):
 
 
 FULL_REGISTER_KERNELS = ("basis_state", "slater_statevector", "apply_pauli_sum",
-                         "_quadruple_arrays", "_hopping_arrays")
+                         "register_orbit")
+
+
+REFUSED_MODULES = (core, hamiltonians, hva, statevector)
 
 
 def refuse_full_register(monkeypatch) -> None:
@@ -72,7 +75,7 @@ def refuse_full_register(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("full-register kernel reached from a sector path")
 
-    for module in (core, hamiltonians, hva, statevector):
+    for module in REFUSED_MODULES:
         for name in FULL_REGISTER_KERNELS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

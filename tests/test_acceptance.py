@@ -47,7 +47,7 @@ from vipsa.hva import HvaAnsatz, hva_run
 from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
 from vipsa.statevector import (
     AnsatzCircuit,
-    apply_pool_unitary,
+    PoolRotation,
     basis_state,
     circuit_gradient,
     expectation,
@@ -130,9 +130,9 @@ def test_criterion_2_pool_rotations_match_expm():
         psi = random_state(n, rng)
         for theta in (0.3, 1.2):
             expected = scipy.linalg.expm(theta * generator) @ psi.amplitudes
-            got = apply_pool_unitary(term, theta, psi)
+            got = PoolRotation(term, theta).apply(psi)
             worst = max(worst, float(np.abs(got.amplitudes - expected).max()))
-        frozen = apply_pool_unitary(term, 0.0, psi)
+        frozen = PoolRotation(term, 0.0).apply(psi)
         assert float(np.abs(frozen.amplitudes - psi.amplitudes).max()) == 0.0
     assert worst <= 1e-10, f"rotation deviates from expm by {worst}"
     report(2, f"50 rotations at theta in {{0.3, 1.2}} max dev from expm "

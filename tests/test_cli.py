@@ -343,9 +343,14 @@ def test_run_rejects_a_directory_that_is_a_file(tmp_path, capsys, monkeypatch, k
     assert str(taken) in one_error_line(capsys)
 
 
-def test_ed_csv_into_a_missing_directory_is_one_line(tmp_path, capsys):
+def test_ed_csv_into_a_missing_directory_is_one_line(tmp_path, capsys, monkeypatch):
+    # the path is checked before any Hamiltonian is built, so nothing is solved
+    import vipsa
+
+    for module, name in HAMILTONIAN_BUILDERS:
+        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
     target = tmp_path / "missing" / "ed.csv"
-    assert main(["ed", "--grid", "2x2", "--u", "4", "--csv", str(target)]) == 1
+    assert main(["ed", "--grid", "2x3", "--u", "4", "--csv", str(target)]) == 1
     assert str(target) in one_error_line(capsys)
 
 

@@ -153,16 +153,6 @@ def test_sum_product_against_dense():
             atol=1e-12)
 
 
-def test_text_serialization():
-    p = PauliSum.from_terms([(0.125, ((0, "X"), (3, "Y"), (5, "Z")))])
-    assert p.to_text() == "0.125 X0 Y3 Z5"
-    sum_with_identity = PauliSum.from_terms([(1.5, ()), (-0.25j, ((1, "Y"),))])
-    text = sum_with_identity.to_text()
-    assert PauliSum.from_text(text).allclose(sum_with_identity, tol=1e-14)
-    round_trip = PauliSum.from_text(p.to_text())
-    assert round_trip == p
-
-
 def test_masks():
     xm, ym, zm = letters_to_masks(((0, "X"), (2, "Y"), (5, "Z")))
     assert (xm, ym, zm) == (1, 4, 32)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
+from vipsa import hamiltonians
 from vipsa.core import rs_perturbation
 from vipsa.fermions import PauliSum
 from vipsa.hamiltonians import (
@@ -27,9 +28,9 @@ from vipsa.hamiltonians import (
 )
 from vipsa.lattice import DOWN, UP, GridSpec, default_filling, fermi_sea, real_orbital_basis
 from vipsa.statevector import (
+    PoolRotation,
     StateVector,
     apply_pauli_sum,
-    apply_pool_generator,
     basis_state,
     expectation,
     slater_amplitudes,
@@ -89,7 +90,7 @@ def test_quadruple_energy_gap_moves_kinetic_energy():
         qubits = [qq for qq, _ in term.factors]
         assert len(set(qubits)) == 4
         before = basis_state({qubits[2], qubits[3]}, grid.n_qubits)
-        after = apply_pool_generator(term, before)
+        after = PoolRotation(term).generator_apply(before)
         assert after.norm() == pytest.approx(1.0, abs=1e-12)
         shift = expectation(kinetic, after) - expectation(kinetic, before)
         assert shift == pytest.approx(q.energy_gap, abs=1e-10)
@@ -169,46 +170,49 @@ def test_sector_ground_matches_full_dense():
     np.testing.assert_allclose(eig.values, block, atol=1e-10)
 
 
-def test_iterative_solver_matches_dense():
+def test_iterative_solver_matches_dense(monkeypatch):
     grid = GridSpec.make(2, 3, u=4.0)
     h = build_real(grid)
     dense = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=6)
-    krylov = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=6, dense_cutoff=10)
+    monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 10)
+    krylov = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=6)
     np.testing.assert_allclose(dense.values, krylov.values, atol=1e-9)
 
 
-def test_iterative_ground_space_is_reproducible():
+def test_iterative_ground_space_is_reproducible(monkeypatch):
     # the Lanczos start vector is fixed, so two solves agree bit for bit
     grid = GridSpec.make(2, 3, u=4.0)
     h, _ = build_kspace(grid)
-    first, second = (ground_space(h, grid.n_qubits, 3, 3, dense_cutoff=0) for _ in range(2))
+    monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
+    first, second = (ground_space(h, grid.n_qubits, 3, 3) for _ in range(2))
     np.testing.assert_array_equal(first.vectors, second.vectors)
     assert first.energy == second.energy
 
 
-def test_sectors_too_small_for_lanczos_are_solved_dense():
+def test_sectors_too_small_for_lanczos_are_solved_dense(monkeypatch):
     # a one-state sector (and one-state blocks) leave no room for a Lanczos window
     grid = GridSpec.make(2, 2, u=4.0)
     h, _ = build_kspace(grid)
-    empty = ground_space(h, grid.n_qubits, 0, 0, dense_cutoff=0)
+    monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
+    empty = ground_space(h, grid.n_qubits, 0, 0)
     assert empty.degeneracy == 1 and empty.energy == pytest.approx(0.0, abs=1e-12)
-    single = sector_diagonalize(h, grid.n_qubits, 1, 0, how_many=10 ** 9, dense_cutoff=0)
+    single = sector_diagonalize(h, grid.n_qubits, 1, 0, how_many=10 ** 9)
     states = sector_basis(grid.n_qubits, 1, 0)
     np.testing.assert_allclose(
         single.values, np.linalg.eigvalsh(dense_sector_block(h, states, grid.n_qubits)),
         rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("dense_cutoff", [400, 66, 0])  # all dense, mixed, all Lanczos
-def test_block_spectra_match_the_whole_sector(dense_cutoff):
+@pytest.mark.parametrize("cutoff", [400, 66, 0])  # all dense, mixed, all Lanczos
+def test_block_spectra_match_the_whole_sector(monkeypatch, cutoff):
     grid = GridSpec.make(2, 3, u=4.0)
     h, _ = build_kspace(grid)
     states = sector_basis(grid.n_qubits, 3, 3)
     matrix = real_sector_matrix(h, states, grid.n_qubits)
     whole = np.linalg.eigvalsh(matrix.toarray())
-    how_many = 10 ** 9 if dense_cutoff == 400 else 6
-    eig = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=how_many,
-                             dense_cutoff=dense_cutoff)
+    how_many = 10 ** 9 if cutoff == 400 else 6
+    monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", cutoff)
+    eig = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=how_many)
     assert len(eig.values) == min(how_many, len(states))
     np.testing.assert_allclose(eig.values, whole[:len(eig.values)], rtol=0, atol=1e-10)
     np.testing.assert_allclose(matrix @ eig.vectors, eig.vectors * eig.values, rtol=0, atol=1e-9)
@@ -314,10 +318,11 @@ def test_ground_space_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("register", ["k", "real"])
-def test_ground_space_keeps_the_sector_matrix(tmp_path, register):
+def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     grid = GridSpec.make(2, 3, u=4.0)
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
-    gs = ground_space(h, grid.n_qubits, 3, 3, dense_cutoff=0)
+    monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
+    gs = ground_space(h, grid.n_qubits, 3, 3)
     fresh = as_real_if_possible(sector_matrix(h, gs.states, grid.n_qubits))
     gs.save(tmp_path / "gs.npz")
     for matrix in (gs.matrix, GroundSpace.load(tmp_path / "gs.npz").matrix):

@@ -1,8 +1,11 @@
-"""Every name the benchmark tracer hooks must exist.
+"""Every name the benchmark tracer hooks, and every kernel the replays
+refuse, must exist.
 
 `benchmarks/tracing.py` skips a hook whose target is gone and drops the
 metrics that depend on it, so a renamed or deleted function would silently
-shrink the benchmark report.  This check makes it fail here instead.
+shrink the benchmark report.  `replay.refuse_full_register` likewise skips a
+name no module has, so a stale entry would refuse nothing.  These checks make
+both fail here instead.
 """
 
 import importlib
@@ -32,4 +35,12 @@ def test_every_hook_target_resolves():
             inspect.getattr_static(owner, attribute)
         except AttributeError:
             missing.append(f"{module_name}:{path}")
+    assert not missing, missing
+
+
+def test_every_refused_kernel_resolves():
+    from replay import FULL_REGISTER_KERNELS, REFUSED_MODULES
+
+    missing = [name for name in FULL_REGISTER_KERNELS
+               if not any(hasattr(module, name) for module in REFUSED_MODULES)]
     assert not missing, missing

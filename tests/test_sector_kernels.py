@@ -1,14 +1,22 @@
-"""Sector-coordinate kernels against the full-register reference kernels."""
+"""Sector-coordinate kernels against dense matrix exponentials and against
+the full-register gate classes.
+
+The gate classes run the full register through the same orbit kernels, as
+the sector of every bitstring, so the sector-against-register checks below
+test the sector's positions, not the rotation itself.  The expm checks
+build their generators from Kronecker products in `oracles`, sharing no
+code with the kernels."""
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vipsa.core import build_pool, pool_gradients, sector_pool_gradients
-from vipsa.fermions import ANNIHILATE, CREATE, LadderTerm, hopping_pair
+from vipsa.fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, hopping_pair
 from vipsa.hamiltonians import SectorHamiltonian, build_kspace, onsite_interaction, sector_basis
 from vipsa.lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index
 from vipsa.statevector import (
@@ -20,13 +28,11 @@ from vipsa.statevector import (
     StateVector,
     _ladder_orbits,
     _positions,
-    apply_diagonal_phase,
-    apply_hopping_unitary,
-    apply_pool_unitary,
+    apply_generator,
     circuit_gradient,
     diagonal_values,
     orbit_overlap,
-    pool_generator_overlap,
+    register_orbit,
     rotate_orbit,
     rotate_sector,
     sector_expectation_and_gradient,
@@ -36,7 +42,7 @@ from vipsa.statevector import (
     sector_run,
 )
 
-from oracles import dense_ladder_term
+from oracles import dense_ladder_term, dense_pauli_sum
 
 TOL = 1e-12
 
@@ -156,12 +162,76 @@ def test_tables_match_the_per_operator_builders():
             np.testing.assert_array_equal(got, want)
 
 
+@st.composite
+def dense_generators(draw):
+    """A pool generator O - O† or a hopping generator -i(c†_i c_j + c†_j c_i)
+    on 6 or 8 qubits, over one sector or over every bitstring: its orbit
+    table and the dense block of the same generator from Kronecker products."""
+    n_pairs = draw(st.integers(3, 4))
+    n_qubits = 2 * n_pairs
+    whole = draw(st.booleans())
+    states = (np.arange(1 << n_qubits, dtype=np.uint32) if whole else
+              sector_basis(n_qubits, draw(st.integers(0, n_pairs)), draw(st.integers(0, n_pairs))))
+    if draw(st.booleans()):
+        a, b, c, d = draw(st.permutations(range(n_qubits)))[:4]
+        assume(a % 2 + b % 2 == c % 2 + d % 2)
+        term = LadderTerm(1.0, ((a, CREATE), (b, CREATE), (c, ANNIHILATE), (d, ANNIHILATE)))
+        orbit = register_orbit(term, n_qubits) if whole else sector_orbit(term, states)
+        dense = dense_ladder_term(term, n_qubits)
+        generator = dense - dense.conj().T
+    else:
+        spin = draw(st.integers(0, 1))
+        i, j = draw(st.permutations(range(n_pairs)))[:2]
+        pair = hopping_pair(2 * i + spin, 2 * j + spin)
+        orbit = (register_orbit(tuple(pair), n_qubits) if whole
+                 else sector_hopping_orbit(pair, states))
+        generator = -1j * sum(dense_ladder_term(t, n_qubits) for t in pair)
+    return states, orbit, generator[np.ix_(states, states)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_generators(), seeds, angles)
+def test_orbit_kernels_match_expm(problem, seed, theta):
+    # rotate_orbit at phase 1 and -i, orbit_overlap and apply_generator
+    states, orbit, generator = problem
+    x = random_sector_vector(states, seed, complex_=True)
+    phi = random_sector_vector(states, seed + 1, complex_=True)
+    np.testing.assert_allclose(apply_generator(orbit, x), generator @ x, rtol=0, atol=TOL)
+    assert abs(orbit_overlap(orbit, phi, x) - np.vdot(phi, generator @ x)) <= TOL
+    rotated = x.copy()
+    rotate_orbit(rotated, orbit, theta)
+    expected = scipy.linalg.expm(theta * generator) @ x
+    np.testing.assert_allclose(rotated, expected, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 4), st.booleans(), seeds, angles)
+def test_sector_phase_matches_expm(n_pairs, whole, seed, theta):
+    # a constant, a one-qubit and two two-qubit Z strings, as in onsite_interaction
+    n_qubits = 2 * n_pairs
+    rng = np.random.default_rng(seed)
+    d = PauliSum.from_terms([
+        (rng.normal(), tuple((int(q), "Z") for q in sorted(rng.choice(n_qubits, k, replace=False))))
+        for k in (0, 1, 2, 2)])
+    states = (np.arange(1 << n_qubits, dtype=np.uint32) if whole else
+              sector_basis(n_qubits, n_pairs // 2, n_pairs - 1))
+    gate = SectorPhase(diagonal_values(d, n_qubits, states))
+    generator = -1j * dense_pauli_sum(d, n_qubits)[np.ix_(states, states)]
+    x = random_sector_vector(states, seed, complex_=True)
+    phi = random_sector_vector(states, seed + 1, complex_=True)
+    np.testing.assert_allclose(apply_generator(gate, x), generator @ x, rtol=0, atol=TOL)
+    assert abs(sector_overlap(gate, phi, x) - np.vdot(phi, generator @ x)) <= TOL
+    expected = scipy.linalg.expm(theta * generator) @ x
+    rotate_sector(x, gate, theta)
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sector_problems(), seeds, angles)
 def test_sector_rotation_matches_full_register(problem, seed, theta):
     n_qubits, states, term = problem
     x = random_sector_vector(states, seed)
-    expected = apply_pool_unitary(term, theta, full_register(x, states, n_qubits))
+    expected = PoolRotation(term, theta).apply(full_register(x, states, n_qubits))
 
     rotated = x.copy()
     orbit = sector_orbit(term, states)
@@ -181,8 +251,8 @@ def test_orbit_overlap_matches_full_register(problem, seed):
     n_qubits, states, term = problem
     phi = random_sector_vector(states, seed)
     psi = random_sector_vector(states, seed + 1)
-    expected = pool_generator_overlap(term, full_register(phi, states, n_qubits),
-                                      full_register(psi, states, n_qubits))
+    image = PoolRotation(term).generator_apply(full_register(psi, states, n_qubits))
+    expected = full_register(phi, states, n_qubits).dot(image)
     got = orbit_overlap(sector_orbit(term, states), phi, psi)
     assert abs(got - expected.real) <= TOL
     assert expected.imag == 0.0
@@ -193,7 +263,7 @@ def test_orbit_overlap_matches_full_register(problem, seed):
 def test_hopping_orbit_rotation_matches_full_register(problem, seed, theta):
     n_qubits, states, pair = problem
     x = random_sector_vector(states, seed, complex_=True)
-    expected = apply_hopping_unitary(pair, theta, full_register(x, states, n_qubits))
+    expected = HoppingRotation(pair, theta).apply(full_register(x, states, n_qubits))
 
     rotated = x.copy()
     orbit = sector_hopping_orbit(pair, states)
@@ -223,9 +293,9 @@ def test_pool_orbit_on_complex_vectors_matches_full_register(problem, seed, thet
     x = random_sector_vector(states, seed, complex_=True)
     phi = random_sector_vector(states, seed + 1, complex_=True)
     orbit = sector_orbit(term, states)
-    expected = apply_pool_unitary(term, theta, full_register(x, states, n_qubits))
-    overlap = pool_generator_overlap(term, full_register(phi, states, n_qubits),
-                                     full_register(x, states, n_qubits))
+    expected = PoolRotation(term, theta).apply(full_register(x, states, n_qubits))
+    image = PoolRotation(term).generator_apply(full_register(x, states, n_qubits))
+    overlap = full_register(phi, states, n_qubits).dot(image)
     assert abs(orbit_overlap(orbit, phi, x) - overlap) <= TOL
     rotate_orbit(x, orbit, theta)
     np.testing.assert_allclose(x, expected.amplitudes[states], rtol=0, atol=TOL)
@@ -245,7 +315,7 @@ def test_sector_phase_matches_full_register(shape, seed, theta):
     overlap = full_register(phi, states, grid.n_qubits).dot(DiagonalPhase(d).generator_apply(full))
     assert abs(sector_overlap(gate, phi, x) - overlap) <= TOL
     rotate_sector(x, gate, theta)
-    expected = apply_diagonal_phase(d, theta, full)
+    expected = DiagonalPhase(d, theta).apply(full)
     np.testing.assert_allclose(x, expected.amplitudes[states], rtol=0, atol=TOL)
 
 
