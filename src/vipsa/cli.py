@@ -169,16 +169,43 @@ class Experiment:
         return cls(ansatz, grid, sector, config, layers, Path(output), cache_dir)
 
 
-# ------------------------------------------------------- ground-space cache
+# ------------------------------------------------------------------ cache ---
 
-def _grid_key(grid, n_up: int, n_down: int, register: str) -> str:
-    return (f"{register} {grid.nx} {grid.ny} {grid.bc_x} {grid.bc_y} "
+def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
+    return (f"{artifact} {grid.nx} {grid.ny} {grid.bc_x} {grid.bc_y} "
             f"{grid.t!r} {grid.u!r} {n_up} {n_down}")
 
 
-# what np.load raises on a truncated or otherwise damaged .npz, and
-# GroundSpace.load on one saved under another key or without a sector matrix
+# what np.load raises on a truncated or otherwise damaged .npz, and a load
+# method on one saved under another key, without a field it needs, or with
+# fields that do not fit together
 UNREADABLE_CACHE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
+
+
+def _cached(cache_dir: Path, stem: str, key: str, kind, build):
+    """kind.load of the file for key in cache_dir, or build() saved there.
+
+    A file that cannot be read or holds another key is rebuilt and
+    replaced; a new file is written next to its final name and renamed into
+    place, so a crash mid-write leaves no partial file there.
+    """
+    digest = hashlib.sha256(key.encode()).hexdigest()
+    path = cache_dir / f"{stem}-{digest[:12]}.npz"
+    if path.exists():
+        try:
+            return kind.load(path, key)
+        except UNREADABLE_CACHE:
+            pass
+    result = build()
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as handle:
+            result.save(handle, key)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return result
 
 
 def cached_ground_space(grid, n_up: int, n_down: int, register: str,
@@ -187,9 +214,7 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
 
     The file stores its cache key and the sector Hamiltonian, so a hit needs
     no Hamiltonian build.  One that cannot be read (an older format without
-    the sector matrix included) or holds another key is rebuilt and
-    replaced; a new file is written next to its final name and renamed into
-    place, so a crash mid-write leaves no partial file there.  cache_dir
+    the sector matrix included, say) is rebuilt (see _cached).  cache_dir
     must exist; with None the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace, build_kspace, build_real, ground_space
@@ -200,25 +225,19 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
 
     if cache_dir is None:
         return solve()
+    return _cached(cache_dir, f"ground-{register}-{grid.label()}",
+                   _grid_key(grid, n_up, n_down, register), GroundSpace, solve)
 
-    key = _grid_key(grid, n_up, n_down, register)
-    digest = hashlib.sha256(key.encode()).hexdigest()
-    path = cache_dir / f"ground-{register}-{grid.label()}-{digest[:12]}.npz"
-    if path.exists():
-        try:
-            return GroundSpace.load(path, key)
-        except UNREADABLE_CACHE:
-            pass
-    result = solve()
-    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "wb") as handle:
-            result.save(handle, key)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    return result
+
+def cached_pool_tables(grid, n_up: int, n_down: int, cache_dir: Path):
+    """The adaptive pool's orbit tables over the (n_up, n_down) sector,
+    reusing an on-disk artifact (see _cached); cache_dir must exist."""
+    from .core import PoolTables
+    from .statevector import sector_basis
+
+    return _cached(cache_dir, f"pool-{grid.label()}", _grid_key(grid, n_up, n_down, "pool"),
+                   PoolTables,
+                   lambda: PoolTables.build(grid, sector_basis(grid.n_qubits, n_up, n_down)))
 
 
 # ------------------------------------------------------------------- run ---
@@ -260,7 +279,8 @@ def cmd_run(args) -> int:
           f"ED energy {ground.energy:.8f}")
 
     if run.ansatz == "vipsa":
-        result = vipsa_run(grid, n_up, n_down, run.config, reference=ground,
+        pool = cached_pool_tables(grid, n_up, n_down, run.cache_dir) if run.cache_dir else None
+        result = vipsa_run(grid, n_up, n_down, run.config, reference=ground, pool=pool,
                            progress=lambda r: print(
                                f"  epoch {r.epoch}: E={r.energy:.8f} "
                                f"fid={r.fidelity:.4f} max|g|={r.max_gradient:.2e} "

@@ -17,6 +17,7 @@ from .fermions import LadderTerm, PauliSum, jordan_wigner
 from .hamiltonians import (
     GroundSpace,
     InteractionQuadruple,
+    _check_saved_key,
     build_kspace,
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
@@ -26,6 +27,7 @@ from .hamiltonians import (
 )
 from .lattice import DEGENERACY_TOL, DOWN, UP, GridSpec, default_filling, enumerate_modes, fermi_sea
 from .statevector import (
+    Orbit,
     StateVector,
     _ladder_orbits,
     _positions,
@@ -93,6 +95,81 @@ def build_pool(grid: GridSpec) -> list[PoolOperator]:
     pool.sort(key=lambda p: (p.quadruple.up_to, p.quadruple.down_to,
                              p.quadruple.down_from, p.quadruple.up_from))
     return pool
+
+
+@dataclass(frozen=True)
+class PoolTables:
+    """The pool's rotation generators as orbit tables over one sector basis.
+
+    `labels` names the operators of build_pool in its canonical order.  The
+    table of operator i is src, dst and sign[offsets[i]:offsets[i + 1]] of
+    three flat arrays, with src and dst positions into `states`, the sorted
+    sector bitstrings.  The tables depend only on the grid and the sector,
+    so a run can load them (`save`/`load`, like GroundSpace) instead of
+    building them again.
+    """
+
+    labels: tuple[str, ...]
+    states: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    sign: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        offsets = self.offsets
+        if len(offsets) != len(self.labels) + 1:
+            raise ValueError(f"{len(offsets)} table offsets do not fit "
+                             f"{len(self.labels)} pool labels")
+        if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+            raise ValueError("table offsets must start at 0 and never decrease")
+        if not len(self.src) == len(self.dst) == len(self.sign) == offsets[-1]:
+            raise ValueError(f"tables of {offsets[-1]} entries do not fit flat arrays of "
+                             f"{len(self.src)}, {len(self.dst)} and {len(self.sign)}")
+        for positions in (self.src, self.dst):
+            if len(positions) and (positions.min() < 0 or positions.max() >= len(self.states)):
+                raise ValueError(f"table positions leave the {len(self.states)}-state sector")
+        # counted, not compared through np.abs, which would copy the array
+        units = np.count_nonzero(self.sign == 1.0) + np.count_nonzero(self.sign == -1.0)
+        if units != len(self.sign):
+            raise ValueError("table signs must be +1 or -1")
+
+    @classmethod
+    def build(cls, grid: GridSpec, states: np.ndarray) -> "PoolTables":
+        """The orbit tables of build_pool(grid) over the sorted sector bitstrings."""
+        pool = build_pool(grid)
+        orbits = [sector_orbit(p.term, states) for p in pool]
+
+        def flat(parts, dtype):
+            return np.concatenate(parts) if parts else np.zeros(0, dtype)
+
+        return cls(tuple(p.label for p in pool), states,
+                   flat([orbit.src for orbit in orbits], np.intp),
+                   flat([orbit.dst for orbit in orbits], np.intp),
+                   flat([orbit.sign for orbit in orbits], float),
+                   np.cumsum([0] + [len(orbit.src) for orbit in orbits]))
+
+    def orbits(self) -> list[Orbit]:
+        """One Orbit per pool operator, as views into the flat arrays."""
+        bounds = self.offsets.tolist()
+        return [Orbit(self.src[start:end], self.dst[start:end], self.sign[start:end])
+                for start, end in zip(bounds, bounds[1:])]
+
+    def save(self, path, key: str | None = None) -> None:
+        """Write the fields, and key if given, to path (a name or binary
+        file), uncompressed as GroundSpace.save does."""
+        extra = {} if key is None else {"key": np.array(key)}
+        np.savez(path, labels=np.array(self.labels, dtype=str), states=self.states,
+                 src=self.src, dst=self.dst, sign=self.sign, offsets=self.offsets, **extra)
+
+    @classmethod
+    def load(cls, path, key: str | None = None) -> "PoolTables":
+        """Read saved tables; raise ValueError if a key is given and the file
+        was saved under another one, or if the tables do not fit together."""
+        with np.load(path) as data:
+            _check_saved_key(data, path, key)
+            return cls(tuple(data["labels"].tolist()), data["states"], data["src"],
+                       data["dst"], data["sign"], data["offsets"])
 
 
 def _apply_operator(h, psi: StateVector) -> StateVector:
@@ -290,15 +367,17 @@ def _sea_vector(grid: GridSpec, n_up: int, n_down: int, states: np.ndarray) -> n
 def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
               config: VipsaConfig | None = None,
               reference: GroundSpace | None = None,
+              pool: PoolTables | None = None,
               progress=None) -> RunResult:
     """Full adaptive loop in the mode register of one grid.
 
     The reference ground space (for fidelities) is diagonalized on the spot
     unless a precomputed one is passed in; the sector Hamiltonian is taken
-    from it.  `progress`, if given, is called with each finished EpochRecord.
-    When the pool gradient drops below eps1 a terminal record with an empty
-    selection is emitted, so a trace always shows the state the loop stopped
-    in.
+    from it.  Likewise the pool's orbit tables are built unless `pool`
+    passes them in.  `progress`, if given, is called with each finished
+    EpochRecord.  When the pool gradient drops below eps1 a terminal record
+    with an empty selection is emitted, so a trace always shows the state
+    the loop stopped in.
 
     The loop works on one real vector over the (n_up, n_down) sector basis,
     with every pool generator as an orbit table into it.  The result names
@@ -307,9 +386,12 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
-    pool = build_pool(grid)
-    labels = [p.label for p in pool]
     states = sector_basis(grid.n_qubits, n_up, n_down)
+    if pool is None:
+        pool = PoolTables.build(grid, states)
+    if not np.array_equal(pool.states, states):
+        raise ValueError("pool tables are not over the run's sector basis")
+    labels = pool.labels
     if reference is None:
         reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down)
     if not np.array_equal(reference.states, states):
@@ -319,7 +401,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     h = reference.matrix
     if np.iscomplexobj(h.data):
         h = real_part(h)
-    orbits = [sector_orbit(p.term, states) for p in pool]
+    orbits = pool.orbits()
     x0 = _sea_vector(grid, n_up, n_down, states)
     gates: list[int] = []  # pool index of each rotation, in circuit order
     thetas = np.zeros(0)
@@ -333,7 +415,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         max_gradient = float(np.abs(grads).max()) if len(grads) else 0.0
         if max_gradient < config.eps1:
             status = "converged"
-            if not pool and any(not q.is_diagonal for q in interaction_quadruples(grid)):
+            if not labels and any(not q.is_diagonal for q in interaction_quadruples(grid)):
                 status = "empty-pool"
             terminal = EpochRecord(
                 epoch=epoch,
@@ -369,7 +451,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         if progress is not None:
             progress(record)
 
-    return RunResult(grid, n_up, n_down, len(pool), records, status, records[-1].energy,
+    return RunResult(grid, n_up, n_down, len(labels), records, status, records[-1].energy,
                      reference, [labels[i] for i in gates], thetas, step_energies)
 
 
@@ -432,7 +514,7 @@ def first_order_oracle(grid: GridSpec, n_up: int | None = None,
             raise ValueError(f"|V/gap| = {abs(ratio):.3f} > 1 for {p.label}; "
                              "the angle assignment needs weak coupling")
         thetas[i] = math.asin(ratio)
-    sequential = sector_run(x0, [sector_orbit(p.term, states) for p in pool], thetas)
+    sequential = sector_run(x0, PoolTables.build(grid, states).orbits(), thetas)
     return FirstOrderResult(thetas, states, reference, sequential)
 
 

@@ -81,7 +81,10 @@ def _axis_overlap(length: int, bc: str) -> np.ndarray:
 
 
 def interaction_quadruples(grid: GridSpec) -> list[InteractionQuadruple]:
-    """Hermitian-closed table of all quadruples with |amplitude| > 1e-12.
+    """Hermitian-closed table of all quadruples with |amplitude| > 1e-12 |U|.
+
+    The cut is relative because a vanishing amplitude keeps a rounding
+    residue of about 1e-17 |U|, which an absolute cut lets through at large U.
 
     Every entry's conjugate partner (roles of created and annihilated modes
     swapped) is also in the table with the same amplitude, so summing
@@ -100,7 +103,7 @@ def interaction_quadruples(grid: GridSpec) -> list[InteractionQuadruple]:
         cx, cy = c % grid.nx, c // grid.nx
         dx, dy = d % grid.nx, d // grid.nx
         v = grid.u * fx[ax, bx, cx, dx] * fy[ay, by, cy, dy]
-        if abs(v) <= AMPLITUDE_DROP_TOL:
+        if abs(v) <= AMPLITUDE_DROP_TOL * abs(grid.u):
             continue
         if abs(complex(v).imag) > 1e-12 * abs(v):
             raise ValueError(f"interaction amplitude not real: {v}")
@@ -377,6 +380,13 @@ def sector_diagonalize(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
                        spectrum.states)
 
 
+def _check_saved_key(data, path, key: str | None) -> None:
+    """Raise ValueError unless key is None or the loaded .npz `data` from
+    path was saved under it."""
+    if key is not None and ("key" not in data or str(data["key"]) != key):
+        raise ValueError(f"{path} was not saved under the key {key!r}")
+
+
 @dataclass(frozen=True)
 class GroundSpace:
     """Orthonormal basis of the degenerate ground eigenspace of one sector.
@@ -402,6 +412,9 @@ class GroundSpace:
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
                              f"{dim} sector states")
+        if self.vectors.shape[0] != dim:
+            raise ValueError(f"ground vectors of length {self.vectors.shape[0]} do not fit "
+                             f"{dim} sector states")
 
     @property
     def degeneracy(self) -> int:
@@ -426,8 +439,7 @@ class GroundSpace:
         file was saved under the same key.  A file without a sector matrix
         (the format before it was stored) raises KeyError."""
         with np.load(path) as data:
-            if key is not None and ("key" not in data or str(data["key"]) != key):
-                raise ValueError(f"{path} was not saved under the key {key!r}")
+            _check_saved_key(data, path, key)
             matrix = scipy.sparse.csr_matrix(
                 (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
                 shape=tuple(int(n) for n in data["matrix_shape"]))

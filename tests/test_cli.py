@@ -131,14 +131,31 @@ def test_traces_are_reproducible(tmp_path, capsys):
     assert (first / "steps.csv").read_bytes() == (second / "steps.csv").read_bytes()
 
 
+def cache_files(tmp_path) -> list[str]:
+    return sorted(p.name for p in (tmp_path / "cache").iterdir())
+
+
 def test_ground_space_cache_is_reused(tmp_path, capsys):
     _, _ = run_config(tmp_path, "one", u=4.0, max_epochs=1)
-    cache = list((tmp_path / "cache").glob("*.npz"))
+    cache = list((tmp_path / "cache").glob("ground-*.npz"))
     assert len(cache) == 1
+    tables, = (tmp_path / "cache").glob("pool-*.npz")
+    assert cache_files(tmp_path) == [cache[0].name, tables.name]
     stamp = cache[0].stat().st_mtime_ns
+    tables_stamp = tables.stat().st_mtime_ns
     _, _ = run_config(tmp_path, "again", u=4.0, max_epochs=1,
                       output=tmp_path / "again")
     assert cache[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
+    assert tables.stat().st_mtime_ns == tables_stamp
+
+
+def resave(path: Path, **changes) -> None:
+    """Write the arrays of an .npz back with some of them replaced."""
+    with np.load(path) as data:
+        fields = dict(data)
+    fields.update(changes)
+    with open(path, "wb") as handle:
+        np.savez(handle, **fields)
 
 
 def truncate(path: Path) -> None:
@@ -146,8 +163,10 @@ def truncate(path: Path) -> None:
 
 
 def plant_other_problem(path: Path) -> None:
+    from vipsa.core import PoolTables
     from vipsa.hamiltonians import GroundSpace
-    GroundSpace.load(path).save(path, key="some other problem")
+    kind = PoolTables if path.name.startswith("pool-") else GroundSpace
+    kind.load(path).save(path, key="some other problem")
 
 
 def plant_old_format(path: Path) -> None:
@@ -160,32 +179,67 @@ def plant_old_format(path: Path) -> None:
 
 def plant_misfit_matrix(path: Path) -> None:
     from vipsa.hamiltonians import GroundSpace
-    matrix = GroundSpace.load(path).matrix
-    block = matrix[:-1, :-1].tocsr()
+    block = GroundSpace.load(path).matrix[:-1, :-1].tocsr()
+    resave(path, matrix_shape=np.array(block.shape), matrix_data=block.data,
+           matrix_indices=block.indices, matrix_indptr=block.indptr)
+
+
+def plant_misfit_vectors(path: Path) -> None:
     with np.load(path) as data:
-        fields = dict(data)
-    fields.update(matrix_shape=np.array(block.shape), matrix_data=block.data,
-                  matrix_indices=block.indices, matrix_indptr=block.indptr)
-    with open(path, "wb") as handle:
-        np.savez(handle, **fields)
+        vectors = data["vectors"]
+    resave(path, vectors=vectors[:-1])
 
 
 @pytest.mark.parametrize("damage", [truncate, plant_other_problem, plant_old_format,
-                                    plant_misfit_matrix])
+                                    plant_misfit_matrix, plant_misfit_vectors])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
     code, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
-    cache, = (tmp_path / "cache").glob("*.npz")
+    cache, = (tmp_path / "cache").glob("ground-*.npz")
+    tables, = (tmp_path / "cache").glob("pool-*.npz")
     damage(cache)
     code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
     assert code in (0, 2)
     assert (again / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == [cache.name]
+    assert cache_files(tmp_path) == [cache.name, tables.name]
     assert GroundSpace.load(cache, key=None).matrix is not None
     stamp = cache.stat().st_mtime_ns
     run_config(tmp_path, "third", u=4.0, max_epochs=1)
     assert cache.stat().st_mtime_ns == stamp  # the rebuilt file is a cache hit
+
+
+def plant_stray_position(path: Path) -> None:
+    with np.load(path) as data:
+        dst, dim = data["dst"].copy(), len(data["states"])
+    dst[0] = dim
+    resave(path, dst=dst)
+
+
+def plant_misaligned_offsets(path: Path) -> None:
+    with np.load(path) as data:
+        offsets = data["offsets"]
+    # one table fewer than labels, still ending at the length of the arrays
+    resave(path, offsets=np.delete(offsets, 1))
+
+
+@pytest.mark.parametrize("damage", [truncate, plant_other_problem, plant_stray_position,
+                                    plant_misaligned_offsets])
+def test_damaged_pool_tables_are_rebuilt(tmp_path, capsys, damage):
+    from vipsa.core import PoolTables
+
+    _, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
+    files = cache_files(tmp_path)
+    tables, = (tmp_path / "cache").glob("pool-*.npz")
+    damage(tables)
+    code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
+    assert code in (0, 2)
+    assert (again / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
+    assert cache_files(tmp_path) == files  # no partial .tmp file left behind
+    PoolTables.load(tables)
+    stamp = tables.stat().st_mtime_ns
+    run_config(tmp_path, "third", u=4.0, max_epochs=1)
+    assert tables.stat().st_mtime_ns == stamp  # the rebuilt file is a cache hit
 
 
 def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
@@ -229,6 +283,31 @@ def test_warm_run_loads_the_hamiltonian(tmp_path, capsys, monkeypatch, ansatz):
     _, cold = run_config(tmp_path, "cold", **settings)
     for module, name in HAMILTONIAN_BUILDERS:
         monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    code, warm = run_config(tmp_path, "warm", **settings)
+    assert code in (0, 2)
+    assert run_artifacts(warm) == run_artifacts(cold)
+
+
+POOL_BUILDERS = ("build_pool", "sector_orbit", "interaction_quadruples")
+
+
+def test_warm_run_builds_no_pool(tmp_path, capsys, monkeypatch):
+    import importlib
+    import pkgutil
+
+    import vipsa
+
+    def refuse_pool(*args, **kwargs):
+        raise AssertionError("pool tables built on a cache hit")
+
+    settings = {"u": 4.0, "max_epochs": 2, "max_inner_steps": 20}
+    _, cold = run_config(tmp_path, "cold", **settings)
+    modules = [vipsa] + [importlib.import_module(f"vipsa.{info.name}")
+                         for info in pkgutil.iter_modules(vipsa.__path__)]
+    for module in modules:
+        for name in POOL_BUILDERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse_pool)
     code, warm = run_config(tmp_path, "warm", **settings)
     assert code in (0, 2)
     assert run_artifacts(warm) == run_artifacts(cold)

@@ -9,6 +9,7 @@ import pytest
 
 import vipsa
 from vipsa.core import (
+    PoolTables,
     VipsaConfig,
     adam_minimize,
     build_pool,
@@ -126,6 +127,70 @@ def sea_vector(grid, n_up, n_down):
     states = sector_basis(grid.n_qubits, n_up, n_down)
     sea = fermi_sea(grid, n_up, n_down)
     return (states == sum(1 << q for q in sea.occupied_qubits())).astype(float), states, sea
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
+def test_pool_tables_load_bit_identical(tmp_path, shape):
+    grid = u4(*shape)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    pool = build_pool(grid)
+    built = PoolTables.build(grid, states)
+    built.save(tmp_path / "pool.npz", key="pool tables")
+    loaded = PoolTables.load(tmp_path / "pool.npz", key="pool tables")
+    assert built.labels == loaded.labels == tuple(p.label for p in pool)
+    np.testing.assert_array_equal(loaded.states, states)
+    reference = [sector_orbit(p.term, states) for p in pool]
+    for tables in (built, loaded):
+        orbits = tables.orbits()
+        assert len(orbits) == len(reference)
+        for orbit, expected in zip(orbits, reference):
+            assert orbit.phase == expected.phase
+            for got, want in zip(orbit[:3], expected[:3]):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
+def decreasing_offsets(t):
+    offsets = t.offsets.copy()
+    offsets[1] = offsets[2] + 1
+    return {"offsets": offsets}
+
+
+TABLE_DAMAGE = {
+    "label-dropped": (lambda t: {"labels": t.labels[:-1]}, "offsets do not fit"),
+    "offsets-shifted": (lambda t: {"offsets": t.offsets + 1}, "start at 0"),
+    "offsets-decreasing": (decreasing_offsets, "never decrease"),
+    "sign-short": (lambda t: {"sign": t.sign[:-1]}, "flat arrays"),
+    "dst-past-end": (lambda t: {"dst": np.where(t.dst == t.dst.max(), len(t.states), t.dst)},
+                     "leave the"),
+    "src-negative": (lambda t: {"src": np.where(t.src == t.src.min(), -1, t.src)}, "leave the"),
+    "sign-scaled": (lambda t: {"sign": 2.0 * t.sign}, "signs"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(TABLE_DAMAGE))
+def test_pool_tables_must_fit_together(tmp_path, damage):
+    grid = u4(2, 2)
+    tables = PoolTables.build(grid, sector_basis(grid.n_qubits, 2, 2))
+    change, message = TABLE_DAMAGE[damage]
+    with pytest.raises(ValueError, match=message):
+        replace(tables, **change(tables))
+
+
+def test_pool_tables_load_checks_the_key(tmp_path):
+    grid = u4(2, 2)
+    PoolTables.build(grid, sector_basis(grid.n_qubits, 2, 2)).save(tmp_path / "pool.npz",
+                                                                   key="2x2")
+    PoolTables.load(tmp_path / "pool.npz")  # no key asked for, none checked
+    with pytest.raises(ValueError, match="key"):
+        PoolTables.load(tmp_path / "pool.npz", key="2x3")
+
+
+def test_run_rejects_pool_tables_of_another_sector():
+    grid = u4(2, 2)
+    other = PoolTables.build(grid, sector_basis(grid.n_qubits, 1, 2))
+    with pytest.raises(ValueError, match="pool tables"):
+        vipsa_run(grid, 2, 2, pool=other)
 
 
 def test_pool_gradients_match_finite_difference():

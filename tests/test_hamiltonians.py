@@ -79,6 +79,27 @@ def test_quadruples_2x2_parity():
             assert total % 2 == 0
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
+def test_large_coupling_keeps_the_table(shape):
+    # a vanishing amplitude keeps a rounding residue that grows with U; at
+    # U = 1e5 it must neither enter the table nor fail the realness check
+    def indices(q):
+        return q.up_to, q.down_to, q.down_from, q.up_from
+
+    unit = interaction_quadruples(GridSpec.make(*shape, u=1.0))
+    large = interaction_quadruples(GridSpec.make(*shape, u=1e5))
+    assert [indices(q) for q in large] == [indices(q) for q in unit]
+    for q_large, q_unit in zip(large, unit):
+        assert q_large.amplitude == pytest.approx(1e5 * q_unit.amplitude, rel=1e-12)
+        assert q_large.energy_gap == q_unit.energy_gap
+    if shape == (2, 3):
+        grid = GridSpec.make(*shape, u=1e5)
+        k = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3)
+        real = ground_space(build_real(grid), grid.n_qubits, 3, 3)
+        assert k.energy == pytest.approx(real.energy, abs=1e-9)
+        assert k.degeneracy == real.degeneracy
+
+
 def test_quadruple_energy_gap_moves_kinetic_energy():
     grid = GridSpec.make(2, 3, u=4.0)
     kinetic = kinetic_kspace(grid)
