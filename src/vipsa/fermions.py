@@ -187,7 +187,10 @@ class PauliSum:
         return PauliSum({k: v.conjugate() for k, v in self._terms.items()})
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(v.imag) <= tol for v in self._terms.values())
+        """Every coefficient real within tol times max(1, the largest |coefficient|),
+        since rounding leaves imaginary residue in proportion to the sum's scale."""
+        bound = tol * max(1.0, max(map(abs, self._terms.values()), default=0.0))
+        return all(abs(v.imag) <= bound for v in self._terms.values())
 
     def is_diagonal(self) -> bool:
         return all(all(letter == "Z" for _, letter in k) for k in self._terms)

@@ -198,11 +198,15 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
 
     Entries whose Pauli-string amplitudes cancel to exactly zero are not
     stored; every flip pattern reaches a distinct (row, column) pair, so no
-    stored entry is a sum of several.
+    stored entry is a sum of several.  An amplitude that leaves the sector
+    is rounding residue up to AMPLITUDE_DROP_TOL times max(1, the largest
+    |coefficient|).
     """
     groups: dict[int, list[tuple[complex, np.uint32]]] = {}
+    scale = 1.0
     for coeff, flip, yz in _compiled_terms(h, n_qubits):
         groups.setdefault(int(flip), []).append((coeff, yz))
+        scale = max(scale, abs(coeff))
     dim = len(states)
     if not groups:
         return scipy.sparse.csr_matrix((dim, dim), dtype=np.complex128)
@@ -223,7 +227,7 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
         idx_c = np.minimum(idx, dim - 1)
         found = states[idx_c] == targets
         stray = np.abs(amp[~found])
-        if stray.size and stray.max() > AMPLITUDE_DROP_TOL:
+        if stray.size and stray.max() > AMPLITUDE_DROP_TOL * scale:
             raise ValueError("operator couples states outside the sector")
         keep = found & (amp != 0)
         rows.append(idx_c[keep])
@@ -243,8 +247,10 @@ def real_part(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
 
 
 def as_real_if_possible(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """real_part(matrix) if its imaginary part is negligible, else matrix."""
-    if matrix.nnz == 0 or np.abs(matrix.data.imag).max() <= 1e-12:
+    """real_part(matrix) if its imaginary part is negligible, that is at most
+    1e-12 times max(1, the largest |entry|), else matrix."""
+    if matrix.nnz == 0 or (np.abs(matrix.data.imag).max()
+                           <= 1e-12 * max(1.0, np.abs(matrix.data).max())):
         return real_part(matrix)
     return matrix
 

@@ -228,7 +228,9 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         start = np.full(ansatz.n_params, STATIONARY_KICK)
     outcome: AdamResult = adam_minimize(start, evaluate, config, keep_history=True)
     status = "converged" if outcome.converged else "exhausted"
-    final_fid = reference.sector_fidelity(ansatz.sector_state(outcome.thetas))
+    # adam returns the first minimum of outcome.energies, and its evaluations
+    # are recorded after the zero point's, so that record holds the fidelity
+    final_fid = records[1 + int(np.argmin(outcome.energies))].fidelity
     history = np.vstack([np.zeros(ansatz.n_params), outcome.history])
     return HvaResult(grid, n_up, n_down, ansatz.layout, records, status,
                      outcome.energy, final_fid, reference, outcome.thetas,

@@ -174,17 +174,19 @@ def _hopping_factors(pair):
     return first.factors
 
 
-def _check_hopping_cube(orbit: Orbit, dim: int) -> None:
-    """h^3 = h (eigenvalues {-1, 0, 1}) for the hopping term h = iG of an
-    orbit table, that is G^3 = -G, checked numerically on two random
-    vectors of length dim."""
-    rng = np.random.default_rng(1234)
-    for _ in range(2):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        g_v = apply_generator(orbit, v)
-        g3_v = apply_generator(orbit, apply_generator(orbit, g_v))
-        if np.linalg.norm(g3_v + g_v) > 1e-10 * np.linalg.norm(v):
-            raise ValueError("hopping generator fails the h^3 = h check")
+def _check_orbit(orbit: Orbit) -> None:
+    """G^3 = -G exactly, so that h = iG has h^3 = h: the table's positions
+    are pairwise distinct across src and dst, every sign is +-1, and
+    |phase| = 1.  Then G is a sum of disjoint 2x2 blocks with G^2 = -1 on
+    each, which is what the closed-form rotation assumes."""
+    src, dst, sign, phase = orbit
+    positions = np.concatenate((src, dst))
+    if positions.size and np.bincount(positions).max() > 1:
+        raise ValueError("orbit table repeats a position")
+    if not np.all(np.abs(sign) == 1.0):
+        raise ValueError("orbit table signs must be +-1")
+    if abs(phase) != 1.0:
+        raise ValueError("orbit table phase must have modulus 1")
 
 
 def diagonal_values(d: PauliSum, n_qubits: int, states: np.ndarray | None = None) -> np.ndarray:
@@ -265,12 +267,12 @@ def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
     if not (0 <= n_up <= n_sites and 0 <= n_down <= n_sites):
         raise ValueError(f"sector (n_up, n_down) = ({n_up},{n_down}) does not fit "
                          f"{n_sites} orbitals")
-    ups = [sum(1 << (2 * i) for i in combo)
-           for combo in itertools.combinations(range(n_sites), n_up)]
-    downs = [sum(1 << (2 * i + 1) for i in combo)
-             for combo in itertools.combinations(range(n_sites), n_down)]
-    states = np.fromiter((u | d for u in ups for d in downs),
-                         dtype=np.uint32, count=len(ups) * len(downs))
+    ups = np.array([sum(1 << (2 * i) for i in combo)
+                    for combo in itertools.combinations(range(n_sites), n_up)], dtype=np.uint32)
+    downs = np.array([sum(1 << (2 * i + 1) for i in combo)
+                      for combo in itertools.combinations(range(n_sites), n_down)],
+                     dtype=np.uint32)
+    states = np.bitwise_or.outer(ups, downs).ravel()
     states.sort()
     return states
 
@@ -290,12 +292,22 @@ class Orbit(NamedTuple):
     phase: complex = 1.0
 
 
-class SectorPhase(NamedTuple):
+class SectorPhase:
     """Generator -i*d of exp(-i*theta*d) for a diagonal d, by its values on
-    the sector bitstrings."""
+    the sector bitstrings.
 
-    values: np.ndarray
+    The values also stand as their distinct `levels` and each bitstring's
+    index into them, so a rotation exponentiates one number per level (the
+    interaction has one per count of doubly occupied sites), not one per
+    bitstring.
+    """
+
+    __slots__ = ("values", "levels", "level_of")
     phase = -1j
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.levels, self.level_of = np.unique(values, return_inverse=True)
 
 
 def _positions(states: np.ndarray, targets: np.ndarray, what: str) -> np.ndarray:
@@ -316,7 +328,7 @@ def sector_hopping_orbit(pair, states: np.ndarray) -> Orbit:
     sorted sector bitstrings."""
     src, targets, sign = _ladder_orbits(_hopping_factors(pair), states)
     orbit = Orbit(src, _positions(states, targets, "hopping generator"), sign, -1j)
-    _check_hopping_cube(orbit, len(states))
+    _check_orbit(orbit)
     return orbit
 
 
@@ -330,27 +342,58 @@ def register_orbit(generator, n_qubits: int) -> Orbit:
     return sector_hopping_orbit(generator, states)
 
 
-def rotate_orbit(x: np.ndarray, orbit: Orbit, theta: float) -> None:
-    """exp(theta*G) applied in place to a vector over the orbit table's basis.
+def _rotation(orbit: Orbit, theta: float):
+    """(c, forward, backward) of exp(theta*G) on the orbit table.
 
     G^2 is minus the projector onto the 2-state orbits G connects (for a
     pool generator A = O - O†, A^2 = -(OO† + O†O)), so the exponential is a
-    plane rotation on every orbit: cos(theta) on both ends, sin(theta)
-    across.  With a real phase the coefficients stay real, so a real vector
+    plane rotation on every orbit: c = cos(theta) on both ends, and across
+    them forward = sin(theta)*phase*sign from src to dst and backward =
+    sin(theta)*conj(phase)*sign from dst to src.  Under a real phase the
+    two coefficient arrays are one, and they stay real, so a real vector
     stays real.
     """
-    src, dst, sign, phase = orbit
-    v_src, v_dst = x[src], x[dst]
-    s, c = math.sin(theta), math.cos(theta)
-    x[dst] = c * v_dst + s * phase * sign * v_src
-    x[src] = c * v_src - s * phase.conjugate() * sign * v_dst
+    _, _, sign, phase = orbit
+    s = math.sin(theta)
+    forward = s * phase * sign
+    backward = forward if phase == phase.conjugate() else s * phase.conjugate() * sign
+    return math.cos(theta), forward, backward
+
+
+def _rotate_pairs(x: np.ndarray, orbit: Orbit, v_src, v_dst, rotation) -> None:
+    """Write the rotation of the gathered slices v_src = x[src], v_dst =
+    x[dst] back into x: x[dst] = c*v_dst + forward*v_src and x[src] =
+    c*v_src - backward*v_dst, with the sums taken in place."""
+    c, forward, backward = rotation
+    rotated = c * v_dst
+    rotated += forward * v_src
+    x[orbit.dst] = rotated
+    rotated = c * v_src
+    rotated -= backward * v_dst
+    x[orbit.src] = rotated
+
+
+def _pair_overlap(orbit: Orbit, phi_src, phi_dst, psi_src, psi_dst):
+    """<phi|G|psi> from the gathered slices of both vectors."""
+    _, _, sign, phase = orbit
+    return (phase * np.vdot(phi_dst, sign * psi_src)
+            - phase.conjugate() * np.vdot(phi_src, sign * psi_dst))
+
+
+def rotate_orbit(x: np.ndarray, orbit: Orbit, theta: float) -> None:
+    """exp(theta*G) applied in place to a vector over the orbit table's basis."""
+    _rotate_pairs(x, orbit, x[orbit.src], x[orbit.dst], _rotation(orbit, theta))
 
 
 def orbit_overlap(orbit: Orbit, phi: np.ndarray, psi: np.ndarray):
     """<phi|G|psi> for sector vectors; real for real vectors and a real phase."""
-    src, dst, sign, phase = orbit
-    return (phase * np.vdot(phi[dst], sign * psi[src])
-            - phase.conjugate() * np.vdot(phi[src], sign * psi[dst]))
+    src, dst = orbit.src, orbit.dst
+    return _pair_overlap(orbit, phi[src], phi[dst], psi[src], psi[dst])
+
+
+def _phase_factors(gate: SectorPhase, theta: float) -> np.ndarray:
+    """exp(theta*G) of a diagonal phase, one exponential per level."""
+    return np.exp(theta * gate.phase * gate.levels)[gate.level_of]
 
 
 def apply_generator(gate: Orbit | SectorPhase, x: np.ndarray) -> np.ndarray:
@@ -367,7 +410,7 @@ def apply_generator(gate: Orbit | SectorPhase, x: np.ndarray) -> np.ndarray:
 def rotate_sector(x: np.ndarray, gate: Orbit | SectorPhase, theta: float) -> None:
     """exp(theta*G) applied in place, for an orbit table or a diagonal phase."""
     if isinstance(gate, SectorPhase):
-        x *= np.exp(theta * gate.phase * gate.values)
+        x *= _phase_factors(gate, theta)
     else:
         rotate_orbit(x, gate, theta)
 
@@ -538,14 +581,31 @@ def sector_expectation_and_gradient(x0: np.ndarray, gates, thetas, h,
     thetas) and is used as the sweep's buffer.  The forward state and the
     back-propagated h|psi> are rotated in place, so one evaluation allocates
     two vectors of sector length.  Real x0, h and phases keep both real.
+
+    Each gate's work is fused: an orbit gate gathers the src and dst slices
+    of both vectors once, takes its overlap from them and rotates both back
+    with one set of coefficients; a phase gate builds its factors once for
+    both.  The arithmetic is that of sector_overlap followed by two
+    rotate_sector calls, so the results are the same to the bit.
     """
     x = sector_run(x0, gates, thetas) if final is None else final
     b = h @ x
     energy = float(np.vdot(x, b).real)
     grads = np.zeros(len(gates))
     for pos in range(len(gates) - 1, -1, -1):
-        grads[pos] = 2.0 * sector_overlap(gates[pos], b, x).real
+        gate = gates[pos]
+        if isinstance(gate, SectorPhase):
+            grads[pos] = 2.0 * sector_overlap(gate, b, x).real
+            if pos:
+                factors = _phase_factors(gate, -thetas[pos])
+                x *= factors
+                b *= factors
+            continue
+        src, dst = gate.src, gate.dst
+        x_src, x_dst, b_src, b_dst = x[src], x[dst], b[src], b[dst]
+        grads[pos] = 2.0 * _pair_overlap(gate, b_src, b_dst, x_src, x_dst).real
         if pos:
-            rotate_sector(x, gates[pos], -thetas[pos])
-            rotate_sector(b, gates[pos], -thetas[pos])
+            rotation = _rotation(gate, -thetas[pos])
+            _rotate_pairs(x, gate, x_src, x_dst, rotation)
+            _rotate_pairs(b, gate, b_src, b_dst, rotation)
     return energy, grads

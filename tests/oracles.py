@@ -6,11 +6,17 @@ so library results can be checked against a second derivation.
 
 Basis convention matches the package: basis index s has bit q equal to
 the occupation of qubit q (qubit 0 is the least significant bit).
+
+`per_gate_sweep` is the exception: it is the adjoint sweep written gate by
+gate through the library's own single-gate kernels, the reference the fused
+sweep must match to the bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from vipsa.statevector import rotate_sector, sector_overlap, sector_run
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -90,3 +96,19 @@ def dense_sector_block(pauli_sum, states, n_qubits: int) -> np.ndarray:
         inside = states[position] == rows
         np.add.at(out, (position[inside], columns[inside]), value[inside])
     return out
+
+
+def per_gate_sweep(x0, gates, thetas, h, final=None):
+    """sector_expectation_and_gradient as one overlap and two separate
+    rotations per gate: each call gathers its own slices and builds its own
+    coefficients."""
+    x = sector_run(x0, gates, thetas) if final is None else final
+    b = h @ x
+    energy = float(np.vdot(x, b).real)
+    grads = np.zeros(len(gates))
+    for pos in range(len(gates) - 1, -1, -1):
+        grads[pos] = 2.0 * sector_overlap(gates[pos], b, x).real
+        if pos:
+            rotate_sector(x, gates[pos], -thetas[pos])
+            rotate_sector(b, gates[pos], -thetas[pos])
+    return energy, grads

@@ -477,6 +477,16 @@ def test_ed_registers_agree(capsys):
     assert by_key[("0", "k")] == pytest.approx(sea.energy, abs=1e-9)
 
 
+def test_ed_at_large_coupling_agrees_across_registers(tmp_path, capsys):
+    # the Hermiticity, stray-amplitude and realness checks scale with the
+    # operator, so rounding residue in proportion to U does not trip them
+    target = tmp_path / "ed.csv"
+    assert main(["ed", "--grid", "2x3", "--u", "1e6", "--register", "both",
+                 "--csv", str(target)]) == 0
+    energies = {row["register"]: float(row["energy"]) for row in read_csv(target)}
+    assert energies["k"] == pytest.approx(energies["real"], abs=1e-9)
+
+
 def test_ed_free_3x3_is_the_fourfold_sea(capsys):
     # at U = 0 every sector state is a block of its own
     assert main(["ed", "--grid", "3x3", "--u", "0", "--register", "both"]) == 0

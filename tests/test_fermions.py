@@ -133,6 +133,16 @@ def test_sum_algebra():
     assert len(drop) == 0
 
 
+def test_hermiticity_tolerance_scales_with_the_largest_coefficient():
+    # rounding residue of 1e-13 relative passes, 1e-9 relative does not
+    big = 1e6
+    assert PauliSum.from_terms([(big, ((0, "Z"),)), (1e-7j, ((1, "Z"),))]).is_hermitian()
+    assert not PauliSum.from_terms([(big, ((0, "Z"),)),
+                                    (1e-9j * big, ((1, "Z"),))]).is_hermitian()
+    # below unit scale the bound stays absolute
+    assert not PauliSum.from_terms([(0.5, ((0, "Z"),)), (1e-9j, ((1, "Z"),))]).is_hermitian()
+
+
 def test_sum_product_against_dense():
     rng = np.random.default_rng(3)
     n = 4

@@ -1,5 +1,7 @@
 """Hamiltonian builders, sector diagonalization, and the perturbation oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
@@ -164,6 +166,15 @@ def test_hamiltonian_commutes_with_spin():
         assert np.abs(comm).max() < 1e-10
 
 
+def itertools_sector_basis(n_qubits, n_up, n_down):
+    """Every bitstring with n_up set even bits and n_down set odd bits, sorted."""
+    n_sites = n_qubits // 2
+    ups = [sum(1 << (2 * i) for i in c) for c in itertools.combinations(range(n_sites), n_up)]
+    downs = [sum(1 << (2 * i + 1) for i in c)
+             for c in itertools.combinations(range(n_sites), n_down)]
+    return np.array(sorted(u | d for u in ups for d in downs), dtype=np.uint32)
+
+
 def test_sector_basis_dimensions():
     assert len(sector_basis(8, 2, 2)) == 36
     assert len(sector_basis(12, 3, 3)) == 400
@@ -171,6 +182,13 @@ def test_sector_basis_dimensions():
     assert len(sector_basis(18, 5, 4)) == 15876
     states = sector_basis(8, 2, 2)
     assert (np.diff(states.astype(np.int64)) > 0).all()
+    for n_qubits, n_up, n_down in [(8, 2, 2), (12, 3, 3), (12, 1, 4), (16, 4, 4),
+                                   (18, 5, 4), (8, 0, 0), (8, 4, 4), (10, 5, 0), (10, 0, 5)]:
+        got = sector_basis(n_qubits, n_up, n_down)
+        assert got.dtype == np.uint32
+        np.testing.assert_array_equal(got, itertools_sector_basis(n_qubits, n_up, n_down))
+    assert sector_basis(8, 0, 0).tolist() == [0]
+    assert sector_basis(8, 4, 4).tolist() == [0xFF]
     with pytest.raises(ValueError):
         sector_basis(7, 1, 1)
     with pytest.raises(ValueError):

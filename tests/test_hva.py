@@ -202,6 +202,15 @@ def test_run_records_match_full_register_replay():
     assert abs(result.final_fidelity - final) <= TOL
 
 
+@pytest.mark.parametrize("steps", [1, 2, 15])
+def test_final_fidelity_is_that_of_the_returned_parameters(steps):
+    # taken from the best evaluation's record, with no extra forward pass
+    ansatz, _, gs = hva_problem(2, 3, 4.0, 3)
+    result = hva_run(ansatz.grid, config=VipsaConfig(max_inner_steps=steps), layers=3,
+                     reference=gs)
+    assert result.final_fidelity == gs.sector_fidelity(result.ansatz.sector_state(result.parameters))
+
+
 def test_run_rejects_reference_over_another_sector():
     grid = GridSpec.make(2, 2, u=4.0)
     other = ground_space(build_real(grid), grid.n_qubits, 3, 1)

@@ -17,15 +17,25 @@ from hypothesis import strategies as st
 
 from vipsa.core import build_pool, pool_gradients, sector_pool_gradients
 from vipsa.fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, hopping_pair
-from vipsa.hamiltonians import SectorHamiltonian, build_kspace, onsite_interaction, sector_basis
+from vipsa.hamiltonians import (
+    SectorHamiltonian,
+    build_kspace,
+    build_real,
+    onsite_interaction,
+    real_sector_matrix,
+    sector_basis,
+)
+from vipsa.hva import HvaAnsatz
 from vipsa.lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index
 from vipsa.statevector import (
     AnsatzCircuit,
     DiagonalPhase,
     HoppingRotation,
     PoolRotation,
+    Orbit,
     SectorPhase,
     StateVector,
+    _check_orbit,
     _ladder_orbits,
     _positions,
     apply_generator,
@@ -42,7 +52,7 @@ from vipsa.statevector import (
     sector_run,
 )
 
-from oracles import dense_ladder_term, dense_pauli_sum
+from oracles import dense_ladder_term, dense_pauli_sum, per_gate_sweep
 
 TOL = 1e-12
 
@@ -319,6 +329,54 @@ def test_sector_phase_matches_full_register(shape, seed, theta):
     np.testing.assert_allclose(x, expected.amplitudes[states], rtol=0, atol=TOL)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), seeds, angles)
+def test_phase_levels_match_the_exponential_of_every_value(dim, n_levels, seed, theta):
+    # the level table exponentiates each distinct value once, and gathers
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n_levels)[rng.integers(n_levels, size=dim)]
+    gate = SectorPhase(values)
+    np.testing.assert_array_equal(gate.levels[gate.level_of], values)
+    assert len(gate.levels) == len(np.unique(values))
+    x = random_sector_vector(values, seed, complex_=True)
+    # in place, as the kernel multiplies: numpy's in-place and out-of-place
+    # complex products can differ in the last bit on short arrays
+    expected = x.copy()
+    expected *= np.exp(theta * gate.phase * values)
+    rotate_sector(x, gate, theta)
+    np.testing.assert_array_equal(x, expected)
+
+
+def test_orbit_check_rejects_tables_that_are_not_disjoint_pairs():
+    src, dst, sign = np.array([0, 2]), np.array([1, 3]), np.array([1.0, -1.0])
+    _check_orbit(Orbit(src, dst, sign, -1j))
+    _check_orbit(Orbit(src[:0], dst[:0], sign[:0], -1j))
+    with pytest.raises(ValueError, match="repeats a position"):
+        _check_orbit(Orbit(src, np.array([1, 1]), sign, -1j))
+    with pytest.raises(ValueError, match="repeats a position"):
+        _check_orbit(Orbit(src, np.array([1, 2]), sign, -1j))
+    with pytest.raises(ValueError, match="signs"):
+        _check_orbit(Orbit(src, dst, np.array([1.0, 2.0]), -1j))
+    with pytest.raises(ValueError, match="phase"):
+        _check_orbit(Orbit(src, dst, sign, 2.0))
+
+
+def sweep_matches_per_gate(x0, gates, thetas, h):
+    """The fused sweep and the per-gate oracle agree to the bit, with and
+    without a precomputed final state."""
+    energy, grads = sector_expectation_and_gradient(x0, gates, thetas, h)
+    want_energy, want_grads = per_gate_sweep(x0, gates, thetas, h)
+    assert energy == want_energy
+    np.testing.assert_array_equal(grads, want_grads)
+    final, want_final = sector_run(x0, gates, thetas), sector_run(x0, gates, thetas)
+    energy, grads = sector_expectation_and_gradient(x0, gates, thetas, h, final=final)
+    want_energy, want_grads = per_gate_sweep(x0, gates, thetas, h, final=want_final)
+    assert energy == want_energy
+    np.testing.assert_array_equal(grads, want_grads)
+    # both sweeps leave the buffer at the state after the first gate
+    np.testing.assert_array_equal(final, want_final)
+
+
 def test_real_phases_keep_the_sweep_real():
     grid, _, sector, pool, orbits = grid_problem(2, 2, 4.0)
     x0 = random_sector_vector(sector.states, 5)
@@ -381,3 +439,37 @@ def test_sector_adjoint_matches_circuit_gradient(shape, seed, n_gates):
         x0, [orbits[i] for i in gates], thetas, sector.matrix.real)
     assert abs(energy - sector.expectation(circuit.run())) <= TOL
     np.testing.assert_allclose(grads, circuit_gradient(circuit, h), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds, n_gates=st.integers(1, 30))
+def test_fused_sweep_matches_per_gate_sweep_on_pool_circuits(shape, seed, n_gates):
+    _, _, sector, pool, orbits = grid_problem(*shape, 4.0)
+    rng = np.random.default_rng(seed)
+    x0 = random_sector_vector(sector.states, seed)
+    gates = [orbits[i] for i in rng.integers(len(pool), size=n_gates)]
+    thetas = rng.uniform(-np.pi, np.pi, size=n_gates)
+    sweep_matches_per_gate(x0, gates, thetas, sector.matrix.real)
+
+
+@lru_cache(maxsize=None)
+def hva_gates(nx, ny, layers):
+    grid = GridSpec.make(nx, ny, u=3.0)
+    ansatz = HvaAnsatz(grid, *default_filling(grid), layers)
+    return ansatz, real_sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds, layers=st.integers(1, 3), shuffle=st.booleans())
+def test_fused_sweep_matches_per_gate_sweep_on_hva_gates(shape, seed, layers, shuffle):
+    # complex hopping tables and the interaction phase, in layer order or
+    # drawn at random so phases also sit first and last
+    ansatz, h = hva_gates(*shape, layers)
+    rng = np.random.default_rng(seed)
+    gates = ansatz.sector_gates
+    if shuffle:
+        gates = [gates[i] for i in rng.integers(len(gates), size=len(gates))]
+    thetas = rng.uniform(-np.pi, np.pi, size=len(gates))
+    sweep_matches_per_gate(ansatz.x0, gates, thetas, h)
