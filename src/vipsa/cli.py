@@ -321,6 +321,11 @@ def cmd_run(args) -> int:
 
 # -------------------------------------------------------------------- ed ---
 
+# Largest ground-energy gap between the two registers that `vipsa ed` accepts
+# silently: the tolerance the acceptance criterion on register spectra holds.
+REGISTER_AGREEMENT_TOL = 1e-9
+
+
 def _parse_grid_arg(text: str) -> tuple[int, int]:
     try:
         nx, _, ny = text.partition("x")
@@ -383,6 +388,13 @@ def cmd_ed(args) -> int:
         cells = [str(row[0]), f"{row[1]:g}", str(row[2]), str(row[3]), row[4],
                  f"{row[5]:.8f}", str(row[6])]
         print("".join(cell.rjust(w) for cell, w in zip(cells, widths)))
+    if len(registers) == 2:
+        for k_row, real_row in zip(rows[::2], rows[1::2]):
+            gap = abs(k_row[5] - real_row[5])
+            if gap > REGISTER_AGREEMENT_TOL or k_row[6] != real_row[6]:
+                print(f"warning: registers disagree on {nx}x{ny} at U={k_row[1]:g}: energies "
+                      f"{gap:.1e} apart, degeneracy {k_row[6]} (k) against {real_row[6]} (real)",
+                      file=sys.stderr)
     if args.csv:
         _write_csv(Path(args.csv), header,
                    [[r[0], _format(r[1]), r[2], r[3], r[4], _format(r[5]), r[6]]

@@ -22,13 +22,18 @@ from .lattice import DOWN, UP, GridSpec, axis_energies, axis_wavefunctions, enum
 from .statevector import StateVector, _compiled_terms, _parity, sector_basis
 
 # Connected blocks of a sector matrix up to this dimension are solved dense,
-# larger ones by restarted Lanczos.  On one core of a Xeon, with k = 12, the
-# two cross between 250 and 300 states (dense 6 ms against Lanczos 8 ms at
-# 248, 18 ms against 10 ms at 300, 19 ms against 10 ms at 400, 50 ms against
-# 15 ms at 628).  The cutoff sits a little above, so that the 2x3 site
-# register (400 states, one block) keeps its full spectrum from one solve.
+# larger ones by restarted Lanczos.  On one core of a Xeon, with k = 12 in a
+# 48-vector Krylov basis, the two cross between 250 and 300 states (dense 6 ms
+# against Lanczos 8 ms at 248, 18 ms against 10 ms at 300, 19 ms against 10 ms
+# at 400, 50 ms against 15 ms at 628).  The cutoff sits a little above, so that
+# the 2x3 site register (400 states, one block) keeps its full spectrum from
+# one solve.
 DENSE_SECTOR_CUTOFF = 400
 GROUND_DEGENERACY_TOL = 1e-8
+# First Lanczos window of ground_space, in eigenpairs per block.  It covers
+# the ground multiplets met here (4 states on 3x3 at half filling, 1 on 2x4),
+# and a larger multiplet doubles it (see _lowest_eigenpairs).
+GROUND_WINDOW = 6
 AMPLITUDE_DROP_TOL = 1e-12
 
 
@@ -263,11 +268,17 @@ def real_sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.
 
 def _lowest_eigenpairs(matrix, k: int, widen_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Lowest min(dim - 2, k) eigenpairs from Lanczos, with k doubled while
-    all of them lie within widen_tol of the lowest.  Values ascend."""
+    all of them lie within widen_tol of the lowest.  Values ascend.
+
+    Each solve converges its window to machine precision (tol=0) from the
+    same fixed start vector, in a Krylov basis of min(dim, max(2k + 8, 20))
+    vectors: a restarted Lanczos solve costs about the window times the
+    basis it reorthogonalises against, so both follow k.
+    """
     dim = matrix.shape[0]
     k = min(dim - 2, k)
     while True:
-        ncv = min(dim, max(2 * k + 16, 48))
+        ncv = min(dim, max(2 * k + 8, 20))
         # a fixed generic start vector makes the returned basis of a degenerate
         # multiplet, and so every stored artifact, the same from run to run
         v0 = np.random.default_rng(0).standard_normal(dim)
@@ -460,10 +471,14 @@ class GroundSpace:
 def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
-    The returned space keeps the sector matrix it was solved from, and each
-    of its vectors lives on one connected block of that matrix.
+    Each Lanczos block is asked for its lowest GROUND_WINDOW eigenpairs
+    first, and the window doubles while it is all one multiplet (see
+    _lowest_eigenpairs), so a multiplet larger than the window is still
+    found whole.  The returned space keeps the sector matrix it was solved
+    from, and each of its vectors lives on one connected block of that matrix.
     """
-    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, 12, widen_tol=GROUND_DEGENERACY_TOL)
+    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, GROUND_WINDOW,
+                                widen_tol=GROUND_DEGENERACY_TOL)
     values, owners = spectrum.values, spectrum.owners
     count = int((values <= values[0] + GROUND_DEGENERACY_TOL).sum())
     # orthonormalize block by block, so no vector leaks into another block

@@ -487,6 +487,32 @@ def test_ed_at_large_coupling_agrees_across_registers(tmp_path, capsys):
     assert energies["k"] == pytest.approx(energies["real"], abs=1e-9)
 
 
+@pytest.mark.parametrize("u, warned", [("1e9", True), ("4", False)])
+def test_ed_warns_when_the_registers_disagree(tmp_path, capsys, u, warned):
+    # at U = 1e9 rounding in proportion to U parts the two registers' energies
+    target = tmp_path / "ed.csv"
+    assert main(["ed", "--grid", "2x3", "--u", u, "--register", "both",
+                 "--csv", str(target)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3 and len(read_csv(target)) == 2
+    if warned:
+        assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+        assert "2x3" in captured.err and "U=1e+09" in captured.err
+        assert "apart" in captured.err
+    else:
+        assert captured.err == ""
+
+
+def test_ed_warns_when_the_degeneracies_disagree(capsys, monkeypatch):
+    import vipsa.cli
+
+    monkeypatch.setattr(vipsa.cli, "_ground_energy",
+                        lambda grid, register, n_up, n_down: (-1.0, 1 if register == "k" else 2))
+    assert main(["ed", "--grid", "2x2", "--u", "4", "--register", "both"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and "1 (k) against 2 (real)" in err
+
+
 def test_ed_free_3x3_is_the_fourfold_sea(capsys):
     # at U = 0 every sector state is a block of its own
     assert main(["ed", "--grid", "3x3", "--u", "0", "--register", "both"]) == 0

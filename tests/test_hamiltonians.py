@@ -269,22 +269,74 @@ def test_block_spectra_match_a_whole_sector_lanczos_solve():
     np.testing.assert_allclose(eig.values, np.sort(whole), rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("register,calls", [("k", 8), ("real", 1)])
-def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
-    # the solver looks eigsh up at call time, so a patched (or traced) eigsh
-    # sees every block's solve
-    grid = GridSpec.make(2, 4, u=4.0)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+def recorded_eigsh(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch eigsh to record (dimension, k, ncv) of every call; the solver
+    looks eigsh up at call time, so a patched (or traced) eigsh sees every
+    block's solve."""
     seen = []
     eigsh = scipy.sparse.linalg.eigsh
 
-    def counted(matrix, *args, **kwargs):
-        seen.append(matrix.shape[0])
+    def recorded(matrix, *args, **kwargs):
+        seen.append((matrix.shape[0], kwargs["k"], kwargs["ncv"]))
         return eigsh(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("register,calls", [("k", 8), ("real", 1)])
+def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
+    grid = GridSpec.make(2, 4, u=4.0)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    seen = recorded_eigsh(monkeypatch)
     gs = ground_space(h, grid.n_qubits, 4, 4)
-    assert len(seen) == calls and sum(seen) == len(gs.states)
+    assert len(seen) == calls and sum(dim for dim, _, _ in seen) == len(gs.states)
+    # a window of 6 in a Krylov basis of max(2k + 8, 20) = 20 vectors
+    assert {(k, ncv) for _, k, ncv in seen} == {(6, 20)}
+
+
+def test_ground_window_doubles_over_a_larger_multiplet(monkeypatch):
+    # 2x4 at U = 0 in the (2,2) sector: 784 site-register states in one
+    # block, a 9-fold ground level, more than the first window holds
+    grid = GridSpec.make(2, 4, u=0.0)
+    h = build_real(grid)
+    seen = recorded_eigsh(monkeypatch)
+    gs = ground_space(h, grid.n_qubits, 2, 2)
+    # the first window, then its double, each in a basis of max(2k + 8, 20)
+    assert seen == [(784, 6, 20), (784, 12, 32)]
+    assert gs.degeneracy == 9
+    lowest = np.linalg.eigvalsh(dense_sector_block(h, gs.states, grid.n_qubits))[0]
+    assert gs.energy == pytest.approx(lowest, abs=1e-10)
+
+
+@pytest.mark.parametrize("register", ["k", "real"])
+def test_ground_space_matches_a_twelve_pair_solve(register):
+    # every block solved with a twice wider window, 12 pairs in a 48-vector
+    # basis, from the same start vector
+    grid = GridSpec.make(2, 4, u=4.0)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    gs = ground_space(h, grid.n_qubits, 4, 4)
+    labels = scipy.sparse.csgraph.connected_components(gs.matrix, directed=False)[1]
+    values, columns = [], []
+    for block in np.unique(labels):
+        rows = np.flatnonzero(labels == block)
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            gs.matrix[rows][:, rows], k=12, which="SA", ncv=48, tol=0,
+            v0=np.random.default_rng(0).standard_normal(len(rows)))
+        for value, vec in zip(vals, vecs.T):
+            column = np.zeros(len(gs.states), dtype=vecs.dtype)
+            column[rows] = vec
+            values.append(value)
+            columns.append(column)
+    values = np.array(values)
+    ground = values <= values.min() + hamiltonians.GROUND_DEGENERACY_TOL
+    wide = np.linalg.qr(np.array(columns)[ground].T)[0]
+    assert gs.degeneracy == wide.shape[1]
+    assert gs.energy == pytest.approx(values.min(), abs=1e-12)
+    # sine of the largest angle between the two spaces, i.e. the spectral
+    # norm of the projector difference
+    outside = wide - gs.vectors @ (gs.vectors.conj().T @ wide)
+    assert np.linalg.norm(outside, 2) <= 1e-10
 
 
 def test_sector_block_oracle_matches_dense_slice():
