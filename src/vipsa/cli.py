@@ -13,8 +13,6 @@ import hashlib
 import json
 import os
 import sys
-import zipfile
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,10 +174,10 @@ def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
             f"{grid.t!r} {grid.u!r} {n_up} {n_down}")
 
 
-# what np.load raises on a truncated or otherwise damaged .npz, and a load
-# method on one saved under another key, without a field it needs, or with
-# fields that do not fit together
-UNREADABLE_CACHE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
+# what a load method raises on a file it cannot read, one of another format,
+# one saved under another key, without a field it needs, with a scalar field
+# of another shape, or with fields that do not fit together
+UNREADABLE_CACHE = (OSError, EOFError, ValueError, KeyError, TypeError)
 
 
 def _cached(cache_dir: Path, stem: str, key: str, kind, build):
@@ -190,7 +188,7 @@ def _cached(cache_dir: Path, stem: str, key: str, kind, build):
     place, so a crash mid-write leaves no partial file there.
     """
     digest = hashlib.sha256(key.encode()).hexdigest()
-    path = cache_dir / f"{stem}-{digest[:12]}.npz"
+    path = cache_dir / f"{stem}-{digest[:12]}.npys"
     if path.exists():
         try:
             return kind.load(path, key)

@@ -17,7 +17,8 @@ from .fermions import LadderTerm, PauliSum, jordan_wigner
 from .hamiltonians import (
     GroundSpace,
     InteractionQuadruple,
-    _check_saved_key,
+    _load_fields,
+    _save_fields,
     build_kspace,
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
@@ -158,18 +159,17 @@ class PoolTables:
     def save(self, path, key: str | None = None) -> None:
         """Write the fields, and key if given, to path (a name or binary
         file), uncompressed as GroundSpace.save does."""
-        extra = {} if key is None else {"key": np.array(key)}
-        np.savez(path, labels=np.array(self.labels, dtype=str), states=self.states,
-                 src=self.src, dst=self.dst, sign=self.sign, offsets=self.offsets, **extra)
+        _save_fields(path, {"labels": np.array(self.labels, dtype=str), "states": self.states,
+                            "src": self.src, "dst": self.dst, "sign": self.sign,
+                            "offsets": self.offsets}, key)
 
     @classmethod
     def load(cls, path, key: str | None = None) -> "PoolTables":
         """Read saved tables; raise ValueError if a key is given and the file
         was saved under another one, or if the tables do not fit together."""
-        with np.load(path) as data:
-            _check_saved_key(data, path, key)
-            return cls(tuple(data["labels"].tolist()), data["states"], data["src"],
-                       data["dst"], data["sign"], data["offsets"])
+        data = _load_fields(path, key)
+        return cls(tuple(data["labels"].tolist()), data["states"], data["src"],
+                   data["dst"], data["sign"], data["offsets"])
 
 
 def _apply_operator(h, psi: StateVector) -> StateVector:

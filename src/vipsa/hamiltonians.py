@@ -11,6 +11,8 @@ Everything downstream (ground spaces, fidelities) works in a fixed
 """
 
 import itertools
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -397,11 +399,57 @@ def sector_diagonalize(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
                        spectrum.states)
 
 
-def _check_saved_key(data, path, key: str | None) -> None:
-    """Raise ValueError unless key is None or the loaded .npz `data` from
-    path was saved under it."""
-    if key is not None and ("key" not in data or str(data["key"]) != key):
+# Cache files are a sequence of .npy records: a 1-D string array of field
+# names, then one record per field in that order.  From a real file object,
+# read_array copies each record straight into its array (np.fromfile): one
+# copy and no checksum pass, which is what makes a warm run's load cheap.
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _save_fields(path, fields: dict, key: str | None) -> None:
+    """Write the named arrays, and key if given, to path (a name or binary
+    file) as uncompressed .npy records; _load_fields reads them back."""
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "wb") as handle:
+            return _save_fields(handle, fields, key)
+    if key is not None:
+        fields = {**fields, "key": key}
+    for value in (np.array(list(fields), dtype=str), *fields.values()):
+        np.lib.format.write_array(path, np.asanyarray(value), allow_pickle=False)
+
+
+def _read_record(handle, end: int) -> np.ndarray:
+    """The next .npy record of an open file that ends at byte `end`.  Before
+    anything is allocated, its header must claim no more data than the file
+    has left; read_array refuses Python objects (allow_pickle=False)."""
+    start = handle.tell()
+    version = np.lib.format.read_magic(handle)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"unsupported .npy record version {version}")
+    shape, _, dtype = _NPY_HEADERS[version](handle)
+    if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize > end - handle.tell():
+        raise ValueError(f"a record of shape {shape} and dtype {dtype} does not fit in "
+                         f"the {end - handle.tell()} bytes left in the file")
+    handle.seek(start)
+    return np.lib.format.read_array(handle, allow_pickle=False)
+
+
+def _load_fields(path, key: str | None) -> dict[str, np.ndarray]:
+    """The named arrays _save_fields wrote to path.  Raise ValueError unless
+    the file is exactly such a sequence of records and, with a key, was saved
+    under that key."""
+    with open(path, "rb") as handle:
+        end = os.fstat(handle.fileno()).st_size
+        names = _read_record(handle, end)
+        if names.ndim != 1 or names.dtype.kind != "U" or len(set(names.tolist())) != len(names):
+            raise ValueError(f"{path} does not start with a list of distinct field names")
+        fields = {name: _read_record(handle, end) for name in names.tolist()}
+        if handle.tell() != end:
+            raise ValueError(f"{path} has {end - handle.tell()} bytes after its last record")
+    if key is not None and ("key" not in fields or str(fields["key"]) != key):
         raise ValueError(f"{path} was not saved under the key {key!r}")
+    return fields
 
 
 @dataclass(frozen=True)
@@ -443,25 +491,25 @@ class GroundSpace:
         The file is not compressed: the sector matrix dominates it, and
         compressing it costs far more time than reading the raw arrays back.
         """
-        extra = {} if key is None else {"key": np.array(key)}
-        np.savez(path, n_qubits=self.n_qubits, n_up=self.n_up,
-                 n_down=self.n_down, energy=self.energy,
-                 vectors=self.vectors, states=self.states,
-                 matrix_shape=np.array(self.matrix.shape), matrix_data=self.matrix.data,
-                 matrix_indices=self.matrix.indices, matrix_indptr=self.matrix.indptr, **extra)
+        _save_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
+                            "n_down": self.n_down, "energy": self.energy,
+                            "vectors": self.vectors, "states": self.states,
+                            "matrix_shape": np.array(self.matrix.shape),
+                            "matrix_data": self.matrix.data,
+                            "matrix_indices": self.matrix.indices,
+                            "matrix_indptr": self.matrix.indptr}, key)
 
     @classmethod
     def load(cls, path, key: str | None = None) -> "GroundSpace":
         """Read a saved ground space; with a key, raise ValueError unless the
-        file was saved under the same key.  A file without a sector matrix
-        (the format before it was stored) raises KeyError."""
-        with np.load(path) as data:
-            _check_saved_key(data, path, key)
-            matrix = scipy.sparse.csr_matrix(
-                (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
-                shape=tuple(int(n) for n in data["matrix_shape"]))
-            return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
-                       float(data["energy"]), data["vectors"], data["states"], matrix)
+        file was saved under the same key.  A file without a field it needs
+        (one saved before the sector matrix was stored, say) raises KeyError."""
+        data = _load_fields(path, key)
+        matrix = scipy.sparse.csr_matrix(
+            (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
+            shape=tuple(int(n) for n in data["matrix_shape"]))
+        return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
+                   float(data["energy"]), data["vectors"], data["states"], matrix)
 
     def sector_fidelity(self, x: np.ndarray) -> float:
         """Total squared overlap with a state given over `states`."""

@@ -10,7 +10,7 @@ parameter point an exact stationary state of the optimization.
 
 The run works on one complex vector over the (n_up, n_down) sector, with the
 hopping gates as orbit tables and the interaction as its values on the
-sector bitstrings.
+sector bitstrings, U times the count of doubly occupied sites.
 """
 
 from dataclasses import dataclass
@@ -24,13 +24,11 @@ from .hamiltonians import (
     build_real,
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
-    onsite_interaction,
     sector_basis,
 )
 from .lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index, real_orbital_basis
 from .statevector import (
     SectorPhase,
-    diagonal_values,
     expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     sector_expectation_and_gradient,
     sector_hopping_orbit,
@@ -112,7 +110,9 @@ class HvaAnsatz:
         _, w, order = real_orbital_basis(grid)
         self.states = sector_basis(grid.n_qubits, n_up, n_down)
         self.x0 = slater_amplitudes(w, order[:n_up], order[:n_down], self.states)
-        phase = SectorPhase(diagonal_values(onsite_interaction(grid), grid.n_qubits, self.states))
+        # U per doubly occupied site: up qubit 2i and down qubit 2i + 1 both set
+        doubles = np.bitwise_count(self.states & (self.states >> 1) & np.uint32(0x55555555))
+        phase = SectorPhase(grid.u * doubles)
         orbits = {}  # one table per hopping pair, shared by every layer
 
         self.sector_gates = []

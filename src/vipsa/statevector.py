@@ -210,10 +210,14 @@ def slater_amplitudes(w: np.ndarray, occ_up, occ_down, states: np.ndarray) -> np
     """Slater determinant of the given orbitals over sorted sector bitstrings.
 
     w columns are single-particle orbitals over sites; spin-orbital
-    (site, spin) sits on qubit 2*site + spin.  The amplitude on every
-    bitstring is the determinant of the corresponding rows/columns of the
-    spin-expanded transform, evaluated in one batched det call; each
-    bitstring holds len(occ_up) + len(occ_down) particles.
+    (site, spin) sits on qubit 2*site + spin.  The amplitude on a bitstring
+    is the determinant of its rows and the occupied columns of the
+    spin-expanded transform, which is block diagonal in spin.  So it is the
+    up block's determinant times the down block's, times the sign of
+    reordering the interleaved rows, and the columns, up before down.  Each
+    block's determinants are taken once per distinct occupation of that
+    spin, in one batched det call; every bitstring must hold len(occ_up)
+    up and len(occ_down) down particles.
     """
     w = np.asarray(w)
     n_sites = w.shape[0]
@@ -221,21 +225,31 @@ def slater_amplitudes(w: np.ndarray, occ_up, occ_down, states: np.ndarray) -> np
         raise ValueError("transform matrix must be square")
     if np.linalg.norm(w.conj().T @ w - np.eye(n_sites)) > 1e-10:
         raise ValueError("transform matrix is not unitary")
-    occ_up, occ_down = list(occ_up), list(occ_down)
+    occ_up, occ_down = sorted(occ_up), sorted(occ_down)
     if len(set(occ_up)) != len(occ_up) or len(set(occ_down)) != len(occ_down):
         raise ValueError("occupied orbital lists must not repeat")
 
-    n_qubits = 2 * n_sites
-    # spin-expanded transform: up orbitals on even qubits, down on odd
-    w_big = np.zeros((n_qubits, n_qubits), dtype=w.dtype)
-    w_big[0::2, 0::2] = w
-    w_big[1::2, 1::2] = w
-    cols = sorted([2 * m for m in occ_up] + [2 * m + 1 for m in occ_down])
-    occupied = (states[:, None] >> np.arange(n_qubits, dtype=np.uint32)) & 1
-    if np.any(occupied.sum(axis=1) != len(cols)):
-        raise ValueError("basis states do not hold the occupied orbitals' particle count")
-    rows = np.nonzero(occupied)[1].reshape(len(states), len(cols))  # (n_states, k)
-    return np.linalg.det(w_big[rows][:, :, cols])
+    even = np.uint32(sum(1 << (2 * site) for site in range(n_sites)))
+    ups, downs = states & even, (states >> 1) & even
+    if (np.any(ups | (downs << 1) != states) or np.any(np.bitwise_count(ups) != len(occ_up))
+            or np.any(np.bitwise_count(downs) != len(occ_down))):
+        raise ValueError("basis states do not hold the occupied orbitals' particle counts")
+
+    def block(occupations, occupied):
+        # det of w on each distinct set of occupied sites, spread to the states
+        distinct, which = np.unique(occupations, return_inverse=True)
+        sites = (distinct[:, None] >> np.arange(0, 2 * n_sites, 2, dtype=np.uint32)) & 1
+        rows = np.nonzero(sites)[1].reshape(len(distinct), len(occupied))
+        return np.linalg.det(w[rows][:, :, occupied])[which]
+
+    # moving the up rows ahead of the down rows passes each up particle over
+    # every down particle on a lower site, and the columns likewise
+    passes = sum(1 for m in occ_up for n in occ_down if n < m)
+    for site in range(1, n_sites):
+        lower = np.bitwise_count(downs & np.uint32((1 << (2 * site)) - 1))
+        passes = passes + ((ups >> np.uint32(2 * site)) & 1) * lower
+    sign = np.where(np.asarray(passes) & 1, -1.0, 1.0)
+    return sign * block(ups, occ_up) * block(downs, occ_down)
 
 
 def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:

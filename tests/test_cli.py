@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.format import dtype_to_descr, write_array, write_array_header_1_0
 
 from vipsa.cli import main
+from vipsa.hamiltonians import _load_fields, _save_fields
 from vipsa.lattice import GridSpec, fermi_sea
 
 
@@ -137,9 +140,9 @@ def cache_files(tmp_path) -> list[str]:
 
 def test_ground_space_cache_is_reused(tmp_path, capsys):
     _, _ = run_config(tmp_path, "one", u=4.0, max_epochs=1)
-    cache = list((tmp_path / "cache").glob("ground-*.npz"))
+    cache = list((tmp_path / "cache").glob("ground-*.npys"))
     assert len(cache) == 1
-    tables, = (tmp_path / "cache").glob("pool-*.npz")
+    tables, = (tmp_path / "cache").glob("pool-*.npys")
     assert cache_files(tmp_path) == [cache[0].name, tables.name]
     stamp = cache[0].stat().st_mtime_ns
     tables_stamp = tables.stat().st_mtime_ns
@@ -150,16 +153,65 @@ def test_ground_space_cache_is_reused(tmp_path, capsys):
 
 
 def resave(path: Path, **changes) -> None:
-    """Write the arrays of an .npz back with some of them replaced."""
-    with np.load(path) as data:
-        fields = dict(data)
+    """Write the fields of a cache file back with some of them replaced."""
+    fields = _load_fields(path, None)
     fields.update(changes)
+    _save_fields(path, fields, None)
+
+
+def write_records(path: Path, fields: dict, names=None, raw: dict | None = None) -> None:
+    """Write a cache file record by record: `names` in place of the field
+    names, and the bytes of `raw[name]` in place of that field's record."""
+    raw = raw or {}
     with open(path, "wb") as handle:
-        np.savez(handle, **fields)
+        write_array(handle, np.array(list(fields), dtype=str) if names is None else names)
+        for name, value in fields.items():
+            if name in raw:
+                handle.write(raw[name])
+            else:
+                write_array(handle, np.asanyarray(value))
 
 
 def truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def truncate_mid_record(path: Path) -> None:
+    # the last record is the key, a string of more than 4 bytes
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def append_bytes(path: Path) -> None:
+    path.write_bytes(path.read_bytes() + b"\0" * 16)
+
+
+def plant_oversized_header(path: Path) -> None:
+    # the states record claims 2^40 entries and holds its real ones; reading
+    # it as the header says would mean allocating terabytes
+    fields = _load_fields(path, None)
+    header = BytesIO()
+    write_array_header_1_0(header, {"descr": dtype_to_descr(fields["states"].dtype),
+                                    "fortran_order": False, "shape": (1 << 40,)})
+    write_records(path, fields, raw={"states": header.getvalue() + fields["states"].tobytes()})
+
+
+def plant_object_record(path: Path) -> None:
+    fields = _load_fields(path, None)
+    pickled = BytesIO()
+    write_array(pickled, np.array([1, "two"], dtype=object), allow_pickle=True)
+    write_records(path, fields, raw={"n_up" if "n_up" in fields else "labels": pickled.getvalue()})
+
+
+def plant_names_matrix(path: Path) -> None:
+    fields = _load_fields(path, None)
+    write_records(path, fields, names=np.array([list(fields)], dtype=str))
+
+
+def plant_zip_archive(path: Path) -> None:
+    # the format before .npy records: a zip archive of the same arrays
+    fields = _load_fields(path, None)
+    with open(path, "wb") as handle:
+        np.savez(handle, **fields)
 
 
 def plant_other_problem(path: Path) -> None:
@@ -169,12 +221,16 @@ def plant_other_problem(path: Path) -> None:
     kind.load(path).save(path, key="some other problem")
 
 
+# damage either kind of cache file can take
+FILE_DAMAGE = [truncate, truncate_mid_record, append_bytes, plant_oversized_header,
+               plant_object_record, plant_names_matrix, plant_zip_archive, plant_other_problem]
+
+
 def plant_old_format(path: Path) -> None:
     # the format before the sector matrix was stored
-    with np.load(path) as data:
-        fields = {name: data[name] for name in data.files if not name.startswith("matrix_")}
-    with open(path, "wb") as handle:
-        np.savez(handle, **fields)
+    fields = _load_fields(path, None)
+    _save_fields(path, {name: value for name, value in fields.items()
+                        if not name.startswith("matrix_")}, None)
 
 
 def plant_misfit_matrix(path: Path) -> None:
@@ -185,24 +241,34 @@ def plant_misfit_matrix(path: Path) -> None:
 
 
 def plant_misfit_vectors(path: Path) -> None:
-    with np.load(path) as data:
-        vectors = data["vectors"]
-    resave(path, vectors=vectors[:-1])
+    resave(path, vectors=_load_fields(path, None)["vectors"][:-1])
 
 
-@pytest.mark.parametrize("damage", [truncate, plant_other_problem, plant_old_format,
-                                    plant_misfit_matrix, plant_misfit_vectors])
+def plant_scalar_vector(path: Path) -> None:
+    # the same bytes as the scalar, with a header that makes it a vector
+    resave(path, n_qubits=_load_fields(path, None)["n_qubits"].reshape(1))
+
+
+def assert_same_artifacts(first: Path, again: Path) -> None:
+    for name in ("trace.csv", "steps.csv", "manifest.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+@pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_old_format, plant_misfit_matrix,
+                                                  plant_misfit_vectors, plant_scalar_vector])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
     code, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
-    cache, = (tmp_path / "cache").glob("ground-*.npz")
-    tables, = (tmp_path / "cache").glob("pool-*.npz")
+    cache, = (tmp_path / "cache").glob("ground-*.npys")
+    tables, = (tmp_path / "cache").glob("pool-*.npys")
+    saved = cache.read_bytes()
     damage(cache)
-    code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
-    assert code in (0, 2)
-    assert (again / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
+    again_code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
+    assert again_code == code == 2  # exhausted, as the undamaged run; an error is 1
+    assert_same_artifacts(first, again)
     assert cache_files(tmp_path) == [cache.name, tables.name]
+    assert cache.read_bytes() == saved  # rebuilt
     assert GroundSpace.load(cache, key=None).matrix is not None
     stamp = cache.stat().st_mtime_ns
     run_config(tmp_path, "third", u=4.0, max_epochs=1)
@@ -210,32 +276,33 @@ def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
 
 
 def plant_stray_position(path: Path) -> None:
-    with np.load(path) as data:
-        dst, dim = data["dst"].copy(), len(data["states"])
-    dst[0] = dim
+    fields = _load_fields(path, None)
+    dst = fields["dst"].copy()
+    dst[0] = len(fields["states"])
     resave(path, dst=dst)
 
 
 def plant_misaligned_offsets(path: Path) -> None:
-    with np.load(path) as data:
-        offsets = data["offsets"]
+    offsets = _load_fields(path, None)["offsets"]
     # one table fewer than labels, still ending at the length of the arrays
     resave(path, offsets=np.delete(offsets, 1))
 
 
-@pytest.mark.parametrize("damage", [truncate, plant_other_problem, plant_stray_position,
-                                    plant_misaligned_offsets])
+@pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_stray_position,
+                                                  plant_misaligned_offsets])
 def test_damaged_pool_tables_are_rebuilt(tmp_path, capsys, damage):
     from vipsa.core import PoolTables
 
-    _, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
+    code, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
     files = cache_files(tmp_path)
-    tables, = (tmp_path / "cache").glob("pool-*.npz")
+    tables, = (tmp_path / "cache").glob("pool-*.npys")
+    saved = tables.read_bytes()
     damage(tables)
-    code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
-    assert code in (0, 2)
-    assert (again / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
+    again_code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
+    assert again_code == code == 2  # exhausted, as the undamaged run; an error is 1
+    assert_same_artifacts(first, again)
     assert cache_files(tmp_path) == files  # no partial .tmp file left behind
+    assert tables.read_bytes() == saved  # rebuilt
     PoolTables.load(tables)
     stamp = tables.stat().st_mtime_ns
     run_config(tmp_path, "third", u=4.0, max_epochs=1)

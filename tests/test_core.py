@@ -135,8 +135,8 @@ def test_pool_tables_load_bit_identical(tmp_path, shape):
     states = sector_basis(grid.n_qubits, *default_filling(grid))
     pool = build_pool(grid)
     built = PoolTables.build(grid, states)
-    built.save(tmp_path / "pool.npz", key="pool tables")
-    loaded = PoolTables.load(tmp_path / "pool.npz", key="pool tables")
+    built.save(tmp_path / "pool.npys", key="pool tables")
+    loaded = PoolTables.load(tmp_path / "pool.npys", key="pool tables")
     assert built.labels == loaded.labels == tuple(p.label for p in pool)
     np.testing.assert_array_equal(loaded.states, states)
     reference = [sector_orbit(p.term, states) for p in pool]
@@ -179,11 +179,11 @@ def test_pool_tables_must_fit_together(tmp_path, damage):
 
 def test_pool_tables_load_checks_the_key(tmp_path):
     grid = u4(2, 2)
-    PoolTables.build(grid, sector_basis(grid.n_qubits, 2, 2)).save(tmp_path / "pool.npz",
+    PoolTables.build(grid, sector_basis(grid.n_qubits, 2, 2)).save(tmp_path / "pool.npys",
                                                                    key="2x2")
-    PoolTables.load(tmp_path / "pool.npz")  # no key asked for, none checked
+    PoolTables.load(tmp_path / "pool.npys")  # no key asked for, none checked
     with pytest.raises(ValueError, match="key"):
-        PoolTables.load(tmp_path / "pool.npz", key="2x3")
+        PoolTables.load(tmp_path / "pool.npys", key="2x3")
 
 
 def test_run_rejects_pool_tables_of_another_sector():

@@ -1,14 +1,17 @@
 """Hamiltonian builders, sector diagonalization, and the perturbation oracle."""
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
+from numpy.lib.format import write_array, write_array_header_1_0
 
 from vipsa import hamiltonians
-from vipsa.core import rs_perturbation
+from vipsa.core import PoolTables, rs_perturbation
 from vipsa.fermions import PauliSum
 from vipsa.hamiltonians import (
     GroundSpace,
@@ -399,7 +402,7 @@ def test_ground_space_free_sea_and_fidelity():
 def test_ground_space_roundtrip(tmp_path):
     grid = GridSpec.make(2, 2, u=4.0)
     gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
-    path = tmp_path / "gs.npz"
+    path = tmp_path / "gs.npys"
     gs.save(path)
     loaded = GroundSpace.load(path)
     assert loaded.energy == gs.energy
@@ -415,8 +418,8 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
     gs = ground_space(h, grid.n_qubits, 3, 3)
     fresh = as_real_if_possible(sector_matrix(h, gs.states, grid.n_qubits))
-    gs.save(tmp_path / "gs.npz")
-    for matrix in (gs.matrix, GroundSpace.load(tmp_path / "gs.npz").matrix):
+    gs.save(tmp_path / "gs.npys")
+    for matrix in (gs.matrix, GroundSpace.load(tmp_path / "gs.npys").matrix):
         for part in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(matrix, part), getattr(fresh, part))
             assert getattr(matrix, part).dtype == getattr(fresh, part).dtype
@@ -426,11 +429,13 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
 def test_ground_space_without_matrix_fails_to_load(tmp_path):
     grid = GridSpec.make(2, 2, u=4.0)
     gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
-    # the file format before the sector matrix was stored
-    np.savez(tmp_path / "bare.npz", n_qubits=gs.n_qubits, n_up=gs.n_up, n_down=gs.n_down,
-             energy=gs.energy, vectors=gs.vectors, states=gs.states)
+    # the fields saved before the sector matrix was stored
+    hamiltonians._save_fields(tmp_path / "bare.npys",
+                              {"n_qubits": gs.n_qubits, "n_up": gs.n_up, "n_down": gs.n_down,
+                               "energy": gs.energy, "vectors": gs.vectors,
+                               "states": gs.states}, None)
     with pytest.raises(KeyError):
-        GroundSpace.load(tmp_path / "bare.npz")
+        GroundSpace.load(tmp_path / "bare.npys")
     with pytest.raises(ValueError, match="does not fit"):
         GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
                     gs.states[:-1], gs.matrix)
@@ -439,14 +444,77 @@ def test_ground_space_without_matrix_fails_to_load(tmp_path):
 def test_ground_space_load_checks_the_key(tmp_path):
     grid = GridSpec.make(2, 2, u=4.0)
     gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
-    gs.save(tmp_path / "keyed.npz", key="real 2x2 u=4")
-    gs.save(tmp_path / "plain.npz")
-    loaded = GroundSpace.load(tmp_path / "keyed.npz", key="real 2x2 u=4")
+    gs.save(tmp_path / "keyed.npys", key="real 2x2 u=4")
+    gs.save(tmp_path / "plain.npys")
+    loaded = GroundSpace.load(tmp_path / "keyed.npys", key="real 2x2 u=4")
     np.testing.assert_array_equal(loaded.vectors, gs.vectors)
-    GroundSpace.load(tmp_path / "keyed.npz")  # no key asked for, none checked
-    for name in ("keyed.npz", "plain.npz"):
+    GroundSpace.load(tmp_path / "keyed.npys")  # no key asked for, none checked
+    for name in ("keyed.npys", "plain.npys"):
         with pytest.raises(ValueError):
             GroundSpace.load(tmp_path / name, key="real 2x2 u=5")
+
+
+def cache_fields(saved) -> dict:
+    """Every field of a GroundSpace or PoolTables, the sector matrix as its
+    shape and arrays."""
+    fields = {f.name: getattr(saved, f.name) for f in dataclasses.fields(saved)}
+    if "matrix" in fields:
+        matrix = fields.pop("matrix")
+        fields.update(matrix_shape=matrix.shape, matrix_data=matrix.data,
+                      matrix_indices=matrix.indices, matrix_indptr=matrix.indptr)
+    return fields
+
+
+@pytest.mark.parametrize("kind", ["ground-k", "ground-real", "pool"])
+def test_cache_files_round_trip_bit_exactly(tmp_path, kind):
+    grid = GridSpec.make(2, 3, u=4.7)
+    if kind == "pool":
+        saved = PoolTables.build(grid, sector_basis(grid.n_qubits, 3, 2))
+    else:
+        h = build_kspace(grid)[0] if kind == "ground-k" else build_real(grid)
+        saved = ground_space(h, grid.n_qubits, 3, 2)
+    saved.save(tmp_path / "first.npys", key=kind)
+    loaded = type(saved).load(tmp_path / "first.npys", key=kind)
+    want, got = cache_fields(saved), cache_fields(loaded)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert type(got[name]) is type(value), name
+        if isinstance(value, np.ndarray):
+            assert (got[name].dtype, got[name].shape) == (value.dtype, value.shape), name
+            assert got[name].tobytes() == value.tobytes(), name
+        else:
+            assert got[name] == value, name
+    loaded.save(tmp_path / "again.npys", key=kind)
+    assert (tmp_path / "again.npys").read_bytes() == (tmp_path / "first.npys").read_bytes()
+
+
+def test_cache_records_are_sized_before_anything_is_allocated(tmp_path):
+    path = tmp_path / "huge.npys"
+    with open(path, "wb") as handle:
+        write_array(handle, np.array(["huge"]))
+        write_array_header_1_0(handle, {"descr": "<f8", "fortran_order": False,
+                                        "shape": (1 << 24,)})
+        handle.write(bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="does not fit"):
+            hamiltonians._load_fields(path, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # far below the 128 MiB the header claims
+
+
+@pytest.mark.parametrize("names", [np.array([1, 2]), np.array([["a", "b"]]),
+                                   np.array(["a", "a"]), np.array("a")],
+                         ids=["integers", "matrix", "repeated", "scalar"])
+def test_cache_field_names_must_be_distinct_strings(tmp_path, names):
+    path = tmp_path / "names.npys"
+    with open(path, "wb") as handle:
+        for record in (names, np.zeros(1), np.zeros(1)):
+            write_array(handle, record)
+    with pytest.raises(ValueError, match="distinct field names"):
+        hamiltonians._load_fields(path, None)
 
 
 def test_sector_hamiltonian_fast_apply():

@@ -1,5 +1,7 @@
 """Layered ansatz: layout, exactness, stationary start, optimization."""
 
+import importlib
+import pkgutil
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import vipsa
 from vipsa.core import VipsaConfig
 from vipsa.fermions import hopping_pair, jordan_wigner_sum
 from vipsa.hamiltonians import (
@@ -16,6 +19,7 @@ from vipsa.hamiltonians import (
     build_real,
     fidelity,
     ground_space,
+    onsite_interaction,
     spin_operators,
 )
 from vipsa.lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index, real_orbital_basis
@@ -23,7 +27,9 @@ from vipsa.hva import HvaAnsatz, build_layout, edge_matchings, hva_run
 from vipsa.statevector import (
     AnsatzCircuit,
     HoppingRotation,
+    SectorPhase,
     basis_state,
+    diagonal_values,
     expectation,
     sector_expectation_and_gradient,
 )
@@ -223,3 +229,44 @@ def test_run_path_stays_off_the_full_register(monkeypatch):
     result = hva_run(GridSpec.make(2, 2, u=4.0), config=VipsaConfig(max_inner_steps=5),
                      layers=2)
     assert len(result.records) == 7
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("u", [4.0, 0.3, 4.7, -2.9])
+def test_interaction_phase_matches_the_pauli_sum(shape, u):
+    grid = GridSpec.make(*shape, u=u)
+    n_sites = grid.n_sites
+    for filling in (default_filling(grid), (n_sites // 2 + 1, n_sites // 2 - 1)):
+        ansatz = HvaAnsatz(grid, *filling, layers=1)
+        phase, = {gate for gate in ansatz.sector_gates if isinstance(gate, SectorPhase)}
+        pauli = diagonal_values(onsite_interaction(grid), grid.n_qubits, ansatz.states)
+        if u == 4.0:  # U/4 and its sums are exact
+            np.testing.assert_array_equal(phase.values, pauli)
+        else:
+            np.testing.assert_allclose(phase.values, pauli, rtol=0, atol=1e-12 * abs(u))
+
+
+def test_run_with_a_reference_builds_no_pauli_strings(monkeypatch):
+    # with the Jordan-Wigner map and the Pauli-sum sector matrix made to raise
+    # at every name a vipsa module looks them up by, a run handed its
+    # reference gives the same records
+    grid = GridSpec.make(2, 3, u=4.0)
+    reference = ground_space(build_real(grid), grid.n_qubits, 3, 3)
+
+    def run():
+        return hva_run(grid, config=VipsaConfig(max_inner_steps=4), layers=2,
+                       reference=reference)
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Pauli-string path reached from a run with its reference")
+
+    for info in pkgutil.iter_modules(vipsa.__path__):
+        module = importlib.import_module(f"vipsa.{info.name}")
+        for name in ("jordan_wigner", "sector_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    got = run()
+    assert got.records == expected.records
+    np.testing.assert_array_equal(got.history, expected.history)

@@ -287,24 +287,27 @@ def test_slater_fermi_sea_energy():
     assert set(weights) == {(n_up, n_down)}
 
 
-@pytest.mark.parametrize("occ_up,occ_down", [([0, 2], [1]), ([1], [0, 2]), ([], [2]), ([], [])])
+@pytest.mark.parametrize("occ_up,occ_down", [([0, 2], [1]), ([1], [0, 2]), ([], [2]), ([], []),
+                                             ([2, 0, 1], []), ([2, 1], [1, 0]), ([0, 1, 2], [2])])
 def test_slater_amplitudes_match_dense_creation(occ_up, occ_down):
     # b†_c = sum_r w[r, c] c†_r for each occupied spin-orbital c, applied in
-    # ascending qubit order to the vacuum, with dense Jordan-Wigner matrices
+    # ascending qubit order to the vacuum, with dense Jordan-Wigner matrices;
+    # for a real and a complex unitary w
     rng = np.random.default_rng(7)
-    w, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     n = 6
     cols = sorted([2 * m for m in occ_up] + [2 * m + 1 for m in occ_down])
-    state = basis_state(set(), n).amplitudes
-    for c in reversed(cols):
-        spin, orbital = c % 2, c // 2
-        state = sum(w[site, orbital] * dense_create(2 * site + spin, n)
-                    for site in range(3)) @ state
     states = sector_basis(n, len(occ_up), len(occ_down))
-    np.testing.assert_allclose(slater_amplitudes(w, occ_up, occ_down, states), state[states],
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(slater_statevector(w, occ_up, occ_down).amplitudes, state,
-                               rtol=0, atol=1e-12)
+    for imaginary in (0.0, 1j):
+        w, _ = np.linalg.qr(rng.normal(size=(3, 3)) + imaginary * rng.normal(size=(3, 3)))
+        state = basis_state(set(), n).amplitudes
+        for c in reversed(cols):
+            spin, orbital = c % 2, c // 2
+            state = sum(w[site, orbital] * dense_create(2 * site + spin, n)
+                        for site in range(3)) @ state
+        np.testing.assert_allclose(slater_amplitudes(w, occ_up, occ_down, states),
+                                   state[states], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(slater_statevector(w, occ_up, occ_down).amplitudes, state,
+                                   rtol=0, atol=1e-12)
 
 
 def test_slater_validation():
@@ -312,6 +315,8 @@ def test_slater_validation():
         slater_statevector(np.eye(3) * 1.01, [0], [0])
     with pytest.raises(ValueError):
         slater_statevector(np.eye(3), [0, 0], [1])
+    with pytest.raises(ValueError, match="particle counts"):
+        slater_amplitudes(np.eye(3), [0], [1], sector_basis(6, 2, 0))  # same total, wrong spins
 
 
 def random_mixed_circuit(n, n_gates, rng, real_init=False):
