@@ -219,7 +219,8 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
 
     def solve():
         h = build_kspace(grid)[0] if register == "k" else build_real(grid)
-        return ground_space(h, grid.n_qubits, n_up, n_down)
+        with library_checks():
+            return ground_space(h, grid.n_qubits, n_up, n_down)
 
     if cache_dir is None:
         return solve()

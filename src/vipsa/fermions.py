@@ -12,6 +12,7 @@ below the acted-on qubit:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 CREATE = "+"
@@ -22,13 +23,13 @@ Letters = tuple[tuple[int, str], ...]
 
 COEFF_DROP_TOL = 1e-12
 
-# single-qubit products (left * right) -> (phase, letter or None for identity)
-_PAULI_PRODUCT = {
-    ("X", "X"): (1, None), ("Y", "Y"): (1, None), ("Z", "Z"): (1, None),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
+# A Pauli string as bit masks (x, z): X on the qubits of x only, Z on those
+# of z only, Y on both.  With Y = iXZ the string is i^|x&z| X^x Z^z, so a
+# product's phase is a power of i read off popcounts (see _mask_product).
+Masks = tuple[int, int]
+
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+_LETTER = (None, "X", "Z", "Y")  # by (x bit) + 2 * (z bit)
 
 
 @dataclass(frozen=True)
@@ -59,24 +60,53 @@ class LadderTerm:
         return LadderTerm(self.coeff * factor, self.factors)
 
 
+def _mask_product(xa: int, za: int, xb: int, zb: int) -> tuple[complex, int, int]:
+    """P_a P_b = phase P_c for strings given as masks, returning (phase, x_c, z_c).
+
+    Moving Z^za past X^xb costs (-1)^|za & xb|, and i^|x&z| converts each
+    side between its string and X^x Z^z.
+    """
+    x, z = xa ^ xb, za ^ zb
+    power = ((xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
+             - (x & z).bit_count())
+    return _PHASES[power & 3], x, z
+
+
+def _masks(letters: Letters) -> Masks:
+    xm, ym, zm = letters_to_masks(letters)
+    return xm | ym, ym | zm
+
+
+@lru_cache(maxsize=1 << 14)  # a Hamiltonian's strings recur across its ladder terms
+def _letters(x: int, z: int) -> Letters:
+    """Letter map of the string with masks (x, z), ascending qubit."""
+    out = []
+    bits = x | z
+    while bits:
+        low = bits & -bits
+        out.append((low.bit_length() - 1, _LETTER[bool(x & low) + 2 * bool(z & low)]))
+        bits ^= low
+    return tuple(out)
+
+
+def _product(a: dict[Masks, complex], b: dict[Masks, complex]) -> dict[Masks, complex]:
+    """a * b over mask-keyed terms, in first-appearance order with a's terms
+    outermost.  Each coefficient accumulates as acc + ca * cb * phase from
+    0.0, and those below COEFF_DROP_TOL are dropped at the end.  Starting
+    from 0.0 turns every zero part into +0.0, so no coefficient depends on
+    the signs of the zeros in a phase."""
+    acc: dict[Masks, complex] = {}
+    for (xa, za), ca in a.items():
+        for (xb, zb), cb in b.items():
+            phase, x, z = _mask_product(xa, za, xb, zb)
+            acc[x, z] = acc.get((x, z), 0.0) + ca * cb * phase
+    return {key: value for key, value in acc.items() if abs(value) >= COEFF_DROP_TOL}
+
+
 def multiply_letters(a: Letters, b: Letters) -> tuple[complex, Letters]:
     """Product of two Pauli letter maps, returning (phase, letters)."""
-    phase = 1 + 0j
-    out: list[tuple[int, str]] = []
-    i = j = 0
-    while i < len(a) or j < len(b):
-        if j >= len(b) or (i < len(a) and a[i][0] < b[j][0]):
-            out.append(a[i]); i += 1
-        elif i >= len(a) or b[j][0] < a[i][0]:
-            out.append(b[j]); j += 1
-        else:
-            q = a[i][0]
-            p, letter = _PAULI_PRODUCT[(a[i][1], b[j][1])]
-            phase *= p
-            if letter is not None:
-                out.append((q, letter))
-            i += 1; j += 1
-    return phase, tuple(out)
+    phase, x, z = _mask_product(*_masks(a), *_masks(b))
+    return phase, _letters(x, z)
 
 
 def commutes(a: Letters, b: Letters) -> bool:
@@ -129,10 +159,6 @@ class PauliSum:
         return cls()
 
     @classmethod
-    def identity(cls, coeff: complex = 1.0) -> "PauliSum":
-        return cls({(): coeff})
-
-    @classmethod
     def from_terms(cls, terms: Iterable[tuple[complex, Letters]]) -> "PauliSum":
         acc: dict[Letters, complex] = {}
         for coeff, letters in terms:
@@ -171,12 +197,9 @@ class PauliSum:
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
-            acc: dict[Letters, complex] = {}
-            for la, ca in self._terms.items():
-                for lb, cb in other._terms.items():
-                    phase, letters = multiply_letters(la, lb)
-                    acc[letters] = acc.get(letters, 0.0) + ca * cb * phase
-            return PauliSum(acc)
+            product = _product({_masks(k): v for k, v in self._terms.items()},
+                               {_masks(k): v for k, v in other._terms.items()})
+            return PauliSum({_letters(x, z): v for (x, z), v in product.items()})
         return PauliSum({k: complex(other) * v for k, v in self._terms.items()})
 
     def __rmul__(self, scalar: complex) -> "PauliSum":
@@ -199,24 +222,32 @@ class PauliSum:
         return f"PauliSum({len(self._terms)} terms)"
 
 
-def _jw_factor(q: int, kind: str) -> PauliSum:
-    chain = tuple((k, "Z") for k in range(q))
-    sign = -1j if kind == CREATE else 1j
-    return PauliSum.from_terms([
-        (0.5, chain + ((q, "X"),)),
-        (0.5 * sign, chain + ((q, "Y"),)),
-    ])
+# the X and Y coefficients of c†_q and c_q: (X_q -/+ i Y_q)/2
+_JW_COEFFS = {CREATE: (complex(0.5), complex(0.0, -0.5)),
+              ANNIHILATE: (complex(0.5), complex(0.0, 0.5))}
+
+
+def _jw_factor(q: int, kind: str) -> dict[Masks, complex]:
+    """Image of one ladder factor: the Z chain below q, then X_q before Y_q."""
+    chain = (1 << q) - 1
+    x_coeff, y_coeff = _JW_COEFFS[kind]
+    return {(1 << q, chain): x_coeff, (1 << q, chain | 1 << q): y_coeff}
 
 
 def jordan_wigner(term: LadderTerm, n_qubits: int) -> PauliSum:
-    """Exact Pauli expansion of one ladder-operator product."""
+    """Exact Pauli expansion of one ladder-operator product.
+
+    The product runs factor by factor from the left, on mask-keyed terms,
+    with the drop below COEFF_DROP_TOL after every factor; letter maps are
+    built once, from the final masks.
+    """
     for q, _ in term.factors:
         if q >= n_qubits:
             raise ValueError(f"orbital index {q} out of range for {n_qubits} qubits")
-    result = PauliSum.identity(term.coeff)
+    terms = {(0, 0): complex(term.coeff)} if abs(term.coeff) >= COEFF_DROP_TOL else {}
     for q, kind in term.factors:
-        result = result * _jw_factor(q, kind)
-    return result
+        terms = _product(terms, _jw_factor(q, kind))
+    return PauliSum({_letters(x, z): v for (x, z), v in terms.items()})
 
 
 def jordan_wigner_sum(terms: Iterable[LadderTerm], n_qubits: int) -> PauliSum:

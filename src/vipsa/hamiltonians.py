@@ -37,6 +37,10 @@ GROUND_DEGENERACY_TOL = 1e-8
 # and a larger multiplet doubles it (see _lowest_eigenpairs).
 GROUND_WINDOW = 6
 AMPLITUDE_DROP_TOL = 1e-12
+# Entries of the signed-coefficient table sector_matrix builds at once: a
+# flip group's strings are taken this many states' worth at a time, so the
+# table stays at 4 MB of complex entries whatever the group's size.
+SIGN_TABLE_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -203,43 +207,53 @@ def spin_operators(n_sites: int) -> tuple[PauliSum, PauliSum]:
 def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.sparse.csr_matrix:
     """<i|h|j> over the given basis, verifying h does not leave it.
 
-    Entries whose Pauli-string amplitudes cancel to exactly zero are not
-    stored; every flip pattern reaches a distinct (row, column) pair, so no
-    stored entry is a sum of several.  An amplitude that leaves the sector
-    is rounding residue up to AMPLITUDE_DROP_TOL times max(1, the largest
-    |coefficient|).
+    The strings are grouped by the bits they flip, groups in order of first
+    appearance.  Each group's amplitude on every state comes from one table
+    of signed coefficients (SIGN_TABLE_ENTRIES at a time), whose rows are
+    added to a zero vector in string order; the sum is in float64 when every
+    compiled coefficient is real.  Entries whose amplitudes cancel to
+    exactly zero are not stored; every flip pattern reaches a distinct (row,
+    column) pair, so no stored entry is a sum of several.  Only the nonzero
+    amplitudes are looked up in the basis, and one that leaves it is
+    rounding residue up to AMPLITUDE_DROP_TOL times max(1, the largest
+    |coefficient|).  A non-finite amplitude is a ValueError.
     """
-    groups: dict[int, list[tuple[complex, np.uint32]]] = {}
-    scale = 1.0
-    for coeff, flip, yz in _compiled_terms(h, n_qubits):
-        groups.setdefault(int(flip), []).append((coeff, yz))
-        scale = max(scale, abs(coeff))
+    coeffs, flips, signs = _compiled_terms(h, n_qubits)
     dim = len(states)
-    if not groups:
+    if not len(coeffs):
         return scipy.sparse.csr_matrix((dim, dim), dtype=np.complex128)
-    source = np.arange(dim)
+    scale = max(1.0, float(np.abs(coeffs).max()))
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    groups: dict[int, list[int]] = {}
+    for index, flip in enumerate(flips.tolist()):
+        groups.setdefault(flip, []).append(index)
+    chunk = max(1, SIGN_TABLE_ENTRIES // max(dim, 1))
     rows, cols, data = [], [], []
-    for flip, entries in groups.items():
-        amp = np.zeros(dim, dtype=np.complex128)
-        for coeff, yz in entries:
-            amp += np.where(_parity(states & yz), -coeff, coeff)
-        if flip == 0:
-            keep = amp != 0
-            rows.append(source[keep])
-            cols.append(source[keep])
-            data.append(amp[keep])
-            continue
-        targets = states ^ np.uint32(flip)
-        idx = np.searchsorted(states, targets)
-        idx_c = np.minimum(idx, dim - 1)
-        found = states[idx_c] == targets
-        stray = np.abs(amp[~found])
-        if stray.size and stray.max() > AMPLITUDE_DROP_TOL * scale:
-            raise ValueError("operator couples states outside the sector")
-        keep = found & (amp != 0)
-        rows.append(idx_c[keep])
-        cols.append(source[keep])
-        data.append(amp[keep])
+    for flip, members in groups.items():
+        amp = np.zeros(dim, dtype=coeffs.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(members), chunk):
+                strings = members[start:start + chunk]
+                signed = coeffs[strings, None]
+                for row in np.where(_parity(states & signs[strings, None]), -signed, signed):
+                    amp += row
+        if not np.isfinite(amp).all():
+            raise ValueError("sector matrix has a non-finite entry (float64 overflow)")
+        moved = np.flatnonzero(amp)
+        if flip:
+            targets = states[moved] ^ np.uint32(flip)
+            idx = np.minimum(np.searchsorted(states, targets), dim - 1)
+            found = states[idx] == targets
+            stray = np.abs(amp[moved[~found]])
+            if stray.size and stray.max() > AMPLITUDE_DROP_TOL * scale:
+                raise ValueError("operator couples states outside the sector")
+            rows.append(idx[found])
+            moved = moved[found]
+        else:
+            rows.append(moved)
+        cols.append(moved)
+        data.append(amp[moved])
     matrix = scipy.sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim), dtype=np.complex128)
@@ -365,6 +379,8 @@ def _sector_spectrum(h: PauliSum, n_qubits: int, n_up: int, n_down: int, k: int,
         pieces.append((np.array([block]), rows[None], vals[None], vecs[None]))
 
     values = np.concatenate([vals.ravel() for _, _, vals, _ in pieces])
+    if not np.isfinite(values).all():
+        raise ValueError("sector spectrum is not finite (float64 overflow)")
     order = np.argsort(values, kind="stable")
     known = int((values <= top).sum())
     wanted = k if widen_tol is None else max(k, int((values <= values[order[0]] + widen_tol).sum()))

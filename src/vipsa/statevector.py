@@ -17,6 +17,7 @@ through the same kernels as the reference that tests check sectors against.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,7 +37,10 @@ def _indices(n_qubits: int) -> np.ndarray:
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
-    return (np.bitwise_count(values) & 1).astype(np.int8)
+    """Whether each value has an odd number of set bits."""
+    counts = np.bitwise_count(values)
+    counts &= 1
+    return counts.view(np.bool_)
 
 
 class StateVector:
@@ -79,15 +83,21 @@ def basis_state(occupied_qubits, n_qubits: int) -> StateVector:
     return psi
 
 
-def _compiled_terms(h: PauliSum, n_qubits: int):
-    compiled = []
+def _compiled_terms(h: PauliSum, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coefficients, flip masks, sign masks) of h's strings in sorted order:
+    string t maps |s> to coefficients[t] (-1)^|s & signs[t]| |s ^ flips[t]>."""
+    coeffs, flips, signs = [], [], []
     for coeff, letters in h:
         xm, ym, zm = letters_to_masks(letters)
         if (xm | ym | zm) >> n_qubits:
             raise ValueError("Pauli sum acts outside the register")
-        compiled.append((coeff * _I4[sum(1 for _, p in letters if p == "Y") % 4],
-                         np.uint32(xm | ym), np.uint32(ym | zm)))
-    return compiled
+        if not cmath.isfinite(coeff):
+            raise ValueError("Pauli sum has a non-finite coefficient (float64 overflow)")
+        coeffs.append(coeff * _I4[ym.bit_count() % 4])
+        flips.append(xm | ym)
+        signs.append(ym | zm)
+    return (np.array(coeffs, dtype=np.complex128), np.array(flips, dtype=np.uint32),
+            np.array(signs, dtype=np.uint32))
 
 
 def apply_pauli_sum(h: PauliSum, psi: StateVector) -> StateVector:
@@ -95,7 +105,7 @@ def apply_pauli_sum(h: PauliSum, psi: StateVector) -> StateVector:
     idx = _indices(psi.n_qubits)
     amps = psi.amplitudes
     out = np.zeros_like(amps)
-    for coeff, flip, yz in _compiled_terms(h, psi.n_qubits):
+    for coeff, flip, yz in zip(*_compiled_terms(h, psi.n_qubits)):
         signed = np.where(_parity(idx & yz), -coeff, coeff) * amps
         if flip:
             out += signed[idx ^ flip]

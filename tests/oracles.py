@@ -9,13 +9,21 @@ the occupation of qubit q (qubit 0 is the least significant bit).
 
 `per_gate_sweep` is the exception: it is the adjoint sweep written gate by
 gate through the library's own single-gate kernels, the reference the fused
-sweep must match to the bit.
+sweep must match to the bit.  So are the letter-tuple Pauli product, the
+staged letter-tuple Jordan-Wigner expansion and the per-string sector
+matrix at the end: they are the earlier implementations of the mask
+kernels in `vipsa.fermions` and `vipsa.hamiltonians`, which must match them
+bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import scipy.sparse
+
+from vipsa.fermions import COEFF_DROP_TOL, CREATE, letters_to_masks
+from vipsa.hamiltonians import AMPLITUDE_DROP_TOL
 from vipsa.statevector import rotate_sector, sector_overlap, sector_run
 
 I2 = np.eye(2, dtype=complex)
@@ -112,3 +120,132 @@ def per_gate_sweep(x0, gates, thetas, h, final=None):
             rotate_sector(x, gates[pos], -thetas[pos])
             rotate_sector(b, gates[pos], -thetas[pos])
     return energy, grads
+
+
+# ---------------------------------------------------------------------------
+# letter-tuple Pauli algebra and the per-string sector matrix
+
+# single-qubit products (left * right) -> (phase, letter or None for identity)
+_PAULI_PRODUCT = {
+    ("X", "X"): (1, None), ("Y", "Y"): (1, None), ("Z", "Z"): (1, None),
+    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
+    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
+    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
+}
+
+
+def letter_product(a, b):
+    """Product of two Pauli letter maps, returning (phase, letters), by a
+    merge over ascending qubits and the single-qubit table."""
+    phase = 1 + 0j
+    out = []
+    i = j = 0
+    while i < len(a) or j < len(b):
+        if j >= len(b) or (i < len(a) and a[i][0] < b[j][0]):
+            out.append(a[i]); i += 1
+        elif i >= len(a) or b[j][0] < a[i][0]:
+            out.append(b[j]); j += 1
+        else:
+            q = a[i][0]
+            p, letter = _PAULI_PRODUCT[(a[i][1], b[j][1])]
+            phase *= p
+            if letter is not None:
+                out.append((q, letter))
+            i += 1; j += 1
+    return phase, tuple(out)
+
+
+def _canonical(acc: dict) -> dict:
+    """What PauliSum keeps of a letters -> coefficient map."""
+    return {letters: complex(coeff) for letters, coeff in acc.items()
+            if abs(coeff) >= COEFF_DROP_TOL}
+
+
+def letter_sum_product(a: dict, b: dict) -> dict:
+    """The terms of PauliSum a * b, given and returned as letters -> coefficient."""
+    acc = {}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            phase, letters = letter_product(la, lb)
+            acc[letters] = acc.get(letters, 0.0) + ca * cb * phase
+    return _canonical(acc)
+
+
+def _letter_jw_factor(q: int, kind: str) -> dict:
+    chain = tuple((k, "Z") for k in range(q))
+    sign = -1j if kind == CREATE else 1j
+    acc = {}
+    for coeff, letters in [(0.5, chain + ((q, "X"),)), (0.5 * sign, chain + ((q, "Y"),))]:
+        acc[letters] = acc.get(letters, 0.0) + coeff
+    return _canonical(acc)
+
+
+def staged_jordan_wigner(term, n_qubits: int) -> dict:
+    """The terms of jordan_wigner(term, n_qubits), letters -> coefficient, by
+    multiplying letter-tuple sums factor by factor from the identity."""
+    for q, _ in term.factors:
+        if q >= n_qubits:
+            raise ValueError(f"orbital index {q} out of range for {n_qubits} qubits")
+    result = _canonical({(): term.coeff})
+    for q, kind in term.factors:
+        result = letter_sum_product(result, _letter_jw_factor(q, kind))
+    return result
+
+
+_I4 = complex(0, 1) ** np.arange(4)
+
+
+def _parity(values):
+    return (np.bitwise_count(values) & 1).astype(np.int8)
+
+
+def _per_string_terms(h, n_qubits: int):
+    compiled = []
+    for coeff, letters in h:
+        xm, ym, zm = letters_to_masks(letters)
+        if (xm | ym | zm) >> n_qubits:
+            raise ValueError("Pauli sum acts outside the register")
+        compiled.append((coeff * _I4[sum(1 for _, p in letters if p == "Y") % 4],
+                         np.uint32(xm | ym), np.uint32(ym | zm)))
+    return compiled
+
+
+def per_string_sector_matrix(h, states, n_qubits: int):
+    """sector_matrix(h, states, n_qubits) with one complex pass per Pauli
+    string, each added into its flip group's amplitude, and a basis lookup
+    for every state of every off-diagonal group."""
+    groups = {}
+    scale = 1.0
+    for coeff, flip, yz in _per_string_terms(h, n_qubits):
+        groups.setdefault(int(flip), []).append((coeff, yz))
+        scale = max(scale, abs(coeff))
+    dim = len(states)
+    if not groups:
+        return scipy.sparse.csr_matrix((dim, dim), dtype=np.complex128)
+    source = np.arange(dim)
+    rows, cols, data = [], [], []
+    for flip, entries in groups.items():
+        amp = np.zeros(dim, dtype=np.complex128)
+        for coeff, yz in entries:
+            amp += np.where(_parity(states & yz), -coeff, coeff)
+        if flip == 0:
+            keep = amp != 0
+            rows.append(source[keep])
+            cols.append(source[keep])
+            data.append(amp[keep])
+            continue
+        targets = states ^ np.uint32(flip)
+        idx = np.searchsorted(states, targets)
+        idx_c = np.minimum(idx, dim - 1)
+        found = states[idx_c] == targets
+        stray = np.abs(amp[~found])
+        if stray.size and stray.max() > AMPLITUDE_DROP_TOL * scale:
+            raise ValueError("operator couples states outside the sector")
+        keep = found & (amp != 0)
+        rows.append(idx_c[keep])
+        cols.append(source[keep])
+        data.append(amp[keep])
+    matrix = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim), dtype=np.complex128)
+    return matrix.tocsr()

@@ -432,6 +432,25 @@ def test_ed_rejects_non_finite_couplings(capsys, argv):
     assert "must be finite" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("register", ["k", "real"])
+def test_ed_overflowing_hamiltonian_is_one_line(capsys, recwarn, register):
+    # U = 1e308 is finite, but the 2x2 sector matrix's sums overflow
+    assert main(["ed", "--grid", "2x2", "--u", "1e308", "--register", register]) == 1
+    assert "non-finite" in one_error_line(capsys)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
+def test_run_overflowing_hamiltonian_is_one_line(tmp_path, capsys, recwarn, ansatz):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    config = write(tmp_path / "huge.cfg", f"nx = 2\nny = 3\nu = 1e308\nansatz = {ansatz}\n"
+                                          f"output = {out}\ncache_dir = {cache}\n")
+    assert main(["run", str(config)]) == 1
+    assert "non-finite" in one_error_line(capsys)
+    assert not recwarn.list
+    assert not any(cache.iterdir()) and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("line", ["u = nan", "u = inf", "t = nan", "lr = nan",
                                   "eps1 = inf", "eps2 = nan", "stabilizer = nan"])
 def test_run_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, line):

@@ -1,0 +1,203 @@
+"""The mask-based Pauli product, Jordan-Wigner expansion and sector matrix
+against the letter-tuple and per-string implementations in `oracles.py`.
+
+The mask kernels keep every floating-point operation of those
+implementations in the same order, so the checks here are exact: the same
+keys in the same insertion order with the same bits, and the same CSR bytes.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vipsa.fermions import (
+    ANNIHILATE,
+    COEFF_DROP_TOL,
+    CREATE,
+    LadderTerm,
+    PauliSum,
+    hopping_pair,
+    jordan_wigner,
+    jordan_wigner_sum,
+    multiply_letters,
+    number_term,
+)
+from vipsa.hamiltonians import (
+    AMPLITUDE_DROP_TOL,
+    build_kspace,
+    build_real,
+    ground_space,
+    sector_matrix,
+    spin_operators,
+)
+from vipsa.lattice import GridSpec, default_filling
+from vipsa.statevector import sector_basis
+
+from oracles import letter_product, letter_sum_product, per_string_sector_matrix, staged_jordan_wigner
+
+N_QUBITS = 6
+
+
+def bits(terms: dict) -> list:
+    """Keys in insertion order, each with the exact bits of its coefficient."""
+    return [(letters, coeff.real.hex(), coeff.imag.hex()) for letters, coeff in terms.items()]
+
+
+# a coefficient part: zeros of either sign, ordinary values, and values about
+# COEFF_DROP_TOL times the 2^k by which k factors of 1/2 shrink it, so some
+# stage of the expansion lands on each side of the drop
+part = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.builds(lambda k, f: COEFF_DROP_TOL * 2.0 ** k * f,
+              st.integers(-1, 8), st.floats(-1.5, 1.5, allow_nan=False)),
+)
+coefficient = st.builds(complex, part, part)
+ladder_factor = st.tuples(st.integers(0, N_QUBITS - 1), st.sampled_from([CREATE, ANNIHILATE]))
+letter_map = st.dictionaries(st.integers(0, N_QUBITS - 1), st.sampled_from("XYZ"),
+                             max_size=N_QUBITS).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeff=coefficient, factors=st.lists(ladder_factor, min_size=1, max_size=6))
+def test_jordan_wigner_matches_the_staged_letter_expansion(coeff, factors):
+    term = LadderTerm(coeff, tuple(factors))
+    assert bits(jordan_wigner(term, N_QUBITS)._terms) == bits(staged_jordan_wigner(term, N_QUBITS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.lists(st.tuples(coefficient, letter_map), max_size=5),
+       b=st.lists(st.tuples(coefficient, letter_map), max_size=5))
+def test_pauli_sum_product_matches_the_letter_product(a, b):
+    left, right = PauliSum.from_terms(a), PauliSum.from_terms(b)
+    assert bits((left * right)._terms) == bits(letter_sum_product(left._terms, right._terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=letter_map, b=letter_map)
+def test_multiply_letters_matches_the_single_qubit_table(a, b):
+    phase, letters = multiply_letters(a, b)
+    expected_phase, expected_letters = letter_product(a, b)
+    assert phase == expected_phase and letters == expected_letters
+
+
+def test_spin_operators_match_the_letter_expansion():
+    # S^2 is the one shipped operator built from PauliSum products
+    n_sites = 4
+    n_qubits = 2 * n_sites
+    s_z, raising = {}, {}
+    for orbital in range(n_sites):
+        up, down = 2 * orbital, 2 * orbital + 1
+        for letters, coeff in [*staged_jordan_wigner(number_term(up, 0.5), n_qubits).items(),
+                               *staged_jordan_wigner(number_term(down, -0.5), n_qubits).items()]:
+            s_z[letters] = s_z.get(letters, 0.0) + coeff
+        image = staged_jordan_wigner(LadderTerm(1.0, ((up, CREATE), (down, ANNIHILATE))), n_qubits)
+        for letters, coeff in image.items():
+            raising[letters] = raising.get(letters, 0.0) + coeff
+    s_z, raising = PauliSum(s_z), PauliSum(raising)
+    lowering = raising.dagger()
+    got_z, got_squared = spin_operators(n_sites)
+    assert bits(got_z._terms) == bits(s_z._terms)
+    squared = PauliSum(letter_sum_product(s_z._terms, s_z._terms)) + 0.5 * (
+        PauliSum(letter_sum_product(raising._terms, lowering._terms))
+        + PauliSum(letter_sum_product(lowering._terms, raising._terms)))
+    assert bits(got_squared._terms) == bits(squared._terms)
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape and got.format == expected.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("u", [0.0, 0.37, 4.0, 6.0, -2.9])
+@pytest.mark.parametrize("register", ["k", "real"])
+def test_sector_matrix_matches_the_per_string_oracle(shape, u, register):
+    grid = GridSpec.make(*shape, u=u)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    assert_same_csr(sector_matrix(h, states, grid.n_qubits),
+                    per_string_sector_matrix(h, states, grid.n_qubits))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4)])
+def test_spin_squared_sector_matrix_matches_the_per_string_oracle(shape):
+    grid = GridSpec.make(*shape)
+    h = spin_operators(grid.n_sites)[1]
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    assert_same_csr(sector_matrix(h, states, grid.n_qubits),
+                    per_string_sector_matrix(h, states, grid.n_qubits))
+
+
+def test_complex_sector_matrix_on_a_full_register_matches_the_oracle():
+    # complex hoppings between every pair of qubits keep the coefficients
+    # complex and conserve only the total particle number: on the full
+    # register no lookup misses, on the three-particle states none may leave
+    rng = np.random.default_rng(5)
+    n_qubits = 6
+    terms = [number_term(q, float(rng.normal())) for q in range(n_qubits)]
+    for i in range(n_qubits):
+        for j in range(i + 1, n_qubits):
+            terms += hopping_pair(i, j, complex(rng.normal(), rng.normal()))
+    h = jordan_wigner_sum(terms, n_qubits)
+    everything = np.arange(1 << n_qubits, dtype=np.uint32)
+    for states in (everything, everything[np.bitwise_count(everything) == 3]):
+        got = sector_matrix(h, states, n_qubits)
+        assert np.abs(got.data.imag).max() > 0.1
+        assert_same_csr(got, per_string_sector_matrix(h, states, n_qubits))
+
+
+def test_an_operator_leaving_the_sector_on_some_states_raises():
+    # X0 X2 keeps n_up only where exactly one of the two up orbitals is occupied;
+    # elsewhere its amplitude leaves the sector
+    grid = GridSpec.make(2, 2, u=1e3)
+    states = sector_basis(grid.n_qubits, 2, 2)
+    h = build_real(grid)
+    tolerance = AMPLITUDE_DROP_TOL * 1e3  # the identity's n_sites U/4 is the largest coefficient
+    for size, leaves in [(10 * tolerance, True), (0.1 * tolerance, False)]:
+        leaky = h + PauliSum.from_terms([(size, ((0, "X"), (2, "X")))])
+        assert len(leaky) == len(h) + 1
+        if leaves:
+            for build in (sector_matrix, per_string_sector_matrix):
+                with pytest.raises(ValueError, match="outside the sector"):
+                    build(leaky, states, grid.n_qubits)
+        else:
+            assert_same_csr(sector_matrix(leaky, states, grid.n_qubits),
+                            per_string_sector_matrix(leaky, states, grid.n_qubits))
+
+
+def test_an_overflowing_sector_matrix_raises_without_a_warning():
+    # at U = 1e308 the 2x2 coefficients are finite, but their sums are not
+    grid = GridSpec.make(2, 2, u=1e308)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    for h in (build_kspace(grid)[0], build_real(grid)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="non-finite"):
+                sector_matrix(h, states, grid.n_qubits)
+        assert not caught
+
+
+def test_a_non_finite_coefficient_is_rejected_without_a_warning():
+    h = PauliSum.from_terms([(math.inf, ((0, "Z"),)), (1.0, ((1, "Z"),))])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="non-finite"):
+            sector_matrix(h, sector_basis(4, 1, 1), 4)
+    assert not caught
+
+
+def test_an_overflowing_spectrum_raises():
+    # every entry is finite, but [[a, a], [a, a]] has the eigenvalue 2a
+    a = 1e308
+    h = jordan_wigner_sum([number_term(0, a), number_term(2, a), *hopping_pair(0, 2, a)], 4)
+    matrix = sector_matrix(h, sector_basis(4, 1, 0), 4).toarray()
+    assert np.isfinite(matrix).all() and np.all(matrix == a)
+    with pytest.raises(ValueError, match="spectrum is not finite"):
+        ground_space(h, 4, 1, 0)
