@@ -39,7 +39,8 @@ GROUND_WINDOW = 6
 AMPLITUDE_DROP_TOL = 1e-12
 # Entries of the signed-coefficient table sector_matrix builds at once: a
 # flip group's strings are taken this many states' worth at a time, so the
-# table stays at 4 MB of complex entries whatever the group's size.
+# table stays at 2 MB of float64 entries (4 MB when the coefficients are
+# complex) whatever the group's size.
 SIGN_TABLE_ENTRIES = 1 << 18
 
 
@@ -217,11 +218,18 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
     amplitudes are looked up in the basis, and one that leaves it is
     rounding residue up to AMPLITUDE_DROP_TOL times max(1, the largest
     |coefficient|).  A non-finite amplitude is a ValueError.
+
+    The CSR has sorted indices, int32 indptr and indices (below 2^31
+    entries), and float64 data unless an entry's imaginary part exceeds
+    1e-12 times max(1, the largest |entry|).  Entries are gathered as int32
+    (row, column) pairs, and each array is joined from its pieces before the
+    next, so beside the sign table the build holds about 2.5 times the
+    matrix it returns.
     """
     coeffs, flips, signs = _compiled_terms(h, n_qubits)
     dim = len(states)
     if not len(coeffs):
-        return scipy.sparse.csr_matrix((dim, dim), dtype=np.complex128)
+        return scipy.sparse.csr_matrix((dim, dim))
     scale = max(1.0, float(np.abs(coeffs).max()))
     if not coeffs.imag.any():
         coeffs = coeffs.real
@@ -229,6 +237,7 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
     for index, flip in enumerate(flips.tolist()):
         groups.setdefault(flip, []).append(index)
     chunk = max(1, SIGN_TABLE_ENTRIES // max(dim, 1))
+    index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.intp
     rows, cols, data = [], [], []
     for flip, members in groups.items():
         amp = np.zeros(dim, dtype=coeffs.dtype)
@@ -248,16 +257,19 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
             stray = np.abs(amp[moved[~found]])
             if stray.size and stray.max() > AMPLITUDE_DROP_TOL * scale:
                 raise ValueError("operator couples states outside the sector")
-            rows.append(idx[found])
+            rows.append(idx[found].astype(index_dtype))
             moved = moved[found]
         else:
-            rows.append(moved)
-        cols.append(moved)
+            rows.append(moved.astype(index_dtype))
+        cols.append(moved.astype(index_dtype))
         data.append(amp[moved])
-    matrix = scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim), dtype=np.complex128)
-    return matrix.tocsr()
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    data = np.concatenate(data)
+    if np.iscomplexobj(data) and (not data.size or np.abs(data.imag).max()
+                                  <= 1e-12 * max(1.0, np.abs(data).max())):
+        data = data.real.copy()
+    return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def real_part(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
@@ -265,21 +277,6 @@ def real_part(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
     (``matrix.real`` keeps a strided view into the complex data)."""
     return scipy.sparse.csr_matrix((matrix.data.real.copy(), matrix.indices, matrix.indptr),
                                    shape=matrix.shape)
-
-
-def as_real_if_possible(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """real_part(matrix) if its imaginary part is negligible, that is at most
-    1e-12 times max(1, the largest |entry|), else matrix."""
-    if matrix.nnz == 0 or (np.abs(matrix.data.imag).max()
-                           <= 1e-12 * max(1.0, np.abs(matrix.data).max())):
-        return real_part(matrix)
-    return matrix
-
-
-def real_sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.sparse.csr_matrix:
-    """as_real_if_possible(sector_matrix(h, states, n_qubits)): the sector
-    Hamiltonian as the solvers and the runs use it."""
-    return as_real_if_possible(sector_matrix(h, states, n_qubits))
 
 
 def _lowest_eigenpairs(matrix, k: int, widen_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +322,7 @@ def _sector_spectrum(h: PauliSum, n_qubits: int, n_up: int, n_down: int, k: int,
                      widen_tol: float | None = None) -> _Spectrum:
     """Lowest eigenpairs of h on the (n_up, n_down) sector, block by block.
 
-    The matrix is real_sector_matrix(h, states, n_qubits).  Its connected
+    The matrix is sector_matrix(h, states, n_qubits).  Its connected
     components are blocks h never mixes, and each is solved on its own: up
     to DENSE_SECTOR_CUTOFF states (read at call time), or when too small for
     a Lanczos window of k, every eigenpair comes from one batched dense solve
@@ -346,7 +343,7 @@ def _sector_spectrum(h: PauliSum, n_qubits: int, n_up: int, n_down: int, k: int,
         raise ValueError("sector diagonalization requires a Hermitian operator")
     states = sector_basis(n_qubits, n_up, n_down)
     dim = len(states)
-    matrix = real_sector_matrix(h, states, n_qubits)
+    matrix = sector_matrix(h, states, n_qubits)
     n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)
     sizes = np.bincount(labels, minlength=n_blocks)
     starts = np.cumsum(sizes) - sizes

@@ -13,7 +13,8 @@ sweep must match to the bit.  So are the letter-tuple Pauli product, the
 staged letter-tuple Jordan-Wigner expansion and the per-string sector
 matrix at the end: they are the earlier implementations of the mask
 kernels in `vipsa.fermions` and `vipsa.hamiltonians`, which must match them
-bit for bit.
+bit for bit.  `as_real_if_possible` is the earlier rule by which the per-string
+matrix was made real; `sector_matrix` folds it into its own assembly.
 """
 
 from __future__ import annotations
@@ -249,3 +250,14 @@ def per_string_sector_matrix(h, states, n_qubits: int):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim), dtype=np.complex128)
     return matrix.tocsr()
+
+
+def as_real_if_possible(matrix):
+    """The real part of a CSR matrix, with contiguous float64 data of its own,
+    if its imaginary part is at most 1e-12 times max(1, the largest |entry|),
+    else the matrix itself."""
+    if matrix.nnz == 0 or (np.abs(matrix.data.imag).max()
+                           <= 1e-12 * max(1.0, np.abs(matrix.data).max())):
+        return scipy.sparse.csr_matrix((matrix.data.real.copy(), matrix.indices, matrix.indptr),
+                                       shape=matrix.shape)
+    return matrix

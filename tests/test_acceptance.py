@@ -38,9 +38,9 @@ from vipsa.hamiltonians import (
     fidelity,
     ground_space,
     hamiltonian_pair,
-    real_sector_matrix,
     sector_basis,
     sector_diagonalize,
+    sector_matrix,
     spin_operators,
 )
 from vipsa.hva import HvaAnsatz, hva_run
@@ -247,7 +247,7 @@ def test_criterion_6_first_selection_is_sound():
         x = (states == sum(1 << q for q in sea.occupied_qubits())).astype(float)
         h_k, _ = build_kspace(grid)
         pool = build_pool(grid)
-        grads = sector_pool_gradients(x, real_sector_matrix(h_k, states, grid.n_qubits),
+        grads = sector_pool_gradients(x, sector_matrix(h_k, states, grid.n_qubits),
                                       [sector_orbit(p.term, states) for p in pool])
         chosen = select(grads, config.r, [p.label for p in pool])
         assert chosen
@@ -307,7 +307,7 @@ def test_criterion_8_hva_zero_start_is_stationary():
         grid = GridSpec.make(nx, ny, u=4.0)
         n_up, n_down = default_filling(grid)
         ansatz = HvaAnsatz(grid, n_up, n_down, layers=10)
-        h = real_sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
+        h = sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
         _, per_gate = sector_expectation_and_gradient(
             ansatz.x0, ansatz.sector_gates, ansatz.angles(np.zeros(ansatz.n_params)), h)
         grads = ansatz.fold(per_gate)

@@ -28,8 +28,8 @@ from vipsa.hamiltonians import (
     ground_space,
     interaction_quadruples,
     kinetic_kspace,
-    real_sector_matrix,
     sector_basis,
+    sector_matrix,
     spin_operators,
 )
 from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
@@ -216,7 +216,7 @@ def test_annihilating_operators_have_zero_gradient():
     x, states, sea = sea_vector(grid, 5, 4)
     occ_up = {m.slot for m in sea.occupied_up}
     occ_dn = {m.slot for m in sea.occupied_down}
-    grads = sector_pool_gradients(x, real_sector_matrix(h, states, grid.n_qubits),
+    grads = sector_pool_gradients(x, sector_matrix(h, states, grid.n_qubits),
                                   [sector_orbit(p.term, states) for p in pool])
 
     checked = 0
@@ -485,8 +485,8 @@ def pauli_sum_expansion(shape, n_up, n_down, u):
     x0, states, _ = sea_vector(grid, n_up, n_down)
     h, _ = build_kspace(grid)
     h0 = kinetic_kspace(grid)
-    levels = real_sector_matrix(h0, states, grid.n_qubits).diagonal()
-    image = real_sector_matrix(h - h0, states, grid.n_qubits) @ x0
+    levels = sector_matrix(h0, states, grid.n_qubits).diagonal()
+    image = sector_matrix(h - h0, states, grid.n_qubits) @ x0
     e0 = levels @ x0
     excited = np.abs(levels - e0) > DEGENERACY_TOL
     reference = x0.copy()

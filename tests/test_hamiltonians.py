@@ -16,7 +16,6 @@ from vipsa.fermions import PauliSum
 from vipsa.hamiltonians import (
     GroundSpace,
     SectorHamiltonian,
-    as_real_if_possible,
     build_kspace,
     build_real,
     fidelity,
@@ -25,7 +24,6 @@ from vipsa.hamiltonians import (
     interaction_quadruples,
     kinetic_kspace,
     real_part,
-    real_sector_matrix,
     sector_basis,
     sector_diagonalize,
     sector_matrix,
@@ -250,7 +248,7 @@ def test_block_spectra_match_the_whole_sector(monkeypatch, cutoff):
     grid = GridSpec.make(2, 3, u=4.0)
     h, _ = build_kspace(grid)
     states = sector_basis(grid.n_qubits, 3, 3)
-    matrix = real_sector_matrix(h, states, grid.n_qubits)
+    matrix = sector_matrix(h, states, grid.n_qubits)
     whole = np.linalg.eigvalsh(matrix.toarray())
     how_many = 10 ** 9 if cutoff == 400 else 6
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", cutoff)
@@ -264,7 +262,7 @@ def test_block_spectra_match_a_whole_sector_lanczos_solve():
     grid = GridSpec.make(2, 4, u=4.0)
     h, _ = build_kspace(grid)
     states = sector_basis(grid.n_qubits, 4, 4)
-    matrix = real_sector_matrix(h, states, grid.n_qubits)
+    matrix = sector_matrix(h, states, grid.n_qubits)
     assert scipy.sparse.csgraph.connected_components(matrix, directed=False)[0] == 8
     whole = scipy.sparse.linalg.eigsh(matrix, k=12, which="SA", tol=0,
                                       v0=np.random.default_rng(0).standard_normal(len(states)))[0]
@@ -361,9 +359,28 @@ def test_sector_matrix_stores_only_nonzeros(shape, register):
     assert matrix.nnz == matrix.count_nonzero()
     np.testing.assert_allclose(matrix.toarray(), dense_sector_block(h, states, grid.n_qubits),
                                rtol=0, atol=1e-12)
-    for real in (real_part(matrix), as_real_if_possible(matrix)):
-        assert real.data.dtype == np.float64 and real.data.flags.c_contiguous
-        np.testing.assert_array_equal(real.toarray(), matrix.toarray().real)
+    assert matrix.data.dtype == np.float64 and matrix.data.flags.c_contiguous
+    real = real_part(matrix * (1 + 2j))
+    assert real.data.dtype == np.float64 and real.data.flags.c_contiguous
+    np.testing.assert_array_equal(real.toarray(), matrix.toarray())
+
+
+@pytest.mark.parametrize("register", ["k", "real"])
+def test_sector_matrix_build_peaks_near_the_matrix_size(register):
+    # the entries are gathered as int32 pairs and float64 values and joined one
+    # array at a time, so the build holds about 2.5 times the finished matrix;
+    # a complex COO with intp indices, converted and then made real, held 6 times
+    grid = GridSpec.make(2, 4, u=4.0)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    tracemalloc.start()
+    try:
+        matrix = sector_matrix(h, states, grid.n_qubits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert peak <= 3.5 * size, f"peak {peak} bytes for a {size}-byte matrix"
 
 
 def test_sector_violation_detected():
@@ -417,7 +434,7 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
     gs = ground_space(h, grid.n_qubits, 3, 3)
-    fresh = as_real_if_possible(sector_matrix(h, gs.states, grid.n_qubits))
+    fresh = sector_matrix(h, gs.states, grid.n_qubits)
     gs.save(tmp_path / "gs.npys")
     for matrix in (gs.matrix, GroundSpace.load(tmp_path / "gs.npys").matrix):
         for part in ("data", "indices", "indptr"):

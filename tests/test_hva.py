@@ -15,7 +15,6 @@ from vipsa.core import VipsaConfig
 from vipsa.fermions import hopping_pair, jordan_wigner_sum
 from vipsa.hamiltonians import (
     SectorHamiltonian,
-    as_real_if_possible,
     build_real,
     fidelity,
     ground_space,
@@ -190,7 +189,7 @@ def test_sector_evaluation_matches_full_register(shape, seed):
     x = ansatz.sector_state(params)
     assert abs(gs.sector_fidelity(x) - fidelity(hva_circuit(ansatz, params).run(), gs)) <= TOL
     got_energy, per_gate = sector_expectation_and_gradient(
-        ansatz.x0, ansatz.sector_gates, thetas, as_real_if_possible(sector.matrix), final=x)
+        ansatz.x0, ansatz.sector_gates, thetas, sector.matrix, final=x)
     assert abs(got_energy - energy) <= TOL
     np.testing.assert_allclose(ansatz.fold(per_gate), grads, rtol=0, atol=TOL)
 

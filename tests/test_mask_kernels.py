@@ -37,7 +37,13 @@ from vipsa.hamiltonians import (
 from vipsa.lattice import GridSpec, default_filling
 from vipsa.statevector import sector_basis
 
-from oracles import letter_product, letter_sum_product, per_string_sector_matrix, staged_jordan_wigner
+from oracles import (
+    as_real_if_possible,
+    letter_product,
+    letter_sum_product,
+    per_string_sector_matrix,
+    staged_jordan_wigner,
+)
 
 N_QUBITS = 6
 
@@ -115,6 +121,11 @@ def assert_same_csr(got, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def oracle_matrix(h, states, n_qubits: int):
+    """The per-string matrix, made real where its imaginary part is negligible."""
+    return as_real_if_possible(per_string_sector_matrix(h, states, n_qubits))
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4)])
 @pytest.mark.parametrize("u", [0.0, 0.37, 4.0, 6.0, -2.9])
 @pytest.mark.parametrize("register", ["k", "real"])
@@ -122,8 +133,10 @@ def test_sector_matrix_matches_the_per_string_oracle(shape, u, register):
     grid = GridSpec.make(*shape, u=u)
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
     states = sector_basis(grid.n_qubits, *default_filling(grid))
-    assert_same_csr(sector_matrix(h, states, grid.n_qubits),
-                    per_string_sector_matrix(h, states, grid.n_qubits))
+    got = sector_matrix(h, states, grid.n_qubits)
+    assert got.data.dtype == np.float64
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    assert_same_csr(got, oracle_matrix(h, states, grid.n_qubits))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4)])
@@ -132,7 +145,7 @@ def test_spin_squared_sector_matrix_matches_the_per_string_oracle(shape):
     h = spin_operators(grid.n_sites)[1]
     states = sector_basis(grid.n_qubits, *default_filling(grid))
     assert_same_csr(sector_matrix(h, states, grid.n_qubits),
-                    per_string_sector_matrix(h, states, grid.n_qubits))
+                    oracle_matrix(h, states, grid.n_qubits))
 
 
 def test_complex_sector_matrix_on_a_full_register_matches_the_oracle():
@@ -150,7 +163,31 @@ def test_complex_sector_matrix_on_a_full_register_matches_the_oracle():
     for states in (everything, everything[np.bitwise_count(everything) == 3]):
         got = sector_matrix(h, states, n_qubits)
         assert np.abs(got.data.imag).max() > 0.1
-        assert_same_csr(got, per_string_sector_matrix(h, states, n_qubits))
+        assert_same_csr(got, oracle_matrix(h, states, n_qubits))
+
+
+@pytest.mark.parametrize("imaginary, complex_entries", [(1.0, True), (1e-8, True), (1e-10, False)])
+def test_complex_entries_keep_a_complex_matrix(imaginary, complex_entries):
+    # an imaginary hopping t c†_0 c_2 + conj(t) c†_2 c_0 between the two up
+    # orbitals of a 2x2 site register at U = 1e3, whose largest entry lies
+    # between 1e3 and 4e3: an imaginary part of 1e-10 is below the 1e-12
+    # relative cut, and one of 1e-8 is above it
+    grid = GridSpec.make(2, 2, u=1e3)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    h = build_real(grid) + jordan_wigner_sum(hopping_pair(0, 2, imaginary * 1j), grid.n_qubits)
+    got = sector_matrix(h, states, grid.n_qubits)
+    assert got.data.dtype == (np.complex128 if complex_entries else np.float64)
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    assert_same_csr(got, oracle_matrix(h, states, grid.n_qubits))
+
+
+def test_an_empty_sum_gives_a_real_zero_matrix():
+    states = sector_basis(4, 1, 1)
+    got = sector_matrix(PauliSum.zero(), states, 4)
+    assert got.shape == (len(states), len(states)) and got.nnz == 0
+    assert got.data.dtype == np.float64
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    assert_same_csr(got, oracle_matrix(PauliSum.zero(), states, 4))
 
 
 def test_an_operator_leaving_the_sector_on_some_states_raises():
@@ -169,7 +206,7 @@ def test_an_operator_leaving_the_sector_on_some_states_raises():
                     build(leaky, states, grid.n_qubits)
         else:
             assert_same_csr(sector_matrix(leaky, states, grid.n_qubits),
-                            per_string_sector_matrix(leaky, states, grid.n_qubits))
+                            oracle_matrix(leaky, states, grid.n_qubits))
 
 
 def test_an_overflowing_sector_matrix_raises_without_a_warning():

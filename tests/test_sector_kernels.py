@@ -22,8 +22,8 @@ from vipsa.hamiltonians import (
     build_kspace,
     build_real,
     onsite_interaction,
-    real_sector_matrix,
     sector_basis,
+    sector_matrix,
 )
 from vipsa.hva import HvaAnsatz
 from vipsa.lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index
@@ -457,7 +457,7 @@ def test_fused_sweep_matches_per_gate_sweep_on_pool_circuits(shape, seed, n_gate
 def hva_gates(nx, ny, layers):
     grid = GridSpec.make(nx, ny, u=3.0)
     ansatz = HvaAnsatz(grid, *default_filling(grid), layers)
-    return ansatz, real_sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
+    return ansatz, sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
