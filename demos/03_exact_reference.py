@@ -8,34 +8,38 @@ basis change on the single-particle space.
     python3 demos/03_exact_reference.py
 """
 
+import numpy as np
+
 from vipsa import (
     GridSpec,
     build_kspace,
+    build_real,
     default_filling,
     fermi_sea,
     ground_space,
-    hamiltonian_pair,
     rs_perturbation,
-    sector_diagonalize,
 )
 
 
 def main():
     grid = GridSpec.make(2, 3, u=4.0)
     n_up, n_down = default_filling(grid)
-    pair = hamiltonian_pair(grid)
+    h_k = build_kspace(grid)[0]
+    gs = ground_space(h_k, grid.n_qubits, n_up, n_down)
+    gs_real = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
 
+    # the ground space keeps the sector matrix it was solved from (400
+    # states here), small enough to diagonalize whole
     print(f"Lowest sector eigenvalues of the {grid.label()} grid at "
           f"u = {grid.u:g}, filling ({n_up}, {n_down}):")
-    k_eig = sector_diagonalize(pair.k_space, grid.n_qubits, n_up, n_down)
-    r_eig = sector_diagonalize(pair.real_space, grid.n_qubits, n_up, n_down)
+    k_values, r_values = (np.linalg.eigvalsh(space.matrix.toarray())[:6]
+                          for space in (gs, gs_real))
     print(f"  {'mode register':>16} {'site register':>16} {'difference':>12}")
-    for kv, rv in zip(k_eig.values, r_eig.values):
+    for kv, rv in zip(k_values, r_values):
         print(f"  {kv:>16.10f} {rv:>16.10f} {abs(kv - rv):>12.2e}")
 
     # the ground space lives on the sorted sector bitstrings; the sea is one
     # of them
-    gs = ground_space(pair.k_space, grid.n_qubits, n_up, n_down)
     sea = fermi_sea(grid, n_up, n_down)
     x = (gs.states == sum(1 << q for q in sea.occupied_qubits())).astype(float)
     print(f"\nGround energy {gs.energy:.10f}, degeneracy {gs.degeneracy}, "

@@ -22,13 +22,10 @@ from .core import (
 )
 from .hamiltonians import (
     GroundSpace,
-    HamiltonianPair,
     build_kspace,
     build_real,
     ground_space,
-    hamiltonian_pair,
     interaction_quadruples,
-    sector_diagonalize,
     spin_operators,
 )
 from .hva import HvaAnsatz, HvaLayout, HvaResult, build_layout, hva_run
@@ -39,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec",
     "GroundSpace",
-    "HamiltonianPair",
     "HvaAnsatz",
     "HvaLayout",
     "HvaResult",
@@ -54,11 +50,9 @@ __all__ = [
     "fermi_sea",
     "first_order_oracle",
     "ground_space",
-    "hamiltonian_pair",
     "hva_run",
     "interaction_quadruples",
     "rs_perturbation",
-    "sector_diagonalize",
     "select",
     "spin_operators",
     "vipsa_run",

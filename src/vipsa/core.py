@@ -23,7 +23,6 @@ from .hamiltonians import (
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
     interaction_quadruples,
-    real_part,
     sector_basis,
 )
 from .lattice import DEGENERACY_TOL, DOWN, UP, GridSpec, default_filling, enumerate_modes, fermi_sea
@@ -373,9 +372,10 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
 
     The reference ground space (for fidelities) is diagonalized on the spot
     unless a precomputed one is passed in; the sector Hamiltonian is taken
-    from it.  Likewise the pool's orbit tables are built unless `pool`
-    passes them in.  `progress`, if given, is called with each finished
-    EpochRecord.  When the pool gradient drops below eps1 a terminal record
+    from it, and must be real, as the run's states and generators are (a
+    complex one is a ValueError).  Likewise the pool's orbit tables are
+    built unless `pool` passes them in.  `progress`, if given, is called
+    with each finished EpochRecord.  When the pool gradient drops below eps1 a terminal record
     with an empty selection is emitted, so a trace always shows the state
     the loop stopped in.
 
@@ -396,11 +396,9 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down)
     if not np.array_equal(reference.states, states):
         raise ValueError("reference ground space is not over the run's sector basis")
-    # states and generators are real, so the imaginary part of h, which is
-    # antisymmetric, adds nothing to <x|h|x> or to <h x|A x>
     h = reference.matrix
     if np.iscomplexobj(h.data):
-        h = real_part(h)
+        raise ValueError("reference sector matrix is complex; the run is real")
     orbits = pool.orbits()
     x0 = _sea_vector(grid, n_up, n_down, states)
     gates: list[int] = []  # pool index of each rotation, in circuit order

@@ -24,12 +24,13 @@ from .lattice import DOWN, UP, GridSpec, axis_energies, axis_wavefunctions, enum
 from .statevector import StateVector, _compiled_terms, _parity, sector_basis
 
 # Connected blocks of a sector matrix up to this dimension are solved dense,
-# larger ones by restarted Lanczos.  On one core of a Xeon, with k = 12 in a
-# 48-vector Krylov basis, the two cross between 250 and 300 states (dense 6 ms
-# against Lanczos 8 ms at 248, 18 ms against 10 ms at 300, 19 ms against 10 ms
-# at 400, 50 ms against 15 ms at 628).  The cutoff sits a little above, so that
-# the 2x3 site register (400 states, one block) keeps its full spectrum from
-# one solve.
+# larger ones by restarted Lanczos.  On one core of a Xeon, with the ground
+# window of 6 in a 20-vector Krylov basis, the two cross between 224 and 300
+# states (dense 5 ms against Lanczos 9 ms at 224, 10 ms against 8 ms at 300,
+# 17 ms against 6-9 ms at 400, 80 ms against 15 ms at 784; site-register
+# blocks at U = 4).  The cutoff stays at 400, above the crossover, because
+# the two solvers round differently: moving it would change the stored
+# ground vectors of every block between the two sizes in their last bits.
 DENSE_SECTOR_CUTOFF = 400
 GROUND_DEGENERACY_TOL = 1e-8
 # First Lanczos window of ground_space, in eigenpairs per block.  It covers
@@ -165,21 +166,6 @@ def build_real(grid: GridSpec) -> PauliSum:
     return PauliSum.from_terms(acc)
 
 
-@dataclass(frozen=True)
-class HamiltonianPair:
-    """Both register pictures of one grid, plus the quadruple table."""
-
-    grid: GridSpec
-    real_space: PauliSum
-    k_space: PauliSum
-    quadruples: tuple[InteractionQuadruple, ...]
-
-
-def hamiltonian_pair(grid: GridSpec) -> HamiltonianPair:
-    k_space, quads = build_kspace(grid)
-    return HamiltonianPair(grid, build_real(grid), k_space, tuple(quads))
-
-
 def spin_operators(n_sites: int) -> tuple[PauliSum, PauliSum]:
     """Total S_z and S^2 over the 2*n_sites register.
 
@@ -214,7 +200,8 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
     added to a zero vector in string order; the sum is in float64 when every
     compiled coefficient is real.  Entries whose amplitudes cancel to
     exactly zero are not stored; every flip pattern reaches a distinct (row,
-    column) pair, so no stored entry is a sum of several.  Only the nonzero
+    column) pair, so no stored entry is a sum of several.  Nor are entries
+    left at zero when a negligible imaginary part is dropped.  Only the nonzero
     amplitudes are looked up in the basis, and one that leaves it is
     rounding residue up to AMPLITUDE_DROP_TOL times max(1, the largest
     |coefficient|).  A non-finite amplitude is a ValueError.
@@ -268,20 +255,16 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
     data = np.concatenate(data)
     if np.iscomplexobj(data) and (not data.size or np.abs(data.imag).max()
                                   <= 1e-12 * max(1.0, np.abs(data).max())):
-        data = data.real.copy()
+        # a purely imaginary entry leaves a real part of zero; drop it
+        kept = data.real != 0
+        rows, cols, data = rows[kept], cols[kept], data.real[kept]
     return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def real_part(matrix: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    """Real part of a CSR matrix, with contiguous float64 data of its own
-    (``matrix.real`` keeps a strided view into the complex data)."""
-    return scipy.sparse.csr_matrix((matrix.data.real.copy(), matrix.indices, matrix.indptr),
-                                   shape=matrix.shape)
-
-
-def _lowest_eigenpairs(matrix, k: int, widen_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest min(dim - 2, k) eigenpairs from Lanczos, with k doubled while
-    all of them lie within widen_tol of the lowest.  Values ascend.
+def _lowest_eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest min(dim - 2, k) eigenpairs from Lanczos, for a window k of
+    GROUND_WINDOW doubled while all of them lie within GROUND_DEGENERACY_TOL
+    of the lowest.  Values ascend.
 
     Each solve converges its window to machine precision (tol=0) from the
     same fixed start vector, in a Krylov basis of min(dim, max(2k + 8, 20))
@@ -289,7 +272,7 @@ def _lowest_eigenpairs(matrix, k: int, widen_tol: float | None) -> tuple[np.ndar
     basis it reorthogonalises against, so both follow k.
     """
     dim = matrix.shape[0]
-    k = min(dim - 2, k)
+    k = min(dim - 2, GROUND_WINDOW)
     while True:
         ncv = min(dim, max(2 * k + 8, 20))
         # a fixed generic start vector makes the returned basis of a degenerate
@@ -298,118 +281,10 @@ def _lowest_eigenpairs(matrix, k: int, widen_tol: float | None) -> tuple[np.ndar
         vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=0, v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        if (widen_tol is None or (vals <= vals[0] + widen_tol).sum() < len(vals)
-                or k == dim - 2):
+        if (vals <= vals[0] + GROUND_DEGENERACY_TOL).sum() < len(vals) or k == dim - 2:
             return vals, vecs
         # the whole returned window is degenerate; widen it
         k = min(dim - 2, 2 * k)
-
-
-@dataclass(frozen=True)
-class _Spectrum:
-    """What _sector_spectrum found: `labels` gives the connected block of each
-    sector state, `owners` the block each vector is supported on."""
-
-    states: np.ndarray
-    matrix: scipy.sparse.csr_matrix
-    labels: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
-    owners: np.ndarray
-
-
-def _sector_spectrum(h: PauliSum, n_qubits: int, n_up: int, n_down: int, k: int,
-                     widen_tol: float | None = None) -> _Spectrum:
-    """Lowest eigenpairs of h on the (n_up, n_down) sector, block by block.
-
-    The matrix is sector_matrix(h, states, n_qubits).  Its connected
-    components are blocks h never mixes, and each is solved on its own: up
-    to DENSE_SECTOR_CUTOFF states (read at call time), or when too small for
-    a Lanczos window of k, every eigenpair comes from one batched dense solve
-    per block size; above it, the lowest k come from Lanczos (see
-    _lowest_eigenpairs).  An eigenvalue
-    a Lanczos block did not return lies at or above its window top, so the
-    merged values at or below the lowest top are the lowest of the whole
-    sector.  Of those, the lowest k are kept, with every one within widen_tol
-    of the lowest (all of them when k covers the sector), so the vectors stay
-    about (dim, k) even when every state is a block of its own, as at U = 0
-    in the mode register.  Values ascend; each vector lives on one block.
-    """
-    # imported here, not with the module: it adds about 1 MiB to every
-    # process, and a run that loads its ground space from the cache solves nothing
-    import scipy.sparse.csgraph
-
-    if not h.is_hermitian():
-        raise ValueError("sector diagonalization requires a Hermitian operator")
-    states = sector_basis(n_qubits, n_up, n_down)
-    dim = len(states)
-    matrix = sector_matrix(h, states, n_qubits)
-    n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)
-    sizes = np.bincount(labels, minlength=n_blocks)
-    starts = np.cumsum(sizes) - sizes
-    members = np.argsort(labels, kind="stable")  # block by block, ascending within each
-    dense = (sizes <= DENSE_SECTOR_CUTOFF) | (sizes <= k + 2)
-
-    # each piece is (blocks, rows, values, vectors) of shapes (b,), (b, s),
-    # (b, m) and (b, s, m): m eigenpairs of each of b blocks of s states
-    pieces = []
-    top = np.inf
-    if dense.any():
-        coo = matrix.tocoo()
-        position = np.empty(dim, dtype=np.intp)
-        position[members] = np.arange(dim) - starts[labels[members]]
-        for size in np.unique(sizes[dense]):
-            blocks = np.flatnonzero(dense & (sizes == size))
-            slot = np.full(n_blocks, -1)
-            slot[blocks] = np.arange(len(blocks))
-            where = slot[labels[coo.row]]
-            entry = where >= 0
-            stack = np.zeros((len(blocks), size, size), dtype=matrix.dtype)
-            stack[where[entry], position[coo.row[entry]], position[coo.col[entry]]] = coo.data[entry]
-            vals, vecs = np.linalg.eigh(stack)
-            pieces.append((blocks, members[starts[blocks, None] + np.arange(size)], vals, vecs))
-    for block in np.flatnonzero(~dense):
-        rows = members[starts[block]:starts[block] + sizes[block]]
-        vals, vecs = _lowest_eigenpairs(matrix if n_blocks == 1 else matrix[rows][:, rows],
-                                        k, widen_tol)
-        top = min(top, vals[-1])
-        pieces.append((np.array([block]), rows[None], vals[None], vecs[None]))
-
-    values = np.concatenate([vals.ravel() for _, _, vals, _ in pieces])
-    if not np.isfinite(values).all():
-        raise ValueError("sector spectrum is not finite (float64 overflow)")
-    order = np.argsort(values, kind="stable")
-    known = int((values <= top).sum())
-    wanted = k if widen_tol is None else max(k, int((values <= values[order[0]] + widen_tol).sum()))
-    keep = order[:min(known, wanted)]
-
-    offsets = np.cumsum([0] + [vals.size for _, _, vals, _ in pieces])
-    piece_of = np.searchsorted(offsets, keep, side="right") - 1
-    vectors = np.zeros((dim, len(keep)), dtype=np.result_type(*(piece[3] for piece in pieces)))
-    owners = np.empty(len(keep), dtype=labels.dtype)
-    for index, (blocks, rows, vals, vecs) in enumerate(pieces):
-        columns = np.flatnonzero(piece_of == index)
-        block, pair = np.divmod(keep[columns] - offsets[index], vals.shape[1])
-        vectors[rows[block], columns[:, None]] = vecs[block, :, pair]
-        owners[columns] = blocks[block]
-    return _Spectrum(states, matrix, labels, values[keep], vectors, owners)
-
-
-@dataclass(frozen=True)
-class SectorEigen:
-    """Lowest eigenpairs of a sector block, vectors in sector coordinates."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    states: np.ndarray
-
-
-def sector_diagonalize(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
-                       how_many: int = 6) -> SectorEigen:
-    """Lowest eigenpairs of h restricted to the (n_up, n_down) sector."""
-    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, max(how_many + 4, 10))
-    return SectorEigen(spectrum.values[:how_many].copy(), spectrum.vectors[:, :how_many].copy(),
-                       spectrum.states)
 
 
 # Cache files are a sequence of .npy records: a 1-D string array of field
@@ -532,24 +407,75 @@ class GroundSpace:
 def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
-    Each Lanczos block is asked for its lowest GROUND_WINDOW eigenpairs
-    first, and the window doubles while it is all one multiplet (see
-    _lowest_eigenpairs), so a multiplet larger than the window is still
-    found whole.  The returned space keeps the sector matrix it was solved
-    from, and each of its vectors lives on one connected block of that matrix.
+    The matrix is sector_matrix(h, states, n_qubits).  Its connected
+    components are blocks h never mixes, and each is solved on its own: up
+    to DENSE_SECTOR_CUTOFF states (read at call time), or when too small for
+    a Lanczos window, every eigenpair comes from one batched dense solve per
+    block size; above it, the lowest come from Lanczos (see
+    _lowest_eigenpairs), whose window widens until it holds the block's
+    whole lowest multiplet.  So the ground multiplet is every merged value
+    within GROUND_DEGENERACY_TOL of the lowest, in ascending order.  The
+    returned space keeps the sector matrix it was solved from, and each of
+    its vectors lives on one connected block of that matrix.
     """
-    spectrum = _sector_spectrum(h, n_qubits, n_up, n_down, GROUND_WINDOW,
-                                widen_tol=GROUND_DEGENERACY_TOL)
-    values, owners = spectrum.values, spectrum.owners
-    count = int((values <= values[0] + GROUND_DEGENERACY_TOL).sum())
+    # imported here, not with the module: it adds about 1 MiB to every
+    # process, and a run that loads its ground space from the cache solves nothing
+    import scipy.sparse.csgraph
+
+    if not h.is_hermitian():
+        raise ValueError("sector diagonalization requires a Hermitian operator")
+    states = sector_basis(n_qubits, n_up, n_down)
+    dim = len(states)
+    matrix = sector_matrix(h, states, n_qubits)
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)
+    sizes = np.bincount(labels, minlength=n_blocks)
+    starts = np.cumsum(sizes) - sizes
+    members = np.argsort(labels, kind="stable")  # block by block, ascending within each
+    dense = (sizes <= DENSE_SECTOR_CUTOFF) | (sizes <= GROUND_WINDOW + 2)
+
+    # each piece is (blocks, rows, values, vectors) of shapes (b,), (b, s),
+    # (b, m) and (b, s, m): m eigenpairs of each of b blocks of s states
+    pieces = []
+    if dense.any():
+        coo = matrix.tocoo()
+        position = np.empty(dim, dtype=np.intp)
+        position[members] = np.arange(dim) - starts[labels[members]]
+        for size in np.unique(sizes[dense]):
+            blocks = np.flatnonzero(dense & (sizes == size))
+            slot = np.full(n_blocks, -1)
+            slot[blocks] = np.arange(len(blocks))
+            where = slot[labels[coo.row]]
+            entry = where >= 0
+            stack = np.zeros((len(blocks), size, size), dtype=matrix.dtype)
+            stack[where[entry], position[coo.row[entry]], position[coo.col[entry]]] = coo.data[entry]
+            vals, vecs = np.linalg.eigh(stack)
+            pieces.append((blocks, members[starts[blocks, None] + np.arange(size)], vals, vecs))
+    for block in np.flatnonzero(~dense):
+        rows = members[starts[block]:starts[block] + sizes[block]]
+        vals, vecs = _lowest_eigenpairs(matrix if n_blocks == 1 else matrix[rows][:, rows])
+        pieces.append((np.array([block]), rows[None], vals[None], vecs[None]))
+
+    values = np.concatenate([vals.ravel() for _, _, vals, _ in pieces])
+    if not np.isfinite(values).all():
+        raise ValueError("sector spectrum is not finite (float64 overflow)")
+    order = np.argsort(values, kind="stable")
+    keep = order[:int((values <= values[order[0]] + GROUND_DEGENERACY_TOL).sum())]
+
+    offsets = np.cumsum([0] + [vals.size for _, _, vals, _ in pieces])
+    piece_of = np.searchsorted(offsets, keep, side="right") - 1
+    vectors = np.zeros((dim, len(keep)), dtype=np.result_type(*(piece[3] for piece in pieces)))
+    owners = np.empty(len(keep), dtype=labels.dtype)
+    for index, (blocks, rows, vals, vecs) in enumerate(pieces):
+        columns = np.flatnonzero(piece_of == index)
+        block, pair = np.divmod(keep[columns] - offsets[index], vals.shape[1])
+        vectors[rows[block], columns[:, None]] = vecs[block, :, pair]
+        owners[columns] = blocks[block]
     # orthonormalize block by block, so no vector leaks into another block
-    basis = np.zeros_like(spectrum.vectors[:, :count])
-    for block in np.unique(owners[:count]):
-        rows = np.flatnonzero(spectrum.labels == block)
-        columns = np.flatnonzero(owners[:count] == block)
-        basis[np.ix_(rows, columns)] = np.linalg.qr(spectrum.vectors[np.ix_(rows, columns)])[0]
-    return GroundSpace(n_qubits, n_up, n_down, float(values[0]), basis, spectrum.states,
-                       spectrum.matrix)
+    for block in np.unique(owners):
+        rows = np.flatnonzero(labels == block)
+        columns = np.flatnonzero(owners == block)
+        vectors[np.ix_(rows, columns)] = np.linalg.qr(vectors[np.ix_(rows, columns)])[0]
+    return GroundSpace(n_qubits, n_up, n_down, float(values[keep[0]]), vectors, states, matrix)
 
 
 def fidelity(psi: StateVector, gs: GroundSpace) -> float:

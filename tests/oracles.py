@@ -15,6 +15,9 @@ matrix at the end: they are the earlier implementations of the mask
 kernels in `vipsa.fermions` and `vipsa.hamiltonians`, which must match them
 bit for bit.  `as_real_if_possible` is the earlier rule by which the per-string
 matrix was made real; `sector_matrix` folds it into its own assembly.
+`lowest_sector_values` solves the library's sector matrix block by block
+with plain eigvalsh and eigsh calls, a values-only reference for the
+ground-space solver.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from vipsa.fermions import COEFF_DROP_TOL, CREATE, letters_to_masks
-from vipsa.hamiltonians import AMPLITUDE_DROP_TOL
+from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, sector_basis, sector_matrix
 from vipsa.statevector import rotate_sector, sector_overlap, sector_run
 
 I2 = np.eye(2, dtype=complex)
@@ -105,6 +110,28 @@ def dense_sector_block(pauli_sum, states, n_qubits: int) -> np.ndarray:
         inside = states[position] == rows
         np.add.at(out, (position[inside], columns[inside]), value[inside])
     return out
+
+
+def lowest_sector_values(h, n_qubits: int, n_up: int, n_down: int, how_many: int,
+                         dense_up_to: int = 400) -> np.ndarray:
+    """The lowest how_many eigenvalues of h on the (n_up, n_down) sector,
+    ascending.  Each connected block of the sector matrix gives its lowest
+    how_many: from a dense eigvalsh up to dense_up_to states (or when too
+    small for eigsh), else from eigsh converged to machine precision (tol=0)
+    from a fixed start vector."""
+    matrix = sector_matrix(h, sector_basis(n_qubits, n_up, n_down), n_qubits)
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)
+    values = []
+    for block in range(n_blocks):
+        rows = np.flatnonzero(labels == block)
+        sub = matrix[rows][:, rows]
+        if len(rows) <= max(dense_up_to, how_many + 1):
+            values.append(np.linalg.eigvalsh(sub.toarray())[:how_many])
+        else:
+            values.append(scipy.sparse.linalg.eigsh(
+                sub, k=how_many, which="SA", tol=0, return_eigenvectors=False,
+                v0=np.random.default_rng(0).standard_normal(len(rows))))
+    return np.sort(np.concatenate(values))[:how_many]
 
 
 def per_gate_sweep(x0, gates, thetas, h, final=None):

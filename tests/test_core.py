@@ -23,6 +23,7 @@ from vipsa.core import (
 )
 from vipsa.fermions import jordan_wigner
 from vipsa.hamiltonians import (
+    GroundSpace,
     build_kspace,
     fidelity,
     ground_space,
@@ -389,6 +390,26 @@ def test_run_rejects_reference_from_another_sector():
     other = ground_space(build_kspace(grid)[0], grid.n_qubits, 1, 2)
     with pytest.raises(ValueError):
         vipsa_run(grid, 2, 2, reference=other)
+
+
+def test_run_rejects_a_complex_reference_matrix():
+    # the run's states and generators are real, so a complex sector
+    # Hamiltonian is refused rather than silently cut to its real part
+    grid = u4(2, 2)
+    gs = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2)
+    complex_gs = GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
+                             gs.states, gs.matrix.astype(np.complex128))
+    with pytest.raises(ValueError, match="complex"):
+        vipsa_run(grid, 2, 2, reference=complex_gs)
+
+
+def test_every_export_is_the_object_its_module_defines():
+    assert len(set(vipsa.__all__)) == len(vipsa.__all__)
+    for name in vipsa.__all__:
+        exported = getattr(vipsa, name)
+        module = importlib.import_module(exported.__module__)
+        assert module.__name__.startswith("vipsa."), name
+        assert exported.__name__ == name and getattr(module, name) is exported, name
 
 
 def test_run_first_epoch_selection_is_clean():

@@ -12,7 +12,7 @@ from numpy.lib.format import write_array, write_array_header_1_0
 
 from vipsa import hamiltonians
 from vipsa.core import PoolTables, rs_perturbation
-from vipsa.fermions import PauliSum
+from vipsa.fermions import PauliSum, hopping_pair, jordan_wigner_sum
 from vipsa.hamiltonians import (
     GroundSpace,
     SectorHamiltonian,
@@ -20,12 +20,9 @@ from vipsa.hamiltonians import (
     build_real,
     fidelity,
     ground_space,
-    hamiltonian_pair,
     interaction_quadruples,
     kinetic_kspace,
-    real_part,
     sector_basis,
-    sector_diagonalize,
     sector_matrix,
     spin_operators,
 )
@@ -39,7 +36,22 @@ from vipsa.statevector import (
     slater_amplitudes,
 )
 
-from oracles import dense_pauli_sum, dense_sector_block
+from oracles import dense_pauli_sum, dense_sector_block, lowest_sector_values
+
+
+def assert_ground_level(gs, spectrum, atol, matrix=None):
+    """gs is the lowest level of the ascending spectrum, to atol in energy:
+    as many orthonormal vectors as the level has values within
+    GROUND_DEGENERACY_TOL, each with residual ||Hv - Ev|| <= 1e-9 under
+    matrix (gs.matrix by default)."""
+    matrix = gs.matrix if matrix is None else matrix
+    assert gs.energy == pytest.approx(spectrum[0], abs=atol)
+    tol = hamiltonians.GROUND_DEGENERACY_TOL
+    assert gs.degeneracy == np.count_nonzero(spectrum <= spectrum[0] + tol)
+    np.testing.assert_allclose(gs.vectors.conj().T @ gs.vectors, np.eye(gs.degeneracy),
+                               rtol=0, atol=1e-12)
+    residual = np.linalg.norm(matrix @ gs.vectors - gs.energy * gs.vectors, axis=0)
+    assert residual.max() <= 1e-9
 
 
 def test_real_2x2_dense_shape():
@@ -53,8 +65,8 @@ def test_real_2x2_dense_shape():
 
 def test_real_u0_ground_energy():
     grid = GridSpec.make(2, 2)
-    eig = sector_diagonalize(build_real(grid), grid.n_qubits, 2, 2, how_many=1)
-    assert eig.values[0] == pytest.approx(-4.0, abs=1e-10)
+    gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
+    assert gs.energy == pytest.approx(-4.0, abs=1e-10)
 
 
 def test_quadruples_3x3_uniform():
@@ -135,11 +147,22 @@ def test_kspace_hermitian_and_real():
 @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 3)])
 def test_register_spectra_agree(nx, ny):
     grid = GridSpec.make(nx, ny, u=4.0)
-    pair = hamiltonian_pair(grid)
     n_up = n_down = grid.n_sites // 2
-    real_eig = sector_diagonalize(pair.real_space, grid.n_qubits, n_up, n_down, how_many=10 ** 9)
-    k_eig = sector_diagonalize(pair.k_space, grid.n_qubits, n_up, n_down, how_many=10 ** 9)
-    np.testing.assert_allclose(real_eig.values, k_eig.values, atol=1e-9)
+    real_values, k_values = (lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many=10 ** 9)
+                             for h in (build_real(grid), build_kspace(grid)[0]))
+    assert len(real_values) == len(sector_basis(grid.n_qubits, n_up, n_down))
+    np.testing.assert_allclose(real_values, k_values, atol=1e-9)
+
+
+@pytest.mark.parametrize("dense_up_to", [400, 0])  # all eigvalsh, all eigsh
+@pytest.mark.parametrize("register", ["k", "real"])
+def test_lowest_values_oracle_matches_the_whole_sector(register, dense_up_to):
+    grid = GridSpec.make(2, 3, u=4.0)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    whole = np.linalg.eigvalsh(
+        sector_matrix(h, sector_basis(grid.n_qubits, 3, 3), grid.n_qubits).toarray())
+    got = lowest_sector_values(h, grid.n_qubits, 3, 3, how_many=6, dense_up_to=dense_up_to)
+    np.testing.assert_allclose(got, whole[:6], rtol=0, atol=1e-10)
 
 
 def test_spin_operator_expectations():
@@ -199,24 +222,27 @@ def test_sector_basis_dimensions():
 def test_sector_ground_matches_full_dense():
     grid = GridSpec.make(2, 2, u=4.0)
     h = build_real(grid)
-    eig = sector_diagonalize(h, grid.n_qubits, 2, 2, how_many=10 ** 9)
+    gs = ground_space(h, grid.n_qubits, 2, 2)
     # independent solve: slice the sector block out of the full 256-dim matrix
     full = dense_pauli_sum(h, grid.n_qubits)
     idx = np.arange(256)
     n_up = np.bitwise_count(idx & 0b01010101)
     n_down = np.bitwise_count(idx & 0b10101010)
     keep = idx[(n_up == 2) & (n_down == 2)]
-    block = np.linalg.eigvalsh(full[np.ix_(keep, keep)])
-    np.testing.assert_allclose(eig.values, block, atol=1e-10)
+    np.testing.assert_array_equal(gs.states, keep)
+    block = full[np.ix_(keep, keep)]
+    assert_ground_level(gs, np.linalg.eigvalsh(block), 1e-10, matrix=block)
 
 
 def test_iterative_solver_matches_dense(monkeypatch):
     grid = GridSpec.make(2, 3, u=4.0)
     h = build_real(grid)
-    dense = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=6)
+    dense = ground_space(h, grid.n_qubits, 3, 3)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 10)
-    krylov = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=6)
-    np.testing.assert_allclose(dense.values, krylov.values, atol=1e-9)
+    krylov = ground_space(h, grid.n_qubits, 3, 3)
+    whole = np.linalg.eigvalsh(dense.matrix.toarray())
+    for gs in (dense, krylov):
+        assert_ground_level(gs, whole, 1e-9)
 
 
 def test_iterative_ground_space_is_reproducible(monkeypatch):
@@ -236,11 +262,10 @@ def test_sectors_too_small_for_lanczos_are_solved_dense(monkeypatch):
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
     empty = ground_space(h, grid.n_qubits, 0, 0)
     assert empty.degeneracy == 1 and empty.energy == pytest.approx(0.0, abs=1e-12)
-    single = sector_diagonalize(h, grid.n_qubits, 1, 0, how_many=10 ** 9)
+    single = ground_space(h, grid.n_qubits, 1, 0)
     states = sector_basis(grid.n_qubits, 1, 0)
-    np.testing.assert_allclose(
-        single.values, np.linalg.eigvalsh(dense_sector_block(h, states, grid.n_qubits)),
-        rtol=0, atol=1e-12)
+    assert_ground_level(single, np.linalg.eigvalsh(dense_sector_block(h, states, grid.n_qubits)),
+                        1e-12)
 
 
 @pytest.mark.parametrize("cutoff", [400, 66, 0])  # all dense, mixed, all Lanczos
@@ -250,12 +275,9 @@ def test_block_spectra_match_the_whole_sector(monkeypatch, cutoff):
     states = sector_basis(grid.n_qubits, 3, 3)
     matrix = sector_matrix(h, states, grid.n_qubits)
     whole = np.linalg.eigvalsh(matrix.toarray())
-    how_many = 10 ** 9 if cutoff == 400 else 6
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", cutoff)
-    eig = sector_diagonalize(h, grid.n_qubits, 3, 3, how_many=how_many)
-    assert len(eig.values) == min(how_many, len(states))
-    np.testing.assert_allclose(eig.values, whole[:len(eig.values)], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(matrix @ eig.vectors, eig.vectors * eig.values, rtol=0, atol=1e-9)
+    gs = ground_space(h, grid.n_qubits, 3, 3)
+    assert_ground_level(gs, whole, 1e-10, matrix=matrix)
 
 
 def test_block_spectra_match_a_whole_sector_lanczos_solve():
@@ -266,8 +288,7 @@ def test_block_spectra_match_a_whole_sector_lanczos_solve():
     assert scipy.sparse.csgraph.connected_components(matrix, directed=False)[0] == 8
     whole = scipy.sparse.linalg.eigsh(matrix, k=12, which="SA", tol=0,
                                       v0=np.random.default_rng(0).standard_normal(len(states)))[0]
-    eig = sector_diagonalize(h, grid.n_qubits, 4, 4, how_many=12)
-    np.testing.assert_allclose(eig.values, np.sort(whole), rtol=0, atol=1e-9)
+    assert_ground_level(ground_space(h, grid.n_qubits, 4, 4), np.sort(whole), 1e-9)
 
 
 def recorded_eigsh(monkeypatch) -> list[tuple[int, int, int]]:
@@ -360,9 +381,17 @@ def test_sector_matrix_stores_only_nonzeros(shape, register):
     np.testing.assert_allclose(matrix.toarray(), dense_sector_block(h, states, grid.n_qubits),
                                rtol=0, atol=1e-12)
     assert matrix.data.dtype == np.float64 and matrix.data.flags.c_contiguous
-    real = real_part(matrix * (1 + 2j))
-    assert real.data.dtype == np.float64 and real.data.flags.c_contiguous
-    np.testing.assert_array_equal(real.toarray(), matrix.toarray())
+
+
+def test_sector_matrix_drops_entries_left_zero_by_a_negligible_imaginary_part():
+    # the purely imaginary 1e-10j hopping falls below 1e-12 of the U = 1e3
+    # diagonal, so the matrix is made real; its entries must not stay as zeros
+    grid = GridSpec.make(2, 2, u=1e3)
+    h = build_real(grid) + jordan_wigner_sum(hopping_pair(0, 6, 1e-10j), grid.n_qubits)
+    matrix = sector_matrix(h, sector_basis(grid.n_qubits, 2, 2), grid.n_qubits)
+    assert matrix.data.dtype == np.float64 and matrix.data.flags.c_contiguous
+    assert matrix.nnz == matrix.count_nonzero() == 222
+    assert matrix.has_sorted_indices
 
 
 @pytest.mark.parametrize("register", ["k", "real"])
@@ -595,7 +624,7 @@ def test_perturbation_third_order_scaling():
         grid = GridSpec.make(2, 2, u=u)
         e0, e1, e2 = rs_perturbation(grid, 1, 1)
         h, _ = build_kspace(grid)
-        exact = sector_diagonalize(h, grid.n_qubits, 1, 1, how_many=1).values[0]
+        exact = ground_space(h, grid.n_qubits, 1, 1).energy
         results[u] = abs(exact - (e0 + e1 + e2))
     assert results[0.2] > 1e-10
     assert results[0.1] <= 0.25 * 1.2 * results[0.2]
