@@ -1,10 +1,11 @@
 """Command-line front door: run, ed, compare, pool-info.
 
-Only the standard library is imported at module scope so that the thread-count
-environment variable (read in the package __init__) takes effect before numpy
-loads.  Config files are plain ``key = value`` text; every value is checked by
-the library call that uses it before any computation starts, and nothing is
-written on a config error.
+Library functions are imported inside the command that calls them, so each
+call looks its function up at call time, where a hook that
+benchmarks/tracing.py sets on the defining module sees it.  Config files are
+plain ``key = value`` text; every value is checked by the library call that
+uses it before any computation starts, and nothing is written on a config
+error.
 """
 
 import argparse
@@ -14,13 +15,11 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .core import VipsaConfig
-    from .lattice import GridSpec
+from .core import VipsaConfig
+from .lattice import GridSpec
 
 
 class CliError(Exception):
@@ -76,24 +75,11 @@ CONFIG_SCHEMA = {
     "n_down": int,
     "ansatz": _parse_ansatz,
     "layers": int,
-    "r": float,
-    "eps1": float,
-    "eps2": float,
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "stabilizer": float,
-    "max_epochs": int,
-    "max_inner_steps": int,
-    "convergence_window": int,
+    **{field.name: field.type for field in fields(VipsaConfig)},
     "output": _parse_path,
     "cache": _parse_switch,
     "cache_dir": _parse_path,
 }
-
-OPTIMIZER_KEYS = ("r", "eps1", "eps2", "lr", "beta1", "beta2", "stabilizer",
-                  "max_epochs", "max_inner_steps", "convergence_window")
-
 
 def parse_config_text(text: str, origin: str) -> dict:
     """Parse ``key = value`` lines; comments start with '#'."""
@@ -122,9 +108,9 @@ class Experiment:
     """A run request, resolved into the library objects that carry it out."""
 
     ansatz: str
-    grid: "GridSpec"
+    grid: GridSpec
     sector: tuple[int, int]
-    config: "VipsaConfig"
+    config: VipsaConfig
     layers: int
     output: Path
     cache_dir: Path | None
@@ -135,9 +121,8 @@ class Experiment:
         call that owns its rule, so a bad value fails here, before any
         output is written.  Only rules about the file itself are checked
         by the CLI."""
-        from .core import VipsaConfig
         from .hva import build_layout
-        from .lattice import GridSpec, default_filling
+        from .lattice import default_filling
         from .statevector import sector_basis
 
         try:
@@ -160,7 +145,7 @@ class Experiment:
                       else default_filling(grid))
             sector_basis(grid.n_qubits, *sector)
             layers = build_layout(grid, **given("layers")).layers
-            config = VipsaConfig(**given(*OPTIMIZER_KEYS))
+            config = VipsaConfig(**given(*(field.name for field in fields(VipsaConfig))))
         ansatz = values.get("ansatz", "vipsa")
         output = values.get("output", f"runs/{ansatz}-{grid.nx}x{grid.ny}-u{grid.u:g}")
         cache_dir = Path(values.get("cache_dir", "vipsa-cache")) if values.get("cache", True) else None
@@ -303,7 +288,7 @@ def cmd_run(args) -> int:
         "grid": {"nx": grid.nx, "ny": grid.ny, "bc_x": grid.bc_x,
                  "bc_y": grid.bc_y, "t": grid.t, "u": grid.u},
         "sector": {"n_up": n_up, "n_down": n_down},
-        "optimizer": {key: getattr(run.config, key) for key in OPTIMIZER_KEYS},
+        "optimizer": asdict(run.config),
         "status": result.status,
         "final_energy": float(result.final_energy),
         "final_fidelity": float(result.final_fidelity),
@@ -360,7 +345,7 @@ def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, 
 
 
 def cmd_ed(args) -> int:
-    from .lattice import GridSpec, default_filling
+    from .lattice import default_filling
     from .statevector import sector_basis
 
     nx, ny = _parse_grid_arg(args.grid)
@@ -492,8 +477,6 @@ def cmd_pool_info(args) -> int:
     from .core import build_pool, pool_class
     from .hamiltonians import interaction_quadruples
 
-    from .lattice import GridSpec
-
     nx, ny = _parse_grid_arg(args.grid)
     with library_checks():
         grid = GridSpec.make(nx, ny, t=args.t, u=args.u)
@@ -511,8 +494,14 @@ def cmd_pool_info(args) -> int:
 
 # ------------------------------------------------------------------ main ---
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 1 like any other user error, not argparse's 2
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vipsa",
         description="Adaptive S-matrix ansatz experiments on small Hubbard grids.")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -546,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

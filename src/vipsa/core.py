@@ -220,15 +220,12 @@ def select(gradients: np.ndarray, r: float, labels: list[str]) -> list[int]:
 
 @dataclass(frozen=True)
 class VipsaConfig:
-    """Loop controls; defaults follow the benchmark settings."""
+    """Loop controls; defaults follow the benchmark settings.  ADAM's step
+    size, decay rates and denominator guard are the fixed ADAM_* constants."""
 
     r: float = 0.1
     eps1: float = 1e-2
     eps2: float = 1e-2
-    lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    stabilizer: float = 1e-8
     max_epochs: int = 30
     max_inner_steps: int = 2000
     convergence_window: int = 10
@@ -236,13 +233,10 @@ class VipsaConfig:
     def __post_init__(self):
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"r must be in (0, 1], got {self.r}")
-        for name in ("eps1", "eps2", "lr", "stabilizer"):
+        for name in ("eps1", "eps2"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name, low in (("beta1", 0.0), ("beta2", 0.0)):
-            if not low <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
         for name in ("max_epochs", "max_inner_steps", "convergence_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -255,11 +249,17 @@ class AdamResult:
     energies: np.ndarray  # one entry per evaluation, starting at the input point
     steps: int
     converged: bool
-    history: np.ndarray | None = None  # parameter vector per evaluation, if kept
 
 
-def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig,
-                  keep_history: bool = False) -> AdamResult:
+# ADAM's step size, moment decay rates and denominator guard: Kingma & Ba's
+# defaults, fixed because no run needs other values
+ADAM_LR = 1e-2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_STABILIZER = 1e-8
+
+
+def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResult:
     """ADAM with bias correction over an arbitrary parameter vector.
 
     `evaluate(thetas)` returns (energy, gradient).  Converged means the energy
@@ -271,10 +271,8 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig,
     energy, grads = evaluate(thetas)
     if not math.isfinite(energy):
         raise RuntimeError(f"non-finite energy {energy} at the starting point")
-    history = [thetas.copy()] if keep_history else None
     if len(thetas) == 0 or np.abs(grads).max() == 0.0:
-        return AdamResult(thetas, energy, np.array([energy]), 0, True,
-                          np.array(history) if keep_history else None)
+        return AdamResult(thetas, energy, np.array([energy]), 0, True)
 
     best_energy, best_thetas = energy, thetas.copy()
     energies = [energy]
@@ -282,18 +280,16 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig,
     v = np.zeros_like(thetas)
     steps, streak, converged = 0, 0, False
     for step in range(1, config.max_inner_steps + 1):
-        m = config.beta1 * m + (1.0 - config.beta1) * grads
-        v = config.beta2 * v + (1.0 - config.beta2) * grads ** 2
-        m_hat = m / (1.0 - config.beta1 ** step)
-        v_hat = v / (1.0 - config.beta2 ** step)
-        thetas = thetas - config.lr * m_hat / (np.sqrt(v_hat) + config.stabilizer)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads ** 2
+        m_hat = m / (1.0 - ADAM_BETA1 ** step)
+        v_hat = v / (1.0 - ADAM_BETA2 ** step)
+        thetas = thetas - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_STABILIZER)
         previous = energy
         energy, grads = evaluate(thetas)
         if not math.isfinite(energy):
             raise RuntimeError(f"non-finite energy {energy} at inner step {step}")
         energies.append(energy)
-        if keep_history:
-            history.append(thetas.copy())
         steps = step
         if energy < best_energy:
             best_energy, best_thetas = energy, thetas.copy()
@@ -301,8 +297,7 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig,
         if streak >= config.convergence_window:
             converged = True
             break
-    return AdamResult(best_thetas, best_energy, np.array(energies), steps, converged,
-                      np.array(history) if keep_history else None)
+    return AdamResult(best_thetas, best_energy, np.array(energies), steps, converged)
 
 
 def adam_optimize(x0: np.ndarray, orbits, thetas: np.ndarray, h,

@@ -210,6 +210,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     ansatz = HvaAnsatz(grid, n_up, n_down, layers)
 
     records: list[EpochRecord] = []
+    history: list[np.ndarray] = []  # the parameter vector of each record
 
     def evaluate(params):
         thetas = ansatz.angles(params)
@@ -220,18 +221,18 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         grads = ansatz.fold(per_gate)
         records.append(EpochRecord(len(records), float(np.abs(grads).max()), (),
                                    ansatz.n_params, 1, energy, fid))
+        history.append(params.copy())
         return energy, grads
 
     start = np.zeros(ansatz.n_params)
     _, grads0 = evaluate(start)
     if np.abs(grads0).max() <= STATIONARY_TOL:
         start = np.full(ansatz.n_params, STATIONARY_KICK)
-    outcome: AdamResult = adam_minimize(start, evaluate, config, keep_history=True)
+    outcome: AdamResult = adam_minimize(start, evaluate, config)
     status = "converged" if outcome.converged else "exhausted"
     # adam returns the first minimum of outcome.energies, and its evaluations
     # are recorded after the zero point's, so that record holds the fidelity
     final_fid = records[1 + int(np.argmin(outcome.energies))].fidelity
-    history = np.vstack([np.zeros(ansatz.n_params), outcome.history])
     return HvaResult(grid, n_up, n_down, ansatz.layout, records, status,
                      outcome.energy, final_fid, reference, outcome.thetas,
-                     history, ansatz)
+                     np.array(history), ansatz)

@@ -411,6 +411,23 @@ def one_error_line(capsys) -> str:
     return captured.err
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["run"], "required: config"),
+    (["ed", "--grid", "2x2", "--u", "4", "--t", "abc"], "--t"),
+    (["frob"], "invalid choice: 'frob'"),
+])
+def test_usage_error_is_one_line(capsys, argv, detail):
+    assert main(argv) == 1
+    assert detail in one_error_line(capsys)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(["--help"])
+    assert stopped.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: vipsa")
+
+
 def test_grid_rejected_by_the_library_is_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = write(tmp_path / "thin.cfg", "nx = 1\nny = 3\n")
@@ -528,6 +545,28 @@ def test_compare_csv_into_a_missing_directory_is_one_line(tmp_path, capsys):
     assert str(target) in one_error_line(capsys)
 
 
+def test_every_loop_setting_is_a_config_key(tmp_path, capsys):
+    from dataclasses import asdict, fields
+
+    from vipsa.cli import Experiment
+    from vipsa.core import VipsaConfig
+
+    # r = 1 is written as an integer, so the float parse is seen in the type
+    values = {"r": 1, "eps1": 0.02, "eps2": 0.003, "max_epochs": 2,
+              "max_inner_steps": 5, "convergence_window": 3}
+    settings = fields(VipsaConfig)
+    assert sorted(values) == sorted(field.name for field in settings)
+    assert all(values[field.name] != field.default for field in settings)
+    code, out = run_config(tmp_path, "tuned", **values)
+    assert code in (0, 2)
+    config = Experiment.from_file(str(tmp_path / "tuned.cfg")).config
+    assert config == VipsaConfig(**values)
+    assert all(type(getattr(config, field.name)) is field.type for field in settings)
+    echoed = json.loads((out / "manifest.json").read_text())["optimizer"]
+    assert echoed == asdict(config)
+    assert all(type(echoed[field.name]) is field.type for field in settings)
+
+
 def test_readme_lists_every_config_key():
     from vipsa.cli import CONFIG_SCHEMA
 
@@ -623,6 +662,29 @@ def test_compare_single_run_passthrough(tmp_path, capsys):
     steps = read_csv(out / "steps.csv")
     assert len(table) == len(steps)
     assert [row["solo/energy"] for row in table] == [row["energy"] for row in steps]
+
+
+def test_compare_puts_each_hva_fidelity_on_its_step(tmp_path, capsys):
+    _, out = run_config(tmp_path, "layered", ansatz="hva", u=2.0, max_inner_steps=5)
+    merged = tmp_path / "merged.csv"
+    assert main(["compare", str(out), "--csv", str(merged)]) == 0
+    trace = read_csv(out / "trace.csv")
+    assert len(trace) > 2
+    assert [row["layered/fidelity"] for row in read_csv(merged)] == [
+        row["fidelity"] for row in trace]
+
+
+def test_compare_puts_each_epoch_fidelity_on_its_last_step(tmp_path, capsys):
+    _, out = run_config(tmp_path, "solo", u=4.0, max_epochs=3)
+    merged = tmp_path / "merged.csv"
+    assert main(["compare", str(out), "--csv", str(merged)]) == 0
+    steps = read_csv(out / "steps.csv")
+    last = {row["epoch"]: i for i, row in enumerate(steps)}
+    fidelity = {row["epoch"]: row["fidelity"] for row in read_csv(out / "trace.csv")}
+    expected = [fidelity[row["epoch"]] if last[row["epoch"]] == i else ""
+                for i, row in enumerate(steps)]
+    assert len(last) == 3 and expected.count("") == len(steps) - 3
+    assert [row["solo/fidelity"] for row in read_csv(merged)] == expected
 
 
 def test_compare_rejects_grid_mismatch(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 import vipsa
 from vipsa.core import (
+    ADAM_LR,
     PoolTables,
     VipsaConfig,
     adam_minimize,
@@ -268,8 +269,8 @@ def test_adam_first_step_is_lr_sized():
 
     adam_minimize(np.zeros(3), spy, config)
     first = seen[1] - seen[0]
-    # bias correction makes the first update exactly lr * sign(gradient)
-    assert np.allclose(first, config.lr * np.sign(center), atol=1e-10)
+    # bias correction makes the first update exactly ADAM_LR * sign(gradient)
+    assert np.allclose(first, ADAM_LR * np.sign(center), atol=1e-10)
 
 
 def test_adam_zero_gradient_converges_immediately():
@@ -303,10 +304,19 @@ def test_adam_rejects_non_finite_energy():
 
 def test_adam_is_deterministic():
     config = VipsaConfig(max_inner_steps=50, eps2=1e-9)
-    runs = [adam_minimize(np.zeros(2), quadratic(np.array([0.2, -0.7])), config,
-                          keep_history=True) for _ in range(2)]
-    assert np.array_equal(runs[0].history, runs[1].history)
-    assert np.array_equal(runs[0].energies, runs[1].energies)
+
+    def run():
+        history = []
+
+        def recording(thetas):
+            history.append(thetas.copy())
+            return quadratic(np.array([0.2, -0.7]))(thetas)
+
+        return adam_minimize(np.zeros(2), recording, config), history
+
+    (first, first_history), (second, second_history) = run(), run()
+    assert np.array_equal(first_history, second_history)
+    assert np.array_equal(first.energies, second.energies)
 
 
 def test_config_validation():
@@ -318,7 +328,7 @@ def test_config_validation():
         VipsaConfig(convergence_window=0)
 
 
-@pytest.mark.parametrize("name", ["eps1", "eps2", "lr", "stabilizer"])
+@pytest.mark.parametrize("name", ["eps1", "eps2"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_settings(name, value):
     with pytest.raises(ValueError, match=name):

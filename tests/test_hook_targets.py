@@ -44,3 +44,18 @@ def test_every_refused_kernel_resolves():
     missing = [name for name in FULL_REGISTER_KERNELS
                if not any(hasattr(module, name) for module in REFUSED_MODULES)]
     assert not missing, missing
+
+
+def test_the_cli_binds_no_hooked_function():
+    # the tracer replaces a function on the module named in its hook, so a
+    # copy the CLI bound at import would keep calling the unhooked original
+    tracing = load_tracing()
+    cli = vars(importlib.import_module("vipsa.cli"))
+    bound = []
+    for module_name, path, _, _ in tracing.HOOKS:
+        if module_name == "vipsa.cli" or "." in path:
+            continue  # a method is hooked on its class, which the CLI may import
+        function = getattr(importlib.import_module(module_name), path, None)
+        bound += [f"{name} is {module_name}.{path}" for name, value in cli.items()
+                  if function is not None and value is function]
+    assert not bound, bound
