@@ -191,21 +191,40 @@ def _cached(cache_dir: Path, stem: str, key: str, kind, build):
     return result
 
 
+def solve_ground_space(grid, n_up: int, n_down: int, register: str):
+    """(h, ground space) in the requested register: the mode register is
+    solved one point-group class at a time on its total-momentum blocks,
+    the site register whole (see ground_space)."""
+    from .hamiltonians import build_kspace, build_real, ground_space
+    from .lattice import point_group
+
+    h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
+                   else (build_real(grid), None))
+    with library_checks():
+        return h, ground_space(h, grid.n_qubits, n_up, n_down, symmetry)
+
+
 def cached_ground_space(grid, n_up: int, n_down: int, register: str,
                         cache_dir: Path | None):
-    """Diagonalize in the requested register, reusing an on-disk artifact.
+    """A run's ground space, with the whole-sector matrix its H comes from,
+    reusing an on-disk artifact.
 
     The file stores its cache key and the sector Hamiltonian, so a hit needs
     no Hamiltonian build.  One that cannot be read (an older format without
-    the sector matrix included, say) is rebuilt (see _cached).  cache_dir
-    must exist; with None the space is solved and nothing is read or written.
+    the sector matrix or the block labels, say) is rebuilt (see _cached).
+    cache_dir must exist; with None the space is solved and nothing is read
+    or written.
     """
-    from .hamiltonians import GroundSpace, build_kspace, build_real, ground_space
+    from dataclasses import replace
+
+    from .hamiltonians import GroundSpace, sector_matrix
 
     def solve():
-        h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+        h, space = solve_ground_space(grid, n_up, n_down, register)
+        if space.matrix is not None:  # the site register's whole-sector solve
+            return space
         with library_checks():
-            return ground_space(h, grid.n_qubits, n_up, n_down)
+            return replace(space, matrix=sector_matrix(h, space.states, grid.n_qubits))
 
     if cache_dir is None:
         return solve()
@@ -263,13 +282,23 @@ def cmd_run(args) -> int:
           f"ED energy {ground.energy:.8f}")
 
     if run.ansatz == "vipsa":
+        from .lattice import fermi_sea, label_momenta, momentum_labels
+
+        sea_block = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
+        blocks = {"reference_block": label_momenta(grid, sea_block),
+                  "ground_blocks": [label_momenta(grid, block) for block in ground.blocks]}
+        if sea_block not in ground.blocks:
+            print(f"warning: the Fermi sea lies in momentum block {blocks['reference_block']}, "
+                  "which holds no ground state (the ground space lies in "
+                  f"{', '.join(map(str, blocks['ground_blocks']))}), so the run cannot reach it",
+                  file=sys.stderr)
         pool = cached_pool_tables(grid, n_up, n_down, run.cache_dir) if run.cache_dir else None
         result = vipsa_run(grid, n_up, n_down, run.config, reference=ground, pool=pool,
                            progress=lambda r: print(
                                f"  epoch {r.epoch}: E={r.energy:.8f} "
                                f"fid={r.fidelity:.4f} max|g|={r.max_gradient:.2e} "
                                f"selected {r.n_selected}"))
-        manifest_extra = {"pool_size": result.pool_size}
+        manifest_extra = {"pool_size": result.pool_size, **blocks}
         if result.status == "empty-pool":
             print("  empty pool: no off-diagonal scattering move has four distinct orbitals "
                   "and a nonzero kinetic gap, so no rotation can leave the Fermi sea")
@@ -338,9 +367,8 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
 
 def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, int]:
     """(energy, degeneracy) of one register's ground space.  The Hamiltonian
-    and the space, sector matrix included, are freed on return, before the
-    next register is built."""
-    ground = cached_ground_space(grid, n_up, n_down, register, None)
+    and the space are freed on return, before the next register is built."""
+    _, ground = solve_ground_space(grid, n_up, n_down, register)
     return ground.energy, ground.degeneracy
 
 

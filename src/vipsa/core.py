@@ -354,8 +354,7 @@ class RunResult:
 
 def _sea_vector(grid: GridSpec, n_up: int, n_down: int, states: np.ndarray) -> np.ndarray:
     """The Fermi sea as a real vector over the sorted sector bitstrings."""
-    sea = sum(1 << q for q in fermi_sea(grid, n_up, n_down).occupied_qubits())
-    return (states == sea).astype(float)
+    return (states == fermi_sea(grid, n_up, n_down).bitstring()).astype(float)
 
 
 def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
@@ -367,9 +366,9 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
 
     The reference ground space (for fidelities) is diagonalized on the spot
     unless a precomputed one is passed in; the sector Hamiltonian is taken
-    from it, and must be real, as the run's states and generators are (a
-    complex one is a ValueError).  Likewise the pool's orbit tables are
-    built unless `pool` passes them in.  `progress`, if given, is called
+    from it, and must be there and real, as the run's states and generators
+    are (a missing or complex one is a ValueError).  Likewise the pool's
+    orbit tables are built unless `pool` passes them in.  `progress`, if given, is called
     with each finished EpochRecord.  When the pool gradient drops below eps1 a terminal record
     with an empty selection is emitted, so a trace always shows the state
     the loop stopped in.
@@ -392,6 +391,8 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     if not np.array_equal(reference.states, states):
         raise ValueError("reference ground space is not over the run's sector basis")
     h = reference.matrix
+    if h is None:
+        raise ValueError("reference ground space holds no sector matrix")
     if np.iscomplexobj(h.data):
         raise ValueError("reference sector matrix is complex; the run is real")
     orbits = pool.orbits()

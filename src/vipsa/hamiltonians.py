@@ -17,10 +17,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, hopping_pair, jordan_wigner, number_term
-from .lattice import DOWN, UP, GridSpec, axis_energies, axis_wavefunctions, enumerate_modes, hopping_edges, qubit_index
+from .lattice import (
+    DOWN,
+    UP,
+    GridSpec,
+    PointGroup,
+    axis_energies,
+    axis_wavefunctions,
+    enumerate_modes,
+    hopping_edges,
+    qubit_index,
+)
 from .statevector import StateVector, _compiled_terms, _parity, sector_basis
 
 # Connected blocks of a sector matrix up to this dimension are solved dense,
@@ -271,6 +280,10 @@ def _lowest_eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
     vectors: a restarted Lanczos solve costs about the window times the
     basis it reorthogonalises against, so both follow k.
     """
+    # imported here, not with the module: a run that loads its ground space
+    # from the cache solves nothing, and the import costs about 10 MiB
+    import scipy.sparse.linalg
+
     dim = matrix.shape[0]
     k = min(dim - 2, GROUND_WINDOW)
     while True:
@@ -340,16 +353,22 @@ def _load_fields(path, key: str | None) -> dict[str, np.ndarray]:
     return fields
 
 
+# GroundSpace.blocks of a space solved without momentum labels
+UNLABELLED = -1
+
+
 @dataclass(frozen=True)
 class GroundSpace:
     """Orthonormal basis of the degenerate ground eigenspace of one sector.
 
     `vectors` has one column per ground state, expressed over `states`, the
-    sorted sector bitstrings.  `matrix` is the sector Hamiltonian the space
-    was solved from, over the same basis, so a run can reuse it instead of
-    building it again.  Stored artifacts (`save`/`load`) keep exactly these
-    fields: n_qubits, n_up, n_down, energy, vectors, states and the matrix,
-    plus an optional key naming the problem they solve.
+    sorted sector bitstrings.  `matrix` is the whole-sector Hamiltonian over
+    the same basis, so a run can reuse it instead of building it again, or
+    None when the space was solved block by block.  `blocks` holds the
+    total-momentum label (lattice.momentum_labels) of the block each vector
+    lives on, UNLABELLED when the sector was solved without labels.  Stored
+    artifacts (`save`/`load`) keep exactly these fields, the matrix
+    included, plus an optional key naming the problem they solve.
     """
 
     n_qubits: int
@@ -358,16 +377,22 @@ class GroundSpace:
     energy: float
     vectors: np.ndarray
     states: np.ndarray
-    matrix: scipy.sparse.csr_matrix = field(repr=False, compare=False)
+    matrix: scipy.sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         dim = len(self.states)
-        if self.matrix.shape != (dim, dim):
+        if self.matrix is not None and self.matrix.shape != (dim, dim):
             raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
                              f"{dim} sector states")
         if self.vectors.shape[0] != dim:
             raise ValueError(f"ground vectors of length {self.vectors.shape[0]} do not fit "
                              f"{dim} sector states")
+        if self.blocks is None:
+            object.__setattr__(self, "blocks", np.full(self.degeneracy, UNLABELLED))
+        if self.blocks.shape != (self.degeneracy,):
+            raise ValueError(f"{self.blocks.shape} block labels do not fit "
+                             f"{self.degeneracy} ground vectors")
 
     @property
     def degeneracy(self) -> int:
@@ -375,13 +400,17 @@ class GroundSpace:
 
     def save(self, path, key: str | None = None) -> None:
         """Write the fields, and key if given, to path (a name or binary file).
+        Only a space that holds its sector matrix can be saved.
 
         The file is not compressed: the sector matrix dominates it, and
         compressing it costs far more time than reading the raw arrays back.
         """
+        if self.matrix is None:
+            raise ValueError("a ground space is saved with its sector matrix, and this one has none")
         _save_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
                             "n_down": self.n_down, "energy": self.energy,
                             "vectors": self.vectors, "states": self.states,
+                            "blocks": self.blocks,
                             "matrix_shape": np.array(self.matrix.shape),
                             "matrix_data": self.matrix.data,
                             "matrix_indices": self.matrix.indices,
@@ -391,42 +420,39 @@ class GroundSpace:
     def load(cls, path, key: str | None = None) -> "GroundSpace":
         """Read a saved ground space; with a key, raise ValueError unless the
         file was saved under the same key.  A file without a field it needs
-        (one saved before the sector matrix was stored, say) raises KeyError."""
+        (one saved before the sector matrix or the block labels were stored,
+        say) raises KeyError."""
         data = _load_fields(path, key)
         matrix = scipy.sparse.csr_matrix(
             (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
             shape=tuple(int(n) for n in data["matrix_shape"]))
         return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
-                   float(data["energy"]), data["vectors"], data["states"], matrix)
+                   float(data["energy"]), data["vectors"], data["states"], matrix,
+                   data["blocks"])
 
     def sector_fidelity(self, x: np.ndarray) -> float:
         """Total squared overlap with a state given over `states`."""
         return float(np.sum(np.abs(self.vectors.conj().T @ x) ** 2))
 
 
-def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int) -> GroundSpace:
-    """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
+def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest multiplet of one sector matrix: (values, vectors), values
+    ascending within GROUND_DEGENERACY_TOL of the lowest, vectors over the
+    matrix's rows.
 
-    The matrix is sector_matrix(h, states, n_qubits).  Its connected
-    components are blocks h never mixes, and each is solved on its own: up
-    to DENSE_SECTOR_CUTOFF states (read at call time), or when too small for
-    a Lanczos window, every eigenpair comes from one batched dense solve per
-    block size; above it, the lowest come from Lanczos (see
-    _lowest_eigenpairs), whose window widens until it holds the block's
-    whole lowest multiplet.  So the ground multiplet is every merged value
-    within GROUND_DEGENERACY_TOL of the lowest, in ascending order.  The
-    returned space keeps the sector matrix it was solved from, and each of
-    its vectors lives on one connected block of that matrix.
+    The matrix's connected components are blocks it never mixes, and each is
+    solved on its own: up to DENSE_SECTOR_CUTOFF states (read at call time),
+    or when too small for a Lanczos window, every eigenpair comes from one
+    batched dense solve per block size; above it, the lowest come from
+    Lanczos (see _lowest_eigenpairs), whose window widens until it holds
+    the block's whole lowest multiplet.  The vectors are orthonormalized
+    block by block, so each lives on one connected block.
     """
     # imported here, not with the module: it adds about 1 MiB to every
     # process, and a run that loads its ground space from the cache solves nothing
     import scipy.sparse.csgraph
 
-    if not h.is_hermitian():
-        raise ValueError("sector diagonalization requires a Hermitian operator")
-    states = sector_basis(n_qubits, n_up, n_down)
-    dim = len(states)
-    matrix = sector_matrix(h, states, n_qubits)
+    dim = matrix.shape[0]
     n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)
     sizes = np.bincount(labels, minlength=n_blocks)
     starts = np.cumsum(sizes) - sizes
@@ -475,7 +501,57 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int) -> GroundSp
         rows = np.flatnonzero(labels == block)
         columns = np.flatnonzero(owners == block)
         vectors[np.ix_(rows, columns)] = np.linalg.qr(vectors[np.ix_(rows, columns)])[0]
-    return GroundSpace(n_qubits, n_up, n_down, float(values[keep[0]]), vectors, states, matrix)
+    return values[keep], vectors
+
+
+def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
+                 symmetry: PointGroup | None = None) -> GroundSpace:
+    """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
+
+    Without a symmetry, the matrix is sector_matrix(h, states, n_qubits)
+    over the whole sector, solved as _block_ground says, and the returned
+    space keeps it.
+
+    With the point group of the grid whose mode register h is written in,
+    the sector splits into total-momentum blocks that h never mixes, and the
+    blocks of one point-group class share their spectrum.  Each class's
+    representative block (its smallest label) is built on its own, by
+    sector_matrix on its bitstrings, and solved as above; the ground vectors
+    of the class's other blocks are the signed permutations of its own.  No
+    whole-sector matrix is built, and the space keeps none.
+
+    Either way the ground multiplet is every vector within
+    GROUND_DEGENERACY_TOL of the lowest value, and each vector lives on one
+    connected block of the sector matrix.  Columns go block label by block
+    label, ascending in value within one.
+    """
+    if not h.is_hermitian():
+        raise ValueError("sector diagonalization requires a Hermitian operator")
+    states = sector_basis(n_qubits, n_up, n_down)
+    if symmetry is None:
+        matrix = sector_matrix(h, states, n_qubits)
+        values, vectors = _block_ground(matrix)
+        return GroundSpace(n_qubits, n_up, n_down, float(values[0]), vectors, states, matrix)
+
+    labels = symmetry.labels(states)
+    solved = []
+    for members in symmetry.classes(states, labels):
+        rows = np.flatnonzero(labels == members[0][0])
+        solved.append((members, rows, *_block_ground(sector_matrix(h, states[rows], n_qubits))))
+    lowest = min(values[0] for _, _, values, _ in solved)
+    found = {}  # block label -> its ground vectors over the sector
+    for members, rows, values, vectors in solved:
+        kept = vectors[:, values <= lowest + GROUND_DEGENERACY_TOL]
+        if not kept.shape[1]:
+            continue
+        for label, element in members:
+            images, signs = element.apply(states[rows])
+            found[label] = np.zeros((len(states), kept.shape[1]), dtype=kept.dtype)
+            found[label][np.searchsorted(states, images)] = signs[:, None] * kept
+    blocks = sorted(found)
+    return GroundSpace(n_qubits, n_up, n_down, float(lowest),
+                       np.concatenate([found[label] for label in blocks], axis=1), states,
+                       blocks=np.repeat(blocks, [found[label].shape[1] for label in blocks]))
 
 
 def fidelity(psi: StateVector, gs: GroundSpace) -> float:

@@ -200,6 +200,10 @@ class FermiSea:
         downs = (m.qubit(DOWN) for m in self.occupied_down)
         return tuple(sorted([*ups, *downs]))
 
+    def bitstring(self) -> int:
+        """The sea as one mode-register basis state: bit q set when q is occupied."""
+        return sum(1 << q for q in self.occupied_qubits())
+
 
 def fermi_sea(grid: GridSpec, n_up: int, n_down: int) -> FermiSea:
     """Fill the n_up/n_down lowest modes; ties resolved by the mode sort order.
@@ -273,3 +277,118 @@ def real_orbital_basis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, list[int
             order_keys.append((round(energies[slot], 9), my, mx, slot))
     order = [slot for _, _, _, slot in sorted(order_keys)]
     return energies, w, order
+
+
+# ---------------------------------------------------------------------------
+# total momentum and the point group of the mode register
+
+
+def _label_moduli(grid: GridSpec) -> tuple[int, int]:
+    """Modulus of each label component: L on a periodic axis, 2 on an open one."""
+    return (grid.nx if grid.bc_x == PERIODIC else 2, grid.ny if grid.bc_y == PERIODIC else 2)
+
+
+def momentum_labels(grid: GridSpec, states) -> np.ndarray:
+    """Total-momentum label of each mode-register bitstring, as lx + Mx*ly.
+
+    lx sums the x mode number m of every occupied mode, either spin, mod L on
+    a periodic axis and mod 2 on an open one, where a standing wave has
+    parity (-1)^m under reflection; ly likewise, and Mx is the x modulus.
+    The mode-register Hamiltonian conserves both, so it never couples two
+    bitstrings with different labels.
+    """
+    mod_x, mod_y = _label_moduli(grid)
+    states = np.asarray(states)
+    lx = np.zeros(states.shape, dtype=np.int64)
+    ly = np.zeros(states.shape, dtype=np.int64)
+    for slot in range(grid.n_sites):
+        count = np.bitwise_count(states & (3 << 2 * slot))
+        lx += (slot % grid.nx) * count
+        ly += (slot // grid.nx) * count
+    return lx % mod_x + mod_x * (ly % mod_y)
+
+
+def label_momenta(grid: GridSpec, label: int) -> tuple[int, int]:
+    """The (lx, ly) components of a momentum_labels label."""
+    ly, lx = divmod(int(label), _label_moduli(grid)[0])
+    return lx, ly
+
+
+@dataclass(frozen=True)
+class SlotPermutation:
+    """One point-group element as a permutation of mode slots: the modes of
+    slot s move to slot image[s], both spins alike."""
+
+    image: tuple[int, ...]
+
+    def apply(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """(images, signs): each bitstring's image, and the +-1 sign of
+        reordering its moved creation operators into ascending qubit order."""
+        states = np.asarray(states)
+        targets = [2 * self.image[q // 2] + q % 2 for q in range(2 * len(self.image))]
+        images = np.zeros_like(states)
+        odd = np.zeros(states.shape, dtype=bool)
+        for q, target in enumerate(targets):
+            bit = (states >> q) & 1
+            images |= bit << target
+            # each occupied pair (q, p), p > q, whose images swap order flips the sign
+            passed = sum(1 << p for p in range(q + 1, len(targets)) if targets[p] < target)
+            odd ^= (bit & np.bitwise_count(states & passed) & 1).astype(bool)
+        return images, np.where(odd, -1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class PointGroup:
+    """The mode register's total-momentum blocks and the point group that
+    permutes them.
+
+    `elements` lists every group element once, the identity first: k -> -k
+    on any set of periodic axes, each combined with x <-> y on a square grid
+    whose two axes share a boundary condition.  The mode-register
+    Hamiltonian commutes with each element's signed permutation, so blocks
+    one element maps onto each other have the same spectrum.
+    """
+
+    grid: GridSpec
+    elements: tuple[SlotPermutation, ...]
+
+    def labels(self, states) -> np.ndarray:
+        return momentum_labels(self.grid, states)
+
+    def classes(self, states: np.ndarray, labels: np.ndarray) -> list[list[tuple[int, SlotPermutation]]]:
+        """The labels present, split into point-group classes, in the order
+        of their smallest labels.  A class lists (label, element) for each
+        member in ascending label order; the element maps the class's
+        smallest label, its representative, onto that member, and the
+        representative's own is the identity."""
+        present, first = np.unique(labels, return_index=True)
+        seeds = states[first]
+        images = [self.labels(element.apply(seeds)[0]).tolist() for element in self.elements]
+        classes, seen = [], set()
+        for column, label in enumerate(present.tolist()):
+            if label in seen:
+                continue
+            members: dict[int, SlotPermutation] = {}
+            for element, image in zip(self.elements, images):
+                members.setdefault(image[column], element)
+            seen.update(members)
+            classes.append(sorted(members.items(), key=lambda member: member[0]))
+        return classes
+
+
+def point_group(grid: GridSpec) -> PointGroup:
+    """The point group of the grid's mode register (see PointGroup)."""
+    flips_x = (False, True) if grid.bc_x == PERIODIC else (False,)
+    flips_y = (False, True) if grid.bc_y == PERIODIC else (False,)
+    swaps = (False, True) if grid.nx == grid.ny and grid.bc_x == grid.bc_y else (False,)
+    elements = []
+    for swap in swaps:
+        for flip_y in flips_y:
+            for flip_x in flips_x:
+                image = []
+                for slot in range(grid.n_sites):
+                    mx, my = slot % grid.nx, slot // grid.nx
+                    mx, my = (-mx % grid.nx if flip_x else mx), (-my % grid.ny if flip_y else my)
+                    image.append(my + grid.nx * mx if swap else mx + grid.nx * my)
+                elements.append(SlotPermutation(tuple(image)))
+    return PointGroup(grid, tuple(dict.fromkeys(elements)))

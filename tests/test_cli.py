@@ -233,6 +233,13 @@ def plant_old_format(path: Path) -> None:
                         if not name.startswith("matrix_")}, None)
 
 
+def plant_unlabelled(path: Path) -> None:
+    # the format before each ground vector's momentum block was stored
+    fields = _load_fields(path, None)
+    del fields["blocks"]
+    _save_fields(path, fields, None)
+
+
 def plant_misfit_matrix(path: Path) -> None:
     from vipsa.hamiltonians import GroundSpace
     block = GroundSpace.load(path).matrix[:-1, :-1].tocsr()
@@ -255,7 +262,8 @@ def assert_same_artifacts(first: Path, again: Path) -> None:
 
 
 @pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_old_format, plant_misfit_matrix,
-                                                  plant_misfit_vectors, plant_scalar_vector])
+                                                  plant_misfit_vectors, plant_scalar_vector,
+                                                  plant_unlabelled])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
@@ -395,11 +403,15 @@ def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, a
     settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 2, "max_inner_steps": 20,
                 "layers": 2}
     _, uncached = run_config(tmp_path, "uncached", cache=None, **settings)
-    assert len(calls) == 1
+    # H comes from one whole-sector build (36 states of 2x2 (2,2)); the
+    # mode register's ED builds only the blocks of labels 0, 1 and 3, one
+    # per point-group class, before it
+    cold = ([(12,), (8,), (8,)] if ansatz == "vipsa" else []) + [(36,)]
+    assert calls == cold
     _, filled = run_config(tmp_path, "filled", **settings)
-    assert len(calls) == 2
+    assert calls == cold * 2
     _, warm = run_config(tmp_path, "warm", **settings)
-    assert len(calls) == 2
+    assert calls == cold * 2
     assert not (tmp_path / "off").exists()
     assert run_artifacts(uncached) == run_artifacts(filled) == run_artifacts(warm)
 
@@ -644,6 +656,56 @@ def test_ed_free_3x3_is_the_fourfold_sea(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [(row[4], row[5], row[6]) for row in rows] == [("k", "-15.00000000", "4"),
                                                          ("real", "-15.00000000", "4")]
+
+
+def test_mode_register_ed_builds_one_block_per_class(capsys, monkeypatch):
+    # 3x3 (5,4): 15876 states in 9 blocks of 1764, in 3 point-group classes
+    from vipsa import hamiltonians
+
+    sizes = []
+    build = hamiltonians.sector_matrix
+    monkeypatch.setattr(hamiltonians, "sector_matrix",
+                        lambda h, states, n: sizes.append(len(states)) or build(h, states, n))
+    assert main(["ed", "--grid", "3x3", "--u", "4", "--register", "k"]) == 0
+    assert sizes == [1764] * 3
+    assert capsys.readouterr().out.split("\n")[1].split()[-1] == "4"
+
+
+def test_warm_run_imports_no_sparse_solver(tmp_path, capsys):
+    # the Lanczos solver is imported only by a solve, and a warm run solves nothing
+    code, _ = run_config(tmp_path, "cold", max_epochs=1)
+    assert code == 2
+    config = tmp_path / "cold.cfg"
+    probe = ("import sys\nfrom vipsa.cli import main\n"
+             f"code = main(['run', {str(config)!r}])\n"
+             "print(code, 'scipy.sparse.linalg' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "2 False"
+
+
+@pytest.mark.parametrize("shape, warned", [((2, 3), True), ((2, 2), False)])
+def test_run_reports_the_momentum_blocks(tmp_path, capsys, shape, warned):
+    # at half filling on 2x3 the sea lies in block (0, 2) and the ground
+    # state in (0, 0), so the run's fidelity stays 0
+    nx, ny = shape
+    out = tmp_path / "out"
+    config = write(tmp_path / "run.cfg", f"nx = {nx}\nny = {ny}\nu = 4\nmax_epochs = 1\n"
+                                         f"output = {out}\ncache = off\n")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    trace = read_csv(out / "trace.csv")
+    if warned:
+        assert manifest["reference_block"] == [0, 2] and manifest["ground_blocks"] == [[0, 0]]
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert "(0, 2)" in err and "(0, 0)" in err
+        assert float(trace[-1]["fidelity"]) == 0.0
+    else:
+        assert manifest["reference_block"] in manifest["ground_blocks"]
+        assert err == "" and float(trace[-1]["fidelity"]) > 0.0
+    assert len(manifest["ground_blocks"]) == manifest["ground_degeneracy"]
 
 
 def test_ed_writes_csv(tmp_path, capsys):

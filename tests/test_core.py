@@ -413,6 +413,20 @@ def test_run_rejects_a_complex_reference_matrix():
         vipsa_run(grid, 2, 2, reference=complex_gs)
 
 
+def test_runs_reject_a_reference_without_its_matrix():
+    # a space solved per point-group class holds no whole-sector matrix,
+    # and a run has no other source for its H
+    from vipsa.hva import hva_run
+    from vipsa.lattice import point_group
+
+    grid = u4(2, 2)
+    blocks = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2, point_group(grid))
+    with pytest.raises(ValueError, match="no sector matrix"):
+        vipsa_run(grid, 2, 2, reference=blocks)
+    with pytest.raises(ValueError, match="no sector matrix"):
+        hva_run(grid, 2, 2, layers=1, reference=blocks)
+
+
 def test_every_export_is_the_object_its_module_defines():
     assert len(set(vipsa.__all__)) == len(vipsa.__all__)
     for name in vipsa.__all__:

@@ -26,7 +26,16 @@ from vipsa.hamiltonians import (
     sector_matrix,
     spin_operators,
 )
-from vipsa.lattice import DOWN, UP, GridSpec, default_filling, fermi_sea, real_orbital_basis
+from vipsa.lattice import (
+    DOWN,
+    UP,
+    GridSpec,
+    default_filling,
+    fermi_sea,
+    momentum_labels,
+    point_group,
+    real_orbital_basis,
+)
 from vipsa.statevector import (
     PoolRotation,
     StateVector,
@@ -459,10 +468,15 @@ def test_ground_space_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("register", ["k", "real"])
 def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
+    # the space a run takes its H from holds the whole-sector matrix, in
+    # memory and after save/load: the site register's from its whole-sector
+    # solve, the mode register's built beside its per-class solve
+    from vipsa.cli import cached_ground_space
+
     grid = GridSpec.make(2, 3, u=4.0)
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    gs = ground_space(h, grid.n_qubits, 3, 3)
+    gs = cached_ground_space(grid, 3, 3, register, None)
     fresh = sector_matrix(h, gs.states, grid.n_qubits)
     gs.save(tmp_path / "gs.npys")
     for matrix in (gs.matrix, GroundSpace.load(tmp_path / "gs.npys").matrix):
@@ -470,6 +484,98 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
             np.testing.assert_array_equal(getattr(matrix, part), getattr(fresh, part))
             assert getattr(matrix, part).dtype == getattr(fresh, part).dtype
         assert matrix.shape == fresh.shape
+
+
+def test_ground_space_keeps_its_block_labels(tmp_path):
+    grid = GridSpec.make(3, 3, u=0.0)
+    h = kinetic_kspace(grid)
+    gs = ground_space(h, grid.n_qubits, 5, 4, point_group(grid))
+    assert gs.matrix is None
+    # the fourfold free sea: one down-spin hole in each of the four modes of
+    # the -1 shell, one in each block of the middle class
+    assert gs.blocks.tolist() == [1, 2, 3, 6]
+    with pytest.raises(ValueError, match="sector matrix"):
+        gs.save(tmp_path / "bare.npys")
+    kept = dataclasses.replace(gs, matrix=sector_matrix(h, gs.states, grid.n_qubits))
+    kept.save(tmp_path / "gs.npys")
+    np.testing.assert_array_equal(GroundSpace.load(tmp_path / "gs.npys").blocks, gs.blocks)
+    unlabelled = ground_space(h, grid.n_qubits, 5, 4)
+    assert unlabelled.blocks.tolist() == [hamiltonians.UNLABELLED] * 4
+    with pytest.raises(ValueError, match="block labels"):
+        GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors, gs.states,
+                    blocks=gs.blocks[:-1])
+
+
+MOMENTUM_GRIDS = [(2, 2), (2, 3), (2, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("u", [0.37, 2.0, 4.0, 6.0, -2.9, 0.0])
+@pytest.mark.parametrize("shape", MOMENTUM_GRIDS)
+def test_momentum_labels_are_the_connected_blocks(shape, u):
+    grid = GridSpec.make(*shape, u=u)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    matrix = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
+    n_blocks, blocks = scipy.sparse.csgraph.connected_components(matrix, directed=False)
+    labels = momentum_labels(grid, states)
+    # each connected block carries one label
+    first = np.zeros(n_blocks, dtype=labels.dtype)
+    first[blocks] = labels
+    assert np.array_equal(first[blocks], labels)
+    if u:
+        assert n_blocks == len(np.unique(labels))
+    else:  # H is diagonal: every state is a block, finer than the labels
+        assert n_blocks == len(states) > len(np.unique(labels))
+
+
+@pytest.mark.parametrize("shape", MOMENTUM_GRIDS)
+def test_signed_maps_carry_block_matrices(shape):
+    grid = GridSpec.make(*shape, u=4.0)
+    h = build_kspace(grid)[0]
+    group = point_group(grid)
+    states = sector_basis(grid.n_qubits, *default_filling(grid))
+    labels = group.labels(states)
+    blocks = {label: states[labels == label] for label in np.unique(labels).tolist()}
+    matrices = {label: sector_matrix(h, block, grid.n_qubits) for label, block in blocks.items()}
+    for label, block in blocks.items():
+        for element in group.elements:
+            images, signs = element.apply(block)
+            target = int(momentum_labels(grid, images[0]))
+            # P[i, j] = sign_j when bitstring j of this block maps to bitstring i of the target
+            perm = scipy.sparse.csr_matrix(
+                (signs, (np.searchsorted(blocks[target], images), np.arange(len(block)))),
+                shape=(len(block), len(block)))
+            moved = perm @ matrices[label] @ perm.T
+            assert abs(moved - matrices[target]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape, u", [((2, 2), 4.0), ((2, 3), 0.0), ((2, 3), 4.0),
+                                      ((2, 4), 4.0), ((2, 4), -2.9), ((3, 3), 4.0)])
+def test_point_group_ground_space_matches_the_oracle(shape, u):
+    grid = GridSpec.make(*shape, u=u)
+    h = build_kspace(grid)[0]
+    n_up, n_down = default_filling(grid)
+    gs = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid))
+    whole = sector_matrix(h, gs.states, grid.n_qubits)
+    spectrum = lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many=12)
+    assert_ground_level(gs, spectrum, 1e-10, matrix=whole)
+    # each vector lives on the block its label names
+    for label, vector in zip(gs.blocks, gs.vectors.T):
+        assert set(momentum_labels(grid, gs.states[vector != 0]).tolist()) == {label}
+
+
+def test_point_group_solve_builds_one_block_per_class(monkeypatch):
+    # 2x4 (4,4): 8 blocks of 608-628 states in 6 classes, (0,1) ~ (0,3) and
+    # (1,1) ~ (1,3)
+    grid = GridSpec.make(2, 4, u=4.0)
+    built = []
+    build = hamiltonians.sector_matrix
+    monkeypatch.setattr(hamiltonians, "sector_matrix",
+                        lambda h, states, n: built.append(len(states)) or build(h, states, n))
+    seen = recorded_eigsh(monkeypatch)
+    gs = ground_space(build_kspace(grid)[0], grid.n_qubits, 4, 4, point_group(grid))
+    labels = momentum_labels(grid, gs.states)
+    assert built == [np.count_nonzero(labels == label) for label in (0, 1, 2, 3, 4, 5)]
+    assert [dim for dim, _, _ in seen] == built
 
 
 def test_ground_space_without_matrix_fails_to_load(tmp_path):

@@ -12,9 +12,13 @@ from vipsa.lattice import (
     fermi_sea,
     hopping_edges,
     hopping_matrix,
+    label_momenta,
+    momentum_labels,
+    point_group,
     qubit_index,
     real_orbital_basis,
 )
+from vipsa.statevector import sector_basis
 
 
 def grids():
@@ -166,3 +170,72 @@ def test_real_orbital_basis_diagonalizes_hopping():
         modes = enumerate_modes(grid)
         np.testing.assert_allclose(sorted(energies), sorted(m.energy for m in modes),
                                    atol=1e-9)
+
+
+def test_momentum_labels_sum_the_occupied_mode_numbers():
+    grid = GridSpec.make(2, 3)  # open x (mod 2), periodic y (mod 3)
+    slot = lambda mx, my: mx + grid.nx * my
+    up = lambda mx, my: 1 << qubit_index(slot(mx, my), UP)
+    down = lambda mx, my: 1 << qubit_index(slot(mx, my), DOWN)
+    cases = {0: (0, 0), up(1, 0): (1, 0), down(0, 2): (0, 2),
+             up(1, 2) | down(1, 2): (0, 1),  # 1 + 1 mod 2, 2 + 2 mod 3
+             up(0, 1) | up(1, 2) | down(1, 1): (0, 1)}
+    labels = momentum_labels(grid, np.array(list(cases), dtype=np.uint32))
+    assert [label_momenta(grid, label) for label in labels] == list(cases.values())
+    assert labels.tolist() == [lx + 2 * ly for lx, ly in cases.values()]
+
+
+def inversion_sign(state: int, image: tuple[int, ...]) -> tuple[int, float]:
+    """The image of one bitstring and its reordering sign, by sorting the
+    moved creation operators one swap at a time."""
+    order = [2 * image[q // 2] + q % 2 for q in range(2 * len(image)) if state >> q & 1]
+    swaps = 0
+    for i in range(len(order)):
+        for j in range(len(order) - 1 - i):
+            if order[j] > order[j + 1]:
+                order[j], order[j + 1] = order[j + 1], order[j]
+                swaps += 1
+    return sum(1 << q for q in order), (-1.0) ** swaps
+
+
+@pytest.mark.parametrize("shape, n_elements", [((2, 2), 2), ((2, 3), 2), ((2, 4), 2),
+                                               ((3, 3), 8), ((3, 4), 4)])
+def test_point_group_elements_are_signed_permutations(shape, n_elements):
+    grid = GridSpec.make(*shape)
+    group = point_group(grid)
+    assert len(group.elements) == n_elements
+    assert group.elements[0].image == tuple(range(grid.n_sites))  # the identity first
+    states = sector_basis(grid.n_qubits, 2, 3)
+    picked = states[np.random.default_rng(1).choice(len(states), min(len(states), 40),
+                                                     replace=False)]
+    for element in group.elements:
+        assert sorted(element.image) == list(range(grid.n_sites))
+        images, signs = element.apply(picked)
+        expected = [inversion_sign(int(state), element.image) for state in picked]
+        assert images.tolist() == [image for image, _ in expected]
+        assert signs.tolist() == [sign for _, sign in expected]
+        # the image of a whole sector is the sector again
+        assert np.array_equal(np.sort(element.apply(states)[0]), states)
+
+
+@pytest.mark.parametrize("shape, sector, classes", [
+    ((2, 2), (2, 2), [[0], [1, 2], [3]]),  # x <-> y
+    ((2, 3), (3, 3), [[0], [1], [2, 4], [3, 5]]),  # ky -> -ky
+    ((2, 4), (4, 4), [[0], [1], [2, 6], [3, 7], [4], [5]]),
+    ((3, 3), (5, 4), [[0], [1, 2, 3, 6], [4, 5, 7, 8]]),
+])
+def test_point_group_classes(shape, sector, classes):
+    grid = GridSpec.make(*shape)
+    group = point_group(grid)
+    states = sector_basis(grid.n_qubits, *sector)
+    labels = group.labels(states)
+    found = group.classes(states, labels)
+    assert [[label for label, _ in members] for members in found] == classes
+    for members in found:
+        rep = members[0][0]
+        assert members[0][1] is group.elements[0]
+        block = states[labels == rep]
+        for label, element in members:
+            # each element carries the representative block onto its member's
+            images = np.sort(element.apply(block)[0])
+            assert np.array_equal(images, states[labels == label])
