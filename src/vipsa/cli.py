@@ -191,23 +191,27 @@ def _cached(cache_dir: Path, stem: str, key: str, kind, build):
     return result
 
 
-def solve_ground_space(grid, n_up: int, n_down: int, register: str):
-    """(h, ground space) in the requested register: the mode register is
+def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_matrix: bool = False):
+    """The ground space in the requested register: the mode register is
     solved one point-group class at a time on its total-momentum blocks,
-    the site register whole (see ground_space)."""
+    the site register whole.  With keep_matrix the space holds the
+    whole-sector matrix, built once, and the mode register's class blocks
+    are sliced from it; without, the mode register builds only those
+    blocks (see ground_space)."""
     from .hamiltonians import build_kspace, build_real, ground_space
     from .lattice import point_group
 
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
                    else (build_real(grid), None))
     with library_checks():
-        return h, ground_space(h, grid.n_qubits, n_up, n_down, symmetry)
+        return ground_space(h, grid.n_qubits, n_up, n_down, symmetry, keep_matrix)
 
 
 def cached_ground_space(grid, n_up: int, n_down: int, register: str,
                         cache_dir: Path | None):
     """A run's ground space, with the whole-sector matrix its H comes from,
-    reusing an on-disk artifact.
+    reusing an on-disk artifact.  A cold solve builds that matrix once and
+    solves the ground space from it (solve_ground_space with keep_matrix).
 
     The file stores its cache key and the sector Hamiltonian, so a hit needs
     no Hamiltonian build.  One that cannot be read (an older format without
@@ -215,16 +219,10 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
     cache_dir must exist; with None the space is solved and nothing is read
     or written.
     """
-    from dataclasses import replace
-
-    from .hamiltonians import GroundSpace, sector_matrix
+    from .hamiltonians import GroundSpace
 
     def solve():
-        h, space = solve_ground_space(grid, n_up, n_down, register)
-        if space.matrix is not None:  # the site register's whole-sector solve
-            return space
-        with library_checks():
-            return replace(space, matrix=sector_matrix(h, space.states, grid.n_qubits))
+        return solve_ground_space(grid, n_up, n_down, register, keep_matrix=True)
 
     if cache_dir is None:
         return solve()
@@ -366,9 +364,11 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
 
 
 def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, int]:
-    """(energy, degeneracy) of one register's ground space.  The Hamiltonian
-    and the space are freed on return, before the next register is built."""
-    _, ground = solve_ground_space(grid, n_up, n_down, register)
+    """(energy, degeneracy) of one register's ground space, solved without
+    keeping the whole-sector matrix, so the mode register builds only its
+    class blocks.  The space is freed on return, before the next register
+    is built."""
+    ground = solve_ground_space(grid, n_up, n_down, register)
     return ground.energy, ground.degeneracy
 
 

@@ -25,7 +25,16 @@ from .hamiltonians import (
     interaction_quadruples,
     sector_basis,
 )
-from .lattice import DEGENERACY_TOL, DOWN, UP, GridSpec, default_filling, enumerate_modes, fermi_sea
+from .lattice import (
+    DEGENERACY_TOL,
+    DOWN,
+    UP,
+    GridSpec,
+    default_filling,
+    enumerate_modes,
+    fermi_sea,
+    point_group,
+)
 from .statevector import (
     Orbit,
     StateVector,
@@ -364,7 +373,8 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
               progress=None) -> RunResult:
     """Full adaptive loop in the mode register of one grid.
 
-    The reference ground space (for fidelities) is diagonalized on the spot
+    The reference ground space (for fidelities) is solved on the spot, per
+    point-group class from the whole-sector matrix as `vipsa run` solves it,
     unless a precomputed one is passed in; the sector Hamiltonian is taken
     from it, and must be there and real, as the run's states and generators
     are (a missing or complex one is a ValueError).  Likewise the pool's
@@ -387,7 +397,8 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         raise ValueError("pool tables are not over the run's sector basis")
     labels = pool.labels
     if reference is None:
-        reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down)
+        reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down,
+                                 point_group(grid), keep_matrix=True)
     if not np.array_equal(reference.states, states):
         raise ValueError("reference ground space is not over the run's sector basis")
     h = reference.matrix

@@ -364,7 +364,8 @@ class GroundSpace:
     `vectors` has one column per ground state, expressed over `states`, the
     sorted sector bitstrings.  `matrix` is the whole-sector Hamiltonian over
     the same basis, so a run can reuse it instead of building it again, or
-    None when the space was solved block by block.  `blocks` holds the
+    None when the space was solved block by block without keeping it
+    (ground_space's keep_matrix).  `blocks` holds the
     total-momentum label (lattice.momentum_labels) of the block each vector
     lives on, UNLABELLED when the sector was solved without labels.  Stored
     artifacts (`save`/`load`) keep exactly these fields, the matrix
@@ -505,20 +506,24 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
-                 symmetry: PointGroup | None = None) -> GroundSpace:
+                 symmetry: PointGroup | None = None, keep_matrix: bool = False) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
     Without a symmetry, the matrix is sector_matrix(h, states, n_qubits)
     over the whole sector, solved as _block_ground says, and the returned
-    space keeps it.
+    space keeps it whatever keep_matrix says.
 
     With the point group of the grid whose mode register h is written in,
     the sector splits into total-momentum blocks that h never mixes, and the
     blocks of one point-group class share their spectrum.  Each class's
-    representative block (its smallest label) is built on its own, by
-    sector_matrix on its bitstrings, and solved as above; the ground vectors
-    of the class's other blocks are the signed permutations of its own.  No
-    whole-sector matrix is built, and the space keeps none.
+    representative block (its smallest label) is solved as above; the
+    ground vectors of the class's other blocks are the signed permutations
+    of its own.  With keep_matrix, the whole-sector matrix is built once,
+    each representative block is sliced from it (the same CSR, bit for bit,
+    as sector_matrix on the block's bitstrings), and the space keeps it.
+    Without, each representative block is built on its own, by
+    sector_matrix on its bitstrings; no whole-sector matrix is built, and
+    the space keeps none.
 
     Either way the ground multiplet is every vector within
     GROUND_DEGENERACY_TOL of the lowest value, and each vector lives on one
@@ -528,16 +533,18 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     if not h.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
     states = sector_basis(n_qubits, n_up, n_down)
+    whole = sector_matrix(h, states, n_qubits) if symmetry is None or keep_matrix else None
     if symmetry is None:
-        matrix = sector_matrix(h, states, n_qubits)
-        values, vectors = _block_ground(matrix)
-        return GroundSpace(n_qubits, n_up, n_down, float(values[0]), vectors, states, matrix)
+        values, vectors = _block_ground(whole)
+        return GroundSpace(n_qubits, n_up, n_down, float(values[0]), vectors, states, whole)
 
     labels = symmetry.labels(states)
     solved = []
     for members in symmetry.classes(states, labels):
         rows = np.flatnonzero(labels == members[0][0])
-        solved.append((members, rows, *_block_ground(sector_matrix(h, states[rows], n_qubits))))
+        block = (sector_matrix(h, states[rows], n_qubits) if whole is None
+                 else whole[rows][:, rows])
+        solved.append((members, rows, *_block_ground(block)))
     lowest = min(values[0] for _, _, values, _ in solved)
     found = {}  # block label -> its ground vectors over the sector
     for members, rows, values, vectors in solved:
@@ -551,7 +558,7 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     blocks = sorted(found)
     return GroundSpace(n_qubits, n_up, n_down, float(lowest),
                        np.concatenate([found[label] for label in blocks], axis=1), states,
-                       blocks=np.repeat(blocks, [found[label].shape[1] for label in blocks]))
+                       whole, np.repeat(blocks, [found[label].shape[1] for label in blocks]))
 
 
 def fidelity(psi: StateVector, gs: GroundSpace) -> float:

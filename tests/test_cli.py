@@ -404,9 +404,9 @@ def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, a
                 "layers": 2}
     _, uncached = run_config(tmp_path, "uncached", cache=None, **settings)
     # H comes from one whole-sector build (36 states of 2x2 (2,2)); the
-    # mode register's ED builds only the blocks of labels 0, 1 and 3, one
-    # per point-group class, before it
-    cold = ([(12,), (8,), (8,)] if ansatz == "vipsa" else []) + [(36,)]
+    # mode register's ED solves the blocks of labels 0, 1 and 3, one per
+    # point-group class, sliced from it
+    cold = [(36,)]
     assert calls == cold
     _, filled = run_config(tmp_path, "filled", **settings)
     assert calls == cold * 2

@@ -395,6 +395,21 @@ def test_run_path_stays_off_the_full_register(monkeypatch):
     assert got[5] == expected[5]
 
 
+def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
+    # a run without reference= solves the ground space per point-group class
+    # from the whole-sector matrix, as `vipsa run` does: the same file, byte
+    # for byte, and labelled blocks
+    from vipsa.cli import cached_ground_space
+
+    grid = GridSpec.make(2, 3, u=4.0)
+    run = vipsa_run(grid, config=VipsaConfig(max_epochs=1))
+    cli = cached_ground_space(grid, 3, 3, "k", None)
+    run.ground.save(tmp_path / "library.npys")
+    cli.save(tmp_path / "cli.npys")
+    assert (tmp_path / "library.npys").read_bytes() == (tmp_path / "cli.npys").read_bytes()
+    assert run.ground.blocks.tolist() == [0]
+
+
 def test_run_rejects_reference_from_another_sector():
     grid = u4(2, 2)
     other = ground_space(build_kspace(grid)[0], grid.n_qubits, 1, 2)

@@ -470,7 +470,7 @@ def test_ground_space_roundtrip(tmp_path):
 def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     # the space a run takes its H from holds the whole-sector matrix, in
     # memory and after save/load: the site register's from its whole-sector
-    # solve, the mode register's built beside its per-class solve
+    # solve, the mode register's the one its per-class solve sliced
     from vipsa.cli import cached_ground_space
 
     grid = GridSpec.make(2, 3, u=4.0)
@@ -565,17 +565,70 @@ def test_point_group_ground_space_matches_the_oracle(shape, u):
 
 def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     # 2x4 (4,4): 8 blocks of 608-628 states in 6 classes, (0,1) ~ (0,3) and
-    # (1,1) ~ (1,3)
+    # (1,1) ~ (1,3); keeping the matrix builds the 4900-state sector once
+    # and slices the same six blocks from it
     grid = GridSpec.make(2, 4, u=4.0)
+    h = build_kspace(grid)[0]
     built = []
     build = hamiltonians.sector_matrix
     monkeypatch.setattr(hamiltonians, "sector_matrix",
                         lambda h, states, n: built.append(len(states)) or build(h, states, n))
     seen = recorded_eigsh(monkeypatch)
-    gs = ground_space(build_kspace(grid)[0], grid.n_qubits, 4, 4, point_group(grid))
-    labels = momentum_labels(grid, gs.states)
-    assert built == [np.count_nonzero(labels == label) for label in (0, 1, 2, 3, 4, 5)]
-    assert [dim for dim, _, _ in seen] == built
+    for keep_matrix in (False, True):
+        built.clear()
+        seen.clear()
+        gs = ground_space(h, grid.n_qubits, 4, 4, point_group(grid), keep_matrix=keep_matrix)
+        labels = momentum_labels(grid, gs.states)
+        per_class = [np.count_nonzero(labels == label) for label in (0, 1, 2, 3, 4, 5)]
+        assert built == ([4900] if keep_matrix else per_class)
+        assert [dim for dim, _, _ in seen] == per_class
+        assert (gs.matrix is not None) == keep_matrix
+
+
+# (shape, sector) pairs: each grid's default filling and one other
+SLICED_SECTORS = [((2, 2), (2, 2)), ((2, 2), (1, 2)), ((2, 3), (3, 3)), ((2, 3), (2, 1)),
+                  ((2, 4), (4, 4)), ((2, 4), (3, 2)), ((3, 3), (5, 4)), ((3, 3), (4, 2))]
+
+
+@pytest.mark.parametrize("u", [0.0, 0.37, 4.0, 6.0, -2.9])
+@pytest.mark.parametrize("shape, sector", SLICED_SECTORS)
+def test_class_blocks_sliced_from_the_whole_sector_are_built_blocks(shape, sector, u):
+    # ground_space(keep_matrix=True) solves these slices in place of
+    # sector_matrix on each block's own bitstrings: the same CSR, bit for bit
+    grid = GridSpec.make(*shape, u=u)
+    h = build_kspace(grid)[0]
+    states = sector_basis(grid.n_qubits, *sector)
+    whole = sector_matrix(h, states, grid.n_qubits)
+    group = point_group(grid)
+    labels = group.labels(states)
+    for members in group.classes(states, labels):
+        rows = np.flatnonzero(labels == members[0][0])
+        sliced = whole[rows][:, rows]
+        built = sector_matrix(h, states[rows], grid.n_qubits)
+        assert sliced.shape == built.shape
+        for part in ("indptr", "indices", "data"):
+            assert getattr(sliced, part).dtype == getattr(built, part).dtype, part
+            assert getattr(sliced, part).tobytes() == getattr(built, part).tobytes(), part
+        assert sliced.has_sorted_indices == built.has_sorted_indices
+
+
+@pytest.mark.parametrize("shape, u", [((2, 3), 4.0), ((2, 4), -2.9), ((3, 3), 6.0)])
+def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
+    # one whole-sector build with its class blocks sliced from it stores the
+    # same file as a per-class solve followed by a separate whole-sector build
+    import io
+
+    grid = GridSpec.make(*shape, u=u)
+    h = build_kspace(grid)[0]
+    n_up, n_down = default_filling(grid)
+    blocks = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid))
+    two_step = dataclasses.replace(blocks, matrix=sector_matrix(h, blocks.states, grid.n_qubits))
+    kept = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid), keep_matrix=True)
+    files = []
+    for space in (two_step, kept):
+        files.append(io.BytesIO())
+        space.save(files[-1], key="k")
+    assert files[1].getvalue() == files[0].getvalue()
 
 
 def test_ground_space_without_matrix_fails_to_load(tmp_path):
