@@ -19,13 +19,14 @@ from vipsa import (
     ground_space,
     rs_perturbation,
 )
+from vipsa.lattice import point_group
 
 
 def main():
     grid = GridSpec.make(2, 3, u=4.0)
     n_up, n_down = default_filling(grid)
     h_k = build_kspace(grid)[0]
-    gs = ground_space(h_k, grid.n_qubits, n_up, n_down)
+    gs = ground_space(h_k, grid.n_qubits, n_up, n_down, point_group(grid), keep_matrix=True)
     gs_real = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
 
     # the ground space keeps the sector matrix it was solved from (400
@@ -57,7 +58,7 @@ def main():
     for u in (0.1, 0.2, 0.4):
         grid = GridSpec.make(2, 4, u=u)
         e0, e1, e2 = rs_perturbation(grid, 4, 4)
-        exact = ground_space(build_kspace(grid)[0], grid.n_qubits, 4, 4).energy
+        exact = ground_space(build_kspace(grid)[0], grid.n_qubits, 4, 4, point_group(grid)).energy
         series = e0 + e1 + e2
         print(f"  {u:>5.2f} {series:>14.8f} {exact:>14.8f} "
               f"{abs(series - exact):>10.2e}")

@@ -24,6 +24,7 @@ from .lattice import (
     UP,
     GridSpec,
     PointGroup,
+    SlotPermutation,
     axis_energies,
     axis_wavefunctions,
     enumerate_modes,
@@ -437,113 +438,85 @@ class GroundSpace:
 
 
 def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest multiplet of one sector matrix: (values, vectors), values
+    """Lowest multiplet of one block's matrix: (values, vectors), values
     ascending within GROUND_DEGENERACY_TOL of the lowest, vectors over the
     matrix's rows.
 
-    The matrix's connected components are blocks it never mixes, and each is
-    solved on its own: up to DENSE_SECTOR_CUTOFF states (read at call time),
-    or when too small for a Lanczos window, every eigenpair comes from one
-    batched dense solve per block size; above it, the lowest come from
-    Lanczos (see _lowest_eigenpairs), whose window widens until it holds
-    the block's whole lowest multiplet.  The vectors are orthonormalized
-    block by block, so each lives on one connected block.
+    A block whose off-diagonal entries are all rounding residue, at most
+    AMPLITUDE_DROP_TOL times max(1, the largest |entry|), is read off its
+    diagonal: unit vectors in ascending value, ties in row order.  Any other
+    block must be connected, or it is a ValueError.  It is solved dense up to
+    DENSE_SECTOR_CUTOFF states (read at call time), or when too small for a
+    Lanczos window; above it, the lowest eigenpairs come from Lanczos (see
+    _lowest_eigenpairs), whose window widens until it holds the block's
+    whole lowest multiplet.  Its kept vectors are orthonormalized together.
     """
-    # imported here, not with the module: it adds about 1 MiB to every
-    # process, and a run that loads its ground space from the cache solves nothing
-    import scipy.sparse.csgraph
-
     dim = matrix.shape[0]
-    n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)
-    sizes = np.bincount(labels, minlength=n_blocks)
-    starts = np.cumsum(sizes) - sizes
-    members = np.argsort(labels, kind="stable")  # block by block, ascending within each
-    dense = (sizes <= DENSE_SECTOR_CUTOFF) | (sizes <= GROUND_WINDOW + 2)
+    residue = AMPLITUDE_DROP_TOL * max(1.0, np.abs(matrix.data).max(initial=0.0))
+    off = matrix.indices != np.arange(dim, dtype=np.int32).repeat(np.diff(matrix.indptr))
+    if np.abs(matrix.data).max(where=off, initial=0.0) <= residue:
+        values, vectors = matrix.diagonal().real, scipy.sparse.identity(dim, matrix.dtype, "csc")
+    else:
+        # imported here, not with the module: it adds about 1 MiB to every
+        # process, and a run that loads its ground space from the cache solves nothing
+        from scipy.sparse.csgraph import connected_components
 
-    # each piece is (blocks, rows, values, vectors) of shapes (b,), (b, s),
-    # (b, m) and (b, s, m): m eigenpairs of each of b blocks of s states
-    pieces = []
-    if dense.any():
-        coo = matrix.tocoo()
-        position = np.empty(dim, dtype=np.intp)
-        position[members] = np.arange(dim) - starts[labels[members]]
-        for size in np.unique(sizes[dense]):
-            blocks = np.flatnonzero(dense & (sizes == size))
-            slot = np.full(n_blocks, -1)
-            slot[blocks] = np.arange(len(blocks))
-            where = slot[labels[coo.row]]
-            entry = where >= 0
-            stack = np.zeros((len(blocks), size, size), dtype=matrix.dtype)
-            stack[where[entry], position[coo.row[entry]], position[coo.col[entry]]] = coo.data[entry]
-            vals, vecs = np.linalg.eigh(stack)
-            pieces.append((blocks, members[starts[blocks, None] + np.arange(size)], vals, vecs))
-    for block in np.flatnonzero(~dense):
-        rows = members[starts[block]:starts[block] + sizes[block]]
-        vals, vecs = _lowest_eigenpairs(matrix if n_blocks == 1 else matrix[rows][:, rows])
-        pieces.append((np.array([block]), rows[None], vals[None], vecs[None]))
-
-    values = np.concatenate([vals.ravel() for _, _, vals, _ in pieces])
+        if connected_components(matrix, directed=False, return_labels=False) > 1:
+            raise ValueError("block is not connected: solve the mode register with its point group")
+        dense = dim <= DENSE_SECTOR_CUTOFF or dim <= GROUND_WINDOW + 2
+        values, vectors = np.linalg.eigh(matrix.toarray()) if dense else _lowest_eigenpairs(matrix)
     if not np.isfinite(values).all():
         raise ValueError("sector spectrum is not finite (float64 overflow)")
     order = np.argsort(values, kind="stable")
     keep = order[:int((values <= values[order[0]] + GROUND_DEGENERACY_TOL).sum())]
-
-    offsets = np.cumsum([0] + [vals.size for _, _, vals, _ in pieces])
-    piece_of = np.searchsorted(offsets, keep, side="right") - 1
-    vectors = np.zeros((dim, len(keep)), dtype=np.result_type(*(piece[3] for piece in pieces)))
-    owners = np.empty(len(keep), dtype=labels.dtype)
-    for index, (blocks, rows, vals, vecs) in enumerate(pieces):
-        columns = np.flatnonzero(piece_of == index)
-        block, pair = np.divmod(keep[columns] - offsets[index], vals.shape[1])
-        vectors[rows[block], columns[:, None]] = vecs[block, :, pair]
-        owners[columns] = blocks[block]
-    # orthonormalize block by block, so no vector leaks into another block
-    for block in np.unique(owners):
-        rows = np.flatnonzero(labels == block)
-        columns = np.flatnonzero(owners == block)
-        vectors[np.ix_(rows, columns)] = np.linalg.qr(vectors[np.ix_(rows, columns)])[0]
-    return values[keep], vectors
+    if scipy.sparse.issparse(vectors):
+        return values[keep], vectors[:, keep].toarray()
+    return values[keep], np.linalg.qr(vectors[:, keep])[0]
 
 
 def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
                  symmetry: PointGroup | None = None, keep_matrix: bool = False) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
-    Without a symmetry, the matrix is sector_matrix(h, states, n_qubits)
-    over the whole sector, solved as _block_ground says, and the returned
-    space keeps it whatever keep_matrix says.
+    The sector is solved block by block, each block as _block_ground says.
+    Without a symmetry, the whole sector is one UNLABELLED block: its matrix
+    is sector_matrix(h, states, n_qubits), and the returned space keeps it
+    whatever keep_matrix says.  That fits the site register, whose sector is
+    connected, but not an interacting mode register, whose sector splits
+    into blocks: without its point group, that is a ValueError.
 
     With the point group of the grid whose mode register h is written in,
     the sector splits into total-momentum blocks that h never mixes, and the
     blocks of one point-group class share their spectrum.  Each class's
-    representative block (its smallest label) is solved as above; the
-    ground vectors of the class's other blocks are the signed permutations
-    of its own.  With keep_matrix, the whole-sector matrix is built once,
-    each representative block is sliced from it (the same CSR, bit for bit,
-    as sector_matrix on the block's bitstrings), and the space keeps it.
+    representative block (its smallest label) is solved; the ground vectors
+    of the class's other blocks are the signed permutations of its own.
+    With keep_matrix, the whole-sector matrix is built once, each
+    representative block is sliced from it (the same CSR, bit for bit, as
+    sector_matrix on the block's bitstrings), and the space keeps it.
     Without, each representative block is built on its own, by
     sector_matrix on its bitstrings; no whole-sector matrix is built, and
     the space keeps none.
 
     Either way the ground multiplet is every vector within
     GROUND_DEGENERACY_TOL of the lowest value, and each vector lives on one
-    connected block of the sector matrix.  Columns go block label by block
-    label, ascending in value within one.
+    block.  Columns go block label by block label, ascending in value within
+    one.
     """
     if not h.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
     states = sector_basis(n_qubits, n_up, n_down)
     whole = sector_matrix(h, states, n_qubits) if symmetry is None or keep_matrix else None
     if symmetry is None:
-        values, vectors = _block_ground(whole)
-        return GroundSpace(n_qubits, n_up, n_down, float(values[0]), vectors, states, whole)
-
-    labels = symmetry.labels(states)
+        labels = np.full(len(states), UNLABELLED)
+        classes = [[(UNLABELLED, SlotPermutation(tuple(range(n_qubits // 2))))]]
+    else:
+        labels = symmetry.labels(states)
+        classes = symmetry.classes(states, labels)
     solved = []
-    for members in symmetry.classes(states, labels):
+    for members in classes:
         rows = np.flatnonzero(labels == members[0][0])
         block = (sector_matrix(h, states[rows], n_qubits) if whole is None
-                 else whole[rows][:, rows])
+                 else whole if len(rows) == len(states) else whole[rows][:, rows])
         solved.append((members, rows, *_block_ground(block)))
     lowest = min(values[0] for _, _, values, _ in solved)
     found = {}  # block label -> its ground vectors over the sector

@@ -42,7 +42,7 @@ from vipsa.hamiltonians import (
     spin_operators,
 )
 from vipsa.hva import HvaAnsatz, hva_run
-from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
+from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea, point_group
 from vipsa.statevector import (
     AnsatzCircuit,
     PoolRotation,
@@ -77,7 +77,7 @@ def ground_3x3():
     for u in U_VALUES:
         grid = GridSpec.make(3, 3, u=u)
         h_k, _ = build_kspace(grid)
-        spaces[u] = ground_space(h_k, grid.n_qubits, 5, 4)
+        spaces[u] = ground_space(h_k, grid.n_qubits, 5, 4, point_group(grid), keep_matrix=True)
     return spaces
 
 

@@ -672,17 +672,19 @@ def test_mode_register_ed_builds_one_block_per_class(capsys, monkeypatch):
 
 
 def test_warm_run_imports_no_sparse_solver(tmp_path, capsys):
-    # the Lanczos solver is imported only by a solve, and a warm run solves nothing
+    # the Lanczos solver and the block solver's connectivity guard are
+    # imported only by a solve, and a warm run solves nothing
     code, _ = run_config(tmp_path, "cold", max_epochs=1)
     assert code == 2
     config = tmp_path / "cold.cfg"
     probe = ("import sys\nfrom vipsa.cli import main\n"
              f"code = main(['run', {str(config)!r}])\n"
-             "print(code, 'scipy.sparse.linalg' in sys.modules)\n")
+             "print(code, 'scipy.sparse.linalg' in sys.modules, "
+             "'scipy.sparse.csgraph' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "2 False"
+    assert done.stdout.splitlines()[-1] == "2 False False"
 
 
 @pytest.mark.parametrize("shape, warned", [((2, 3), True), ((2, 2), False)])

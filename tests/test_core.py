@@ -34,7 +34,7 @@ from vipsa.hamiltonians import (
     sector_matrix,
     spin_operators,
 )
-from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
+from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea, point_group
 from vipsa.statevector import (
     AnsatzCircuit,
     PoolRotation,
@@ -412,7 +412,8 @@ def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
 
 def test_run_rejects_reference_from_another_sector():
     grid = u4(2, 2)
-    other = ground_space(build_kspace(grid)[0], grid.n_qubits, 1, 2)
+    other = ground_space(build_kspace(grid)[0], grid.n_qubits, 1, 2, point_group(grid),
+                         keep_matrix=True)
     with pytest.raises(ValueError):
         vipsa_run(grid, 2, 2, reference=other)
 
@@ -421,7 +422,8 @@ def test_run_rejects_a_complex_reference_matrix():
     # the run's states and generators are real, so a complex sector
     # Hamiltonian is refused rather than silently cut to its real part
     grid = u4(2, 2)
-    gs = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2)
+    gs = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2, point_group(grid),
+                      keep_matrix=True)
     complex_gs = GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
                              gs.states, gs.matrix.astype(np.complex128))
     with pytest.raises(ValueError, match="complex"):
@@ -432,7 +434,6 @@ def test_runs_reject_a_reference_without_its_matrix():
     # a space solved per point-group class holds no whole-sector matrix,
     # and a run has no other source for its H
     from vipsa.hva import hva_run
-    from vipsa.lattice import point_group
 
     grid = u4(2, 2)
     blocks = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2, point_group(grid))

@@ -118,7 +118,7 @@ def test_large_coupling_keeps_the_table(shape):
         assert q_large.energy_gap == q_unit.energy_gap
     if shape == (2, 3):
         grid = GridSpec.make(*shape, u=1e5)
-        k = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3)
+        k = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3, point_group(grid))
         real = ground_space(build_real(grid), grid.n_qubits, 3, 3)
         assert k.energy == pytest.approx(real.energy, abs=1e-9)
         assert k.degeneracy == real.degeneracy
@@ -259,7 +259,7 @@ def test_iterative_ground_space_is_reproducible(monkeypatch):
     grid = GridSpec.make(2, 3, u=4.0)
     h, _ = build_kspace(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    first, second = (ground_space(h, grid.n_qubits, 3, 3) for _ in range(2))
+    first, second = (ground_space(h, grid.n_qubits, 3, 3, point_group(grid)) for _ in range(2))
     np.testing.assert_array_equal(first.vectors, second.vectors)
     assert first.energy == second.energy
 
@@ -285,7 +285,7 @@ def test_block_spectra_match_the_whole_sector(monkeypatch, cutoff):
     matrix = sector_matrix(h, states, grid.n_qubits)
     whole = np.linalg.eigvalsh(matrix.toarray())
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", cutoff)
-    gs = ground_space(h, grid.n_qubits, 3, 3)
+    gs = ground_space(h, grid.n_qubits, 3, 3, point_group(grid))
     assert_ground_level(gs, whole, 1e-10, matrix=matrix)
 
 
@@ -297,7 +297,8 @@ def test_block_spectra_match_a_whole_sector_lanczos_solve():
     assert scipy.sparse.csgraph.connected_components(matrix, directed=False)[0] == 8
     whole = scipy.sparse.linalg.eigsh(matrix, k=12, which="SA", tol=0,
                                       v0=np.random.default_rng(0).standard_normal(len(states)))[0]
-    assert_ground_level(ground_space(h, grid.n_qubits, 4, 4), np.sort(whole), 1e-9)
+    assert_ground_level(ground_space(h, grid.n_qubits, 4, 4, point_group(grid)), np.sort(whole),
+                        1e-9, matrix=matrix)
 
 
 def recorded_eigsh(monkeypatch) -> list[tuple[int, int, int]]:
@@ -315,13 +316,21 @@ def recorded_eigsh(monkeypatch) -> list[tuple[int, int, int]]:
     return seen
 
 
-@pytest.mark.parametrize("register,calls", [("k", 8), ("real", 1)])
+@pytest.mark.parametrize("register,calls", [("k", 6), ("real", 1)])
 def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
+    # the mode register's 8 label blocks fall in 6 point-group classes
     grid = GridSpec.make(2, 4, u=4.0)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
+                   else (build_real(grid), None))
     seen = recorded_eigsh(monkeypatch)
-    gs = ground_space(h, grid.n_qubits, 4, 4)
-    assert len(seen) == calls and sum(dim for dim, _, _ in seen) == len(gs.states)
+    gs = ground_space(h, grid.n_qubits, 4, 4, symmetry)
+    if symmetry is None:
+        solved = len(gs.states)
+    else:
+        labels = symmetry.labels(gs.states)
+        solved = sum(np.count_nonzero(labels == members[0][0])
+                     for members in symmetry.classes(gs.states, labels))
+    assert len(seen) == calls and sum(dim for dim, _, _ in seen) == solved
     # a window of 6 in a Krylov basis of max(2k + 8, 20) = 20 vectors
     assert {(k, ncv) for _, k, ncv in seen} == {(6, 20)}
 
@@ -345,8 +354,9 @@ def test_ground_space_matches_a_twelve_pair_solve(register):
     # every block solved with a twice wider window, 12 pairs in a 48-vector
     # basis, from the same start vector
     grid = GridSpec.make(2, 4, u=4.0)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
-    gs = ground_space(h, grid.n_qubits, 4, 4)
+    h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
+                   else (build_real(grid), None))
+    gs = ground_space(h, grid.n_qubits, 4, 4, symmetry, keep_matrix=True)
     labels = scipy.sparse.csgraph.connected_components(gs.matrix, directed=False)[1]
     values, columns = [], []
     for block in np.unique(labels):
@@ -507,24 +517,43 @@ def test_ground_space_keeps_its_block_labels(tmp_path):
 
 
 MOMENTUM_GRIDS = [(2, 2), (2, 3), (2, 4), (3, 3)]
+# the default-boundary grids above at six couplings, then every other
+# boundary pair of 2x2-3x3 and of their transposes at U = 4
+LABEL_GRIDS = [
+    *(pytest.param(GridSpec.make(*shape, u=u), id=f"shape{index}-{u}")
+      for u in (0.37, 2.0, 4.0, 6.0, -2.9, 0.0) for index, shape in enumerate(MOMENTUM_GRIDS)),
+    *(pytest.param(GridSpec.make(nx, ny, u=4.0, bc_x=bc_x, bc_y=bc_y),
+                   id=f"{nx}x{ny}-{bc_x}-{bc_y}")
+      for nx, ny, bc_x, bc_y in [(2, 3, "open", "open"), (3, 2, "open", "open"),
+                                 (3, 2, "periodic", "open"), (2, 4, "open", "open"),
+                                 (4, 2, "open", "open"), (4, 2, "periodic", "open"),
+                                 (3, 3, "open", "open"), (3, 3, "open", "periodic"),
+                                 (3, 3, "periodic", "open")]),
+]
 
 
-@pytest.mark.parametrize("u", [0.37, 2.0, 4.0, 6.0, -2.9, 0.0])
-@pytest.mark.parametrize("shape", MOMENTUM_GRIDS)
-def test_momentum_labels_are_the_connected_blocks(shape, u):
-    grid = GridSpec.make(*shape, u=u)
-    states = sector_basis(grid.n_qubits, *default_filling(grid))
-    matrix = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
-    n_blocks, blocks = scipy.sparse.csgraph.connected_components(matrix, directed=False)
-    labels = momentum_labels(grid, states)
-    # each connected block carries one label
-    first = np.zeros(n_blocks, dtype=labels.dtype)
-    first[blocks] = labels
-    assert np.array_equal(first[blocks], labels)
-    if u:
-        assert n_blocks == len(np.unique(labels))
-    else:  # H is diagonal: every state is a block, finer than the labels
-        assert n_blocks == len(states) > len(np.unique(labels))
+@pytest.mark.parametrize("grid", LABEL_GRIDS)
+def test_momentum_labels_are_the_connected_blocks(grid):
+    # once rounding residue is dropped (off-diagonal entries of at most
+    # AMPLITUDE_DROP_TOL times max(1, the largest |entry|)), each label is one
+    # connected block of an interacting sector, and carries no off-diagonal
+    # entry in a sector of one spin species, or at U = 0
+    h = build_kspace(grid)[0]
+    for n_up, n_down in [default_filling(grid), (2, 0), (0, grid.n_sites // 2)]:
+        states = sector_basis(grid.n_qubits, n_up, n_down)
+        matrix = abs(sector_matrix(h, states, grid.n_qubits))
+        residue = hamiltonians.AMPLITUDE_DROP_TOL * max(1.0, matrix.max())
+        coupled = scipy.sparse.triu(matrix > residue, k=1)
+        n_blocks, blocks = scipy.sparse.csgraph.connected_components(coupled, directed=False)
+        labels = momentum_labels(grid, states)
+        # each connected block carries one label
+        first = np.zeros(n_blocks, dtype=labels.dtype)
+        first[blocks] = labels
+        assert np.array_equal(first[blocks], labels)
+        if grid.u and n_up and n_down:
+            assert n_blocks == len(np.unique(labels))
+        else:  # H is diagonal: every state is a block, finer than the labels
+            assert n_blocks == len(states) > len(np.unique(labels))
 
 
 @pytest.mark.parametrize("shape", MOMENTUM_GRIDS)
@@ -561,6 +590,37 @@ def test_point_group_ground_space_matches_the_oracle(shape, u):
     # each vector lives on the block its label names
     for label, vector in zip(gs.blocks, gs.vectors.T):
         assert set(momentum_labels(grid, gs.states[vector != 0]).tolist()) == {label}
+
+
+def test_mode_register_without_its_point_group_is_refused():
+    # the whole sector splits into label blocks, which the solver does not
+    # rediscover
+    grid = GridSpec.make(2, 3, u=4.0)
+    with pytest.raises(ValueError, match="point group"):
+        ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3)
+
+
+@pytest.mark.parametrize("shape, sector, degeneracy", [((2, 3), (2, 0), 1), ((3, 3), (2, 0), 2),
+                                                       ((2, 4), (7, 0), 1), ((3, 3), (0, 4), 3)])
+def test_residue_only_blocks_are_read_off_the_diagonal(shape, sector, degeneracy):
+    # one spin species on open axes: H is its kinetic diagonal, and the Pauli
+    # sum leaves off-diagonal rounding residue of 1e-17 to 1e-16 that must not
+    # mix the ground states; an eigensolver on the whole block mixes them by
+    # up to 4e-16 on 2x4 (7,0) and 3x3 (0,4), and moves the 3x3 energy by 2 ulp
+    grid = GridSpec.make(*shape, u=4.0, bc_x="open", bc_y="open")
+    h = build_kspace(grid)[0]
+    states = sector_basis(grid.n_qubits, *sector)
+    matrix = sector_matrix(h, states, grid.n_qubits)
+    diagonal = matrix.diagonal()
+    residue = abs(matrix - scipy.sparse.diags(diagonal)).max()
+    assert 0 < residue <= hamiltonians.AMPLITUDE_DROP_TOL
+    for symmetry in (None, point_group(grid)):
+        gs = ground_space(h, grid.n_qubits, *sector, symmetry)
+        assert gs.energy == diagonal.min() and gs.degeneracy == degeneracy
+        rows, columns = np.nonzero(gs.vectors)
+        assert sorted(columns) == list(range(degeneracy))
+        assert np.all(np.abs(gs.vectors[rows, columns]) == 1.0)
+        assert np.all(diagonal[rows] <= diagonal.min() + hamiltonians.GROUND_DEGENERACY_TOL)
 
 
 def test_point_group_solve_builds_one_block_per_class(monkeypatch):
@@ -676,8 +736,9 @@ def test_cache_files_round_trip_bit_exactly(tmp_path, kind):
     if kind == "pool":
         saved = PoolTables.build(grid, sector_basis(grid.n_qubits, 3, 2))
     else:
-        h = build_kspace(grid)[0] if kind == "ground-k" else build_real(grid)
-        saved = ground_space(h, grid.n_qubits, 3, 2)
+        h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if kind == "ground-k"
+                       else (build_real(grid), None))
+        saved = ground_space(h, grid.n_qubits, 3, 2, symmetry, keep_matrix=True)
     saved.save(tmp_path / "first.npys", key=kind)
     loaded = type(saved).load(tmp_path / "first.npys", key=kind)
     want, got = cache_fields(saved), cache_fields(loaded)
@@ -783,7 +844,7 @@ def test_perturbation_third_order_scaling():
         grid = GridSpec.make(2, 2, u=u)
         e0, e1, e2 = rs_perturbation(grid, 1, 1)
         h, _ = build_kspace(grid)
-        exact = ground_space(h, grid.n_qubits, 1, 1).energy
+        exact = ground_space(h, grid.n_qubits, 1, 1, point_group(grid)).energy
         results[u] = abs(exact - (e0 + e1 + e2))
     assert results[0.2] > 1e-10
     assert results[0.1] <= 0.25 * 1.2 * results[0.2]

@@ -11,9 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vipsa import hamiltonians
 from vipsa.fermions import (
     ANNIHILATE,
     COEFF_DROP_TOL,
@@ -238,3 +240,7 @@ def test_an_overflowing_spectrum_raises():
     assert np.isfinite(matrix).all() and np.all(matrix == a)
     with pytest.raises(ValueError, match="spectrum is not finite"):
         ground_space(h, 4, 1, 0)
+    # a block without off-diagonal entries is read off its diagonal, which
+    # sector_matrix never leaves infinite, so the solver is called directly
+    with pytest.raises(ValueError, match="spectrum is not finite"):
+        hamiltonians._block_ground(scipy.sparse.csr_matrix(np.diag([math.inf, a])))
