@@ -19,6 +19,7 @@ from vipsa import (
     ground_space,
     rs_perturbation,
 )
+from vipsa.hamiltonians import sector_matrix
 from vipsa.lattice import point_group
 
 
@@ -26,15 +27,16 @@ def main():
     grid = GridSpec.make(2, 3, u=4.0)
     n_up, n_down = default_filling(grid)
     h_k = build_kspace(grid)[0]
-    gs = ground_space(h_k, grid.n_qubits, n_up, n_down, point_group(grid), keep_matrix=True)
+    gs = ground_space(h_k, grid.n_qubits, n_up, n_down, point_group(grid))
     gs_real = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
 
-    # the ground space keeps the sector matrix it was solved from (400
-    # states here), small enough to diagonalize whole
+    # the mode register is solved one momentum block at a time and keeps no
+    # whole-sector matrix; the site-register space keeps its own (400 states
+    # here), and both are small enough to diagonalize whole
     print(f"Lowest sector eigenvalues of the {grid.label()} grid at "
           f"u = {grid.u:g}, filling ({n_up}, {n_down}):")
-    k_values, r_values = (np.linalg.eigvalsh(space.matrix.toarray())[:6]
-                          for space in (gs, gs_real))
+    k_values, r_values = (np.linalg.eigvalsh(matrix.toarray())[:6] for matrix in
+                          (sector_matrix(h_k, gs.states, grid.n_qubits), gs_real.matrix))
     print(f"  {'mode register':>16} {'site register':>16} {'difference':>12}")
     for kv, rv in zip(k_values, r_values):
         print(f"  {kv:>16.10f} {rv:>16.10f} {abs(kv - rv):>12.2e}")

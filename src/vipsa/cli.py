@@ -191,43 +191,42 @@ def _cached(cache_dir: Path, stem: str, key: str, kind, build):
     return result
 
 
-def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_matrix: bool = False):
+def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_block_of=None):
     """The ground space in the requested register: the mode register is
     solved one point-group class at a time on its total-momentum blocks,
-    the site register whole.  With keep_matrix the space holds the
-    whole-sector matrix, built once, and the mode register's class blocks
-    are sliced from it; without, the mode register builds only those
-    blocks (see ground_space)."""
+    keeping the matrix of keep_block_of's block if given, the site register
+    whole, keeping its matrix (see ground_space)."""
     from .hamiltonians import build_kspace, build_real, ground_space
     from .lattice import point_group
 
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
                    else (build_real(grid), None))
     with library_checks():
-        return ground_space(h, grid.n_qubits, n_up, n_down, symmetry, keep_matrix)
+        return ground_space(h, grid.n_qubits, n_up, n_down, symmetry, keep_block_of)
 
 
 def cached_ground_space(grid, n_up: int, n_down: int, register: str,
                         cache_dir: Path | None):
-    """A run's ground space, with the whole-sector matrix its H comes from,
-    reusing an on-disk artifact.  A cold solve builds that matrix once and
-    solves the ground space from it (solve_ground_space with keep_matrix).
+    """A run's ground space, with the matrix its H comes from, reusing an
+    on-disk artifact: the mode register keeps the Fermi sea's block, where
+    every state of an adaptive run lives, the site register its whole sector.
 
-    The file stores its cache key and the sector Hamiltonian, so a hit needs
-    no Hamiltonian build.  One that cannot be read (an older format without
-    the sector matrix or the block labels, say) is rebuilt (see _cached).
-    cache_dir must exist; with None the space is solved and nothing is read
-    or written.
+    The file stores its cache key, which names the kept block, and that
+    matrix, so a hit needs no Hamiltonian build.  One that cannot be read or
+    holds another key (a whole-sector file from before the key named the
+    block, say) is rebuilt (see _cached).  cache_dir must exist; with None
+    the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace
+    from .lattice import fermi_sea, momentum_labels
 
-    def solve():
-        return solve_ground_space(grid, n_up, n_down, register, keep_matrix=True)
-
+    sea = fermi_sea(grid, n_up, n_down).bitstring() if register == "k" else None
     if cache_dir is None:
-        return solve()
+        return solve_ground_space(grid, n_up, n_down, register, sea)
+    artifact = register if sea is None else f"k block {momentum_labels(grid, sea)}"
     return _cached(cache_dir, f"ground-{register}-{grid.label()}",
-                   _grid_key(grid, n_up, n_down, register), GroundSpace, solve)
+                   _grid_key(grid, n_up, n_down, artifact), GroundSpace,
+                   lambda: solve_ground_space(grid, n_up, n_down, register, sea))
 
 
 def cached_pool_tables(grid, n_up: int, n_down: int, cache_dir: Path):
@@ -280,12 +279,12 @@ def cmd_run(args) -> int:
           f"ED energy {ground.energy:.8f}")
 
     if run.ansatz == "vipsa":
-        from .lattice import fermi_sea, label_momenta, momentum_labels
+        from .lattice import label_momenta
 
-        sea_block = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
-        blocks = {"reference_block": label_momenta(grid, sea_block),
+        # the cached space keeps the matrix of the Fermi sea's block
+        blocks = {"reference_block": label_momenta(grid, ground.matrix_block),
                   "ground_blocks": [label_momenta(grid, block) for block in ground.blocks]}
-        if sea_block not in ground.blocks:
+        if ground.matrix_block not in ground.blocks:
             print(f"warning: the Fermi sea lies in momentum block {blocks['reference_block']}, "
                   "which holds no ground state (the ground space lies in "
                   f"{', '.join(map(str, blocks['ground_blocks']))}), so the run cannot reach it",
@@ -365,9 +364,8 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
 
 def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, int]:
     """(energy, degeneracy) of one register's ground space, solved without
-    keeping the whole-sector matrix, so the mode register builds only its
-    class blocks.  The space is freed on return, before the next register
-    is built."""
+    keeping a block matrix, so the mode register builds only its class
+    blocks.  The space is freed on return, before the next one is built."""
     ground = solve_ground_space(grid, n_up, n_down, register)
     return ground.energy, ground.degeneracy
 

@@ -33,6 +33,7 @@ from .lattice import (
     default_filling,
     enumerate_modes,
     fermi_sea,
+    momentum_labels,
     point_group,
 )
 from .statevector import (
@@ -361,11 +362,6 @@ class RunResult:
         return self.records[-1].fidelity
 
 
-def _sea_vector(grid: GridSpec, n_up: int, n_down: int, states: np.ndarray) -> np.ndarray:
-    """The Fermi sea as a real vector over the sorted sector bitstrings."""
-    return (states == fermi_sea(grid, n_up, n_down).bitstring()).astype(float)
-
-
 def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
               config: VipsaConfig | None = None,
               reference: GroundSpace | None = None,
@@ -373,15 +369,16 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
               progress=None) -> RunResult:
     """Full adaptive loop in the mode register of one grid.
 
-    The reference ground space (for fidelities) is solved on the spot, per
-    point-group class from the whole-sector matrix as `vipsa run` solves it,
-    unless a precomputed one is passed in; the sector Hamiltonian is taken
-    from it, and must be there and real, as the run's states and generators
-    are (a missing or complex one is a ValueError).  Likewise the pool's
-    orbit tables are built unless `pool` passes them in.  `progress`, if given, is called
-    with each finished EpochRecord.  When the pool gradient drops below eps1 a terminal record
-    with an empty selection is emitted, so a trace always shows the state
-    the loop stopped in.
+    The reference ground space (for fidelities) is solved on the spot per
+    point-group class as `vipsa run` solves it, unless a precomputed one is
+    passed in.  Every state the loop builds lives in the Fermi sea's
+    momentum block, and its H is the matrix the reference keeps, which must
+    be there, real, as the states and generators are, and of exactly that
+    block (else a ValueError).  Likewise the pool's orbit tables are built
+    unless `pool` passes them in.  `progress`, if given, is called with each
+    finished EpochRecord.  When the pool gradient drops below eps1 a terminal
+    record with an empty selection is emitted, so a trace always shows the
+    state the loop stopped in.
 
     The loop works on one real vector over the (n_up, n_down) sector basis,
     with every pool generator as an orbit table into it.  The result names
@@ -396,18 +393,20 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     if not np.array_equal(pool.states, states):
         raise ValueError("pool tables are not over the run's sector basis")
     labels = pool.labels
+    sea = fermi_sea(grid, n_up, n_down).bitstring()
     if reference is None:
         reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down,
-                                 point_group(grid), keep_matrix=True)
+                                 point_group(grid), keep_block_of=sea)
     if not np.array_equal(reference.states, states):
         raise ValueError("reference ground space is not over the run's sector basis")
     h = reference.matrix
-    if h is None:
-        raise ValueError("reference ground space holds no sector matrix")
+    if h is None or reference.matrix_block != momentum_labels(grid, sea):
+        raise ValueError("reference ground space holds no sector matrix of the Fermi sea's "
+                         "momentum block")
     if np.iscomplexobj(h.data):
         raise ValueError("reference sector matrix is complex; the run is real")
     orbits = pool.orbits()
-    x0 = _sea_vector(grid, n_up, n_down, states)
+    x0 = (states == sea).astype(float)
     gates: list[int] = []  # pool index of each rotation, in circuit order
     thetas = np.zeros(0)
     x = x0
@@ -470,7 +469,7 @@ def _sea_scattering(grid: GridSpec, n_up: int, n_down: int):
     Pauli string and no sector matrix is built.
     """
     states = sector_basis(grid.n_qubits, n_up, n_down)
-    x0 = _sea_vector(grid, n_up, n_down, states)
+    x0 = (states == fermi_sea(grid, n_up, n_down).bitstring()).astype(float)
     sea = states[x0 == 1.0]
     v_x0 = np.zeros(len(states))
     for q in interaction_quadruples(grid):

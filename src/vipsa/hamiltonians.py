@@ -362,15 +362,13 @@ UNLABELLED = -1
 class GroundSpace:
     """Orthonormal basis of the degenerate ground eigenspace of one sector.
 
-    `vectors` has one column per ground state, expressed over `states`, the
-    sorted sector bitstrings.  `matrix` is the whole-sector Hamiltonian over
-    the same basis, so a run can reuse it instead of building it again, or
-    None when the space was solved block by block without keeping it
-    (ground_space's keep_matrix).  `blocks` holds the
-    total-momentum label (lattice.momentum_labels) of the block each vector
-    lives on, UNLABELLED when the sector was solved without labels.  Stored
-    artifacts (`save`/`load`) keep exactly these fields, the matrix
-    included, plus an optional key naming the problem they solve.
+    `vectors` has one column per ground state over `states`, the sorted
+    sector bitstrings.  `matrix`, if kept, is P H P over the same basis, P
+    the projector onto the block `matrix_block` names (UNLABELLED: the whole
+    sector), so it applies H to any vector on that block.  `blocks` holds
+    the total-momentum label (lattice.momentum_labels) of each vector's
+    block, UNLABELLED when the sector was solved without labels.  `save` and
+    `load` keep these fields plus an optional key naming their problem.
     """
 
     n_qubits: int
@@ -381,6 +379,7 @@ class GroundSpace:
     states: np.ndarray
     matrix: scipy.sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
     blocks: np.ndarray | None = None
+    matrix_block: int = UNLABELLED
 
     def __post_init__(self):
         dim = len(self.states)
@@ -401,36 +400,33 @@ class GroundSpace:
         return self.vectors.shape[1]
 
     def save(self, path, key: str | None = None) -> None:
-        """Write the fields, and key if given, to path (a name or binary file).
-        Only a space that holds its sector matrix can be saved.
-
-        The file is not compressed: the sector matrix dominates it, and
-        compressing it costs far more time than reading the raw arrays back.
-        """
+        """Write the fields, and key if given, to path (a name or binary file);
+        only a space that keeps a matrix can be saved.  The file is not
+        compressed: the matrix dominates it, and compressing it costs far
+        more time than reading the raw arrays back."""
         if self.matrix is None:
             raise ValueError("a ground space is saved with its sector matrix, and this one has none")
         _save_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
                             "n_down": self.n_down, "energy": self.energy,
                             "vectors": self.vectors, "states": self.states,
-                            "blocks": self.blocks,
+                            "blocks": self.blocks, "matrix_block": self.matrix_block,
                             "matrix_shape": np.array(self.matrix.shape),
-                            "matrix_data": self.matrix.data,
-                            "matrix_indices": self.matrix.indices,
+                            "matrix_data": self.matrix.data, "matrix_indices": self.matrix.indices,
                             "matrix_indptr": self.matrix.indptr}, key)
 
     @classmethod
     def load(cls, path, key: str | None = None) -> "GroundSpace":
         """Read a saved ground space; with a key, raise ValueError unless the
         file was saved under the same key.  A file without a field it needs
-        (one saved before the sector matrix or the block labels were stored,
-        say) raises KeyError."""
+        (one saved before the matrix or its block label was stored, say)
+        raises KeyError."""
         data = _load_fields(path, key)
         matrix = scipy.sparse.csr_matrix(
             (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
             shape=tuple(int(n) for n in data["matrix_shape"]))
         return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
                    float(data["energy"]), data["vectors"], data["states"], matrix,
-                   data["blocks"])
+                   data["blocks"], int(data["matrix_block"]))
 
     def sector_fidelity(self, x: np.ndarray) -> float:
         """Total squared overlap with a state given over `states`."""
@@ -475,49 +471,54 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
-                 symmetry: PointGroup | None = None, keep_matrix: bool = False) -> GroundSpace:
+                 symmetry: PointGroup | None = None, keep_block_of: int | None = None) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
-    The sector is solved block by block, each block as _block_ground says.
-    Without a symmetry, the whole sector is one UNLABELLED block: its matrix
-    is sector_matrix(h, states, n_qubits), and the returned space keeps it
-    whatever keep_matrix says.  That fits the site register, whose sector is
-    connected, but not an interacting mode register, whose sector splits
-    into blocks: without its point group, that is a ValueError.
+    Each block is built by sector_matrix on its bitstrings and solved as
+    _block_ground says.  Without a symmetry, the whole sector is one
+    UNLABELLED block, whose matrix the space keeps: that fits the connected
+    site register, but an interacting mode register is a ValueError.
 
     With the point group of the grid whose mode register h is written in,
     the sector splits into total-momentum blocks that h never mixes, and the
     blocks of one point-group class share their spectrum.  Each class's
-    representative block (its smallest label) is solved; the ground vectors
-    of the class's other blocks are the signed permutations of its own.
-    With keep_matrix, the whole-sector matrix is built once, each
-    representative block is sliced from it (the same CSR, bit for bit, as
-    sector_matrix on the block's bitstrings), and the space keeps it.
-    Without, each representative block is built on its own, by
-    sector_matrix on its bitstrings; no whole-sector matrix is built, and
-    the space keeps none.
+    representative block (its smallest label) is solved, and the signed
+    permutations of its ground vectors are the other blocks'.  No
+    whole-sector matrix is built.  Given the sector bitstring keep_block_of,
+    the space keeps its block's matrix (see GroundSpace), built once more
+    unless it is a representative.
 
-    Either way the ground multiplet is every vector within
-    GROUND_DEGENERACY_TOL of the lowest value, and each vector lives on one
-    block.  Columns go block label by block label, ascending in value within
-    one.
+    The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
+    value, each on one block, in columns by block label, ascending in value.
     """
     if not h.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
     states = sector_basis(n_qubits, n_up, n_down)
-    whole = sector_matrix(h, states, n_qubits) if symmetry is None or keep_matrix else None
+    if keep_block_of is not None and keep_block_of not in states:
+        raise ValueError(f"bitstring {keep_block_of:#x} is not in the ({n_up},{n_down}) sector")
     if symmetry is None:
         labels = np.full(len(states), UNLABELLED)
         classes = [[(UNLABELLED, SlotPermutation(tuple(range(n_qubits // 2))))]]
+        kept_label = UNLABELLED
     else:
         labels = symmetry.labels(states)
         classes = symmetry.classes(states, labels)
-    solved = []
+        kept_label = None if keep_block_of is None else int(symmetry.labels(keep_block_of))
+    solved, matrix = [], None
     for members in classes:
         rows = np.flatnonzero(labels == members[0][0])
-        block = (sector_matrix(h, states[rows], n_qubits) if whole is None
-                 else whole if len(rows) == len(states) else whole[rows][:, rows])
+        block = sector_matrix(h, states[rows], n_qubits)
+        if members[0][0] == kept_label:
+            matrix = block
         solved.append((members, rows, *_block_ground(block)))
+    if kept_label is not None:
+        rows = np.flatnonzero(labels == kept_label)
+        if matrix is None:
+            matrix = sector_matrix(h, states[rows], n_qubits)
+        if len(rows) < len(states):  # the block's entries in its rows, every other row empty
+            block = matrix.tocoo()
+            matrix = scipy.sparse.coo_matrix((block.data, (rows[block.row], rows[block.col])),
+                                             shape=(len(states),) * 2).tocsr()
     lowest = min(values[0] for _, _, values, _ in solved)
     found = {}  # block label -> its ground vectors over the sector
     for members, rows, values, vectors in solved:
@@ -531,7 +532,8 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     blocks = sorted(found)
     return GroundSpace(n_qubits, n_up, n_down, float(lowest),
                        np.concatenate([found[label] for label in blocks], axis=1), states,
-                       whole, np.repeat(blocks, [found[label].shape[1] for label in blocks]))
+                       matrix, np.repeat(blocks, [found[label].shape[1] for label in blocks]),
+                       UNLABELLED if kept_label is None else kept_label)
 
 
 def fidelity(psi: StateVector, gs: GroundSpace) -> float:

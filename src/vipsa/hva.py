@@ -20,6 +20,7 @@ import numpy as np
 from .core import AdamResult, EpochRecord, VipsaConfig, adam_minimize
 from .fermions import hopping_pair
 from .hamiltonians import (
+    UNLABELLED,
     GroundSpace,
     build_real,
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
@@ -198,7 +199,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     with the parameter vector itself so any intermediate state can be
     reconstructed exactly.  Every evaluation runs on the sector vector.
     The sector Hamiltonian comes from the reference ground space, diagonalized
-    on the spot unless passed in; one that holds no matrix is a ValueError.
+    on the spot unless passed in; one without a whole-sector matrix is a ValueError.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
@@ -207,8 +208,8 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         reference = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
     if not np.array_equal(reference.states, sector_basis(grid.n_qubits, n_up, n_down)):
         raise ValueError("reference ground space is not over the run's sector basis")
-    if reference.matrix is None:
-        raise ValueError("reference ground space holds no sector matrix")
+    if reference.matrix is None or reference.matrix_block != UNLABELLED:
+        raise ValueError("reference ground space holds no sector matrix of the whole sector")
     ansatz = HvaAnsatz(grid, n_up, n_down, layers)
 
     records: list[EpochRecord] = []

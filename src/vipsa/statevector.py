@@ -280,9 +280,17 @@ def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
 # kernels serve the full register, whose sorted basis is every bitstring.
 
 
+# Most states sector_basis builds a basis for.  3x4's largest sector, (6,6),
+# has 853 776; 4x4's (8,8) has 165 636 900, whose basis alone is 660 MB and
+# whose sector matrix could never be held.
+SECTOR_STATE_BUDGET = 1 << 22
+
+
 def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
     """Sorted bitstrings with n_up even-qubit and n_down odd-qubit particles,
-    as uint32, so at most 32 qubits."""
+    as uint32, so at most 32 qubits.  A sector of more than
+    SECTOR_STATE_BUDGET states is a ValueError, raised before anything is
+    allocated."""
     if n_qubits % 2:
         raise ValueError("register must pair up/down qubits")
     if n_qubits > 32:
@@ -291,6 +299,10 @@ def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
     if not (0 <= n_up <= n_sites and 0 <= n_down <= n_sites):
         raise ValueError(f"sector (n_up, n_down) = ({n_up},{n_down}) does not fit "
                          f"{n_sites} orbitals")
+    size = math.comb(n_sites, n_up) * math.comb(n_sites, n_down)
+    if size > SECTOR_STATE_BUDGET:
+        raise ValueError(f"sector ({n_up},{n_down}) has {size} states, more than the "
+                         f"{SECTOR_STATE_BUDGET} a basis is built for")
     ups = np.array([sum(1 << (2 * i) for i in combo)
                     for combo in itertools.combinations(range(n_sites), n_up)], dtype=np.uint32)
     downs = np.array([sum(1 << (2 * i + 1) for i in combo)

@@ -17,7 +17,8 @@ bit for bit.  `as_real_if_possible` is the earlier rule by which the per-string
 matrix was made real; `sector_matrix` folds it into its own assembly.
 `lowest_sector_values` solves the library's sector matrix block by block
 with plain eigvalsh and eigsh calls, a values-only reference for the
-ground-space solver.
+ground-space solver.  `rows_of_block` cuts the one-block matrix a run keeps
+out of the whole-sector matrix, with plain array masks.
 """
 
 from __future__ import annotations
@@ -288,3 +289,17 @@ def as_real_if_possible(matrix):
         return scipy.sparse.csr_matrix((matrix.data.real.copy(), matrix.indices, matrix.indptr),
                                        shape=matrix.shape)
     return matrix
+
+
+def rows_of_block(matrix, inside: np.ndarray):
+    """P H P from the whole-sector CSR H, with P the projector onto the
+    states where the boolean mask `inside` holds: H's own arrays with every
+    row outside the mask emptied.  Rows inside keep every entry, so they
+    must not reach outside the mask (H never mixes two momentum blocks)."""
+    lengths = np.diff(matrix.indptr)
+    kept = np.repeat(inside, lengths)
+    assert inside[matrix.indices[kept]].all(), "a block row reaches outside its block"
+    indptr = np.zeros(len(lengths) + 1, dtype=matrix.indptr.dtype)
+    indptr[1:] = np.cumsum(np.where(inside, lengths, 0))
+    return scipy.sparse.csr_matrix((matrix.data[kept], matrix.indices[kept], indptr),
+                                   shape=matrix.shape)

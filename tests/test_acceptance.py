@@ -72,12 +72,14 @@ def report(number: int, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def ground_3x3():
-    """Mode-register ground spaces of the 3x3 grid, one per interaction value."""
+    """Mode-register ground spaces of the 3x3 grid, one per interaction
+    value, each keeping the matrix of the Fermi sea's block as a run does."""
     spaces = {}
     for u in U_VALUES:
         grid = GridSpec.make(3, 3, u=u)
         h_k, _ = build_kspace(grid)
-        spaces[u] = ground_space(h_k, grid.n_qubits, 5, 4, point_group(grid), keep_matrix=True)
+        spaces[u] = ground_space(h_k, grid.n_qubits, 5, 4, point_group(grid),
+                                 keep_block_of=fermi_sea(grid, 5, 4).bitstring())
     return spaces
 
 
@@ -188,7 +190,9 @@ def test_criterion_4_degeneracies_and_fidelity_sum(ground_3x3):
 
 def test_ground_vectors_each_live_on_one_block(ground_3x3):
     gs = ground_3x3[6.0]
-    labels = scipy.sparse.csgraph.connected_components(gs.matrix, directed=False)[1]
+    grid = GridSpec.make(3, 3, u=6.0)
+    matrix = sector_matrix(build_kspace(grid)[0], gs.states, grid.n_qubits)  # the whole sector
+    labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)[1]
     owners = [np.unique(labels[column != 0]) for column in gs.vectors.T]
     assert all(len(owner) == 1 for owner in owners)
     assert len({int(owner[0]) for owner in owners}) == 4  # one member in each of 4 blocks
@@ -196,7 +200,7 @@ def test_ground_vectors_each_live_on_one_block(ground_3x3):
 
     # the sea's fidelity is the one a single whole-sector solve gives
     whole_vals, whole_vecs = scipy.sparse.linalg.eigsh(
-        gs.matrix, k=12, which="SA", tol=0,
+        matrix, k=12, which="SA", tol=0,
         v0=np.random.default_rng(0).standard_normal(len(gs.states)))
     whole = whole_vecs[:, whole_vals <= whole_vals.min() + 1e-8]
     assert whole.shape[1] == 4 and whole_vals.min() == pytest.approx(gs.energy, abs=1e-10)

@@ -28,8 +28,8 @@ def read_csv(path: Path) -> list[dict]:
 
 
 BASE = """
-nx = 2
-ny = 2
+nx = {nx}
+ny = {ny}
 u = {u}
 ansatz = {ansatz}
 output = {output}
@@ -41,10 +41,11 @@ def run_config(tmp_path, name, **fields) -> tuple[int, Path]:
     fields.setdefault("cache", tmp_path / "cache")  # None switches the cache off
     fields.setdefault("output", tmp_path / name)
     extra = "".join(f"{k} = {v}\n" for k, v in fields.items()
-                    if k not in ("u", "ansatz", "output", "cache"))
+                    if k not in ("nx", "ny", "u", "ansatz", "output", "cache"))
     if fields["cache"] is None:
         extra += "cache = off\n"
-    text = BASE.format(u=fields.get("u", 4.0), ansatz=fields.get("ansatz", "vipsa"),
+    text = BASE.format(nx=fields.get("nx", 2), ny=fields.get("ny", 2),
+                       u=fields.get("u", 4.0), ansatz=fields.get("ansatz", "vipsa"),
                        output=fields["output"], cache=fields["cache"] or tmp_path / "off") + extra
     config = write(tmp_path / f"{name}.cfg", text)
     return main(["run", str(config)]), Path(fields["output"])
@@ -240,6 +241,23 @@ def plant_unlabelled(path: Path) -> None:
     _save_fields(path, fields, None)
 
 
+def plant_whole_sector_matrix(path: Path) -> None:
+    # what the file held before the run's H moved onto the sea's block: the
+    # whole-sector matrix, under the key that did not name the block.  It
+    # keeps the block label field, so the key alone must refuse it
+    from vipsa.cli import _grid_key
+    from vipsa.hamiltonians import build_kspace, sector_matrix
+
+    grid = GridSpec.make(2, 2, u=4.0)
+    fields = _load_fields(path, None)
+    del fields["key"]
+    whole = sector_matrix(build_kspace(grid)[0], fields["states"], grid.n_qubits)
+    assert whole.nnz > fields["matrix_data"].size
+    fields.update(matrix_data=whole.data, matrix_indices=whole.indices,
+                  matrix_indptr=whole.indptr)
+    _save_fields(path, fields, _grid_key(grid, 2, 2, "k"))
+
+
 def plant_misfit_matrix(path: Path) -> None:
     from vipsa.hamiltonians import GroundSpace
     block = GroundSpace.load(path).matrix[:-1, :-1].tocsr()
@@ -263,7 +281,7 @@ def assert_same_artifacts(first: Path, again: Path) -> None:
 
 @pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_old_format, plant_misfit_matrix,
                                                   plant_misfit_vectors, plant_scalar_vector,
-                                                  plant_unlabelled])
+                                                  plant_unlabelled, plant_whole_sector_matrix])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
@@ -281,6 +299,20 @@ def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     stamp = cache.stat().st_mtime_ns
     run_config(tmp_path, "third", u=4.0, max_epochs=1)
     assert cache.stat().st_mtime_ns == stamp  # the rebuilt file is a cache hit
+
+
+def test_3x3_cache_file_holds_the_sea_block(tmp_path):
+    # 3x3 U=6 (5,4): the sea's block is one of 9 blocks of 1764 states, and
+    # its matrix stores 89 964 entries, where the whole sector's held 809 676
+    from vipsa.cli import cached_ground_space
+
+    cached_ground_space(GridSpec.make(3, 3, u=6.0), 5, 4, "k", tmp_path)
+    path, = tmp_path.glob("ground-k-3x3-*.npys")
+    fields = _load_fields(path, None)
+    assert fields["matrix_data"].size == fields["matrix_indices"].size == 89964
+    assert fields["matrix_shape"].tolist() == [15876, 15876]
+    assert int(fields["matrix_block"]) == 3
+    assert path.stat().st_size < 2_000_000
 
 
 def plant_stray_position(path: Path) -> None:
@@ -388,25 +420,32 @@ def test_warm_run_builds_no_pool(tmp_path, capsys, monkeypatch):
     assert run_artifacts(warm) == run_artifacts(cold)
 
 
-@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
-def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, ansatz):
+@pytest.mark.parametrize("ansatz, shape, cold", [
+    # 2x2 (2,2), 36 states: the mode register's ED builds the blocks of
+    # labels 0, 1 and 3, one per point-group class, and the sea's block is
+    # label 0's; the site register builds its whole sector
+    pytest.param("vipsa", (2, 2), [12, 8, 8], id="vipsa"),
+    pytest.param("hva", (2, 2), [36], id="hva"),
+    # 2x3 (3,3), 400 states: labels 0, 1, 2 and 3, then the sea's label 4,
+    # which shares label 2's class
+    pytest.param("vipsa", (2, 3), [68, 68, 66, 66, 66], id="vipsa-2x3"),
+])
+def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, ansatz, shape,
+                                                cold):
     from vipsa import hamiltonians
 
     calls = []
     build = hamiltonians.sector_matrix
 
     def counted(*args, **kwargs):
-        calls.append(args[1].shape)
+        calls.append(len(args[1]))
         return build(*args, **kwargs)
 
     monkeypatch.setattr(hamiltonians, "sector_matrix", counted)
-    settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 2, "max_inner_steps": 20,
-                "layers": 2}
+    settings = {"nx": shape[0], "ny": shape[1], "u": 4.0, "ansatz": ansatz, "max_epochs": 2,
+                "max_inner_steps": 20, "layers": 2}
     _, uncached = run_config(tmp_path, "uncached", cache=None, **settings)
-    # H comes from one whole-sector build (36 states of 2x2 (2,2)); the
-    # mode register's ED solves the blocks of labels 0, 1 and 3, one per
-    # point-group class, sliced from it
-    cold = [(36,)]
+    # an adaptive run never builds the whole mode-register sector
     assert calls == cold
     _, filled = run_config(tmp_path, "filled", **settings)
     assert calls == cold * 2
@@ -498,6 +537,7 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, line):
     ("nx = 2\nny = 2\nbc_x = twisted\n", "twisted"),
     ("nx = 2\nny = 3\nbc_x = periodic\n", "periodic x axis"),
     ("nx = 4\nny = 5\n", "32-qubit"),
+    ("nx = 4\nny = 4\n", "165636900 states"),
 ])
 def test_run_rejects_before_building_or_writing(tmp_path, capsys, monkeypatch, body, detail):
     import vipsa
@@ -514,6 +554,7 @@ def test_run_rejects_before_building_or_writing(tmp_path, capsys, monkeypatch, b
 @pytest.mark.parametrize("argv, detail", [
     (["--grid", "4x5", "--u", "1", "--sector", "1,0"], "32-qubit"),
     (["--grid", "4x5", "--u", "1"], "32-qubit"),
+    (["--grid", "4x4", "--u", "1"], "165636900 states"),
     (["--grid", "2x2", "--u", ","], "coupling list"),
 ])
 def test_ed_rejects_before_building(capsys, monkeypatch, argv, detail):

@@ -24,8 +24,8 @@ from vipsa.core import (
 )
 from vipsa.fermions import jordan_wigner
 from vipsa.hamiltonians import (
-    GroundSpace,
     build_kspace,
+    build_real,
     fidelity,
     ground_space,
     interaction_quadruples,
@@ -34,7 +34,14 @@ from vipsa.hamiltonians import (
     sector_matrix,
     spin_operators,
 )
-from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea, point_group
+from vipsa.lattice import (
+    DEGENERACY_TOL,
+    GridSpec,
+    default_filling,
+    fermi_sea,
+    momentum_labels,
+    point_group,
+)
 from vipsa.statevector import (
     AnsatzCircuit,
     PoolRotation,
@@ -397,8 +404,8 @@ def test_run_path_stays_off_the_full_register(monkeypatch):
 
 def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
     # a run without reference= solves the ground space per point-group class
-    # from the whole-sector matrix, as `vipsa run` does: the same file, byte
-    # for byte, and labelled blocks
+    # and keeps the sea's block, as `vipsa run` does: the same file, byte for
+    # byte, and labelled blocks
     from vipsa.cli import cached_ground_space
 
     grid = GridSpec.make(2, 3, u=4.0)
@@ -413,7 +420,7 @@ def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
 def test_run_rejects_reference_from_another_sector():
     grid = u4(2, 2)
     other = ground_space(build_kspace(grid)[0], grid.n_qubits, 1, 2, point_group(grid),
-                         keep_matrix=True)
+                         keep_block_of=fermi_sea(grid, 1, 2).bitstring())
     with pytest.raises(ValueError):
         vipsa_run(grid, 2, 2, reference=other)
 
@@ -423,9 +430,8 @@ def test_run_rejects_a_complex_reference_matrix():
     # Hamiltonian is refused rather than silently cut to its real part
     grid = u4(2, 2)
     gs = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2, point_group(grid),
-                      keep_matrix=True)
-    complex_gs = GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
-                             gs.states, gs.matrix.astype(np.complex128))
+                      keep_block_of=fermi_sea(grid, 2, 2).bitstring())
+    complex_gs = replace(gs, matrix=gs.matrix.astype(np.complex128))
     with pytest.raises(ValueError, match="complex"):
         vipsa_run(grid, 2, 2, reference=complex_gs)
 
@@ -441,6 +447,27 @@ def test_runs_reject_a_reference_without_its_matrix():
         vipsa_run(grid, 2, 2, reference=blocks)
     with pytest.raises(ValueError, match="no sector matrix"):
         hva_run(grid, 2, 2, layers=1, reference=blocks)
+
+
+def test_runs_refuse_a_matrix_of_another_block():
+    # on 2x3 (3,3) the sea lies in the block of label 4: a space that keeps
+    # the ground block's matrix (label 0) fits neither an adaptive run, whose
+    # states live in the sea's block, nor a layered one, which needs the whole
+    # sector; nor does the site register's whole-sector matrix fit the former
+    from vipsa.hva import hva_run
+
+    grid = u4(2, 3)
+    h = build_kspace(grid)[0]
+    states = sector_basis(grid.n_qubits, 3, 3)
+    ground_block = int(states[momentum_labels(grid, states) == 0][0])
+    other = ground_space(h, grid.n_qubits, 3, 3, point_group(grid), keep_block_of=ground_block)
+    assert other.matrix_block == 0 != momentum_labels(grid, fermi_sea(grid, 3, 3).bitstring())
+    whole = ground_space(build_real(grid), grid.n_qubits, 3, 3)
+    for reference in (other, whole):
+        with pytest.raises(ValueError, match="Fermi sea's momentum block"):
+            vipsa_run(grid, 3, 3, reference=reference)
+    with pytest.raises(ValueError, match="no sector matrix of the whole sector"):
+        hva_run(grid, 3, 3, layers=1, reference=other)
 
 
 def test_every_export_is_the_object_its_module_defines():

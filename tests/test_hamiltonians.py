@@ -45,7 +45,7 @@ from vipsa.statevector import (
     slater_amplitudes,
 )
 
-from oracles import dense_pauli_sum, dense_sector_block, lowest_sector_values
+from oracles import dense_pauli_sum, dense_sector_block, lowest_sector_values, rows_of_block
 
 
 def assert_ground_level(gs, spectrum, atol, matrix=None):
@@ -228,6 +228,22 @@ def test_sector_basis_dimensions():
         sector_basis(8, 5, 0)
 
 
+def test_an_oversized_sector_is_refused_before_anything_is_allocated():
+    # 3x4's (6,6) sector fits the budget; 4x4's (8,8), 165 636 900 states,
+    # would take 660 MB of bitstrings alone, and is refused from its binomials
+    from vipsa import statevector
+
+    assert 853776 <= statevector.SECTOR_STATE_BUDGET < 165636900
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="165636900 states"):
+            sector_basis(32, 8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the error message, not a basis
+
+
 def test_sector_ground_matches_full_dense():
     grid = GridSpec.make(2, 2, u=4.0)
     h = build_real(grid)
@@ -356,13 +372,14 @@ def test_ground_space_matches_a_twelve_pair_solve(register):
     grid = GridSpec.make(2, 4, u=4.0)
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
                    else (build_real(grid), None))
-    gs = ground_space(h, grid.n_qubits, 4, 4, symmetry, keep_matrix=True)
-    labels = scipy.sparse.csgraph.connected_components(gs.matrix, directed=False)[1]
+    gs = ground_space(h, grid.n_qubits, 4, 4, symmetry)
+    matrix = sector_matrix(h, gs.states, grid.n_qubits)
+    labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)[1]
     values, columns = [], []
     for block in np.unique(labels):
         rows = np.flatnonzero(labels == block)
         vals, vecs = scipy.sparse.linalg.eigsh(
-            gs.matrix[rows][:, rows], k=12, which="SA", ncv=48, tol=0,
+            matrix[rows][:, rows], k=12, which="SA", ncv=48, tol=0,
             v0=np.random.default_rng(0).standard_normal(len(rows)))
         for value, vec in zip(vals, vecs.T):
             column = np.zeros(len(gs.states), dtype=vecs.dtype)
@@ -478,9 +495,10 @@ def test_ground_space_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("register", ["k", "real"])
 def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
-    # the space a run takes its H from holds the whole-sector matrix, in
-    # memory and after save/load: the site register's from its whole-sector
-    # solve, the mode register's the one its per-class solve sliced
+    # the space a run takes its H from holds the matrix of the run's block,
+    # in memory and after save/load: the site register's whole sector, and
+    # in the mode register the whole-sector matrix's rows of the Fermi sea's
+    # block, label 4 on 2x3 (3,3), which no class solve builds
     from vipsa.cli import cached_ground_space
 
     grid = GridSpec.make(2, 3, u=4.0)
@@ -488,6 +506,11 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
     gs = cached_ground_space(grid, 3, 3, register, None)
     fresh = sector_matrix(h, gs.states, grid.n_qubits)
+    if register == "k":
+        assert gs.matrix_block == 4
+        fresh = rows_of_block(fresh, momentum_labels(grid, gs.states) == 4)
+    else:
+        assert gs.matrix_block == hamiltonians.UNLABELLED
     gs.save(tmp_path / "gs.npys")
     for matrix in (gs.matrix, GroundSpace.load(tmp_path / "gs.npys").matrix):
         for part in ("data", "indices", "indptr"):
@@ -625,8 +648,9 @@ def test_residue_only_blocks_are_read_off_the_diagonal(shape, sector, degeneracy
 
 def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     # 2x4 (4,4): 8 blocks of 608-628 states in 6 classes, (0,1) ~ (0,3) and
-    # (1,1) ~ (1,3); keeping the matrix builds the 4900-state sector once
-    # and slices the same six blocks from it
+    # (1,1) ~ (1,3), labels 2 ~ 6 and 3 ~ 7; keeping the block of a
+    # representative reuses its build, keeping label 6 or 7 builds that block
+    # once more, and nothing builds the 4900-state sector
     grid = GridSpec.make(2, 4, u=4.0)
     h = build_kspace(grid)[0]
     built = []
@@ -634,15 +658,21 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     monkeypatch.setattr(hamiltonians, "sector_matrix",
                         lambda h, states, n: built.append(len(states)) or build(h, states, n))
     seen = recorded_eigsh(monkeypatch)
-    for keep_matrix in (False, True):
+    states = sector_basis(grid.n_qubits, 4, 4)
+    labels = momentum_labels(grid, states)
+    per_class = [np.count_nonzero(labels == label) for label in (0, 1, 2, 3, 4, 5)]
+    for keep in (None, 0, 3, 6, 7):
         built.clear()
         seen.clear()
-        gs = ground_space(h, grid.n_qubits, 4, 4, point_group(grid), keep_matrix=keep_matrix)
-        labels = momentum_labels(grid, gs.states)
-        per_class = [np.count_nonzero(labels == label) for label in (0, 1, 2, 3, 4, 5)]
-        assert built == ([4900] if keep_matrix else per_class)
+        keep_block_of = None if keep is None else int(states[labels == keep][0])
+        gs = ground_space(h, grid.n_qubits, 4, 4, point_group(grid), keep_block_of=keep_block_of)
+        extra = [np.count_nonzero(labels == keep)] if keep in (6, 7) else []
+        assert built == per_class + extra
         assert [dim for dim, _, _ in seen] == per_class
-        assert (gs.matrix is not None) == keep_matrix
+        assert (gs.matrix is not None) == (keep is not None)
+        if keep is not None:
+            assert gs.matrix_block == keep
+            assert np.diff(gs.matrix.indptr)[labels != keep].sum() == 0
 
 
 # (shape, sector) pairs: each grid's default filling and one other
@@ -653,8 +683,9 @@ SLICED_SECTORS = [((2, 2), (2, 2)), ((2, 2), (1, 2)), ((2, 3), (3, 3)), ((2, 3),
 @pytest.mark.parametrize("u", [0.0, 0.37, 4.0, 6.0, -2.9])
 @pytest.mark.parametrize("shape, sector", SLICED_SECTORS)
 def test_class_blocks_sliced_from_the_whole_sector_are_built_blocks(shape, sector, u):
-    # ground_space(keep_matrix=True) solves these slices in place of
-    # sector_matrix on each block's own bitstrings: the same CSR, bit for bit
+    # a block built by sector_matrix on its own bitstrings is the same CSR,
+    # bit for bit, as its slice of the whole-sector matrix; that is why the
+    # one-block matrix a run keeps gives the whole-sector matrix's H x
     grid = GridSpec.make(*shape, u=u)
     h = build_kspace(grid)[0]
     states = sector_basis(grid.n_qubits, *sector)
@@ -672,18 +703,53 @@ def test_class_blocks_sliced_from_the_whole_sector_are_built_blocks(shape, secto
         assert sliced.has_sorted_indices == built.has_sorted_indices
 
 
+# every boundary pair GridSpec accepts on 2x2-2x4 and 3x2 (a periodic axis
+# needs length 3 or more), then the default 3x3
+BYTE_GRIDS = [GridSpec.make(nx, ny, u=u, bc_x=bc_x, bc_y=bc_y)
+              for (nx, ny), u in [((2, 2), 4.0), ((2, 3), 6.0), ((3, 2), -2.9), ((2, 4), 0.37)]
+              for bc_x in ("open", "periodic") for bc_y in ("open", "periodic")
+              if (bc_x == "open" or nx > 2) and (bc_y == "open" or ny > 2)]
+BYTE_GRIDS.append(GridSpec.make(3, 3, u=6.0))
+
+
+def test_the_sea_block_matrix_applies_h_to_the_byte():
+    # H x for a vector on the sea's block: the kept one-block matrix gives
+    # the bytes the whole-sector matrix gives, in every row, because its
+    # block rows hold the same entries in the same order and every other
+    # row comes out +0.0 either way
+    from vipsa.cli import solve_ground_space
+
+    rng = np.random.default_rng(22)
+    for grid in BYTE_GRIDS:
+        n_up, n_down = default_filling(grid)
+        sea = fermi_sea(grid, n_up, n_down).bitstring()
+        gs = solve_ground_space(grid, n_up, n_down, "k", sea)
+        whole = sector_matrix(build_kspace(grid)[0], gs.states, grid.n_qubits)
+        inside = momentum_labels(grid, gs.states) == gs.matrix_block
+        assert gs.matrix.nnz < whole.nnz and inside.sum() < len(gs.states)
+        for _ in range(3):
+            x = np.where(inside, rng.standard_normal(len(gs.states)), 0.0)
+            assert (gs.matrix @ x).tobytes() == (whole @ x).tobytes(), grid
+
+
 @pytest.mark.parametrize("shape, u", [((2, 3), 4.0), ((2, 4), -2.9), ((3, 3), 6.0)])
 def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
-    # one whole-sector build with its class blocks sliced from it stores the
-    # same file as a per-class solve followed by a separate whole-sector build
+    # a per-class solve that keeps the sea's block stores the same file as a
+    # per-class solve followed by a separate whole-sector build, cut to the
+    # rows of the sea's block
     import io
 
     grid = GridSpec.make(*shape, u=u)
     h = build_kspace(grid)[0]
     n_up, n_down = default_filling(grid)
+    sea = fermi_sea(grid, n_up, n_down).bitstring()
     blocks = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid))
-    two_step = dataclasses.replace(blocks, matrix=sector_matrix(h, blocks.states, grid.n_qubits))
-    kept = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid), keep_matrix=True)
+    labels = momentum_labels(grid, blocks.states)
+    label = int(momentum_labels(grid, sea))
+    whole = sector_matrix(h, blocks.states, grid.n_qubits)
+    two_step = dataclasses.replace(blocks, matrix=rows_of_block(whole, labels == label),
+                                   matrix_block=label)
+    kept = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid), keep_block_of=sea)
     files = []
     for space in (two_step, kept):
         files.append(io.BytesIO())
@@ -738,7 +804,8 @@ def test_cache_files_round_trip_bit_exactly(tmp_path, kind):
     else:
         h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if kind == "ground-k"
                        else (build_real(grid), None))
-        saved = ground_space(h, grid.n_qubits, 3, 2, symmetry, keep_matrix=True)
+        saved = ground_space(h, grid.n_qubits, 3, 2, symmetry,
+                             keep_block_of=fermi_sea(grid, 3, 2).bitstring())
     saved.save(tmp_path / "first.npys", key=kind)
     loaded = type(saved).load(tmp_path / "first.npys", key=kind)
     want, got = cache_fields(saved), cache_fields(loaded)
