@@ -165,18 +165,19 @@ def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
 UNREADABLE_CACHE = (OSError, EOFError, ValueError, KeyError, TypeError)
 
 
-def _cached(cache_dir: Path, stem: str, key: str, kind, build):
+def _cached(cache_dir: Path, stem: str, key: str, kind, build, fits):
     """kind.load of the file for key in cache_dir, or build() saved there.
 
-    A file that cannot be read or holds another key is rebuilt and
-    replaced; a new file is written next to its final name and renamed into
-    place, so a crash mid-write leaves no partial file there.
+    A file that cannot be read, holds another key or fails fits is rebuilt
+    and replaced; a new file is written next to its final name and renamed
+    into place, so a crash mid-write leaves no partial file there.
     """
     digest = hashlib.sha256(key.encode()).hexdigest()
     path = cache_dir / f"{stem}-{digest[:12]}.npys"
     if path.exists():
         try:
-            return kind.load(path, key)
+            if fits(loaded := kind.load(path, key)):
+                return loaded
         except UNREADABLE_CACHE:
             pass
     result = build()
@@ -209,35 +210,41 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
                         cache_dir: Path | None):
     """A run's ground space, with the matrix its H comes from, reusing an
     on-disk artifact: the mode register keeps the Fermi sea's block, where
-    every state of an adaptive run lives, the site register its whole sector.
+    every state of an adaptive run lives, over its own bitstrings, the site
+    register its whole sector.
 
     The file stores its cache key, which names the kept block, and that
-    matrix, so a hit needs no Hamiltonian build.  One that cannot be read or
-    holds another key (a whole-sector file from before the key named the
-    block, say) is rebuilt (see _cached).  cache_dir must exist; with None
-    the space is solved and nothing is read or written.
+    matrix, so a hit needs no Hamiltonian build.  One that cannot be read,
+    holds another key or keeps a matrix of another size is rebuilt (see
+    _cached).  cache_dir must exist; with None the space is solved and
+    nothing is read or written.
     """
+    from .core import sea_block
     from .hamiltonians import GroundSpace
-    from .lattice import fermi_sea, momentum_labels
+    from .lattice import fermi_sea
 
     sea = fermi_sea(grid, n_up, n_down).bitstring() if register == "k" else None
     if cache_dir is None:
         return solve_ground_space(grid, n_up, n_down, register, sea)
-    artifact = register if sea is None else f"k block {momentum_labels(grid, sea)}"
+    label, block = (None, None) if sea is None else sea_block(grid, n_up, n_down)
+    artifact = register if sea is None else f"k on block {label}"
     return _cached(cache_dir, f"ground-{register}-{grid.label()}",
                    _grid_key(grid, n_up, n_down, artifact), GroundSpace,
-                   lambda: solve_ground_space(grid, n_up, n_down, register, sea))
+                   lambda: solve_ground_space(grid, n_up, n_down, register, sea),
+                   lambda ground: block is None or ground.matrix.shape[0] == len(block))
 
 
 def cached_pool_tables(grid, n_up: int, n_down: int, cache_dir: Path):
-    """The adaptive pool's orbit tables over the (n_up, n_down) sector,
-    reusing an on-disk artifact (see _cached); cache_dir must exist."""
-    from .core import PoolTables
-    from .statevector import sector_basis
+    """The adaptive pool's orbit tables over the Fermi sea's momentum block,
+    reusing an on-disk artifact (see _cached) whose key names the block;
+    tables over other bitstrings are rebuilt.  cache_dir must exist."""
+    from .core import PoolTables, sea_block
 
-    return _cached(cache_dir, f"pool-{grid.label()}", _grid_key(grid, n_up, n_down, "pool"),
-                   PoolTables,
-                   lambda: PoolTables.build(grid, sector_basis(grid.n_qubits, n_up, n_down)))
+    label, block = sea_block(grid, n_up, n_down)
+    return _cached(cache_dir, f"pool-{grid.label()}",
+                   _grid_key(grid, n_up, n_down, f"pool on block {label}"), PoolTables,
+                   lambda: PoolTables.build(grid, block),
+                   lambda tables: tables.states.tobytes() == block.tobytes())
 
 
 # ------------------------------------------------------------------- run ---
@@ -283,7 +290,8 @@ def cmd_run(args) -> int:
 
         # the cached space keeps the matrix of the Fermi sea's block
         blocks = {"reference_block": label_momenta(grid, ground.matrix_block),
-                  "ground_blocks": [label_momenta(grid, block) for block in ground.blocks]}
+                  "ground_blocks": [label_momenta(grid, block) for block in ground.blocks],
+                  "sector_states": len(ground.states), "block_states": ground.matrix.shape[0]}
         if ground.matrix_block not in ground.blocks:
             print(f"warning: the Fermi sea lies in momentum block {blocks['reference_block']}, "
                   "which holds no ground state (the ground space lies in "

@@ -73,6 +73,15 @@ class PoolOperator:
         return image - image.dagger()
 
 
+def sea_block(grid: GridSpec, n_up: int, n_down: int) -> tuple[int, np.ndarray]:
+    """The momentum label of the (n_up, n_down) Fermi sea and the sorted
+    sector bitstrings of its block, where every state of an adaptive run
+    lives."""
+    states = sector_basis(grid.n_qubits, n_up, n_down)
+    label = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
+    return label, states[momentum_labels(grid, states) == label]
+
+
 def _pool_label(q: InteractionQuadruple) -> str:
     return f"A{q.up_to},{q.down_to}|{q.down_from},{q.up_from}"
 
@@ -109,14 +118,15 @@ def build_pool(grid: GridSpec) -> list[PoolOperator]:
 
 @dataclass(frozen=True)
 class PoolTables:
-    """The pool's rotation generators as orbit tables over one sector basis.
+    """The pool's rotation generators as orbit tables over one basis.
 
     `labels` names the operators of build_pool in its canonical order.  The
     table of operator i is src, dst and sign[offsets[i]:offsets[i + 1]] of
-    three flat arrays, with src and dst positions into `states`, the sorted
-    sector bitstrings.  The tables depend only on the grid and the sector,
-    so a run can load them (`save`/`load`, like GroundSpace) instead of
-    building them again.
+    three flat arrays, with src and dst positions into `states`, sorted
+    bitstrings that the pool keeps closed: a sector, or one of its momentum
+    blocks.  The tables depend only on the grid and those bitstrings, so a
+    run can load them (`save`/`load`, like GroundSpace) instead of building
+    them again.
     """
 
     labels: tuple[str, ...]
@@ -138,7 +148,7 @@ class PoolTables:
                              f"{len(self.src)}, {len(self.dst)} and {len(self.sign)}")
         for positions in (self.src, self.dst):
             if len(positions) and (positions.min() < 0 or positions.max() >= len(self.states)):
-                raise ValueError(f"table positions leave the {len(self.states)}-state sector")
+                raise ValueError(f"table positions leave the {len(self.states)}-state basis")
         # counted, not compared through np.abs, which would copy the array
         units = np.count_nonzero(self.sign == 1.0) + np.count_nonzero(self.sign == -1.0)
         if units != len(self.sign):
@@ -146,7 +156,8 @@ class PoolTables:
 
     @classmethod
     def build(cls, grid: GridSpec, states: np.ndarray) -> "PoolTables":
-        """The orbit tables of build_pool(grid) over the sorted sector bitstrings."""
+        """The orbit tables of build_pool(grid) over sorted bitstrings the pool
+        keeps closed."""
         pool = build_pool(grid)
         orbits = [sector_orbit(p.term, states) for p in pool]
 
@@ -201,8 +212,8 @@ def pool_gradients(psi: StateVector, h, pool: list[PoolOperator]) -> np.ndarray:
 
 
 def sector_pool_gradients(x: np.ndarray, h, orbits) -> np.ndarray:
-    """pool_gradients for a real sector vector x, real sector matrix h and
-    the pool's orbit tables over the same basis."""
+    """pool_gradients for a real vector x, a real matrix h and the pool's
+    orbit tables, all over one basis: a sector or one of its momentum blocks."""
     image = h @ x
     return np.array([2.0 * orbit_overlap(orbit, image, x) for orbit in orbits])
 
@@ -374,25 +385,21 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     passed in.  Every state the loop builds lives in the Fermi sea's
     momentum block, and its H is the matrix the reference keeps, which must
     be there, real, as the states and generators are, and of exactly that
-    block (else a ValueError).  Likewise the pool's orbit tables are built
-    unless `pool` passes them in.  `progress`, if given, is called with each
+    block (else a ValueError).  Likewise the pool's orbit tables over the
+    block are built unless `pool` passes them in; tables over any other
+    bitstrings are a ValueError.  `progress`, if given, is called with each
     finished EpochRecord.  When the pool gradient drops below eps1 a terminal
     record with an empty selection is emitted, so a trace always shows the
     state the loop stopped in.
 
-    The loop works on one real vector over the (n_up, n_down) sector basis,
-    with every pool generator as an orbit table into it.  The result names
-    the rotations by pool label, with their final angles.
+    The loop works on one real vector over the block's bitstrings, in sector
+    order, with every pool generator as an orbit table into it.  The result
+    names the rotations by pool label, with their final angles.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
     states = sector_basis(grid.n_qubits, n_up, n_down)
-    if pool is None:
-        pool = PoolTables.build(grid, states)
-    if not np.array_equal(pool.states, states):
-        raise ValueError("pool tables are not over the run's sector basis")
-    labels = pool.labels
     sea = fermi_sea(grid, n_up, n_down).bitstring()
     if reference is None:
         reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down,
@@ -403,10 +410,20 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     if h is None or reference.matrix_block != momentum_labels(grid, sea):
         raise ValueError("reference ground space holds no sector matrix of the Fermi sea's "
                          "momentum block")
+    rows = np.flatnonzero(momentum_labels(grid, states) == reference.matrix_block)
+    if h.shape != (len(rows), len(rows)):
+        raise ValueError(f"reference sector matrix of shape {h.shape} does not fit the "
+                         f"{len(rows)} states of the Fermi sea's momentum block")
     if np.iscomplexobj(h.data):
         raise ValueError("reference sector matrix is complex; the run is real")
+    block = states[rows]
+    if pool is None:
+        pool = PoolTables.build(grid, block)
+    if not np.array_equal(pool.states, block):
+        raise ValueError("pool tables are not over the Fermi sea's momentum block")
+    labels = pool.labels
     orbits = pool.orbits()
-    x0 = (states == sea).astype(float)
+    x0 = (block == sea).astype(float)
     gates: list[int] = []  # pool index of each rotation, in circuit order
     thetas = np.zeros(0)
     x = x0
@@ -428,7 +445,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
                 n_params=len(gates),
                 inner_steps=0,
                 energy=float(x @ (h @ x)),
-                fidelity=reference.sector_fidelity(x),
+                fidelity=reference.block_fidelity(x, rows),
             )
             records.append(terminal)
             if progress is not None:
@@ -448,7 +465,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
             n_params=len(gates),
             inner_steps=outcome.steps,
             energy=outcome.energy,
-            fidelity=reference.sector_fidelity(x),
+            fidelity=reference.block_fidelity(x, rows),
         )
         records.append(record)
         step_energies.extend((epoch, s, e) for s, e in enumerate(outcome.energies))

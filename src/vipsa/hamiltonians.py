@@ -363,12 +363,13 @@ class GroundSpace:
     """Orthonormal basis of the degenerate ground eigenspace of one sector.
 
     `vectors` has one column per ground state over `states`, the sorted
-    sector bitstrings.  `matrix`, if kept, is P H P over the same basis, P
-    the projector onto the block `matrix_block` names (UNLABELLED: the whole
-    sector), so it applies H to any vector on that block.  `blocks` holds
-    the total-momentum label (lattice.momentum_labels) of each vector's
-    block, UNLABELLED when the sector was solved without labels.  `save` and
-    `load` keep these fields plus an optional key naming their problem.
+    sector bitstrings.  `matrix`, if kept, is H on the block `matrix_block`
+    names (UNLABELLED: the whole sector), over that block's own bitstrings
+    in sector order, so it applies H to any vector given on the block.
+    `blocks` holds the total-momentum label (lattice.momentum_labels) of
+    each vector's block, UNLABELLED when the sector was solved without
+    labels.  `save` and `load` keep these fields plus an optional key naming
+    their problem.
     """
 
     n_qubits: int
@@ -383,9 +384,11 @@ class GroundSpace:
 
     def __post_init__(self):
         dim = len(self.states)
-        if self.matrix is not None and self.matrix.shape != (dim, dim):
-            raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
-                             f"{dim} sector states")
+        if self.matrix is not None:
+            rows, cols = self.matrix.shape
+            if rows != cols or rows > dim or (self.matrix_block == UNLABELLED and rows < dim):
+                raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
+                                 f"{dim} sector states")
         if self.vectors.shape[0] != dim:
             raise ValueError(f"ground vectors of length {self.vectors.shape[0]} do not fit "
                              f"{dim} sector states")
@@ -431,6 +434,12 @@ class GroundSpace:
     def sector_fidelity(self, x: np.ndarray) -> float:
         """Total squared overlap with a state given over `states`."""
         return float(np.sum(np.abs(self.vectors.conj().T @ x) ** 2))
+
+    def block_fidelity(self, x: np.ndarray, rows: np.ndarray) -> float:
+        """Total squared overlap with a state given on the kept block, whose
+        bitstrings are states[rows]; the ground vectors' entries off the
+        block meet only zeros of the state, so they are left out."""
+        return float(np.sum(np.abs(self.vectors[rows].conj().T @ x) ** 2))
 
 
 def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -485,8 +494,8 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     representative block (its smallest label) is solved, and the signed
     permutations of its ground vectors are the other blocks'.  No
     whole-sector matrix is built.  Given the sector bitstring keep_block_of,
-    the space keeps its block's matrix (see GroundSpace), built once more
-    unless it is a representative.
+    the space keeps its block's matrix over the block's own bitstrings (see
+    GroundSpace), built once more unless it is a representative.
 
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
@@ -511,14 +520,8 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
         if members[0][0] == kept_label:
             matrix = block
         solved.append((members, rows, *_block_ground(block)))
-    if kept_label is not None:
-        rows = np.flatnonzero(labels == kept_label)
-        if matrix is None:
-            matrix = sector_matrix(h, states[rows], n_qubits)
-        if len(rows) < len(states):  # the block's entries in its rows, every other row empty
-            block = matrix.tocoo()
-            matrix = scipy.sparse.coo_matrix((block.data, (rows[block.row], rows[block.col])),
-                                             shape=(len(states),) * 2).tocsr()
+    if kept_label is not None and matrix is None:
+        matrix = sector_matrix(h, states[labels == kept_label], n_qubits)
     lowest = min(values[0] for _, _, values, _ in solved)
     found = {}  # block label -> its ground vectors over the sector
     for members, rows, values, vectors in solved:

@@ -17,8 +17,10 @@ bit for bit.  `as_real_if_possible` is the earlier rule by which the per-string
 matrix was made real; `sector_matrix` folds it into its own assembly.
 `lowest_sector_values` solves the library's sector matrix block by block
 with plain eigvalsh and eigsh calls, a values-only reference for the
-ground-space solver.  `rows_of_block` cuts the one-block matrix a run keeps
-out of the whole-sector matrix, with plain array masks.
+ground-space solver.  `rows_of_block` cuts P H P, H on one momentum block
+with every other row empty, out of the whole-sector matrix, with plain
+array masks; `whole_sector_run_operands` uses it to rebuild what an
+adaptive run worked on before it moved onto its block's own bitstrings.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
+from vipsa.core import PoolTables
 from vipsa.fermions import COEFF_DROP_TOL, CREATE, letters_to_masks
-from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, sector_basis, sector_matrix
+from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, build_kspace, sector_basis, sector_matrix
+from vipsa.lattice import fermi_sea, momentum_labels
 from vipsa.statevector import rotate_sector, sector_overlap, sector_run
 
 I2 = np.eye(2, dtype=complex)
@@ -303,3 +307,16 @@ def rows_of_block(matrix, inside: np.ndarray):
     indptr[1:] = np.cumsum(np.where(inside, lengths, 0))
     return scipy.sparse.csr_matrix((matrix.data[kept], matrix.indices[kept], indptr),
                                    shape=matrix.shape)
+
+
+def whole_sector_run_operands(grid, reference):
+    """(x0, h, pool) of an adaptive run as it was built over the whole
+    sector: the Fermi sea over reference.states, P H P for the block
+    reference.matrix_block names (rows_of_block of the whole-sector
+    matrix), and the pool's orbit tables over every sector bitstring."""
+    states = reference.states
+    sea = fermi_sea(grid, reference.n_up, reference.n_down).bitstring()
+    whole = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
+    inside = momentum_labels(grid, states) == reference.matrix_block
+    return ((states == sea).astype(float), rows_of_block(whole, inside),
+            PoolTables.build(grid, states))

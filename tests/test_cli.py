@@ -258,6 +258,27 @@ def plant_whole_sector_matrix(path: Path) -> None:
     _save_fields(path, fields, _grid_key(grid, 2, 2, "k"))
 
 
+def plant_sector_rows_matrix(path: Path) -> None:
+    # what the file held before the kept matrix moved onto the block's own
+    # rows: P H P over the whole sector, under the key that named the block
+    # without saying so
+    from vipsa.cli import _grid_key
+    from vipsa.hamiltonians import build_kspace, sector_matrix
+    from vipsa.lattice import momentum_labels
+
+    from oracles import rows_of_block
+
+    grid = GridSpec.make(2, 2, u=4.0)
+    fields = _load_fields(path, None)
+    label = int(fields["matrix_block"])
+    whole = sector_matrix(build_kspace(grid)[0], fields["states"], grid.n_qubits)
+    php = rows_of_block(whole, momentum_labels(grid, fields["states"]) == label)
+    fields.update(matrix_shape=np.array(php.shape), matrix_data=php.data,
+                  matrix_indices=php.indices, matrix_indptr=php.indptr)
+    del fields["key"]
+    _save_fields(path, fields, _grid_key(grid, 2, 2, f"k block {label}"))
+
+
 def plant_misfit_matrix(path: Path) -> None:
     from vipsa.hamiltonians import GroundSpace
     block = GroundSpace.load(path).matrix[:-1, :-1].tocsr()
@@ -281,7 +302,8 @@ def assert_same_artifacts(first: Path, again: Path) -> None:
 
 @pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_old_format, plant_misfit_matrix,
                                                   plant_misfit_vectors, plant_scalar_vector,
-                                                  plant_unlabelled, plant_whole_sector_matrix])
+                                                  plant_unlabelled, plant_whole_sector_matrix,
+                                                  plant_sector_rows_matrix])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
@@ -303,16 +325,67 @@ def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
 
 def test_3x3_cache_file_holds_the_sea_block(tmp_path):
     # 3x3 U=6 (5,4): the sea's block is one of 9 blocks of 1764 states, and
-    # its matrix stores 89 964 entries, where the whole sector's held 809 676
+    # its matrix stores 89 964 entries over the block's own rows, where the
+    # whole sector's held 809 676
     from vipsa.cli import cached_ground_space
 
     cached_ground_space(GridSpec.make(3, 3, u=6.0), 5, 4, "k", tmp_path)
     path, = tmp_path.glob("ground-k-3x3-*.npys")
     fields = _load_fields(path, None)
     assert fields["matrix_data"].size == fields["matrix_indices"].size == 89964
-    assert fields["matrix_shape"].tolist() == [15876, 15876]
+    assert fields["matrix_shape"].tolist() == [1764, 1764]
     assert int(fields["matrix_block"]) == 3
     assert path.stat().st_size < 2_000_000
+
+
+def test_3x3_pool_cache_file_holds_the_sea_block(tmp_path):
+    # 3x3 U=6 (5,4): the pool's tables over the sea's 1764-state block hold
+    # 31 580 entries, where those over the whole sector held 284 200 in a
+    # file of 6 894 964 bytes
+    from vipsa.cli import cached_pool_tables
+    from vipsa.core import sea_block
+
+    grid = GridSpec.make(3, 3, u=6.0)
+    cached_pool_tables(grid, 5, 4, tmp_path)
+    path, = tmp_path.glob("pool-3x3-*.npys")
+    fields = _load_fields(path, None)
+    assert fields["src"].size == fields["dst"].size == fields["sign"].size == 31580
+    assert int(fields["offsets"][-1]) == 31580
+    assert fields["states"].tobytes() == sea_block(grid, 5, 4)[1].tobytes()
+    assert path.stat().st_size < 1_000_000
+
+
+def test_adaptive_manifest_reports_the_sector_and_block_sizes(tmp_path, capsys):
+    # 3x3 (5,4): the run's states live on the sea's block of 1764 of the
+    # sector's 15 876 states
+    code, out = run_config(tmp_path, "sizes", nx=3, ny=3, u=6.0, max_epochs=1,
+                           max_inner_steps=1, r=1.0, cache=None)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["sector_states"], manifest["block_states"]) == (15876, 1764)
+
+
+def plant_whole_sector_pool(path: Path) -> None:
+    # what the file held before the pool moved onto the sea's block: tables
+    # over the whole sector, under the key that did not name the block
+    from vipsa.cli import _grid_key
+    from vipsa.core import PoolTables
+    from vipsa.statevector import sector_basis
+
+    grid = GridSpec.make(2, 2, u=4.0)
+    PoolTables.build(grid, sector_basis(grid.n_qubits, 2, 2)).save(
+        path, _grid_key(grid, 2, 2, "pool"))
+
+
+def plant_sector_tables_under_the_block_key(path: Path) -> None:
+    # tables over the whole sector under the file's own key, which names the
+    # block: the key alone cannot refuse them
+    from vipsa.core import PoolTables
+    from vipsa.statevector import sector_basis
+
+    grid = GridSpec.make(2, 2, u=4.0)
+    fields = _load_fields(path, None)
+    PoolTables.build(grid, sector_basis(grid.n_qubits, 2, 2)).save(path, str(fields["key"]))
 
 
 def plant_stray_position(path: Path) -> None:
@@ -328,8 +401,9 @@ def plant_misaligned_offsets(path: Path) -> None:
     resave(path, offsets=np.delete(offsets, 1))
 
 
-@pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_stray_position,
-                                                  plant_misaligned_offsets])
+@pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_stray_position, plant_misaligned_offsets,
+                                                  plant_whole_sector_pool,
+                                                  plant_sector_tables_under_the_block_key])
 def test_damaged_pool_tables_are_rebuilt(tmp_path, capsys, damage):
     from vipsa.core import PoolTables
 

@@ -18,6 +18,7 @@ from vipsa.core import (
     pool_class,
     pool_gradients,
     rs_perturbation,
+    sea_block,
     sector_pool_gradients,
     select,
     vipsa_run,
@@ -48,9 +49,11 @@ from vipsa.statevector import (
     apply_pauli_sum,
     basis_state,
     expectation,
+    sector_expectation_and_gradient,
     sector_orbit,
+    sector_run,
 )
-from oracles import dense_pauli_sum
+from oracles import dense_pauli_sum, whole_sector_run_operands
 from replay import adaptive_circuit, refuse_full_register
 
 
@@ -468,6 +471,80 @@ def test_runs_refuse_a_matrix_of_another_block():
             vipsa_run(grid, 3, 3, reference=reference)
     with pytest.raises(ValueError, match="no sector matrix of the whole sector"):
         hva_run(grid, 3, 3, layers=1, reference=other)
+
+
+def test_run_refuses_pool_tables_over_another_basis():
+    # on 2x3 (3,3) the run's states live on the sea's block, label 4: tables
+    # over the whole sector, as runs once took them, or over the ground's
+    # block, label 0, are refused
+    grid = u4(2, 3)
+    states = sector_basis(grid.n_qubits, 3, 3)
+    reference = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3, point_group(grid),
+                             keep_block_of=fermi_sea(grid, 3, 3).bitstring())
+    for basis in (states, states[momentum_labels(grid, states) == 0]):
+        with pytest.raises(ValueError, match="pool tables are not over the Fermi sea's"):
+            vipsa_run(grid, 3, 3, reference=reference, pool=PoolTables.build(grid, basis))
+
+
+def test_run_refuses_a_kept_matrix_of_another_shape():
+    # the kept matrix is H over the block's own 66 rows: P H P over the
+    # whole 400-state sector, as spaces kept it before, is refused, and so is
+    # the block's matrix cut one row short
+    grid = u4(2, 3)
+    reference = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3, point_group(grid),
+                             keep_block_of=fermi_sea(grid, 3, 3).bitstring())
+    _, php, _ = whole_sector_run_operands(grid, reference)
+    assert reference.matrix.shape == (66, 66) and php.shape == (400, 400)
+    for matrix in (php, reference.matrix[:-1, :-1].tocsr()):
+        with pytest.raises(ValueError, match="does not fit the .* Fermi sea's momentum block"):
+            vipsa_run(grid, 3, 3, reference=replace(reference, matrix=matrix))
+
+
+@pytest.mark.parametrize("u", [4.0, 6.0])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_block_path_matches_the_whole_sector_path(shape, u):
+    # the screen at the sea and after a fixed 52-gate circuit (seeded random
+    # gates and angles), that circuit's energy and gradients, and its
+    # fidelity: on the sea's block as a run takes them, and over the whole
+    # sector with P H P as runs took them before, agree to 1e-12, and select
+    # picks the same labels in the same order from either screen
+    grid = GridSpec.make(*shape, u=u)
+    n_up, n_down = default_filling(grid)
+    reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down,
+                             point_group(grid),
+                             keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
+    x0_whole, php, whole_pool = whole_sector_run_operands(grid, reference)
+    label, block = sea_block(grid, n_up, n_down)
+    rows = np.flatnonzero(momentum_labels(grid, reference.states) == label)
+    assert label == reference.matrix_block and np.array_equal(reference.states[rows], block)
+    block_pool = PoolTables.build(grid, block)
+    assert block_pool.labels == whole_pool.labels
+    labels = list(block_pool.labels)
+    rng = np.random.default_rng(23)
+    gates = rng.integers(len(labels), size=52)
+    thetas = rng.uniform(-0.4, 0.4, size=52)
+
+    paths = []
+    for x0, h, pool in ((x0_whole, php, whole_pool),
+                        (x0_whole[rows], reference.matrix, block_pool)):
+        orbits = pool.orbits()
+        circuit = [orbits[i] for i in gates]
+        x = sector_run(x0, circuit, thetas)
+        paths.append({"screens": [sector_pool_gradients(x0, h, orbits),
+                                  sector_pool_gradients(x, h, orbits)],
+                      "sweep": sector_expectation_and_gradient(x0, circuit, thetas, h),
+                      "x": x})
+    whole, on_block = paths
+    for got, want in zip(on_block["screens"], whole["screens"]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert select(got, 0.1, labels) == select(want, 0.1, labels)
+    assert on_block["sweep"][0] == pytest.approx(whole["sweep"][0], abs=1e-12)
+    np.testing.assert_allclose(on_block["sweep"][1], whole["sweep"][1], rtol=0, atol=1e-12)
+    outside = np.ones(len(reference.states), dtype=bool)
+    outside[rows] = False
+    assert not whole["x"][outside].any()
+    assert (reference.block_fidelity(on_block["x"], rows)
+            == pytest.approx(reference.sector_fidelity(whole["x"]), abs=1e-12))
 
 
 def test_every_export_is_the_object_its_module_defines():
