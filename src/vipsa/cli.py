@@ -206,12 +206,13 @@ def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_block_o
         return ground_space(h, grid.n_qubits, n_up, n_down, symmetry, keep_block_of)
 
 
-def cached_ground_space(grid, n_up: int, n_down: int, register: str,
-                        cache_dir: Path | None):
+def cached_ground_space(grid, n_up: int, n_down: int, block, cache_dir: Path | None):
     """A run's ground space, with the matrix its H comes from, reusing an
-    on-disk artifact: the mode register keeps the Fermi sea's block, where
-    every state of an adaptive run lives, over its own bitstrings, the site
-    register its whole sector.
+    on-disk artifact.  block is the Fermi sea's (momentum label, block
+    bitstrings) from core.sea_block for the mode register, whose space
+    keeps that block's matrix over its own bitstrings, as every state of an
+    adaptive run lives there; None picks the site register, whose space
+    keeps its whole sector.
 
     The file stores its cache key, which names the kept block, and that
     matrix, so a hit needs no Hamiltonian build.  One that cannot be read,
@@ -219,32 +220,32 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str,
     _cached).  cache_dir must exist; with None the space is solved and
     nothing is read or written.
     """
-    from .core import sea_block
     from .hamiltonians import GroundSpace
     from .lattice import fermi_sea
 
-    sea = fermi_sea(grid, n_up, n_down).bitstring() if register == "k" else None
+    register = "real" if block is None else "k"
+    sea = None if block is None else fermi_sea(grid, n_up, n_down).bitstring()
     if cache_dir is None:
         return solve_ground_space(grid, n_up, n_down, register, sea)
-    label, block = (None, None) if sea is None else sea_block(grid, n_up, n_down)
-    artifact = register if sea is None else f"k on block {label}"
+    artifact = register if block is None else f"k on block {block[0]}"
     return _cached(cache_dir, f"ground-{register}-{grid.label()}",
                    _grid_key(grid, n_up, n_down, artifact), GroundSpace,
                    lambda: solve_ground_space(grid, n_up, n_down, register, sea),
-                   lambda ground: block is None or ground.matrix.shape[0] == len(block))
+                   lambda ground: block is None or ground.matrix.shape[0] == len(block[1]))
 
 
-def cached_pool_tables(grid, n_up: int, n_down: int, cache_dir: Path):
+def cached_pool_tables(grid, n_up: int, n_down: int, block, cache_dir: Path):
     """The adaptive pool's orbit tables over the Fermi sea's momentum block,
-    reusing an on-disk artifact (see _cached) whose key names the block;
-    tables over other bitstrings are rebuilt.  cache_dir must exist."""
-    from .core import PoolTables, sea_block
+    given as core.sea_block's (label, bitstrings), reusing an on-disk
+    artifact (see _cached) whose key names the block; tables over other
+    bitstrings are rebuilt.  cache_dir must exist."""
+    from .core import PoolTables
 
-    label, block = sea_block(grid, n_up, n_down)
+    label, states = block
     return _cached(cache_dir, f"pool-{grid.label()}",
                    _grid_key(grid, n_up, n_down, f"pool on block {label}"), PoolTables,
-                   lambda: PoolTables.build(grid, block),
-                   lambda tables: tables.states.tobytes() == block.tobytes())
+                   lambda: PoolTables.build(grid, states),
+                   lambda tables: tables.states.tobytes() == states.tobytes())
 
 
 # ------------------------------------------------------------------- run ---
@@ -268,7 +269,7 @@ def _format(value):
 
 def cmd_run(args) -> int:
     run = Experiment.from_file(args.config)
-    from .core import EPOCH_CSV_COLUMNS, epoch_csv_row, vipsa_run
+    from .core import EPOCH_CSV_COLUMNS, epoch_csv_row, sea_block, vipsa_run
     from .hva import hva_run
 
     # a directory that cannot be made fails here, before any Hamiltonian is built
@@ -279,8 +280,10 @@ def cmd_run(args) -> int:
             raise CliError(f"cannot create directory: {err}") from None
 
     grid, (n_up, n_down) = run.grid, run.sector
-    register = "k" if run.ansatz == "vipsa" else "real"
-    ground = cached_ground_space(grid, n_up, n_down, register, run.cache_dir)
+    # the Fermi sea's block, taken once: the mode register's ground file and
+    # pool file both keep it
+    block = sea_block(grid, n_up, n_down) if run.ansatz == "vipsa" else None
+    ground = cached_ground_space(grid, n_up, n_down, block, run.cache_dir)
     print(f"{run.ansatz} on {grid.label()} "
           f"(U={grid.u:g}, t={grid.t:g}, sector ({n_up},{n_down})), "
           f"ED energy {ground.energy:.8f}")
@@ -297,7 +300,8 @@ def cmd_run(args) -> int:
                   "which holds no ground state (the ground space lies in "
                   f"{', '.join(map(str, blocks['ground_blocks']))}), so the run cannot reach it",
                   file=sys.stderr)
-        pool = cached_pool_tables(grid, n_up, n_down, run.cache_dir) if run.cache_dir else None
+        pool = (cached_pool_tables(grid, n_up, n_down, block, run.cache_dir)
+                if run.cache_dir else None)
         result = vipsa_run(grid, n_up, n_down, run.config, reference=ground, pool=pool,
                            progress=lambda r: print(
                                f"  epoch {r.epoch}: E={r.energy:.8f} "

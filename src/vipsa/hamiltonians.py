@@ -48,11 +48,14 @@ GROUND_DEGENERACY_TOL = 1e-8
 # and a larger multiplet doubles it (see _lowest_eigenpairs).
 GROUND_WINDOW = 6
 AMPLITUDE_DROP_TOL = 1e-12
-# Entries of the signed-coefficient table sector_matrix builds at once: a
-# flip group's strings are taken this many states' worth at a time, so the
-# table stays at 2 MB of float64 entries (4 MB when the coefficients are
-# complex) whatever the group's size.
-SIGN_TABLE_ENTRIES = 1 << 18
+# Working set of sector_matrix's flip tables, in entries: a batch of tables
+# holds at most this many, and the states their nonzero entries select are
+# sought this many (entry, state) pairs at a time.  At 2^16 the search and
+# the hits it finds stay small beside the matrix being gathered: a 2x4
+# site-register sector, where a quarter of the pairs are hits, peaks at 2.3
+# times its matrix, and a 3x3 mode-register block at 2.4 (2^18 gave 5.1 and
+# 3.2).
+SIGN_TABLE_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -201,65 +204,137 @@ def spin_operators(n_sites: int) -> tuple[PauliSum, PauliSum]:
 # sector-restricted exact diagonalization
 
 
+def _signed_sums(coeffs: np.ndarray, signs: np.ndarray, strings, masks: np.ndarray) -> np.ndarray:
+    """For each mask, the sum over strings, in their order, of the string's
+    coefficient times (-1)^|mask & sign mask|, from a zero of the
+    coefficients' dtype.  strings iterates over string indices: scalars, one
+    per string, or arrays of one string per row of masks."""
+    total = np.zeros(masks.shape, dtype=coeffs.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for string in strings:
+            signed = coeffs[string, None]
+            total += np.where(_parity(masks & signs[string, None]), -signed, signed)
+    return total
+
+
+def _flip_tables(coeffs, flips, signs, batches: dict, n_qubits: int):
+    """The nonzero table entries of the flip groups in batches, keyed by
+    (string count, flip width), each a list of groups' string indices:
+    arrays of each entry's flip, the subset of its flipped bits that selects
+    it, its group's sign mask outside the flip and its summed coefficient
+    (see sector_matrix)."""
+    entries = [], [], [], []
+    for (_, width), batch in batches.items():
+        # subset c of a flip holds its i-th lowest bit where c has bit i
+        pick = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+        step = max(1, SIGN_TABLE_ENTRIES >> width)
+        for start in range(0, len(batch), step):
+            strings = np.array(batch[start:start + step]).T
+            flip = flips[strings[0]]
+            bits = np.nonzero(flip[:, None] >> np.arange(n_qubits, dtype=np.uint32) & 1)[1]
+            subsets = (pick << bits.reshape(-1, 1, width)).sum(axis=2, dtype=np.uint32)
+            table = _signed_sums(coeffs, signs, strings, subsets)
+            group, entry = np.nonzero(table)
+            for part, values in zip(entries, (flip[group], subsets[group, entry],
+                                              signs[strings[0]][group] & ~flip[group],
+                                              table[group, entry])):
+                part.append(values)
+    return tuple(np.concatenate(part) for part in entries)
+
+
+def _sector_pieces(coeffs, flips, signs, states: np.ndarray, n_qubits: int):
+    """Yield the entries sector_matrix stores as (rows, columns, values)
+    pieces, checking each amplitude as it says."""
+    dim = len(states)
+    scale = max(1.0, float(np.abs(coeffs).max()))
+    index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.intp
+
+    def piece(moved, amp, targets=None):
+        # amplitudes amp of the basis positions moved, sent to the bitstrings
+        # targets (None: each state to itself)
+        if not np.isfinite(amp).all():
+            raise ValueError("sector matrix has a non-finite entry (float64 overflow)")
+        if targets is None:
+            return moved.astype(index_dtype), moved.astype(index_dtype), amp
+        idx = np.minimum(np.searchsorted(states, targets), dim - 1)
+        found = states[idx] == targets
+        stray = np.abs(amp[~found])
+        if stray.size and stray.max() > AMPLITUDE_DROP_TOL * scale:
+            raise ValueError("operator couples states outside the sector")
+        return idx[found].astype(index_dtype), moved[found].astype(index_dtype), amp[found]
+
+    groups: dict[int, list[int]] = {}
+    for index, flip in enumerate(flips.tolist()):
+        groups.setdefault(flip, []).append(index)
+    bases = (signs & ~flips).tolist()
+    batches: dict[tuple[int, int], list[list[int]]] = {}
+    for flip, members in groups.items():
+        width = flip.bit_count()
+        if flip and 1 << width <= dim and len({bases[index] for index in members}) == 1:
+            batches.setdefault((len(members), width), []).append(members)
+            continue
+        amp = _signed_sums(coeffs, signs, members, states)
+        moved = np.flatnonzero(amp)
+        yield piece(moved, amp[moved], states[moved] ^ np.uint32(flip) if flip else None)
+    if not batches:
+        return
+    flip, subset, base, total = _flip_tables(coeffs, flips, signs, batches, n_qubits)
+    step = max(1, SIGN_TABLE_ENTRIES // dim)
+    for start in range(0, len(total), step):
+        part = slice(start, start + step)
+        entry, moved = np.divmod(np.flatnonzero((states & flip[part, None]) == subset[part, None]),
+                                 dim)
+        entry += start
+        source = states[moved]
+        value = total[entry]
+        # 0 - T, not -T: the per-string sum never ends on -0.0, which a
+        # complex entry's real or imaginary part would keep
+        yield piece(moved, np.where(_parity(source & base[entry]), 0.0 - value, value),
+                    source ^ flip[entry])
+
+
 def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.sparse.csr_matrix:
     """<i|h|j> over the given basis, verifying h does not leave it.
 
-    The strings are grouped by the bits they flip, groups in order of first
-    appearance.  Each group's amplitude on every state comes from one table
-    of signed coefficients (SIGN_TABLE_ENTRIES at a time), whose rows are
-    added to a zero vector in string order; the sum is in float64 when every
-    compiled coefficient is real.  Entries whose amplitudes cancel to
-    exactly zero are not stored; every flip pattern reaches a distinct (row,
-    column) pair, so no stored entry is a sum of several.  Nor are entries
-    left at zero when a negligible imaginary part is dropped.  Only the nonzero
-    amplitudes are looked up in the basis, and one that leaves it is
-    rounding residue up to AMPLITUDE_DROP_TOL times max(1, the largest
-    |coefficient|).  A non-finite amplitude is a ValueError.
+    The strings are grouped by the bits they flip, and a group's amplitude
+    on a state is the sum of its strings' signed coefficients in string
+    order, in float64 when every compiled coefficient is real.
+
+    When a group's strings share one sign mask outside the flip, base, its
+    amplitude on state s is (-1)^|s & base| T[s & flip]: T has one entry per
+    subset of the flipped bits, each summed over the strings in the same
+    order, and negation commutes with rounding, so the bits are those of
+    the per-string sum.  The tables of groups with equal string count and
+    flip width are summed together, and only the states that select a
+    nonzero entry are visited, for their base parity and basis lookup,
+    SIGN_TABLE_ENTRIES (entry, state) pairs at a time.  Any other group,
+    such as the diagonal one, or one whose table would outgrow the basis,
+    adds its strings' signed rows over every state.
+
+    Entries whose amplitudes cancel to exactly zero are not stored; every
+    flip pattern reaches a distinct (row, column) pair, so no stored entry
+    is a sum of several.  Nor are entries left at zero when a negligible
+    imaginary part is dropped.  Only the nonzero amplitudes are looked up in
+    the basis, and one that leaves it is rounding residue up to
+    AMPLITUDE_DROP_TOL times max(1, the largest |coefficient|).  A
+    non-finite amplitude on some state is a ValueError.
 
     The CSR has sorted indices, int32 indptr and indices (below 2^31
     entries), and float64 data unless an entry's imaginary part exceeds
     1e-12 times max(1, the largest |entry|).  Entries are gathered as int32
     (row, column) pairs, and each array is joined from its pieces before the
-    next, so beside the sign table the build holds about 2.5 times the
-    matrix it returns.
+    next, so the build peaks at about 2.5 times the matrix it returns.
     """
     coeffs, flips, signs = _compiled_terms(h, n_qubits)
     dim = len(states)
     if not len(coeffs):
         return scipy.sparse.csr_matrix((dim, dim))
-    scale = max(1.0, float(np.abs(coeffs).max()))
     if not coeffs.imag.any():
         coeffs = coeffs.real
-    groups: dict[int, list[int]] = {}
-    for index, flip in enumerate(flips.tolist()):
-        groups.setdefault(flip, []).append(index)
-    chunk = max(1, SIGN_TABLE_ENTRIES // max(dim, 1))
-    index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.intp
-    rows, cols, data = [], [], []
-    for flip, members in groups.items():
-        amp = np.zeros(dim, dtype=coeffs.dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(members), chunk):
-                strings = members[start:start + chunk]
-                signed = coeffs[strings, None]
-                for row in np.where(_parity(states & signs[strings, None]), -signed, signed):
-                    amp += row
-        if not np.isfinite(amp).all():
-            raise ValueError("sector matrix has a non-finite entry (float64 overflow)")
-        moved = np.flatnonzero(amp)
-        if flip:
-            targets = states[moved] ^ np.uint32(flip)
-            idx = np.minimum(np.searchsorted(states, targets), dim - 1)
-            found = states[idx] == targets
-            stray = np.abs(amp[moved[~found]])
-            if stray.size and stray.max() > AMPLITUDE_DROP_TOL * scale:
-                raise ValueError("operator couples states outside the sector")
-            rows.append(idx[found].astype(index_dtype))
-            moved = moved[found]
-        else:
-            rows.append(moved.astype(index_dtype))
-        cols.append(moved.astype(index_dtype))
-        data.append(amp[moved])
+    # an empty first piece, so that a sum storing nothing still joins
+    empty = np.empty(0, dtype=np.int32)
+    rows, cols, data = zip((empty, empty, coeffs[:0]),
+                           *_sector_pieces(coeffs, flips, signs, states, n_qubits))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     data = np.concatenate(data)

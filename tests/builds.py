@@ -1,0 +1,50 @@
+"""Builds that several test files repeat, made once per test session.
+
+Each function here caches its result on its arguments (`functools.lru_cache`,
+so once per process, which is one pytest session) and hands out read-only
+arrays (`flags.writeable = False`): a test that wrote into a shared matrix
+or ground space would fail, not change another test's input.  The
+arguments are values: `GridSpec` is frozen, and so are the sector sizes.
+
+Each object comes from the library call a test would make on its own, with
+the same arguments, so a shared object has the bytes of an unshared build.
+"""
+
+from functools import lru_cache
+
+from vipsa.fermions import PauliSum
+from vipsa.hamiltonians import GroundSpace, build_kspace, ground_space, sector_matrix
+from vipsa.lattice import GridSpec, fermi_sea, point_group
+from vipsa.statevector import sector_basis
+
+
+def _read_only(*arrays) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def kspace_hamiltonian(grid: GridSpec) -> PauliSum:
+    """build_kspace(grid)'s Pauli sum, treated as immutable like every PauliSum."""
+    return build_kspace(grid)[0]
+
+
+@lru_cache(maxsize=None)
+def whole_sector_matrix(grid: GridSpec, n_up: int, n_down: int):
+    """The mode-register H over the whole (n_up, n_down) sector, as
+    sector_matrix builds it on the sorted sector bitstrings."""
+    matrix = sector_matrix(kspace_hamiltonian(grid),
+                           sector_basis(grid.n_qubits, n_up, n_down), grid.n_qubits)
+    _read_only(matrix.data, matrix.indices, matrix.indptr)
+    return matrix
+
+
+@lru_cache(maxsize=None)
+def sea_block_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
+    """The mode-register ground space solved per point-group class,
+    keeping the matrix of the Fermi sea's block, as a run solves it."""
+    space = ground_space(kspace_hamiltonian(grid), grid.n_qubits, n_up, n_down,
+                         point_group(grid), keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
+    _read_only(space.vectors, space.states, space.blocks,
+               space.matrix.data, space.matrix.indices, space.matrix.indptr)
+    return space

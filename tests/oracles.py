@@ -33,9 +33,11 @@ import scipy.sparse.linalg
 
 from vipsa.core import PoolTables
 from vipsa.fermions import COEFF_DROP_TOL, CREATE, letters_to_masks
-from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, build_kspace, sector_basis, sector_matrix
+from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, sector_basis, sector_matrix
 from vipsa.lattice import fermi_sea, momentum_labels
 from vipsa.statevector import rotate_sector, sector_overlap, sector_run
+
+from builds import whole_sector_matrix
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -316,7 +318,7 @@ def whole_sector_run_operands(grid, reference):
     matrix), and the pool's orbit tables over every sector bitstring."""
     states = reference.states
     sea = fermi_sea(grid, reference.n_up, reference.n_down).bitstring()
-    whole = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
+    whole = whole_sector_matrix(grid, reference.n_up, reference.n_down)
     inside = momentum_labels(grid, states) == reference.matrix_block
     return ((states == sea).astype(float), rows_of_block(whole, inside),
             PoolTables.build(grid, states))

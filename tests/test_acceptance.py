@@ -5,8 +5,9 @@ Each test asserts its stated tolerance and then prints one
 
     pytest tests/test_acceptance.py -v -s
 
-reads as a checklist.  Expensive shared objects (the 3x3 ground spaces and
-the 2x2 adaptive runs) live in module-scoped fixtures.
+reads as a checklist.  Expensive shared objects (the 3x3 ground spaces,
+built once per session in `builds.py`, and the 2x2 adaptive runs) live in
+module-scoped fixtures.
 """
 
 import numpy as np
@@ -36,13 +37,12 @@ from vipsa.hamiltonians import (
     build_kspace,
     build_real,
     fidelity,
-    ground_space,
     sector_basis,
     sector_matrix,
     spin_operators,
 )
 from vipsa.hva import HvaAnsatz, hva_run
-from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea, point_group
+from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
 from vipsa.statevector import (
     AnsatzCircuit,
     PoolRotation,
@@ -53,6 +53,7 @@ from vipsa.statevector import (
     sector_orbit,
 )
 
+from builds import sea_block_space
 from oracles import dense_ladder_term, dense_pauli_string, dense_pauli_sum, lowest_sector_values
 from replay import adaptive_circuit, hva_circuit
 from test_statevector import (
@@ -74,13 +75,7 @@ def report(number: int, detail: str) -> None:
 def ground_3x3():
     """Mode-register ground spaces of the 3x3 grid, one per interaction
     value, each keeping the matrix of the Fermi sea's block as a run does."""
-    spaces = {}
-    for u in U_VALUES:
-        grid = GridSpec.make(3, 3, u=u)
-        h_k, _ = build_kspace(grid)
-        spaces[u] = ground_space(h_k, grid.n_qubits, 5, 4, point_group(grid),
-                                 keep_block_of=fermi_sea(grid, 5, 4).bitstring())
-    return spaces
+    return {u: sea_block_space(GridSpec.make(3, 3, u=u), 5, 4) for u in U_VALUES}
 
 
 @pytest.fixture(scope="module")

@@ -328,8 +328,10 @@ def test_3x3_cache_file_holds_the_sea_block(tmp_path):
     # its matrix stores 89 964 entries over the block's own rows, where the
     # whole sector's held 809 676
     from vipsa.cli import cached_ground_space
+    from vipsa.core import sea_block
 
-    cached_ground_space(GridSpec.make(3, 3, u=6.0), 5, 4, "k", tmp_path)
+    grid = GridSpec.make(3, 3, u=6.0)
+    cached_ground_space(grid, 5, 4, sea_block(grid, 5, 4), tmp_path)
     path, = tmp_path.glob("ground-k-3x3-*.npys")
     fields = _load_fields(path, None)
     assert fields["matrix_data"].size == fields["matrix_indices"].size == 89964
@@ -346,7 +348,7 @@ def test_3x3_pool_cache_file_holds_the_sea_block(tmp_path):
     from vipsa.core import sea_block
 
     grid = GridSpec.make(3, 3, u=6.0)
-    cached_pool_tables(grid, 5, 4, tmp_path)
+    cached_pool_tables(grid, 5, 4, sea_block(grid, 5, 4), tmp_path)
     path, = tmp_path.glob("pool-3x3-*.npys")
     fields = _load_fields(path, None)
     assert fields["src"].size == fields["dst"].size == fields["sign"].size == 31580
@@ -426,10 +428,12 @@ def test_damaged_pool_tables_are_rebuilt(tmp_path, capsys, damage):
 def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
     from vipsa import hamiltonians
     from vipsa.cli import cached_ground_space
+    from vipsa.core import sea_block
 
     grid = GridSpec.make(2, 2, u=4.0)
-    cold = {register: cached_ground_space(grid, 2, 2, register, tmp_path)
-            for register in ("k", "real")}
+    blocks = {"k": sea_block(grid, 2, 2), "real": None}
+    cold = {register: cached_ground_space(grid, 2, 2, block, tmp_path)
+            for register, block in blocks.items()}
 
     def refuse(*args, **kwargs):
         raise AssertionError("Hamiltonian built on a cache hit")
@@ -437,7 +441,7 @@ def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
     monkeypatch.setattr(hamiltonians, "build_kspace", refuse)
     monkeypatch.setattr(hamiltonians, "build_real", refuse)
     for register, space in cold.items():
-        warm = cached_ground_space(grid, 2, 2, register, tmp_path)
+        warm = cached_ground_space(grid, 2, 2, blocks[register], tmp_path)
         np.testing.assert_array_equal(warm.vectors, space.vectors)
 
 

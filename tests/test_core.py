@@ -53,6 +53,7 @@ from vipsa.statevector import (
     sector_orbit,
     sector_run,
 )
+from builds import sea_block_space
 from oracles import dense_pauli_sum, whole_sector_run_operands
 from replay import adaptive_circuit, refuse_full_register
 
@@ -413,7 +414,7 @@ def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
 
     grid = GridSpec.make(2, 3, u=4.0)
     run = vipsa_run(grid, config=VipsaConfig(max_epochs=1))
-    cli = cached_ground_space(grid, 3, 3, "k", None)
+    cli = cached_ground_space(grid, 3, 3, sea_block(grid, 3, 3), None)
     run.ground.save(tmp_path / "library.npys")
     cli.save(tmp_path / "cli.npys")
     assert (tmp_path / "library.npys").read_bytes() == (tmp_path / "cli.npys").read_bytes()
@@ -510,9 +511,7 @@ def test_block_path_matches_the_whole_sector_path(shape, u):
     # picks the same labels in the same order from either screen
     grid = GridSpec.make(*shape, u=u)
     n_up, n_down = default_filling(grid)
-    reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down,
-                             point_group(grid),
-                             keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
+    reference = sea_block_space(grid, n_up, n_down)
     x0_whole, php, whole_pool = whole_sector_run_operands(grid, reference)
     label, block = sea_block(grid, n_up, n_down)
     rows = np.flatnonzero(momentum_labels(grid, reference.states) == label)

@@ -45,6 +45,7 @@ from vipsa.statevector import (
     slater_amplitudes,
 )
 
+from builds import kspace_hamiltonian, sea_block_space, whole_sector_matrix
 from oracles import dense_pauli_sum, dense_sector_block, lowest_sector_values
 
 
@@ -430,6 +431,17 @@ def test_sector_matrix_drops_entries_left_zero_by_a_negligible_imaginary_part():
     assert matrix.has_sorted_indices
 
 
+def build_peak(h, states, n_qubits: int) -> tuple[int, int]:
+    """(peak bytes traced while sector_matrix builds, bytes of the matrix built)."""
+    tracemalloc.start()
+    try:
+        matrix = sector_matrix(h, states, n_qubits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
 @pytest.mark.parametrize("register", ["k", "real"])
 def test_sector_matrix_build_peaks_near_the_matrix_size(register):
     # the entries are gathered as int32 pairs and float64 values and joined one
@@ -438,13 +450,19 @@ def test_sector_matrix_build_peaks_near_the_matrix_size(register):
     grid = GridSpec.make(2, 4, u=4.0)
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
     states = sector_basis(grid.n_qubits, *default_filling(grid))
-    tracemalloc.start()
-    try:
-        matrix = sector_matrix(h, states, grid.n_qubits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    peak, size = build_peak(h, states, grid.n_qubits)
+    assert peak <= 3.5 * size, f"peak {peak} bytes for a {size}-byte matrix"
+
+
+def test_class_block_build_peaks_near_the_matrix_size():
+    # a 3x3 (5,4) class-representative block of the mode register, as ED
+    # builds it, under the same bound
+    grid = GridSpec.make(3, 3, u=6.0)
+    states = sector_basis(grid.n_qubits, 5, 4)
+    group = point_group(grid)
+    labels = group.labels(states)
+    label = group.classes(states, labels)[0][0][0]
+    peak, size = build_peak(kspace_hamiltonian(grid), states[labels == label], grid.n_qubits)
     assert peak <= 3.5 * size, f"peak {peak} bytes for a {size}-byte matrix"
 
 
@@ -500,11 +518,13 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     # in the mode register the whole-sector matrix's rows and columns of the
     # Fermi sea's block, label 4 on 2x3 (3,3), which no class solve builds
     from vipsa.cli import cached_ground_space
+    from vipsa.core import sea_block
 
     grid = GridSpec.make(2, 3, u=4.0)
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    gs = cached_ground_space(grid, 3, 3, register, None)
+    block = sea_block(grid, 3, 3) if register == "k" else None
+    gs = cached_ground_space(grid, 3, 3, block, None)
     fresh = sector_matrix(h, gs.states, grid.n_qubits)
     if register == "k":
         assert gs.matrix_block == 4
@@ -608,7 +628,7 @@ def test_point_group_ground_space_matches_the_oracle(shape, u):
     h = build_kspace(grid)[0]
     n_up, n_down = default_filling(grid)
     gs = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid))
-    whole = sector_matrix(h, gs.states, grid.n_qubits)
+    whole = whole_sector_matrix(grid, n_up, n_down)
     spectrum = lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many=12)
     assert_ground_level(gs, spectrum, 1e-10, matrix=whole)
     # each vector lives on the block its label names
@@ -718,14 +738,11 @@ def test_the_sea_block_matrix_applies_h_to_the_byte():
     # the bytes the whole-sector matrix gives in the block's rows, because
     # they hold the same entries in the same order, and the whole-sector
     # product is +0.0 in every other row
-    from vipsa.cli import solve_ground_space
-
     rng = np.random.default_rng(22)
     for grid in BYTE_GRIDS:
         n_up, n_down = default_filling(grid)
-        sea = fermi_sea(grid, n_up, n_down).bitstring()
-        gs = solve_ground_space(grid, n_up, n_down, "k", sea)
-        whole = sector_matrix(build_kspace(grid)[0], gs.states, grid.n_qubits)
+        gs = sea_block_space(grid, n_up, n_down)
+        whole = whole_sector_matrix(grid, n_up, n_down)
         inside = momentum_labels(grid, gs.states) == gs.matrix_block
         assert gs.matrix.nnz < whole.nnz and inside.sum() < len(gs.states)
         for _ in range(3):
@@ -749,10 +766,10 @@ def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
     blocks = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid))
     labels = momentum_labels(grid, blocks.states)
     label = int(momentum_labels(grid, sea))
-    whole = sector_matrix(h, blocks.states, grid.n_qubits)
+    whole = whole_sector_matrix(grid, n_up, n_down)
     rows = np.flatnonzero(labels == label)
     two_step = dataclasses.replace(blocks, matrix=whole[rows][:, rows], matrix_block=label)
-    kept = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid), keep_block_of=sea)
+    kept = sea_block_space(grid, n_up, n_down)
     files = []
     for space in (two_step, kept):
         files.append(io.BytesIO())

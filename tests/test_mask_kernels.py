@@ -36,9 +36,11 @@ from vipsa.hamiltonians import (
     sector_matrix,
     spin_operators,
 )
-from vipsa.lattice import GridSpec, default_filling
+from vipsa.core import sea_block
+from vipsa.lattice import GridSpec, default_filling, point_group
 from vipsa.statevector import sector_basis
 
+from builds import kspace_hamiltonian
 from oracles import (
     as_real_if_possible,
     letter_product,
@@ -118,6 +120,7 @@ def test_spin_operators_match_the_letter_expansion():
 
 def assert_same_csr(got, expected):
     assert got.shape == expected.shape and got.format == expected.format == "csr"
+    assert got.has_sorted_indices == expected.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -139,6 +142,120 @@ def test_sector_matrix_matches_the_per_string_oracle(shape, u, register):
     assert got.data.dtype == np.float64
     assert got.indptr.dtype == got.indices.dtype == np.int32
     assert_same_csr(got, oracle_matrix(h, states, grid.n_qubits))
+
+
+def test_3x3_blocks_match_the_per_string_oracle():
+    # the blocks a cold 3x3 U=6 (5,4) fill builds: each point-group class's
+    # representative, and the Fermi sea's block, which is none of them
+    grid = GridSpec.make(3, 3, u=6.0)
+    h = kspace_hamiltonian(grid)
+    states = sector_basis(grid.n_qubits, 5, 4)
+    group = point_group(grid)
+    labels = group.labels(states)
+    representatives = [members[0][0] for members in group.classes(states, labels)]
+    sea_label, sea_states = sea_block(grid, 5, 4)
+    assert sea_label not in representatives
+    for states in [states[labels == label] for label in representatives] + [sea_states]:
+        assert len(states) == 1764
+        assert_same_csr(sector_matrix(h, states, grid.n_qubits),
+                        oracle_matrix(h, states, grid.n_qubits))
+
+
+# every boundary pair of 2x3, 2x4 and 3x3 (a periodic axis needs length 3
+# or more); with both axes open the mode register stores rounding residues
+# of about 1e-17, which must come out the same
+BOUNDARY_GRIDS = [pytest.param(GridSpec.make(nx, ny, u=u, bc_x=bc_x, bc_y=bc_y),
+                               id=f"{nx}x{ny}-{bc_x}-{bc_y}")
+                  for (nx, ny), u in [((2, 3), 4.0), ((2, 4), 0.37), ((3, 3), -2.9)]
+                  for bc_x in ("open", "periodic") for bc_y in ("open", "periodic")
+                  if (bc_x == "open" or nx > 2) and (bc_y == "open" or ny > 2)]
+
+
+@pytest.mark.parametrize("register", ["k", "real"])
+@pytest.mark.parametrize("grid", BOUNDARY_GRIDS)
+def test_every_boundary_pair_matches_the_per_string_oracle(grid, register):
+    # the 3x3 mode register on the sea's block, every other case on its
+    # whole default sector
+    n_up, n_down = default_filling(grid)
+    if register == "k":
+        h = kspace_hamiltonian(grid)
+        states = (sea_block(grid, n_up, n_down)[1] if grid.n_sites == 9
+                  else sector_basis(grid.n_qubits, n_up, n_down))
+    else:
+        h = build_real(grid)
+        states = sector_basis(grid.n_qubits, n_up, n_down)
+    got = sector_matrix(h, states, grid.n_qubits)
+    assert_same_csr(got, oracle_matrix(h, states, grid.n_qubits))
+    if register == "k" and grid.bc_x == grid.bc_y == "open":
+        assert np.abs(got.data).min() < AMPLITUDE_DROP_TOL
+
+
+def build_or_error(build, h, states, n_qubits):
+    """(matrix, None) from the build, or (None, message) when it raises ValueError."""
+    try:
+        return build(h, states, n_qubits), None
+    except ValueError as err:
+        return None, str(err)
+
+
+# random Pauli sums on four sites, whose sectors hold up to 36 states, so
+# that most flip tables are no longer than the basis
+SUM_QUBITS = 8
+same_spin_pair = st.builds(lambda spin, sites: (2 * sites[0] + spin, 2 * sites[1] + spin),
+                           st.integers(0, 1), st.permutations(range(SUM_QUBITS // 2)))
+pauli_part = st.one_of(
+    # a hopping pair: its flip group's strings share one sign mask off the flip
+    st.builds(lambda pair, c: jordan_wigner_sum(hopping_pair(*pair, c), SUM_QUBITS),
+              same_spin_pair, coefficient),
+    # a density-correlated hopping n_k c†_i c_j + h.c.: strings with and
+    # without Z_k in one flip group, so two sign masks off the flip
+    st.builds(lambda pair, k, c: jordan_wigner_sum(
+        [LadderTerm(term.coeff, ((k, CREATE), (k, ANNIHILATE), *term.factors))
+         for term in hopping_pair(*pair, c)], SUM_QUBITS),
+        same_spin_pair, st.integers(0, SUM_QUBITS - 1), coefficient),
+    # a scattering c†_{a↑} c†_{b↓} c_{c↓} c_{d↑} and its partner with the
+    # roles swapped, at two coefficients: 16 strings in one flip group with
+    # one sign mask off the flip, whose coefficients are sums of both, so on
+    # the whole register some table entries depend on the order the strings
+    # are added in
+    st.builds(lambda up, down, c1, c2: jordan_wigner_sum(
+        [LadderTerm(c1, ((2 * up[0], CREATE), (2 * down[0] + 1, CREATE),
+                         (2 * down[1] + 1, ANNIHILATE), (2 * up[1], ANNIHILATE))),
+         LadderTerm(c2, ((2 * up[1], CREATE), (2 * down[1] + 1, CREATE),
+                         (2 * down[0] + 1, ANNIHILATE), (2 * up[0], ANNIHILATE)))], SUM_QUBITS),
+        st.permutations(range(SUM_QUBITS // 2)), st.permutations(range(SUM_QUBITS // 2)),
+        coefficient, coefficient),
+    st.builds(lambda q, c: jordan_wigner(number_term(q, c), SUM_QUBITS),
+              st.integers(0, SUM_QUBITS - 1), coefficient),
+    # any string, which mostly leaves the sector, at any size
+    st.builds(lambda letters, c: PauliSum.from_terms([(c, tuple(sorted(letters.items())))]),
+              st.dictionaries(st.integers(0, SUM_QUBITS - 1), st.sampled_from("XYZ")),
+              coefficient),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(pauli_part, min_size=1, max_size=6),
+       sector=st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 4))),
+       data=st.data())
+def test_random_pauli_sums_match_the_per_string_oracle(parts, sector, data):
+    # complex coefficients, flip groups with one and with several sign masks
+    # off the flip, and strings that leave the basis, on a sector or the
+    # whole register (None) with up to three of its states dropped: the same
+    # CSR bytes or the same ValueError
+    h = sum(parts, PauliSum.zero())
+    states = (np.arange(1 << SUM_QUBITS, dtype=np.uint32) if sector is None
+              else sector_basis(SUM_QUBITS, *sector))
+    dropped = data.draw(st.sets(st.integers(0, len(states) - 1), max_size=3))
+    states = np.delete(states, sorted(dropped))
+    got, got_error = build_or_error(sector_matrix, h, states, SUM_QUBITS)
+    want, want_error = build_or_error(oracle_matrix, h, states, SUM_QUBITS)
+    assert got_error == want_error
+    if got_error is None:
+        # a purely imaginary entry made real leaves the oracle a stored 0.0,
+        # which sector_matrix drops
+        want.eliminate_zeros()
+        assert_same_csr(got, want)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4)])
@@ -221,6 +338,24 @@ def test_an_overflowing_sector_matrix_raises_without_a_warning():
             with pytest.raises(ValueError, match="non-finite"):
                 sector_matrix(h, states, grid.n_qubits)
         assert not caught
+
+
+def test_a_non_finite_table_entry_raises_only_where_a_state_selects_it():
+    # 1e308 (X0 X2 + Y0 Y2) is the hopping 2e308 (c†0 c2 + c†2 c0): its
+    # table entries for one of the two up orbitals occupied overflow, those
+    # for both or neither cancel to zero; four states make the table no
+    # longer than the basis
+    h = PauliSum.from_terms([(1e308, ((0, "X"), (2, "X"))), (1e308, ((0, "Y"), (2, "Y")))])
+    both_or_neither = np.array([0b000000, 0b000010, 0b000101, 0b000111], dtype=np.uint32)
+    one = np.array([0b000001, 0b000011, 0b000100, 0b000110], dtype=np.uint32)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = sector_matrix(h, both_or_neither, N_QUBITS)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            sector_matrix(h, one, N_QUBITS)
+    assert not caught
+    assert got.nnz == 0
+    assert_same_csr(got, oracle_matrix(h, both_or_neither, N_QUBITS))
 
 
 def test_a_non_finite_coefficient_is_rejected_without_a_warning():
