@@ -227,7 +227,7 @@ def cached_ground_space(grid, n_up: int, n_down: int, block, cache_dir: Path | N
     sea = None if block is None else fermi_sea(grid, n_up, n_down).bitstring()
     if cache_dir is None:
         return solve_ground_space(grid, n_up, n_down, register, sea)
-    artifact = register if block is None else f"k on block {block[0]}"
+    artifact = register if block is None else f"k solved on block {block[0]}"
     return _cached(cache_dir, f"ground-{register}-{grid.label()}",
                    _grid_key(grid, n_up, n_down, artifact), GroundSpace,
                    lambda: solve_ground_space(grid, n_up, n_down, register, sea),

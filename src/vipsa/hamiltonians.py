@@ -14,11 +14,22 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
 
-from .fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, hopping_pair, jordan_wigner, number_term
+from .fermions import (
+    ANNIHILATE,
+    CREATE,
+    LadderTerm,
+    PauliSum,
+    hopping_pair,
+    jordan_wigner,
+    jordan_wigner_images,
+    jordan_wigner_sum,
+    number_term,
+)
 from .lattice import (
     DOWN,
     UP,
@@ -106,7 +117,8 @@ def _axis_overlap(length: int, bc: str) -> np.ndarray:
     return np.einsum("xa,xb,xc,xd->abcd", w.conj(), w.conj(), w, w)
 
 
-def interaction_quadruples(grid: GridSpec) -> list[InteractionQuadruple]:
+@lru_cache(maxsize=8)  # a cold run's H and its pool both read the table
+def interaction_quadruples(grid: GridSpec) -> tuple[InteractionQuadruple, ...]:
     """Hermitian-closed table of all quadruples with |amplitude| > 1e-12 |U|.
 
     The cut is relative because a vanishing amplitude keeps a rounding
@@ -117,7 +129,7 @@ def interaction_quadruples(grid: GridSpec) -> list[InteractionQuadruple]:
     amplitude * operator over the list gives the interaction directly.
     """
     if grid.u == 0.0:
-        return []
+        return ()
     fx = _axis_overlap(grid.nx, grid.bc_x)
     fy = _axis_overlap(grid.ny, grid.bc_y)
     ex = axis_energies(grid.nx, grid.bc_x, grid.t)
@@ -135,48 +147,42 @@ def interaction_quadruples(grid: GridSpec) -> list[InteractionQuadruple]:
             raise ValueError(f"interaction amplitude not real: {v}")
         gap = (ex[ax] + ey[ay]) + (ex[bx] + ey[by]) - (ex[cx] + ey[cy]) - (ex[dx] + ey[dy])
         quads.append(InteractionQuadruple(a, b, c, d, float(complex(v).real), float(gap)))
-    return quads
+    return tuple(quads)
 
 
 def kinetic_kspace(grid: GridSpec) -> PauliSum:
     """Diagonal mode-occupation energy sum_k eps_k (n_k_up + n_k_down)."""
-    acc: list[tuple[complex, tuple]] = []
-    for mode in enumerate_modes(grid):
-        for spin in (UP, DOWN):
-            acc.extend(jordan_wigner(number_term(mode.qubit(spin), mode.energy), grid.n_qubits))
-    return PauliSum.from_terms(acc)
+    terms = [number_term(mode.qubit(spin), mode.energy)
+             for mode in enumerate_modes(grid) for spin in (UP, DOWN)]
+    return PauliSum.merged(jordan_wigner_images(terms, grid.n_qubits))
 
 
-def build_kspace(grid: GridSpec) -> tuple[PauliSum, list[InteractionQuadruple]]:
+def build_kspace(grid: GridSpec) -> tuple[PauliSum, tuple[InteractionQuadruple, ...]]:
     """Momentum-register Hamiltonian and its scattering-quadruple table."""
     quads = interaction_quadruples(grid)
-    acc = [(coeff, letters) for coeff, letters in kinetic_kspace(grid)]
-    for quad in quads:
-        acc.extend(jordan_wigner(quad.ladder_term().scaled(quad.amplitude), grid.n_qubits))
-    return PauliSum.from_terms(acc), quads
+    images = jordan_wigner_images([quad.ladder_term().scaled(quad.amplitude) for quad in quads],
+                                  grid.n_qubits)
+    return PauliSum.merged(kinetic_kspace(grid).masks(), images), quads
 
 
 def onsite_interaction(grid: GridSpec) -> PauliSum:
     """Diagonal repulsion U sum_sites n_up n_down in the site register."""
-    acc: list[tuple[complex, tuple]] = []
+    parts = []
     if grid.u != 0.0:
         for site in range(grid.n_sites):
             n_up = jordan_wigner(number_term(qubit_index(site, UP)), grid.n_qubits)
             n_down = jordan_wigner(number_term(qubit_index(site, DOWN)), grid.n_qubits)
-            acc.extend(grid.u * (n_up * n_down))
-    return PauliSum.from_terms(acc)
+            parts.append((grid.u * (n_up * n_down)).masks())
+    return PauliSum.merged(*parts)
 
 
 def build_real(grid: GridSpec) -> PauliSum:
     """Site-register Hamiltonian: -t nearest-neighbour hopping + U n_up n_down."""
-    acc: list[tuple[complex, tuple]] = []
     horizontal, vertical = hopping_edges(grid)
-    for i, j in horizontal + vertical:
-        for spin in (UP, DOWN):
-            for term in hopping_pair(qubit_index(i, spin), qubit_index(j, spin), -grid.t):
-                acc.extend(jordan_wigner(term, grid.n_qubits))
-    acc.extend(onsite_interaction(grid))
-    return PauliSum.from_terms(acc)
+    terms = [term for i, j in horizontal + vertical for spin in (UP, DOWN)
+             for term in hopping_pair(qubit_index(i, spin), qubit_index(j, spin), -grid.t)]
+    return PauliSum.merged(jordan_wigner_images(terms, grid.n_qubits),
+                           onsite_interaction(grid).masks())
 
 
 def spin_operators(n_sites: int) -> tuple[PauliSum, PauliSum]:
@@ -186,15 +192,12 @@ def spin_operators(n_sites: int) -> tuple[PauliSum, PauliSum]:
     valid in the site register and the mode register.
     """
     n_qubits = 2 * n_sites
-    acc_z: list[tuple[complex, tuple]] = []
-    raising = PauliSum.zero()
-    for orbital in range(n_sites):
-        up, down = qubit_index(orbital, UP), qubit_index(orbital, DOWN)
-        acc_z.extend(jordan_wigner(number_term(up, 0.5), n_qubits))
-        acc_z.extend(jordan_wigner(number_term(down, -0.5), n_qubits))
-        raising = raising + jordan_wigner(
-            LadderTerm(1.0, ((up, CREATE), (down, ANNIHILATE))), n_qubits)
-    s_z = PauliSum.from_terms(acc_z)
+    orbitals = [(qubit_index(orbital, UP), qubit_index(orbital, DOWN))
+                for orbital in range(n_sites)]
+    s_z = jordan_wigner_sum([term for up, down in orbitals
+                             for term in (number_term(up, 0.5), number_term(down, -0.5))], n_qubits)
+    raising = jordan_wigner_sum([LadderTerm(1.0, ((up, CREATE), (down, ANNIHILATE)))
+                                 for up, down in orbitals], n_qubits)
     lowering = raising.dagger()
     s_squared = s_z * s_z + 0.5 * (raising * lowering + lowering * raising)
     return s_z, s_squared
@@ -566,11 +569,12 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     With the point group of the grid whose mode register h is written in,
     the sector splits into total-momentum blocks that h never mixes, and the
     blocks of one point-group class share their spectrum.  Each class's
-    representative block (its smallest label) is solved, and the signed
-    permutations of its ground vectors are the other blocks'.  No
-    whole-sector matrix is built.  Given the sector bitstring keep_block_of,
-    the space keeps its block's matrix over the block's own bitstrings (see
-    GroundSpace), built once more unless it is a representative.
+    representative block is solved, and the signed permutations of its
+    ground vectors are the other blocks'.  No whole-sector matrix is built.
+    The representative is the class's smallest label, or, given the sector
+    bitstring keep_block_of, that bitstring's label in its class: the space
+    keeps that block's matrix over the block's own bitstrings (see
+    GroundSpace), so every block built is solved.
 
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
@@ -586,8 +590,8 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
         kept_label = UNLABELLED
     else:
         labels = symmetry.labels(states)
-        classes = symmetry.classes(states, labels)
         kept_label = None if keep_block_of is None else int(symmetry.labels(keep_block_of))
+        classes = symmetry.classes(states, labels, kept_label)
     solved, matrix = [], None
     for members in classes:
         rows = np.flatnonzero(labels == members[0][0])
@@ -595,8 +599,6 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
         if members[0][0] == kept_label:
             matrix = block
         solved.append((members, rows, *_block_ground(block)))
-    if kept_label is not None and matrix is None:
-        matrix = sector_matrix(h, states[labels == kept_label], n_qubits)
     lowest = min(values[0] for _, _, values, _ in solved)
     found = {}  # block label -> its ground vectors over the sector
     for members, rows, values, vectors in solved:

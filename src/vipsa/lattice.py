@@ -355,24 +355,36 @@ class PointGroup:
     def labels(self, states) -> np.ndarray:
         return momentum_labels(self.grid, states)
 
-    def classes(self, states: np.ndarray, labels: np.ndarray) -> list[list[tuple[int, SlotPermutation]]]:
+    def classes(self, states: np.ndarray, labels: np.ndarray,
+                first: int | None = None) -> list[list[tuple[int, SlotPermutation]]]:
         """The labels present, split into point-group classes, in the order
         of their smallest labels.  A class lists (label, element) for each
-        member in ascending label order; the element maps the class's
-        smallest label, its representative, onto that member, and the
-        representative's own is the identity."""
-        present, first = np.unique(labels, return_index=True)
-        seeds = states[first]
-        images = [self.labels(element.apply(seeds)[0]).tolist() for element in self.elements]
-        classes, seen = [], set()
-        for column, label in enumerate(present.tolist()):
-            if label in seen:
-                continue
+        member, its representative first and the others in ascending label
+        order; the element maps the representative onto that member, and
+        the representative's own is the identity.  The representative is
+        the label `first` in its class and the smallest label in any other."""
+        present, seed_rows = np.unique(labels, return_index=True)
+        images = [self.labels(element.apply(states[seed_rows])[0]).tolist()
+                  for element in self.elements]
+        columns = {label: column for column, label in enumerate(present.tolist())}
+
+        def orbit(representative: int) -> dict[int, SlotPermutation]:
+            # the identity comes first, so the representative is the first key
             members: dict[int, SlotPermutation] = {}
             for element, image in zip(self.elements, images):
-                members.setdefault(image[column], element)
+                members.setdefault(image[columns[representative]], element)
+            return members
+
+        classes, seen = [], set()
+        for label in present.tolist():
+            if label in seen:
+                continue
+            members = orbit(label)
+            if first in members:
+                members = orbit(first)
             seen.update(members)
-            classes.append(sorted(members.items(), key=lambda member: member[0]))
+            representative, *others = members.items()
+            classes.append([representative, *sorted(others, key=lambda member: member[0])])
         return classes
 
 

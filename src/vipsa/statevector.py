@@ -17,7 +17,6 @@ through the same kernels as the reference that tests check sectors against.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,9 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, letters_to_masks
-
-_I4 = complex(0, 1) ** np.arange(4)
+from .fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum
 
 
 @lru_cache(maxsize=None)
@@ -84,20 +81,16 @@ def basis_state(occupied_qubits, n_qubits: int) -> StateVector:
 
 
 def _compiled_terms(h: PauliSum, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coefficients, flip masks, sign masks) of h's strings in sorted order:
-    string t maps |s> to coefficients[t] (-1)^|s & signs[t]| |s ^ flips[t]>."""
-    coeffs, flips, signs = [], [], []
-    for coeff, letters in h:
-        xm, ym, zm = letters_to_masks(letters)
-        if (xm | ym | zm) >> n_qubits:
-            raise ValueError("Pauli sum acts outside the register")
-        if not cmath.isfinite(coeff):
-            raise ValueError("Pauli sum has a non-finite coefficient (float64 overflow)")
-        coeffs.append(coeff * _I4[ym.bit_count() % 4])
-        flips.append(xm | ym)
-        signs.append(ym | zm)
-    return (np.array(coeffs, dtype=np.complex128), np.array(flips, dtype=np.uint32),
-            np.array(signs, dtype=np.uint32))
+    """h.compiled(), checked to act inside the n_qubits register with finite
+    coefficients: (coefficients, flip masks, sign masks) of h's strings in
+    sorted order, read-only; string t maps |s> to coefficients[t]
+    (-1)^|s & signs[t]| |s ^ flips[t]>."""
+    x, z, coeffs = h.masks()
+    if ((x | z) >> np.uint64(n_qubits)).any():
+        raise ValueError("Pauli sum acts outside the register")
+    if not np.isfinite(coeffs).all():
+        raise ValueError("Pauli sum has a non-finite coefficient (float64 overflow)")
+    return h.compiled()
 
 
 def apply_pauli_sum(h: PauliSum, psi: StateVector) -> StateVector:
@@ -206,11 +199,9 @@ def diagonal_values(d: PauliSum, n_qubits: int, states: np.ndarray | None = None
         raise ValueError("expected a diagonal (Z-only) Pauli sum")
     idx = _indices(n_qubits) if states is None else states
     values = np.zeros(len(idx), dtype=np.complex128)
-    for coeff, letters in d:
-        _, _, zm = letters_to_masks(letters)
-        if zm >> n_qubits:
-            raise ValueError("Pauli sum acts outside the register")
-        values += np.where(_parity(idx & np.uint32(zm)), -coeff, coeff)
+    coeffs, _, signs = _compiled_terms(d, n_qubits)
+    for coeff, zm in zip(coeffs, signs):
+        values += np.where(_parity(idx & zm), -coeff, coeff)
     if np.abs(values.imag).max() > 1e-12:
         raise ValueError("diagonal Pauli sum is not Hermitian")
     return values.real

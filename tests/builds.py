@@ -25,7 +25,8 @@ def _read_only(*arrays) -> None:
 
 @lru_cache(maxsize=None)
 def kspace_hamiltonian(grid: GridSpec) -> PauliSum:
-    """build_kspace(grid)'s Pauli sum, treated as immutable like every PauliSum."""
+    """build_kspace(grid)'s Pauli sum, whose arrays, compiled ones too, are
+    read-only like every PauliSum's."""
     return build_kspace(grid)[0]
 
 

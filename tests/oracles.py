@@ -10,10 +10,12 @@ the occupation of qubit q (qubit 0 is the least significant bit).
 `per_gate_sweep` is the exception: it is the adjoint sweep written gate by
 gate through the library's own single-gate kernels, the reference the fused
 sweep must match to the bit.  So are the letter-tuple Pauli product, the
-staged letter-tuple Jordan-Wigner expansion and the per-string sector
-matrix at the end: they are the earlier implementations of the mask
-kernels in `vipsa.fermions` and `vipsa.hamiltonians`, which must match them
-bit for bit.  `as_real_if_possible` is the earlier rule by which the per-string
+staged letter-tuple Jordan-Wigner expansion, the per-term (x, z)-keyed
+expansion with the dict-built Pauli sums and Hamiltonian builders on it,
+the letter-tuple compile and the per-string sector matrix at the end: they
+are the earlier implementations of the mask-array kernels in
+`vipsa.fermions` and `vipsa.hamiltonians`, which must match them bit for
+bit.  `as_real_if_possible` is the earlier rule by which the per-string
 matrix was made real; `sector_matrix` folds it into its own assembly.
 `lowest_sector_values` solves the library's sector matrix block by block
 with plain eigvalsh and eigsh calls, a values-only reference for the
@@ -32,9 +34,19 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from vipsa.core import PoolTables
-from vipsa.fermions import COEFF_DROP_TOL, CREATE, letters_to_masks
-from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, sector_basis, sector_matrix
-from vipsa.lattice import fermi_sea, momentum_labels
+from vipsa.fermions import (
+    ANNIHILATE,
+    COEFF_DROP_TOL,
+    CREATE,
+    LadderTerm,
+    _letters,
+    _mask_product,
+    hopping_pair,
+    letters_to_masks,
+    number_term,
+)
+from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, interaction_quadruples, sector_basis, sector_matrix
+from vipsa.lattice import DOWN, UP, enumerate_modes, fermi_sea, hopping_edges, momentum_labels, qubit_index
 from vipsa.statevector import rotate_sector, sector_overlap, sector_run
 
 from builds import whole_sector_matrix
@@ -227,22 +239,146 @@ def staged_jordan_wigner(term, n_qubits: int) -> dict:
     return result
 
 
+# ---------------------------------------------------------------------------
+# per-term Jordan-Wigner expansion, dict-built Pauli sums and builders, and
+# the letter-tuple compile: the earlier vipsa.fermions and vipsa.hamiltonians
+# code, which kept each Pauli sum as a dict in first-appearance order
+
+
+def mask_sum_product(a: dict, b: dict) -> dict:
+    """a * b over (x, z)-keyed terms, in first-appearance order with a's
+    terms outermost.  Each coefficient accumulates as acc + ca * cb * phase
+    from 0.0, and those below COEFF_DROP_TOL are dropped at the end."""
+    acc = {}
+    for (xa, za), ca in a.items():
+        for (xb, zb), cb in b.items():
+            phase, x, z = _mask_product(xa, za, xb, zb)
+            acc[x, z] = acc.get((x, z), 0.0) + ca * cb * phase
+    return {key: value for key, value in acc.items() if abs(value) >= COEFF_DROP_TOL}
+
+
+def per_term_jordan_wigner(term, n_qubits: int) -> dict:
+    """The image of one ladder term as (x, z) -> coefficient: its factors'
+    images multiplied from the left by mask_sum_product, each the Z chain
+    below q times X_q, then Y_q."""
+    for q, _ in term.factors:
+        if q >= n_qubits:
+            raise ValueError(f"orbital index {q} out of range for {n_qubits} qubits")
+    terms = {(0, 0): complex(term.coeff)} if abs(term.coeff) >= COEFF_DROP_TOL else {}
+    for q, kind in term.factors:
+        chain = (1 << q) - 1
+        y_coeff = complex(0.0, -0.5) if kind == CREATE else complex(0.0, 0.5)
+        terms = mask_sum_product(terms, {(1 << q, chain): complex(0.5),
+                                         (1 << q, chain | 1 << q): y_coeff})
+    return terms
+
+
+def dict_jordan_wigner(term, n_qubits: int) -> dict:
+    """per_term_jordan_wigner keyed by letter maps, in the same order."""
+    return {_letters(x, z): value for (x, z), value in per_term_jordan_wigner(term, n_qubits).items()}
+
+
+def sorted_terms(terms: dict) -> list:
+    """(coefficient, letters) in letter-map order, as a Pauli sum iterates."""
+    return [(terms[letters], letters) for letters in sorted(terms)]
+
+
+def dict_from_terms(pairs) -> dict:
+    """What PauliSum.from_terms keeps of (coefficient, letters) pairs, summed
+    per letter map from 0.0 in first-appearance order."""
+    acc = {}
+    for coeff, letters in pairs:
+        acc[letters] = acc.get(letters, 0.0) + coeff
+    return _canonical(acc)
+
+
+def dict_add(a: dict, b: dict) -> dict:
+    """a + b: a's coefficients as they are, b's added in its order."""
+    acc = dict(a)
+    for letters, coeff in b.items():
+        acc[letters] = acc.get(letters, 0.0) + coeff
+    return _canonical(acc)
+
+
+def dict_scaled(scalar, terms: dict) -> dict:
+    return _canonical({letters: complex(scalar) * coeff for letters, coeff in terms.items()})
+
+
+def dict_kinetic_kspace(grid) -> dict:
+    pairs = []
+    for mode in enumerate_modes(grid):
+        for spin in (UP, DOWN):
+            pairs += sorted_terms(dict_jordan_wigner(number_term(mode.qubit(spin), mode.energy),
+                                                     grid.n_qubits))
+    return dict_from_terms(pairs)
+
+
+def dict_build_kspace(grid) -> dict:
+    pairs = sorted_terms(dict_kinetic_kspace(grid))
+    for quad in interaction_quadruples(grid):
+        pairs += sorted_terms(dict_jordan_wigner(quad.ladder_term().scaled(quad.amplitude),
+                                                 grid.n_qubits))
+    return dict_from_terms(pairs)
+
+
+def dict_onsite_interaction(grid) -> dict:
+    pairs = []
+    if grid.u != 0.0:
+        for site in range(grid.n_sites):
+            n_up = dict_jordan_wigner(number_term(qubit_index(site, UP)), grid.n_qubits)
+            n_down = dict_jordan_wigner(number_term(qubit_index(site, DOWN)), grid.n_qubits)
+            pairs += sorted_terms(dict_scaled(grid.u, letter_sum_product(n_up, n_down)))
+    return dict_from_terms(pairs)
+
+
+def dict_build_real(grid) -> dict:
+    pairs = []
+    horizontal, vertical = hopping_edges(grid)
+    for i, j in horizontal + vertical:
+        for spin in (UP, DOWN):
+            for term in hopping_pair(qubit_index(i, spin), qubit_index(j, spin), -grid.t):
+                pairs += sorted_terms(dict_jordan_wigner(term, grid.n_qubits))
+    return dict_from_terms(pairs + sorted_terms(dict_onsite_interaction(grid)))
+
+
+def dict_spin_operators(n_sites: int) -> tuple[dict, dict]:
+    """(S_z, S^2), raising operator summed term by term and S^2 by products
+    over the dicts' own orders."""
+    n_qubits = 2 * n_sites
+    pairs, raising = [], {}
+    for orbital in range(n_sites):
+        up, down = qubit_index(orbital, UP), qubit_index(orbital, DOWN)
+        pairs += sorted_terms(dict_jordan_wigner(number_term(up, 0.5), n_qubits))
+        pairs += sorted_terms(dict_jordan_wigner(number_term(down, -0.5), n_qubits))
+        raising = dict_add(raising, dict_jordan_wigner(
+            LadderTerm(1.0, ((up, CREATE), (down, ANNIHILATE))), n_qubits))
+    s_z = dict_from_terms(pairs)
+    lowering = _canonical({letters: coeff.conjugate() for letters, coeff in raising.items()})
+    flips = dict_add(letter_sum_product(raising, lowering), letter_sum_product(lowering, raising))
+    return s_z, dict_add(letter_sum_product(s_z, s_z), dict_scaled(0.5, flips))
+
+
 _I4 = complex(0, 1) ** np.arange(4)
+
+
+def letter_compiled_terms(terms, n_qubits: int):
+    """(coefficients, flip masks, sign masks) of (coefficient, letters)
+    terms in the order given, each string's masks read off its letter map
+    and its Y letters' i^|Y| folded into its coefficient."""
+    coeffs, flips, signs = [], [], []
+    for coeff, letters in terms:
+        xm, ym, zm = letters_to_masks(letters)
+        if (xm | ym | zm) >> n_qubits:
+            raise ValueError("Pauli sum acts outside the register")
+        coeffs.append(coeff * _I4[ym.bit_count() % 4])
+        flips.append(xm | ym)
+        signs.append(ym | zm)
+    return (np.array(coeffs, dtype=np.complex128), np.array(flips, dtype=np.uint32),
+            np.array(signs, dtype=np.uint32))
 
 
 def _parity(values):
     return (np.bitwise_count(values) & 1).astype(np.int8)
-
-
-def _per_string_terms(h, n_qubits: int):
-    compiled = []
-    for coeff, letters in h:
-        xm, ym, zm = letters_to_masks(letters)
-        if (xm | ym | zm) >> n_qubits:
-            raise ValueError("Pauli sum acts outside the register")
-        compiled.append((coeff * _I4[sum(1 for _, p in letters if p == "Y") % 4],
-                         np.uint32(xm | ym), np.uint32(ym | zm)))
-    return compiled
 
 
 def per_string_sector_matrix(h, states, n_qubits: int):
@@ -251,7 +387,7 @@ def per_string_sector_matrix(h, states, n_qubits: int):
     for every state of every off-diagonal group."""
     groups = {}
     scale = 1.0
-    for coeff, flip, yz in _per_string_terms(h, n_qubits):
+    for coeff, flip, yz in zip(*letter_compiled_terms(h, n_qubits)):
         groups.setdefault(int(flip), []).append((coeff, yz))
         scale = max(scale, abs(coeff))
     dim = len(states)

@@ -6,9 +6,14 @@ so tests can check results against the reference kernels: the adaptive
 circuit from the pool labels and angles a RunResult records, the layered
 circuit from an HvaAnsatz's layout and parameter map.  `refuse_full_register`
 does the opposite: it makes every 2^n kernel raise, so a test can show that
-a sector path never reaches one.
+a sector path never reaches one; `refuse_pauli_path` does the same for the
+Jordan-Wigner map and the Pauli-sum sector matrix.
 """
 
+import importlib
+import pkgutil
+
+import vipsa
 from vipsa import core, hamiltonians, hva, statevector
 from vipsa.core import build_pool
 from vipsa.fermions import hopping_pair
@@ -83,3 +88,20 @@ def refuse_full_register(monkeypatch) -> None:
         monkeypatch.setattr(cls, "apply", refuse)
         monkeypatch.setattr(cls, "generator_apply", refuse)
     monkeypatch.setattr(hamiltonians.SectorHamiltonian, "apply", refuse)
+
+
+PAULI_PATH = ("jordan_wigner", "jordan_wigner_images", "sector_matrix")
+
+
+def refuse_pauli_path(monkeypatch) -> None:
+    """Make the Jordan-Wigner map, batched or per term, and the Pauli-sum
+    sector matrix raise, at every name a vipsa module looks them up by."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Pauli-string path reached")
+
+    for info in pkgutil.iter_modules(vipsa.__path__):
+        module = importlib.import_module(f"vipsa.{info.name}")
+        for name in PAULI_PATH:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)

@@ -504,9 +504,9 @@ def test_warm_run_builds_no_pool(tmp_path, capsys, monkeypatch):
     # label 0's; the site register builds its whole sector
     pytest.param("vipsa", (2, 2), [12, 8, 8], id="vipsa"),
     pytest.param("hva", (2, 2), [36], id="hva"),
-    # 2x3 (3,3), 400 states: labels 0, 1, 2 and 3, then the sea's label 4,
-    # which shares label 2's class
-    pytest.param("vipsa", (2, 3), [68, 68, 66, 66, 66], id="vipsa-2x3"),
+    # 2x3 (3,3), 400 states: labels 0, 1, the sea's label 4 in place of
+    # label 2, whose class it shares, and 3
+    pytest.param("vipsa", (2, 3), [68, 68, 66, 66], id="vipsa-2x3"),
 ])
 def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, ansatz, shape,
                                                 cold):
@@ -531,6 +531,51 @@ def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, a
     assert calls == cold * 2
     assert not (tmp_path / "off").exists()
     assert run_artifacts(uncached) == run_artifacts(filled) == run_artifacts(warm)
+
+
+def test_cold_3x3_ground_space_compiles_h_once(monkeypatch):
+    # 3x3 (5,4): three point-group classes, the sea's label 3 standing for
+    # label 1's; H is compiled once for the three block builds
+    from vipsa import fermions, hamiltonians
+    from vipsa.cli import cached_ground_space
+    from vipsa.core import sea_block
+
+    compiled, built = [], []
+    compile_h, build = fermions._compile, hamiltonians.sector_matrix
+    monkeypatch.setattr(fermions, "_compile", lambda *arrays: compiled.append(1) or compile_h(*arrays))
+    monkeypatch.setattr(hamiltonians, "sector_matrix",
+                        lambda h, states, n: built.append(len(states)) or build(h, states, n))
+    grid = GridSpec.make(3, 3, u=6.0)
+    block = sea_block(grid, 5, 4)
+    space = cached_ground_space(grid, 5, 4, block, None)
+    assert len(compiled) == 1 and len(built) == 3
+    assert space.matrix_block == block[0] == 3 and len(block[1]) in built
+
+
+def test_cold_runs_build_no_letter_maps(tmp_path, capsys, monkeypatch):
+    # from Jordan-Wigner to the sector matrix the Hamiltonians stay on masks
+    from vipsa import fermions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("letter map built on a cold path")
+
+    monkeypatch.setattr(fermions, "_letters", refuse)
+    for ansatz in ("vipsa", "hva"):
+        code, _ = run_config(tmp_path, ansatz, ansatz=ansatz, cache=None, max_epochs=1,
+                             max_inner_steps=2, layers=1)
+        assert code in (0, 2)
+    assert main(["ed", "--grid", "2x3", "--u", "4", "--register", "both"]) == 0
+
+
+def test_cold_run_builds_the_scattering_table_once(tmp_path, capsys):
+    # the run's H and its pool read one table
+    from vipsa.hamiltonians import interaction_quadruples
+
+    interaction_quadruples.cache_clear()
+    code, _ = run_config(tmp_path, "cold", nx=2, ny=3, max_epochs=1, max_inner_steps=2)
+    assert code in (0, 2)
+    info = interaction_quadruples.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def one_error_line(capsys) -> str:

@@ -1,7 +1,6 @@
 """Adaptive-loop components: pool, gradients, selection, ADAM, first order."""
 
 import importlib
-import pkgutil
 from dataclasses import replace
 
 import numpy as np
@@ -55,7 +54,7 @@ from vipsa.statevector import (
 )
 from builds import sea_block_space
 from oracles import dense_pauli_sum, whole_sector_run_operands
-from replay import adaptive_circuit, refuse_full_register
+from replay import adaptive_circuit, refuse_full_register, refuse_pauli_path
 
 
 def u4(nx, ny):
@@ -626,19 +625,32 @@ def test_oracles_build_no_pauli_strings(monkeypatch):
         return first.reference, first.sequential, rs_perturbation(grid, 4, 4)
 
     expected = results()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("Pauli-string path reached from a weak-coupling oracle")
-
-    for info in pkgutil.iter_modules(vipsa.__path__):
-        module = importlib.import_module(f"vipsa.{info.name}")
-        for name in ("jordan_wigner", "sector_matrix"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    refuse_pauli_path(monkeypatch)
     got = results()
     np.testing.assert_array_equal(got[0], expected[0])
     np.testing.assert_array_equal(got[1], expected[1])
     assert got[2] == expected[2]
+
+
+def test_warm_adaptive_run_builds_no_pauli_strings(monkeypatch):
+    # a run handed its reference and its pool tables, as a warm `vipsa run`
+    # loads them, gives the same records and gates with the Jordan-Wigner
+    # map and the Pauli-sum sector matrix made to raise
+    grid = GridSpec.make(2, 2, u=4.0)
+    sea = fermi_sea(grid, 2, 2).bitstring()
+    reference = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2, point_group(grid),
+                             keep_block_of=sea)
+    pool = PoolTables.build(grid, sea_block(grid, 2, 2)[1])
+
+    def run():
+        return vipsa_run(grid, 2, 2, VipsaConfig(max_epochs=2, max_inner_steps=4),
+                         reference=reference, pool=pool)
+
+    expected = run()
+    refuse_pauli_path(monkeypatch)
+    got = run()
+    assert got.records == expected.records and got.gates == expected.gates
+    np.testing.assert_array_equal(got.thetas, expected.thetas)
 
 
 def pauli_sum_expansion(shape, n_up, n_down, u):

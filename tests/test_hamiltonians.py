@@ -669,9 +669,9 @@ def test_residue_only_blocks_are_read_off_the_diagonal(shape, sector, degeneracy
 
 def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     # 2x4 (4,4): 8 blocks of 608-628 states in 6 classes, (0,1) ~ (0,3) and
-    # (1,1) ~ (1,3), labels 2 ~ 6 and 3 ~ 7; keeping the block of a
-    # representative reuses its build, keeping label 6 or 7 builds that block
-    # once more, and nothing builds the 4900-state sector
+    # (1,1) ~ (1,3), labels 2 ~ 6 and 3 ~ 7; the kept block, label 6 or 7
+    # too, is its class's representative, so every block built is solved
+    # once, and nothing builds the 4900-state sector
     grid = GridSpec.make(2, 4, u=4.0)
     h = build_kspace(grid)[0]
     built = []
@@ -687,8 +687,7 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
         seen.clear()
         keep_block_of = None if keep is None else int(states[labels == keep][0])
         gs = ground_space(h, grid.n_qubits, 4, 4, point_group(grid), keep_block_of=keep_block_of)
-        extra = [np.count_nonzero(labels == keep)] if keep in (6, 7) else []
-        assert built == per_class + extra
+        assert built == per_class
         assert [dim for dim, _, _ in seen] == per_class
         assert (gs.matrix is not None) == (keep is not None)
         if keep is not None:
@@ -754,9 +753,10 @@ def test_the_sea_block_matrix_applies_h_to_the_byte():
 
 @pytest.mark.parametrize("shape, u", [((2, 3), 4.0), ((2, 4), -2.9), ((3, 3), 6.0)])
 def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
-    # a per-class solve that keeps the sea's block stores the same file as a
-    # per-class solve followed by a separate whole-sector build, cut to the
-    # rows and columns of the sea's block
+    # a per-class solve that keeps the sea's block stores the same file as
+    # that space with its matrix cut from a separate whole-sector build, to
+    # the rows and columns of the sea's block; and it holds the ground space
+    # of a solve with every class's smallest label as its representative
     import io
 
     grid = GridSpec.make(*shape, u=u)
@@ -768,13 +768,19 @@ def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
     label = int(momentum_labels(grid, sea))
     whole = whole_sector_matrix(grid, n_up, n_down)
     rows = np.flatnonzero(labels == label)
-    two_step = dataclasses.replace(blocks, matrix=whole[rows][:, rows], matrix_block=label)
     kept = sea_block_space(grid, n_up, n_down)
+    two_step = dataclasses.replace(kept, matrix=whole[rows][:, rows])
     files = []
     for space in (two_step, kept):
         files.append(io.BytesIO())
         space.save(files[-1], key="k")
     assert files[1].getvalue() == files[0].getvalue()
+    assert kept.matrix_block == label
+    assert kept.energy == pytest.approx(blocks.energy, rel=0, abs=1e-12)
+    np.testing.assert_array_equal(kept.blocks, blocks.blocks)
+    # the same span: the overlaps of two orthonormal bases of it are unitary
+    np.testing.assert_allclose(np.linalg.svd(kept.vectors.T @ blocks.vectors)[1], 1.0,
+                               rtol=0, atol=1e-12)
 
 
 def test_ground_space_without_matrix_fails_to_load(tmp_path):

@@ -1,9 +1,11 @@
-"""The mask-based Pauli product, Jordan-Wigner expansion and sector matrix
-against the letter-tuple and per-string implementations in `oracles.py`.
+"""The mask-array Pauli sums, batched Jordan-Wigner expansion, Hamiltonian
+builders and sector matrix against the letter-tuple, per-term, dict-built
+and per-string implementations in `oracles.py`.
 
 The mask kernels keep every floating-point operation of those
 implementations in the same order, so the checks here are exact: the same
-keys in the same insertion order with the same bits, and the same CSR bytes.
+strings in the same order with the same bits, the same compiled arrays and
+the same CSR bytes.
 """
 
 import math
@@ -24,6 +26,7 @@ from vipsa.fermions import (
     PauliSum,
     hopping_pair,
     jordan_wigner,
+    jordan_wigner_images,
     jordan_wigner_sum,
     multiply_letters,
     number_term,
@@ -33,28 +36,50 @@ from vipsa.hamiltonians import (
     build_kspace,
     build_real,
     ground_space,
+    kinetic_kspace,
+    onsite_interaction,
     sector_matrix,
     spin_operators,
 )
 from vipsa.core import sea_block
 from vipsa.lattice import GridSpec, default_filling, point_group
-from vipsa.statevector import sector_basis
+from vipsa.statevector import _compiled_terms, sector_basis
 
 from builds import kspace_hamiltonian
 from oracles import (
     as_real_if_possible,
+    dict_build_kspace,
+    dict_build_real,
+    dict_from_terms,
+    dict_jordan_wigner,
+    dict_kinetic_kspace,
+    dict_onsite_interaction,
+    dict_spin_operators,
+    letter_compiled_terms,
     letter_product,
     letter_sum_product,
     per_string_sector_matrix,
+    per_term_jordan_wigner,
+    sorted_terms,
     staged_jordan_wigner,
 )
 
 N_QUBITS = 6
 
 
-def bits(terms: dict) -> list:
-    """Keys in insertion order, each with the exact bits of its coefficient."""
-    return [(letters, coeff.real.hex(), coeff.imag.hex()) for letters, coeff in terms.items()]
+def bits(terms) -> list:
+    """(coefficient, letters) terms in their order, each with the exact bits
+    of its coefficient."""
+    return [(letters, coeff.real.hex(), coeff.imag.hex()) for coeff, letters in terms]
+
+
+def assert_same_sum(got: PauliSum, want: dict, n_qubits: int) -> None:
+    """A Pauli sum against a dict-built one: the same letter maps with the
+    same bits, and the same compiled arrays as the letter-tuple compile."""
+    assert bits(got.terms()) == bits(sorted_terms(want))
+    compiled = _compiled_terms(got, n_qubits)
+    for a, b in zip(compiled, letter_compiled_terms(sorted_terms(want), n_qubits)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # a coefficient part: zeros of either sign, ordinary values, and values about
@@ -70,13 +95,35 @@ coefficient = st.builds(complex, part, part)
 ladder_factor = st.tuples(st.integers(0, N_QUBITS - 1), st.sampled_from([CREATE, ANNIHILATE]))
 letter_map = st.dictionaries(st.integers(0, N_QUBITS - 1), st.sampled_from("XYZ"),
                              max_size=N_QUBITS).map(lambda d: tuple(sorted(d.items())))
+ladder_term = st.builds(lambda coeff, factors: LadderTerm(coeff, tuple(factors)),
+                        coefficient, st.lists(ladder_factor, min_size=1, max_size=4))
 
 
 @settings(max_examples=300, deadline=None)
 @given(coeff=coefficient, factors=st.lists(ladder_factor, min_size=1, max_size=6))
 def test_jordan_wigner_matches_the_staged_letter_expansion(coeff, factors):
     term = LadderTerm(coeff, tuple(factors))
-    assert bits(jordan_wigner(term, N_QUBITS)._terms) == bits(staged_jordan_wigner(term, N_QUBITS))
+    assert bits(jordan_wigner(term, N_QUBITS).terms()) == bits(
+        sorted_terms(staged_jordan_wigner(term, N_QUBITS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(ladder_term, max_size=6), data=st.data())
+def test_batched_jordan_wigner_matches_the_per_term_expansion(terms, data):
+    # 1-4 factors on six qubits, so qubits repeat (c†_q c†_q vanishes);
+    # complex coefficients, some near the drop; and some terms again at the
+    # opposite sign, so that their strings cancel in the sum
+    if terms:
+        terms = terms + [term.scaled(-1.0)
+                         for term in data.draw(st.lists(st.sampled_from(terms), max_size=2))]
+    x, z, coeffs = (a.tolist() for a in jordan_wigner_images(terms, N_QUBITS))
+    assert [((a, b), c.real.hex(), c.imag.hex()) for a, b, c in zip(x, z, coeffs)] == [
+        (key, value.real.hex(), value.imag.hex()) for term in terms
+        for key, value in per_term_jordan_wigner(term, N_QUBITS).items()]
+    assert_same_sum(jordan_wigner_sum(terms, N_QUBITS),
+                    dict_from_terms(pair for term in terms
+                                    for pair in sorted_terms(dict_jordan_wigner(term, N_QUBITS))),
+                    N_QUBITS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,7 +131,9 @@ def test_jordan_wigner_matches_the_staged_letter_expansion(coeff, factors):
        b=st.lists(st.tuples(coefficient, letter_map), max_size=5))
 def test_pauli_sum_product_matches_the_letter_product(a, b):
     left, right = PauliSum.from_terms(a), PauliSum.from_terms(b)
-    assert bits((left * right)._terms) == bits(letter_sum_product(left._terms, right._terms))
+    assert bits((left * right).terms()) == bits(sorted_terms(letter_sum_product(
+        {letters: coeff for coeff, letters in left.terms()},
+        {letters: coeff for coeff, letters in right.terms()})))
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,26 +145,52 @@ def test_multiply_letters_matches_the_single_qubit_table(a, b):
 
 
 def test_spin_operators_match_the_letter_expansion():
-    # S^2 is the one shipped operator built from PauliSum products
-    n_sites = 4
-    n_qubits = 2 * n_sites
-    s_z, raising = {}, {}
-    for orbital in range(n_sites):
-        up, down = 2 * orbital, 2 * orbital + 1
-        for letters, coeff in [*staged_jordan_wigner(number_term(up, 0.5), n_qubits).items(),
-                               *staged_jordan_wigner(number_term(down, -0.5), n_qubits).items()]:
-            s_z[letters] = s_z.get(letters, 0.0) + coeff
-        image = staged_jordan_wigner(LadderTerm(1.0, ((up, CREATE), (down, ANNIHILATE))), n_qubits)
-        for letters, coeff in image.items():
-            raising[letters] = raising.get(letters, 0.0) + coeff
-    s_z, raising = PauliSum(s_z), PauliSum(raising)
-    lowering = raising.dagger()
-    got_z, got_squared = spin_operators(n_sites)
-    assert bits(got_z._terms) == bits(s_z._terms)
-    squared = PauliSum(letter_sum_product(s_z._terms, s_z._terms)) + 0.5 * (
-        PauliSum(letter_sum_product(raising._terms, lowering._terms))
-        + PauliSum(letter_sum_product(lowering._terms, raising._terms)))
-    assert bits(got_squared._terms) == bits(squared._terms)
+    # S^2 sums PauliSum products; the registers of 2x2 to 3x3
+    for n_sites in (2, 4, 6, 9):
+        got_z, got_squared = spin_operators(n_sites)
+        want_z, want_squared = dict_spin_operators(n_sites)
+        assert_same_sum(got_z, want_z, 2 * n_sites)
+        assert_same_sum(got_squared, want_squared, 2 * n_sites)
+
+
+# 2x2 to 3x3 grids at every pair of boundary conditions they accept
+BUILDER_GRIDS = [GridSpec(nx, ny, bc_x, bc_y, 1.0, u)
+                 for nx, ny in [(2, 2), (2, 3), (3, 2), (3, 3)]
+                 for bc_x in ("open", "periodic") for bc_y in ("open", "periodic")
+                 for u in (4.0, -2.9)
+                 if (nx > 2 or bc_x == "open") and (ny > 2 or bc_y == "open")]
+
+
+@pytest.mark.parametrize("grid", BUILDER_GRIDS,
+                         ids=lambda g: f"{g.nx}x{g.ny}-{g.bc_x}-{g.bc_y}-{g.u:g}")
+def test_builders_match_the_dict_built_sums(grid):
+    # both registers: the mask-array builders against the per-term expansion
+    # summed in dicts, to the bit and to the compiled bytes
+    for got, want in [(kinetic_kspace(grid), dict_kinetic_kspace(grid)),
+                      (build_kspace(grid)[0], dict_build_kspace(grid)),
+                      (onsite_interaction(grid), dict_onsite_interaction(grid)),
+                      (build_real(grid), dict_build_real(grid))]:
+        assert_same_sum(got, want, grid.n_qubits)
+
+
+def test_the_drop_measures_a_coefficient_as_pythons_abs_does():
+    # |c| is 1e-12 to the last bit by Python's abs (a hypot), and on some
+    # machines numpy's complex abs rounds it below; the sum keeps it, as
+    # the dict-built sums do
+    c = complex(6.066357757671798e-13, 7.949798963240213e-13)
+    assert abs(c) >= COEFF_DROP_TOL
+    term = number_term(0, 2 * c)  # c (I - Z)
+    for got, want in [(PauliSum.from_terms([(c, ((0, "Z"),))]), dict_from_terms([(c, ((0, "Z"),))])),
+                      (jordan_wigner(term, 1), dict_jordan_wigner(term, 1))]:
+        assert len(want) == len(got) > 0
+        assert_same_sum(got, want, 1)
+
+
+def test_the_shared_hamiltonian_is_read_only():
+    h = kspace_hamiltonian(GridSpec.make(3, 3, u=6.0))
+    for array in (*h.masks(), *_compiled_terms(h, 18)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
 
 
 def assert_same_csr(got, expected):
