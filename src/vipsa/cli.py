@@ -165,7 +165,7 @@ def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
 UNREADABLE_CACHE = (OSError, EOFError, ValueError, KeyError, TypeError)
 
 
-def _cached(cache_dir: Path, stem: str, key: str, kind, build, fits):
+def _cached(cache_dir: Path, stem: str, key: str, kind, build, fits=lambda loaded: True):
     """kind.load of the file for key in cache_dir, or build() saved there.
 
     A file that cannot be read, holds another key or fails fits is rebuilt
@@ -206,39 +206,37 @@ def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_block_o
         return ground_space(h, grid.n_qubits, n_up, n_down, symmetry, keep_block_of)
 
 
-def cached_ground_space(grid, n_up: int, n_down: int, block, cache_dir: Path | None):
+def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path | None):
     """A run's ground space, with the matrix its H comes from, reusing an
-    on-disk artifact.  block is the Fermi sea's (momentum label, block
-    bitstrings) from core.sea_block for the mode register, whose space
-    keeps that block's matrix over its own bitstrings, as every state of an
-    adaptive run lives there; None picks the site register, whose space
-    keeps its whole sector.
+    on-disk artifact.  sea_label is the Fermi sea's momentum label for the
+    mode register, whose space keeps the matrix and rows of the sea's block,
+    as every state of an adaptive run lives there; None picks the site
+    register, whose space keeps its whole sector.
 
-    The file stores its cache key, which names the kept block, and that
-    matrix, so a hit needs no Hamiltonian build.  One that cannot be read,
-    holds another key or keeps a matrix of another size is rebuilt (see
-    _cached).  cache_dir must exist; with None the space is solved and
-    nothing is read or written.
+    The file stores its cache key, which names the kept block, that matrix
+    and its rows, so a hit needs no Hamiltonian build.  One that cannot be
+    read, or holds another key, is rebuilt (see _cached); GroundSpace
+    refuses rows that do not fit its matrix.  cache_dir must exist; with
+    None the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace
     from .lattice import fermi_sea
 
-    register = "real" if block is None else "k"
-    sea = None if block is None else fermi_sea(grid, n_up, n_down).bitstring()
+    register = "real" if sea_label is None else "k"
+    sea = None if sea_label is None else fermi_sea(grid, n_up, n_down).bitstring()
     if cache_dir is None:
         return solve_ground_space(grid, n_up, n_down, register, sea)
-    artifact = register if block is None else f"k solved on block {block[0]}"
+    artifact = register if sea_label is None else f"k solved on block {sea_label}"
     return _cached(cache_dir, f"ground-{register}-{grid.label()}",
                    _grid_key(grid, n_up, n_down, artifact), GroundSpace,
-                   lambda: solve_ground_space(grid, n_up, n_down, register, sea),
-                   lambda ground: block is None or ground.matrix.shape[0] == len(block[1]))
+                   lambda: solve_ground_space(grid, n_up, n_down, register, sea))
 
 
 def cached_pool_tables(grid, n_up: int, n_down: int, block, cache_dir: Path):
     """The adaptive pool's orbit tables over the Fermi sea's momentum block,
-    given as core.sea_block's (label, bitstrings), reusing an on-disk
-    artifact (see _cached) whose key names the block; tables over other
-    bitstrings are rebuilt.  cache_dir must exist."""
+    given as (label, bitstrings), reusing an on-disk artifact (see _cached)
+    whose key names the block; tables over other bitstrings are rebuilt.
+    cache_dir must exist."""
     from .core import PoolTables
 
     label, states = block
@@ -269,8 +267,9 @@ def _format(value):
 
 def cmd_run(args) -> int:
     run = Experiment.from_file(args.config)
-    from .core import EPOCH_CSV_COLUMNS, epoch_csv_row, sea_block, vipsa_run
+    from .core import EPOCH_CSV_COLUMNS, epoch_csv_row, vipsa_run
     from .hva import hva_run
+    from .lattice import fermi_sea, label_momenta, momentum_labels
 
     # a directory that cannot be made fails here, before any Hamiltonian is built
     for directory in filter(None, (run.cache_dir, run.output)):
@@ -280,27 +279,26 @@ def cmd_run(args) -> int:
             raise CliError(f"cannot create directory: {err}") from None
 
     grid, (n_up, n_down) = run.grid, run.sector
-    # the Fermi sea's block, taken once: the mode register's ground file and
-    # pool file both keep it
-    block = sea_block(grid, n_up, n_down) if run.ansatz == "vipsa" else None
-    ground = cached_ground_space(grid, n_up, n_down, block, run.cache_dir)
+    # the Fermi sea's block, named once by the sea's label: the ground file
+    # keeps its matrix and rows, the pool file its bitstrings
+    sea_label = (int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
+                 if run.ansatz == "vipsa" else None)
+    ground = cached_ground_space(grid, n_up, n_down, sea_label, run.cache_dir)
     print(f"{run.ansatz} on {grid.label()} "
           f"(U={grid.u:g}, t={grid.t:g}, sector ({n_up},{n_down})), "
           f"ED energy {ground.energy:.8f}")
 
     if run.ansatz == "vipsa":
-        from .lattice import label_momenta
-
-        # the cached space keeps the matrix of the Fermi sea's block
-        blocks = {"reference_block": label_momenta(grid, ground.matrix_block),
+        blocks = {"reference_block": label_momenta(grid, sea_label),
                   "ground_blocks": [label_momenta(grid, block) for block in ground.blocks],
-                  "sector_states": len(ground.states), "block_states": ground.matrix.shape[0]}
-        if ground.matrix_block not in ground.blocks:
+                  "sector_states": len(ground.states), "block_states": len(ground.matrix_rows)}
+        if sea_label not in ground.blocks:
             print(f"warning: the Fermi sea lies in momentum block {blocks['reference_block']}, "
                   "which holds no ground state (the ground space lies in "
                   f"{', '.join(map(str, blocks['ground_blocks']))}), so the run cannot reach it",
                   file=sys.stderr)
-        pool = (cached_pool_tables(grid, n_up, n_down, block, run.cache_dir)
+        pool = (cached_pool_tables(grid, n_up, n_down,
+                                   (sea_label, ground.states[ground.matrix_rows]), run.cache_dir)
                 if run.cache_dir else None)
         result = vipsa_run(grid, n_up, n_down, run.config, reference=ground, pool=pool,
                            progress=lambda r: print(

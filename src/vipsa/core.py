@@ -15,6 +15,7 @@ import numpy as np
 
 from .fermions import LadderTerm, PauliSum, jordan_wigner
 from .hamiltonians import (
+    UNLABELLED,
     GroundSpace,
     InteractionQuadruple,
     _load_fields,
@@ -33,7 +34,6 @@ from .lattice import (
     default_filling,
     enumerate_modes,
     fermi_sea,
-    momentum_labels,
     point_group,
 )
 from .statevector import (
@@ -71,15 +71,6 @@ class PoolOperator:
         """JW image of O - O†, for dense symmetry checks."""
         image = jordan_wigner(self.term, n_qubits)
         return image - image.dagger()
-
-
-def sea_block(grid: GridSpec, n_up: int, n_down: int) -> tuple[int, np.ndarray]:
-    """The momentum label of the (n_up, n_down) Fermi sea and the sorted
-    sector bitstrings of its block, where every state of an adaptive run
-    lives."""
-    states = sector_basis(grid.n_qubits, n_up, n_down)
-    label = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
-    return label, states[momentum_labels(grid, states) == label]
 
 
 def _pool_label(q: InteractionQuadruple) -> str:
@@ -384,13 +375,13 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     point-group class as `vipsa run` solves it, unless a precomputed one is
     passed in.  Every state the loop builds lives in the Fermi sea's
     momentum block, and its H is the matrix the reference keeps, which must
-    be there, real, as the states and generators are, and of exactly that
-    block (else a ValueError).  Likewise the pool's orbit tables over the
-    block are built unless `pool` passes them in; tables over any other
-    bitstrings are a ValueError.  `progress`, if given, is called with each
-    finished EpochRecord.  When the pool gradient drops below eps1 a terminal
-    record with an empty selection is emitted, so a trace always shows the
-    state the loop stopped in.
+    be there, real, as the states and generators are, and on the labelled
+    block whose rows hold the sea (else a ValueError).  Likewise the pool's
+    orbit tables over the block are built unless `pool` passes them in;
+    tables over any other bitstrings are a ValueError.  `progress`, if
+    given, is called with each finished EpochRecord.  When the pool gradient
+    drops below eps1 a terminal record with an empty selection is emitted,
+    so a trace always shows the state the loop stopped in.
 
     The loop works on one real vector over the block's bitstrings, in sector
     order, with every pool generator as an orbit table into it.  The result
@@ -399,24 +390,20 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
-    states = sector_basis(grid.n_qubits, n_up, n_down)
     sea = fermi_sea(grid, n_up, n_down).bitstring()
     if reference is None:
         reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down,
                                  point_group(grid), keep_block_of=sea)
-    if not np.array_equal(reference.states, states):
+    if not np.array_equal(reference.states, sector_basis(grid.n_qubits, n_up, n_down)):
         raise ValueError("reference ground space is not over the run's sector basis")
-    h = reference.matrix
-    if h is None or reference.matrix_block != momentum_labels(grid, sea):
+    # a labelled space keeps the rows of one momentum block: the sea's if they hold it
+    h, rows = reference.matrix, reference.matrix_rows
+    block = None if rows is None else reference.states[rows]
+    if block is None or UNLABELLED in reference.blocks or sea not in block:
         raise ValueError("reference ground space holds no sector matrix of the Fermi sea's "
                          "momentum block")
-    rows = np.flatnonzero(momentum_labels(grid, states) == reference.matrix_block)
-    if h.shape != (len(rows), len(rows)):
-        raise ValueError(f"reference sector matrix of shape {h.shape} does not fit the "
-                         f"{len(rows)} states of the Fermi sea's momentum block")
     if np.iscomplexobj(h.data):
         raise ValueError("reference sector matrix is complex; the run is real")
-    block = states[rows]
     if pool is None:
         pool = PoolTables.build(grid, block)
     if not np.array_equal(pool.states, block):
@@ -445,7 +432,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
                 n_params=len(gates),
                 inner_steps=0,
                 energy=float(x @ (h @ x)),
-                fidelity=reference.block_fidelity(x, rows),
+                fidelity=reference.block_fidelity(x),
             )
             records.append(terminal)
             if progress is not None:
@@ -465,7 +452,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
             n_params=len(gates),
             inner_steps=outcome.steps,
             energy=outcome.energy,
-            fidelity=reference.block_fidelity(x, rows),
+            fidelity=reference.block_fidelity(x),
         )
         records.append(record)
         step_energies.extend((epoch, s, e) for s, e in enumerate(outcome.energies))

@@ -441,13 +441,13 @@ class GroundSpace:
     """Orthonormal basis of the degenerate ground eigenspace of one sector.
 
     `vectors` has one column per ground state over `states`, the sorted
-    sector bitstrings.  `matrix`, if kept, is H on the block `matrix_block`
-    names (UNLABELLED: the whole sector), over that block's own bitstrings
-    in sector order, so it applies H to any vector given on the block.
-    `blocks` holds the total-momentum label (lattice.momentum_labels) of
-    each vector's block, UNLABELLED when the sector was solved without
-    labels.  `save` and `load` keep these fields plus an optional key naming
-    their problem.
+    sector bitstrings.  `matrix`, if kept, is H on the block at the ascending
+    positions `matrix_rows` of `states` (all of them if not given; None
+    without a matrix), over its own bitstrings in sector order, so it
+    applies H to any vector given on the block.  `blocks` holds the
+    total-momentum label (lattice.momentum_labels) of each vector's block,
+    UNLABELLED when the sector was solved without labels.  `save` and `load`
+    keep these fields plus an optional key naming their problem.
     """
 
     n_qubits: int
@@ -458,15 +458,18 @@ class GroundSpace:
     states: np.ndarray
     matrix: scipy.sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
     blocks: np.ndarray | None = None
-    matrix_block: int = UNLABELLED
+    matrix_rows: np.ndarray | None = None
 
     def __post_init__(self):
         dim = len(self.states)
         if self.matrix is not None:
-            rows, cols = self.matrix.shape
-            if rows != cols or rows > dim or (self.matrix_block == UNLABELLED and rows < dim):
+            if self.matrix_rows is None:
+                object.__setattr__(self, "matrix_rows", np.arange(dim))
+            rows = self.matrix_rows
+            if (rows.ndim != 1 or rows.dtype.kind != "i" or np.any(np.diff(rows) <= 0)
+                    or np.any((rows < 0) | (rows >= dim)) or self.matrix.shape != (len(rows),) * 2):
                 raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
-                                 f"{dim} sector states")
+                                 f"{len(rows)} ascending rows of {dim} sector states")
         if self.vectors.shape[0] != dim:
             raise ValueError(f"ground vectors of length {self.vectors.shape[0]} do not fit "
                              f"{dim} sector states")
@@ -490,7 +493,7 @@ class GroundSpace:
         _save_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
                             "n_down": self.n_down, "energy": self.energy,
                             "vectors": self.vectors, "states": self.states,
-                            "blocks": self.blocks, "matrix_block": self.matrix_block,
+                            "blocks": self.blocks, "matrix_rows": self.matrix_rows,
                             "matrix_shape": np.array(self.matrix.shape),
                             "matrix_data": self.matrix.data, "matrix_indices": self.matrix.indices,
                             "matrix_indptr": self.matrix.indptr}, key)
@@ -499,7 +502,7 @@ class GroundSpace:
     def load(cls, path, key: str | None = None) -> "GroundSpace":
         """Read a saved ground space; with a key, raise ValueError unless the
         file was saved under the same key.  A file without a field it needs
-        (one saved before the matrix or its block label was stored, say)
+        (one saved before the matrix or its block's rows were stored, say)
         raises KeyError."""
         data = _load_fields(path, key)
         matrix = scipy.sparse.csr_matrix(
@@ -507,17 +510,17 @@ class GroundSpace:
             shape=tuple(int(n) for n in data["matrix_shape"]))
         return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
                    float(data["energy"]), data["vectors"], data["states"], matrix,
-                   data["blocks"], int(data["matrix_block"]))
+                   data["blocks"], data["matrix_rows"])
 
     def sector_fidelity(self, x: np.ndarray) -> float:
         """Total squared overlap with a state given over `states`."""
         return float(np.sum(np.abs(self.vectors.conj().T @ x) ** 2))
 
-    def block_fidelity(self, x: np.ndarray, rows: np.ndarray) -> float:
+    def block_fidelity(self, x: np.ndarray) -> float:
         """Total squared overlap with a state given on the kept block, whose
-        bitstrings are states[rows]; the ground vectors' entries off the
-        block meet only zeros of the state, so they are left out."""
-        return float(np.sum(np.abs(self.vectors[rows].conj().T @ x) ** 2))
+        bitstrings are states[matrix_rows]; the ground vectors' entries off
+        the block meet only zeros of the state, so they are left out."""
+        return float(np.sum(np.abs(self.vectors[self.matrix_rows].conj().T @ x) ** 2))
 
 
 def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -573,8 +576,8 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     ground vectors are the other blocks'.  No whole-sector matrix is built.
     The representative is the class's smallest label, or, given the sector
     bitstring keep_block_of, that bitstring's label in its class: the space
-    keeps that block's matrix over the block's own bitstrings (see
-    GroundSpace), so every block built is solved.
+    keeps that block's matrix over the block's own bitstrings, and the
+    block's rows (see GroundSpace), so every block built is solved.
 
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
@@ -592,12 +595,12 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
         labels = symmetry.labels(states)
         kept_label = None if keep_block_of is None else int(symmetry.labels(keep_block_of))
         classes = symmetry.classes(states, labels, kept_label)
-    solved, matrix = [], None
+    solved, matrix, matrix_rows = [], None, None
     for members in classes:
         rows = np.flatnonzero(labels == members[0][0])
         block = sector_matrix(h, states[rows], n_qubits)
         if members[0][0] == kept_label:
-            matrix = block
+            matrix, matrix_rows = block, rows
         solved.append((members, rows, *_block_ground(block)))
     lowest = min(values[0] for _, _, values, _ in solved)
     found = {}  # block label -> its ground vectors over the sector
@@ -613,7 +616,7 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     return GroundSpace(n_qubits, n_up, n_down, float(lowest),
                        np.concatenate([found[label] for label in blocks], axis=1), states,
                        matrix, np.repeat(blocks, [found[label].shape[1] for label in blocks]),
-                       UNLABELLED if kept_label is None else kept_label)
+                       matrix_rows)
 
 
 def fidelity(psi: StateVector, gs: GroundSpace) -> float:

@@ -20,7 +20,6 @@ import numpy as np
 from .core import AdamResult, EpochRecord, VipsaConfig, adam_minimize
 from .fermions import hopping_pair
 from .hamiltonians import (
-    UNLABELLED,
     GroundSpace,
     build_real,
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
@@ -46,6 +45,11 @@ Edge = tuple[int, int]
 # making the trajectory machine-dependent.
 STATIONARY_KICK = 1e-2
 STATIONARY_TOL = 1e-12
+
+# Most gates a layered circuit may hold: HvaAnsatz keeps about 100 bytes of
+# Python objects per gate, 150 at an evaluation's peak (tracemalloc on 2x2),
+# so about 0.15 GB; build_layout refuses more before anything is built.
+HVA_GATE_BUDGET = 1 << 20
 
 
 def edge_matchings(edges: list[Edge]) -> list[list[Edge]]:
@@ -87,6 +91,11 @@ def build_layout(grid: GridSpec, layers: int = 10) -> HvaLayout:
     if layers < 1:
         raise ValueError(f"layers must be at least 1, got {layers}")
     horizontal, vertical = hopping_edges(grid)
+    # two interaction gates per layer, and one gate per edge and spin
+    gates = layers * 2 * (1 + len(horizontal) + len(vertical))
+    if gates > HVA_GATE_BUDGET:
+        raise ValueError(f"layers = {layers} gives {gates} gates on {grid.label()}, more than "
+                         f"the {HVA_GATE_BUDGET} a layered circuit may hold")
     return HvaLayout(
         grid, layers,
         tuple(tuple(m) for m in edge_matchings(horizontal)),
@@ -208,7 +217,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         reference = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
     if not np.array_equal(reference.states, sector_basis(grid.n_qubits, n_up, n_down)):
         raise ValueError("reference ground space is not over the run's sector basis")
-    if reference.matrix is None or reference.matrix_block != UNLABELLED:
+    if reference.matrix is None or len(reference.matrix_rows) != len(reference.states):
         raise ValueError("reference ground space holds no sector matrix of the whole sector")
     ansatz = HvaAnsatz(grid, n_up, n_down, layers)
 

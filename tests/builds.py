@@ -12,9 +12,11 @@ the same arguments, so a shared object has the bytes of an unshared build.
 
 from functools import lru_cache
 
+import numpy as np
+
 from vipsa.fermions import PauliSum
 from vipsa.hamiltonians import GroundSpace, build_kspace, ground_space, sector_matrix
-from vipsa.lattice import GridSpec, fermi_sea, point_group
+from vipsa.lattice import GridSpec, fermi_sea, momentum_labels, point_group
 from vipsa.statevector import sector_basis
 
 
@@ -41,11 +43,23 @@ def whole_sector_matrix(grid: GridSpec, n_up: int, n_down: int):
 
 
 @lru_cache(maxsize=None)
+def sea_block(grid: GridSpec, n_up: int, n_down: int) -> tuple[int, np.ndarray]:
+    """The momentum label of the (n_up, n_down) Fermi sea and the sorted
+    sector bitstrings of its block, where every state of an adaptive run
+    lives, from one momentum_labels pass over the sector."""
+    states = sector_basis(grid.n_qubits, n_up, n_down)
+    label = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
+    block = states[momentum_labels(grid, states) == label]
+    _read_only(block)
+    return label, block
+
+
+@lru_cache(maxsize=None)
 def sea_block_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
     """The mode-register ground space solved per point-group class,
     keeping the matrix of the Fermi sea's block, as a run solves it."""
     space = ground_space(kspace_hamiltonian(grid), grid.n_qubits, n_up, n_down,
                          point_group(grid), keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
-    _read_only(space.vectors, space.states, space.blocks,
+    _read_only(space.vectors, space.states, space.blocks, space.matrix_rows,
                space.matrix.data, space.matrix.indices, space.matrix.indptr)
     return space

@@ -46,7 +46,7 @@ from vipsa.fermions import (
     number_term,
 )
 from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, interaction_quadruples, sector_basis, sector_matrix
-from vipsa.lattice import DOWN, UP, enumerate_modes, fermi_sea, hopping_edges, momentum_labels, qubit_index
+from vipsa.lattice import DOWN, UP, enumerate_modes, fermi_sea, hopping_edges, qubit_index
 from vipsa.statevector import rotate_sector, sector_overlap, sector_run
 
 from builds import whole_sector_matrix
@@ -449,12 +449,13 @@ def rows_of_block(matrix, inside: np.ndarray):
 
 def whole_sector_run_operands(grid, reference):
     """(x0, h, pool) of an adaptive run as it was built over the whole
-    sector: the Fermi sea over reference.states, P H P for the block
-    reference.matrix_block names (rows_of_block of the whole-sector
-    matrix), and the pool's orbit tables over every sector bitstring."""
+    sector: the Fermi sea over reference.states, P H P for the block of
+    reference.matrix_rows (rows_of_block of the whole-sector matrix), and
+    the pool's orbit tables over every sector bitstring."""
     states = reference.states
     sea = fermi_sea(grid, reference.n_up, reference.n_down).bitstring()
     whole = whole_sector_matrix(grid, reference.n_up, reference.n_down)
-    inside = momentum_labels(grid, states) == reference.matrix_block
+    inside = np.zeros(len(states), dtype=bool)
+    inside[reference.matrix_rows] = True
     return ((states == sea).astype(float), rows_of_block(whole, inside),
             PoolTables.build(grid, states))

@@ -16,6 +16,8 @@ from vipsa.cli import main
 from vipsa.hamiltonians import _load_fields, _save_fields
 from vipsa.lattice import GridSpec, fermi_sea
 
+from builds import sea_block
+
 
 def write(path: Path, text: str) -> Path:
     path.write_text(text)
@@ -235,33 +237,35 @@ def plant_old_format(path: Path) -> None:
 
 
 def plant_unlabelled(path: Path) -> None:
-    # the format before each ground vector's momentum block was stored
+    # the format before each ground vector's momentum block was stored, and
+    # so before the kept block's rows were
     fields = _load_fields(path, None)
-    del fields["blocks"]
+    del fields["blocks"], fields["matrix_rows"]
     _save_fields(path, fields, None)
 
 
 def plant_whole_sector_matrix(path: Path) -> None:
     # what the file held before the run's H moved onto the sea's block: the
-    # whole-sector matrix, under the key that did not name the block.  It
-    # keeps the block label field, so the key alone must refuse it
+    # whole-sector matrix, under the key that did not name the block.  Its
+    # shape and rows fit that matrix, so the key alone must refuse it
     from vipsa.cli import _grid_key
-    from vipsa.hamiltonians import build_kspace, sector_matrix
+    from vipsa.hamiltonians import GroundSpace, build_kspace, sector_matrix
 
     grid = GridSpec.make(2, 2, u=4.0)
     fields = _load_fields(path, None)
     del fields["key"]
     whole = sector_matrix(build_kspace(grid)[0], fields["states"], grid.n_qubits)
     assert whole.nnz > fields["matrix_data"].size
-    fields.update(matrix_data=whole.data, matrix_indices=whole.indices,
-                  matrix_indptr=whole.indptr)
+    fields.update(matrix_rows=np.arange(len(fields["states"])), matrix_shape=np.array(whole.shape),
+                  matrix_data=whole.data, matrix_indices=whole.indices, matrix_indptr=whole.indptr)
     _save_fields(path, fields, _grid_key(grid, 2, 2, "k"))
+    assert GroundSpace.load(path).matrix.shape == whole.shape
 
 
 def plant_sector_rows_matrix(path: Path) -> None:
     # what the file held before the kept matrix moved onto the block's own
-    # rows: P H P over the whole sector, under the key that named the block
-    # without saying so
+    # rows: P H P over the whole sector, with the block's label in place of
+    # its rows, under the key that named the block without saying so
     from vipsa.cli import _grid_key
     from vipsa.hamiltonians import build_kspace, sector_matrix
     from vipsa.lattice import momentum_labels
@@ -270,11 +274,14 @@ def plant_sector_rows_matrix(path: Path) -> None:
 
     grid = GridSpec.make(2, 2, u=4.0)
     fields = _load_fields(path, None)
-    label = int(fields["matrix_block"])
+    rows = fields.pop("matrix_rows")
+    label = int(momentum_labels(grid, fields["states"][rows[0]]))
+    inside = np.zeros(len(fields["states"]), dtype=bool)
+    inside[rows] = True
     whole = sector_matrix(build_kspace(grid)[0], fields["states"], grid.n_qubits)
-    php = rows_of_block(whole, momentum_labels(grid, fields["states"]) == label)
-    fields.update(matrix_shape=np.array(php.shape), matrix_data=php.data,
-                  matrix_indices=php.indices, matrix_indptr=php.indptr)
+    php = rows_of_block(whole, inside)
+    fields.update(matrix_block=np.array(label), matrix_shape=np.array(php.shape),
+                  matrix_data=php.data, matrix_indices=php.indices, matrix_indptr=php.indptr)
     del fields["key"]
     _save_fields(path, fields, _grid_key(grid, 2, 2, f"k block {label}"))
 
@@ -284,6 +291,24 @@ def plant_misfit_matrix(path: Path) -> None:
     block = GroundSpace.load(path).matrix[:-1, :-1].tocsr()
     resave(path, matrix_shape=np.array(block.shape), matrix_data=block.data,
            matrix_indices=block.indices, matrix_indptr=block.indptr)
+
+
+def plant_rows_out_of_range(path: Path) -> None:
+    fields = _load_fields(path, None)
+    rows = fields["matrix_rows"].copy()
+    rows[-1] = len(fields["states"])
+    resave(path, matrix_rows=rows)
+
+
+def plant_unsorted_rows(path: Path) -> None:
+    rows = _load_fields(path, None)["matrix_rows"].copy()
+    rows[[0, 1]] = rows[[1, 0]]
+    resave(path, matrix_rows=rows)
+
+
+def plant_rows_one_short(path: Path) -> None:
+    # the block's rows without its last one, under the block's matrix
+    resave(path, matrix_rows=_load_fields(path, None)["matrix_rows"][:-1])
 
 
 def plant_misfit_vectors(path: Path) -> None:
@@ -303,7 +328,8 @@ def assert_same_artifacts(first: Path, again: Path) -> None:
 @pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_old_format, plant_misfit_matrix,
                                                   plant_misfit_vectors, plant_scalar_vector,
                                                   plant_unlabelled, plant_whole_sector_matrix,
-                                                  plant_sector_rows_matrix])
+                                                  plant_sector_rows_matrix, plant_rows_out_of_range,
+                                                  plant_unsorted_rows, plant_rows_one_short])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
@@ -328,15 +354,15 @@ def test_3x3_cache_file_holds_the_sea_block(tmp_path):
     # its matrix stores 89 964 entries over the block's own rows, where the
     # whole sector's held 809 676
     from vipsa.cli import cached_ground_space
-    from vipsa.core import sea_block
 
     grid = GridSpec.make(3, 3, u=6.0)
-    cached_ground_space(grid, 5, 4, sea_block(grid, 5, 4), tmp_path)
+    label, block = sea_block(grid, 5, 4)
+    cached_ground_space(grid, 5, 4, label, tmp_path)
     path, = tmp_path.glob("ground-k-3x3-*.npys")
     fields = _load_fields(path, None)
     assert fields["matrix_data"].size == fields["matrix_indices"].size == 89964
     assert fields["matrix_shape"].tolist() == [1764, 1764]
-    assert int(fields["matrix_block"]) == 3
+    assert label == 3 and fields["states"][fields["matrix_rows"]].tobytes() == block.tobytes()
     assert path.stat().st_size < 2_000_000
 
 
@@ -345,7 +371,6 @@ def test_3x3_pool_cache_file_holds_the_sea_block(tmp_path):
     # 31 580 entries, where those over the whole sector held 284 200 in a
     # file of 6 894 964 bytes
     from vipsa.cli import cached_pool_tables
-    from vipsa.core import sea_block
 
     grid = GridSpec.make(3, 3, u=6.0)
     cached_pool_tables(grid, 5, 4, sea_block(grid, 5, 4), tmp_path)
@@ -428,12 +453,11 @@ def test_damaged_pool_tables_are_rebuilt(tmp_path, capsys, damage):
 def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
     from vipsa import hamiltonians
     from vipsa.cli import cached_ground_space
-    from vipsa.core import sea_block
 
     grid = GridSpec.make(2, 2, u=4.0)
-    blocks = {"k": sea_block(grid, 2, 2), "real": None}
-    cold = {register: cached_ground_space(grid, 2, 2, block, tmp_path)
-            for register, block in blocks.items()}
+    labels = {"k": sea_block(grid, 2, 2)[0], "real": None}
+    cold = {register: cached_ground_space(grid, 2, 2, label, tmp_path)
+            for register, label in labels.items()}
 
     def refuse(*args, **kwargs):
         raise AssertionError("Hamiltonian built on a cache hit")
@@ -441,7 +465,7 @@ def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
     monkeypatch.setattr(hamiltonians, "build_kspace", refuse)
     monkeypatch.setattr(hamiltonians, "build_real", refuse)
     for register, space in cold.items():
-        warm = cached_ground_space(grid, 2, 2, blocks[register], tmp_path)
+        warm = cached_ground_space(grid, 2, 2, labels[register], tmp_path)
         np.testing.assert_array_equal(warm.vectors, space.vectors)
 
 
@@ -498,6 +522,37 @@ def test_warm_run_builds_no_pool(tmp_path, capsys, monkeypatch):
     assert run_artifacts(warm) == run_artifacts(cold)
 
 
+def test_warm_run_labels_only_the_sea(tmp_path, capsys, monkeypatch):
+    # a warm 3x3 (5,4) adaptive run takes the sea's block from the rows its
+    # ground file keeps: momentum_labels sees single bitstrings only, never a
+    # pass over the 15 876-state sector, in every module that binds the name
+    import importlib
+    import pkgutil
+
+    import vipsa
+
+    shapes = []
+
+    def single_bitstrings(labels):
+        def checked(grid, states):
+            shapes.append(np.shape(states))
+            assert np.ndim(states) == 0, f"momentum_labels over {np.shape(states)} bitstrings"
+            return labels(grid, states)
+        return checked
+
+    settings = {"nx": 3, "ny": 3, "u": 6.0, "max_epochs": 1, "max_inner_steps": 2}
+    _, cold = run_config(tmp_path, "cold", **settings)
+    modules = [vipsa] + [importlib.import_module(f"vipsa.{info.name}")
+                         for info in pkgutil.iter_modules(vipsa.__path__)]
+    for module in modules:
+        if hasattr(module, "momentum_labels"):
+            monkeypatch.setattr(module, "momentum_labels",
+                                single_bitstrings(module.momentum_labels))
+    code, warm = run_config(tmp_path, "warm", **settings)
+    assert code in (0, 2) and shapes
+    assert run_artifacts(warm) == run_artifacts(cold)
+
+
 @pytest.mark.parametrize("ansatz, shape, cold", [
     # 2x2 (2,2), 36 states: the mode register's ED builds the blocks of
     # labels 0, 1 and 3, one per point-group class, and the sea's block is
@@ -538,7 +593,6 @@ def test_cold_3x3_ground_space_compiles_h_once(monkeypatch):
     # label 1's; H is compiled once for the three block builds
     from vipsa import fermions, hamiltonians
     from vipsa.cli import cached_ground_space
-    from vipsa.core import sea_block
 
     compiled, built = [], []
     compile_h, build = fermions._compile, hamiltonians.sector_matrix
@@ -546,10 +600,11 @@ def test_cold_3x3_ground_space_compiles_h_once(monkeypatch):
     monkeypatch.setattr(hamiltonians, "sector_matrix",
                         lambda h, states, n: built.append(len(states)) or build(h, states, n))
     grid = GridSpec.make(3, 3, u=6.0)
-    block = sea_block(grid, 5, 4)
-    space = cached_ground_space(grid, 5, 4, block, None)
+    label, block = sea_block(grid, 5, 4)
+    space = cached_ground_space(grid, 5, 4, label, None)
     assert len(compiled) == 1 and len(built) == 3
-    assert space.matrix_block == block[0] == 3 and len(block[1]) in built
+    assert label == 3 and space.states[space.matrix_rows].tobytes() == block.tobytes()
+    assert len(block) in built
 
 
 def test_cold_runs_build_no_letter_maps(tmp_path, capsys, monkeypatch):
@@ -657,6 +712,7 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, line):
     ("nx = 2\nny = 2\nn_up = 9\nn_down = 1\n", "n_up"),
     ("nx = 2\nny = 2\nn_up = 1\n", "n_down"),
     ("nx = 2\nny = 2\nlayers = 0\n", "layers"),
+    ("nx = 2\nny = 2\nlayers = 100000000\n", "a layered circuit may hold"),
     ("nx = 2\nny = 2\nbc_x = twisted\n", "twisted"),
     ("nx = 2\nny = 3\nbc_x = periodic\n", "periodic x axis"),
     ("nx = 4\nny = 5\n", "32-qubit"),

@@ -17,7 +17,6 @@ from vipsa.core import (
     pool_class,
     pool_gradients,
     rs_perturbation,
-    sea_block,
     sector_pool_gradients,
     select,
     vipsa_run,
@@ -52,7 +51,7 @@ from vipsa.statevector import (
     sector_orbit,
     sector_run,
 )
-from builds import sea_block_space
+from builds import sea_block, sea_block_space
 from oracles import dense_pauli_sum, whole_sector_run_operands
 from replay import adaptive_circuit, refuse_full_register, refuse_pauli_path
 
@@ -413,7 +412,7 @@ def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
 
     grid = GridSpec.make(2, 3, u=4.0)
     run = vipsa_run(grid, config=VipsaConfig(max_epochs=1))
-    cli = cached_ground_space(grid, 3, 3, sea_block(grid, 3, 3), None)
+    cli = cached_ground_space(grid, 3, 3, sea_block(grid, 3, 3)[0], None)
     run.ground.save(tmp_path / "library.npys")
     cli.save(tmp_path / "cli.npys")
     assert (tmp_path / "library.npys").read_bytes() == (tmp_path / "cli.npys").read_bytes()
@@ -464,7 +463,8 @@ def test_runs_refuse_a_matrix_of_another_block():
     states = sector_basis(grid.n_qubits, 3, 3)
     ground_block = int(states[momentum_labels(grid, states) == 0][0])
     other = ground_space(h, grid.n_qubits, 3, 3, point_group(grid), keep_block_of=ground_block)
-    assert other.matrix_block == 0 != momentum_labels(grid, fermi_sea(grid, 3, 3).bitstring())
+    kept_labels = set(momentum_labels(grid, states[other.matrix_rows]).tolist())
+    assert kept_labels == {0} != {int(momentum_labels(grid, fermi_sea(grid, 3, 3).bitstring()))}
     whole = ground_space(build_real(grid), grid.n_qubits, 3, 3)
     for reference in (other, whole):
         with pytest.raises(ValueError, match="Fermi sea's momentum block"):
@@ -489,14 +489,15 @@ def test_run_refuses_pool_tables_over_another_basis():
 def test_run_refuses_a_kept_matrix_of_another_shape():
     # the kept matrix is H over the block's own 66 rows: P H P over the
     # whole 400-state sector, as spaces kept it before, is refused, and so is
-    # the block's matrix cut one row short
+    # the block's matrix cut one row short; the space itself refuses a
+    # matrix that does not fit its block's rows, before the run starts
     grid = u4(2, 3)
     reference = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3, point_group(grid),
                              keep_block_of=fermi_sea(grid, 3, 3).bitstring())
     _, php, _ = whole_sector_run_operands(grid, reference)
     assert reference.matrix.shape == (66, 66) and php.shape == (400, 400)
     for matrix in (php, reference.matrix[:-1, :-1].tocsr()):
-        with pytest.raises(ValueError, match="does not fit the .* Fermi sea's momentum block"):
+        with pytest.raises(ValueError, match="does not fit 66 ascending rows"):
             vipsa_run(grid, 3, 3, reference=replace(reference, matrix=matrix))
 
 
@@ -513,8 +514,9 @@ def test_block_path_matches_the_whole_sector_path(shape, u):
     reference = sea_block_space(grid, n_up, n_down)
     x0_whole, php, whole_pool = whole_sector_run_operands(grid, reference)
     label, block = sea_block(grid, n_up, n_down)
-    rows = np.flatnonzero(momentum_labels(grid, reference.states) == label)
-    assert label == reference.matrix_block and np.array_equal(reference.states[rows], block)
+    rows = reference.matrix_rows
+    assert np.array_equal(rows, np.flatnonzero(momentum_labels(grid, reference.states) == label))
+    assert np.array_equal(reference.states[rows], block)
     block_pool = PoolTables.build(grid, block)
     assert block_pool.labels == whole_pool.labels
     labels = list(block_pool.labels)
@@ -541,7 +543,7 @@ def test_block_path_matches_the_whole_sector_path(shape, u):
     outside = np.ones(len(reference.states), dtype=bool)
     outside[rows] = False
     assert not whole["x"][outside].any()
-    assert (reference.block_fidelity(on_block["x"], rows)
+    assert (reference.block_fidelity(on_block["x"])
             == pytest.approx(reference.sector_fidelity(whole["x"]), abs=1e-12))
 
 

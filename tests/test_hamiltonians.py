@@ -45,7 +45,7 @@ from vipsa.statevector import (
     slater_amplitudes,
 )
 
-from builds import kspace_hamiltonian, sea_block_space, whole_sector_matrix
+from builds import kspace_hamiltonian, sea_block, sea_block_space, whole_sector_matrix
 from oracles import dense_pauli_sum, dense_sector_block, lowest_sector_values
 
 
@@ -518,22 +518,23 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     # in the mode register the whole-sector matrix's rows and columns of the
     # Fermi sea's block, label 4 on 2x3 (3,3), which no class solve builds
     from vipsa.cli import cached_ground_space
-    from vipsa.core import sea_block
 
     grid = GridSpec.make(2, 3, u=4.0)
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    block = sea_block(grid, 3, 3) if register == "k" else None
-    gs = cached_ground_space(grid, 3, 3, block, None)
+    label = sea_block(grid, 3, 3)[0] if register == "k" else None
+    gs = cached_ground_space(grid, 3, 3, label, None)
     fresh = sector_matrix(h, gs.states, grid.n_qubits)
+    rows = np.arange(len(gs.states))
     if register == "k":
-        assert gs.matrix_block == 4
+        assert label == 4
         rows = np.flatnonzero(momentum_labels(grid, gs.states) == 4)
         fresh = fresh[rows][:, rows]
-    else:
-        assert gs.matrix_block == hamiltonians.UNLABELLED
     gs.save(tmp_path / "gs.npys")
-    for matrix in (gs.matrix, GroundSpace.load(tmp_path / "gs.npys").matrix):
+    loaded = GroundSpace.load(tmp_path / "gs.npys")
+    for space in (gs, loaded):
+        np.testing.assert_array_equal(space.matrix_rows, rows)
+    for matrix in (gs.matrix, loaded.matrix):
         for part in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(matrix, part), getattr(fresh, part))
             assert getattr(matrix, part).dtype == getattr(fresh, part).dtype
@@ -691,7 +692,7 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
         assert [dim for dim, _, _ in seen] == per_class
         assert (gs.matrix is not None) == (keep is not None)
         if keep is not None:
-            assert gs.matrix_block == keep
+            np.testing.assert_array_equal(gs.matrix_rows, np.flatnonzero(labels == keep))
             assert gs.matrix.shape == (np.count_nonzero(labels == keep),) * 2
 
 
@@ -742,7 +743,8 @@ def test_the_sea_block_matrix_applies_h_to_the_byte():
         n_up, n_down = default_filling(grid)
         gs = sea_block_space(grid, n_up, n_down)
         whole = whole_sector_matrix(grid, n_up, n_down)
-        inside = momentum_labels(grid, gs.states) == gs.matrix_block
+        inside = momentum_labels(grid, gs.states) == sea_block(grid, n_up, n_down)[0]
+        np.testing.assert_array_equal(gs.matrix_rows, np.flatnonzero(inside))
         assert gs.matrix.nnz < whole.nnz and inside.sum() < len(gs.states)
         for _ in range(3):
             x = np.where(inside, rng.standard_normal(len(gs.states)), 0.0)
@@ -775,7 +777,7 @@ def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
         files.append(io.BytesIO())
         space.save(files[-1], key="k")
     assert files[1].getvalue() == files[0].getvalue()
-    assert kept.matrix_block == label
+    np.testing.assert_array_equal(kept.matrix_rows, rows)
     assert kept.energy == pytest.approx(blocks.energy, rel=0, abs=1e-12)
     np.testing.assert_array_equal(kept.blocks, blocks.blocks)
     # the same span: the overlaps of two orthonormal bases of it are unitary

@@ -41,11 +41,10 @@ from vipsa.hamiltonians import (
     sector_matrix,
     spin_operators,
 )
-from vipsa.core import sea_block
 from vipsa.lattice import GridSpec, default_filling, point_group
 from vipsa.statevector import _compiled_terms, sector_basis
 
-from builds import kspace_hamiltonian
+from builds import kspace_hamiltonian, sea_block
 from oracles import (
     as_real_if_possible,
     dict_build_kspace,
