@@ -111,7 +111,7 @@ class Experiment:
     grid: GridSpec
     sector: tuple[int, int]
     config: VipsaConfig
-    layers: int
+    layers: int | None  # None for the adaptive ansatz, which has no layers
     output: Path
     cache_dir: Path | None
 
@@ -139,14 +139,14 @@ class Experiment:
         def given(*keys):  # unset keys take the library's defaults
             return {key: values[key] for key in keys if key in values}
 
+        ansatz = values.get("ansatz", "vipsa")
         with library_checks(path):
             grid = GridSpec.make(values["nx"], values["ny"], **given("t", "u", "bc_x", "bc_y"))
             sector = ((values["n_up"], values["n_down"]) if "n_up" in values
                       else default_filling(grid))
             sector_basis(grid.n_qubits, *sector)
-            layers = build_layout(grid, **given("layers")).layers
+            layers = build_layout(grid, **given("layers")).layers if ansatz == "hva" else None
             config = VipsaConfig(**given(*(field.name for field in fields(VipsaConfig))))
-        ansatz = values.get("ansatz", "vipsa")
         output = values.get("output", f"runs/{ansatz}-{grid.nx}x{grid.ny}-u{grid.u:g}")
         cache_dir = Path(values.get("cache_dir", "vipsa-cache")) if values.get("cache", True) else None
         return cls(ansatz, grid, sector, config, layers, Path(output), cache_dir)
@@ -215,9 +215,9 @@ def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path
 
     The file stores its cache key, which names the kept block, that matrix
     and its rows, so a hit needs no Hamiltonian build.  One that cannot be
-    read, or holds another key, is rebuilt (see _cached); GroundSpace
-    refuses rows that do not fit its matrix.  cache_dir must exist; with
-    None the space is solved and nothing is read or written.
+    read, holds another key or another sector is rebuilt (see _cached);
+    GroundSpace refuses rows that do not fit its matrix.  cache_dir must
+    exist; with None the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace
     from .lattice import fermi_sea
@@ -229,21 +229,24 @@ def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path
     artifact = register if sea_label is None else f"k solved on block {sea_label}"
     return _cached(cache_dir, f"ground-{register}-{grid.label()}",
                    _grid_key(grid, n_up, n_down, artifact), GroundSpace,
-                   lambda: solve_ground_space(grid, n_up, n_down, register, sea))
+                   lambda: solve_ground_space(grid, n_up, n_down, register, sea),
+                   lambda space: (space.n_qubits, space.n_up, space.n_down)
+                   == (grid.n_qubits, n_up, n_down))
 
 
 def cached_pool_tables(grid, n_up: int, n_down: int, block, cache_dir: Path):
     """The adaptive pool's orbit tables over the Fermi sea's momentum block,
     given as (label, bitstrings), reusing an on-disk artifact (see _cached)
-    whose key names the block; tables over other bitstrings are rebuilt.
-    cache_dir must exist."""
+    whose key names the block; tables over other bitstrings are rebuilt,
+    and a block the pool leaves is one error line.  cache_dir must exist."""
     from .core import PoolTables
 
     label, states = block
-    return _cached(cache_dir, f"pool-{grid.label()}",
-                   _grid_key(grid, n_up, n_down, f"pool on block {label}"), PoolTables,
-                   lambda: PoolTables.build(grid, states),
-                   lambda tables: tables.states.tobytes() == states.tobytes())
+    with library_checks(f"the block that the ground file in {cache_dir} keeps"):
+        return _cached(cache_dir, f"pool-{grid.label()}",
+                       _grid_key(grid, n_up, n_down, f"pool on block {label}"), PoolTables,
+                       lambda: PoolTables.build(grid, states),
+                       lambda tables: tables.states.tobytes() == states.tobytes())
 
 
 # ------------------------------------------------------------------- run ---

@@ -394,7 +394,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     if reference is None:
         reference = ground_space(build_kspace(grid)[0], grid.n_qubits, n_up, n_down,
                                  point_group(grid), keep_block_of=sea)
-    if not np.array_equal(reference.states, sector_basis(grid.n_qubits, n_up, n_down)):
+    if (reference.n_qubits, reference.n_up, reference.n_down) != (grid.n_qubits, n_up, n_down):
         raise ValueError("reference ground space is not over the run's sector basis")
     # a labelled space keeps the rows of one momentum block: the sea's if they hold it
     h, rows = reference.matrix, reference.matrix_rows

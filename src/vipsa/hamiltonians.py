@@ -441,10 +441,11 @@ class GroundSpace:
     """Orthonormal basis of the degenerate ground eigenspace of one sector.
 
     `vectors` has one column per ground state over `states`, the sorted
-    sector bitstrings.  `matrix`, if kept, is H on the block at the ascending
-    positions `matrix_rows` of `states` (all of them if not given; None
-    without a matrix), over its own bitstrings in sector order, so it
-    applies H to any vector given on the block.  `blocks` holds the
+    sector bitstrings, which sector_basis derives from the sector (one that
+    cannot exist is a ValueError).  `matrix`, if kept, is H on the block at
+    the ascending positions `matrix_rows` of `states` (all of them if not
+    given; None without a matrix), over its own bitstrings in sector order,
+    so it applies H to any vector given on the block.  `blocks` holds the
     total-momentum label (lattice.momentum_labels) of each vector's block,
     UNLABELLED when the sector was solved without labels.  `save` and `load`
     keep these fields plus an optional key naming their problem.
@@ -455,7 +456,6 @@ class GroundSpace:
     n_down: int
     energy: float
     vectors: np.ndarray
-    states: np.ndarray
     matrix: scipy.sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
     blocks: np.ndarray | None = None
     matrix_rows: np.ndarray | None = None
@@ -480,6 +480,10 @@ class GroundSpace:
                              f"{self.degeneracy} ground vectors")
 
     @property
+    def states(self) -> np.ndarray:
+        return sector_basis(self.n_qubits, self.n_up, self.n_down)
+
+    @property
     def degeneracy(self) -> int:
         return self.vectors.shape[1]
 
@@ -492,8 +496,8 @@ class GroundSpace:
             raise ValueError("a ground space is saved with its sector matrix, and this one has none")
         _save_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
                             "n_down": self.n_down, "energy": self.energy,
-                            "vectors": self.vectors, "states": self.states,
-                            "blocks": self.blocks, "matrix_rows": self.matrix_rows,
+                            "vectors": self.vectors, "blocks": self.blocks,
+                            "matrix_rows": self.matrix_rows,
                             "matrix_shape": np.array(self.matrix.shape),
                             "matrix_data": self.matrix.data, "matrix_indices": self.matrix.indices,
                             "matrix_indptr": self.matrix.indptr}, key)
@@ -503,13 +507,14 @@ class GroundSpace:
         """Read a saved ground space; with a key, raise ValueError unless the
         file was saved under the same key.  A file without a field it needs
         (one saved before the matrix or its block's rows were stored, say)
-        raises KeyError."""
+        raises KeyError; a `states` record, from before sector_basis derived
+        the bitstrings, is ignored."""
         data = _load_fields(path, key)
         matrix = scipy.sparse.csr_matrix(
             (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
             shape=tuple(int(n) for n in data["matrix_shape"]))
         return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
-                   float(data["energy"]), data["vectors"], data["states"], matrix,
+                   float(data["energy"]), data["vectors"], matrix,
                    data["blocks"], data["matrix_rows"])
 
     def sector_fidelity(self, x: np.ndarray) -> float:
@@ -614,7 +619,7 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
             found[label][np.searchsorted(states, images)] = signs[:, None] * kept
     blocks = sorted(found)
     return GroundSpace(n_qubits, n_up, n_down, float(lowest),
-                       np.concatenate([found[label] for label in blocks], axis=1), states,
+                       np.concatenate([found[label] for label in blocks], axis=1),
                        matrix, np.repeat(blocks, [found[label].shape[1] for label in blocks]),
                        matrix_rows)
 

@@ -46,9 +46,9 @@ Edge = tuple[int, int]
 STATIONARY_KICK = 1e-2
 STATIONARY_TOL = 1e-12
 
-# Most gates a layered circuit may hold: HvaAnsatz keeps about 100 bytes of
-# Python objects per gate, 150 at an evaluation's peak (tracemalloc on 2x2),
-# so about 0.15 GB; build_layout refuses more before anything is built.
+# Most gates a layered circuit may hold: HvaAnsatz keeps about 24 bytes per
+# gate, 53 at an evaluation's peak (tracemalloc on 2x2), so about 55 MB;
+# build_layout refuses more before anything is built.
 HVA_GATE_BUDGET = 1 << 20
 
 
@@ -123,36 +123,23 @@ class HvaAnsatz:
         # U per doubly occupied site: up qubit 2i and down qubit 2i + 1 both set
         doubles = np.bitwise_count(self.states & (self.states >> 1) & np.uint32(0x55555555))
         phase = SectorPhase(grid.u * doubles)
-        orbits = {}  # one table per hopping pair, shared by every layer
 
-        self.sector_gates = []
-        self._map: list[tuple[int, float]] = []  # (parameter index, scale) per gate
-
-        def add_interaction(param: int):
-            self.sector_gates.append(phase)
-            self._map.append((param, 0.5))
-
-        def add_matching(param: int, matching: tuple[Edge, ...]):
+        # (gate, its parameter's offset in the layer, scale) of one layer;
+        # every layer repeats these gates on its own parameters
+        layer = [(phase, 0, 0.5)]
+        for offset, matching in enumerate(self.layout.vertical + self.layout.horizontal, 1):
             for i, j in matching:
                 for spin in (UP, DOWN):
                     qubits = qubit_index(i, spin), qubit_index(j, spin)
-                    if qubits not in orbits:
-                        orbits[qubits] = sector_hopping_orbit(hopping_pair(*qubits), self.states)
-                    self.sector_gates.append(orbits[qubits])
-                    self._map.append((param, -grid.t))
-
-        per_layer = self.layout.params_per_layer
-        for layer in range(self.layout.layers):
-            base = layer * per_layer
-            add_interaction(base)
-            offset = 1
-            for matching in self.layout.vertical:
-                add_matching(base + offset, matching)
-                offset += 1
-            for matching in self.layout.horizontal:
-                add_matching(base + offset, matching)
-                offset += 1
-            add_interaction(base)
+                    orbit = sector_hopping_orbit(hopping_pair(*qubits), self.states)
+                    layer.append((orbit, offset, -grid.t))
+        gates, offsets, scales = zip(*layer, layer[0])
+        layers = self.layout.layers
+        self.sector_gates = list(gates) * layers
+        # parameter index and scale of each gate, in circuit order
+        self._index = np.add.outer(np.arange(layers) * self.layout.params_per_layer,
+                                   offsets).ravel()
+        self._scale = np.tile(scales, layers)
 
     @property
     def n_params(self) -> int:
@@ -162,14 +149,12 @@ class HvaAnsatz:
         """Gate angles of a parameter vector."""
         if len(params) != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {len(params)}")
-        return np.array([scale * params[idx] for idx, scale in self._map])
+        return self._scale * np.asarray(params)[self._index]
 
     def fold(self, per_gate: np.ndarray) -> np.ndarray:
         """Per-gate gradients summed back onto the parameters."""
-        grads = np.zeros(self.n_params)
-        for gate_grad, (idx, scale) in zip(per_gate, self._map):
-            grads[idx] += scale * gate_grad
-        return grads
+        # bincount adds each parameter's terms in gate order
+        return np.bincount(self._index, self._scale * per_gate, minlength=self.n_params)
 
     def sector_state(self, params: np.ndarray) -> np.ndarray:
         """The ansatz state over `states`."""
@@ -215,7 +200,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         n_up, n_down = default_filling(grid)
     if reference is None:
         reference = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
-    if not np.array_equal(reference.states, sector_basis(grid.n_qubits, n_up, n_down)):
+    if (reference.n_qubits, reference.n_up, reference.n_down) != (grid.n_qubits, n_up, n_down):
         raise ValueError("reference ground space is not over the run's sector basis")
     if reference.matrix is None or len(reference.matrix_rows) != len(reference.states):
         raise ValueError("reference ground space holds no sector matrix of the whole sector")

@@ -277,9 +277,11 @@ def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
 SECTOR_STATE_BUDGET = 1 << 22
 
 
+@lru_cache(maxsize=None)
 def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
     """Sorted bitstrings with n_up even-qubit and n_down odd-qubit particles,
-    as uint32, so at most 32 qubits.  A sector of more than
+    as uint32, so at most 32 qubits.  Each sector is built once per process
+    and shared as one read-only array.  A sector of more than
     SECTOR_STATE_BUDGET states is a ValueError, raised before anything is
     allocated."""
     if n_qubits % 2:
@@ -301,6 +303,7 @@ def sector_basis(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
                      dtype=np.uint32)
     states = np.bitwise_or.outer(ups, downs).ravel()
     states.sort()
+    states.flags.writeable = False
     return states
 
 

@@ -60,6 +60,6 @@ def sea_block_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
     keeping the matrix of the Fermi sea's block, as a run solves it."""
     space = ground_space(kspace_hamiltonian(grid), grid.n_qubits, n_up, n_down,
                          point_group(grid), keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
-    _read_only(space.vectors, space.states, space.blocks, space.matrix_rows,
+    _read_only(space.vectors, space.blocks, space.matrix_rows,
                space.matrix.data, space.matrix.indices, space.matrix.indptr)
     return space

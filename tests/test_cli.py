@@ -15,6 +15,7 @@ from numpy.lib.format import dtype_to_descr, write_array, write_array_header_1_0
 from vipsa.cli import main
 from vipsa.hamiltonians import _load_fields, _save_fields
 from vipsa.lattice import GridSpec, fermi_sea
+from vipsa.statevector import sector_basis
 
 from builds import sea_block
 
@@ -189,13 +190,15 @@ def append_bytes(path: Path) -> None:
 
 
 def plant_oversized_header(path: Path) -> None:
-    # the states record claims 2^40 entries and holds its real ones; reading
-    # it as the header says would mean allocating terabytes
+    # the ground vectors' record, or the pool's states record, claims 2^40
+    # entries and holds its real ones; reading it as the header says would
+    # mean allocating terabytes
     fields = _load_fields(path, None)
+    name = "vectors" if "vectors" in fields else "states"
     header = BytesIO()
-    write_array_header_1_0(header, {"descr": dtype_to_descr(fields["states"].dtype),
+    write_array_header_1_0(header, {"descr": dtype_to_descr(fields[name].dtype),
                                     "fortran_order": False, "shape": (1 << 40,)})
-    write_records(path, fields, raw={"states": header.getvalue() + fields["states"].tobytes()})
+    write_records(path, fields, raw={name: header.getvalue() + fields[name].tobytes()})
 
 
 def plant_object_record(path: Path) -> None:
@@ -252,12 +255,14 @@ def plant_whole_sector_matrix(path: Path) -> None:
     from vipsa.hamiltonians import GroundSpace, build_kspace, sector_matrix
 
     grid = GridSpec.make(2, 2, u=4.0)
+    states = sector_basis(grid.n_qubits, 2, 2)
     fields = _load_fields(path, None)
     del fields["key"]
-    whole = sector_matrix(build_kspace(grid)[0], fields["states"], grid.n_qubits)
+    whole = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
     assert whole.nnz > fields["matrix_data"].size
-    fields.update(matrix_rows=np.arange(len(fields["states"])), matrix_shape=np.array(whole.shape),
-                  matrix_data=whole.data, matrix_indices=whole.indices, matrix_indptr=whole.indptr)
+    fields.update(states=states, matrix_rows=np.arange(len(states)),
+                  matrix_shape=np.array(whole.shape), matrix_data=whole.data,
+                  matrix_indices=whole.indices, matrix_indptr=whole.indptr)
     _save_fields(path, fields, _grid_key(grid, 2, 2, "k"))
     assert GroundSpace.load(path).matrix.shape == whole.shape
 
@@ -273,14 +278,15 @@ def plant_sector_rows_matrix(path: Path) -> None:
     from oracles import rows_of_block
 
     grid = GridSpec.make(2, 2, u=4.0)
+    states = sector_basis(grid.n_qubits, 2, 2)
     fields = _load_fields(path, None)
     rows = fields.pop("matrix_rows")
-    label = int(momentum_labels(grid, fields["states"][rows[0]]))
-    inside = np.zeros(len(fields["states"]), dtype=bool)
+    label = int(momentum_labels(grid, states[rows[0]]))
+    inside = np.zeros(len(states), dtype=bool)
     inside[rows] = True
-    whole = sector_matrix(build_kspace(grid)[0], fields["states"], grid.n_qubits)
+    whole = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
     php = rows_of_block(whole, inside)
-    fields.update(matrix_block=np.array(label), matrix_shape=np.array(php.shape),
+    fields.update(states=states, matrix_block=np.array(label), matrix_shape=np.array(php.shape),
                   matrix_data=php.data, matrix_indices=php.indices, matrix_indptr=php.indptr)
     del fields["key"]
     _save_fields(path, fields, _grid_key(grid, 2, 2, f"k block {label}"))
@@ -296,7 +302,7 @@ def plant_misfit_matrix(path: Path) -> None:
 def plant_rows_out_of_range(path: Path) -> None:
     fields = _load_fields(path, None)
     rows = fields["matrix_rows"].copy()
-    rows[-1] = len(fields["states"])
+    rows[-1] = len(fields["vectors"])  # the sector's size
     resave(path, matrix_rows=rows)
 
 
@@ -349,6 +355,95 @@ def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     assert cache.stat().st_mtime_ns == stamp  # the rebuilt file is a cache hit
 
 
+def plant_stored_basis(path: Path) -> None:
+    # a file written while the sector bitstrings were stored, after the
+    # vectors, with one bit of the last one flipped so they stay ascending
+    fields = {name: value for name, value in _load_fields(path, None).items() if name != "states"}
+    basis = sector_basis(*(int(fields[name]) for name in ("n_qubits", "n_up", "n_down")))
+    states = basis.copy()
+    states[-1] |= 1
+    assert states[-1] != basis[-1]
+    items = list(fields.items())
+    at = list(fields).index("vectors") + 1
+    _save_fields(path, dict(items[:at] + [("states", states)] + items[at:]), None)
+
+
+@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
+def test_a_stored_basis_is_ignored(tmp_path, capsys, ansatz):
+    # the bitstrings follow from the grid and the sector, so a states record
+    # left in an older file is not read, even when it lies
+    settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 1, "max_inner_steps": 20, "layers": 2}
+    _, cold = run_config(tmp_path, "cold", **settings)
+    cache, = (tmp_path / "cache").glob("ground-*.npys")
+    plant_stored_basis(cache)
+    planted = cache.read_bytes()
+    code, warm = run_config(tmp_path, "warm", **settings)
+    assert code in (0, 2)
+    assert run_artifacts(warm) == run_artifacts(cold)
+    assert cache.read_bytes() == planted  # a cache hit, left as it was
+
+
+def test_a_ground_file_of_another_sector_is_rebuilt(tmp_path, capsys):
+    # 3x3: sector (4,5) has as many states as (5,4), so a file whose n_up and
+    # n_down records are swapped still fits its vectors and rows
+    settings = {"nx": 3, "ny": 3, "u": 6.0, "max_epochs": 1, "max_inner_steps": 2}
+    code, first = run_config(tmp_path, "one", **settings)
+    cache, = (tmp_path / "cache").glob("ground-*.npys")
+    saved = cache.read_bytes()
+    fields = _load_fields(cache, None)
+    resave(cache, n_up=fields["n_down"], n_down=fields["n_up"])
+    again_code, again = run_config(tmp_path, "again", **settings)
+    assert again_code == code == 2
+    assert_same_artifacts(first, again)
+    assert cache.read_bytes() == saved  # rebuilt
+
+
+def plant_moved_row(path: Path) -> None:
+    # the first row of the block with a free next position moves there: the
+    # rows stay ascending, in range and fit the matrix, but one of the
+    # bitstrings they name lies outside the block the pool keeps closed
+    rows = _load_fields(path, None)["matrix_rows"].copy()
+    k = next(k for k, row in enumerate(rows) if row + 1 not in rows)
+    rows[k] += 1
+    resave(path, matrix_rows=rows)
+
+
+def test_a_block_the_pool_leaves_is_one_error_line(tmp_path, capsys):
+    run_config(tmp_path, "one", u=4.0, max_epochs=1)
+    capsys.readouterr()
+    cache, = (tmp_path / "cache").glob("ground-*.npys")
+    plant_moved_row(cache)
+    files = {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()}
+    code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
+    assert code == 1
+    err = one_error_line(capsys)
+    assert str(tmp_path / "cache") in err and "pool operator leaves the sector" in err
+    assert list(again.iterdir()) == []  # no artifact
+    assert {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()} == files
+
+
+@pytest.mark.parametrize("settings", [
+    pytest.param({"nx": 3, "ny": 3, "u": 6.0}, id="adaptive-3x3"),
+    pytest.param({"nx": 2, "ny": 4, "ansatz": "hva", "layers": 1}, id="hva-2x4"),
+])
+def test_warm_run_builds_the_sector_basis_once(tmp_path, capsys, settings):
+    settings = {**settings, "max_epochs": 1, "max_inner_steps": 2}
+    run_config(tmp_path, "cold", **settings)
+    sector_basis.cache_clear()
+    code, _ = run_config(tmp_path, "warm", **settings)
+    assert code in (0, 2)
+    assert sector_basis.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("layers", [0, 100000000])
+def test_adaptive_run_ignores_layers(tmp_path, capsys, layers):
+    # only the layered ansatz has layers, as only the adaptive one has r
+    _, plain = run_config(tmp_path, "plain", u=4.0, max_epochs=1)
+    code, layered = run_config(tmp_path, "layered", u=4.0, max_epochs=1, layers=layers)
+    assert code == 2
+    assert run_artifacts(layered) == run_artifacts(plain)
+
+
 def test_3x3_cache_file_holds_the_sea_block(tmp_path):
     # 3x3 U=6 (5,4): the sea's block is one of 9 blocks of 1764 states, and
     # its matrix stores 89 964 entries over the block's own rows, where the
@@ -362,7 +457,9 @@ def test_3x3_cache_file_holds_the_sea_block(tmp_path):
     fields = _load_fields(path, None)
     assert fields["matrix_data"].size == fields["matrix_indices"].size == 89964
     assert fields["matrix_shape"].tolist() == [1764, 1764]
-    assert label == 3 and fields["states"][fields["matrix_rows"]].tobytes() == block.tobytes()
+    states = sector_basis(grid.n_qubits, 5, 4)
+    assert label == 3 and states[fields["matrix_rows"]].tobytes() == block.tobytes()
+    assert "states" not in fields  # they follow from the grid and the sector
     assert path.stat().st_size < 2_000_000
 
 
@@ -397,7 +494,6 @@ def plant_whole_sector_pool(path: Path) -> None:
     # over the whole sector, under the key that did not name the block
     from vipsa.cli import _grid_key
     from vipsa.core import PoolTables
-    from vipsa.statevector import sector_basis
 
     grid = GridSpec.make(2, 2, u=4.0)
     PoolTables.build(grid, sector_basis(grid.n_qubits, 2, 2)).save(
@@ -408,7 +504,6 @@ def plant_sector_tables_under_the_block_key(path: Path) -> None:
     # tables over the whole sector under the file's own key, which names the
     # block: the key alone cannot refuse them
     from vipsa.core import PoolTables
-    from vipsa.statevector import sector_basis
 
     grid = GridSpec.make(2, 2, u=4.0)
     fields = _load_fields(path, None)
@@ -711,8 +806,8 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, line):
 @pytest.mark.parametrize("body, detail", [
     ("nx = 2\nny = 2\nn_up = 9\nn_down = 1\n", "n_up"),
     ("nx = 2\nny = 2\nn_up = 1\n", "n_down"),
-    ("nx = 2\nny = 2\nlayers = 0\n", "layers"),
-    ("nx = 2\nny = 2\nlayers = 100000000\n", "a layered circuit may hold"),
+    ("nx = 2\nny = 2\nansatz = hva\nlayers = 0\n", "layers"),
+    ("nx = 2\nny = 2\nansatz = hva\nlayers = 100000000\n", "a layered circuit may hold"),
     ("nx = 2\nny = 2\nbc_x = twisted\n", "twisted"),
     ("nx = 2\nny = 3\nbc_x = periodic\n", "periodic x axis"),
     ("nx = 4\nny = 5\n", "32-qubit"),

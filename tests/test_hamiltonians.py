@@ -229,6 +229,16 @@ def test_sector_basis_dimensions():
         sector_basis(8, 5, 0)
 
 
+def test_sector_basis_is_one_read_only_array_per_sector():
+    first = sector_basis(8, 2, 1)
+    assert sector_basis(8, 2, 1) is first and sector_basis(8, 1, 2) is not first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0
+    # a ground space derives its bitstrings, and stores none
+    gs = ground_space(build_real(GridSpec.make(2, 2, u=4.0)), 8, 2, 1)
+    assert gs.states is first
+
+
 def test_an_oversized_sector_is_refused_before_anything_is_allocated():
     # 3x4's (6,6) sector fits the budget; 4x4's (8,8), 165 636 900 states,
     # would take 660 MB of bitstrings alone, and is refused from its binomials
@@ -493,7 +503,7 @@ def test_ground_space_free_sea_and_fidelity():
     random = rng.normal(size=(gs.degeneracy, gs.degeneracy))
     q, _ = np.linalg.qr(random)
     rotated = GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy,
-                          gs.vectors @ q, gs.states, gs.matrix)
+                          gs.vectors @ q, gs.matrix)
     mixed = StateVector(grid.n_qubits,
                         psi.amplitudes * 0.8 + 0.6 * basis_state({0, 1, 2, 3}, 8).amplitudes)
     assert fidelity(mixed, rotated) == pytest.approx(fidelity(mixed, gs), abs=1e-10)
@@ -557,7 +567,7 @@ def test_ground_space_keeps_its_block_labels(tmp_path):
     unlabelled = ground_space(h, grid.n_qubits, 5, 4)
     assert unlabelled.blocks.tolist() == [hamiltonians.UNLABELLED] * 4
     with pytest.raises(ValueError, match="block labels"):
-        GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors, gs.states,
+        GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
                     blocks=gs.blocks[:-1])
 
 
@@ -797,7 +807,7 @@ def test_ground_space_without_matrix_fails_to_load(tmp_path):
         GroundSpace.load(tmp_path / "bare.npys")
     with pytest.raises(ValueError, match="does not fit"):
         GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
-                    gs.states[:-1], gs.matrix)
+                    gs.matrix[:-1, :-1].tocsr())
 
 
 def test_ground_space_load_checks_the_key(tmp_path):
