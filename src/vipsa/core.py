@@ -45,7 +45,8 @@ from .statevector import (
     expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     orbit_overlap,
     register_orbit,
-    sector_expectation_and_gradient,
+    sector_adjoint_sweep,
+    sector_expectation,
     sector_orbit,
     sector_run,
 )
@@ -274,15 +275,20 @@ ADAM_STABILIZER = 1e-8
 def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResult:
     """ADAM with bias correction over an arbitrary parameter vector.
 
-    `evaluate(thetas)` returns (energy, gradient).  Converged means the energy
-    moved less than eps2 between evaluations for convergence_window consecutive
+    `evaluate(thetas)` returns (energy, gradient), where gradient is a
+    callable that returns the gradient at thetas.  ADAM calls it at the
+    starting point and after each step that another step follows, never at
+    the evaluation that ends the pass, whether the step budget or the
+    convergence window ends it.  Converged means the energy moved
+    less than eps2 between evaluations for convergence_window consecutive
     steps; an exactly stationary starting point converges immediately.  The
     best visited point is returned, so a pass can never raise the energy.
     """
     thetas = np.array(thetas, dtype=float)
-    energy, grads = evaluate(thetas)
+    energy, gradient = evaluate(thetas)
     if not math.isfinite(energy):
         raise RuntimeError(f"non-finite energy {energy} at the starting point")
+    grads = gradient()
     if len(thetas) == 0 or np.abs(grads).max() == 0.0:
         return AdamResult(thetas, energy, np.array([energy]), 0, True)
 
@@ -298,7 +304,7 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResu
         v_hat = v / (1.0 - ADAM_BETA2 ** step)
         thetas = thetas - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_STABILIZER)
         previous = energy
-        energy, grads = evaluate(thetas)
+        energy, gradient = evaluate(thetas)
         if not math.isfinite(energy):
             raise RuntimeError(f"non-finite energy {energy} at inner step {step}")
         energies.append(energy)
@@ -309,14 +315,35 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResu
         if streak >= config.convergence_window:
             converged = True
             break
+        if step < config.max_inner_steps:
+            grads = gradient()
     return AdamResult(best_thetas, best_energy, np.array(energies), steps, converged)
 
 
 def adam_optimize(x0: np.ndarray, orbits, thetas: np.ndarray, h,
-                  config: VipsaConfig) -> AdamResult:
-    """Re-optimize every angle of the sector circuit `orbits`, starting at thetas."""
-    return adam_minimize(
-        thetas, lambda t: sector_expectation_and_gradient(x0, orbits, t, h), config)
+                  config: VipsaConfig) -> tuple[AdamResult, np.ndarray | None]:
+    """Re-optimize every angle of the sector circuit `orbits`, starting at thetas.
+
+    Returns the AdamResult and, when its best point is the evaluation that
+    ended the pass, that evaluation's forward state, which no gradient
+    sweep has overwritten; else None in its place.
+    """
+    closing = {}  # the last evaluation's angles and state, until a sweep overwrites it
+
+    def evaluate(t):
+        energy, x, b = sector_expectation(x0, orbits, t, h)
+        closing.update(thetas=t, state=x)
+
+        def gradient():
+            closing.clear()
+            return sector_adjoint_sweep(orbits, t, x, b)
+
+        return energy, gradient
+
+    outcome = adam_minimize(thetas, evaluate, config)
+    if closing and np.array_equal(closing["thetas"], outcome.thetas):
+        return outcome, closing["state"]
+    return outcome, None
 
 
 @dataclass(frozen=True)
@@ -384,8 +411,11 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     so a trace always shows the state the loop stopped in.
 
     The loop works on one real vector over the block's bitstrings, in sector
-    order, with every pool generator as an orbit table into it.  The result
-    names the rotations by pool label, with their final angles.
+    order, with every pool generator as an orbit table into it.  An epoch's
+    fidelity and the next screen read the state at ADAM's best angles: the
+    state adam_optimize hands back, or a fresh sector_run if it hands back
+    none.  The result names the rotations by pool label, with their final
+    angles.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
@@ -441,10 +471,11 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         chosen = select(grads, config.r, labels)
         gates.extend(chosen)
         circuit_orbits = [orbits[i] for i in gates]
-        outcome = adam_optimize(x0, circuit_orbits, np.append(thetas, np.zeros(len(chosen))),
-                                h, config)
+        outcome, x = adam_optimize(x0, circuit_orbits,
+                                   np.append(thetas, np.zeros(len(chosen))), h, config)
         thetas = outcome.thetas
-        x = sector_run(x0, circuit_orbits, thetas)
+        if x is None:
+            x = sector_run(x0, circuit_orbits, thetas)
         record = EpochRecord(
             epoch=epoch,
             max_gradient=max_gradient,

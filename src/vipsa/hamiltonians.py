@@ -494,10 +494,11 @@ class GroundSpace:
         more time than reading the raw arrays back."""
         if self.matrix is None:
             raise ValueError("a ground space is saved with its sector matrix, and this one has none")
+        # rows of the whole sector are left out; load reads their absence as all of them
+        rows = {} if len(self.matrix_rows) == len(self.states) else {"matrix_rows": self.matrix_rows}
         _save_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
                             "n_down": self.n_down, "energy": self.energy,
-                            "vectors": self.vectors, "blocks": self.blocks,
-                            "matrix_rows": self.matrix_rows,
+                            "vectors": self.vectors, "blocks": self.blocks, **rows,
                             "matrix_shape": np.array(self.matrix.shape),
                             "matrix_data": self.matrix.data, "matrix_indices": self.matrix.indices,
                             "matrix_indptr": self.matrix.indptr}, key)
@@ -506,16 +507,17 @@ class GroundSpace:
     def load(cls, path, key: str | None = None) -> "GroundSpace":
         """Read a saved ground space; with a key, raise ValueError unless the
         file was saved under the same key.  A file without a field it needs
-        (one saved before the matrix or its block's rows were stored, say)
-        raises KeyError; a `states` record, from before sector_basis derived
-        the bitstrings, is ignored."""
+        (one saved before the matrix or the block labels were stored, say)
+        raises KeyError; one without `matrix_rows` keeps the whole sector's
+        rows; a `states` record, from before sector_basis derived the
+        bitstrings, is ignored."""
         data = _load_fields(path, key)
         matrix = scipy.sparse.csr_matrix(
             (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
             shape=tuple(int(n) for n in data["matrix_shape"]))
         return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
                    float(data["energy"]), data["vectors"], matrix,
-                   data["blocks"], data["matrix_rows"])
+                   data["blocks"], data.get("matrix_rows"))
 
     def sector_fidelity(self, x: np.ndarray) -> float:
         """Total squared overlap with a state given over `states`."""

@@ -210,6 +210,8 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     history: list[np.ndarray] = []  # the parameter vector of each record
 
     def evaluate(params):
+        # the gradient is taken at every evaluation, even the one that ends
+        # the pass, because every record stores its max|g|
         thetas = ansatz.angles(params)
         final = sector_run(ansatz.x0, ansatz.sector_gates, thetas)
         fid = reference.sector_fidelity(final)  # before the gradient sweep reuses the buffer
@@ -219,11 +221,11 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         records.append(EpochRecord(len(records), float(np.abs(grads).max()), (),
                                    ansatz.n_params, 1, energy, fid))
         history.append(params.copy())
-        return energy, grads
+        return energy, lambda: grads
 
     start = np.zeros(ansatz.n_params)
-    _, grads0 = evaluate(start)
-    if np.abs(grads0).max() <= STATIONARY_TOL:
+    _, gradient0 = evaluate(start)
+    if np.abs(gradient0()).max() <= STATIONARY_TOL:
         start = np.full(ansatz.n_params, STATIONARY_KICK)
     outcome: AdamResult = adam_minimize(start, evaluate, config)
     status = "converged" if outcome.converged else "exhausted"

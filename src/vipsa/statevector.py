@@ -438,7 +438,12 @@ def apply_generator(gate: Orbit | SectorPhase, x: np.ndarray) -> np.ndarray:
 
 
 def rotate_sector(x: np.ndarray, gate: Orbit | SectorPhase, theta: float) -> None:
-    """exp(theta*G) applied in place, for an orbit table or a diagonal phase."""
+    """exp(theta*G) applied in place, for an orbit table or a diagonal phase.
+
+    At theta exactly 0 (or -0.0) x is left as it is: the rotation would
+    only change the sign of an exact zero amplitude."""
+    if theta == 0.0:
+        return
     if isinstance(gate, SectorPhase):
         x *= _phase_factors(gate, theta)
     else:
@@ -455,7 +460,8 @@ def sector_overlap(gate: Orbit | SectorPhase, phi: np.ndarray, psi: np.ndarray):
 def sector_run(x0: np.ndarray, gates, thetas) -> np.ndarray:
     """The gates exp(thetas[k] * G_k), in order, applied to a copy of x0.
 
-    The copy is complex only if x0 or a generator's phase is.
+    The copy is complex only if x0 or a generator's phase is.  A gate at
+    angle 0 is skipped, as rotate_sector skips it.
     """
     x = x0.astype(np.result_type(x0, *{gate.phase for gate in gates}))
     for gate, theta in zip(gates, thetas):
@@ -601,41 +607,59 @@ def circuit_gradient(circuit: AnsatzCircuit, h: PauliSum) -> np.ndarray:
     return grads
 
 
-def sector_expectation_and_gradient(x0: np.ndarray, gates, thetas, h,
-                                    final: np.ndarray | None = None):
-    """expectation_and_gradient for orbit rotations and diagonal phases on a
-    sector vector.
+def sector_expectation(x0: np.ndarray, gates, thetas, h, final: np.ndarray | None = None):
+    """The energy half of sector_expectation_and_gradient: (energy, x, b),
+    with x = sector_run(x0, gates, thetas), or final if given, and b = h @ x.
+    sector_adjoint_sweep takes x and b as its buffers."""
+    x = sector_run(x0, gates, thetas) if final is None else final
+    b = h @ x
+    return float(np.vdot(x, b).real), x, b
 
-    x0 is the initial state and h a Hermitian matrix, both over the same
-    sector basis as the gates; final, if given, is sector_run(x0, gates,
-    thetas) and is used as the sweep's buffer.  The forward state and the
-    back-propagated h|psi> are rotated in place, so one evaluation allocates
-    two vectors of sector length.  Real x0, h and phases keep both real.
+
+def sector_adjoint_sweep(gates, thetas, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The gradient half of sector_expectation_and_gradient: the per-gate
+    gradient from the state x after the last gate and b = h @ x, which it
+    rotates back in place to the state after the first gate.
 
     Each gate's work is fused: an orbit gate gathers the src and dst slices
     of both vectors once, takes its overlap from them and rotates both back
     with one set of coefficients; a phase gate builds its factors once for
-    both.  The arithmetic is that of sector_overlap followed by two
-    rotate_sector calls, so the results are the same to the bit.
+    both.  A gate at angle 0 is only overlapped, not rotated.  The
+    arithmetic is that of sector_overlap followed by two rotate_sector
+    calls, so the results are the same to the bit.
     """
-    x = sector_run(x0, gates, thetas) if final is None else final
-    b = h @ x
-    energy = float(np.vdot(x, b).real)
     grads = np.zeros(len(gates))
     for pos in range(len(gates) - 1, -1, -1):
-        gate = gates[pos]
+        gate, theta = gates[pos], thetas[pos]
+        rotate = pos > 0 and theta != 0.0
         if isinstance(gate, SectorPhase):
             grads[pos] = 2.0 * sector_overlap(gate, b, x).real
-            if pos:
-                factors = _phase_factors(gate, -thetas[pos])
+            if rotate:
+                factors = _phase_factors(gate, -theta)
                 x *= factors
                 b *= factors
             continue
         src, dst = gate.src, gate.dst
         x_src, x_dst, b_src, b_dst = x[src], x[dst], b[src], b[dst]
         grads[pos] = 2.0 * _pair_overlap(gate, b_src, b_dst, x_src, x_dst).real
-        if pos:
-            rotation = _rotation(gate, -thetas[pos])
+        if rotate:
+            rotation = _rotation(gate, -theta)
             _rotate_pairs(x, gate, x_src, x_dst, rotation)
             _rotate_pairs(b, gate, b_src, b_dst, rotation)
-    return energy, grads
+    return grads
+
+
+def sector_expectation_and_gradient(x0: np.ndarray, gates, thetas, h,
+                                    final: np.ndarray | None = None):
+    """expectation_and_gradient for orbit rotations and diagonal phases on a
+    sector vector: sector_expectation, then sector_adjoint_sweep.
+
+    x0 is the initial state and h a Hermitian matrix, both over the same
+    sector basis as the gates; final, if given, is sector_run(x0, gates,
+    thetas) and is used as the sweep's buffer.  The forward state and the
+    back-propagated h|psi> are rotated in place, so one evaluation allocates
+    two vectors of sector length.  Real x0, h and phases keep both real.
+    Gates at angle 0 are neither run nor rotated back.
+    """
+    energy, x, b = sector_expectation(x0, gates, thetas, h, final)
+    return energy, sector_adjoint_sweep(gates, thetas, x, b)

@@ -8,8 +8,10 @@ Basis convention matches the package: basis index s has bit q equal to
 the occupation of qubit q (qubit 0 is the least significant bit).
 
 `per_gate_sweep` is the exception: it is the adjoint sweep written gate by
-gate through the library's own single-gate kernels, the reference the fused
-sweep must match to the bit.  So are the letter-tuple Pauli product, the
+gate through the library's own single-gate kernels, rotating every gate as
+`run_every_gate` does, the reference the fused sweep must match to the bit.
+`eager_adam_optimize` is likewise the library's ADAM pass as it ran before
+gradients were taken on demand.  So are the letter-tuple Pauli product, the
 staged letter-tuple Jordan-Wigner expansion, the per-term (x, z)-keyed
 expansion with the dict-built Pauli sums and Hamiltonian builders on it,
 the letter-tuple compile and the per-string sector matrix at the end: they
@@ -33,7 +35,16 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from vipsa.core import PoolTables
+import math
+
+from vipsa.core import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_LR,
+    ADAM_STABILIZER,
+    AdamResult,
+    PoolTables,
+)
 from vipsa.fermions import (
     ANNIHILATE,
     COEFF_DROP_TOL,
@@ -47,7 +58,13 @@ from vipsa.fermions import (
 )
 from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, interaction_quadruples, sector_basis, sector_matrix
 from vipsa.lattice import DOWN, UP, enumerate_modes, fermi_sea, hopping_edges, qubit_index
-from vipsa.statevector import rotate_sector, sector_overlap, sector_run
+from vipsa.statevector import (
+    SectorPhase,
+    _phase_factors,
+    rotate_orbit,
+    sector_expectation_and_gradient,
+    sector_overlap,
+)
 
 from builds import whole_sector_matrix
 
@@ -153,20 +170,76 @@ def lowest_sector_values(h, n_qubits: int, n_up: int, n_down: int, how_many: int
     return np.sort(np.concatenate(values))[:how_many]
 
 
+def rotate_every_gate(x, gate, theta) -> None:
+    """rotate_sector without its skip: a gate at angle 0 rotates too."""
+    if isinstance(gate, SectorPhase):
+        x *= _phase_factors(gate, theta)
+    else:
+        rotate_orbit(x, gate, theta)
+
+
+def run_every_gate(x0, gates, thetas):
+    """sector_run with every gate rotated, at angle 0 too."""
+    x = x0.astype(np.result_type(x0, *{gate.phase for gate in gates}))
+    for gate, theta in zip(gates, thetas):
+        rotate_every_gate(x, gate, theta)
+    return x
+
+
 def per_gate_sweep(x0, gates, thetas, h, final=None):
     """sector_expectation_and_gradient as one overlap and two separate
-    rotations per gate: each call gathers its own slices and builds its own
-    coefficients."""
-    x = sector_run(x0, gates, thetas) if final is None else final
+    rotations per gate, at angle 0 too: each call gathers its own slices and
+    builds its own coefficients."""
+    x = run_every_gate(x0, gates, thetas) if final is None else final
     b = h @ x
     energy = float(np.vdot(x, b).real)
     grads = np.zeros(len(gates))
     for pos in range(len(gates) - 1, -1, -1):
         grads[pos] = 2.0 * sector_overlap(gates[pos], b, x).real
         if pos:
-            rotate_sector(x, gates[pos], -thetas[pos])
-            rotate_sector(b, gates[pos], -thetas[pos])
+            rotate_every_gate(x, gates[pos], -thetas[pos])
+            rotate_every_gate(b, gates[pos], -thetas[pos])
     return energy, grads
+
+
+def eager_adam_optimize(x0, orbits, thetas, h, config):
+    """core.adam_optimize as the pass ran with a gradient at every
+    evaluation: the evaluation that ends the pass sweeps its gradient too,
+    and no state is handed back, so the run computes it again."""
+    def evaluate(t):
+        return sector_expectation_and_gradient(x0, orbits, t, h)
+
+    thetas = np.array(thetas, dtype=float)
+    energy, grads = evaluate(thetas)
+    if not math.isfinite(energy):
+        raise RuntimeError(f"non-finite energy {energy} at the starting point")
+    if len(thetas) == 0 or np.abs(grads).max() == 0.0:
+        return AdamResult(thetas, energy, np.array([energy]), 0, True), None
+
+    best_energy, best_thetas = energy, thetas.copy()
+    energies = [energy]
+    m = np.zeros_like(thetas)
+    v = np.zeros_like(thetas)
+    steps, streak, converged = 0, 0, False
+    for step in range(1, config.max_inner_steps + 1):
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads ** 2
+        m_hat = m / (1.0 - ADAM_BETA1 ** step)
+        v_hat = v / (1.0 - ADAM_BETA2 ** step)
+        thetas = thetas - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_STABILIZER)
+        previous = energy
+        energy, grads = evaluate(thetas)
+        if not math.isfinite(energy):
+            raise RuntimeError(f"non-finite energy {energy} at inner step {step}")
+        energies.append(energy)
+        steps = step
+        if energy < best_energy:
+            best_energy, best_thetas = energy, thetas.copy()
+        streak = streak + 1 if abs(energy - previous) < config.eps2 else 0
+        if streak >= config.convergence_window:
+            converged = True
+            break
+    return AdamResult(best_thetas, best_energy, np.array(energies), steps, converged), None
 
 
 # ---------------------------------------------------------------------------

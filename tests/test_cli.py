@@ -292,6 +292,23 @@ def plant_sector_rows_matrix(path: Path) -> None:
     _save_fields(path, fields, _grid_key(grid, 2, 2, f"k block {label}"))
 
 
+def plant_label_for_rows(path: Path) -> None:
+    # what the file held before the block's rows were stored: the block's
+    # label in their place, under the same key.  Read without rows, the
+    # block's matrix does not fit the whole sector
+    from vipsa.lattice import momentum_labels
+
+    grid = GridSpec.make(2, 2, u=4.0)
+    states = sector_basis(grid.n_qubits, 2, 2)
+    fields = _load_fields(path, None)
+    rows = fields["matrix_rows"]
+    assert len(rows) < len(states)
+    label = np.array(int(momentum_labels(grid, states[rows[0]])))
+    _save_fields(path, {("matrix_block" if name == "matrix_rows" else name):
+                        (label if name == "matrix_rows" else value)
+                        for name, value in fields.items()}, None)
+
+
 def plant_misfit_matrix(path: Path) -> None:
     from vipsa.hamiltonians import GroundSpace
     block = GroundSpace.load(path).matrix[:-1, :-1].tocsr()
@@ -335,7 +352,8 @@ def assert_same_artifacts(first: Path, again: Path) -> None:
                                                   plant_misfit_vectors, plant_scalar_vector,
                                                   plant_unlabelled, plant_whole_sector_matrix,
                                                   plant_sector_rows_matrix, plant_rows_out_of_range,
-                                                  plant_unsorted_rows, plant_rows_one_short])
+                                                  plant_unsorted_rows, plant_rows_one_short,
+                                                  plant_label_for_rows])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
@@ -368,19 +386,37 @@ def plant_stored_basis(path: Path) -> None:
     _save_fields(path, dict(items[:at] + [("states", states)] + items[at:]), None)
 
 
-@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
-def test_a_stored_basis_is_ignored(tmp_path, capsys, ansatz):
-    # the bitstrings follow from the grid and the sector, so a states record
-    # left in an older file is not read, even when it lies
+def plant_whole_sector_rows(path: Path) -> None:
+    # a site-register file written while the whole sector's rows were stored
+    fields = _load_fields(path, None)
+    assert "matrix_rows" not in fields
+    items = list(fields.items())
+    at = list(fields).index("blocks") + 1
+    rows = [("matrix_rows", np.arange(len(fields["vectors"])))]
+    _save_fields(path, dict(items[:at] + rows + items[at:]), None)
+
+
+def assert_planted_file_is_a_hit(tmp_path, ansatz, plant) -> None:
     settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 1, "max_inner_steps": 20, "layers": 2}
     _, cold = run_config(tmp_path, "cold", **settings)
     cache, = (tmp_path / "cache").glob("ground-*.npys")
-    plant_stored_basis(cache)
+    plant(cache)
     planted = cache.read_bytes()
     code, warm = run_config(tmp_path, "warm", **settings)
     assert code in (0, 2)
     assert run_artifacts(warm) == run_artifacts(cold)
     assert cache.read_bytes() == planted  # a cache hit, left as it was
+
+
+@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
+def test_a_stored_basis_is_ignored(tmp_path, capsys, ansatz):
+    # the bitstrings follow from the grid and the sector, so a states record
+    # left in an older file is not read, even when it lies
+    assert_planted_file_is_a_hit(tmp_path, ansatz, plant_stored_basis)
+
+
+def test_a_site_file_with_its_rows_record_is_a_hit(tmp_path, capsys):
+    assert_planted_file_is_a_hit(tmp_path, "hva", plant_whole_sector_rows)
 
 
 def test_a_ground_file_of_another_sector_is_rebuilt(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import vipsa
+from vipsa import core
 from vipsa.core import (
     ADAM_LR,
     PoolTables,
@@ -52,7 +53,7 @@ from vipsa.statevector import (
     sector_run,
 )
 from builds import sea_block, sea_block_space
-from oracles import dense_pauli_sum, whole_sector_run_operands
+from oracles import dense_pauli_sum, eager_adam_optimize, whole_sector_run_operands
 from replay import adaptive_circuit, refuse_full_register, refuse_pauli_path
 
 
@@ -263,7 +264,7 @@ def test_select_rejects_bad_ratio():
 def quadratic(center):
     def evaluate(thetas):
         delta = thetas - center
-        return float(delta @ delta), 2.0 * delta
+        return float(delta @ delta), lambda: 2.0 * delta
     return evaluate
 
 
@@ -283,7 +284,7 @@ def test_adam_first_step_is_lr_sized():
 
 
 def test_adam_zero_gradient_converges_immediately():
-    result = adam_minimize(np.array([0.7]), lambda t: (1.5, np.zeros(1)), VipsaConfig())
+    result = adam_minimize(np.array([0.7]), lambda t: (1.5, lambda: np.zeros(1)), VipsaConfig())
     assert result.converged and result.steps == 0
     assert result.thetas[0] == 0.7 and result.energy == 1.5
 
@@ -299,7 +300,7 @@ def test_adam_returns_best_visited_point():
     energies = iter([5.0, 3.0, 1.0, 4.0, 4.0, 4.0])
 
     def bouncy(thetas):
-        return next(energies), np.array([1.0])
+        return next(energies), lambda: np.array([1.0])
 
     config = VipsaConfig(max_inner_steps=5, eps2=0.5, convergence_window=2)
     result = adam_minimize(np.zeros(1), bouncy, config)
@@ -308,7 +309,7 @@ def test_adam_returns_best_visited_point():
 
 def test_adam_rejects_non_finite_energy():
     with pytest.raises(RuntimeError):
-        adam_minimize(np.zeros(1), lambda t: (float("nan"), np.ones(1)), VipsaConfig())
+        adam_minimize(np.zeros(1), lambda t: (float("nan"), lambda: np.ones(1)), VipsaConfig())
 
 
 def test_adam_is_deterministic():
@@ -326,6 +327,71 @@ def test_adam_is_deterministic():
     (first, first_history), (second, second_history) = run(), run()
     assert np.array_equal(first_history, second_history)
     assert np.array_equal(first.energies, second.energies)
+
+
+def counted(evaluate):
+    """evaluate, and a count of the energies it returned and of the
+    gradients taken from them."""
+    counts = {"energies": 0, "gradients": 0}
+
+    def counting(thetas):
+        energy, gradient = evaluate(thetas)
+        counts["energies"] += 1
+
+        def take():
+            counts["gradients"] += 1
+            return gradient()
+
+        return energy, take
+
+    return counting, counts
+
+
+@pytest.mark.parametrize("config, energies, converged", [
+    (VipsaConfig(max_inner_steps=3), 4, False),  # the budget ends the pass
+    (VipsaConfig(max_inner_steps=50, eps2=10.0, convergence_window=2), 3, True),  # the window
+])
+def test_adam_takes_no_gradient_at_the_closing_evaluation(config, energies, converged):
+    # one gradient at the start and one after each step but the last
+    evaluate, counts = counted(quadratic(np.array([1.0, -2.0, 0.5])))
+    result = adam_minimize(np.zeros(3), evaluate, config)
+    assert (result.steps, result.converged) == (energies - 1, converged)
+    assert counts == {"energies": energies, "gradients": energies - 1}
+
+
+def test_adam_takes_one_gradient_at_a_stationary_start():
+    evaluate, counts = counted(quadratic(np.zeros(2)))
+    result = adam_minimize(np.zeros(2), evaluate, VipsaConfig())
+    assert result.converged and result.steps == 0
+    assert counts == {"energies": 1, "gradients": 1}
+
+
+# ADAM passes ended by the budget and by the window, whose best point is the
+# closing evaluation (its state is kept) or an earlier one (the run computes
+# it), and runs that end on the gradient test, whose terminal record reads
+# the kept state
+ENDINGS = [((2, 2), {"max_epochs": 3, "max_inner_steps": 6}),
+           ((2, 2), {"max_epochs": 4, "eps1": 0.5, "max_inner_steps": 20}),
+           ((2, 2), {"max_epochs": 4, "eps2": 0.05, "convergence_window": 2}),
+           ((2, 3), {"max_epochs": 2, "max_inner_steps": 8}),
+           ((2, 3), {"max_epochs": 3, "eps1": 0.3, "eps2": 1e-3, "convergence_window": 3,
+                     "max_inner_steps": 60})]
+
+
+@pytest.mark.parametrize("shape, settings", ENDINGS)
+def test_lazy_gradients_and_the_kept_state_change_no_bit(monkeypatch, shape, settings):
+    # the run against one whose ADAM passes sweep a gradient at every
+    # evaluation and hand back no state
+    grid = GridSpec.make(*shape, u=4.0)
+    config = VipsaConfig(**settings)
+    reference = sea_block_space(grid, *default_filling(grid))
+    lazy = vipsa_run(grid, config=config, reference=reference)
+    monkeypatch.setattr(core, "adam_optimize", eager_adam_optimize)
+    eager = vipsa_run(grid, config=config, reference=reference)
+    assert lazy.records == eager.records and lazy.status == eager.status
+    assert lazy.gates == eager.gates
+    assert lazy.thetas.tobytes() == eager.thetas.tobytes()
+    assert np.array(lazy.step_energies).tobytes() == np.array(eager.step_energies).tobytes()
 
 
 def test_config_validation():

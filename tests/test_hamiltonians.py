@@ -846,7 +846,13 @@ def test_cache_files_round_trip_bit_exactly(tmp_path, kind):
                              keep_block_of=fermi_sea(grid, 3, 2).bitstring())
     saved.save(tmp_path / "first.npys", key=kind)
     loaded = type(saved).load(tmp_path / "first.npys", key=kind)
-    want, got = cache_fields(saved), cache_fields(loaded)
+    assert_same_cache_fields(loaded, saved)
+    loaded.save(tmp_path / "again.npys", key=kind)
+    assert (tmp_path / "again.npys").read_bytes() == (tmp_path / "first.npys").read_bytes()
+
+
+def assert_same_cache_fields(got, want) -> None:
+    want, got = cache_fields(want), cache_fields(got)
     assert got.keys() == want.keys()
     for name, value in want.items():
         assert type(got[name]) is type(value), name
@@ -855,8 +861,27 @@ def test_cache_files_round_trip_bit_exactly(tmp_path, kind):
             assert got[name].tobytes() == value.tobytes(), name
         else:
             assert got[name] == value, name
-    loaded.save(tmp_path / "again.npys", key=kind)
-    assert (tmp_path / "again.npys").read_bytes() == (tmp_path / "first.npys").read_bytes()
+
+
+def test_whole_sector_rows_are_not_saved(tmp_path):
+    # a site-register space keeps the whole sector's matrix, whose rows say
+    # nothing its shape does not: the file leaves them out and loads them as
+    # every row, and a file that still holds them loads the same
+    grid = GridSpec.make(2, 4, u=4.0)
+    gs = ground_space(build_real(grid), grid.n_qubits, 4, 4)
+    gs.save(tmp_path / "space.npys", key="real 2x4")
+    fields = hamiltonians._load_fields(tmp_path / "space.npys", None)
+    assert "matrix_rows" not in fields
+    # the record where a file written before it was left out holds it
+    items = list(fields.items())
+    at = list(fields).index("blocks") + 1
+    rows = [("matrix_rows", np.arange(len(gs.states)))]
+    hamiltonians._save_fields(tmp_path / "with-rows.npys", dict(items[:at] + rows + items[at:]),
+                              None)
+    for name in ("space.npys", "with-rows.npys"):
+        loaded = GroundSpace.load(tmp_path / name, key="real 2x4")
+        assert_same_cache_fields(loaded, gs)
+        np.testing.assert_array_equal(loaded.matrix_rows, np.arange(len(gs.states)))
 
 
 def test_cache_records_are_sized_before_anything_is_allocated(tmp_path):

@@ -15,6 +15,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vipsa import statevector
 from vipsa.core import build_pool, pool_gradients, sector_pool_gradients
 from vipsa.fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, hopping_pair
 from vipsa.hamiltonians import (
@@ -52,7 +53,7 @@ from vipsa.statevector import (
     sector_run,
 )
 
-from oracles import dense_ladder_term, dense_pauli_sum, per_gate_sweep
+from oracles import dense_ladder_term, dense_pauli_sum, per_gate_sweep, run_every_gate
 
 TOL = 1e-12
 
@@ -363,7 +364,9 @@ def test_orbit_check_rejects_tables_that_are_not_disjoint_pairs():
 
 def sweep_matches_per_gate(x0, gates, thetas, h):
     """The fused sweep and the per-gate oracle agree to the bit, with and
-    without a precomputed final state."""
+    without a precomputed final state, and so do sector_run and a run that
+    rotates every gate, at angle 0 too."""
+    assert np.array_equal(sector_run(x0, gates, thetas), run_every_gate(x0, gates, thetas))
     energy, grads = sector_expectation_and_gradient(x0, gates, thetas, h)
     want_energy, want_grads = per_gate_sweep(x0, gates, thetas, h)
     assert energy == want_energy
@@ -473,3 +476,44 @@ def test_fused_sweep_matches_per_gate_sweep_on_hva_gates(shape, seed, layers, sh
         gates = [gates[i] for i in rng.integers(len(gates), size=len(gates))]
     thetas = rng.uniform(-np.pi, np.pi, size=len(gates))
     sweep_matches_per_gate(ansatz.x0, gates, thetas, h)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_gates_at_angle_zero_change_no_value(shape, zero):
+    # a gate at exactly 0 is skipped, first and last gates included: real
+    # pool tables, then complex hopping tables and the interaction phase
+    _, _, sector, pool, orbits = grid_problem(*shape, 4.0)
+    rng = np.random.default_rng(11)
+    gates = [orbits[i] for i in rng.integers(len(pool), size=20)]
+    thetas = rng.uniform(-np.pi, np.pi, size=20)
+    thetas[[0, 3, 4, 11, 19]] = zero
+    sweep_matches_per_gate(random_sector_vector(sector.states, 11), gates, thetas,
+                           sector.matrix.real)
+    ansatz, h = hva_gates(*shape, 2)
+    thetas = rng.uniform(-np.pi, np.pi, size=len(ansatz.sector_gates))
+    thetas[::3] = zero
+    thetas[-1] = zero
+    sweep_matches_per_gate(ansatz.x0, ansatz.sector_gates, thetas, h)
+
+
+def test_gates_at_angle_zero_do_no_rotation(monkeypatch):
+    # at the all-zero point neither the run nor the sweep builds a rotation,
+    # and every gate still gets its gradient
+    ansatz, hva_h = hva_gates(2, 2, 1)
+    _, _, sector, _, orbits = grid_problem(2, 2, 4.0)
+    cases = [(ansatz.x0, ansatz.sector_gates, hva_h),
+             (random_sector_vector(sector.states, 3), orbits, sector.matrix.real)]
+    want = [per_gate_sweep(x0, gates, np.zeros(len(gates)), h) for x0, gates, h in cases]
+
+    def refuse(*args):
+        raise AssertionError("a gate at angle 0 was rotated")
+
+    for name in ("_rotation", "_phase_factors"):
+        monkeypatch.setattr(statevector, name, refuse)
+    for (x0, gates, h), (want_energy, want_grads) in zip(cases, want):
+        zeros = np.zeros(len(gates))
+        assert np.array_equal(sector_run(x0, gates, zeros), x0)
+        energy, grads = sector_expectation_and_gradient(x0, gates, zeros, h)
+        assert energy == want_energy
+        np.testing.assert_array_equal(grads, want_grads)
