@@ -10,7 +10,6 @@ error.
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -18,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from . import cache
 from .core import VipsaConfig
 from .lattice import GridSpec
 
@@ -159,39 +159,6 @@ def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
             f"{grid.t!r} {grid.u!r} {n_up} {n_down}")
 
 
-# what a load method raises on a file it cannot read, one of another format,
-# one saved under another key, without a field it needs, with a scalar field
-# of another shape, or with fields that do not fit together
-UNREADABLE_CACHE = (OSError, EOFError, ValueError, KeyError, TypeError)
-
-
-def _cached(cache_dir: Path, stem: str, key: str, kind, build, fits=lambda loaded: True):
-    """kind.load of the file for key in cache_dir, or build() saved there.
-
-    A file that cannot be read, holds another key or fails fits is rebuilt
-    and replaced; a new file is written next to its final name and renamed
-    into place, so a crash mid-write leaves no partial file there.
-    """
-    digest = hashlib.sha256(key.encode()).hexdigest()
-    path = cache_dir / f"{stem}-{digest[:12]}.npys"
-    if path.exists():
-        try:
-            if fits(loaded := kind.load(path, key)):
-                return loaded
-        except UNREADABLE_CACHE:
-            pass
-    result = build()
-    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "wb") as handle:
-            result.save(handle, key)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    return result
-
-
 def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_block_of=None):
     """The ground space in the requested register: the mode register is
     solved one point-group class at a time on its total-momentum blocks,
@@ -214,10 +181,9 @@ def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path
     register, whose space keeps its whole sector.
 
     The file stores its cache key, which names the kept block, that matrix
-    and its rows, so a hit needs no Hamiltonian build.  One that cannot be
-    read, holds another key or another sector is rebuilt (see _cached);
-    GroundSpace refuses rows that do not fit its matrix.  cache_dir must
-    exist; with None the space is solved and nothing is read or written.
+    and its rows, so a hit needs no Hamiltonian build; a file of another
+    sector is rebuilt (see cache.cached).  cache_dir must exist; with None
+    the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace
     from .lattice import fermi_sea
@@ -227,26 +193,26 @@ def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path
     if cache_dir is None:
         return solve_ground_space(grid, n_up, n_down, register, sea)
     artifact = register if sea_label is None else f"k solved on block {sea_label}"
-    return _cached(cache_dir, f"ground-{register}-{grid.label()}",
-                   _grid_key(grid, n_up, n_down, artifact), GroundSpace,
-                   lambda: solve_ground_space(grid, n_up, n_down, register, sea),
-                   lambda space: (space.n_qubits, space.n_up, space.n_down)
-                   == (grid.n_qubits, n_up, n_down))
+    return cache.cached(cache_dir, f"ground-{register}-{grid.label()}",
+                        _grid_key(grid, n_up, n_down, artifact), GroundSpace,
+                        lambda: solve_ground_space(grid, n_up, n_down, register, sea),
+                        lambda space: (space.n_qubits, space.n_up, space.n_down)
+                        == (grid.n_qubits, n_up, n_down))
 
 
 def cached_pool_tables(grid, n_up: int, n_down: int, block, cache_dir: Path):
     """The adaptive pool's orbit tables over the Fermi sea's momentum block,
-    given as (label, bitstrings), reusing an on-disk artifact (see _cached)
+    given as (label, bitstrings), reusing an on-disk artifact (see cache.cached)
     whose key names the block; tables over other bitstrings are rebuilt,
     and a block the pool leaves is one error line.  cache_dir must exist."""
     from .core import PoolTables
 
     label, states = block
     with library_checks(f"the block that the ground file in {cache_dir} keeps"):
-        return _cached(cache_dir, f"pool-{grid.label()}",
-                       _grid_key(grid, n_up, n_down, f"pool on block {label}"), PoolTables,
-                       lambda: PoolTables.build(grid, states),
-                       lambda tables: tables.states.tobytes() == states.tobytes())
+        return cache.cached(cache_dir, f"pool-{grid.label()}",
+                            _grid_key(grid, n_up, n_down, f"pool on block {label}"), PoolTables,
+                            lambda: PoolTables.build(grid, states),
+                            lambda tables: tables.states.tobytes() == states.tobytes())
 
 
 # ------------------------------------------------------------------- run ---

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cache
 from .fermions import LadderTerm, PauliSum, jordan_wigner
 from .hamiltonians import (
     UNLABELLED,
     GroundSpace,
     InteractionQuadruple,
-    _load_fields,
-    _save_fields,
     build_kspace,
     fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     ground_space,
@@ -169,19 +168,18 @@ class PoolTables:
                 for start, end in zip(bounds, bounds[1:])]
 
     def save(self, path, key: str | None = None) -> None:
-        """Write the fields, and key if given, to path (a name or binary
-        file), uncompressed as GroundSpace.save does."""
-        _save_fields(path, {"labels": np.array(self.labels, dtype=str), "states": self.states,
-                            "src": self.src, "dst": self.dst, "sign": self.sign,
-                            "offsets": self.offsets}, key)
+        """Write the fields, and key if given, to path as GroundSpace.save does."""
+        cache.write_fields(path, {"labels": np.array(self.labels, dtype=str),
+                                  "states": self.states, "src": self.src, "dst": self.dst,
+                                  "sign": self.sign, "offsets": self.offsets}, key)
 
     @classmethod
     def load(cls, path, key: str | None = None) -> "PoolTables":
-        """Read saved tables; raise ValueError if a key is given and the file
-        was saved under another one, or if the tables do not fit together."""
-        data = _load_fields(path, key)
-        return cls(tuple(data["labels"].tolist()), data["states"], data["src"],
-                   data["dst"], data["sign"], data["offsets"])
+        """Read saved tables; any file GroundSpace.load would not use, or
+        tables that do not fit together, raise ValueError."""
+        with cache.reading(path, key) as data:
+            return cls(tuple(data["labels"].tolist()), data["states"], data["src"],
+                       data["dst"], data["sign"], data["offsets"])
 
 
 def _apply_operator(h, psi: StateVector) -> StateVector:
@@ -462,7 +460,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
                 n_params=len(gates),
                 inner_steps=0,
                 energy=float(x @ (h @ x)),
-                fidelity=reference.block_fidelity(x),
+                fidelity=reference.fidelity(x),
             )
             records.append(terminal)
             if progress is not None:
@@ -483,7 +481,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
             n_params=len(gates),
             inner_steps=outcome.steps,
             energy=outcome.energy,
-            fidelity=reference.block_fidelity(x),
+            fidelity=reference.fidelity(x),
         )
         records.append(record)
         step_energies.extend((epoch, s, e) for s, e in enumerate(outcome.energies))

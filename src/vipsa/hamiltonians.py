@@ -11,14 +11,13 @@ Everything downstream (ground spaces, fidelities) works in a fixed
 """
 
 import itertools
-import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
 
+from . import cache
 from .fermions import (
     ANNIHILATE,
     CREATE,
@@ -379,59 +378,6 @@ def _lowest_eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
         k = min(dim - 2, 2 * k)
 
 
-# Cache files are a sequence of .npy records: a 1-D string array of field
-# names, then one record per field in that order.  From a real file object,
-# read_array copies each record straight into its array (np.fromfile): one
-# copy and no checksum pass, which is what makes a warm run's load cheap.
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
-
-
-def _save_fields(path, fields: dict, key: str | None) -> None:
-    """Write the named arrays, and key if given, to path (a name or binary
-    file) as uncompressed .npy records; _load_fields reads them back."""
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "wb") as handle:
-            return _save_fields(handle, fields, key)
-    if key is not None:
-        fields = {**fields, "key": key}
-    for value in (np.array(list(fields), dtype=str), *fields.values()):
-        np.lib.format.write_array(path, np.asanyarray(value), allow_pickle=False)
-
-
-def _read_record(handle, end: int) -> np.ndarray:
-    """The next .npy record of an open file that ends at byte `end`.  Before
-    anything is allocated, its header must claim no more data than the file
-    has left; read_array refuses Python objects (allow_pickle=False)."""
-    start = handle.tell()
-    version = np.lib.format.read_magic(handle)
-    if version not in _NPY_HEADERS:
-        raise ValueError(f"unsupported .npy record version {version}")
-    shape, _, dtype = _NPY_HEADERS[version](handle)
-    if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize > end - handle.tell():
-        raise ValueError(f"a record of shape {shape} and dtype {dtype} does not fit in "
-                         f"the {end - handle.tell()} bytes left in the file")
-    handle.seek(start)
-    return np.lib.format.read_array(handle, allow_pickle=False)
-
-
-def _load_fields(path, key: str | None) -> dict[str, np.ndarray]:
-    """The named arrays _save_fields wrote to path.  Raise ValueError unless
-    the file is exactly such a sequence of records and, with a key, was saved
-    under that key."""
-    with open(path, "rb") as handle:
-        end = os.fstat(handle.fileno()).st_size
-        names = _read_record(handle, end)
-        if names.ndim != 1 or names.dtype.kind != "U" or len(set(names.tolist())) != len(names):
-            raise ValueError(f"{path} does not start with a list of distinct field names")
-        fields = {name: _read_record(handle, end) for name in names.tolist()}
-        if handle.tell() != end:
-            raise ValueError(f"{path} has {end - handle.tell()} bytes after its last record")
-    if key is not None and ("key" not in fields or str(fields["key"]) != key):
-        raise ValueError(f"{path} was not saved under the key {key!r}")
-    return fields
-
-
 # GroundSpace.blocks of a space solved without momentum labels
 UNLABELLED = -1
 
@@ -488,46 +434,45 @@ class GroundSpace:
         return self.vectors.shape[1]
 
     def save(self, path, key: str | None = None) -> None:
-        """Write the fields, and key if given, to path (a name or binary file);
-        only a space that keeps a matrix can be saved.  The file is not
-        compressed: the matrix dominates it, and compressing it costs far
-        more time than reading the raw arrays back."""
+        """Write the fields, and key if given, to path (a name or binary file)
+        as cache.write_fields does; only a space that keeps a matrix can be saved."""
         if self.matrix is None:
             raise ValueError("a ground space is saved with its sector matrix, and this one has none")
         # rows of the whole sector are left out; load reads their absence as all of them
         rows = {} if len(self.matrix_rows) == len(self.states) else {"matrix_rows": self.matrix_rows}
-        _save_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
-                            "n_down": self.n_down, "energy": self.energy,
-                            "vectors": self.vectors, "blocks": self.blocks, **rows,
-                            "matrix_shape": np.array(self.matrix.shape),
-                            "matrix_data": self.matrix.data, "matrix_indices": self.matrix.indices,
-                            "matrix_indptr": self.matrix.indptr}, key)
+        cache.write_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
+                                  "n_down": self.n_down, "energy": self.energy,
+                                  "vectors": self.vectors, "blocks": self.blocks, **rows,
+                                  "matrix_shape": np.array(self.matrix.shape),
+                                  "matrix_data": self.matrix.data,
+                                  "matrix_indices": self.matrix.indices,
+                                  "matrix_indptr": self.matrix.indptr}, key)
 
     @classmethod
     def load(cls, path, key: str | None = None) -> "GroundSpace":
-        """Read a saved ground space; with a key, raise ValueError unless the
-        file was saved under the same key.  A file without a field it needs
-        (one saved before the matrix or the block labels were stored, say)
-        raises KeyError; one without `matrix_rows` keeps the whole sector's
-        rows; a `states` record, from before sector_basis derived the
-        bitstrings, is ignored."""
-        data = _load_fields(path, key)
-        matrix = scipy.sparse.csr_matrix(
-            (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
-            shape=tuple(int(n) for n in data["matrix_shape"]))
-        return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
-                   float(data["energy"]), data["vectors"], matrix,
-                   data["blocks"], data.get("matrix_rows"))
+        """Read a saved ground space.  Any file it cannot use raises
+        ValueError: one saved under another key than the one given, or one
+        without a field it needs (saved before the matrix or the block
+        labels were stored, say).  One without `matrix_rows` keeps the whole
+        sector's rows; a `states` record, from before sector_basis derived
+        the bitstrings, is ignored."""
+        with cache.reading(path, key) as data:
+            matrix = scipy.sparse.csr_matrix(
+                (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
+                shape=tuple(int(n) for n in data["matrix_shape"]))
+            return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
+                       float(data["energy"]), data["vectors"], matrix,
+                       data["blocks"], data.get("matrix_rows"))
 
-    def sector_fidelity(self, x: np.ndarray) -> float:
-        """Total squared overlap with a state given over `states`."""
-        return float(np.sum(np.abs(self.vectors.conj().T @ x) ** 2))
-
-    def block_fidelity(self, x: np.ndarray) -> float:
-        """Total squared overlap with a state given on the kept block, whose
-        bitstrings are states[matrix_rows]; the ground vectors' entries off
-        the block meet only zeros of the state, so they are left out."""
-        return float(np.sum(np.abs(self.vectors[self.matrix_rows].conj().T @ x) ** 2))
+    def fidelity(self, x: np.ndarray) -> float:
+        """Total squared overlap with a state given on the kept rows, whose
+        bitstrings are states[matrix_rows] (every state when the space keeps
+        none); the ground vectors' entries off those rows meet only zeros
+        of the state, so they are left out."""
+        vectors = self.vectors
+        if self.matrix_rows is not None and len(self.matrix_rows) < len(vectors):
+            vectors = vectors[self.matrix_rows]
+        return float(np.sum(np.abs(vectors.conj().T @ x) ** 2))
 
 
 def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -627,10 +572,14 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
 
 
 def fidelity(psi: StateVector, gs: GroundSpace) -> float:
-    """Total squared overlap of psi with the ground space."""
+    """Total squared overlap of psi with the ground space, for a psi with no
+    weight on the sector's states off the space's kept rows."""
     if psi.n_qubits != gs.n_qubits:
         raise ValueError("state and ground space live on different registers")
-    return gs.sector_fidelity(psi.amplitudes[gs.states])
+    rows = gs.matrix_rows
+    if rows is not None and psi.amplitudes[np.delete(gs.states, rows)].any():
+        raise ValueError("state has weight off the ground space's kept rows")
+    return gs.fidelity(psi.amplitudes[gs.states if rows is None else gs.states[rows]])
 
 
 class SectorHamiltonian:

@@ -30,7 +30,8 @@ from .lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_i
 from .statevector import (
     SectorPhase,
     expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
-    sector_expectation_and_gradient,
+    sector_adjoint_sweep,
+    sector_expectation,
     sector_hopping_orbit,
     sector_run,
     slater_amplitudes,
@@ -213,11 +214,9 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         # the gradient is taken at every evaluation, even the one that ends
         # the pass, because every record stores its max|g|
         thetas = ansatz.angles(params)
-        final = sector_run(ansatz.x0, ansatz.sector_gates, thetas)
-        fid = reference.sector_fidelity(final)  # before the gradient sweep reuses the buffer
-        energy, per_gate = sector_expectation_and_gradient(
-            ansatz.x0, ansatz.sector_gates, thetas, reference.matrix, final=final)
-        grads = ansatz.fold(per_gate)
+        energy, x, b = sector_expectation(ansatz.x0, ansatz.sector_gates, thetas, reference.matrix)
+        fid = reference.fidelity(x)  # before the gradient sweep rotates x back
+        grads = ansatz.fold(sector_adjoint_sweep(ansatz.sector_gates, thetas, x, b))
         records.append(EpochRecord(len(records), float(np.abs(grads).max()), (),
                                    ansatz.n_params, 1, energy, fid))
         history.append(params.copy())

@@ -608,18 +608,18 @@ def circuit_gradient(circuit: AnsatzCircuit, h: PauliSum) -> np.ndarray:
 
 
 def sector_expectation(x0: np.ndarray, gates, thetas, h, final: np.ndarray | None = None):
-    """The energy half of sector_expectation_and_gradient: (energy, x, b),
-    with x = sector_run(x0, gates, thetas), or final if given, and b = h @ x.
-    sector_adjoint_sweep takes x and b as its buffers."""
+    """The sector circuit's energy and buffers: (energy, x, b), with x =
+    sector_run(x0, gates, thetas), or final if given, and b = h @ x for a
+    Hermitian h over the gates' basis; sector_adjoint_sweep takes x and b."""
     x = sector_run(x0, gates, thetas) if final is None else final
     b = h @ x
     return float(np.vdot(x, b).real), x, b
 
 
 def sector_adjoint_sweep(gates, thetas, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The gradient half of sector_expectation_and_gradient: the per-gate
-    gradient from the state x after the last gate and b = h @ x, which it
-    rotates back in place to the state after the first gate.
+    """The reverse sweep of expectation_and_gradient on a sector vector: the
+    per-gate gradient from the state x after the last gate and b = h @ x,
+    which it rotates back in place to the state after the first gate.
 
     Each gate's work is fused: an orbit gate gathers the src and dst slices
     of both vectors once, takes its overlap from them and rotates both back
@@ -647,19 +647,3 @@ def sector_adjoint_sweep(gates, thetas, x: np.ndarray, b: np.ndarray) -> np.ndar
             _rotate_pairs(x, gate, x_src, x_dst, rotation)
             _rotate_pairs(b, gate, b_src, b_dst, rotation)
     return grads
-
-
-def sector_expectation_and_gradient(x0: np.ndarray, gates, thetas, h,
-                                    final: np.ndarray | None = None):
-    """expectation_and_gradient for orbit rotations and diagonal phases on a
-    sector vector: sector_expectation, then sector_adjoint_sweep.
-
-    x0 is the initial state and h a Hermitian matrix, both over the same
-    sector basis as the gates; final, if given, is sector_run(x0, gates,
-    thetas) and is used as the sweep's buffer.  The forward state and the
-    back-propagated h|psi> are rotated in place, so one evaluation allocates
-    two vectors of sector length.  Real x0, h and phases keep both real.
-    Gates at angle 0 are neither run nor rotated back.
-    """
-    energy, x, b = sector_expectation(x0, gates, thetas, h, final)
-    return energy, sector_adjoint_sweep(gates, thetas, x, b)

@@ -62,7 +62,8 @@ from vipsa.statevector import (
     SectorPhase,
     _phase_factors,
     rotate_orbit,
-    sector_expectation_and_gradient,
+    sector_adjoint_sweep,
+    sector_expectation,
     sector_overlap,
 )
 
@@ -186,10 +187,17 @@ def run_every_gate(x0, gates, thetas):
     return x
 
 
+def adjoint_evaluation(x0, gates, thetas, h, final=None):
+    """(energy, per-gate gradient): sector_expectation, then
+    sector_adjoint_sweep on its buffers, as one ADAM evaluation runs them."""
+    energy, x, b = sector_expectation(x0, gates, thetas, h, final)
+    return energy, sector_adjoint_sweep(gates, thetas, x, b)
+
+
 def per_gate_sweep(x0, gates, thetas, h, final=None):
-    """sector_expectation_and_gradient as one overlap and two separate
-    rotations per gate, at angle 0 too: each call gathers its own slices and
-    builds its own coefficients."""
+    """adjoint_evaluation as one overlap and two separate rotations per
+    gate, at angle 0 too: each call gathers its own slices and builds its
+    own coefficients."""
     x = run_every_gate(x0, gates, thetas) if final is None else final
     b = h @ x
     energy = float(np.vdot(x, b).real)
@@ -207,7 +215,7 @@ def eager_adam_optimize(x0, orbits, thetas, h, config):
     evaluation: the evaluation that ends the pass sweeps its gradient too,
     and no state is handed back, so the run computes it again."""
     def evaluate(t):
-        return sector_expectation_and_gradient(x0, orbits, t, h)
+        return adjoint_evaluation(x0, orbits, t, h)
 
     thetas = np.array(thetas, dtype=float)
     energy, grads = evaluate(thetas)

@@ -49,12 +49,17 @@ from vipsa.statevector import (
     basis_state,
     circuit_gradient,
     expectation,
-    sector_expectation_and_gradient,
     sector_orbit,
 )
 
 from builds import sea_block_space
-from oracles import dense_ladder_term, dense_pauli_string, dense_pauli_sum, lowest_sector_values
+from oracles import (
+    adjoint_evaluation,
+    dense_ladder_term,
+    dense_pauli_string,
+    dense_pauli_sum,
+    lowest_sector_values,
+)
 from replay import adaptive_circuit, hva_circuit
 from test_statevector import (
     finite_difference_gradient,
@@ -201,7 +206,7 @@ def test_ground_vectors_each_live_on_one_block(ground_3x3):
     assert whole.shape[1] == 4 and whole_vals.min() == pytest.approx(gs.energy, abs=1e-10)
     sea = sum(1 << q for q in fermi_sea(GridSpec.make(3, 3), 5, 4).occupied_qubits())
     x = (gs.states == sea).astype(float)
-    assert gs.sector_fidelity(x) == pytest.approx(np.sum((whole.T @ x) ** 2), abs=1e-12)
+    assert gs.fidelity(x[gs.matrix_rows]) == pytest.approx(np.sum((whole.T @ x) ** 2), abs=1e-12)
 
 
 def test_criterion_5_ground_state_recovery(runs_2x2, ground_3x3):
@@ -304,7 +309,7 @@ def test_criterion_8_hva_zero_start_is_stationary():
         n_up, n_down = default_filling(grid)
         ansatz = HvaAnsatz(grid, n_up, n_down, layers=10)
         h = sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
-        _, per_gate = sector_expectation_and_gradient(
+        _, per_gate = adjoint_evaluation(
             ansatz.x0, ansatz.sector_gates, ansatz.angles(np.zeros(ansatz.n_params)), h)
         grads = ansatz.fold(per_gate)
         top = float(np.abs(grads).max())

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from numpy.lib.format import dtype_to_descr, write_array, write_array_header_1_0
 
+from vipsa.cache import read_fields, write_fields
 from vipsa.cli import main
-from vipsa.hamiltonians import _load_fields, _save_fields
 from vipsa.lattice import GridSpec, fermi_sea
 from vipsa.statevector import sector_basis
 
@@ -158,9 +158,9 @@ def test_ground_space_cache_is_reused(tmp_path, capsys):
 
 def resave(path: Path, **changes) -> None:
     """Write the fields of a cache file back with some of them replaced."""
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     fields.update(changes)
-    _save_fields(path, fields, None)
+    write_fields(path, fields, None)
 
 
 def write_records(path: Path, fields: dict, names=None, raw: dict | None = None) -> None:
@@ -193,7 +193,7 @@ def plant_oversized_header(path: Path) -> None:
     # the ground vectors' record, or the pool's states record, claims 2^40
     # entries and holds its real ones; reading it as the header says would
     # mean allocating terabytes
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     name = "vectors" if "vectors" in fields else "states"
     header = BytesIO()
     write_array_header_1_0(header, {"descr": dtype_to_descr(fields[name].dtype),
@@ -202,20 +202,20 @@ def plant_oversized_header(path: Path) -> None:
 
 
 def plant_object_record(path: Path) -> None:
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     pickled = BytesIO()
     write_array(pickled, np.array([1, "two"], dtype=object), allow_pickle=True)
     write_records(path, fields, raw={"n_up" if "n_up" in fields else "labels": pickled.getvalue()})
 
 
 def plant_names_matrix(path: Path) -> None:
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     write_records(path, fields, names=np.array([list(fields)], dtype=str))
 
 
 def plant_zip_archive(path: Path) -> None:
     # the format before .npy records: a zip archive of the same arrays
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     with open(path, "wb") as handle:
         np.savez(handle, **fields)
 
@@ -234,17 +234,17 @@ FILE_DAMAGE = [truncate, truncate_mid_record, append_bytes, plant_oversized_head
 
 def plant_old_format(path: Path) -> None:
     # the format before the sector matrix was stored
-    fields = _load_fields(path, None)
-    _save_fields(path, {name: value for name, value in fields.items()
+    fields = read_fields(path, None)
+    write_fields(path, {name: value for name, value in fields.items()
                         if not name.startswith("matrix_")}, None)
 
 
 def plant_unlabelled(path: Path) -> None:
     # the format before each ground vector's momentum block was stored, and
     # so before the kept block's rows were
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     del fields["blocks"], fields["matrix_rows"]
-    _save_fields(path, fields, None)
+    write_fields(path, fields, None)
 
 
 def plant_whole_sector_matrix(path: Path) -> None:
@@ -256,14 +256,14 @@ def plant_whole_sector_matrix(path: Path) -> None:
 
     grid = GridSpec.make(2, 2, u=4.0)
     states = sector_basis(grid.n_qubits, 2, 2)
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     del fields["key"]
     whole = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
     assert whole.nnz > fields["matrix_data"].size
     fields.update(states=states, matrix_rows=np.arange(len(states)),
                   matrix_shape=np.array(whole.shape), matrix_data=whole.data,
                   matrix_indices=whole.indices, matrix_indptr=whole.indptr)
-    _save_fields(path, fields, _grid_key(grid, 2, 2, "k"))
+    write_fields(path, fields, _grid_key(grid, 2, 2, "k"))
     assert GroundSpace.load(path).matrix.shape == whole.shape
 
 
@@ -279,7 +279,7 @@ def plant_sector_rows_matrix(path: Path) -> None:
 
     grid = GridSpec.make(2, 2, u=4.0)
     states = sector_basis(grid.n_qubits, 2, 2)
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     rows = fields.pop("matrix_rows")
     label = int(momentum_labels(grid, states[rows[0]]))
     inside = np.zeros(len(states), dtype=bool)
@@ -289,7 +289,7 @@ def plant_sector_rows_matrix(path: Path) -> None:
     fields.update(states=states, matrix_block=np.array(label), matrix_shape=np.array(php.shape),
                   matrix_data=php.data, matrix_indices=php.indices, matrix_indptr=php.indptr)
     del fields["key"]
-    _save_fields(path, fields, _grid_key(grid, 2, 2, f"k block {label}"))
+    write_fields(path, fields, _grid_key(grid, 2, 2, f"k block {label}"))
 
 
 def plant_label_for_rows(path: Path) -> None:
@@ -300,11 +300,11 @@ def plant_label_for_rows(path: Path) -> None:
 
     grid = GridSpec.make(2, 2, u=4.0)
     states = sector_basis(grid.n_qubits, 2, 2)
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     rows = fields["matrix_rows"]
     assert len(rows) < len(states)
     label = np.array(int(momentum_labels(grid, states[rows[0]])))
-    _save_fields(path, {("matrix_block" if name == "matrix_rows" else name):
+    write_fields(path, {("matrix_block" if name == "matrix_rows" else name):
                         (label if name == "matrix_rows" else value)
                         for name, value in fields.items()}, None)
 
@@ -317,30 +317,30 @@ def plant_misfit_matrix(path: Path) -> None:
 
 
 def plant_rows_out_of_range(path: Path) -> None:
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     rows = fields["matrix_rows"].copy()
     rows[-1] = len(fields["vectors"])  # the sector's size
     resave(path, matrix_rows=rows)
 
 
 def plant_unsorted_rows(path: Path) -> None:
-    rows = _load_fields(path, None)["matrix_rows"].copy()
+    rows = read_fields(path, None)["matrix_rows"].copy()
     rows[[0, 1]] = rows[[1, 0]]
     resave(path, matrix_rows=rows)
 
 
 def plant_rows_one_short(path: Path) -> None:
     # the block's rows without its last one, under the block's matrix
-    resave(path, matrix_rows=_load_fields(path, None)["matrix_rows"][:-1])
+    resave(path, matrix_rows=read_fields(path, None)["matrix_rows"][:-1])
 
 
 def plant_misfit_vectors(path: Path) -> None:
-    resave(path, vectors=_load_fields(path, None)["vectors"][:-1])
+    resave(path, vectors=read_fields(path, None)["vectors"][:-1])
 
 
 def plant_scalar_vector(path: Path) -> None:
     # the same bytes as the scalar, with a header that makes it a vector
-    resave(path, n_qubits=_load_fields(path, None)["n_qubits"].reshape(1))
+    resave(path, n_qubits=read_fields(path, None)["n_qubits"].reshape(1))
 
 
 def assert_same_artifacts(first: Path, again: Path) -> None:
@@ -376,24 +376,24 @@ def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
 def plant_stored_basis(path: Path) -> None:
     # a file written while the sector bitstrings were stored, after the
     # vectors, with one bit of the last one flipped so they stay ascending
-    fields = {name: value for name, value in _load_fields(path, None).items() if name != "states"}
+    fields = {name: value for name, value in read_fields(path, None).items() if name != "states"}
     basis = sector_basis(*(int(fields[name]) for name in ("n_qubits", "n_up", "n_down")))
     states = basis.copy()
     states[-1] |= 1
     assert states[-1] != basis[-1]
     items = list(fields.items())
     at = list(fields).index("vectors") + 1
-    _save_fields(path, dict(items[:at] + [("states", states)] + items[at:]), None)
+    write_fields(path, dict(items[:at] + [("states", states)] + items[at:]), None)
 
 
 def plant_whole_sector_rows(path: Path) -> None:
     # a site-register file written while the whole sector's rows were stored
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     assert "matrix_rows" not in fields
     items = list(fields.items())
     at = list(fields).index("blocks") + 1
     rows = [("matrix_rows", np.arange(len(fields["vectors"])))]
-    _save_fields(path, dict(items[:at] + rows + items[at:]), None)
+    write_fields(path, dict(items[:at] + rows + items[at:]), None)
 
 
 def assert_planted_file_is_a_hit(tmp_path, ansatz, plant) -> None:
@@ -426,7 +426,7 @@ def test_a_ground_file_of_another_sector_is_rebuilt(tmp_path, capsys):
     code, first = run_config(tmp_path, "one", **settings)
     cache, = (tmp_path / "cache").glob("ground-*.npys")
     saved = cache.read_bytes()
-    fields = _load_fields(cache, None)
+    fields = read_fields(cache, None)
     resave(cache, n_up=fields["n_down"], n_down=fields["n_up"])
     again_code, again = run_config(tmp_path, "again", **settings)
     assert again_code == code == 2
@@ -438,7 +438,7 @@ def plant_moved_row(path: Path) -> None:
     # the first row of the block with a free next position moves there: the
     # rows stay ascending, in range and fit the matrix, but one of the
     # bitstrings they name lies outside the block the pool keeps closed
-    rows = _load_fields(path, None)["matrix_rows"].copy()
+    rows = read_fields(path, None)["matrix_rows"].copy()
     k = next(k for k, row in enumerate(rows) if row + 1 not in rows)
     rows[k] += 1
     resave(path, matrix_rows=rows)
@@ -490,7 +490,7 @@ def test_3x3_cache_file_holds_the_sea_block(tmp_path):
     label, block = sea_block(grid, 5, 4)
     cached_ground_space(grid, 5, 4, label, tmp_path)
     path, = tmp_path.glob("ground-k-3x3-*.npys")
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     assert fields["matrix_data"].size == fields["matrix_indices"].size == 89964
     assert fields["matrix_shape"].tolist() == [1764, 1764]
     states = sector_basis(grid.n_qubits, 5, 4)
@@ -508,7 +508,7 @@ def test_3x3_pool_cache_file_holds_the_sea_block(tmp_path):
     grid = GridSpec.make(3, 3, u=6.0)
     cached_pool_tables(grid, 5, 4, sea_block(grid, 5, 4), tmp_path)
     path, = tmp_path.glob("pool-3x3-*.npys")
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     assert fields["src"].size == fields["dst"].size == fields["sign"].size == 31580
     assert int(fields["offsets"][-1]) == 31580
     assert fields["states"].tobytes() == sea_block(grid, 5, 4)[1].tobytes()
@@ -542,19 +542,19 @@ def plant_sector_tables_under_the_block_key(path: Path) -> None:
     from vipsa.core import PoolTables
 
     grid = GridSpec.make(2, 2, u=4.0)
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     PoolTables.build(grid, sector_basis(grid.n_qubits, 2, 2)).save(path, str(fields["key"]))
 
 
 def plant_stray_position(path: Path) -> None:
-    fields = _load_fields(path, None)
+    fields = read_fields(path, None)
     dst = fields["dst"].copy()
     dst[0] = len(fields["states"])
     resave(path, dst=dst)
 
 
 def plant_misaligned_offsets(path: Path) -> None:
-    offsets = _load_fields(path, None)["offsets"]
+    offsets = read_fields(path, None)["offsets"]
     # one table fewer than labels, still ending at the length of the arrays
     resave(path, offsets=np.delete(offsets, 1))
 
@@ -579,6 +579,55 @@ def test_damaged_pool_tables_are_rebuilt(tmp_path, capsys, damage):
     stamp = tables.stat().st_mtime_ns
     run_config(tmp_path, "third", u=4.0, max_epochs=1)
     assert tables.stat().st_mtime_ns == stamp  # the rebuilt file is a cache hit
+
+
+# every damage that leaves a file its load cannot use: FILE_DAMAGE on either
+# kind, each planted file load refuses, and pool tables where the ground
+# space belongs
+UNUSABLE_FILES = (
+    [("ground", damage) for damage in FILE_DAMAGE + [
+        plant_old_format, plant_unlabelled, plant_whole_sector_matrix, plant_sector_rows_matrix,
+        plant_label_for_rows, plant_misfit_matrix, plant_rows_out_of_range, plant_unsorted_rows,
+        plant_rows_one_short, plant_misfit_vectors, plant_scalar_vector, plant_whole_sector_pool,
+        plant_sector_tables_under_the_block_key]]
+    + [("pool", damage) for damage in FILE_DAMAGE + [
+        plant_whole_sector_pool, plant_stray_position, plant_misaligned_offsets]])
+
+
+@pytest.fixture(scope="module")
+def cache_2x2(tmp_path_factory):
+    """Name, bytes and key of each file of the 2x2 adaptive cache at U = 4,
+    by kind, as a run writes them."""
+    from vipsa.cli import cached_ground_space, cached_pool_tables
+
+    grid = GridSpec.make(2, 2, u=4.0)
+    directory = tmp_path_factory.mktemp("cache")
+    cached_ground_space(grid, 2, 2, sea_block(grid, 2, 2)[0], directory)
+    cached_pool_tables(grid, 2, 2, sea_block(grid, 2, 2), directory)
+    return {path.name.split("-")[0]: (path.name, path.read_bytes(), str(read_fields(path)["key"]))
+            for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("kind, damage", [pytest.param(kind, damage, id=f"{kind}-{damage.__name__}")
+                                          for kind, damage in UNUSABLE_FILES])
+def test_an_unusable_cache_file_is_one_error(tmp_path, cache_2x2, kind, damage):
+    # a load raises ValueError for any file it cannot use, which is what the
+    # cache rebuilds; no KeyError for a missing field, no TypeError for a
+    # field of another shape
+    from vipsa.core import PoolTables
+    from vipsa.hamiltonians import GroundSpace
+
+    name, saved, key = cache_2x2[kind]
+    path = tmp_path / name
+    path.write_bytes(saved)
+    damage(path)
+    load = {"ground": GroundSpace.load, "pool": PoolTables.load}[kind]
+    with pytest.raises(ValueError):
+        load(path, key)
+    try:
+        load(path)  # with no key asked for, the file loads or is refused the same way
+    except ValueError:
+        pass
 
 
 def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):

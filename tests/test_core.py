@@ -48,12 +48,16 @@ from vipsa.statevector import (
     apply_pauli_sum,
     basis_state,
     expectation,
-    sector_expectation_and_gradient,
     sector_orbit,
     sector_run,
 )
 from builds import sea_block, sea_block_space
-from oracles import dense_pauli_sum, eager_adam_optimize, whole_sector_run_operands
+from oracles import (
+    adjoint_evaluation,
+    dense_pauli_sum,
+    eager_adam_optimize,
+    whole_sector_run_operands,
+)
 from replay import adaptive_circuit, refuse_full_register, refuse_pauli_path
 
 
@@ -598,7 +602,7 @@ def test_block_path_matches_the_whole_sector_path(shape, u):
         x = sector_run(x0, circuit, thetas)
         paths.append({"screens": [sector_pool_gradients(x0, h, orbits),
                                   sector_pool_gradients(x, h, orbits)],
-                      "sweep": sector_expectation_and_gradient(x0, circuit, thetas, h),
+                      "sweep": adjoint_evaluation(x0, circuit, thetas, h),
                       "x": x})
     whole, on_block = paths
     for got, want in zip(on_block["screens"], whole["screens"]):
@@ -609,8 +613,8 @@ def test_block_path_matches_the_whole_sector_path(shape, u):
     outside = np.ones(len(reference.states), dtype=bool)
     outside[rows] = False
     assert not whole["x"][outside].any()
-    assert (reference.block_fidelity(on_block["x"])
-            == pytest.approx(reference.sector_fidelity(whole["x"]), abs=1e-12))
+    assert (reference.fidelity(on_block["x"])
+            == pytest.approx(np.sum((reference.vectors.T @ whole["x"]) ** 2), abs=1e-12))
 
 
 def test_every_export_is_the_object_its_module_defines():

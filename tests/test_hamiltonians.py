@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from numpy.lib.format import write_array, write_array_header_1_0
 
 from vipsa import hamiltonians
+from vipsa.cache import read_fields, write_fields
 from vipsa.core import PoolTables, rs_perturbation
 from vipsa.fermions import PauliSum, hopping_pair, jordan_wigner_sum
 from vipsa.hamiltonians import (
@@ -509,6 +510,30 @@ def test_ground_space_free_sea_and_fidelity():
     assert fidelity(mixed, rotated) == pytest.approx(fidelity(mixed, gs), abs=1e-10)
 
 
+def test_one_fidelity_takes_the_sum_each_register_took():
+    # the site register's space keeps its whole sector, whose rows the sum
+    # runs over; the mode register's keeps the sea's block, and the sum runs
+    # over the ground vectors' rows of it.  Both give the bits of the sums
+    # the layered and the adaptive run took before, and the full-register
+    # fidelity refuses a state with weight off the kept block
+    grid = GridSpec.make(2, 3, u=4.0)
+    n_up, n_down = default_filling(grid)
+    site = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
+    mode = sea_block_space(grid, n_up, n_down)
+    assert len(mode.matrix_rows) < len(mode.states)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(len(site.states))
+    assert site.fidelity(x) == float(np.sum(np.abs(site.vectors.conj().T @ x) ** 2))
+    y = rng.standard_normal(len(mode.matrix_rows))
+    assert mode.fidelity(y) == float(np.sum(np.abs(mode.vectors[mode.matrix_rows].conj().T @ y) ** 2))
+    psi = StateVector.zero(grid.n_qubits)
+    psi.amplitudes[mode.states[mode.matrix_rows]] = y
+    assert fidelity(psi, mode) == mode.fidelity(y)
+    psi.amplitudes[np.delete(mode.states, mode.matrix_rows)[0]] = 1.0
+    with pytest.raises(ValueError, match="kept rows"):
+        fidelity(psi, mode)
+
+
 def test_ground_space_roundtrip(tmp_path):
     grid = GridSpec.make(2, 2, u=4.0)
     gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
@@ -799,11 +824,10 @@ def test_ground_space_without_matrix_fails_to_load(tmp_path):
     grid = GridSpec.make(2, 2, u=4.0)
     gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
     # the fields saved before the sector matrix was stored
-    hamiltonians._save_fields(tmp_path / "bare.npys",
-                              {"n_qubits": gs.n_qubits, "n_up": gs.n_up, "n_down": gs.n_down,
-                               "energy": gs.energy, "vectors": gs.vectors,
-                               "states": gs.states}, None)
-    with pytest.raises(KeyError):
+    write_fields(tmp_path / "bare.npys",
+                 {"n_qubits": gs.n_qubits, "n_up": gs.n_up, "n_down": gs.n_down,
+                  "energy": gs.energy, "vectors": gs.vectors, "states": gs.states})
+    with pytest.raises(ValueError, match="matrix_data"):
         GroundSpace.load(tmp_path / "bare.npys")
     with pytest.raises(ValueError, match="does not fit"):
         GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
@@ -870,14 +894,13 @@ def test_whole_sector_rows_are_not_saved(tmp_path):
     grid = GridSpec.make(2, 4, u=4.0)
     gs = ground_space(build_real(grid), grid.n_qubits, 4, 4)
     gs.save(tmp_path / "space.npys", key="real 2x4")
-    fields = hamiltonians._load_fields(tmp_path / "space.npys", None)
+    fields = read_fields(tmp_path / "space.npys", None)
     assert "matrix_rows" not in fields
     # the record where a file written before it was left out holds it
     items = list(fields.items())
     at = list(fields).index("blocks") + 1
     rows = [("matrix_rows", np.arange(len(gs.states)))]
-    hamiltonians._save_fields(tmp_path / "with-rows.npys", dict(items[:at] + rows + items[at:]),
-                              None)
+    write_fields(tmp_path / "with-rows.npys", dict(items[:at] + rows + items[at:]))
     for name in ("space.npys", "with-rows.npys"):
         loaded = GroundSpace.load(tmp_path / name, key="real 2x4")
         assert_same_cache_fields(loaded, gs)
@@ -894,7 +917,7 @@ def test_cache_records_are_sized_before_anything_is_allocated(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="does not fit"):
-            hamiltonians._load_fields(path, None)
+            read_fields(path, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -910,7 +933,7 @@ def test_cache_field_names_must_be_distinct_strings(tmp_path, names):
         for record in (names, np.zeros(1), np.zeros(1)):
             write_array(handle, record)
     with pytest.raises(ValueError, match="distinct field names"):
-        hamiltonians._load_fields(path, None)
+        read_fields(path, None)
 
 
 def test_sector_hamiltonian_fast_apply():

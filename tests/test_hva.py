@@ -27,9 +27,8 @@ from vipsa.statevector import (
     basis_state,
     diagonal_values,
     expectation,
-    sector_expectation_and_gradient,
 )
-from oracles import dense_pauli_sum
+from oracles import adjoint_evaluation, dense_pauli_sum
 from replay import hva_circuit, hva_energy_and_gradient, refuse_full_register, refuse_pauli_path
 
 TOL = 1e-12
@@ -184,8 +183,8 @@ def test_sector_evaluation_matches_full_register(shape, seed):
 
     thetas = ansatz.angles(params)
     x = ansatz.sector_state(params)
-    assert abs(gs.sector_fidelity(x) - fidelity(hva_circuit(ansatz, params).run(), gs)) <= TOL
-    got_energy, per_gate = sector_expectation_and_gradient(
+    assert abs(gs.fidelity(x) - fidelity(hva_circuit(ansatz, params).run(), gs)) <= TOL
+    got_energy, per_gate = adjoint_evaluation(
         ansatz.x0, ansatz.sector_gates, thetas, sector.matrix, final=x)
     assert abs(got_energy - energy) <= TOL
     np.testing.assert_allclose(ansatz.fold(per_gate), grads, rtol=0, atol=TOL)
@@ -210,7 +209,7 @@ def test_final_fidelity_is_that_of_the_returned_parameters(steps):
     ansatz, _, gs = hva_problem(2, 3, 4.0, 3)
     result = hva_run(ansatz.grid, config=VipsaConfig(max_inner_steps=steps), layers=3,
                      reference=gs)
-    assert result.final_fidelity == gs.sector_fidelity(result.ansatz.sector_state(result.parameters))
+    assert result.final_fidelity == gs.fidelity(result.ansatz.sector_state(result.parameters))
 
 
 def test_run_rejects_reference_over_another_sector():

@@ -46,14 +46,19 @@ from vipsa.statevector import (
     register_orbit,
     rotate_orbit,
     rotate_sector,
-    sector_expectation_and_gradient,
     sector_hopping_orbit,
     sector_orbit,
     sector_overlap,
     sector_run,
 )
 
-from oracles import dense_ladder_term, dense_pauli_sum, per_gate_sweep, run_every_gate
+from oracles import (
+    adjoint_evaluation,
+    dense_ladder_term,
+    dense_pauli_sum,
+    per_gate_sweep,
+    run_every_gate,
+)
 
 TOL = 1e-12
 
@@ -367,12 +372,12 @@ def sweep_matches_per_gate(x0, gates, thetas, h):
     without a precomputed final state, and so do sector_run and a run that
     rotates every gate, at angle 0 too."""
     assert np.array_equal(sector_run(x0, gates, thetas), run_every_gate(x0, gates, thetas))
-    energy, grads = sector_expectation_and_gradient(x0, gates, thetas, h)
+    energy, grads = adjoint_evaluation(x0, gates, thetas, h)
     want_energy, want_grads = per_gate_sweep(x0, gates, thetas, h)
     assert energy == want_energy
     np.testing.assert_array_equal(grads, want_grads)
     final, want_final = sector_run(x0, gates, thetas), sector_run(x0, gates, thetas)
-    energy, grads = sector_expectation_and_gradient(x0, gates, thetas, h, final=final)
+    energy, grads = adjoint_evaluation(x0, gates, thetas, h, final=final)
     want_energy, want_grads = per_gate_sweep(x0, gates, thetas, h, final=want_final)
     assert energy == want_energy
     np.testing.assert_array_equal(grads, want_grads)
@@ -385,7 +390,7 @@ def test_real_phases_keep_the_sweep_real():
     x0 = random_sector_vector(sector.states, 5)
     thetas = np.linspace(-0.5, 0.5, len(orbits))
     assert sector_run(x0, orbits, thetas).dtype == np.float64
-    energy, grads = sector_expectation_and_gradient(x0, orbits, thetas, sector.matrix.real)
+    energy, grads = adjoint_evaluation(x0, orbits, thetas, sector.matrix.real)
     assert isinstance(energy, float) and grads.dtype == np.float64
 
     hop = sector_hopping_orbit(hopping_pair(0, 2), sector.states)
@@ -438,7 +443,7 @@ def test_sector_adjoint_matches_circuit_gradient(shape, seed, n_gates):
     circuit = AnsatzCircuit(full_register(x0, sector.states, grid.n_qubits),
                             [PoolRotation(pool[i].term, t) for i, t in zip(gates, thetas)])
 
-    energy, grads = sector_expectation_and_gradient(
+    energy, grads = adjoint_evaluation(
         x0, [orbits[i] for i in gates], thetas, sector.matrix.real)
     assert abs(energy - sector.expectation(circuit.run())) <= TOL
     np.testing.assert_allclose(grads, circuit_gradient(circuit, h), rtol=0, atol=TOL)
@@ -514,6 +519,6 @@ def test_gates_at_angle_zero_do_no_rotation(monkeypatch):
     for (x0, gates, h), (want_energy, want_grads) in zip(cases, want):
         zeros = np.zeros(len(gates))
         assert np.array_equal(sector_run(x0, gates, zeros), x0)
-        energy, grads = sector_expectation_and_gradient(x0, gates, zeros, h)
+        energy, grads = adjoint_evaluation(x0, gates, zeros, h)
         assert energy == want_energy
         np.testing.assert_array_equal(grads, want_grads)
