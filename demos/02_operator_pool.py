@@ -9,49 +9,39 @@ and each surviving pair of conjugate orientations is represented once.
     python3 demos/02_operator_pool.py
 """
 
+from collections import Counter
+
 from vipsa import GridSpec, build_pool, interaction_quadruples, spin_operators
-from vipsa.lattice import DEGENERACY_TOL
-
-
-def classify(grid):
-    quads = interaction_quadruples(grid)
-    counts = {"diagonal": 0, "one-sided": 0, "zero-gap": 0, "kept": 0}
-    for q in quads:
-        if q.is_diagonal:
-            counts["diagonal"] += 1
-        elif q.up_to == q.up_from or q.down_to == q.down_from:
-            counts["one-sided"] += 1
-        elif abs(q.energy_gap) <= DEGENERACY_TOL:
-            counts["zero-gap"] += 1
-        else:
-            counts["kept"] += 1
-    return len(quads), counts
+from vipsa.core import pool_class
+from vipsa.fermions import jordan_wigner
 
 
 def main():
     print("Quadruple table and pool size per grid:")
     for shape in ((2, 2), (2, 3), (2, 4), (3, 3)):
         grid = GridSpec.make(*shape, u=4.0)
-        total, counts = classify(grid)
+        quads = interaction_quadruples(grid)
+        counts = Counter(pool_class(q) for q in quads)
         pool = build_pool(grid)
-        print(f"  {grid.label()}: {total} table entries -> "
+        print(f"  {grid.label()}: {len(quads)} table entries -> "
               f"{counts['diagonal']} diagonal, {counts['one-sided']} one-sided, "
-              f"{counts['zero-gap']} zero-gap, {counts['kept']} kept "
+              f"{counts['zero-gap']} zero-gap, {counts['pool']} kept "
               f"= 2 x {len(pool)} pool rotations")
 
     # the full 2x2 pool, small enough to print
     grid = GridSpec.make(2, 2, u=4.0)
     print(f"\nThe {grid.label()} pool at u = {grid.u:g} "
           "(label, amplitude, energy gap):")
-    for p in build_pool(grid):
-        print(f"  {p.label:<12} V = {p.amplitude:+.4f}   eps = {p.eps:+.4f}")
+    for q in build_pool(grid):
+        print(f"  {q.label:<12} V = {q.amplitude:+.4f}   eps = {q.energy_gap:+.4f}")
 
     # structural checks on the generators, in the Pauli algebra itself
     pool = build_pool(grid)
     s_z, s_squared = spin_operators(grid.n_sites)
     broke_s2 = 0
-    for p in pool:
-        g = p.generator(grid.n_qubits)
+    for q in pool:
+        image = jordan_wigner(q.ladder_term(), grid.n_qubits)
+        g = image - image.dagger()                           # O - O†
         assert len(g + g.dagger()) == 0                      # anti-Hermitian
         assert len(g * s_z - s_z * g) == 0
         if len(g * s_squared - s_squared * g) > 0:

@@ -11,7 +11,6 @@ if _threads:
 del os, _threads
 
 from .core import (
-    PoolOperator,
     RunResult,
     VipsaConfig,
     build_pool,
@@ -39,7 +38,6 @@ __all__ = [
     "HvaAnsatz",
     "HvaLayout",
     "HvaResult",
-    "PoolOperator",
     "RunResult",
     "VipsaConfig",
     "build_kspace",

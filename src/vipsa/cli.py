@@ -125,11 +125,7 @@ class Experiment:
         from .lattice import default_filling
         from .statevector import sector_basis
 
-        try:
-            text = Path(path).read_text()
-        except OSError as err:
-            raise CliError(f"cannot read config: {err}") from None
-        values = parse_config_text(text, path)
+        values = parse_config_text(Path(path).read_text(), path)
         for key in ("nx", "ny"):
             if key not in values:
                 raise CliError(f"{path}: missing required key '{key}'")
@@ -218,13 +214,10 @@ def cached_pool_tables(grid, n_up: int, n_down: int, block, cache_dir: Path):
 # ------------------------------------------------------------------- run ---
 
 def _write_csv(path: Path, columns, rows) -> None:
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            writer.writerows(rows)
-    except OSError as err:
-        raise CliError(f"cannot write output: {err}") from None
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _format(value):
@@ -242,10 +235,7 @@ def cmd_run(args) -> int:
 
     # a directory that cannot be made fails here, before any Hamiltonian is built
     for directory in filter(None, (run.cache_dir, run.output)):
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise CliError(f"cannot create directory: {err}") from None
+        directory.mkdir(parents=True, exist_ok=True)
 
     grid, (n_up, n_down) = run.grid, run.sector
     # the Fermi sea's block, named once by the sea's label: the ground file
@@ -394,8 +384,8 @@ def cmd_ed(args) -> int:
 # --------------------------------------------------------------- compare ---
 
 def _load_run(directory: str) -> dict:
-    """The parts of one run's artifacts that compare uses; a missing file is
-    a CliError, and so is one that is not what `vipsa run` writes."""
+    """The parts of one run's artifacts that compare uses; a file that is
+    not what `vipsa run` writes is a CliError."""
     path = Path(directory)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
@@ -409,8 +399,6 @@ def _load_run(directory: str) -> dict:
                "reference": float(manifest["ground_energy"]),
                "energies": [float(row["energy"]) for row in steps],
                "fidelities": _fidelity_by_step(manifest["ansatz"], steps, trace)}
-    except OSError as err:
-        raise CliError(f"cannot read run artifact: {err}") from None
     except (ValueError, KeyError, TypeError, csv.Error) as err:
         detail = f"missing field {err}" if isinstance(err, KeyError) else str(err)
         raise CliError(f"damaged run artifact in {path}: {detail}") from None
@@ -552,6 +540,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except OSError as err:
+        # a file the command cannot read or write; the error's text names it
+        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

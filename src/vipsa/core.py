@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cache
-from .fermions import LadderTerm, PauliSum, jordan_wigner
+from .fermions import PauliSum
 from .hamiltonians import (
     UNLABELLED,
     GroundSpace,
@@ -51,32 +51,6 @@ from .statevector import (
 )
 
 
-@dataclass(frozen=True)
-class PoolOperator:
-    """One candidate rotation generator A = O - O† with its bookkeeping."""
-
-    quadruple: InteractionQuadruple
-    term: LadderTerm
-    label: str
-
-    @property
-    def eps(self) -> float:
-        return self.quadruple.energy_gap
-
-    @property
-    def amplitude(self) -> float:
-        return self.quadruple.amplitude
-
-    def generator(self, n_qubits: int) -> PauliSum:
-        """JW image of O - O†, for dense symmetry checks."""
-        image = jordan_wigner(self.term, n_qubits)
-        return image - image.dagger()
-
-
-def _pool_label(q: InteractionQuadruple) -> str:
-    return f"A{q.up_to},{q.down_to}|{q.down_from},{q.up_from}"
-
-
 def pool_class(q: InteractionQuadruple) -> str:
     """Where a quadruple stands with respect to the pool, checked in this order:
     "diagonal" (a density-density term), "one-sided" (one spin keeps its
@@ -91,19 +65,18 @@ def pool_class(q: InteractionQuadruple) -> str:
     return "pool"
 
 
-def build_pool(grid: GridSpec) -> list[PoolOperator]:
-    """Pool of scattering rotations: the quadruples of class "pool".
+def build_pool(grid: GridSpec) -> list[InteractionQuadruple]:
+    """Pool of scattering rotations: the quadruples of class "pool", each
+    standing for the generator A = O - O† of its ladder term O.
 
     Of each conjugate pair only the lexicographically smaller orientation is
     kept; its rotation already covers both directions.  Order is canonical
     (sorted by index tuple) so downstream gate sequences are reproducible.
     """
-    pool = [PoolOperator(q, q.ladder_term(), _pool_label(q))
-            for q in interaction_quadruples(grid)
+    pool = [q for q in interaction_quadruples(grid)
             if pool_class(q) == "pool"
             and (q.up_to, q.down_to, q.down_from, q.up_from) < q.conjugate_indices()]
-    pool.sort(key=lambda p: (p.quadruple.up_to, p.quadruple.down_to,
-                             p.quadruple.down_from, p.quadruple.up_from))
+    pool.sort(key=lambda q: (q.up_to, q.down_to, q.down_from, q.up_from))
     return pool
 
 
@@ -150,12 +123,12 @@ class PoolTables:
         """The orbit tables of build_pool(grid) over sorted bitstrings the pool
         keeps closed."""
         pool = build_pool(grid)
-        orbits = [sector_orbit(p.term, states) for p in pool]
+        orbits = [sector_orbit(q.ladder_term(), states) for q in pool]
 
         def flat(parts, dtype):
             return np.concatenate(parts) if parts else np.zeros(0, dtype)
 
-        return cls(tuple(p.label for p in pool), states,
+        return cls(tuple(q.label for q in pool), states,
                    flat([orbit.src for orbit in orbits], np.intp),
                    flat([orbit.dst for orbit in orbits], np.intp),
                    flat([orbit.sign for orbit in orbits], float),
@@ -189,16 +162,16 @@ def _apply_operator(h, psi: StateVector) -> StateVector:
     return h.apply(psi)
 
 
-def pool_gradients(psi: StateVector, h, pool: list[PoolOperator]) -> np.ndarray:
+def pool_gradients(psi: StateVector, h, pool: list[InteractionQuadruple]) -> np.ndarray:
     """g_i = <psi|[h, A_i]|psi>, via one h application shared by all operators.
 
     For Hermitian h and anti-Hermitian A the commutator expectation reduces
     exactly to 2 Re <h psi|A psi>, so each operator costs only two gathers.
     """
     image = _apply_operator(h, psi).amplitudes
-    return np.array([2.0 * orbit_overlap(register_orbit(p.term, psi.n_qubits), image,
+    return np.array([2.0 * orbit_overlap(register_orbit(q.ladder_term(), psi.n_qubits), image,
                                          psi.amplitudes).real
-                     for p in pool])
+                     for q in pool])
 
 
 def sector_pool_gradients(x: np.ndarray, h, orbits) -> np.ndarray:
@@ -453,40 +426,32 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
             status = "converged"
             if not labels and any(not q.is_diagonal for q in interaction_quadruples(grid)):
                 status = "empty-pool"
-            terminal = EpochRecord(
-                epoch=epoch,
-                max_gradient=max_gradient,
-                selected=(),
-                n_params=len(gates),
-                inner_steps=0,
-                energy=float(x @ (h @ x)),
-                fidelity=reference.fidelity(x),
-            )
-            records.append(terminal)
-            if progress is not None:
-                progress(terminal)
-            break
-        chosen = select(grads, config.r, labels)
-        gates.extend(chosen)
-        circuit_orbits = [orbits[i] for i in gates]
-        outcome, x = adam_optimize(x0, circuit_orbits,
-                                   np.append(thetas, np.zeros(len(chosen))), h, config)
-        thetas = outcome.thetas
-        if x is None:
-            x = sector_run(x0, circuit_orbits, thetas)
+            chosen, inner_steps, energy = [], 0, float(x @ (h @ x))
+        else:
+            chosen = select(grads, config.r, labels)
+            gates.extend(chosen)
+            circuit_orbits = [orbits[i] for i in gates]
+            outcome, x = adam_optimize(x0, circuit_orbits,
+                                       np.append(thetas, np.zeros(len(chosen))), h, config)
+            thetas = outcome.thetas
+            if x is None:
+                x = sector_run(x0, circuit_orbits, thetas)
+            step_energies.extend((epoch, s, e) for s, e in enumerate(outcome.energies))
+            inner_steps, energy = outcome.steps, outcome.energy
         record = EpochRecord(
             epoch=epoch,
             max_gradient=max_gradient,
             selected=tuple(labels[i] for i in chosen),
             n_params=len(gates),
-            inner_steps=outcome.steps,
-            energy=outcome.energy,
+            inner_steps=inner_steps,
+            energy=energy,
             fidelity=reference.fidelity(x),
         )
         records.append(record)
-        step_energies.extend((epoch, s, e) for s, e in enumerate(outcome.energies))
         if progress is not None:
             progress(record)
+        if not chosen:  # the gradient test ended the loop
+            break
 
     return RunResult(grid, n_up, n_down, len(labels), records, status, records[-1].energy,
                      reference, [labels[i] for i in gates], thetas, step_energies)
@@ -545,10 +510,10 @@ def first_order_oracle(grid: GridSpec, n_up: int | None = None,
 
     pool = build_pool(grid)
     thetas = np.zeros(len(pool))
-    for i, p in enumerate(pool):
-        ratio = -p.amplitude / p.eps
+    for i, q in enumerate(pool):
+        ratio = -q.amplitude / q.energy_gap
         if abs(ratio) > 1.0:
-            raise ValueError(f"|V/gap| = {abs(ratio):.3f} > 1 for {p.label}; "
+            raise ValueError(f"|V/gap| = {abs(ratio):.3f} > 1 for {q.label}; "
                              "the angle assignment needs weak coupling")
         thetas[i] = math.asin(ratio)
     sequential = sector_run(x0, PoolTables.build(grid, states).orbits(), thetas)

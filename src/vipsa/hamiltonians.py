@@ -89,6 +89,11 @@ class InteractionQuadruple:
     amplitude: float
     energy_gap: float
 
+    @property
+    def label(self) -> str:
+        """The name of this orientation's rotation in the pool."""
+        return f"A{self.up_to},{self.down_to}|{self.down_from},{self.up_from}"
+
     def ladder_term(self) -> LadderTerm:
         return LadderTerm(1.0, (
             (qubit_index(self.up_to, UP), CREATE),

@@ -607,11 +607,11 @@ def circuit_gradient(circuit: AnsatzCircuit, h: PauliSum) -> np.ndarray:
     return grads
 
 
-def sector_expectation(x0: np.ndarray, gates, thetas, h, final: np.ndarray | None = None):
+def sector_expectation(x0: np.ndarray, gates, thetas, h):
     """The sector circuit's energy and buffers: (energy, x, b), with x =
-    sector_run(x0, gates, thetas), or final if given, and b = h @ x for a
-    Hermitian h over the gates' basis; sector_adjoint_sweep takes x and b."""
-    x = sector_run(x0, gates, thetas) if final is None else final
+    sector_run(x0, gates, thetas) and b = h @ x for a Hermitian h over the
+    gates' basis; sector_adjoint_sweep takes x and b."""
+    x = sector_run(x0, gates, thetas)
     b = h @ x
     return float(np.vdot(x, b).real), x, b
 

@@ -25,6 +25,9 @@ ground-space solver.  `rows_of_block` cuts P H P, H on one momentum block
 with every other row empty, out of the whole-sector matrix, with plain
 array masks; `whole_sector_run_operands` uses it to rebuild what an
 adaptive run worked on before it moved onto its block's own bitstrings.
+`pool_generator` is the one helper built on the library's Jordan-Wigner
+map: it gives the Pauli sum that the dense checks of the pool generators
+start from.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from vipsa.fermions import (
     _letters,
     _mask_product,
     hopping_pair,
+    jordan_wigner,
     letters_to_masks,
     number_term,
 )
@@ -98,6 +102,13 @@ def dense_pauli_sum(pauli_sum, n_qubits: int) -> np.ndarray:
     for coeff, letters in pauli_sum:
         out += coeff * dense_pauli_string(letters, n_qubits)
     return out
+
+
+def pool_generator(q, n_qubits: int):
+    """The Pauli sum of the pool rotation generator O - O† of quadruple q,
+    O its ladder term, through the library's Jordan-Wigner map."""
+    image = jordan_wigner(q.ladder_term(), n_qubits)
+    return image - image.dagger()
 
 
 def dense_annihilate(q: int, n_qubits: int) -> np.ndarray:
@@ -189,8 +200,13 @@ def run_every_gate(x0, gates, thetas):
 
 def adjoint_evaluation(x0, gates, thetas, h, final=None):
     """(energy, per-gate gradient): sector_expectation, then
-    sector_adjoint_sweep on its buffers, as one ADAM evaluation runs them."""
-    energy, x, b = sector_expectation(x0, gates, thetas, h, final)
+    sector_adjoint_sweep on its buffers, as one ADAM evaluation runs them.
+    A final state, if given, stands in for the forward run, and the sweep
+    rotates it back in place."""
+    if final is None:
+        energy, x, b = sector_expectation(x0, gates, thetas, h)
+    else:  # with no gates, sector_expectation evaluates a copy of final
+        (energy, _, b), x = sector_expectation(final, [], [], h), final
     return energy, sector_adjoint_sweep(gates, thetas, x, b)
 
 

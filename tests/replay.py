@@ -32,7 +32,7 @@ from vipsa.statevector import (
 
 def adaptive_circuit(run) -> AnsatzCircuit:
     """The run's rotations at their final angles, applied to the Fermi sea."""
-    terms = {p.label: p.term for p in build_pool(run.grid)}
+    terms = {q.label: q.ladder_term() for q in build_pool(run.grid)}
     sea = fermi_sea(run.grid, run.n_up, run.n_down)
     return AnsatzCircuit(basis_state(sea.occupied_qubits(), run.grid.n_qubits),
                          [PoolRotation(terms[label], theta)

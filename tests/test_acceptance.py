@@ -59,6 +59,7 @@ from oracles import (
     dense_pauli_string,
     dense_pauli_sum,
     lowest_sector_values,
+    pool_generator,
 )
 from replay import adaptive_circuit, hva_circuit
 from test_statevector import (
@@ -249,8 +250,8 @@ def test_criterion_6_first_selection_is_sound():
         h_k, _ = build_kspace(grid)
         pool = build_pool(grid)
         grads = sector_pool_gradients(x, sector_matrix(h_k, states, grid.n_qubits),
-                                      [sector_orbit(p.term, states) for p in pool])
-        chosen = select(grads, config.r, [p.label for p in pool])
+                                      [sector_orbit(q.ladder_term(), states) for q in pool])
+        chosen = select(grads, config.r, [q.label for q in pool])
         assert chosen
 
         occ_up = {m.slot for m in sea.occupied_up}
@@ -266,11 +267,11 @@ def test_criterion_6_first_selection_is_sound():
             return forward or backward
 
         for i in chosen:
-            q = pool[i].quadruple
+            q = pool[i]
             assert abs(q.energy_gap) > DEGENERACY_TOL, \
                 f"{pool[i].label} has a vanishing gap"
             assert survives(q), f"{pool[i].label} annihilates the Fermi sea"
-        dead = [i for i in range(len(pool)) if not survives(pool[i].quadruple)]
+        dead = [i for i in range(len(pool)) if not survives(pool[i])]
         for i in dead:
             assert grads[i] == 0.0, f"{pool[i].label} gradient {grads[i]}"
         details.append(f"{nx}x{ny} selected {len(chosen)}, "
@@ -347,8 +348,8 @@ def test_criterion_9_spin_conservation(runs_2x2):
     pool = build_pool(grid)
     s2_dense = dense_pauli_sum(s_squared, grid.n_qubits)
     breaking = 0
-    for p in pool:
-        g = dense_pauli_sum(p.generator(grid.n_qubits), grid.n_qubits)
+    for q in pool:
+        g = dense_pauli_sum(pool_generator(q, grid.n_qubits), grid.n_qubits)
         if np.abs(g @ s2_dense - s2_dense @ g).max() > 1e-8:
             breaking += 1
     assert breaking > 0

@@ -957,6 +957,66 @@ def test_compare_csv_into_a_missing_directory_is_one_line(tmp_path, capsys):
     assert str(target) in one_error_line(capsys)
 
 
+# Each case lays out one file that a command cannot read or write, runs the
+# command and returns its exit code and the path the error must name.
+def small_run(tmp_path, **fields) -> int:
+    code, _ = run_config(tmp_path, "out", max_epochs=1, max_inner_steps=2, **fields)
+    return code
+
+
+def occupy(path: Path) -> Path:
+    path.mkdir(parents=True)
+    return path
+
+
+def missing_config(tmp_path, ground_name):
+    path = tmp_path / "missing.cfg"
+    return main(["run", str(path)]), path
+
+
+def output_is_a_file(tmp_path, ground_name):
+    taken = write(tmp_path / "taken", "")
+    return small_run(tmp_path, output=taken), taken
+
+
+def trace_is_a_directory(tmp_path, ground_name):
+    blocked = occupy(tmp_path / "out" / "trace.csv")
+    return small_run(tmp_path), blocked
+
+
+def manifest_is_a_directory(tmp_path, ground_name):
+    blocked = occupy(tmp_path / "out" / "manifest.json")
+    return small_run(tmp_path), blocked
+
+
+def ground_file_is_a_directory(tmp_path, ground_name):
+    # the load fails and the rebuild is solved, but cannot be put in place
+    blocked = occupy(tmp_path / "cache" / ground_name)
+    return small_run(tmp_path), blocked
+
+
+def ed_csv_is_a_directory(tmp_path, ground_name):
+    blocked = occupy(tmp_path / "ed.csv")
+    return main(["ed", "--grid", "2x2", "--u", "4", "--csv", str(blocked)]), blocked
+
+
+def compare_of_a_missing_run(tmp_path, ground_name):
+    missing = tmp_path / "missing"
+    return main(["compare", str(missing)]), missing
+
+
+@pytest.mark.parametrize("case", [
+    missing_config, output_is_a_file, trace_is_a_directory, manifest_is_a_directory,
+    ground_file_is_a_directory, ed_csv_is_a_directory, compare_of_a_missing_run,
+], ids=lambda case: case.__name__)
+def test_a_file_the_cli_cannot_read_or_write_is_one_error_line(tmp_path, capsys, cache_2x2,
+                                                               case):
+    code, path = case(tmp_path, cache_2x2["ground"][0])
+    assert code == 1
+    assert str(path) in one_error_line(capsys)
+    assert not list(tmp_path.glob("cache/*.tmp"))  # no partial cache file is left
+
+
 def test_every_loop_setting_is_a_config_key(tmp_path, capsys):
     from dataclasses import asdict, fields
 

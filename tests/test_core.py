@@ -56,6 +56,7 @@ from oracles import (
     adjoint_evaluation,
     dense_pauli_sum,
     eager_adam_optimize,
+    pool_generator,
     whole_sector_run_operands,
 )
 from replay import adaptive_circuit, refuse_full_register, refuse_pauli_path
@@ -79,11 +80,10 @@ def test_pool_sizes(shape):
 @pytest.mark.parametrize("shape", sorted(POOL_SIZES))
 def test_pool_structure(shape):
     pool = build_pool(u4(*shape))
-    labels = [p.label for p in pool]
+    labels = [q.label for q in pool]
     assert len(set(labels)) == len(labels)
     forward = set()
-    for p in pool:
-        q = p.quadruple
+    for q in pool:
         assert abs(q.energy_gap) > 1e-9
         assert not q.is_diagonal
         assert abs(q.amplitude) > 1e-12
@@ -99,7 +99,7 @@ def test_pool_classes_partition_the_table(shape):
     classes = [pool_class(q) for q in table]
     assert set(classes) <= {"diagonal", "one-sided", "zero-gap", "pool"}
     assert classes.count("pool") == 2 * len(build_pool(grid))
-    pooled = {p.quadruple for p in build_pool(grid)}
+    pooled = set(build_pool(grid))
     assert all(pool_class(q) == "pool" for q in pooled)
     for q, cls in zip(table, classes):
         if cls == "diagonal":
@@ -114,8 +114,8 @@ def test_pool_zero_coupling_is_empty():
 
 def test_pool_generators_are_antihermitian():
     grid = u4(2, 2)
-    for p in build_pool(grid):
-        a = p.generator(grid.n_qubits)
+    for q in build_pool(grid):
+        a = pool_generator(q, grid.n_qubits)
         assert len(a + a.dagger()) == 0
 
 
@@ -125,8 +125,8 @@ def test_pool_generators_conserve_sz_not_s2():
     dense_sz = dense_pauli_sum(sz, grid.n_qubits)
     dense_s2 = dense_pauli_sum(s2, grid.n_qubits)
     broke_s2 = 0
-    for p in build_pool(grid):
-        a = dense_pauli_sum(p.generator(grid.n_qubits), grid.n_qubits)
+    for q in build_pool(grid):
+        a = dense_pauli_sum(pool_generator(q, grid.n_qubits), grid.n_qubits)
         assert np.max(np.abs(a @ dense_sz - dense_sz @ a)) < 1e-10
         if np.max(np.abs(a @ dense_s2 - dense_s2 @ a)) > 1e-8:
             broke_s2 += 1
@@ -153,9 +153,9 @@ def test_pool_tables_load_bit_identical(tmp_path, shape):
     built = PoolTables.build(grid, states)
     built.save(tmp_path / "pool.npys", key="pool tables")
     loaded = PoolTables.load(tmp_path / "pool.npys", key="pool tables")
-    assert built.labels == loaded.labels == tuple(p.label for p in pool)
+    assert built.labels == loaded.labels == tuple(q.label for q in pool)
     np.testing.assert_array_equal(loaded.states, states)
-    reference = [sector_orbit(p.term, states) for p in pool]
+    reference = [sector_orbit(q.ladder_term(), states) for q in pool]
     for tables in (built, loaded):
         orbits = tables.orbits()
         assert len(orbits) == len(reference)
@@ -217,7 +217,7 @@ def test_pool_gradients_match_finite_difference():
     grads = pool_gradients(psi, h, pool)
     step = 1e-6
     for i in (0, 3, 7, len(pool) - 1):
-        circuit = AnsatzCircuit(psi, [PoolRotation(pool[i].term, 0.0)])
+        circuit = AnsatzCircuit(psi, [PoolRotation(pool[i].ladder_term(), 0.0)])
         circuit.set_thetas([step])
         e_plus = expectation(h, circuit.run())
         circuit.set_thetas([-step])
@@ -233,11 +233,10 @@ def test_annihilating_operators_have_zero_gradient():
     occ_up = {m.slot for m in sea.occupied_up}
     occ_dn = {m.slot for m in sea.occupied_down}
     grads = sector_pool_gradients(x, sector_matrix(h, states, grid.n_qubits),
-                                  [sector_orbit(p.term, states) for p in pool])
+                                  [sector_orbit(q.ladder_term(), states) for q in pool])
 
     checked = 0
-    for p, g in zip(pool, grads):
-        q = p.quadruple
+    for q, g in zip(pool, grads):
         # O survives if its sources are occupied and targets free; O† the reverse
         forward = (q.up_from in occ_up and q.down_from in occ_dn
                    and q.up_to not in occ_up and q.down_to not in occ_dn)
@@ -629,12 +628,12 @@ def test_every_export_is_the_object_its_module_defines():
 def test_run_first_epoch_selection_is_clean():
     grid = u4(2, 2)
     result = vipsa_run(grid, config=VipsaConfig(max_epochs=1))
-    pool = {p.label: p for p in build_pool(grid)}
+    pool = {q.label: q for q in build_pool(grid)}
     psi, sea = sea_state(grid, 2, 2)
     occ_up = {m.slot for m in sea.occupied_up}
     occ_dn = {m.slot for m in sea.occupied_down}
     for label in result.records[0].selected:
-        q = pool[label].quadruple
+        q = pool[label]
         assert abs(q.energy_gap) > 1e-9
         # at least one orientation moves occupied modes into free ones
         forward = (q.up_from in occ_up and q.down_from in occ_dn
@@ -679,7 +678,7 @@ def test_first_order_states_match_full_register(shape):
         image = apply_pauli_sum(jordan_wigner(q.ladder_term(), grid.n_qubits), phi0)
         accumulated -= (q.amplitude / q.energy_gap) * image.amplitudes
     accumulated /= np.linalg.norm(accumulated)
-    sequential = AnsatzCircuit(phi0, [PoolRotation(p.term, t) for p, t in
+    sequential = AnsatzCircuit(phi0, [PoolRotation(q.ladder_term(), t) for q, t in
                                       zip(build_pool(grid), result.thetas)]).run()
     for full, sector in ((accumulated, result.reference), (sequential.amplitudes, result.sequential)):
         np.testing.assert_allclose(full[result.states], sector, rtol=0, atol=1e-12)
@@ -770,5 +769,5 @@ def test_first_order_angles_match_amplitudes():
     result = first_order_oracle(grid, 2, 2)
     pool = build_pool(grid)
     assert len(result.thetas) == len(pool)
-    for theta, p in zip(result.thetas, pool):
-        assert np.sin(theta) == pytest.approx(-p.amplitude / p.eps, abs=1e-12)
+    for theta, q in zip(result.thetas, pool):
+        assert np.sin(theta) == pytest.approx(-q.amplitude / q.energy_gap, abs=1e-12)

@@ -161,8 +161,9 @@ def test_tables_match_the_per_operator_builders():
     grid = GridSpec.make(3, 3, u=6.0)
     states = sector_basis(grid.n_qubits, 5, 4)
     pool = build_pool(grid)
-    tables = [(sector_orbit(p.term, states), per_operator_orbit(p.term.factors, states))
-              for p in pool]
+    tables = [(sector_orbit(q.ladder_term(), states),
+               per_operator_orbit(q.ladder_term().factors, states))
+              for q in pool]
     grid = GridSpec.make(2, 4, u=4.0)
     states = sector_basis(grid.n_qubits, 4, 4)
     horizontal, vertical = hopping_edges(grid)
@@ -413,7 +414,7 @@ def grid_problem(nx, ny, u):
     h, _ = build_kspace(grid)
     sector = SectorHamiltonian(h, grid.n_qubits, *default_filling(grid))
     pool = build_pool(grid)
-    orbits = [sector_orbit(p.term, sector.states) for p in pool]
+    orbits = [sector_orbit(q.ladder_term(), sector.states) for q in pool]
     return grid, h, sector, pool, orbits
 
 
@@ -441,7 +442,7 @@ def test_sector_adjoint_matches_circuit_gradient(shape, seed, n_gates):
     gates = rng.integers(len(pool), size=n_gates)
     thetas = rng.uniform(-np.pi, np.pi, size=n_gates)
     circuit = AnsatzCircuit(full_register(x0, sector.states, grid.n_qubits),
-                            [PoolRotation(pool[i].term, t) for i, t in zip(gates, thetas)])
+                            [PoolRotation(pool[i].ladder_term(), t) for i, t in zip(gates, thetas)])
 
     energy, grads = adjoint_evaluation(
         x0, [orbits[i] for i in gates], thetas, sector.matrix.real)
