@@ -19,7 +19,7 @@ from vipsa import (
     ground_space,
     rs_perturbation,
 )
-from vipsa.hamiltonians import sector_matrix
+from vipsa.hamiltonians import fidelity, sector_matrix
 from vipsa.lattice import point_group
 
 
@@ -48,7 +48,7 @@ def main():
     print(f"\nGround energy {gs.energy:.10f}, degeneracy {gs.degeneracy}, "
           f"sector dimension {len(gs.states)}.")
     print(f"The Fermi sea starts at energy {sea.energy:g} with ground-space "
-          f"fidelity {gs.fidelity(x):.4f}: index-order filling picks one")
+          f"fidelity {fidelity(x, gs):.4f}: index-order filling picks one")
     print("orientation of the half-filled zero-energy shell, and on this grid")
     print("that orientation carries no weight on the unique ground state.")
     print("The recovery benchmarks therefore run on the other grids.")

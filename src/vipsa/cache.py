@@ -83,7 +83,9 @@ def cached(cache_dir, stem: str, key: str, kind, build, fits):
     a digest of key, or build() saved there.  A file that load cannot use or
     that fails fits is rebuilt and replaced; a new file is written next to
     its final name and renamed into place, so a crash mid-write leaves no
-    partial file there."""
+    partial file there.  That file is opened, and a final name held by
+    anything but a file is refused (OSError), before build() runs, so no
+    result is built that could not be kept."""
     path = cache_dir / f"{stem}-{hashlib.sha256(key.encode()).hexdigest()[:12]}.npys"
     if path.exists():
         try:
@@ -91,10 +93,12 @@ def cached(cache_dir, stem: str, key: str, kind, build, fits):
                 return loaded
         except (OSError, ValueError):
             pass
-    result = build()
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "wb") as handle:
+            if path.exists() and not path.is_file():
+                raise OSError(f"{path} is not a file, so no cache file can be put there")
+            result = build()
             result.save(handle, key)
         os.replace(partial, path)
     except BaseException:

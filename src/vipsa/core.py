@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cache
-from .fermions import PauliSum
 from .hamiltonians import (
     UNLABELLED,
     GroundSpace,
     InteractionQuadruple,
     build_kspace,
-    fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
+    fidelity,
     ground_space,
     interaction_quadruples,
     sector_basis,
@@ -37,13 +36,10 @@ from .lattice import (
 )
 from .statevector import (
     Orbit,
-    StateVector,
     _ladder_orbits,
     _positions,
-    apply_pauli_sum,
     expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
     orbit_overlap,
-    register_orbit,
     sector_adjoint_sweep,
     sector_expectation,
     sector_orbit,
@@ -155,28 +151,15 @@ class PoolTables:
                        data["dst"], data["sign"], data["offsets"])
 
 
-def _apply_operator(h, psi: StateVector) -> StateVector:
-    """Accept either a PauliSum or anything with .apply (sector matrices)."""
-    if isinstance(h, PauliSum):
-        return apply_pauli_sum(h, psi)
-    return h.apply(psi)
-
-
-def pool_gradients(psi: StateVector, h, pool: list[InteractionQuadruple]) -> np.ndarray:
-    """g_i = <psi|[h, A_i]|psi>, via one h application shared by all operators.
+def pool_gradients(x: np.ndarray, h, orbits) -> np.ndarray:
+    """g_i = <x|[h, A_i]|x> for a real vector x, a real matrix h and the
+    pool's orbit tables, all over one basis: a sector, one of its momentum
+    blocks, or every bitstring of the register.
 
     For Hermitian h and anti-Hermitian A the commutator expectation reduces
-    exactly to 2 Re <h psi|A psi>, so each operator costs only two gathers.
+    exactly to 2 <h x|A x>, so one h application serves every operator and
+    each costs only two gathers.
     """
-    image = _apply_operator(h, psi).amplitudes
-    return np.array([2.0 * orbit_overlap(register_orbit(q.ladder_term(), psi.n_qubits), image,
-                                         psi.amplitudes).real
-                     for q in pool])
-
-
-def sector_pool_gradients(x: np.ndarray, h, orbits) -> np.ndarray:
-    """pool_gradients for a real vector x, a real matrix h and the pool's
-    orbit tables, all over one basis: a sector or one of its momentum blocks."""
     image = h @ x
     return np.array([2.0 * orbit_overlap(orbit, image, x) for orbit in orbits])
 
@@ -420,7 +403,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     step_energies: list[tuple[int, int, float]] = []
     status = "exhausted"
     for epoch in range(config.max_epochs):
-        grads = sector_pool_gradients(x, h, orbits)
+        grads = pool_gradients(x, h, orbits)
         max_gradient = float(np.abs(grads).max()) if len(grads) else 0.0
         if max_gradient < config.eps1:
             status = "converged"
@@ -445,7 +428,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
             n_params=len(gates),
             inner_steps=inner_steps,
             energy=energy,
-            fidelity=reference.fidelity(x),
+            fidelity=fidelity(x, reference),
         )
         records.append(record)
         if progress is not None:

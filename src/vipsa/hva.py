@@ -22,7 +22,7 @@ from .fermions import hopping_pair
 from .hamiltonians import (
     GroundSpace,
     build_real,
-    fidelity,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
+    fidelity,
     ground_space,
     sector_basis,
 )
@@ -215,7 +215,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         # the pass, because every record stores its max|g|
         thetas = ansatz.angles(params)
         energy, x, b = sector_expectation(ansatz.x0, ansatz.sector_gates, thetas, reference.matrix)
-        fid = reference.fidelity(x)  # before the gradient sweep rotates x back
+        fid = fidelity(x, reference)  # before the gradient sweep rotates x back
         grads = ansatz.fold(sector_adjoint_sweep(ansatz.sector_gates, thetas, x, b))
         records.append(EpochRecord(len(records), float(np.abs(grads).max()), (),
                                    ansatz.n_params, 1, energy, fid))

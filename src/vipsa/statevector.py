@@ -492,8 +492,6 @@ def _generated(gate, psi: StateVector) -> StateVector:
 class PoolRotation:
     """exp(theta * (O - O†)) for a quadruple operator O."""
 
-    kind = "PoolRotation"
-
     def __init__(self, o: LadderTerm, theta: float = 0.0):
         _pool_factors(o)  # validate eagerly
         self.o = o
@@ -512,8 +510,6 @@ class PoolRotation:
 class HoppingRotation:
     """exp(-i*theta*(c†_i c_j + c†_j c_i))."""
 
-    kind = "HoppingRotation"
-
     def __init__(self, pair, theta: float = 0.0):
         _hopping_factors(pair)
         self.pair = tuple(pair)
@@ -531,8 +527,6 @@ class HoppingRotation:
 
 class DiagonalPhase:
     """exp(-i*theta*d) for a diagonal Pauli sum d."""
-
-    kind = "DiagonalPhase"
 
     def __init__(self, d: PauliSum, theta: float = 0.0):
         if not d.is_diagonal():

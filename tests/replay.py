@@ -4,7 +4,10 @@ The library keeps every state over the sorted (n_up, n_down) sector basis.
 These helpers rebuild the same circuits as gate objects on the 2^n register,
 so tests can check results against the reference kernels: the adaptive
 circuit from the pool labels and angles a RunResult records, the layered
-circuit from an HvaAnsatz's layout and parameter map.  `refuse_full_register`
+circuit from an HvaAnsatz's layout and parameter map.  `kept_amplitudes` and
+`register_screen_operands` hand such a state to the library's one fidelity
+and one screen, over a ground space's kept rows and over every bitstring of
+the register.  `refuse_full_register`
 does the opposite: it makes every 2^n kernel raise, so a test can show that
 a sector path never reaches one; `refuse_pauli_path` does the same for the
 Jordan-Wigner map and the Pauli-sum sector matrix.
@@ -13,11 +16,13 @@ Jordan-Wigner map and the Pauli-sum sector matrix.
 import importlib
 import pkgutil
 
+import numpy as np
+
 import vipsa
 from vipsa import core, hamiltonians, hva, statevector
 from vipsa.core import build_pool
 from vipsa.fermions import hopping_pair
-from vipsa.hamiltonians import onsite_interaction
+from vipsa.hamiltonians import onsite_interaction, sector_matrix
 from vipsa.lattice import DOWN, UP, fermi_sea, qubit_index
 from vipsa.statevector import (
     AnsatzCircuit,
@@ -27,6 +32,7 @@ from vipsa.statevector import (
     StateVector,
     basis_state,
     expectation_and_gradient,
+    register_orbit,
 )
 
 
@@ -65,6 +71,26 @@ def hva_energy_and_gradient(ansatz, params, apply_h):
     """Energy and parameter gradient of the layered ansatz on the full register."""
     energy, per_gate = expectation_and_gradient(hva_circuit(ansatz, params), apply_h)
     return energy, ansatz.fold(per_gate)
+
+
+def kept_amplitudes(psi, gs) -> np.ndarray:
+    """A full-register state's amplitudes on the ground space's kept rows,
+    gs.states[gs.matrix_rows] (every sector state when it keeps none), as
+    hamiltonians.fidelity takes them; the state must have no weight anywhere
+    else."""
+    kept = gs.states if gs.matrix_rows is None else gs.states[gs.matrix_rows]
+    elsewhere = psi.amplitudes.copy()
+    elsewhere[kept] = 0.0
+    assert not elsewhere.any(), "state has weight off the ground space's kept rows"
+    return psi.amplitudes[kept]
+
+
+def register_screen_operands(grid, h):
+    """h over every bitstring of the register, and the pool's orbit tables
+    there: core.pool_gradients screens a full-register state with them."""
+    states = np.arange(1 << grid.n_qubits, dtype=np.uint32)
+    return (sector_matrix(h, states, grid.n_qubits),
+            [register_orbit(q.ladder_term(), grid.n_qubits) for q in build_pool(grid)])
 
 
 FULL_REGISTER_KERNELS = ("basis_state", "slater_statevector", "apply_pauli_sum",

@@ -18,7 +18,6 @@ from vipsa.core import (
     pool_class,
     pool_gradients,
     rs_perturbation,
-    sector_pool_gradients,
     select,
     vipsa_run,
 )
@@ -59,7 +58,13 @@ from oracles import (
     pool_generator,
     whole_sector_run_operands,
 )
-from replay import adaptive_circuit, refuse_full_register, refuse_pauli_path
+from replay import (
+    adaptive_circuit,
+    kept_amplitudes,
+    refuse_full_register,
+    refuse_pauli_path,
+    register_screen_operands,
+)
 
 
 def u4(nx, ny):
@@ -214,7 +219,7 @@ def test_pool_gradients_match_finite_difference():
     h, _ = build_kspace(grid)
     pool = build_pool(grid)
     psi, _ = sea_state(grid, 2, 2)
-    grads = pool_gradients(psi, h, pool)
+    grads = pool_gradients(psi.amplitudes.real, *register_screen_operands(grid, h))
     step = 1e-6
     for i in (0, 3, 7, len(pool) - 1):
         circuit = AnsatzCircuit(psi, [PoolRotation(pool[i].ladder_term(), 0.0)])
@@ -232,8 +237,8 @@ def test_annihilating_operators_have_zero_gradient():
     x, states, sea = sea_vector(grid, 5, 4)
     occ_up = {m.slot for m in sea.occupied_up}
     occ_dn = {m.slot for m in sea.occupied_down}
-    grads = sector_pool_gradients(x, sector_matrix(h, states, grid.n_qubits),
-                                  [sector_orbit(q.ladder_term(), states) for q in pool])
+    grads = pool_gradients(x, sector_matrix(h, states, grid.n_qubits),
+                           [sector_orbit(q.ladder_term(), states) for q in pool])
 
     checked = 0
     for q, g in zip(pool, grads):
@@ -447,7 +452,8 @@ def test_run_records_match_full_register_replay():
         assert run.records == full.records[:epochs]
         psi = adaptive_circuit(run).run()
         assert abs(expectation(h, psi) - run.records[-1].energy) <= 1e-12
-        assert abs(fidelity(psi, run.ground) - run.records[-1].fidelity) <= 1e-12
+        assert abs(fidelity(kept_amplitudes(psi, run.ground), run.ground)
+                   - run.records[-1].fidelity) <= 1e-12
         assert psi.max_imag() <= 1e-12
 
 
@@ -599,8 +605,7 @@ def test_block_path_matches_the_whole_sector_path(shape, u):
         orbits = pool.orbits()
         circuit = [orbits[i] for i in gates]
         x = sector_run(x0, circuit, thetas)
-        paths.append({"screens": [sector_pool_gradients(x0, h, orbits),
-                                  sector_pool_gradients(x, h, orbits)],
+        paths.append({"screens": [pool_gradients(x0, h, orbits), pool_gradients(x, h, orbits)],
                       "sweep": adjoint_evaluation(x0, circuit, thetas, h),
                       "x": x})
     whole, on_block = paths
@@ -612,7 +617,7 @@ def test_block_path_matches_the_whole_sector_path(shape, u):
     outside = np.ones(len(reference.states), dtype=bool)
     outside[rows] = False
     assert not whole["x"][outside].any()
-    assert (reference.fidelity(on_block["x"])
+    assert (fidelity(on_block["x"], reference)
             == pytest.approx(np.sum((reference.vectors.T @ whole["x"]) ** 2), abs=1e-12))
 
 

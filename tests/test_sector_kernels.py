@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vipsa import statevector
-from vipsa.core import build_pool, pool_gradients, sector_pool_gradients
+from vipsa.core import build_pool, pool_gradients
 from vipsa.fermions import ANNIHILATE, CREATE, LadderTerm, PauliSum, hopping_pair
 from vipsa.hamiltonians import (
     SectorHamiltonian,
@@ -59,6 +59,7 @@ from oracles import (
     per_gate_sweep,
     run_every_gate,
 )
+from replay import register_screen_operands
 
 TOL = 1e-12
 
@@ -418,6 +419,12 @@ def grid_problem(nx, ny, u):
     return grid, h, sector, pool, orbits
 
 
+@lru_cache(maxsize=None)
+def register_operands(nx, ny, u):
+    grid, h, *_ = grid_problem(nx, ny, u)
+    return register_screen_operands(grid, h)
+
+
 SHAPES = ((2, 2), (2, 3))
 
 
@@ -425,10 +432,11 @@ SHAPES = ((2, 2), (2, 3))
 @settings(max_examples=15, deadline=None)
 @given(seed=seeds)
 def test_sector_screen_matches_pool_gradients(shape, seed):
-    grid, _, sector, pool, orbits = grid_problem(*shape, 4.0)
+    grid, _, sector, _, orbits = grid_problem(*shape, 4.0)
     x = random_sector_vector(sector.states, seed)
-    expected = pool_gradients(full_register(x, sector.states, grid.n_qubits), sector, pool)
-    got = sector_pool_gradients(x, sector.matrix.real, orbits)
+    expected = pool_gradients(full_register(x, sector.states, grid.n_qubits).amplitudes.real,
+                              *register_operands(*shape, 4.0))
+    got = pool_gradients(x, sector.matrix.real, orbits)
     np.testing.assert_allclose(got, expected, rtol=0, atol=TOL)
 
 
