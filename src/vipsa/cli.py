@@ -233,9 +233,13 @@ def cmd_run(args) -> int:
     from .hva import hva_run
     from .lattice import fermi_sea, label_momenta, momentum_labels
 
-    # a directory that cannot be made fails here, before any Hamiltonian is built
+    # a directory that cannot be made, or an artifact name taken by anything
+    # but a file, fails here, before any Hamiltonian is built
     for directory in filter(None, (run.cache_dir, run.output)):
         directory.mkdir(parents=True, exist_ok=True)
+    for artifact in (run.output / name for name in ("trace.csv", "steps.csv", "manifest.json")):
+        if artifact.exists() and not artifact.is_file():
+            raise OSError(f"{artifact} is not a file, so no run artifact can be written there")
 
     grid, (n_up, n_down) = run.grid, run.sector
     # the Fermi sea's block, named once by the sea's label: the ground file

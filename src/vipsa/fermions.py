@@ -31,13 +31,12 @@ COEFF_DROP_TOL = 1e-12
 
 # A Pauli string as bit masks (x, z): X on the qubits of x only, Z on those
 # of z only, Y on both.  With Y = iXZ the string is i^|x&z| X^x Z^z, so a
-# product's phase is a power of i read off popcounts (see _mask_product).
+# product's phase is a power of i read off popcounts (see _mask_products).
 Masks = tuple[int, int]
 # Strings as arrays: x masks, z masks (uint64) and complex128 coefficients.
 MaskArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-_PHASE_ARRAY = np.array(_PHASES)
+_PHASE_ARRAY = np.array((1 + 0j, 1j, -1 + 0j, -1j))
 _LETTER = (None, "X", "Z", "Y")  # by (x bit) + 2 * (z bit)
 # rank of a qubit's letter in letter-map order (X < Y < Z), by (x bit) + 2 * (z bit)
 _LETTER_RANK = np.array([0, 1, 3, 2], dtype=np.uint16)
@@ -72,21 +71,13 @@ class LadderTerm:
         return LadderTerm(self.coeff * factor, self.factors)
 
 
-def _mask_product(xa: int, za: int, xb: int, zb: int) -> tuple[complex, int, int]:
-    """P_a P_b = phase P_c for strings given as masks, returning (phase, x_c, z_c).
+def _mask_products(xa, za, xb, zb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_a P_b = phase P_c over arrays of strings given as masks, pair by
+    pair, returning (phase, x_c, z_c).
 
     Moving Z^za past X^xb costs (-1)^|za & xb|, and i^|x&z| converts each
-    side between its string and X^x Z^z.
-    """
-    x, z = xa ^ xb, za ^ zb
-    power = ((xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
-             - (x & z).bit_count())
-    return _PHASES[power & 3], x, z
-
-
-def _mask_products(xa, za, xb, zb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_mask_product over arrays of strings, pair by pair.  The popcounts
-    are uint8 and wrap modulo 256, which keeps the power of i modulo 4."""
+    side between its string and X^x Z^z.  The popcounts are uint8 and wrap
+    modulo 256, which keeps the power of i modulo 4."""
     x, z = xa ^ xb, za ^ zb
     count = np.bitwise_count
     power = count(xa & za) + count(xb & zb) + 2 * count(za & xb) - count(x & z)
@@ -170,28 +161,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
-
-
-def multiply_letters(a: Letters, b: Letters) -> tuple[complex, Letters]:
-    """Product of two Pauli letter maps, returning (phase, letters)."""
-    phase, x, z = _mask_product(*_masks(a), *_masks(b))
-    return phase, _letters(x, z)
-
-
-def commutes(a: Letters, b: Letters) -> bool:
-    """True iff the strings anticommute on an even number of positions."""
-    clashes = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][0] < b[j][0]:
-            i += 1
-        elif b[j][0] < a[i][0]:
-            j += 1
-        else:
-            if a[i][1] != b[j][1]:
-                clashes += 1
-            i += 1; j += 1
-    return clashes % 2 == 0
 
 
 def letters_to_masks(letters: Letters) -> tuple[int, int, int]:

@@ -33,7 +33,6 @@ from .statevector import (
     sector_adjoint_sweep,
     sector_expectation,
     sector_hopping_orbit,
-    sector_run,
     slater_amplitudes,
 )
 
@@ -156,10 +155,6 @@ class HvaAnsatz:
         """Per-gate gradients summed back onto the parameters."""
         # bincount adds each parameter's terms in gate order
         return np.bincount(self._index, self._scale * per_gate, minlength=self.n_params)
-
-    def sector_state(self, params: np.ndarray) -> np.ndarray:
-        """The ansatz state over `states`."""
-        return sector_run(self.x0, self.sector_gates, self.angles(params))
 
 
 @dataclass

@@ -19,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,15 +244,6 @@ def hopping_edges(grid: GridSpec) -> tuple[list[tuple[int, int]], list[tuple[int
         if grid.bc_y == PERIODIC:
             vertical.append((grid.site_index(x, grid.ny - 1), grid.site_index(x, 0)))
     return horizontal, vertical
-
-
-def hopping_matrix(grid: GridSpec) -> np.ndarray:
-    """Real-space single-particle hopping matrix (n_sites x n_sites)."""
-    h = np.zeros((grid.n_sites, grid.n_sites))
-    horizontal, vertical = hopping_edges(grid)
-    for i, j in horizontal + vertical:
-        h[i, j] = h[j, i] = -grid.t
-    return h
 
 
 def real_orbital_basis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -1,5 +1,5 @@
-"""Statevector kernels: matrix-free Pauli sums, closed-form gates,
-Slater preparation, and adjoint-method circuit gradients.
+"""Statevector kernels: closed-form gates over sorted bitstrings, Slater
+amplitudes, and the adjoint-method energy gradient.
 
 Basis index bit q equals the occupation of qubit q (qubit 0 is the least
 significant bit).  Every gate conserves (n_up, n_down), so it acts on a
@@ -68,18 +68,6 @@ class StateVector:
         return float(np.abs(self.amplitudes.imag).max())
 
 
-def basis_state(occupied_qubits, n_qubits: int) -> StateVector:
-    """Computational basis state with 1-bits on the given qubits."""
-    index = 0
-    for q in occupied_qubits:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit {q} outside register of {n_qubits}")
-        index |= 1 << q
-    psi = StateVector.zero(n_qubits)
-    psi.amplitudes[index] = 1.0
-    return psi
-
-
 def _compiled_terms(h: PauliSum, n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """h.compiled(), checked to act inside the n_qubits register with finite
     coefficients: (coefficients, flip masks, sign masks) of h's strings in
@@ -91,30 +79,6 @@ def _compiled_terms(h: PauliSum, n_qubits: int) -> tuple[np.ndarray, np.ndarray,
     if not np.isfinite(coeffs).all():
         raise ValueError("Pauli sum has a non-finite coefficient (float64 overflow)")
     return h.compiled()
-
-
-def apply_pauli_sum(h: PauliSum, psi: StateVector) -> StateVector:
-    """h|psi> by one gather pass per Pauli string."""
-    idx = _indices(psi.n_qubits)
-    amps = psi.amplitudes
-    out = np.zeros_like(amps)
-    for coeff, flip, yz in zip(*_compiled_terms(h, psi.n_qubits)):
-        signed = np.where(_parity(idx & yz), -coeff, coeff) * amps
-        if flip:
-            out += signed[idx ^ flip]
-        else:
-            out += signed
-    return StateVector(psi.n_qubits, out)
-
-
-def expectation(h: PauliSum, psi: StateVector) -> float:
-    """<psi|h|psi> for Hermitian h."""
-    if not h.is_hermitian():
-        raise ValueError("expectation requires a Hermitian Pauli sum")
-    value = psi.dot(apply_pauli_sum(h, psi))
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return value.real
 
 
 def _pool_factors(o: LadderTerm):
@@ -251,16 +215,6 @@ def slater_amplitudes(w: np.ndarray, occ_up, occ_down, states: np.ndarray) -> np
         passes = passes + ((ups >> np.uint32(2 * site)) & 1) * lower
     sign = np.where(np.asarray(passes) & 1, -1.0, 1.0)
     return sign * block(ups, occ_up) * block(downs, occ_down)
-
-
-def slater_statevector(w: np.ndarray, occ_up, occ_down) -> StateVector:
-    """slater_amplitudes of the (n_up, n_down) sector on the full register."""
-    occ_up, occ_down = list(occ_up), list(occ_down)
-    n_sites = np.asarray(w).shape[0]
-    states = sector_basis(2 * n_sites, len(occ_up), len(occ_down))
-    psi = StateVector.zero(2 * n_sites)
-    psi.amplitudes[states] = slater_amplitudes(w, occ_up, occ_down, states)
-    return psi
 
 
 # --- sector coordinates ------------------------------------------------------
@@ -591,14 +545,6 @@ def expectation_and_gradient(circuit: AnsatzCircuit, apply_h, final: StateVector
             psi = gate.apply(psi, inverse=True)
             b = gate.apply(b, inverse=True)
     return energy, grads
-
-
-def circuit_gradient(circuit: AnsatzCircuit, h: PauliSum) -> np.ndarray:
-    """Exact d<h>/dtheta for every gate angle (adjoint method)."""
-    if not h.is_hermitian():
-        raise ValueError("circuit_gradient requires a Hermitian Pauli sum")
-    _, grads = expectation_and_gradient(circuit, lambda psi: apply_pauli_sum(h, psi))
-    return grads
 
 
 def sector_expectation(x0: np.ndarray, gates, thetas, h):

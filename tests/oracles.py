@@ -6,6 +6,8 @@ so library results can be checked against a second derivation.
 
 Basis convention matches the package: basis index s has bit q equal to
 the occupation of qubit q (qubit 0 is the least significant bit).
+`basis_state` is the one-hot register state and `hopping_matrix` the grid's
+single-particle hopping matrix; the library keeps neither.
 
 `per_gate_sweep` is the exception: it is the adjoint sweep written gate by
 gate through the library's own single-gate kernels, rotating every gate as
@@ -54,7 +56,6 @@ from vipsa.fermions import (
     CREATE,
     LadderTerm,
     _letters,
-    _mask_product,
     hopping_pair,
     jordan_wigner,
     letters_to_masks,
@@ -64,6 +65,7 @@ from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, interaction_quadruples, secto
 from vipsa.lattice import DOWN, UP, enumerate_modes, fermi_sea, hopping_edges, qubit_index
 from vipsa.statevector import (
     SectorPhase,
+    StateVector,
     _phase_factors,
     rotate_orbit,
     sector_adjoint_sweep,
@@ -82,6 +84,25 @@ PAULI = {
 # bit 1 = occupied, so the annihilator is |0><1|
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 RAISE = LOWER.conj().T
+
+
+def basis_state(occupied_qubits, n_qubits: int) -> StateVector:
+    """The register's computational basis state with 1-bits on the given qubits."""
+    if any(not 0 <= q < n_qubits for q in occupied_qubits):
+        raise ValueError(f"occupied qubits must lie in [0, {n_qubits})")
+    psi = StateVector.zero(n_qubits)
+    psi.amplitudes[sum(1 << q for q in set(occupied_qubits))] = 1.0
+    return psi
+
+
+def hopping_matrix(grid) -> np.ndarray:
+    """Real-space single-particle hopping matrix (n_sites x n_sites): -t on
+    every bond of the grid."""
+    h = np.zeros((grid.n_sites, grid.n_sites))
+    horizontal, vertical = hopping_edges(grid)
+    for i, j in horizontal + vertical:
+        h[i, j] = h[j, i] = -grid.t
+    return h
 
 
 def kron_at(ops: dict[int, np.ndarray], n_qubits: int) -> np.ndarray:
@@ -342,6 +363,18 @@ def staged_jordan_wigner(term, n_qubits: int) -> dict:
 # code, which kept each Pauli sum as a dict in first-appearance order
 
 
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def mask_product(xa: int, za: int, xb: int, zb: int) -> tuple[complex, int, int]:
+    """P_a P_b = phase P_c for one pair of strings given as masks, returning
+    (phase, x_c, z_c), by Python integer popcounts."""
+    x, z = xa ^ xb, za ^ zb
+    power = ((xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
+             - (x & z).bit_count())
+    return _PHASES[power & 3], x, z
+
+
 def mask_sum_product(a: dict, b: dict) -> dict:
     """a * b over (x, z)-keyed terms, in first-appearance order with a's
     terms outermost.  Each coefficient accumulates as acc + ca * cb * phase
@@ -349,7 +382,7 @@ def mask_sum_product(a: dict, b: dict) -> dict:
     acc = {}
     for (xa, za), ca in a.items():
         for (xb, zb), cb in b.items():
-            phase, x, z = _mask_product(xa, za, xb, zb)
+            phase, x, z = mask_product(xa, za, xb, zb)
             acc[x, z] = acc.get((x, z), 0.0) + ca * cb * phase
     return {key: value for key, value in acc.items() if abs(value) >= COEFF_DROP_TOL}
 

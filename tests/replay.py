@@ -4,13 +4,16 @@ The library keeps every state over the sorted (n_up, n_down) sector basis.
 These helpers rebuild the same circuits as gate objects on the 2^n register,
 so tests can check results against the reference kernels: the adaptive
 circuit from the pool labels and angles a RunResult records, the layered
-circuit from an HvaAnsatz's layout and parameter map.  `kept_amplitudes` and
-`register_screen_operands` hand such a state to the library's one fidelity
-and one screen, over a ground space's kept rows and over every bitstring of
-the register.  `refuse_full_register`
-does the opposite: it makes every 2^n kernel raise, so a test can show that
-a sector path never reaches one; `refuse_pauli_path` does the same for the
-Jordan-Wigner map and the Pauli-sum sector matrix.
+circuit from an HvaAnsatz's layout and parameter map.  The register's basis
+states are `oracles.basis_state`, and `register_apply` applies a Pauli sum
+there through `oracles.per_string_sector_matrix` over every bitstring, which
+`register_expectation` takes an energy with; the library keeps neither.  `kept_amplitudes` and `register_screen_operands`
+hand such a state to the library's one fidelity and one screen, over a
+ground space's kept rows and over every bitstring of the register.
+`refuse_full_register` does the opposite: it makes every 2^n kernel raise,
+so a test can show that a sector path never reaches one;
+`refuse_pauli_path` does the same for the Jordan-Wigner map and the
+Pauli-sum sector matrix.
 """
 
 import importlib
@@ -30,10 +33,11 @@ from vipsa.statevector import (
     HoppingRotation,
     PoolRotation,
     StateVector,
-    basis_state,
     expectation_and_gradient,
     register_orbit,
 )
+
+from oracles import basis_state, per_string_sector_matrix
 
 
 def adaptive_circuit(run) -> AnsatzCircuit:
@@ -73,6 +77,21 @@ def hva_energy_and_gradient(ansatz, params, apply_h):
     return energy, ansatz.fold(per_gate)
 
 
+def register_apply(h, n_qubits: int):
+    """psi -> h|psi> on the n-qubit register: h over every bitstring, as the
+    per-string oracle builds it, so also for a non-Hermitian h."""
+    matrix = per_string_sector_matrix(h, np.arange(1 << n_qubits, dtype=np.uint32), n_qubits)
+    return lambda psi: StateVector(n_qubits, matrix @ psi.amplitudes)
+
+
+def register_expectation(h, psi) -> float:
+    """<psi|h|psi> of a full-register state, with h applied by register_apply;
+    h must be Hermitian."""
+    if not h.is_hermitian():
+        raise ValueError("register_expectation requires a Hermitian Pauli sum")
+    return psi.dot(register_apply(h, psi.n_qubits)(psi)).real
+
+
 def kept_amplitudes(psi, gs) -> np.ndarray:
     """A full-register state's amplitudes on the ground space's kept rows,
     gs.states[gs.matrix_rows] (every sector state when it keeps none), as
@@ -93,8 +112,7 @@ def register_screen_operands(grid, h):
             [register_orbit(q.ladder_term(), grid.n_qubits) for q in build_pool(grid)])
 
 
-FULL_REGISTER_KERNELS = ("basis_state", "slater_statevector", "apply_pauli_sum",
-                         "register_orbit")
+FULL_REGISTER_KERNELS = ("register_orbit",)
 
 
 REFUSED_MODULES = (core, hamiltonians, hva, statevector)

@@ -46,22 +46,27 @@ from vipsa.lattice import DEGENERACY_TOL, GridSpec, default_filling, fermi_sea
 from vipsa.statevector import (
     AnsatzCircuit,
     PoolRotation,
-    basis_state,
-    circuit_gradient,
-    expectation,
+    expectation_and_gradient,
     sector_orbit,
 )
 
 from builds import sea_block_space
 from oracles import (
     adjoint_evaluation,
+    basis_state,
     dense_ladder_term,
     dense_pauli_string,
     dense_pauli_sum,
     lowest_sector_values,
     pool_generator,
 )
-from replay import adaptive_circuit, hva_circuit, kept_amplitudes
+from replay import (
+    adaptive_circuit,
+    hva_circuit,
+    kept_amplitudes,
+    register_apply,
+    register_expectation,
+)
 from test_statevector import (
     finite_difference_gradient,
     random_hermitian_sum,
@@ -327,8 +332,8 @@ def test_criterion_9_spin_conservation(runs_2x2):
     sz_vals, s2_vals = [], []
     for params in hva.history:
         psi = hva_circuit(hva.ansatz, params).run()
-        sz_vals.append(expectation(s_z, psi))
-        s2_vals.append(expectation(s_squared, psi))
+        sz_vals.append(register_expectation(s_z, psi))
+        s2_vals.append(register_expectation(s_squared, psi))
     hva_sz = max(sz_vals) - min(sz_vals)
     hva_s2 = max(s2_vals) - min(s2_vals)
     assert hva_sz <= 1e-8 and hva_s2 <= 1e-8
@@ -337,8 +342,8 @@ def test_criterion_9_spin_conservation(runs_2x2):
     sz_spread = 0.0
     for run in runs_2x2.values():
         circuit = adaptive_circuit(run)
-        values = [expectation(s_z,
-                              AnsatzCircuit(circuit.initial, circuit.gates[:k]).run())
+        values = [register_expectation(s_z,
+                                       AnsatzCircuit(circuit.initial, circuit.gates[:k]).run())
                   for k in range(len(circuit.gates) + 1)]
         sz_spread = max(sz_spread, max(values) - min(values))
     assert sz_spread <= 1e-8
@@ -378,7 +383,7 @@ def test_criterion_11_adjoint_gradient_accuracy():
     for n in (8, 10, 12):
         circuit = random_mixed_circuit(n, 20, rng)
         h = random_hermitian_sum(n, 6, rng)
-        adjoint = circuit_gradient(circuit, h)
+        _, adjoint = expectation_and_gradient(circuit, register_apply(h, n))
         fd = finite_difference_gradient(circuit, h, step=1e-5)
         scale = np.maximum(1.0, np.abs(adjoint))
         worst = max(worst, float((np.abs(adjoint - fd) / scale).max()))

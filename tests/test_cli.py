@@ -1017,18 +1017,23 @@ def test_a_file_the_cli_cannot_read_or_write_is_one_error_line(tmp_path, capsys,
     assert not list(tmp_path.glob("cache/*.tmp"))  # no partial cache file is left
 
 
-def test_a_ground_file_that_cannot_be_put_in_place_is_refused_before_it_is_built(
-        tmp_path, capsys, monkeypatch, cache_2x2):
-    # the directory at the ground file's path is found before any
-    # Hamiltonian is built, so nothing is solved only to be thrown away
+@pytest.mark.parametrize("case", [
+    ground_file_is_a_directory, trace_is_a_directory, manifest_is_a_directory,
+], ids=lambda case: case.__name__)
+def test_a_path_a_run_cannot_write_is_refused_before_anything_is_built(
+        tmp_path, capsys, monkeypatch, cache_2x2, case):
+    # the directory at the cache file's or the artifact's path is found
+    # before any Hamiltonian is built, so nothing is solved only to be thrown
+    # away, and no run leaves CSVs without the manifest beside them
     import vipsa
 
     for module, name in HAMILTONIAN_BUILDERS:
         monkeypatch.setattr(getattr(vipsa, module), name, refuse)
-    code, path = ground_file_is_a_directory(tmp_path, cache_2x2["ground"][0])
+    code, path = case(tmp_path, cache_2x2["ground"][0])
     assert code == 1
     assert str(path) in one_error_line(capsys)
     assert not list(tmp_path.glob("cache/*.tmp"))
+    assert not [name for name in ("trace.csv", "steps.csv") if (tmp_path / "out" / name).is_file()]
 
 
 def test_every_loop_setting_is_a_config_key(tmp_path, capsys):

@@ -44,15 +44,13 @@ from vipsa.lattice import (
 from vipsa.statevector import (
     AnsatzCircuit,
     PoolRotation,
-    apply_pauli_sum,
-    basis_state,
-    expectation,
     sector_orbit,
     sector_run,
 )
 from builds import sea_block, sea_block_space
 from oracles import (
     adjoint_evaluation,
+    basis_state,
     dense_pauli_sum,
     eager_adam_optimize,
     pool_generator,
@@ -63,6 +61,8 @@ from replay import (
     kept_amplitudes,
     refuse_full_register,
     refuse_pauli_path,
+    register_apply,
+    register_expectation,
     register_screen_operands,
 )
 
@@ -224,9 +224,9 @@ def test_pool_gradients_match_finite_difference():
     for i in (0, 3, 7, len(pool) - 1):
         circuit = AnsatzCircuit(psi, [PoolRotation(pool[i].ladder_term(), 0.0)])
         circuit.set_thetas([step])
-        e_plus = expectation(h, circuit.run())
+        e_plus = register_expectation(h, circuit.run())
         circuit.set_thetas([-step])
-        e_minus = expectation(h, circuit.run())
+        e_minus = register_expectation(h, circuit.run())
         assert grads[i] == pytest.approx((e_plus - e_minus) / (2 * step), abs=1e-6)
 
 
@@ -451,7 +451,7 @@ def test_run_records_match_full_register_replay():
         run = vipsa_run(grid, config=replace(config, max_epochs=epochs), reference=full.ground)
         assert run.records == full.records[:epochs]
         psi = adaptive_circuit(run).run()
-        assert abs(expectation(h, psi) - run.records[-1].energy) <= 1e-12
+        assert abs(register_expectation(h, psi) - run.records[-1].energy) <= 1e-12
         assert abs(fidelity(kept_amplitudes(psi, run.ground), run.ground)
                    - run.records[-1].fidelity) <= 1e-12
         assert psi.max_imag() <= 1e-12
@@ -680,7 +680,7 @@ def test_first_order_states_match_full_register(shape):
     for q in interaction_quadruples(grid):
         if q.is_diagonal or abs(q.energy_gap) <= DEGENERACY_TOL:
             continue
-        image = apply_pauli_sum(jordan_wigner(q.ladder_term(), grid.n_qubits), phi0)
+        image = register_apply(jordan_wigner(q.ladder_term(), grid.n_qubits), grid.n_qubits)(phi0)
         accumulated -= (q.amplitude / q.energy_gap) * image.amplitudes
     accumulated /= np.linalg.norm(accumulated)
     sequential = AnsatzCircuit(phi0, [PoolRotation(q.ladder_term(), t) for q, t in

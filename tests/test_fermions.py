@@ -8,16 +8,14 @@ from vipsa.fermions import (
     CREATE,
     LadderTerm,
     PauliSum,
-    commutes,
     hopping_pair,
     jordan_wigner,
     jordan_wigner_sum,
     letters_to_masks,
-    multiply_letters,
     number_term,
 )
 
-from oracles import dense_ladder_term, dense_pauli_sum
+from oracles import dense_ladder_term, dense_pauli_sum, letter_product
 
 
 def test_jw_hopping_adjacent():
@@ -96,13 +94,19 @@ def test_pool_generator_shape():
             assert weight == 4
         for i in range(8):
             for j in range(i + 1, 8):
-                assert commutes(terms[i][1], terms[j][1])
+                a, b = terms[i][1], terms[j][1]
+                assert letter_product(a, b)[0] == letter_product(b, a)[0]  # commute
         dense = dense_pauli_sum(gen, n)
         assert np.abs(dense.imag).max() < 1e-14
         np.testing.assert_allclose(dense.real, -dense.real.T, atol=1e-14)
 
 
 def test_commutes_examples():
+    # strings commute iff their PauliSum commutator vanishes
+    def commutes(a, b):
+        pa, pb = PauliSum.from_terms([(1.0, a)]), PauliSum.from_terms([(1.0, b)])
+        return len(pa * pb - pb * pa) == 0
+
     xx = ((0, "X"), (1, "X"))
     yy = ((0, "Y"), (1, "Y"))
     assert commutes(xx, yy)
@@ -112,11 +116,15 @@ def test_commutes_examples():
 
 
 def test_multiply_letters_phases():
-    phase, letters = multiply_letters(((0, "X"),), ((0, "Y"),))
+    def product(a, b):
+        (term,) = (PauliSum.from_terms([(1.0, a)]) * PauliSum.from_terms([(1.0, b)])).terms()
+        return term
+
+    phase, letters = product(((0, "X"),), ((0, "Y"),))
     assert phase == 1j and letters == ((0, "Z"),)
-    phase, letters = multiply_letters(((0, "Y"),), ((0, "X"),))
+    phase, letters = product(((0, "Y"),), ((0, "X"),))
     assert phase == -1j
-    phase, letters = multiply_letters(((0, "X"), (2, "Z")), ((1, "Y"),))
+    phase, letters = product(((0, "X"), (2, "Z")), ((1, "Y"),))
     assert phase == 1 and letters == ((0, "X"), (1, "Y"), (2, "Z"))
 
 

@@ -7,8 +7,14 @@ shrink the benchmark report.  `replay.refuse_full_register` likewise skips a
 name no module has, so a stale entry would refuse nothing.  These checks make
 both fail here instead.  A hook on a name the run no longer calls would
 report 0, so a traced run checks that the screen and the fidelity are seen.
+
+The library's own source is read too: no module imports a name it never
+uses, except one marked `# noqa: F401` that a hook names on that module, and
+none defines or imports a full-register helper that only tests used and that
+now lives in `tests/oracles.py` or `tests/replay.py`.
 """
 
+import ast
 import csv
 import importlib
 import importlib.util
@@ -22,6 +28,7 @@ from pathlib import Path
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "vipsa"
 
 
 def load_tracing():
@@ -52,6 +59,70 @@ def test_every_refused_kernel_resolves():
     missing = [name for name in FULL_REGISTER_KERNELS
                if not any(hasattr(module, name) for module in REFUSED_MODULES)]
     assert not missing, missing
+
+
+def source_modules():
+    """(module name, syntax tree, source lines) of each vipsa module but
+    the package's __init__."""
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != "__init__.py":
+            text = path.read_text()
+            yield f"vipsa.{path.stem}", ast.parse(text), text.splitlines()
+
+
+def imported_names(tree):
+    """(bound name, line) of every import anywhere in the tree, but
+    __future__ ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.lineno
+
+
+def test_every_import_is_used():
+    # a name imported only so that the tracer can hook it there is marked
+    # noqa: F401; once the hook is gone, the pin is flagged like any other
+    hooked = {(module, path) for module, path, _, _ in load_tracing().HOOKS}
+    unused = []
+    for module, tree, lines in source_modules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, line in imported_names(tree):
+            pinned = "# noqa: F401" in lines[line - 1] and (module, name) in hooked
+            if name not in used and not pinned:
+                unused.append(f"{module}:{line} {name}")
+    assert not unused, unused
+
+
+# Test-only full-register helpers the library no longer keeps; a class
+# member is named Class.member.
+DELETED = ("basis_state", "apply_pauli_sum", "expectation", "slater_statevector",
+           "circuit_gradient", "multiply_letters", "commutes", "_mask_product",
+           "hopping_matrix", "HvaAnsatz.sector_state")
+
+
+def bound_names(node) -> list[str]:
+    """The names a top-level or class-body statement defines or assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_no_deleted_helper_is_defined_or_imported():
+    found = []
+    for module, tree, _ in source_modules():
+        names = [name for name, _ in imported_names(tree)]
+        for node in tree.body:
+            names += bound_names(node)
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{name}" for child in node.body
+                          for name in bound_names(child)]
+        found += [f"{module}:{name}" for name in names if name in DELETED]
+    assert not found, found
 
 
 def test_the_cli_binds_no_hooked_function():

@@ -24,17 +24,17 @@ from vipsa.statevector import (
     AnsatzCircuit,
     HoppingRotation,
     SectorPhase,
-    basis_state,
     diagonal_values,
-    expectation,
+    sector_run,
 )
-from oracles import adjoint_evaluation, dense_pauli_sum
+from oracles import adjoint_evaluation, basis_state, dense_pauli_sum
 from replay import (
     hva_circuit,
     hva_energy_and_gradient,
     kept_amplitudes,
     refuse_full_register,
     refuse_pauli_path,
+    register_expectation,
 )
 
 TOL = 1e-12
@@ -162,7 +162,7 @@ def test_trajectory_conserves_spin():
     values = []
     for row in result.history[:: max(1, len(result.history) // 8)]:
         state = hva_circuit(result.ansatz, row).run()
-        values.append((expectation(sz, state), expectation(s2, state)))
+        values.append((register_expectation(sz, state), register_expectation(s2, state)))
     base_sz, base_s2 = values[0]
     for got_sz, got_s2 in values[1:]:
         assert got_sz == pytest.approx(base_sz, abs=1e-8)
@@ -188,7 +188,7 @@ def test_sector_evaluation_matches_full_register(shape, seed):
     energy, grads = hva_energy_and_gradient(ansatz, params, sector.apply)
 
     thetas = ansatz.angles(params)
-    x = ansatz.sector_state(params)
+    x = sector_run(ansatz.x0, ansatz.sector_gates, thetas)
     replayed = kept_amplitudes(hva_circuit(ansatz, params).run(), gs)
     assert abs(fidelity(x, gs) - fidelity(replayed, gs)) <= TOL
     got_energy, per_gate = adjoint_evaluation(
@@ -217,7 +217,9 @@ def test_final_fidelity_is_that_of_the_returned_parameters(steps):
     ansatz, _, gs = hva_problem(2, 3, 4.0, 3)
     result = hva_run(ansatz.grid, config=VipsaConfig(max_inner_steps=steps), layers=3,
                      reference=gs)
-    assert result.final_fidelity == fidelity(result.ansatz.sector_state(result.parameters), gs)
+    returned = result.ansatz
+    x = sector_run(returned.x0, returned.sector_gates, returned.angles(result.parameters))
+    assert result.final_fidelity == fidelity(x, gs)
 
 
 def test_run_rejects_reference_over_another_sector():

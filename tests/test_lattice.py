@@ -11,7 +11,6 @@ from vipsa.lattice import (
     enumerate_modes,
     fermi_sea,
     hopping_edges,
-    hopping_matrix,
     label_momenta,
     momentum_labels,
     point_group,
@@ -19,6 +18,8 @@ from vipsa.lattice import (
     real_orbital_basis,
 )
 from vipsa.statevector import sector_basis
+
+from oracles import hopping_matrix
 
 
 def grids():

@@ -40,8 +40,8 @@ from vipsa.statevector import (
     _ladder_orbits,
     _positions,
     apply_generator,
-    circuit_gradient,
     diagonal_values,
+    expectation_and_gradient,
     orbit_overlap,
     register_orbit,
     rotate_orbit,
@@ -59,7 +59,7 @@ from oracles import (
     per_gate_sweep,
     run_every_gate,
 )
-from replay import register_screen_operands
+from replay import register_apply, register_screen_operands
 
 TOL = 1e-12
 
@@ -455,7 +455,8 @@ def test_sector_adjoint_matches_circuit_gradient(shape, seed, n_gates):
     energy, grads = adjoint_evaluation(
         x0, [orbits[i] for i in gates], thetas, sector.matrix.real)
     assert abs(energy - sector.expectation(circuit.run())) <= TOL
-    np.testing.assert_allclose(grads, circuit_gradient(circuit, h), rtol=0, atol=TOL)
+    _, expected = expectation_and_gradient(circuit, register_apply(h, grid.n_qubits))
+    np.testing.assert_allclose(grads, expected, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

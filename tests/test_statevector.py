@@ -21,19 +21,15 @@ from vipsa.statevector import (
     HoppingRotation,
     PoolRotation,
     StateVector,
-    apply_pauli_sum,
-    basis_state,
-    circuit_gradient,
-    expectation,
     expectation_and_gradient,
     orbit_overlap,
     register_orbit,
     sector_basis,
     slater_amplitudes,
-    slater_statevector,
 )
 
-from oracles import dense_create, dense_ladder_term, dense_pauli_sum
+from oracles import basis_state, dense_create, dense_ladder_term, dense_pauli_sum
+from replay import register_apply, register_expectation
 
 
 def sector_weights(psi: StateVector) -> dict[tuple[int, int], float]:
@@ -77,14 +73,15 @@ def test_basis_state():
 
 
 def test_apply_pauli_sum_basics():
+    # a Pauli sum applied on the register, as the gradient tests apply H
     z0 = PauliSum.from_terms([(1.0, ((0, "Z"),))])
     psi = basis_state(set(), 3)
-    out = apply_pauli_sum(z0, psi)
+    out = register_apply(z0, 3)(psi)
     np.testing.assert_allclose(out.amplitudes, psi.amplitudes)
-    x0 = PauliSum.from_terms([(1.0, ((0, "X"),))])
+    x0 = register_apply(PauliSum.from_terms([(1.0, ((0, "X"),))]), 3)
     rng = np.random.default_rng(0)
     psi = random_state(3, rng)
-    twice = apply_pauli_sum(x0, apply_pauli_sum(x0, psi))
+    twice = x0(x0(psi))
     np.testing.assert_allclose(twice.amplitudes, psi.amplitudes, atol=1e-14)
 
 
@@ -99,9 +96,9 @@ def test_apply_pauli_sum_against_dense():
             terms.append((complex(rng.normal(), rng.normal()), letters))
         h = PauliSum.from_terms(terms)
         psi = random_state(n, rng)
-        lib = apply_pauli_sum(h, psi).amplitudes
+        applied = register_apply(h, n)(psi).amplitudes
         oracle = dense_pauli_sum(h, n) @ psi.amplitudes
-        np.testing.assert_allclose(lib, oracle, atol=1e-12)
+        np.testing.assert_allclose(applied, oracle, atol=1e-12)
 
 
 def test_expectation_examples():
@@ -111,15 +108,15 @@ def test_expectation_examples():
     for q, e in enumerate(energies):
         h0 = h0 + jordan_wigner(number_term(q, e), 3)
     psi = basis_state({0, 2}, 3)
-    assert expectation(h0, psi) == pytest.approx(-1.5)
+    assert register_expectation(h0, psi) == pytest.approx(-1.5)
 
     # Hubbard U-term on one doubly occupied site
     u = 4.0
     n_up = jordan_wigner(number_term(0), 2)
     n_dn = jordan_wigner(number_term(1), 2)
     hubbard = u * (n_up * n_dn)
-    assert expectation(hubbard, basis_state({0, 1}, 2)) == pytest.approx(u)
-    assert expectation(hubbard, basis_state({0}, 2)) == pytest.approx(0.0)
+    assert register_expectation(hubbard, basis_state({0, 1}, 2)) == pytest.approx(u)
+    assert register_expectation(hubbard, basis_state({0}, 2)) == pytest.approx(0.0)
 
 
 def test_expectation_against_dense_and_hermiticity():
@@ -134,9 +131,9 @@ def test_expectation_against_dense_and_hermiticity():
         h = PauliSum.from_terms(terms)
         psi = random_state(n, rng)
         oracle = np.vdot(psi.amplitudes, dense_pauli_sum(h, n) @ psi.amplitudes).real
-        assert expectation(h, psi) == pytest.approx(oracle, abs=1e-10)
+        assert register_expectation(h, psi) == pytest.approx(oracle, abs=1e-10)
     with pytest.raises(ValueError):
-        expectation(PauliSum.from_terms([(1j, ((0, "Z"),))]), random_state(2, rng))
+        register_expectation(PauliSum.from_terms([(1j, ((0, "Z"),))]), random_state(2, rng))
 
 
 def test_pool_unitary_identity_and_projector_support():
@@ -256,8 +253,18 @@ def test_diagonal_phase():
         DiagonalPhase(PauliSum.from_terms([(1.0, ((0, "X"),))]), 0.1)
 
 
+def slater_register_state(w, occ_up, occ_down) -> StateVector:
+    """slater_amplitudes of the (n_up, n_down) sector scattered onto the
+    full register."""
+    n = 2 * len(w)
+    states = sector_basis(n, len(occ_up), len(occ_down))
+    psi = StateVector.zero(n)
+    psi.amplitudes[states] = slater_amplitudes(w, occ_up, occ_down, states)
+    return psi
+
+
 def test_slater_identity_transform():
-    psi = slater_statevector(np.eye(4), [0, 2], [1])
+    psi = slater_register_state(np.eye(4), [0, 2], [1])
     ref = basis_state({0, 4, 3}, 8)  # up orbitals 0,2 -> qubits 0,4; down 1 -> qubit 3
     np.testing.assert_allclose(psi.amplitudes, ref.amplitudes, atol=1e-14)
 
@@ -268,7 +275,7 @@ def test_slater_fermi_sea_energy():
     energies, w, order = real_orbital_basis(grid)
     n_up, n_down = 3, 3
     occ_up, occ_down = order[:n_up], order[:n_down]
-    psi = slater_statevector(w, occ_up, occ_down)
+    psi = slater_register_state(w, occ_up, occ_down)
     assert psi.norm() == pytest.approx(1.0, abs=1e-10)
 
     h0 = PauliSum.zero()
@@ -281,7 +288,7 @@ def test_slater_fermi_sea_energy():
                 hopping_pair(qubit_index(i, spin), qubit_index(j, spin), -grid.t),
                 grid.n_qubits)
     expected = sum(sorted(energies)[:n_up]) + sum(sorted(energies)[:n_down])
-    assert expectation(h0, psi) == pytest.approx(expected, abs=1e-10)
+    assert register_expectation(h0, psi) == pytest.approx(expected, abs=1e-10)
 
     weights = sector_weights(psi)
     assert set(weights) == {(n_up, n_down)}
@@ -306,15 +313,15 @@ def test_slater_amplitudes_match_dense_creation(occ_up, occ_down):
                         for site in range(3)) @ state
         np.testing.assert_allclose(slater_amplitudes(w, occ_up, occ_down, states),
                                    state[states], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(slater_statevector(w, occ_up, occ_down).amplitudes, state,
+        np.testing.assert_allclose(slater_register_state(w, occ_up, occ_down).amplitudes, state,
                                    rtol=0, atol=1e-12)
 
 
 def test_slater_validation():
     with pytest.raises(ValueError):
-        slater_statevector(np.eye(3) * 1.01, [0], [0])
+        slater_amplitudes(np.eye(3) * 1.01, [0], [0], sector_basis(6, 1, 1))
     with pytest.raises(ValueError):
-        slater_statevector(np.eye(3), [0, 0], [1])
+        slater_amplitudes(np.eye(3), [0, 0], [1], sector_basis(6, 2, 1))
     with pytest.raises(ValueError, match="particle counts"):
         slater_amplitudes(np.eye(3), [0], [1], sector_basis(6, 2, 0))  # same total, wrong spins
 
@@ -354,7 +361,7 @@ def finite_difference_gradient(circuit, h, step=1e-5):
             shifted = base.copy()
             shifted[i] += sign * step
             circuit.set_thetas(shifted)
-            grads[i] += sign * expectation(h, circuit.run())
+            grads[i] += sign * register_expectation(h, circuit.run())
     circuit.set_thetas(base)
     return grads / (2 * step)
 
@@ -365,7 +372,7 @@ def test_circuit_gradient_against_finite_differences():
     for _ in range(3):
         circuit = random_mixed_circuit(n, 10, rng)
         h = random_hermitian_sum(n, 5, rng)
-        adjoint = circuit_gradient(circuit, h)
+        _, adjoint = expectation_and_gradient(circuit, register_apply(h, n))
         fd = finite_difference_gradient(circuit, h)
         scale = max(1.0, np.abs(fd).max())
         np.testing.assert_allclose(adjoint, fd, atol=1e-5 * scale)
@@ -379,7 +386,7 @@ def test_circuit_gradient_matches_commutator_at_zero():
     psi = basis_state({0, 1, 2}, n)
     h = random_hermitian_sum(n, 6, rng)
     circuit = AnsatzCircuit(psi, [PoolRotation(o, 0.0)])
-    grad = circuit_gradient(circuit, h)
+    _, grad = expectation_and_gradient(circuit, register_apply(h, n))
     h_dense = dense_pauli_sum(h, n)
     a_dense = dense_ladder_term(o, n)
     a_dense = a_dense - a_dense.conj().T
@@ -393,8 +400,10 @@ def test_gradient_energy_consistency():
     n = 6
     circuit = random_mixed_circuit(n, 6, rng)
     h = random_hermitian_sum(n, 4, rng)
-    energy, _ = expectation_and_gradient(circuit, lambda p: apply_pauli_sum(h, p))
-    assert energy == pytest.approx(expectation(h, circuit.run()), abs=1e-12)
+    energy, _ = expectation_and_gradient(circuit, register_apply(h, n))
+    psi = circuit.run()
+    dense = np.vdot(psi.amplitudes, dense_pauli_sum(h, n) @ psi.amplitudes).real
+    assert energy == pytest.approx(dense, abs=1e-12)
 
 
 def test_set_thetas_validation():
