@@ -156,15 +156,16 @@ def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
 
 
 def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_block_of=None):
-    """The ground space in the requested register: the mode register is
-    solved one point-group class at a time on its total-momentum blocks,
-    keeping the matrix of keep_block_of's block if given, the site register
-    whole, keeping its matrix (see ground_space)."""
+    """The ground space in the requested register, solved one point-group
+    class at a time: the mode register on its total-momentum blocks, the
+    site register on its lattice-momentum blocks.  Given keep_block_of, the
+    mode register keeps the matrix of that bitstring's block and the site
+    register its whole sector's (see ground_space)."""
     from .hamiltonians import build_kspace, build_real, ground_space
-    from .lattice import point_group
+    from .lattice import point_group, translations
 
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
-                   else (build_real(grid), None))
+                   else (build_real(grid), translations(grid)))
     with library_checks():
         return ground_space(h, grid.n_qubits, n_up, n_down, symmetry, keep_block_of)
 
@@ -174,7 +175,8 @@ def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path
     on-disk artifact.  sea_label is the Fermi sea's momentum label for the
     mode register, whose space keeps the matrix and rows of the sea's block,
     as every state of an adaptive run lives there; None picks the site
-    register, whose space keeps its whole sector.
+    register, whose space keeps its whole sector, which holds the sea's
+    bitstring as it holds every other.
 
     The file stores its cache key, which names the kept block, that matrix
     and its rows, so a hit needs no Hamiltonian build; a file of another
@@ -185,10 +187,13 @@ def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path
     from .lattice import fermi_sea
 
     register = "real" if sea_label is None else "k"
-    sea = None if sea_label is None else fermi_sea(grid, n_up, n_down).bitstring()
+    sea = fermi_sea(grid, n_up, n_down).bitstring()
     if cache_dir is None:
         return solve_ground_space(grid, n_up, n_down, register, sea)
-    artifact = register if sea_label is None else f"k solved on block {sea_label}"
+    # a site-register file holds the momentum-block solve's vectors, which
+    # may be complex, so its key differs from a whole-sector solve's
+    artifact = ("real solved on momentum blocks" if sea_label is None
+                else f"k solved on block {sea_label}")
     return cache.cached(cache_dir, f"ground-{register}-{grid.label()}",
                         _grid_key(grid, n_up, n_down, artifact), GroundSpace,
                         lambda: solve_ground_space(grid, n_up, n_down, register, sea),
@@ -218,6 +223,25 @@ def _write_csv(path: Path, columns, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def _write_run(directory: Path, artifacts: dict) -> None:
+    """Write each artifact, name -> (columns, rows) of a CSV or the text of
+    a file, next to its final name, then rename them into place in order,
+    the manifest last, so a failed write leaves the directory as it was."""
+    partial = {name: directory / f"{name}.{os.getpid()}.tmp" for name in artifacts}
+    try:
+        for name, content in artifacts.items():
+            if isinstance(content, str):
+                partial[name].write_text(content)
+            else:
+                _write_csv(partial[name], *content)
+        for name in artifacts:
+            os.replace(partial[name], directory / name)
+    except BaseException:
+        for path in partial.values():
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _format(value):
@@ -280,8 +304,6 @@ def cmd_run(args) -> int:
 
     trace_rows = [[_format(v) for v in epoch_csv_row(r)] for r in result.records]
     step_rows = [[epoch, step, _format(energy)] for epoch, step, energy in result.step_energies]
-    _write_csv(run.output / "trace.csv", EPOCH_CSV_COLUMNS, trace_rows)
-    _write_csv(run.output / "steps.csv", ("epoch", "step", "energy"), step_rows)
     manifest = {
         "ansatz": run.ansatz,
         "grid": {"nx": grid.nx, "ny": grid.ny, "bc_x": grid.bc_x,
@@ -297,7 +319,9 @@ def cmd_run(args) -> int:
         **manifest_extra,
         "n_params": result.records[-1].n_params,
     }
-    (run.output / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_run(run.output, {"trace.csv": (EPOCH_CSV_COLUMNS, trace_rows),
+                            "steps.csv": (("epoch", "step", "energy"), step_rows),
+                            "manifest.json": json.dumps(manifest, indent=2) + "\n"})
     print(f"status {result.status}; artifacts in {run.output}")
     return 0 if result.status == "converged" else 2
 
@@ -337,8 +361,9 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
 
 def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, int]:
     """(energy, degeneracy) of one register's ground space, solved without
-    keeping a block matrix, so the mode register builds only its class
-    blocks.  The space is freed on return, before the next one is built."""
+    keeping a matrix, so the mode register builds only its class blocks and
+    the site register frees its sector matrix before solving its blocks.
+    The space is freed on return, before the next one is built."""
     ground = solve_ground_space(grid, n_up, n_down, register)
     return ground.energy, ground.degeneracy
 

@@ -35,6 +35,7 @@ from .lattice import (
     GridSpec,
     PointGroup,
     SlotPermutation,
+    Translations,
     axis_energies,
     axis_wavefunctions,
     enumerate_modes,
@@ -383,7 +384,8 @@ def _lowest_eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
         k = min(dim - 2, 2 * k)
 
 
-# GroundSpace.blocks of a space solved without momentum labels
+# GroundSpace.blocks of a space solved without momentum labels: the whole
+# sector, or the site register's momentum blocks, which are not bitstring sets
 UNLABELLED = -1
 
 
@@ -398,7 +400,7 @@ class GroundSpace:
     given; None without a matrix), over its own bitstrings in sector order,
     so it applies H to any vector given on the block.  `blocks` holds the
     total-momentum label (lattice.momentum_labels) of each vector's block,
-    UNLABELLED when the sector was solved without labels.  `save` and `load`
+    UNLABELLED when the sector was solved without them.  `save` and `load`
     keep these fields plus an optional key naming their problem.
     """
 
@@ -478,11 +480,12 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
     A block whose off-diagonal entries are all rounding residue, at most
     AMPLITUDE_DROP_TOL times max(1, the largest |entry|), is read off its
     diagonal: unit vectors in ascending value, ties in row order.  Any other
-    block must be connected, or it is a ValueError.  It is solved dense up to
-    DENSE_SECTOR_CUTOFF states (read at call time), or when too small for a
-    Lanczos window; above it, the lowest eigenpairs come from Lanczos (see
-    _lowest_eigenpairs), whose window widens until it holds the block's
-    whole lowest multiplet.  Its kept vectors are orthonormalized together.
+    block's stored entries must connect it, or it is a ValueError.  It is
+    solved dense up to DENSE_SECTOR_CUTOFF states (read at call time), or
+    when too small for a Lanczos window; above it, the lowest eigenpairs
+    come from Lanczos (see _lowest_eigenpairs), whose window widens until it
+    holds the block's whole lowest multiplet.  Its kept vectors are
+    orthonormalized together.
     """
     dim = matrix.shape[0]
     residue = AMPLITUDE_DROP_TOL * max(1.0, np.abs(matrix.data).max(initial=0.0))
@@ -494,8 +497,11 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
         # process, and a run that loads its ground space from the cache solves nothing
         from scipy.sparse.csgraph import connected_components
 
-        if connected_components(matrix, directed=False, return_labels=False) > 1:
-            raise ValueError("block is not connected: solve the mode register with its point group")
+        pattern = scipy.sparse.csr_matrix((np.ones(len(matrix.data)), matrix.indices,
+                                           matrix.indptr), shape=matrix.shape)
+        if connected_components(pattern, directed=False, return_labels=False) > 1:
+            raise ValueError("block is not connected: its Hamiltonian conserves a label "
+                             "that the solve does not split by")
         dense = dim <= DENSE_SECTOR_CUTOFF or dim <= GROUND_WINDOW + 2
         values, vectors = np.linalg.eigh(matrix.toarray()) if dense else _lowest_eigenpairs(matrix)
     if not np.isfinite(values).all():
@@ -507,24 +513,94 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
     return values[keep], np.linalg.qr(vectors[:, keep])[0]
 
 
+def _momentum_blocks(whole, states: np.ndarray, symmetry: Translations):
+    """(members, rows, basis, block) of each point-group class of the site
+    register's momentum blocks (see Translations) that holds any state:
+    rows every sector position, basis the sparse isometry B from the
+    representative block K onto the sector, and block its matrix B^H H B.
+    A block whose entries above AMPLITUDE_DROP_TOL times max(1, its largest
+    |entry|) do not connect it is given as one entry per connected part,
+    each with its columns of B.
+
+    With F_K[rep(s), s] = (1/N_T) sum of e^{-iK.a} sigma_a(s) over the shifts
+    a that take bitstring s to its orbit's representative, B = conj(F_K)^T
+    D^-1 and D = diag(sqrt(F_K[r, r])), over the representatives r whose norm
+    F_K[r, r] is not zero; B^H H B = D^-1 F_K H[:, reps] D^-1, as H commutes
+    with the translations.  H is Hermitian, so H[:, reps] is the conjugate
+    transpose of the rows of whole, H over the sector, at the
+    representatives, and no product over the whole sector is formed.  A
+    block whose characters are all real (K.a a multiple of pi) is real.
+    """
+    from scipy.sparse.csgraph import connected_components  # see _block_ground
+
+    reps, owner, signs = symmetry.orbits(states)
+    everything = np.arange(len(states))
+    blocks = []
+    for members in symmetry.classes():
+        characters = symmetry.characters(members[0][0])
+        weights = sum(character * row for character, row in zip(characters, signs)) / len(signs)
+        if not weights.imag.any():
+            weights = weights.real
+        # a norm is the stabilizer's share of the shifts, at least 1/N_T, or 0
+        norms = weights[reps].real
+        kept = norms > 0.5 / len(signs)
+        if not kept.any():
+            continue
+        column = np.cumsum(kept) - 1
+        # the states of the kept orbits, each one entry of B
+        covered = np.flatnonzero(kept[owner])
+        scale = np.sqrt(norms[kept])
+        basis = scipy.sparse.csr_matrix(
+            (weights[covered].conj() / scale[column[owner[covered]]], column[owner[covered]],
+             np.searchsorted(covered, np.arange(len(states) + 1))),
+            shape=(len(states), len(scale)))
+        top = scipy.sparse.diags(1 / scale) @ whole[reps[kept]]
+        block = (top @ basis).conj().T.tocsr()
+        # the couplings of an orbit can cancel (on an even ring at K = pi,
+        # say), so a block may fall apart; each part is solved on its own
+        magnitude = abs(block)
+        coupled = magnitude > AMPLITUDE_DROP_TOL * max(1.0, magnitude.max())
+        n_parts, part = connected_components(coupled, directed=False)
+        if n_parts == 1:
+            blocks.append((members, everything, basis, block))
+            continue
+        for index in range(n_parts):
+            columns = np.flatnonzero(part == index)
+            blocks.append((members, everything, basis[:, columns], block[columns][:, columns]))
+    return blocks
+
+
 def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
-                 symmetry: PointGroup | None = None, keep_block_of: int | None = None) -> GroundSpace:
+                 symmetry: PointGroup | Translations | None = None,
+                 keep_block_of: int | None = None) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
-    Each block is built by sector_matrix on its bitstrings and solved as
-    _block_ground says.  Without a symmetry, the whole sector is one
-    UNLABELLED block, whose matrix the space keeps: that fits the connected
-    site register, but an interacting mode register is a ValueError.
+    Each block is solved as _block_ground says.  Without a symmetry, the
+    whole sector is one UNLABELLED block, built by sector_matrix, whose
+    matrix the space keeps: that fits the connected site register, but an
+    interacting mode register is a ValueError.
 
     With the point group of the grid whose mode register h is written in,
     the sector splits into total-momentum blocks that h never mixes, and the
     blocks of one point-group class share their spectrum.  Each class's
-    representative block is solved, and the signed permutations of its
-    ground vectors are the other blocks'.  No whole-sector matrix is built.
-    The representative is the class's smallest label, or, given the sector
-    bitstring keep_block_of, that bitstring's label in its class: the space
-    keeps that block's matrix over the block's own bitstrings, and the
-    block's rows (see GroundSpace), so every block built is solved.
+    representative block is built by sector_matrix on its bitstrings and
+    solved, and the signed permutations of its ground vectors are the other
+    blocks'.  No whole-sector matrix is built.  The representative is the
+    class's smallest label, or, given the sector bitstring keep_block_of,
+    that bitstring's label in its class: the space keeps that block's matrix
+    over the block's own bitstrings, and the block's rows (see GroundSpace),
+    so every block built is solved.
+
+    With the translations of the grid whose site register h is written in,
+    the whole-sector matrix is built, and each class's representative
+    momentum block is folded from it (see _momentum_blocks) and solved; its
+    ground vectors are lifted onto the sector, and their signed permutations
+    are the other blocks'.  The vectors are complex unless every block
+    holding one is real.  Given keep_block_of, the space keeps the
+    whole-sector matrix, the one set of bitstrings holding it that h does
+    not leave; otherwise that matrix is freed before any block is solved.
+    The site register's blocks are not bitstring sets, so its space is
+    UNLABELLED too.
 
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
@@ -534,35 +610,49 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     states = sector_basis(n_qubits, n_up, n_down)
     if keep_block_of is not None and keep_block_of not in states:
         raise ValueError(f"bitstring {keep_block_of:#x} is not in the ({n_up},{n_down}) sector")
-    if symmetry is None:
-        labels = np.full(len(states), UNLABELLED)
-        classes = [[(UNLABELLED, SlotPermutation(tuple(range(n_qubits // 2))))]]
-        kept_label = UNLABELLED
-    else:
+    matrix = matrix_rows = kept_label = None
+    if isinstance(symmetry, PointGroup):
         labels = symmetry.labels(states)
-        kept_label = None if keep_block_of is None else int(symmetry.labels(keep_block_of))
-        classes = symmetry.classes(states, labels, kept_label)
-    solved, matrix, matrix_rows = [], None, None
-    for members in classes:
-        rows = np.flatnonzero(labels == members[0][0])
-        block = sector_matrix(h, states[rows], n_qubits)
+        if keep_block_of is not None:
+            kept_label = int(symmetry.labels(keep_block_of))
+        # built lazily, so only the block being solved is held
+        blocks = ((members, rows, None, sector_matrix(h, states[rows], n_qubits))
+                  for members in symmetry.classes(states, labels, kept_label)
+                  for rows in [np.flatnonzero(labels == members[0][0])])
+    else:
+        whole = sector_matrix(h, states, n_qubits)
+        if symmetry is None:
+            kept_label = UNLABELLED
+            identity = SlotPermutation(tuple(range(n_qubits // 2)))
+            blocks = [([(UNLABELLED, identity)], np.arange(len(states)), None, whole)]
+        else:
+            if keep_block_of is not None:
+                matrix, matrix_rows = whole, np.arange(len(states))
+            blocks = _momentum_blocks(whole, states, symmetry)
+        del whole
+    solved = []
+    for members, rows, basis, block in blocks:
         if members[0][0] == kept_label:
             matrix, matrix_rows = block, rows
-        solved.append((members, rows, *_block_ground(block)))
-    lowest = min(values[0] for _, _, values, _ in solved)
-    found = {}  # block label -> its ground vectors over the sector
-    for members, rows, values, vectors in solved:
+        solved.append((members, rows, basis, *_block_ground(block)))
+    lowest = min(values[0] for *_, values, _ in solved)
+    found = {}  # block label -> its parts' ground vectors over the sector
+    for members, rows, basis, values, vectors in solved:
         kept = vectors[:, values <= lowest + GROUND_DEGENERACY_TOL]
         if not kept.shape[1]:
             continue
+        if basis is not None:
+            kept = basis @ kept
         for label, element in members:
             images, signs = element.apply(states[rows])
-            found[label] = np.zeros((len(states), kept.shape[1]), dtype=kept.dtype)
-            found[label][np.searchsorted(states, images)] = signs[:, None] * kept
-    blocks = sorted(found)
-    return GroundSpace(n_qubits, n_up, n_down, float(lowest),
-                       np.concatenate([found[label] for label in blocks], axis=1),
-                       matrix, np.repeat(blocks, [found[label].shape[1] for label in blocks]),
+            lifted = np.zeros((len(states), kept.shape[1]), dtype=kept.dtype)
+            lifted[np.searchsorted(states, images)] = signs[:, None] * kept
+            found.setdefault(label, []).append(lifted)
+    order = sorted(found)
+    vectors = np.concatenate([part for label in order for part in found[label]], axis=1)
+    vector_blocks = None if isinstance(symmetry, Translations) else np.repeat(
+        order, [sum(part.shape[1] for part in found[label]) for label in order])
+    return GroundSpace(n_qubits, n_up, n_down, float(lowest), vectors, matrix, vector_blocks,
                        matrix_rows)
 
 

@@ -26,7 +26,16 @@ from .hamiltonians import (
     ground_space,
     sector_basis,
 )
-from .lattice import DOWN, UP, GridSpec, default_filling, hopping_edges, qubit_index, real_orbital_basis
+from .lattice import (
+    DOWN,
+    UP,
+    GridSpec,
+    default_filling,
+    hopping_edges,
+    qubit_index,
+    real_orbital_basis,
+    translations,
+)
 from .statevector import (
     SectorPhase,
     expectation_and_gradient,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
@@ -188,14 +197,17 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     parameter.  Each evaluation is recorded as a one-step EpochRecord, along
     with the parameter vector itself so any intermediate state can be
     reconstructed exactly.  Every evaluation runs on the sector vector.
-    The sector Hamiltonian comes from the reference ground space, diagonalized
-    on the spot unless passed in; one without a whole-sector matrix is a ValueError.
+    The sector Hamiltonian comes from the reference ground space, solved on
+    the spot in the site register's momentum blocks unless passed in; one
+    without a whole-sector matrix is a ValueError.
     """
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
     if reference is None:
-        reference = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
+        # any bitstring of the sector keeps the whole sector's matrix
+        reference = ground_space(build_real(grid), grid.n_qubits, n_up, n_down, translations(grid),
+                                 keep_block_of=int(sector_basis(grid.n_qubits, n_up, n_down)[0]))
     if (reference.n_qubits, reference.n_up, reference.n_down) != (grid.n_qubits, n_up, n_down):
         raise ValueError("reference ground space is not over the run's sector basis")
     if reference.matrix is None or len(reference.matrix_rows) != len(reference.states):

@@ -355,28 +355,37 @@ class PointGroup:
         the representative's own is the identity.  The representative is
         the label `first` in its class and the smallest label in any other."""
         present, seed_rows = np.unique(labels, return_index=True)
-        images = [self.labels(element.apply(states[seed_rows])[0]).tolist()
-                  for element in self.elements]
-        columns = {label: column for column, label in enumerate(present.tolist())}
+        images = {element: dict(zip(present.tolist(),
+                                    self.labels(element.apply(states[seed_rows])[0]).tolist()))
+                  for element in self.elements}
+        return _classes(present.tolist(), self.elements,
+                        lambda element, label: images[element][label], first)
 
-        def orbit(representative: int) -> dict[int, SlotPermutation]:
-            # the identity comes first, so the representative is the first key
-            members: dict[int, SlotPermutation] = {}
-            for element, image in zip(self.elements, images):
-                members.setdefault(image[columns[representative]], element)
-            return members
 
-        classes, seen = [], set()
-        for label in present.tolist():
-            if label in seen:
-                continue
-            members = orbit(label)
-            if first in members:
-                members = orbit(first)
-            seen.update(members)
-            representative, *others = members.items()
-            classes.append([representative, *sorted(others, key=lambda member: member[0])])
-        return classes
+def _classes(labels: list[int], elements: tuple[SlotPermutation, ...], image,
+             first: int | None = None) -> list[list[tuple[int, SlotPermutation]]]:
+    """The ascending labels split into the classes of elements (the identity
+    first), as PointGroup.classes lists them; image(element, label) is the
+    label an element maps a label onto."""
+
+    def orbit(representative: int) -> dict[int, SlotPermutation]:
+        # the identity comes first, so the representative is the first key
+        members: dict[int, SlotPermutation] = {}
+        for element in elements:
+            members.setdefault(image(element, representative), element)
+        return members
+
+    classes, seen = [], set()
+    for label in labels:
+        if label in seen:
+            continue
+        members = orbit(label)
+        if first in members:
+            members = orbit(first)
+        seen.update(members)
+        representative, *others = members.items()
+        classes.append([representative, *sorted(others, key=lambda member: member[0])])
+    return classes
 
 
 def point_group(grid: GridSpec) -> PointGroup:
@@ -395,3 +404,74 @@ def point_group(grid: GridSpec) -> PointGroup:
                     image.append(my + grid.nx * mx if swap else mx + grid.nx * my)
                 elements.append(SlotPermutation(tuple(image)))
     return PointGroup(grid, tuple(dict.fromkeys(elements)))
+
+
+# ---------------------------------------------------------------------------
+# lattice momentum of the site register
+
+
+@dataclass(frozen=True)
+class Translations:
+    """The site register's lattice translations, the momentum blocks they
+    define, and the point group that permutes those blocks.
+
+    `shifts` lists each translation's (ax, ay), the identity first: every
+    shift along a periodic axis, none along an open one.  A momentum K =
+    (kx, ky), kx in range(nx) on a periodic x axis and 0 on an open one,
+    likewise ky, is labelled like a mode slot, kx + nx*ky; its block is the
+    image of the projector P_K = (1/N_T) sum_a e^{-iK.a} U_a, with U_a the
+    signed site permutation of shift a.  The site Hamiltonian commutes with
+    every U_a, so it never mixes two blocks.  `elements` is the point group
+    of point_group(grid), acting on sites as it acts on mode slots there; an
+    element maps block K onto block image[K], so blocks it maps onto each
+    other have the same spectrum.
+    """
+
+    grid: GridSpec
+    shifts: tuple[tuple[int, int], ...]
+    elements: tuple[SlotPermutation, ...]
+
+    def translation(self, shift: tuple[int, int]) -> SlotPermutation:
+        """The site permutation (x, y) -> (x + ax, y + ay), modulo the axis lengths."""
+        nx, ny = self.grid.nx, self.grid.ny
+        return SlotPermutation(tuple((x + shift[0]) % nx + nx * ((y + shift[1]) % ny)
+                                     for y in range(ny) for x in range(nx)))
+
+    def characters(self, label: int) -> np.ndarray:
+        """e^{-iK.a} of momentum label K for each shift a, exactly +-1 where real."""
+        nx, ny = self.grid.nx, self.grid.ny
+        # K.a in units of 2 pi / (nx ny)
+        turns = np.array([(label % nx) * ax * ny + (label // nx) * ay * nx
+                          for ax, ay in self.shifts]) % (nx * ny)
+        return np.where(turns == 0, 1, np.where(2 * turns == nx * ny, -1,
+                                                np.exp(-2j * np.pi * turns / (nx * ny))))
+
+    def orbits(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(reps, owner, signs) of the sorted sector bitstrings states: reps
+        the ascending positions of the orbit representatives, each orbit's
+        smallest bitstring; owner[i] the index in reps of bitstring i's; and
+        signs[a, i] the fermionic sign of shift a on bitstring i where it
+        takes that bitstring to its representative, 0 where it does not."""
+        images = np.empty((len(self.shifts), len(states)), dtype=states.dtype)
+        signs = np.empty(images.shape, dtype=np.int8)
+        for row, shift in enumerate(self.shifts):
+            images[row], signs[row] = self.translation(shift).apply(states)
+        smallest = images.min(axis=0)
+        signs[images != smallest] = 0
+        reps, owner = np.unique(np.searchsorted(states, smallest), return_inverse=True)
+        return reps, owner, signs
+
+    def classes(self) -> list[list[tuple[int, SlotPermutation]]]:
+        """The momentum labels split into point-group classes, as
+        PointGroup.classes lists them, each class's smallest label its
+        representative."""
+        return _classes(sorted(ax + self.grid.nx * ay for ax, ay in self.shifts), self.elements,
+                        lambda element, label: element.image[label])
+
+
+def translations(grid: GridSpec) -> Translations:
+    """The site register's translations and point group (see Translations)."""
+    xs = range(grid.nx) if grid.bc_x == PERIODIC else (0,)
+    ys = range(grid.ny) if grid.bc_y == PERIODIC else (0,)
+    return Translations(grid, tuple((ax, ay) for ay in ys for ax in xs),
+                        point_group(grid).elements)

@@ -1036,6 +1036,34 @@ def test_a_path_a_run_cannot_write_is_refused_before_anything_is_built(
     assert not [name for name in ("trace.csv", "steps.csv") if (tmp_path / "out" / name).is_file()]
 
 
+@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
+def test_a_failed_manifest_write_leaves_the_run_directory_as_it_was(tmp_path, capsys,
+                                                                     monkeypatch, ansatz):
+    # the artifacts are written next to their names and renamed into place,
+    # the manifest last: a manifest that cannot be written leaves no CSV in a
+    # new directory, the last run's artifacts in an old one, and no partial file
+    settings = {"ansatz": ansatz, "max_epochs": 1, "layers": 1}
+    code, old = run_config(tmp_path, "old", max_inner_steps=2, **settings)
+    assert code in (0, 2)
+    before = {path.name: path.read_bytes() for path in old.iterdir()}
+    assert sorted(before) == ["manifest.json", "steps.csv", "trace.csv"]
+    write_text = Path.write_text
+
+    def failing(path, *args, **kwargs):
+        if path.name.startswith("manifest.json"):
+            raise OSError(f"no space left on device: '{path}'")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    for name in ("new", "old"):
+        capsys.readouterr()
+        code, out = run_config(tmp_path, name, max_inner_steps=3, **settings)
+        assert code == 1
+        assert "manifest.json" in one_error_line(capsys)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == (
+            before if name == "old" else {})
+
+
 def test_every_loop_setting_is_a_config_key(tmp_path, capsys):
     from dataclasses import asdict, fields
 

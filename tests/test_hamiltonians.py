@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,14 +29,13 @@ from vipsa.hamiltonians import (
     spin_operators,
 )
 from vipsa.lattice import (
-    DOWN,
-    UP,
     GridSpec,
     default_filling,
     fermi_sea,
     momentum_labels,
     point_group,
     real_orbital_basis,
+    translations,
 )
 from vipsa.statevector import (
     PoolRotation,
@@ -672,7 +672,7 @@ def test_mode_register_without_its_point_group_is_refused():
     # the whole sector splits into label blocks, which the solver does not
     # rediscover
     grid = GridSpec.make(2, 3, u=4.0)
-    with pytest.raises(ValueError, match="point group"):
+    with pytest.raises(ValueError, match="not connected"):
         ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3)
 
 
@@ -725,6 +725,97 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
         if keep is not None:
             np.testing.assert_array_equal(gs.matrix_rows, np.flatnonzero(labels == keep))
             assert gs.matrix.shape == (np.count_nonzero(labels == keep),) * 2
+
+
+# every boundary pair of the 2x2-3x3 grids and of their transposes
+SITE_GRIDS = [(2, 2, "open", "open"), (2, 3, "open", "open"), (2, 3, "open", "periodic"),
+              (3, 2, "open", "open"), (3, 2, "periodic", "open"), (3, 3, "open", "open"),
+              (3, 3, "open", "periodic"), (3, 3, "periodic", "open"),
+              (3, 3, "periodic", "periodic")]
+
+
+@pytest.mark.parametrize("u", [0.0, 2.0, 4.0, -2.9])
+# and the rings of even length, whose momentum pi has real characters and
+# whose bitstrings can repeat under a shift with either sign
+@pytest.mark.parametrize("nx, ny, bc_x, bc_y",
+                         SITE_GRIDS + [(2, 4, "open", "periodic"), (4, 2, "periodic", "open")])
+def test_site_momentum_blocks_match_the_whole_sector_solve(nx, ny, bc_x, bc_y, u):
+    grid = GridSpec(nx, ny, bc_x, bc_y, u=u)
+    h = build_real(grid)
+    # the default filling, one spin species empty, and two more
+    for sector in dict.fromkeys([default_filling(grid), (2, 0), (1, 2), (0, grid.n_sites - 1)]):
+        whole = ground_space(h, grid.n_qubits, *sector)
+        blocked = ground_space(h, grid.n_qubits, *sector, translations(grid))
+        assert blocked.energy == pytest.approx(whole.energy, abs=1e-10)
+        assert blocked.degeneracy == whole.degeneracy
+        assert blocked.matrix is None
+        assert blocked.blocks.tolist() == [hamiltonians.UNLABELLED] * blocked.degeneracy
+        # the spectral norm of the projector difference, the sine of the
+        # largest angle between the two spaces
+        outside = whole.vectors - blocked.vectors @ (blocked.vectors.conj().T @ whole.vectors)
+        assert np.linalg.norm(outside, 2) <= 1e-8
+        np.testing.assert_allclose(blocked.vectors.conj().T @ blocked.vectors,
+                                   np.eye(blocked.degeneracy), rtol=0, atol=1e-10)
+        residual = whole.matrix @ blocked.vectors - blocked.energy * blocked.vectors
+        assert np.linalg.norm(residual, axis=0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("nx, ny, bc_x, bc_y", SITE_GRIDS)
+def test_the_site_hamiltonian_commutes_with_its_symmetries(nx, ny, bc_x, bc_y):
+    grid = GridSpec(nx, ny, bc_x, bc_y, u=4.0)
+    states = sector_basis(grid.n_qubits, 2, 1)
+    matrix = sector_matrix(build_real(grid), states, grid.n_qubits)
+    group = translations(grid)
+    for element in [group.translation(shift) for shift in group.shifts] + list(group.elements):
+        images, signs = element.apply(states)
+        perm = scipy.sparse.csr_matrix((signs, (np.searchsorted(states, images),
+                                                np.arange(len(states)))), shape=matrix.shape)
+        assert abs(perm @ matrix @ perm.T - matrix).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sector", [(5, 4), (2, 2)])
+def test_complex_momentum_blocks_solve_without_warnings(sector):
+    # 3x3: six of the nine momentum blocks are complex, solved by Lanczos at
+    # (5,4) (1764 states each) and dense at (2,2) (144); the connectivity
+    # check reads the blocks' sparsity, not their complex values
+    grid = GridSpec.make(3, 3, u=4.0)
+    gs = ground_space(build_real(grid), grid.n_qubits, *sector, translations(grid))
+    assert gs.energy == pytest.approx(ground_space(build_real(grid), grid.n_qubits,
+                                                   *sector).energy, abs=1e-10)
+
+
+def test_site_solve_folds_one_block_per_class(monkeypatch):
+    # 3x3 (5,4): nine momentum blocks of 1764 states in three classes, K = 0,
+    # the four K on the zone's edges and the four on its corners; only each
+    # class's representative is solved, and the sector matrix is freed
+    # before it unless the space keeps it
+    grid = GridSpec.make(3, 3, u=6.0)
+    h = build_real(grid)
+    built, alive = [], []
+    build, solve = hamiltonians.sector_matrix, hamiltonians._block_ground
+
+    def tracked(*args):
+        matrix = build(*args)
+        built.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(hamiltonians, "sector_matrix", tracked)
+    monkeypatch.setattr(hamiltonians, "_block_ground",
+                        lambda block: alive.append(built[-1]() is not None) or solve(block))
+    seen = recorded_eigsh(monkeypatch)
+    for keep in (None, fermi_sea(grid, 5, 4).bitstring()):
+        built.clear()
+        alive.clear()
+        seen.clear()
+        gs = ground_space(h, grid.n_qubits, 5, 4, translations(grid), keep_block_of=keep)
+        assert [dim for dim, _, _ in seen] == [1764] * 3 and len(built) == 1
+        assert alive == [keep is not None] * 3
+        assert gs.degeneracy == 4 and np.iscomplexobj(gs.vectors)
+    whole = build(h, gs.states, grid.n_qubits)
+    np.testing.assert_array_equal(gs.matrix_rows, np.arange(len(gs.states)))
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(gs.matrix, part), getattr(whole, part))
 
 
 # (shape, sector) pairs: each grid's default filling and one other

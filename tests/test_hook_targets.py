@@ -8,10 +8,11 @@ name no module has, so a stale entry would refuse nothing.  These checks make
 both fail here instead.  A hook on a name the run no longer calls would
 report 0, so a traced run checks that the screen and the fidelity are seen.
 
-The library's own source is read too: no module imports a name it never
-uses, except one marked `# noqa: F401` that a hook names on that module, and
-none defines or imports a full-register helper that only tests used and that
-now lives in `tests/oracles.py` or `tests/replay.py`.
+The library's own source and the tests are read too: no file imports a name
+it never uses, except a library module's one marked `# noqa: F401` that a
+hook names on that module, and no library module defines or imports a
+full-register helper that only tests used and that now lives in
+`tests/oracles.py` or `tests/replay.py`.
 """
 
 import ast
@@ -70,6 +71,13 @@ def source_modules():
             yield f"vipsa.{path.stem}", ast.parse(text), text.splitlines()
 
 
+def suite_files():
+    """(file name, syntax tree, source lines) of each Python file under tests/."""
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        text = path.read_text()
+        yield f"tests/{path.name}", ast.parse(text), text.splitlines()
+
+
 def imported_names(tree):
     """(bound name, line) of every import anywhere in the tree, but
     __future__ ones."""
@@ -87,7 +95,7 @@ def test_every_import_is_used():
     # noqa: F401; once the hook is gone, the pin is flagged like any other
     hooked = {(module, path) for module, path, _, _ in load_tracing().HOOKS}
     unused = []
-    for module, tree, lines in source_modules():
+    for module, tree, lines in [*source_modules(), *suite_files()]:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for name, line in imported_names(tree):
             pinned = "# noqa: F401" in lines[line - 1] and (module, name) in hooked

@@ -16,6 +16,7 @@ from vipsa.lattice import (
     point_group,
     qubit_index,
     real_orbital_basis,
+    translations,
 )
 from vipsa.statevector import sector_basis
 
@@ -240,3 +241,76 @@ def test_point_group_classes(shape, sector, classes):
             # each element carries the representative block onto its member's
             images = np.sort(element.apply(block)[0])
             assert np.array_equal(images, states[labels == label])
+
+
+def translated(group, shift, vector, states) -> np.ndarray:
+    """U_a of a vector over the sorted sector bitstrings states."""
+    images, signs = group.translation(shift).apply(states)
+    out = np.zeros_like(vector)
+    out[np.searchsorted(states, images)] = signs * vector
+    return out
+
+
+def projected(group, label, vector, states) -> np.ndarray:
+    """P_K vector = (1/N_T) sum_a e^{-iK.a} U_a vector, from the definition."""
+    terms = [character * translated(group, shift, vector, states)
+             for character, shift in zip(group.characters(label), group.shifts)]
+    return sum(terms) / len(terms)
+
+
+@pytest.mark.parametrize("nx, ny, bc_x, bc_y, n_shifts, classes", [
+    (2, 2, "open", "open", 1, [[0]]),
+    (2, 3, "open", "periodic", 3, [[0], [2, 4]]),
+    (3, 2, "periodic", "open", 3, [[0], [1, 2]]),
+    (2, 4, "open", "periodic", 4, [[0], [2, 6], [4]]),
+    (3, 3, "open", "periodic", 3, [[0], [3, 6]]),
+    (3, 3, "periodic", "periodic", 9, [[0], [1, 2, 3, 6], [4, 5, 7, 8]]),
+])
+def test_translation_blocks_and_their_classes(nx, ny, bc_x, bc_y, n_shifts, classes):
+    grid = GridSpec(nx, ny, bc_x, bc_y)
+    group = translations(grid)
+    assert len(group.shifts) == n_shifts and group.shifts[0] == (0, 0)
+    assert group.elements == point_group(grid).elements
+    found = group.classes()
+    assert [[label for label, _ in members] for members in found] == classes
+    states = sector_basis(grid.n_qubits, 2, 1)
+    vector = np.random.default_rng(3).standard_normal(len(states))
+    labels = [label for members in found for label, _ in members]
+    blocks = {label: projected(group, label, vector, states) for label in labels}
+    # the projectors split the sector: they sum to one and are idempotent
+    np.testing.assert_allclose(sum(blocks.values()), vector, rtol=0, atol=1e-12)
+    for label, block in blocks.items():
+        np.testing.assert_allclose(projected(group, label, block, states), block,
+                                   rtol=0, atol=1e-12)
+    for members in found:
+        assert members[0][1] is group.elements[0]
+        for label, element in members:
+            # each element carries the representative's block onto its member's
+            images, signs = element.apply(states)
+            moved = np.zeros_like(blocks[members[0][0]])
+            moved[np.searchsorted(states, images)] = signs * blocks[members[0][0]]
+            np.testing.assert_allclose(moved, projected(group, label, moved, states),
+                                       rtol=0, atol=1e-12)
+
+
+def test_real_momenta_have_exactly_real_characters():
+    group = translations(GridSpec.make(2, 4))  # ky in 0..3; K = 0 and ky = 2 are real
+    assert group.characters(0).tolist() == [1, 1, 1, 1]
+    assert group.characters(4).tolist() == [1, -1, 1, -1]
+    np.testing.assert_allclose(group.characters(2), [1, -1j, -1, 1j], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape, sector", [((3, 3), (2, 1)), ((2, 4), (2, 2)), ((3, 3), (3, 0))])
+def test_orbit_representatives_and_their_signs(shape, sector):
+    grid = GridSpec.make(*shape)
+    group = translations(grid)
+    states = sector_basis(grid.n_qubits, *sector)
+    reps, owner, signs = group.orbits(states)
+    assert np.all(np.diff(reps) > 0)
+    for position, state in enumerate(states.tolist()):
+        translates = [inversion_sign(state, group.translation(shift).image)
+                      for shift in group.shifts]
+        smallest = min(image for image, _ in translates)
+        assert states[reps[owner[position]]] == smallest
+        assert signs[:, position].tolist() == [sign if image == smallest else 0
+                                               for image, sign in translates]
