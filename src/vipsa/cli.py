@@ -157,15 +157,16 @@ def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
 
 def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_block_of=None):
     """The ground space in the requested register, solved one point-group
-    class at a time: the mode register on its total-momentum blocks, the
-    site register on its lattice-momentum blocks.  Given keep_block_of, the
+    class at a time: the mode register on its total-momentum blocks, built
+    from its Pauli sum, the site register on its lattice-momentum blocks,
+    folded from rows of its hopping tables.  Given keep_block_of, the
     mode register keeps the matrix of that bitstring's block and the site
     register its whole sector's (see ground_space)."""
-    from .hamiltonians import build_kspace, build_real, ground_space
+    from .hamiltonians import SiteHamiltonian, build_kspace, ground_space
     from .lattice import point_group, translations
 
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
-                   else (build_real(grid), translations(grid)))
+                   else (SiteHamiltonian(grid), translations(grid)))
     with library_checks():
         return ground_space(h, grid.n_qubits, n_up, n_down, symmetry, keep_block_of)
 
@@ -191,8 +192,10 @@ def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path
     if cache_dir is None:
         return solve_ground_space(grid, n_up, n_down, register, sea)
     # a site-register file holds the momentum-block solve's vectors, which
-    # may be complex, so its key differs from a whole-sector solve's
-    artifact = ("real solved on momentum blocks" if sea_label is None
+    # may be complex, and a matrix built from the hopping tables, whose
+    # diagonal can differ by an ulp from a Pauli-sum build's, so its key
+    # names both, and a file written under an older key is rebuilt
+    artifact = ("real from hopping tables solved on momentum blocks" if sea_label is None
                 else f"k solved on block {sea_label}")
     return cache.cached(cache_dir, f"ground-{register}-{grid.label()}",
                         _grid_key(grid, n_up, n_down, artifact), GroundSpace,
@@ -362,7 +365,7 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
 def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, int]:
     """(energy, degeneracy) of one register's ground space, solved without
     keeping a matrix, so the mode register builds only its class blocks and
-    the site register frees its sector matrix before solving its blocks.
+    the site register only its rows at the orbit representatives.
     The space is freed on return, before the next one is built."""
     ground = solve_ground_space(grid, n_up, n_down, register)
     return ground.energy, ground.degeneracy

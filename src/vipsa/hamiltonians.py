@@ -4,7 +4,9 @@ The same physical model is built twice: in real space as hopping plus on-site
 repulsion, and in the momentum-mode register as a diagonal kinetic part plus a
 table of two-body scattering quadruples.  The quadruple table doubles as the
 source of the variational operator pool, so it is exposed as first-class data
-rather than hidden inside the Pauli sum.
+rather than hidden inside the Pauli sum.  The site register's sector rows are
+built straight from its hopping tables (SiteHamiltonian); its Pauli sum
+(build_real) is kept as the operator the tests check those rows against.
 
 Everything downstream (ground spaces, fidelities) works in a fixed
 (n_up, n_down) occupation sector.
@@ -12,7 +14,7 @@ Everything downstream (ground spaces, fidelities) works in a fixed
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse
@@ -42,7 +44,7 @@ from .lattice import (
     hopping_edges,
     qubit_index,
 )
-from .statevector import StateVector, _compiled_terms, _parity, sector_basis
+from .statevector import StateVector, _compiled_terms, _ladder_orbits, _parity, sector_basis
 
 # Connected blocks of a sector matrix up to this dimension are solved dense,
 # larger ones by restarted Lanczos.  On one core of a Xeon, with the ground
@@ -181,13 +183,68 @@ def onsite_interaction(grid: GridSpec) -> PauliSum:
     return PauliSum.merged(*parts)
 
 
-def build_real(grid: GridSpec) -> PauliSum:
-    """Site-register Hamiltonian: -t nearest-neighbour hopping + U n_up n_down."""
+def _hopping_terms(grid: GridSpec) -> list[LadderTerm]:
+    """-t (c†_i c_j + c†_j c_i) on every nearest-neighbour bond, per spin."""
     horizontal, vertical = hopping_edges(grid)
-    terms = [term for i, j in horizontal + vertical for spin in (UP, DOWN)
-             for term in hopping_pair(qubit_index(i, spin), qubit_index(j, spin), -grid.t)]
-    return PauliSum.merged(jordan_wigner_images(terms, grid.n_qubits),
+    return [term for i, j in horizontal + vertical for spin in (UP, DOWN)
+            for term in hopping_pair(qubit_index(i, spin), qubit_index(j, spin), -grid.t)]
+
+
+def build_real(grid: GridSpec) -> PauliSum:
+    """Site-register Hamiltonian: -t nearest-neighbour hopping + U n_up n_down,
+    as a Pauli sum (SiteHamiltonian builds its sector rows without one)."""
+    return PauliSum.merged(jordan_wigner_images(_hopping_terms(grid), grid.n_qubits),
                            onsite_interaction(grid).masks())
+
+
+def double_occupancy(states: np.ndarray) -> np.ndarray:
+    """The count of doubly occupied sites of each site-register bitstring."""
+    # up qubit 2i and down qubit 2i + 1 both set
+    return np.bitwise_count(states & (states >> 1) & np.uint32(0x55555555))
+
+
+@dataclass(frozen=True)
+class SiteHamiltonian:
+    """build_real's Hamiltonian of `grid`, built on a sector from its
+    hopping tables, a given set of rows at a time, with no Pauli string."""
+
+    grid: GridSpec
+
+    def rows(self, states: np.ndarray, positions: np.ndarray) -> scipy.sparse.csr_matrix:
+        """H's rows at the ascending positions of the sorted sector
+        bitstrings states, over all of them, as a real CSR of shape
+        (len(positions), len(states)).
+
+        The diagonal is U times double_occupancy.  Each hopping term's
+        _ladder_orbits table over the rows' bitstrings sends a row's
+        bitstring s to sign |s'>, so <s'|term|s> = -t sign; H is real
+        symmetric, so that is also H's entry in row s, column s'.  A pair's
+        two terms give its two entries.  Exact zeros are not stored, as
+        sector_matrix stores none, and the CSR has sorted indices and int32
+        indptr and indices, as sector_matrix's does.  Every entry but the
+        diagonal is that of sector_matrix(build_real(grid), ...) to the
+        bit, and so is the diagonal when the products of U are exact (U a
+        multiple of 1/4, say); elsewhere the Pauli sum's diagonal rounds
+        U/4 sums differently, by a few ulps of the entry, and keeps a
+        rounding residue where this one stores an exact zero.
+        """
+        picked = states[positions]
+        local = np.arange(len(positions), dtype=np.int32)
+        with np.errstate(over="ignore"):
+            diagonal = self.grid.u * double_occupancy(picked)
+        if not np.isfinite(diagonal).all():
+            raise ValueError("site Hamiltonian has a non-finite entry (float64 overflow)")
+        rows, targets, data = [local], [picked], [diagonal]
+        for term in _hopping_terms(self.grid):
+            src, dst, sign = _ladder_orbits(term.factors, picked)
+            rows.append(local[src])
+            targets.append(dst)
+            data.append(-self.grid.t * sign)
+        rows, targets, data = (np.concatenate(part) for part in (rows, targets, data))
+        stored = data != 0
+        columns = np.searchsorted(states, targets[stored]).astype(np.int32)
+        return scipy.sparse.coo_matrix((data[stored], (rows[stored], columns)),
+                                       shape=(len(positions), len(states))).tocsr()
 
 
 def spin_operators(n_sites: int) -> tuple[PauliSum, PauliSum]:
@@ -493,8 +550,9 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
     if np.abs(matrix.data).max(where=off, initial=0.0) <= residue:
         values, vectors = matrix.diagonal().real, scipy.sparse.identity(dim, matrix.dtype, "csc")
     else:
-        # imported here, not with the module: it adds about 1 MiB to every
-        # process, and a run that loads its ground space from the cache solves nothing
+        # imported here, not with the module: a run that loads its ground
+        # space from the cache solves nothing, and this import pulls in
+        # scipy.sparse.linalg too, about 9.5 MiB and 0.1 s together
         from scipy.sparse.csgraph import connected_components
 
         pattern = scipy.sparse.csr_matrix((np.ones(len(matrix.data)), matrix.indices,
@@ -513,7 +571,7 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
     return values[keep], np.linalg.qr(vectors[:, keep])[0]
 
 
-def _momentum_blocks(whole, states: np.ndarray, symmetry: Translations):
+def _momentum_blocks(rows_at, states: np.ndarray, symmetry: Translations):
     """(members, rows, basis, block) of each point-group class of the site
     register's momentum blocks (see Translations) that holds any state:
     rows every sector position, basis the sparse isometry B from the
@@ -527,13 +585,16 @@ def _momentum_blocks(whole, states: np.ndarray, symmetry: Translations):
     D^-1 and D = diag(sqrt(F_K[r, r])), over the representatives r whose norm
     F_K[r, r] is not zero; B^H H B = D^-1 F_K H[:, reps] D^-1, as H commutes
     with the translations.  H is Hermitian, so H[:, reps] is the conjugate
-    transpose of the rows of whole, H over the sector, at the
-    representatives, and no product over the whole sector is formed.  A
-    block whose characters are all real (K.a a multiple of pi) is real.
+    transpose of H's rows at the representatives, which rows_at(reps) gives
+    for the ascending sector positions reps, and no product over the whole
+    sector is formed.  A block whose characters are all real (K.a a
+    multiple of pi) is real.
     """
-    from scipy.sparse.csgraph import connected_components  # see _block_ground
+    # imported here, not with the module, as in _block_ground
+    from scipy.sparse.csgraph import connected_components
 
     reps, owner, signs = symmetry.orbits(states)
+    at_reps = rows_at(reps)
     everything = np.arange(len(states))
     blocks = []
     for members in symmetry.classes():
@@ -554,7 +615,7 @@ def _momentum_blocks(whole, states: np.ndarray, symmetry: Translations):
             (weights[covered].conj() / scale[column[owner[covered]]], column[owner[covered]],
              np.searchsorted(covered, np.arange(len(states) + 1))),
             shape=(len(states), len(scale)))
-        top = scipy.sparse.diags(1 / scale) @ whole[reps[kept]]
+        top = scipy.sparse.diags(1 / scale) @ at_reps[kept]
         block = (top @ basis).conj().T.tocsr()
         # the couplings of an orbit can cancel (on an even ring at K = pi,
         # say), so a block may fall apart; each part is solved on its own
@@ -570,15 +631,20 @@ def _momentum_blocks(whole, states: np.ndarray, symmetry: Translations):
     return blocks
 
 
-def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
+def ground_space(h: PauliSum | SiteHamiltonian, n_qubits: int, n_up: int, n_down: int,
                  symmetry: PointGroup | Translations | None = None,
                  keep_block_of: int | None = None) -> GroundSpace:
     """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
+    h is a Pauli sum, which sector_matrix builds on each set of bitstrings,
+    solved without a symmetry or on a point group; or a SiteHamiltonian,
+    solved on its grid's translations and only there.  Any other pairing,
+    or a register that is not the site Hamiltonian's, is a ValueError.
+
     Each block is solved as _block_ground says.  Without a symmetry, the
     whole sector is one UNLABELLED block, built by sector_matrix, whose
-    matrix the space keeps: that fits the connected site register, but an
-    interacting mode register is a ValueError.
+    matrix the space keeps: that fits a connected Hamiltonian such as
+    build_real's, but an interacting mode register is a ValueError.
 
     With the point group of the grid whose mode register h is written in,
     the sector splits into total-momentum blocks that h never mixes, and the
@@ -591,21 +657,27 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
     over the block's own bitstrings, and the block's rows (see GroundSpace),
     so every block built is solved.
 
-    With the translations of the grid whose site register h is written in,
-    the whole-sector matrix is built, and each class's representative
-    momentum block is folded from it (see _momentum_blocks) and solved; its
-    ground vectors are lifted onto the sector, and their signed permutations
-    are the other blocks'.  The vectors are complex unless every block
-    holding one is real.  Given keep_block_of, the space keeps the
-    whole-sector matrix, the one set of bitstrings holding it that h does
-    not leave; otherwise that matrix is freed before any block is solved.
-    The site register's blocks are not bitstring sets, so its space is
-    UNLABELLED too.
+    With the translations of h's grid, each class's representative momentum
+    block is folded from H's rows at the orbit representatives (see
+    _momentum_blocks) and solved; its ground vectors are lifted onto the
+    sector, and their signed permutations are the other blocks'.  The
+    vectors are complex unless every block holding one is real.  Given
+    keep_block_of, the space keeps the whole-sector matrix, the one set of
+    bitstrings holding it that h does not leave, built by h.rows over every
+    row, and the blocks are folded from its rows; otherwise h.rows builds
+    only the representatives' rows, about one in N_T, and no whole-sector
+    matrix is built.  The site register's blocks are not bitstring sets, so
+    its space is UNLABELLED too.
 
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
     """
-    if not h.is_hermitian():
+    site = isinstance(h, SiteHamiltonian)
+    if site != isinstance(symmetry, Translations) or site and (
+            symmetry.grid != h.grid or n_qubits != h.grid.n_qubits):
+        raise ValueError("a site Hamiltonian is solved on the translations of its own grid, "
+                         "in its own register, and a Pauli sum on none")
+    if not site and not h.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
     states = sector_basis(n_qubits, n_up, n_down)
     if keep_block_of is not None and keep_block_of not in states:
@@ -619,17 +691,19 @@ def ground_space(h: PauliSum, n_qubits: int, n_up: int, n_down: int,
         blocks = ((members, rows, None, sector_matrix(h, states[rows], n_qubits))
                   for members in symmetry.classes(states, labels, kept_label)
                   for rows in [np.flatnonzero(labels == members[0][0])])
+    elif symmetry is None:
+        kept_label = UNLABELLED
+        identity = SlotPermutation(tuple(range(n_qubits // 2)))
+        blocks = [([(UNLABELLED, identity)], np.arange(len(states)), None,
+                   sector_matrix(h, states, n_qubits))]
     else:
-        whole = sector_matrix(h, states, n_qubits)
-        if symmetry is None:
-            kept_label = UNLABELLED
-            identity = SlotPermutation(tuple(range(n_qubits // 2)))
-            blocks = [([(UNLABELLED, identity)], np.arange(len(states)), None, whole)]
-        else:
-            if keep_block_of is not None:
-                matrix, matrix_rows = whole, np.arange(len(states))
-            blocks = _momentum_blocks(whole, states, symmetry)
-        del whole
+        rows_at = partial(h.rows, states)
+        if keep_block_of is not None:
+            matrix_rows = np.arange(len(states))
+            matrix = rows_at(matrix_rows)
+            # the representatives' rows are sliced from it, not built again
+            rows_at = matrix.__getitem__
+        blocks = _momentum_blocks(rows_at, states, symmetry)
     solved = []
     for members, rows, basis, block in blocks:
         if members[0][0] == kept_label:

@@ -21,7 +21,9 @@ from .core import AdamResult, EpochRecord, VipsaConfig, adam_minimize
 from .fermions import hopping_pair
 from .hamiltonians import (
     GroundSpace,
-    build_real,
+    SiteHamiltonian,
+    build_real,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
+    double_occupancy,
     fidelity,
     ground_space,
     sector_basis,
@@ -129,9 +131,7 @@ class HvaAnsatz:
         _, w, order = real_orbital_basis(grid)
         self.states = sector_basis(grid.n_qubits, n_up, n_down)
         self.x0 = slater_amplitudes(w, order[:n_up], order[:n_down], self.states)
-        # U per doubly occupied site: up qubit 2i and down qubit 2i + 1 both set
-        doubles = np.bitwise_count(self.states & (self.states >> 1) & np.uint32(0x55555555))
-        phase = SectorPhase(grid.u * doubles)
+        phase = SectorPhase(grid.u * double_occupancy(self.states))
 
         # (gate, its parameter's offset in the layer, scale) of one layer;
         # every layer repeats these gates on its own parameters
@@ -206,7 +206,8 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         n_up, n_down = default_filling(grid)
     if reference is None:
         # any bitstring of the sector keeps the whole sector's matrix
-        reference = ground_space(build_real(grid), grid.n_qubits, n_up, n_down, translations(grid),
+        reference = ground_space(SiteHamiltonian(grid), grid.n_qubits, n_up, n_down,
+                                 translations(grid),
                                  keep_block_of=int(sector_basis(grid.n_qubits, n_up, n_down)[0]))
     if (reference.n_qubits, reference.n_up, reference.n_down) != (grid.n_qubits, n_up, n_down):
         raise ValueError("reference ground space is not over the run's sector basis")

@@ -18,6 +18,7 @@ from vipsa.lattice import GridSpec, fermi_sea
 from vipsa.statevector import sector_basis
 
 from builds import sea_block
+from replay import refuse_pauli_path
 
 
 def write(path: Path, text: str) -> Path:
@@ -644,6 +645,7 @@ def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hamiltonians, "build_kspace", refuse)
     monkeypatch.setattr(hamiltonians, "build_real", refuse)
+    monkeypatch.setattr(hamiltonians.SiteHamiltonian, "rows", refuse)
     for register, space in cold.items():
         warm = cached_ground_space(grid, 2, 2, labels[register], tmp_path)
         np.testing.assert_array_equal(warm.vectors, space.vectors)
@@ -659,19 +661,74 @@ def refuse(*args, **kwargs):
 
 
 HAMILTONIAN_BUILDERS = [("hamiltonians", "sector_matrix"), ("hamiltonians", "build_kspace"),
-                        ("hamiltonians", "build_real"), ("core", "build_kspace"),
-                        ("hva", "build_real")]
+                        ("hamiltonians", "build_real"), ("core", "build_kspace")]
+
+
+def refuse_hamiltonian_builds(monkeypatch) -> None:
+    """Make every Hamiltonian build raise: the Pauli sums, their sector
+    matrices, and the site register's rows from its hopping tables."""
+    import vipsa
+
+    for module, name in HAMILTONIAN_BUILDERS:
+        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    monkeypatch.setattr(vipsa.hamiltonians.SiteHamiltonian, "rows", refuse)
+
+
+def test_a_site_ground_file_of_the_pauli_sum_build_is_rebuilt(tmp_path, capsys, monkeypatch):
+    # 2x3 at U = 0.3: the Pauli sum's diagonal differs from the hopping
+    # tables' by up to an ulp, and a site ground file written while the site
+    # register was built from it had a key that named no builder.  Such a
+    # file is not read: the first cached run solves and writes its own, the
+    # next reads that one, and both write the bytes of an uncached run
+    from vipsa import cache, hamiltonians
+    from vipsa.cli import _grid_key
+
+    grid = GridSpec.make(2, 3, u=0.3)
+    pauli = hamiltonians.ground_space(hamiltonians.build_real(grid), grid.n_qubits, 3, 3)
+    tables = hamiltonians.SiteHamiltonian(grid).rows(pauli.states, np.arange(len(pauli.states)))
+    assert abs(pauli.matrix - tables).max() > 0
+    old_key = _grid_key(grid, 3, 3, "real solved on momentum blocks")
+    (tmp_path / "cache").mkdir()
+    cache.cached(tmp_path / "cache", f"ground-real-{grid.label()}", old_key,
+                 hamiltonians.GroundSpace, lambda: pauli, lambda space: True)
+    built = []
+    rows = hamiltonians.SiteHamiltonian.rows
+    monkeypatch.setattr(hamiltonians.SiteHamiltonian, "rows",
+                        lambda h, states, positions: built.append(len(positions))
+                        or rows(h, states, positions))
+    settings = {"nx": 2, "ny": 3, "u": 0.3, "ansatz": "hva", "max_inner_steps": 3, "layers": 1}
+    _, uncached = run_config(tmp_path, "uncached", cache=None, **settings)
+    built.clear()
+    _, first = run_config(tmp_path, "first", **settings)
+    assert built == [400]
+    _, warm = run_config(tmp_path, "warm", **settings)
+    assert built == [400]
+    assert run_artifacts(first) == run_artifacts(warm) == run_artifacts(uncached)
+
+
+def test_site_ed_and_a_cold_layered_run_build_no_pauli_strings(tmp_path, capsys, monkeypatch):
+    # with the Jordan-Wigner map and the Pauli-sum sector matrix made to
+    # raise at every name a vipsa module looks them up by, the site
+    # register's ED table and a cold layered run write the same bytes
+    def outputs(name):
+        table = tmp_path / f"{name}.csv"
+        assert main(["ed", "--grid", "3x3", "--u", "0.3", "--sector", "3,3",
+                     "--register", "real", "--csv", str(table)]) == 0
+        _, out = run_config(tmp_path, name, nx=2, ny=3, u=0.3, ansatz="hva",
+                            cache=tmp_path / f"{name}-cache", max_inner_steps=3, layers=1)
+        return table.read_bytes(), run_artifacts(out)
+
+    expected = outputs("free")
+    refuse_pauli_path(monkeypatch)
+    assert outputs("refused") == expected
 
 
 @pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
 def test_warm_run_loads_the_hamiltonian(tmp_path, capsys, monkeypatch, ansatz):
-    import vipsa
-
     settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 2, "max_inner_steps": 20,
                 "layers": 2}
     _, cold = run_config(tmp_path, "cold", **settings)
-    for module, name in HAMILTONIAN_BUILDERS:
-        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    refuse_hamiltonian_builds(monkeypatch)
     code, warm = run_config(tmp_path, "warm", **settings)
     assert code in (0, 2)
     assert run_artifacts(warm) == run_artifacts(cold)
@@ -736,7 +793,8 @@ def test_warm_run_labels_only_the_sea(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("ansatz, shape, cold", [
     # 2x2 (2,2), 36 states: the mode register's ED builds the blocks of
     # labels 0, 1 and 3, one per point-group class, and the sea's block is
-    # label 0's; the site register builds its whole sector
+    # label 0's; the site register builds its whole sector's rows once, and
+    # folds its blocks from them
     pytest.param("vipsa", (2, 2), [12, 8, 8], id="vipsa"),
     pytest.param("hva", (2, 2), [36], id="hva"),
     # 2x3 (3,3), 400 states: labels 0, 1, the sea's label 4 in place of
@@ -748,13 +806,18 @@ def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, a
     from vipsa import hamiltonians
 
     calls = []
-    build = hamiltonians.sector_matrix
+    build, rows = hamiltonians.sector_matrix, hamiltonians.SiteHamiltonian.rows
 
     def counted(*args, **kwargs):
         calls.append(len(args[1]))
         return build(*args, **kwargs)
 
+    def counted_rows(h, states, positions):
+        calls.append(len(positions))
+        return rows(h, states, positions)
+
     monkeypatch.setattr(hamiltonians, "sector_matrix", counted)
+    monkeypatch.setattr(hamiltonians.SiteHamiltonian, "rows", counted_rows)
     settings = {"nx": shape[0], "ny": shape[1], "u": 4.0, "ansatz": ansatz, "max_epochs": 2,
                 "max_inner_steps": 20, "layers": 2}
     _, uncached = run_config(tmp_path, "uncached", cache=None, **settings)
@@ -899,11 +962,8 @@ def test_run_rejects_non_finite_settings(tmp_path, capsys, monkeypatch, line):
     ("nx = 4\nny = 4\n", "165636900 states"),
 ])
 def test_run_rejects_before_building_or_writing(tmp_path, capsys, monkeypatch, body, detail):
-    import vipsa
-
     monkeypatch.chdir(tmp_path)
-    for module, name in HAMILTONIAN_BUILDERS:
-        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    refuse_hamiltonian_builds(monkeypatch)
     config = write(tmp_path / "bad.cfg", body)
     assert main(["run", str(config)]) == 1
     assert detail in one_error_line(capsys)
@@ -917,20 +977,14 @@ def test_run_rejects_before_building_or_writing(tmp_path, capsys, monkeypatch, b
     (["--grid", "2x2", "--u", ","], "coupling list"),
 ])
 def test_ed_rejects_before_building(capsys, monkeypatch, argv, detail):
-    import vipsa
-
-    for module, name in HAMILTONIAN_BUILDERS:
-        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    refuse_hamiltonian_builds(monkeypatch)
     assert main(["ed", *argv]) == 1
     assert detail in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("key", ["cache", "output"])
 def test_run_rejects_a_directory_that_is_a_file(tmp_path, capsys, monkeypatch, key):
-    import vipsa
-
-    for module, name in HAMILTONIAN_BUILDERS:
-        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    refuse_hamiltonian_builds(monkeypatch)
     taken = write(tmp_path / "taken", "")
     code, _ = run_config(tmp_path, "blocked", **{key: taken})
     assert code == 1
@@ -939,10 +993,7 @@ def test_run_rejects_a_directory_that_is_a_file(tmp_path, capsys, monkeypatch, k
 
 def test_ed_csv_into_a_missing_directory_is_one_line(tmp_path, capsys, monkeypatch):
     # the path is checked before any Hamiltonian is built, so nothing is solved
-    import vipsa
-
-    for module, name in HAMILTONIAN_BUILDERS:
-        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    refuse_hamiltonian_builds(monkeypatch)
     target = tmp_path / "missing" / "ed.csv"
     assert main(["ed", "--grid", "2x3", "--u", "4", "--csv", str(target)]) == 1
     assert str(target) in one_error_line(capsys)
@@ -1025,10 +1076,7 @@ def test_a_path_a_run_cannot_write_is_refused_before_anything_is_built(
     # the directory at the cache file's or the artifact's path is found
     # before any Hamiltonian is built, so nothing is solved only to be thrown
     # away, and no run leaves CSVs without the manifest beside them
-    import vipsa
-
-    for module, name in HAMILTONIAN_BUILDERS:
-        monkeypatch.setattr(getattr(vipsa, module), name, refuse)
+    refuse_hamiltonian_builds(monkeypatch)
     code, path = case(tmp_path, cache_2x2["ground"][0])
     assert code == 1
     assert str(path) in one_error_line(capsys)

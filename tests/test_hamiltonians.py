@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from vipsa.fermions import PauliSum, hopping_pair, jordan_wigner_sum
 from vipsa.hamiltonians import (
     GroundSpace,
     SectorHamiltonian,
+    SiteHamiltonian,
     build_kspace,
     build_real,
     fidelity,
@@ -732,20 +732,72 @@ SITE_GRIDS = [(2, 2, "open", "open"), (2, 3, "open", "open"), (2, 3, "open", "pe
               (3, 2, "open", "open"), (3, 2, "periodic", "open"), (3, 3, "open", "open"),
               (3, 3, "open", "periodic"), (3, 3, "periodic", "open"),
               (3, 3, "periodic", "periodic")]
+# and the rings of even length, whose momentum pi has real characters and
+# whose bitstrings can repeat under a shift with either sign
+RING_GRIDS = [(2, 4, "open", "periodic"), (4, 2, "periodic", "open")]
+
+
+def site_sectors(grid: GridSpec) -> list[tuple[int, int]]:
+    """The default filling, one spin species empty, and two more."""
+    return list(dict.fromkeys([default_filling(grid), (2, 0), (1, 2), (0, grid.n_sites - 1)]))
+
+
+@pytest.mark.parametrize("nx, ny, bc_x, bc_y", SITE_GRIDS + RING_GRIDS)
+def test_site_rows_match_the_pauli_sum_build(nx, ny, bc_x, bc_y):
+    # where every product of U is exact the rows from the hopping tables are
+    # the Pauli-sum CSR to the bit; elsewhere the Pauli sum rounds its U/4
+    # sums differently, and leaves a residue on the diagonal of each state
+    # with no doubly occupied site, where the tables store nothing
+    rng = np.random.default_rng(34)
+    for u in (0.0, 4.0, 6.0, -2.5, 0.1, 0.3, -2.9):
+        grid = GridSpec(nx, ny, bc_x, bc_y, u=u)
+        h = build_real(grid)
+        for sector in site_sectors(grid):
+            states = sector_basis(grid.n_qubits, *sector)
+            oracle = sector_matrix(h, states, grid.n_qubits)
+            built = SiteHamiltonian(grid).rows(states, np.arange(len(states)))
+            assert built.dtype == np.float64 and built.has_sorted_indices
+            if u in (0.0, 4.0, 6.0, -2.5):
+                for part in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(built, part), getattr(oracle, part))
+            else:
+                # every stored entry is the Pauli sum's too, and the Pauli
+                # sum's others are the residues
+                assert (built != 0).multiply(oracle != 0).nnz == built.nnz
+                rows, columns = (oracle - oracle.multiply(built != 0)).nonzero()
+                np.testing.assert_array_equal(rows, columns)
+                assert not hamiltonians.double_occupancy(states[rows]).any()
+                scale = max(1.0, abs(oracle).max())
+                assert abs(built - oracle).max() <= 1e-15 * scale, (u, sector)
+            if u == -2.9:
+                # rows at any ascending positions are those rows of the whole
+                positions = np.flatnonzero(rng.random(len(states)) < 0.3)
+                some = SiteHamiltonian(grid).rows(states, positions)
+                for part in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(some, part),
+                                                  getattr(built[positions], part))
+
+
+def test_site_hamiltonian_pairs_only_with_its_translations():
+    grid = GridSpec.make(2, 3, u=4.0)
+    other = GridSpec.make(2, 3, u=2.0)
+    for h, symmetry in [(build_real(grid), translations(grid)), (SiteHamiltonian(grid), None),
+                        (SiteHamiltonian(grid), point_group(grid)),
+                        (SiteHamiltonian(grid), translations(other))]:
+        with pytest.raises(ValueError, match="translations of its own grid"):
+            ground_space(h, grid.n_qubits, 3, 3, symmetry)
+    with pytest.raises(ValueError, match="translations of its own grid"):
+        ground_space(SiteHamiltonian(grid), 8, 2, 2, translations(grid))
 
 
 @pytest.mark.parametrize("u", [0.0, 2.0, 4.0, -2.9])
-# and the rings of even length, whose momentum pi has real characters and
-# whose bitstrings can repeat under a shift with either sign
-@pytest.mark.parametrize("nx, ny, bc_x, bc_y",
-                         SITE_GRIDS + [(2, 4, "open", "periodic"), (4, 2, "periodic", "open")])
+@pytest.mark.parametrize("nx, ny, bc_x, bc_y", SITE_GRIDS + RING_GRIDS)
 def test_site_momentum_blocks_match_the_whole_sector_solve(nx, ny, bc_x, bc_y, u):
     grid = GridSpec(nx, ny, bc_x, bc_y, u=u)
     h = build_real(grid)
-    # the default filling, one spin species empty, and two more
-    for sector in dict.fromkeys([default_filling(grid), (2, 0), (1, 2), (0, grid.n_sites - 1)]):
+    for sector in site_sectors(grid):
         whole = ground_space(h, grid.n_qubits, *sector)
-        blocked = ground_space(h, grid.n_qubits, *sector, translations(grid))
+        blocked = ground_space(SiteHamiltonian(grid), grid.n_qubits, *sector, translations(grid))
         assert blocked.energy == pytest.approx(whole.energy, abs=1e-10)
         assert blocked.degeneracy == whole.degeneracy
         assert blocked.matrix is None
@@ -764,7 +816,7 @@ def test_site_momentum_blocks_match_the_whole_sector_solve(nx, ny, bc_x, bc_y, u
 def test_the_site_hamiltonian_commutes_with_its_symmetries(nx, ny, bc_x, bc_y):
     grid = GridSpec(nx, ny, bc_x, bc_y, u=4.0)
     states = sector_basis(grid.n_qubits, 2, 1)
-    matrix = sector_matrix(build_real(grid), states, grid.n_qubits)
+    matrix = SiteHamiltonian(grid).rows(states, np.arange(len(states)))
     group = translations(grid)
     for element in [group.translation(shift) for shift in group.shifts] + list(group.elements):
         images, signs = element.apply(states)
@@ -778,41 +830,35 @@ def test_the_site_hamiltonian_commutes_with_its_symmetries(nx, ny, bc_x, bc_y):
 def test_complex_momentum_blocks_solve_without_warnings(sector):
     # 3x3: six of the nine momentum blocks are complex, solved by Lanczos at
     # (5,4) (1764 states each) and dense at (2,2) (144); the connectivity
-    # check reads the blocks' sparsity, not their complex values
+    # check reads the blocks' sparsity, not their complex values.  The
+    # energy is the mode register's
     grid = GridSpec.make(3, 3, u=4.0)
-    gs = ground_space(build_real(grid), grid.n_qubits, *sector, translations(grid))
-    assert gs.energy == pytest.approx(ground_space(build_real(grid), grid.n_qubits,
-                                                   *sector).energy, abs=1e-10)
+    gs = ground_space(SiteHamiltonian(grid), grid.n_qubits, *sector, translations(grid))
+    assert gs.energy == pytest.approx(sea_block_space(grid, *sector).energy, abs=1e-10)
 
 
-def test_site_solve_folds_one_block_per_class(monkeypatch):
+def test_site_solve_builds_the_whole_sector_only_to_keep_it(monkeypatch):
     # 3x3 (5,4): nine momentum blocks of 1764 states in three classes, K = 0,
     # the four K on the zone's edges and the four on its corners; only each
-    # class's representative is solved, and the sector matrix is freed
-    # before it unless the space keeps it
+    # class's representative is solved, and H's rows are built once: at the
+    # 1764 orbit representatives, or over the whole sector when the space
+    # keeps it, which then keeps that matrix
     grid = GridSpec.make(3, 3, u=6.0)
-    h = build_real(grid)
-    built, alive = [], []
-    build, solve = hamiltonians.sector_matrix, hamiltonians._block_ground
-
-    def tracked(*args):
-        matrix = build(*args)
-        built.append(weakref.ref(matrix))
-        return matrix
-
-    monkeypatch.setattr(hamiltonians, "sector_matrix", tracked)
-    monkeypatch.setattr(hamiltonians, "_block_ground",
-                        lambda block: alive.append(built[-1]() is not None) or solve(block))
+    built = []
+    rows = SiteHamiltonian.rows
+    monkeypatch.setattr(SiteHamiltonian, "rows",
+                        lambda h, states, positions: built.append(len(positions))
+                        or rows(h, states, positions))
     seen = recorded_eigsh(monkeypatch)
     for keep in (None, fermi_sea(grid, 5, 4).bitstring()):
         built.clear()
-        alive.clear()
         seen.clear()
-        gs = ground_space(h, grid.n_qubits, 5, 4, translations(grid), keep_block_of=keep)
-        assert [dim for dim, _, _ in seen] == [1764] * 3 and len(built) == 1
-        assert alive == [keep is not None] * 3
+        gs = ground_space(SiteHamiltonian(grid), grid.n_qubits, 5, 4, translations(grid),
+                          keep_block_of=keep)
+        assert [dim for dim, _, _ in seen] == [1764] * 3
+        assert built == [1764 if keep is None else 15876]
         assert gs.degeneracy == 4 and np.iscomplexobj(gs.vectors)
-    whole = build(h, gs.states, grid.n_qubits)
+    whole = rows(SiteHamiltonian(grid), gs.states, np.arange(len(gs.states)))
     np.testing.assert_array_equal(gs.matrix_rows, np.arange(len(gs.states)))
     for part in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(gs.matrix, part), getattr(whole, part))
