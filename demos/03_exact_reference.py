@@ -13,26 +13,29 @@ import numpy as np
 from vipsa import (
     GridSpec,
     build_kspace,
-    build_real,
     default_filling,
     fermi_sea,
     ground_space,
     rs_perturbation,
 )
-from vipsa.hamiltonians import fidelity, sector_matrix
-from vipsa.lattice import point_group
+from vipsa.hamiltonians import SiteHamiltonian, fidelity, sector_matrix
+from vipsa.lattice import point_group, translations
 
 
 def main():
     grid = GridSpec.make(2, 3, u=4.0)
     n_up, n_down = default_filling(grid)
+    sea = fermi_sea(grid, n_up, n_down)
     h_k = build_kspace(grid)[0]
-    gs = ground_space(h_k, grid.n_qubits, n_up, n_down, point_group(grid))
-    gs_real = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
+    gs = ground_space(h_k, point_group(grid), n_up, n_down)
+    # any sector bitstring, the sea's say, keeps the site register's whole
+    # sector matrix
+    gs_real = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down,
+                           keep_block_of=sea.bitstring())
 
-    # the mode register is solved one momentum block at a time and keeps no
-    # whole-sector matrix; the site-register space keeps its own (400 states
-    # here), and both are small enough to diagonalize whole
+    # both registers are solved one momentum block at a time; the mode
+    # register keeps no whole-sector matrix, the site-register space keeps
+    # its own (400 states here), and both are small enough to diagonalize whole
     print(f"Lowest sector eigenvalues of the {grid.label()} grid at "
           f"u = {grid.u:g}, filling ({n_up}, {n_down}):")
     k_values, r_values = (np.linalg.eigvalsh(matrix.toarray())[:6] for matrix in
@@ -43,7 +46,6 @@ def main():
 
     # the ground space lives on the sorted sector bitstrings; the sea is one
     # of them
-    sea = fermi_sea(grid, n_up, n_down)
     x = (gs.states == sum(1 << q for q in sea.occupied_qubits())).astype(float)
     print(f"\nGround energy {gs.energy:.10f}, degeneracy {gs.degeneracy}, "
           f"sector dimension {len(gs.states)}.")
@@ -60,7 +62,7 @@ def main():
     for u in (0.1, 0.2, 0.4):
         grid = GridSpec.make(2, 4, u=u)
         e0, e1, e2 = rs_perturbation(grid, 4, 4)
-        exact = ground_space(build_kspace(grid)[0], grid.n_qubits, 4, 4, point_group(grid)).energy
+        exact = ground_space(build_kspace(grid)[0], point_group(grid), 4, 4).energy
         series = e0 + e1 + e2
         print(f"  {u:>5.2f} {series:>14.8f} {exact:>14.8f} "
               f"{abs(series - exact):>10.2e}")

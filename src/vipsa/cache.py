@@ -1,15 +1,19 @@
 """Cache files: their record format and their rebuild rule, in one place.
 
-A file is a sequence of .npy records: a 1-D string array of field names,
-then one record per field in that order, the cache key among them.  They
-are not compressed: compressing the matrices that dominate a
-ground file costs far more time than reading the raw arrays back.  Any
-file a load cannot use raises ValueError (or OSError), and `cached`
-rebuilds it."""
+A file is a sequence of .npy records, each followed by the zlib.crc32 of
+every byte of the record, header included, as 4 little-endian bytes: a
+1-D string array of field names, then one record per field in that order,
+the cache key among them.  They are not compressed: compressing the
+matrices that dominate a ground file costs far more time than reading the
+raw arrays back.  Any file a load cannot use, a damaged one among them,
+raises ValueError (or OSError), and `cached` rebuilds it."""
 
 import hashlib
+import io
 import math
 import os
+import tokenize
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -20,32 +24,52 @@ _HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
 
 def write_fields(path, fields: dict, key: str | None = None) -> None:
     """Write the named arrays, and key if given, to path (a name or binary
-    file) as uncompressed .npy records; read_fields reads them back."""
+    file) as uncompressed .npy records, each with its crc; read_fields reads
+    them back."""
     if isinstance(path, (str, os.PathLike)):
         with open(path, "wb") as handle:
             return write_fields(handle, fields, key)
     if key is not None:
         fields = {**fields, "key": key}
     for value in (np.array(list(fields), dtype=str), *fields.values()):
-        np.lib.format.write_array(path, np.asanyarray(value), allow_pickle=False)
+        record = io.BytesIO()
+        np.lib.format.write_array(record, np.asanyarray(value), allow_pickle=False)
+        write_record(path, record.getbuffer())
+
+
+def write_record(handle, record) -> None:
+    """Write the bytes of one record to an open binary file, then their crc."""
+    handle.write(record)
+    handle.write(zlib.crc32(record).to_bytes(4, "little"))
 
 
 def _read_record(handle, end: int) -> np.ndarray:
-    """The next .npy record of an open file that ends at byte `end`, its
-    header parsed once.  It must hold no Python objects or zero-size items,
-    and claim no more data than the file has left, before anything is
-    allocated; the data is read into a new array, so every array is aligned."""
+    """The next .npy record of an open file that ends at byte `end`, and its
+    crc, its header parsed once.  It must hold no Python objects or
+    zero-size items, and claim no more data than the file has left, before
+    anything is allocated; the data is read into a new array, so every array
+    is aligned.  A crc that is not that of the record's bytes is a ValueError."""
+    start = handle.tell()
     version = np.lib.format.read_magic(handle)
     if version not in _HEADERS:
         raise ValueError(f"unsupported .npy record version {version}")
-    shape, fortran_order, dtype = _HEADERS[version](handle)
+    try:
+        shape, fortran_order, dtype = _HEADERS[version](handle)
+    except (SyntaxError, tokenize.TokenError) as err:  # a damaged header numpy cannot parse
+        raise ValueError(f"unreadable .npy record header: {err}") from None
     if dtype.hasobject or not dtype.itemsize:
         raise ValueError(f"a record of dtype {dtype} holds Python objects or zero-size items")
     count = math.prod(shape)
-    if min(shape, default=0) < 0 or count * dtype.itemsize > end - handle.tell():
+    header = handle.tell() - start
+    left = end - handle.tell() - 4  # the crc follows the data
+    if min(shape, default=0) < 0 or count * dtype.itemsize > left:
         raise ValueError(f"a record of shape {shape} and dtype {dtype} does not fit in "
-                         f"the {end - handle.tell()} bytes left in the file")
+                         f"the {left} bytes left in the file before its crc")
+    handle.seek(start)
+    crc = zlib.crc32(handle.read(header))
     data = np.fromfile(handle, dtype, count)
+    if zlib.crc32(data, crc) != int.from_bytes(handle.read(4), "little"):
+        raise ValueError(f"a record of shape {shape} and dtype {dtype} fails its crc")
     return data.reshape(shape[::-1]).T if fortran_order else data.reshape(shape)
 
 

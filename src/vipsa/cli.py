@@ -168,7 +168,7 @@ def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_block_o
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
                    else (SiteHamiltonian(grid), translations(grid)))
     with library_checks():
-        return ground_space(h, grid.n_qubits, n_up, n_down, symmetry, keep_block_of)
+        return ground_space(h, symmetry, n_up, n_down, keep_block_of)
 
 
 def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path | None):

@@ -36,7 +36,6 @@ from .lattice import (
     UP,
     GridSpec,
     PointGroup,
-    SlotPermutation,
     Translations,
     axis_energies,
     axis_wavefunctions,
@@ -441,8 +440,8 @@ def _lowest_eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
         k = min(dim - 2, 2 * k)
 
 
-# GroundSpace.blocks of a space solved without momentum labels: the whole
-# sector, or the site register's momentum blocks, which are not bitstring sets
+# GroundSpace.blocks of a space solved without momentum labels: the site
+# register's momentum blocks, which are not bitstring sets
 UNLABELLED = -1
 
 
@@ -453,12 +452,12 @@ class GroundSpace:
     `vectors` has one column per ground state over `states`, the sorted
     sector bitstrings, which sector_basis derives from the sector (one that
     cannot exist is a ValueError).  `matrix`, if kept, is H on the block at
-    the ascending positions `matrix_rows` of `states` (all of them if not
-    given; None without a matrix), over its own bitstrings in sector order,
-    so it applies H to any vector given on the block.  `blocks` holds the
-    total-momentum label (lattice.momentum_labels) of each vector's block,
-    UNLABELLED when the sector was solved without them.  `save` and `load`
-    keep these fields plus an optional key naming their problem.
+    the ascending positions `matrix_rows` of `states` (None without a
+    matrix), over its own bitstrings in sector order, so it applies H to any
+    vector given on the block.  `blocks` holds the total-momentum label
+    (lattice.momentum_labels) of each vector's block, UNLABELLED when the
+    sector was solved without them.  `save` and `load` keep these fields
+    plus an optional key naming their problem.
     """
 
     n_qubits: int
@@ -473,9 +472,9 @@ class GroundSpace:
     def __post_init__(self):
         dim = len(self.states)
         if self.matrix is not None:
-            if self.matrix_rows is None:
-                object.__setattr__(self, "matrix_rows", np.arange(dim))
             rows = self.matrix_rows
+            if rows is None:
+                raise ValueError("a sector matrix is kept with its rows (matrix_rows)")
             if (rows.ndim != 1 or rows.dtype.kind != "i" or np.any(np.diff(rows) <= 0)
                     or np.any((rows < 0) | (rows >= dim)) or self.matrix.shape != (len(rows),) * 2):
                 raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
@@ -502,11 +501,10 @@ class GroundSpace:
         as cache.write_fields does; only a space that keeps a matrix can be saved."""
         if self.matrix is None:
             raise ValueError("a ground space is saved with its sector matrix, and this one has none")
-        # rows of the whole sector are left out; load reads their absence as all of them
-        rows = {} if len(self.matrix_rows) == len(self.states) else {"matrix_rows": self.matrix_rows}
         cache.write_fields(path, {"n_qubits": self.n_qubits, "n_up": self.n_up,
                                   "n_down": self.n_down, "energy": self.energy,
-                                  "vectors": self.vectors, "blocks": self.blocks, **rows,
+                                  "vectors": self.vectors, "blocks": self.blocks,
+                                  "matrix_rows": self.matrix_rows,
                                   "matrix_shape": np.array(self.matrix.shape),
                                   "matrix_data": self.matrix.data,
                                   "matrix_indices": self.matrix.indices,
@@ -516,17 +514,16 @@ class GroundSpace:
     def load(cls, path, key: str | None = None) -> "GroundSpace":
         """Read a saved ground space.  Any file it cannot use raises
         ValueError: one saved under another key than the one given, or one
-        without a field it needs (saved before the matrix or the block
-        labels were stored, say).  One without `matrix_rows` keeps the whole
-        sector's rows; a `states` record, from before sector_basis derived
-        the bitstrings, is ignored."""
+        without a field it needs (saved before the matrix, its rows or the
+        block labels were stored, say).  A `states` record, from before
+        sector_basis derived the bitstrings, is ignored."""
         with cache.reading(path, key) as data:
             matrix = scipy.sparse.csr_matrix(
                 (data["matrix_data"], data["matrix_indices"], data["matrix_indptr"]),
                 shape=tuple(int(n) for n in data["matrix_shape"]))
             return cls(int(data["n_qubits"]), int(data["n_up"]), int(data["n_down"]),
                        float(data["energy"]), data["vectors"], matrix,
-                       data["blocks"], data.get("matrix_rows"))
+                       data["blocks"], data["matrix_rows"])
 
 
 def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -631,34 +628,28 @@ def _momentum_blocks(rows_at, states: np.ndarray, symmetry: Translations):
     return blocks
 
 
-def ground_space(h: PauliSum | SiteHamiltonian, n_qubits: int, n_up: int, n_down: int,
-                 symmetry: PointGroup | Translations | None = None,
-                 keep_block_of: int | None = None) -> GroundSpace:
-    """Ground multiplet of the sector, degeneracy resolved at GROUND_DEGENERACY_TOL.
+def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translations,
+                 n_up: int, n_down: int, keep_block_of: int | None = None) -> GroundSpace:
+    """Ground multiplet of the sector of symmetry.grid's register, degeneracy
+    resolved at GROUND_DEGENERACY_TOL.
 
-    h is a Pauli sum, which sector_matrix builds on each set of bitstrings,
-    solved without a symmetry or on a point group; or a SiteHamiltonian,
-    solved on its grid's translations and only there.  Any other pairing,
-    or a register that is not the site Hamiltonian's, is a ValueError.
+    h is the mode register's Pauli sum, which sector_matrix builds on each
+    set of bitstrings, solved on the point group of its grid; or a
+    SiteHamiltonian, solved on the translations of its own grid.  Any other
+    pairing is a ValueError.  Each block is solved as _block_ground says.
 
-    Each block is solved as _block_ground says.  Without a symmetry, the
-    whole sector is one UNLABELLED block, built by sector_matrix, whose
-    matrix the space keeps: that fits a connected Hamiltonian such as
-    build_real's, but an interacting mode register is a ValueError.
+    With the point group, the sector splits into total-momentum blocks that
+    h never mixes, and the blocks of one point-group class share their
+    spectrum.  Each class's representative block is built by sector_matrix
+    on its bitstrings and solved, and the signed permutations of its ground
+    vectors are the other blocks'.  No whole-sector matrix is built.  The
+    representative is the class's smallest label, or, given the sector
+    bitstring keep_block_of, that bitstring's label in its class: the space
+    keeps that block's matrix over the block's own bitstrings, and the
+    block's rows (see GroundSpace), so every block built is solved.
 
-    With the point group of the grid whose mode register h is written in,
-    the sector splits into total-momentum blocks that h never mixes, and the
-    blocks of one point-group class share their spectrum.  Each class's
-    representative block is built by sector_matrix on its bitstrings and
-    solved, and the signed permutations of its ground vectors are the other
-    blocks'.  No whole-sector matrix is built.  The representative is the
-    class's smallest label, or, given the sector bitstring keep_block_of,
-    that bitstring's label in its class: the space keeps that block's matrix
-    over the block's own bitstrings, and the block's rows (see GroundSpace),
-    so every block built is solved.
-
-    With the translations of h's grid, each class's representative momentum
-    block is folded from H's rows at the orbit representatives (see
+    With the translations, each class's representative momentum block is
+    folded from H's rows at the orbit representatives (see
     _momentum_blocks) and solved; its ground vectors are lifted onto the
     sector, and their signed permutations are the other blocks'.  The
     vectors are complex unless every block holding one is real.  Given
@@ -667,36 +658,24 @@ def ground_space(h: PauliSum | SiteHamiltonian, n_qubits: int, n_up: int, n_down
     row, and the blocks are folded from its rows; otherwise h.rows builds
     only the representatives' rows, about one in N_T, and no whole-sector
     matrix is built.  The site register's blocks are not bitstring sets, so
-    its space is UNLABELLED too.
+    its space is UNLABELLED.
 
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
     """
-    site = isinstance(h, SiteHamiltonian)
-    if site != isinstance(symmetry, Translations) or site and (
-            symmetry.grid != h.grid or n_qubits != h.grid.n_qubits):
-        raise ValueError("a site Hamiltonian is solved on the translations of its own grid, "
-                         "in its own register, and a Pauli sum on none")
+    site = isinstance(symmetry, Translations)
+    if not (site and h == SiteHamiltonian(symmetry.grid)
+            or isinstance(symmetry, PointGroup) and isinstance(h, PauliSum)):
+        raise ValueError("a Pauli sum is solved on a point group, and a site Hamiltonian "
+                         "on the translations of its own grid")
     if not site and not h.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
+    n_qubits = symmetry.grid.n_qubits
     states = sector_basis(n_qubits, n_up, n_down)
     if keep_block_of is not None and keep_block_of not in states:
         raise ValueError(f"bitstring {keep_block_of:#x} is not in the ({n_up},{n_down}) sector")
     matrix = matrix_rows = kept_label = None
-    if isinstance(symmetry, PointGroup):
-        labels = symmetry.labels(states)
-        if keep_block_of is not None:
-            kept_label = int(symmetry.labels(keep_block_of))
-        # built lazily, so only the block being solved is held
-        blocks = ((members, rows, None, sector_matrix(h, states[rows], n_qubits))
-                  for members in symmetry.classes(states, labels, kept_label)
-                  for rows in [np.flatnonzero(labels == members[0][0])])
-    elif symmetry is None:
-        kept_label = UNLABELLED
-        identity = SlotPermutation(tuple(range(n_qubits // 2)))
-        blocks = [([(UNLABELLED, identity)], np.arange(len(states)), None,
-                   sector_matrix(h, states, n_qubits))]
-    else:
+    if site:
         rows_at = partial(h.rows, states)
         if keep_block_of is not None:
             matrix_rows = np.arange(len(states))
@@ -704,6 +683,14 @@ def ground_space(h: PauliSum | SiteHamiltonian, n_qubits: int, n_up: int, n_down
             # the representatives' rows are sliced from it, not built again
             rows_at = matrix.__getitem__
         blocks = _momentum_blocks(rows_at, states, symmetry)
+    else:
+        labels = symmetry.labels(states)
+        if keep_block_of is not None:
+            kept_label = int(symmetry.labels(keep_block_of))
+        # built lazily, so only the block being solved is held
+        blocks = ((members, rows, None, sector_matrix(h, states[rows], n_qubits))
+                  for members in symmetry.classes(states, labels, kept_label)
+                  for rows in [np.flatnonzero(labels == members[0][0])])
     solved = []
     for members, rows, basis, block in blocks:
         if members[0][0] == kept_label:
@@ -724,7 +711,7 @@ def ground_space(h: PauliSum | SiteHamiltonian, n_qubits: int, n_up: int, n_down
             found.setdefault(label, []).append(lifted)
     order = sorted(found)
     vectors = np.concatenate([part for label in order for part in found[label]], axis=1)
-    vector_blocks = None if isinstance(symmetry, Translations) else np.repeat(
+    vector_blocks = None if site else np.repeat(
         order, [sum(part.shape[1] for part in found[label]) for label in order])
     return GroundSpace(n_qubits, n_up, n_down, float(lowest), vectors, matrix, vector_blocks,
                        matrix_rows)

@@ -7,7 +7,8 @@ or ground space would fail, not change another test's input.  The
 arguments are values: `GridSpec` is frozen, and so are the sector sizes.
 
 Each object comes from the library call a test would make on its own, with
-the same arguments, so a shared object has the bytes of an unshared build.
+the same arguments, so a shared object has the bytes of an unshared build;
+`sector_reference` likewise comes from the oracle call a test would make.
 """
 
 from functools import lru_cache
@@ -15,8 +16,15 @@ from functools import lru_cache
 import numpy as np
 
 from vipsa.fermions import PauliSum
-from vipsa.hamiltonians import GroundSpace, build_kspace, ground_space, sector_matrix
-from vipsa.lattice import GridSpec, fermi_sea, momentum_labels, point_group
+from vipsa.hamiltonians import (
+    GroundSpace,
+    SiteHamiltonian,
+    build_kspace,
+    build_real,
+    ground_space,
+    sector_matrix,
+)
+from vipsa.lattice import GridSpec, fermi_sea, momentum_labels, point_group, translations
 from vipsa.statevector import sector_basis
 
 
@@ -58,8 +66,33 @@ def sea_block(grid: GridSpec, n_up: int, n_down: int) -> tuple[int, np.ndarray]:
 def sea_block_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
     """The mode-register ground space solved per point-group class,
     keeping the matrix of the Fermi sea's block, as a run solves it."""
-    space = ground_space(kspace_hamiltonian(grid), grid.n_qubits, n_up, n_down,
-                         point_group(grid), keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
+    space = ground_space(kspace_hamiltonian(grid), point_group(grid), n_up, n_down,
+                         keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
     _read_only(space.vectors, space.blocks, space.matrix_rows,
                space.matrix.data, space.matrix.indices, space.matrix.indptr)
     return space
+
+
+@lru_cache(maxsize=None)
+def site_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
+    """The site-register ground space solved on its momentum blocks,
+    keeping the whole sector's matrix, as a layered run solves it."""
+    space = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down,
+                         keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
+    _read_only(space.vectors, space.blocks, space.matrix_rows,
+               space.matrix.data, space.matrix.indices, space.matrix.indptr)
+    return space
+
+
+@lru_cache(maxsize=None)
+def sector_reference(grid: GridSpec, register: str, n_up: int, n_down: int,
+                     how_many: int) -> tuple[np.ndarray, np.ndarray]:
+    """oracles.lowest_sector_values of the register's Pauli sum ("k" the
+    mode register's, "real" the site register's) on the (n_up, n_down)
+    sector: the lowest how_many values and the lowest multiplet's basis."""
+    from oracles import lowest_sector_values  # oracles imports this module
+
+    h = kspace_hamiltonian(grid) if register == "k" else build_real(grid)
+    values, multiplet = lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many)
+    _read_only(values, multiplet)
+    return values, multiplet

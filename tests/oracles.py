@@ -22,11 +22,12 @@ are the earlier implementations of the mask-array kernels in
 bit.  `as_real_if_possible` is the earlier rule by which the per-string
 matrix was made real; `sector_matrix` folds it into its own assembly.
 `lowest_sector_values` solves the library's sector matrix block by block
-with plain eigvalsh and eigsh calls, a values-only reference for the
-ground-space solver.  `rows_of_block` cuts P H P, H on one momentum block
-with every other row empty, out of the whole-sector matrix, with plain
-array masks; `whole_sector_run_operands` uses it to rebuild what an
-adaptive run worked on before it moved onto its block's own bitstrings.
+with plain eigh and eigsh calls, the whole-sector reference for the
+ground-space solver's values and multiplet.  `rows_of_block` cuts P H P, H
+on one momentum block with every other row empty, out of the whole-sector
+matrix, with plain array masks; `whole_sector_run_operands` uses it to
+rebuild what an adaptive run worked on before it moved onto its block's own
+bitstrings.
 `pool_generator` is the one helper built on the library's Jordan-Wigner
 map: it gives the Pauli sum that the dense checks of the pool generators
 start from.
@@ -61,7 +62,13 @@ from vipsa.fermions import (
     letters_to_masks,
     number_term,
 )
-from vipsa.hamiltonians import AMPLITUDE_DROP_TOL, interaction_quadruples, sector_basis, sector_matrix
+from vipsa.hamiltonians import (
+    AMPLITUDE_DROP_TOL,
+    GROUND_DEGENERACY_TOL,
+    interaction_quadruples,
+    sector_basis,
+    sector_matrix,
+)
 from vipsa.lattice import DOWN, UP, enumerate_modes, fermi_sea, hopping_edges, qubit_index
 from vipsa.statevector import (
     SectorPhase,
@@ -182,25 +189,46 @@ def dense_sector_block(pauli_sum, states, n_qubits: int) -> np.ndarray:
 
 
 def lowest_sector_values(h, n_qubits: int, n_up: int, n_down: int, how_many: int,
-                         dense_up_to: int = 400) -> np.ndarray:
-    """The lowest how_many eigenvalues of h on the (n_up, n_down) sector,
-    ascending.  Each connected block of the sector matrix gives its lowest
-    how_many: from a dense eigvalsh up to dense_up_to states (or when too
-    small for eigsh), else from eigsh converged to machine precision (tol=0)
-    from a fixed start vector."""
-    matrix = sector_matrix(h, sector_basis(n_qubits, n_up, n_down), n_qubits)
+                         dense_up_to: int = 400) -> tuple[np.ndarray, np.ndarray]:
+    """(values, multiplet): the lowest how_many eigenvalues of h on the
+    (n_up, n_down) sector, ascending, and an orthonormal basis of its lowest
+    multiplet, one column per state within GROUND_DEGENERACY_TOL of the
+    lowest value, over the sorted sector bitstrings; multiplet @
+    multiplet.conj().T is the multiplet's projector.  Each connected block
+    of the sector matrix is solved on its own: whole by a dense eigh up to
+    dense_up_to states (or when too small for eigsh), else for its lowest
+    how_many pairs by eigsh converged to machine precision (tol=0) from a
+    fixed start vector, asked for twice as many while every pair found lies
+    in the block's own lowest multiplet."""
+    states = sector_basis(n_qubits, n_up, n_down)
+    matrix = sector_matrix(h, states, n_qubits)
     n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)
-    values = []
+    values, lowest = [], []  # lowest: (rows, values, vectors) of each block's lowest multiplet
     for block in range(n_blocks):
         rows = np.flatnonzero(labels == block)
         sub = matrix[rows][:, rows]
         if len(rows) <= max(dense_up_to, how_many + 1):
-            values.append(np.linalg.eigvalsh(sub.toarray())[:how_many])
+            vals, vecs = np.linalg.eigh(sub.toarray())
         else:
-            values.append(scipy.sparse.linalg.eigsh(
-                sub, k=how_many, which="SA", tol=0, return_eigenvectors=False,
-                v0=np.random.default_rng(0).standard_normal(len(rows))))
-    return np.sort(np.concatenate(values))[:how_many]
+            k = how_many
+            while True:
+                vals, vecs = scipy.sparse.linalg.eigsh(
+                    sub, k=k, which="SA", tol=0,
+                    v0=np.random.default_rng(0).standard_normal(len(rows)))
+                if (vals > vals.min() + GROUND_DEGENERACY_TOL).any() or 2 * k >= len(rows):
+                    break
+                k *= 2
+        ground = vals <= vals.min() + GROUND_DEGENERACY_TOL
+        values.append(np.sort(vals)[:how_many])
+        lowest.append((rows, vals[ground], vecs[:, ground]))
+    floor = min(vals.min() for _, vals, _ in lowest)
+    columns = []
+    for rows, vals, vecs in lowest:
+        kept = vals <= floor + GROUND_DEGENERACY_TOL
+        column = np.zeros((len(states), np.count_nonzero(kept)), dtype=vecs.dtype)
+        column[rows] = vecs[:, kept]
+        columns.append(column)
+    return np.sort(np.concatenate(values))[:how_many], np.concatenate(columns, axis=1)
 
 
 def rotate_every_gate(x, gate, theta) -> None:

@@ -50,14 +50,13 @@ from vipsa.statevector import (
     sector_orbit,
 )
 
-from builds import sea_block_space
+from builds import sea_block_space, sector_reference
 from oracles import (
     adjoint_evaluation,
     basis_state,
     dense_ladder_term,
     dense_pauli_string,
     dense_pauli_sum,
-    lowest_sector_values,
     pool_generator,
 )
 from replay import (
@@ -152,9 +151,8 @@ def test_criterion_3_register_spectra_agree():
         grid_dev = 0.0
         for u in U_VALUES:
             grid = GridSpec.make(nx, ny, u=u)
-            sector = (grid.n_qubits, *default_filling(grid))
-            k_values = lowest_sector_values(build_kspace(grid)[0], *sector, how_many=6)
-            r_values = lowest_sector_values(build_real(grid), *sector, how_many=6)
+            k_values, r_values = (sector_reference(grid, register, *default_filling(grid),
+                                                   how_many=6)[0] for register in ("k", "real"))
             grid_dev = max(grid_dev, float(np.abs(k_values - r_values).max()))
         worst = max(worst, grid_dev)
         details.append(f"{nx}x{ny} {grid_dev:.1e}")

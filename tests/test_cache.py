@@ -1,5 +1,6 @@
 """The cache file's reader, and the one module that owns the record format."""
 
+import io
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from numpy.lib.format import write_array, write_array_header_1_0
 
 import vipsa
-from vipsa.cache import read_fields
+from vipsa.cache import read_fields, write_record
 from vipsa.cli import cached_ground_space, cached_pool_tables
 from vipsa.core import PoolTables
 from vipsa.hamiltonians import GroundSpace
@@ -19,10 +20,12 @@ from builds import sea_block
 
 def numpy_records(path: Path) -> tuple[dict, dict]:
     """Each field of a cache file as np.lib.format.read_array reads it, and
-    the file offset where its data starts."""
+    the file offset where its data starts; the 4-byte crc after each record
+    is skipped."""
     arrays, starts = {}, {}
     with open(path, "rb") as handle:
         names = np.lib.format.read_array(handle)
+        handle.seek(4, 1)
         for name in names.tolist():
             start = handle.tell()
             if np.lib.format.read_magic(handle) == (1, 0):
@@ -32,15 +35,17 @@ def numpy_records(path: Path) -> tuple[dict, dict]:
             starts[name] = handle.tell()
             handle.seek(start)
             arrays[name] = np.lib.format.read_array(handle, allow_pickle=False)
+            handle.seek(4, 1)
     return arrays, starts
 
 
 @pytest.mark.parametrize("kind", ["ground", "pool"])
 def test_a_load_returns_aligned_arrays_with_the_bytes_numpy_reads(tmp_path, kind):
-    # the pool file's names record holds seven <U7 names, 196 bytes, so its
-    # later records start 4 bytes off an 8-byte boundary: views into one
-    # buffer of the file would leave src, dst and sign unaligned, and every
-    # gather from them slower
+    # each record's 4-byte crc sets the next one's data 4 bytes off an 8-byte
+    # boundary wherever the bytes before it add up to 4 modulo 8: views into
+    # one buffer of the file would leave the pool's dst and offsets, and the
+    # ground file's vectors, rows and matrix data unaligned, and every gather
+    # from them slower
     grid = GridSpec.make(3, 3, u=6.0)
     label, block = sea_block(grid, 5, 4)
     if kind == "pool":
@@ -56,8 +61,8 @@ def test_a_load_returns_aligned_arrays_with_the_bytes_numpy_reads(tmp_path, kind
                     "matrix_rows": loaded.matrix_rows, "matrix_data": loaded.matrix.data,
                     "matrix_indices": loaded.matrix.indices, "matrix_indptr": loaded.matrix.indptr}
     want, starts = numpy_records(path)
-    if kind == "pool":
-        assert all(starts[name] % 8 == 4 for name in ("src", "dst", "sign"))
+    unaligned = ("dst", "offsets") if kind == "pool" else ("vectors", "matrix_rows", "matrix_data")
+    assert all(starts[name] % 8 == 4 for name in unaligned)
     for fields in (read_fields(path), returned):
         for name, array in fields.items():
             assert array.flags.aligned, name
@@ -82,7 +87,9 @@ def test_a_record_of_zero_size_items_is_refused(tmp_path, record):
     path = tmp_path / "zero-size.npys"
     with open(path, "wb") as handle:
         if record == "field":
-            write_array(handle, np.array(["a"]))
+            record = io.BytesIO()
+            write_array(record, np.array(["a"]))
+            write_record(handle, record.getvalue())
         write_array_header_1_0(handle, {"descr": "<U0", "fortran_order": False,
                                         "shape": (1 << 10,)})
     with pytest.raises(ValueError, match="zero-size items"):

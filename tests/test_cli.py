@@ -1,6 +1,7 @@
 """Front-door behavior: config validation, artifacts, exit codes, tables."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,14 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.format import dtype_to_descr, write_array, write_array_header_1_0
 
-from vipsa.cache import read_fields, write_fields
+from vipsa.cache import read_fields, write_fields, write_record
 from vipsa.cli import main
 from vipsa.lattice import GridSpec, fermi_sea
 from vipsa.statevector import sector_basis
 
-from builds import sea_block
+from builds import sea_block, site_space
 from replay import refuse_pauli_path
 
 
@@ -164,17 +167,22 @@ def resave(path: Path, **changes) -> None:
     write_fields(path, fields, None)
 
 
+def npy(value, **options) -> bytes:
+    """The bytes of one .npy record of value."""
+    record = BytesIO()
+    write_array(record, np.asanyarray(value), **options)
+    return record.getvalue()
+
+
 def write_records(path: Path, fields: dict, names=None, raw: dict | None = None) -> None:
-    """Write a cache file record by record: `names` in place of the field
-    names, and the bytes of `raw[name]` in place of that field's record."""
+    """Write a cache file record by record, each with its crc: `names` in
+    place of the field names, and the bytes of `raw[name]` in place of that
+    field's record."""
     raw = raw or {}
     with open(path, "wb") as handle:
-        write_array(handle, np.array(list(fields), dtype=str) if names is None else names)
+        write_record(handle, npy(np.array(list(fields), dtype=str) if names is None else names))
         for name, value in fields.items():
-            if name in raw:
-                handle.write(raw[name])
-            else:
-                write_array(handle, np.asanyarray(value))
+            write_record(handle, raw[name] if name in raw else npy(value))
 
 
 def truncate(path: Path) -> None:
@@ -182,8 +190,9 @@ def truncate(path: Path) -> None:
 
 
 def truncate_mid_record(path: Path) -> None:
-    # the last record is the key, a string of more than 4 bytes
-    path.write_bytes(path.read_bytes()[:-4])
+    # the last record is the key, a string of more than 4 bytes, and its
+    # 4-byte crc follows it
+    path.write_bytes(path.read_bytes()[:-8])
 
 
 def append_bytes(path: Path) -> None:
@@ -204,9 +213,8 @@ def plant_oversized_header(path: Path) -> None:
 
 def plant_object_record(path: Path) -> None:
     fields = read_fields(path, None)
-    pickled = BytesIO()
-    write_array(pickled, np.array([1, "two"], dtype=object), allow_pickle=True)
-    write_records(path, fields, raw={"n_up" if "n_up" in fields else "labels": pickled.getvalue()})
+    pickled = npy(np.array([1, "two"], dtype=object), allow_pickle=True)
+    write_records(path, fields, raw={"n_up" if "n_up" in fields else "labels": pickled})
 
 
 def plant_names_matrix(path: Path) -> None:
@@ -387,16 +395,6 @@ def plant_stored_basis(path: Path) -> None:
     write_fields(path, dict(items[:at] + [("states", states)] + items[at:]), None)
 
 
-def plant_whole_sector_rows(path: Path) -> None:
-    # a site-register file written while the whole sector's rows were stored
-    fields = read_fields(path, None)
-    assert "matrix_rows" not in fields
-    items = list(fields.items())
-    at = list(fields).index("blocks") + 1
-    rows = [("matrix_rows", np.arange(len(fields["vectors"])))]
-    write_fields(path, dict(items[:at] + rows + items[at:]), None)
-
-
 def assert_planted_file_is_a_hit(tmp_path, ansatz, plant) -> None:
     settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 1, "max_inner_steps": 20, "layers": 2}
     _, cold = run_config(tmp_path, "cold", **settings)
@@ -416,8 +414,19 @@ def test_a_stored_basis_is_ignored(tmp_path, capsys, ansatz):
     assert_planted_file_is_a_hit(tmp_path, ansatz, plant_stored_basis)
 
 
-def test_a_site_file_with_its_rows_record_is_a_hit(tmp_path, capsys):
-    assert_planted_file_is_a_hit(tmp_path, "hva", plant_whole_sector_rows)
+def test_a_site_file_without_its_rows_record_is_rebuilt(tmp_path, capsys):
+    # a site-register file written while the whole sector's rows were left
+    # out, to be read as every row: every kept matrix now names its rows
+    settings = {"u": 4.0, "ansatz": "hva", "max_inner_steps": 20, "layers": 2}
+    _, cold = run_config(tmp_path, "cold", **settings)
+    cache, = (tmp_path / "cache").glob("ground-*.npys")
+    saved = cache.read_bytes()
+    fields = read_fields(cache, None)
+    np.testing.assert_array_equal(fields.pop("matrix_rows"), np.arange(len(fields["vectors"])))
+    write_fields(cache, fields, None)
+    _, warm = run_config(tmp_path, "warm", **settings)
+    assert run_artifacts(warm) == run_artifacts(cold)
+    assert cache.read_bytes() == saved  # rebuilt
 
 
 def test_a_ground_file_of_another_sector_is_rebuilt(tmp_path, capsys):
@@ -479,6 +488,44 @@ def test_adaptive_run_ignores_layers(tmp_path, capsys, layers):
     code, layered = run_config(tmp_path, "layered", u=4.0, max_epochs=1, layers=layers)
     assert code == 2
     assert run_artifacts(layered) == run_artifacts(plain)
+
+
+def test_a_row_moved_in_place_is_rebuilt(tmp_path, capsys):
+    # the moved row above, written over the rows record's bytes as damage
+    # would leave them, with the record's crc as it was: no longer a block
+    # the pool leaves, but a file the load refuses, rebuilt to a clean run's
+    code, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
+    cache, = (tmp_path / "cache").glob("ground-*.npys")
+    saved = cache.read_bytes()
+    rows = read_fields(cache, None)["matrix_rows"]
+    moved = rows.copy()
+    k = next(k for k, row in enumerate(rows) if row + 1 not in rows)
+    moved[k] += 1
+    at = saved.index(rows.tobytes())
+    cache.write_bytes(saved[:at] + moved.tobytes() + saved[at + rows.nbytes:])
+    again_code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
+    assert again_code == code == 2
+    assert_same_artifacts(first, again)
+    assert cache.read_bytes() == saved  # rebuilt
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["ground", "pool"]), offset=st.integers(0, 1 << 20),
+       flip=st.integers(1, 255))
+def test_a_flipped_byte_in_a_cache_file_is_rebuilt(tmp_path_factory, kind, offset, flip):
+    # any one byte of either 2x2 cache file, header, data or crc, changed:
+    # the next run rebuilds that file and writes a clean-cache run's bytes
+    tmp_path = tmp_path_factory.mktemp("flip")
+    code, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
+    clean = {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()}
+    path, = (tmp_path / "cache").glob(f"{kind}-*.npys")
+    damaged = bytearray(clean[path.name])
+    damaged[offset % len(damaged)] ^= flip
+    path.write_bytes(damaged)
+    again_code, again = run_config(tmp_path, "again", u=4.0, max_epochs=1)
+    assert again_code == code == 2
+    assert_same_artifacts(first, again)
+    assert {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()} == clean
 
 
 def test_3x3_cache_file_holds_the_sea_block(tmp_path):
@@ -684,9 +731,10 @@ def test_a_site_ground_file_of_the_pauli_sum_build_is_rebuilt(tmp_path, capsys, 
     from vipsa.cli import _grid_key
 
     grid = GridSpec.make(2, 3, u=0.3)
-    pauli = hamiltonians.ground_space(hamiltonians.build_real(grid), grid.n_qubits, 3, 3)
-    tables = hamiltonians.SiteHamiltonian(grid).rows(pauli.states, np.arange(len(pauli.states)))
-    assert abs(pauli.matrix - tables).max() > 0
+    tables = site_space(grid, 3, 3)
+    pauli = dataclasses.replace(tables, matrix=hamiltonians.sector_matrix(
+        hamiltonians.build_real(grid), tables.states, grid.n_qubits))
+    assert abs(pauli.matrix - tables.matrix).max() > 0
     old_key = _grid_key(grid, 3, 3, "real solved on momentum blocks")
     (tmp_path / "cache").mkdir()
     cache.cached(tmp_path / "cache", f"ground-real-{grid.label()}", old_key,

@@ -24,7 +24,6 @@ from vipsa.core import (
 from vipsa.fermions import jordan_wigner
 from vipsa.hamiltonians import (
     build_kspace,
-    build_real,
     fidelity,
     ground_space,
     interaction_quadruples,
@@ -47,7 +46,7 @@ from vipsa.statevector import (
     sector_orbit,
     sector_run,
 )
-from builds import sea_block, sea_block_space
+from builds import sea_block, sea_block_space, site_space
 from oracles import (
     adjoint_evaluation,
     basis_state,
@@ -496,7 +495,7 @@ def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
 
 def test_run_rejects_reference_from_another_sector():
     grid = u4(2, 2)
-    other = ground_space(build_kspace(grid)[0], grid.n_qubits, 1, 2, point_group(grid),
+    other = ground_space(build_kspace(grid)[0], point_group(grid), 1, 2,
                          keep_block_of=fermi_sea(grid, 1, 2).bitstring())
     with pytest.raises(ValueError):
         vipsa_run(grid, 2, 2, reference=other)
@@ -506,7 +505,7 @@ def test_run_rejects_a_complex_reference_matrix():
     # the run's states and generators are real, so a complex sector
     # Hamiltonian is refused rather than silently cut to its real part
     grid = u4(2, 2)
-    gs = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2, point_group(grid),
+    gs = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2,
                       keep_block_of=fermi_sea(grid, 2, 2).bitstring())
     complex_gs = replace(gs, matrix=gs.matrix.astype(np.complex128))
     with pytest.raises(ValueError, match="complex"):
@@ -519,7 +518,7 @@ def test_runs_reject_a_reference_without_its_matrix():
     from vipsa.hva import hva_run
 
     grid = u4(2, 2)
-    blocks = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2, point_group(grid))
+    blocks = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2)
     with pytest.raises(ValueError, match="no sector matrix"):
         vipsa_run(grid, 2, 2, reference=blocks)
     with pytest.raises(ValueError, match="no sector matrix"):
@@ -537,10 +536,10 @@ def test_runs_refuse_a_matrix_of_another_block():
     h = build_kspace(grid)[0]
     states = sector_basis(grid.n_qubits, 3, 3)
     ground_block = int(states[momentum_labels(grid, states) == 0][0])
-    other = ground_space(h, grid.n_qubits, 3, 3, point_group(grid), keep_block_of=ground_block)
+    other = ground_space(h, point_group(grid), 3, 3, keep_block_of=ground_block)
     kept_labels = set(momentum_labels(grid, states[other.matrix_rows]).tolist())
     assert kept_labels == {0} != {int(momentum_labels(grid, fermi_sea(grid, 3, 3).bitstring()))}
-    whole = ground_space(build_real(grid), grid.n_qubits, 3, 3)
+    whole = site_space(grid, 3, 3)
     for reference in (other, whole):
         with pytest.raises(ValueError, match="Fermi sea's momentum block"):
             vipsa_run(grid, 3, 3, reference=reference)
@@ -554,7 +553,7 @@ def test_run_refuses_pool_tables_over_another_basis():
     # block, label 0, are refused
     grid = u4(2, 3)
     states = sector_basis(grid.n_qubits, 3, 3)
-    reference = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3, point_group(grid),
+    reference = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3,
                              keep_block_of=fermi_sea(grid, 3, 3).bitstring())
     for basis in (states, states[momentum_labels(grid, states) == 0]):
         with pytest.raises(ValueError, match="pool tables are not over the Fermi sea's"):
@@ -567,7 +566,7 @@ def test_run_refuses_a_kept_matrix_of_another_shape():
     # the block's matrix cut one row short; the space itself refuses a
     # matrix that does not fit its block's rows, before the run starts
     grid = u4(2, 3)
-    reference = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3, point_group(grid),
+    reference = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3,
                              keep_block_of=fermi_sea(grid, 3, 3).bitstring())
     _, php, _ = whole_sector_run_operands(grid, reference)
     assert reference.matrix.shape == (66, 66) and php.shape == (400, 400)
@@ -714,7 +713,7 @@ def test_warm_adaptive_run_builds_no_pauli_strings(monkeypatch):
     # map and the Pauli-sum sector matrix made to raise
     grid = GridSpec.make(2, 2, u=4.0)
     sea = fermi_sea(grid, 2, 2).bitstring()
-    reference = ground_space(build_kspace(grid)[0], grid.n_qubits, 2, 2, point_group(grid),
+    reference = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2,
                              keep_block_of=sea)
     pool = PoolTables.build(grid, sea_block(grid, 2, 2)[1])
 

@@ -1,6 +1,7 @@
 """Hamiltonian builders, sector diagonalization, and the perturbation oracle."""
 
 import dataclasses
+import io
 import itertools
 import tracemalloc
 
@@ -11,7 +12,7 @@ import scipy.sparse.linalg
 from numpy.lib.format import write_array, write_array_header_1_0
 
 from vipsa import hamiltonians
-from vipsa.cache import read_fields, write_fields
+from vipsa.cache import read_fields, write_fields, write_record
 from vipsa.core import PoolTables, rs_perturbation
 from vipsa.fermions import PauliSum, hopping_pair, jordan_wigner_sum
 from vipsa.hamiltonians import (
@@ -43,7 +44,14 @@ from vipsa.statevector import (
     slater_amplitudes,
 )
 
-from builds import kspace_hamiltonian, sea_block, sea_block_space, whole_sector_matrix
+from builds import (
+    kspace_hamiltonian,
+    sea_block,
+    sea_block_space,
+    sector_reference,
+    site_space,
+    whole_sector_matrix,
+)
 from oracles import basis_state, dense_pauli_sum, dense_sector_block, lowest_sector_values
 from replay import kept_amplitudes, register_apply, register_expectation
 
@@ -74,7 +82,7 @@ def test_real_2x2_dense_shape():
 
 def test_real_u0_ground_energy():
     grid = GridSpec.make(2, 2)
-    gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
+    gs = ground_space(SiteHamiltonian(grid), translations(grid), 2, 2)
     assert gs.energy == pytest.approx(-4.0, abs=1e-10)
 
 
@@ -118,10 +126,10 @@ def test_large_coupling_keeps_the_table(shape):
         assert q_large.energy_gap == q_unit.energy_gap
     if shape == (2, 3):
         grid = GridSpec.make(*shape, u=1e5)
-        k = ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3, point_group(grid))
-        real = ground_space(build_real(grid), grid.n_qubits, 3, 3)
-        assert k.energy == pytest.approx(real.energy, abs=1e-9)
-        assert k.degeneracy == real.degeneracy
+        k = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3)
+        values, multiplet = lowest_sector_values(build_real(grid), grid.n_qubits, 3, 3, how_many=6)
+        assert k.energy == pytest.approx(values[0], abs=1e-9)
+        assert k.degeneracy == multiplet.shape[1]
 
 
 def test_quadruple_energy_gap_moves_kinetic_energy():
@@ -157,8 +165,9 @@ def test_kspace_hermitian_and_real():
 def test_register_spectra_agree(nx, ny):
     grid = GridSpec.make(nx, ny, u=4.0)
     n_up = n_down = grid.n_sites // 2
-    real_values, k_values = (lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many=10 ** 9)
-                             for h in (build_real(grid), build_kspace(grid)[0]))
+    real_values, k_values = (
+        lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many=10 ** 9)[0]
+        for h in (build_real(grid), build_kspace(grid)[0]))
     assert len(real_values) == len(sector_basis(grid.n_qubits, n_up, n_down))
     np.testing.assert_allclose(real_values, k_values, atol=1e-9)
 
@@ -168,10 +177,18 @@ def test_register_spectra_agree(nx, ny):
 def test_lowest_values_oracle_matches_the_whole_sector(register, dense_up_to):
     grid = GridSpec.make(2, 3, u=4.0)
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
-    whole = np.linalg.eigvalsh(
+    whole, vectors = np.linalg.eigh(
         sector_matrix(h, sector_basis(grid.n_qubits, 3, 3), grid.n_qubits).toarray())
-    got = lowest_sector_values(h, grid.n_qubits, 3, 3, how_many=6, dense_up_to=dense_up_to)
+    got, multiplet = lowest_sector_values(h, grid.n_qubits, 3, 3, how_many=6,
+                                          dense_up_to=dense_up_to)
     np.testing.assert_allclose(got, whole[:6], rtol=0, atol=1e-10)
+    # the same lowest multiplet: its projector differs from the dense one's
+    # by at most rounding in spectral norm
+    ground = vectors[:, whole <= whole[0] + hamiltonians.GROUND_DEGENERACY_TOL]
+    assert multiplet.shape == ground.shape
+    np.testing.assert_allclose(multiplet.conj().T @ multiplet, np.eye(ground.shape[1]),
+                               rtol=0, atol=1e-12)
+    assert np.linalg.norm(ground - multiplet @ (multiplet.conj().T @ ground), 2) <= 1e-10
 
 
 def test_spin_operator_expectations():
@@ -234,7 +251,8 @@ def test_sector_basis_is_one_read_only_array_per_sector():
     with pytest.raises(ValueError, match="read-only"):
         first[0] = 0
     # a ground space derives its bitstrings, and stores none
-    gs = ground_space(build_real(GridSpec.make(2, 2, u=4.0)), 8, 2, 1)
+    grid = GridSpec.make(2, 2, u=4.0)
+    gs = ground_space(SiteHamiltonian(grid), translations(grid), 2, 1)
     assert gs.states is first
 
 
@@ -256,10 +274,9 @@ def test_an_oversized_sector_is_refused_before_anything_is_allocated():
 
 def test_sector_ground_matches_full_dense():
     grid = GridSpec.make(2, 2, u=4.0)
-    h = build_real(grid)
-    gs = ground_space(h, grid.n_qubits, 2, 2)
+    gs = ground_space(SiteHamiltonian(grid), translations(grid), 2, 2)
     # independent solve: slice the sector block out of the full 256-dim matrix
-    full = dense_pauli_sum(h, grid.n_qubits)
+    full = dense_pauli_sum(build_real(grid), grid.n_qubits)
     idx = np.arange(256)
     n_up = np.bitwise_count(idx & 0b01010101)
     n_down = np.bitwise_count(idx & 0b10101010)
@@ -269,12 +286,20 @@ def test_sector_ground_matches_full_dense():
     assert_ground_level(gs, np.linalg.eigvalsh(block), 1e-10, matrix=block)
 
 
+def block_space(grid, n_up, n_down, matrix) -> GroundSpace:
+    """The ground space _block_ground finds on the whole (n_up, n_down)
+    sector's matrix, which it keeps, solved as one block."""
+    values, vectors = hamiltonians._block_ground(matrix)
+    return GroundSpace(grid.n_qubits, n_up, n_down, float(values[0]), vectors, matrix,
+                       matrix_rows=np.arange(matrix.shape[0]))
+
+
 def test_iterative_solver_matches_dense(monkeypatch):
     grid = GridSpec.make(2, 3, u=4.0)
-    h = build_real(grid)
-    dense = ground_space(h, grid.n_qubits, 3, 3)
+    matrix = sector_matrix(build_real(grid), sector_basis(grid.n_qubits, 3, 3), grid.n_qubits)
+    dense = block_space(grid, 3, 3, matrix)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 10)
-    krylov = ground_space(h, grid.n_qubits, 3, 3)
+    krylov = block_space(grid, 3, 3, matrix)
     whole = np.linalg.eigvalsh(dense.matrix.toarray())
     for gs in (dense, krylov):
         assert_ground_level(gs, whole, 1e-9)
@@ -285,7 +310,7 @@ def test_iterative_ground_space_is_reproducible(monkeypatch):
     grid = GridSpec.make(2, 3, u=4.0)
     h, _ = build_kspace(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    first, second = (ground_space(h, grid.n_qubits, 3, 3, point_group(grid)) for _ in range(2))
+    first, second = (ground_space(h, point_group(grid), 3, 3) for _ in range(2))
     np.testing.assert_array_equal(first.vectors, second.vectors)
     assert first.energy == second.energy
 
@@ -295,12 +320,11 @@ def test_sectors_too_small_for_lanczos_are_solved_dense(monkeypatch):
     grid = GridSpec.make(2, 2, u=4.0)
     h, _ = build_kspace(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    empty = ground_space(h, grid.n_qubits, 0, 0)
+    empty = ground_space(h, point_group(grid), 0, 0)
     assert empty.degeneracy == 1 and empty.energy == pytest.approx(0.0, abs=1e-12)
-    single = ground_space(h, grid.n_qubits, 1, 0)
-    states = sector_basis(grid.n_qubits, 1, 0)
-    assert_ground_level(single, np.linalg.eigvalsh(dense_sector_block(h, states, grid.n_qubits)),
-                        1e-12)
+    single = ground_space(h, point_group(grid), 1, 0)
+    block = dense_sector_block(h, sector_basis(grid.n_qubits, 1, 0), grid.n_qubits)
+    assert_ground_level(single, np.linalg.eigvalsh(block), 1e-12, matrix=block)
 
 
 @pytest.mark.parametrize("cutoff", [400, 66, 0])  # all dense, mixed, all Lanczos
@@ -311,7 +335,7 @@ def test_block_spectra_match_the_whole_sector(monkeypatch, cutoff):
     matrix = sector_matrix(h, states, grid.n_qubits)
     whole = np.linalg.eigvalsh(matrix.toarray())
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", cutoff)
-    gs = ground_space(h, grid.n_qubits, 3, 3, point_group(grid))
+    gs = ground_space(h, point_group(grid), 3, 3)
     assert_ground_level(gs, whole, 1e-10, matrix=matrix)
 
 
@@ -323,7 +347,7 @@ def test_block_spectra_match_a_whole_sector_lanczos_solve():
     assert scipy.sparse.csgraph.connected_components(matrix, directed=False)[0] == 8
     whole = scipy.sparse.linalg.eigsh(matrix, k=12, which="SA", tol=0,
                                       v0=np.random.default_rng(0).standard_normal(len(states)))[0]
-    assert_ground_level(ground_space(h, grid.n_qubits, 4, 4, point_group(grid)), np.sort(whole),
+    assert_ground_level(ground_space(h, point_group(grid), 4, 4), np.sort(whole),
                         1e-9, matrix=matrix)
 
 
@@ -342,20 +366,23 @@ def recorded_eigsh(monkeypatch) -> list[tuple[int, int, int]]:
     return seen
 
 
-@pytest.mark.parametrize("register,calls", [("k", 6), ("real", 1)])
+@pytest.mark.parametrize("register,calls", [("k", 6), ("real", 3)])
 def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
-    # the mode register's 8 label blocks fall in 6 point-group classes
+    # the mode register's 8 label blocks fall in 6 point-group classes, and
+    # the site register's 4 momentum blocks of the y ring in 3: K = 0, the
+    # pair K = 1 ~ 3, and K = 2
     grid = GridSpec.make(2, 4, u=4.0)
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
-                   else (build_real(grid), None))
+                   else (SiteHamiltonian(grid), translations(grid)))
     seen = recorded_eigsh(monkeypatch)
-    gs = ground_space(h, grid.n_qubits, 4, 4, symmetry)
-    if symmetry is None:
-        solved = len(gs.states)
-    else:
+    gs = ground_space(h, symmetry, 4, 4)
+    if register == "k":
         labels = symmetry.labels(gs.states)
         solved = sum(np.count_nonzero(labels == members[0][0])
                      for members in symmetry.classes(gs.states, labels))
+    else:
+        # the blocks cover the sector, K = 1 standing for K = 3 too
+        solved = len(gs.states) - seen[1][0]
     assert len(seen) == calls and sum(dim for dim, _, _ in seen) == solved
     # a window of 6 in a Krylov basis of max(2k + 8, 20) = 20 vectors
     assert {(k, ncv) for _, k, ncv in seen} == {(6, 20)}
@@ -366,13 +393,15 @@ def test_ground_window_doubles_over_a_larger_multiplet(monkeypatch):
     # block, a 9-fold ground level, more than the first window holds
     grid = GridSpec.make(2, 4, u=0.0)
     h = build_real(grid)
+    states = sector_basis(grid.n_qubits, 2, 2)
+    matrix = sector_matrix(h, states, grid.n_qubits)
     seen = recorded_eigsh(monkeypatch)
-    gs = ground_space(h, grid.n_qubits, 2, 2)
+    values, vectors = hamiltonians._block_ground(matrix)
     # the first window, then its double, each in a basis of max(2k + 8, 20)
     assert seen == [(784, 6, 20), (784, 12, 32)]
-    assert gs.degeneracy == 9
-    lowest = np.linalg.eigvalsh(dense_sector_block(h, gs.states, grid.n_qubits))[0]
-    assert gs.energy == pytest.approx(lowest, abs=1e-10)
+    assert vectors.shape[1] == 9
+    lowest = np.linalg.eigvalsh(dense_sector_block(h, states, grid.n_qubits))[0]
+    assert values[0] == pytest.approx(lowest, abs=1e-10)
 
 
 @pytest.mark.parametrize("register", ["k", "real"])
@@ -380,9 +409,9 @@ def test_ground_space_matches_a_twelve_pair_solve(register):
     # every block solved with a twice wider window, 12 pairs in a 48-vector
     # basis, from the same start vector
     grid = GridSpec.make(2, 4, u=4.0)
-    h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
-                   else (build_real(grid), None))
-    gs = ground_space(h, grid.n_qubits, 4, 4, symmetry)
+    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    gs = (ground_space(h, point_group(grid), 4, 4) if register == "k"
+          else ground_space(SiteHamiltonian(grid), translations(grid), 4, 4))
     matrix = sector_matrix(h, gs.states, grid.n_qubits)
     labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)[1]
     values, columns = [], []
@@ -484,7 +513,7 @@ def test_sector_violation_detected():
 
 def test_ground_space_free_sea_and_fidelity():
     grid = GridSpec.make(2, 2)
-    gs = ground_space(kinetic_kspace(grid), grid.n_qubits, 2, 2)
+    gs = ground_space(kinetic_kspace(grid), point_group(grid), 2, 2)
     assert gs.degeneracy == 4
     assert gs.energy == pytest.approx(-4.0, abs=1e-10)
 
@@ -517,7 +546,7 @@ def test_one_fidelity_takes_the_sum_each_register_took():
     # state gathered onto the kept rows gives the same
     grid = GridSpec.make(2, 3, u=4.0)
     n_up, n_down = default_filling(grid)
-    site = ground_space(build_real(grid), grid.n_qubits, n_up, n_down)
+    site = site_space(grid, n_up, n_down)
     mode = sea_block_space(grid, n_up, n_down)
     assert len(mode.matrix_rows) < len(mode.states)
     rng = np.random.default_rng(5)
@@ -531,8 +560,7 @@ def test_one_fidelity_takes_the_sum_each_register_took():
 
 
 def test_ground_space_roundtrip(tmp_path):
-    grid = GridSpec.make(2, 2, u=4.0)
-    gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
+    gs = site_space(GridSpec.make(2, 2, u=4.0), 2, 2)
     path = tmp_path / "gs.npys"
     gs.save(path)
     loaded = GroundSpace.load(path)
@@ -575,17 +603,18 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
 def test_ground_space_keeps_its_block_labels(tmp_path):
     grid = GridSpec.make(3, 3, u=0.0)
     h = kinetic_kspace(grid)
-    gs = ground_space(h, grid.n_qubits, 5, 4, point_group(grid))
+    gs = ground_space(h, point_group(grid), 5, 4)
     assert gs.matrix is None
     # the fourfold free sea: one down-spin hole in each of the four modes of
     # the -1 shell, one in each block of the middle class
     assert gs.blocks.tolist() == [1, 2, 3, 6]
     with pytest.raises(ValueError, match="sector matrix"):
         gs.save(tmp_path / "bare.npys")
-    kept = dataclasses.replace(gs, matrix=sector_matrix(h, gs.states, grid.n_qubits))
+    kept = dataclasses.replace(gs, matrix=sector_matrix(h, gs.states, grid.n_qubits),
+                               matrix_rows=np.arange(len(gs.states)))
     kept.save(tmp_path / "gs.npys")
     np.testing.assert_array_equal(GroundSpace.load(tmp_path / "gs.npys").blocks, gs.blocks)
-    unlabelled = ground_space(h, grid.n_qubits, 5, 4)
+    unlabelled = dataclasses.replace(gs, blocks=None)
     assert unlabelled.blocks.tolist() == [hamiltonians.UNLABELLED] * 4
     with pytest.raises(ValueError, match="block labels"):
         GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
@@ -659,21 +688,25 @@ def test_point_group_ground_space_matches_the_oracle(shape, u):
     grid = GridSpec.make(*shape, u=u)
     h = build_kspace(grid)[0]
     n_up, n_down = default_filling(grid)
-    gs = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid))
+    gs = ground_space(h, point_group(grid), n_up, n_down)
     whole = whole_sector_matrix(grid, n_up, n_down)
-    spectrum = lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many=12)
+    spectrum, multiplet = sector_reference(grid, "k", n_up, n_down, how_many=6)
     assert_ground_level(gs, spectrum, 1e-10, matrix=whole)
+    # the oracle's multiplet, to within rounding of its projector
+    assert gs.degeneracy == multiplet.shape[1]
+    outside = multiplet - gs.vectors @ (gs.vectors.conj().T @ multiplet)
+    assert np.linalg.norm(outside, 2) <= 1e-8
     # each vector lives on the block its label names
     for label, vector in zip(gs.blocks, gs.vectors.T):
         assert set(momentum_labels(grid, gs.states[vector != 0]).tolist()) == {label}
 
 
-def test_mode_register_without_its_point_group_is_refused():
-    # the whole sector splits into label blocks, which the solver does not
-    # rediscover
+def test_a_block_that_is_not_connected_is_refused():
+    # the mode register's whole sector splits into label blocks, which the
+    # block solver does not rediscover
     grid = GridSpec.make(2, 3, u=4.0)
     with pytest.raises(ValueError, match="not connected"):
-        ground_space(build_kspace(grid)[0], grid.n_qubits, 3, 3)
+        hamiltonians._block_ground(whole_sector_matrix(grid, 3, 3))
 
 
 @pytest.mark.parametrize("shape, sector, degeneracy", [((2, 3), (2, 0), 1), ((3, 3), (2, 0), 2),
@@ -690,12 +723,13 @@ def test_residue_only_blocks_are_read_off_the_diagonal(shape, sector, degeneracy
     diagonal = matrix.diagonal()
     residue = abs(matrix - scipy.sparse.diags(diagonal)).max()
     assert 0 < residue <= hamiltonians.AMPLITUDE_DROP_TOL
-    for symmetry in (None, point_group(grid)):
-        gs = ground_space(h, grid.n_qubits, *sector, symmetry)
-        assert gs.energy == diagonal.min() and gs.degeneracy == degeneracy
-        rows, columns = np.nonzero(gs.vectors)
+    block_values, block_vectors = hamiltonians._block_ground(matrix)
+    gs = ground_space(h, point_group(grid), *sector)
+    for energy, vectors in ((block_values[0], block_vectors), (gs.energy, gs.vectors)):
+        assert energy == diagonal.min() and vectors.shape[1] == degeneracy
+        rows, columns = np.nonzero(vectors)
         assert sorted(columns) == list(range(degeneracy))
-        assert np.all(np.abs(gs.vectors[rows, columns]) == 1.0)
+        assert np.all(np.abs(vectors[rows, columns]) == 1.0)
         assert np.all(diagonal[rows] <= diagonal.min() + hamiltonians.GROUND_DEGENERACY_TOL)
 
 
@@ -718,7 +752,7 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
         built.clear()
         seen.clear()
         keep_block_of = None if keep is None else int(states[labels == keep][0])
-        gs = ground_space(h, grid.n_qubits, 4, 4, point_group(grid), keep_block_of=keep_block_of)
+        gs = ground_space(h, point_group(grid), 4, 4, keep_block_of=keep_block_of)
         assert built == per_class
         assert [dim for dim, _, _ in seen] == per_class
         assert (gs.matrix is not None) == (keep is not None)
@@ -781,13 +815,14 @@ def test_site_rows_match_the_pauli_sum_build(nx, ny, bc_x, bc_y):
 def test_site_hamiltonian_pairs_only_with_its_translations():
     grid = GridSpec.make(2, 3, u=4.0)
     other = GridSpec.make(2, 3, u=2.0)
+    # a Pauli sum pairs only with a point group, and neither register is
+    # solved without its symmetry
     for h, symmetry in [(build_real(grid), translations(grid)), (SiteHamiltonian(grid), None),
                         (SiteHamiltonian(grid), point_group(grid)),
-                        (SiteHamiltonian(grid), translations(other))]:
+                        (SiteHamiltonian(grid), translations(other)),
+                        (build_kspace(grid)[0], None), (build_real(grid), None)]:
         with pytest.raises(ValueError, match="translations of its own grid"):
-            ground_space(h, grid.n_qubits, 3, 3, symmetry)
-    with pytest.raises(ValueError, match="translations of its own grid"):
-        ground_space(SiteHamiltonian(grid), 8, 2, 2, translations(grid))
+            ground_space(h, symmetry, 3, 3)
 
 
 @pytest.mark.parametrize("u", [0.0, 2.0, 4.0, -2.9])
@@ -796,19 +831,20 @@ def test_site_momentum_blocks_match_the_whole_sector_solve(nx, ny, bc_x, bc_y, u
     grid = GridSpec(nx, ny, bc_x, bc_y, u=u)
     h = build_real(grid)
     for sector in site_sectors(grid):
-        whole = ground_space(h, grid.n_qubits, *sector)
-        blocked = ground_space(SiteHamiltonian(grid), grid.n_qubits, *sector, translations(grid))
-        assert blocked.energy == pytest.approx(whole.energy, abs=1e-10)
-        assert blocked.degeneracy == whole.degeneracy
+        values, whole = sector_reference(grid, "real", *sector, how_many=6)
+        blocked = ground_space(SiteHamiltonian(grid), translations(grid), *sector)
+        assert blocked.energy == pytest.approx(values[0], abs=1e-10)
+        assert blocked.degeneracy == whole.shape[1]
         assert blocked.matrix is None
         assert blocked.blocks.tolist() == [hamiltonians.UNLABELLED] * blocked.degeneracy
         # the spectral norm of the projector difference, the sine of the
         # largest angle between the two spaces
-        outside = whole.vectors - blocked.vectors @ (blocked.vectors.conj().T @ whole.vectors)
+        outside = whole - blocked.vectors @ (blocked.vectors.conj().T @ whole)
         assert np.linalg.norm(outside, 2) <= 1e-8
         np.testing.assert_allclose(blocked.vectors.conj().T @ blocked.vectors,
                                    np.eye(blocked.degeneracy), rtol=0, atol=1e-10)
-        residual = whole.matrix @ blocked.vectors - blocked.energy * blocked.vectors
+        matrix = sector_matrix(h, blocked.states, grid.n_qubits)
+        residual = matrix @ blocked.vectors - blocked.energy * blocked.vectors
         assert np.linalg.norm(residual, axis=0).max() <= 1e-10
 
 
@@ -833,7 +869,7 @@ def test_complex_momentum_blocks_solve_without_warnings(sector):
     # check reads the blocks' sparsity, not their complex values.  The
     # energy is the mode register's
     grid = GridSpec.make(3, 3, u=4.0)
-    gs = ground_space(SiteHamiltonian(grid), grid.n_qubits, *sector, translations(grid))
+    gs = ground_space(SiteHamiltonian(grid), translations(grid), *sector)
     assert gs.energy == pytest.approx(sea_block_space(grid, *sector).energy, abs=1e-10)
 
 
@@ -853,7 +889,7 @@ def test_site_solve_builds_the_whole_sector_only_to_keep_it(monkeypatch):
     for keep in (None, fermi_sea(grid, 5, 4).bitstring()):
         built.clear()
         seen.clear()
-        gs = ground_space(SiteHamiltonian(grid), grid.n_qubits, 5, 4, translations(grid),
+        gs = ground_space(SiteHamiltonian(grid), translations(grid), 5, 4,
                           keep_block_of=keep)
         assert [dim for dim, _, _ in seen] == [1764] * 3
         assert built == [1764 if keep is None else 15876]
@@ -933,7 +969,7 @@ def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
     h = build_kspace(grid)[0]
     n_up, n_down = default_filling(grid)
     sea = fermi_sea(grid, n_up, n_down).bitstring()
-    blocks = ground_space(h, grid.n_qubits, n_up, n_down, point_group(grid))
+    blocks = ground_space(h, point_group(grid), n_up, n_down)
     labels = momentum_labels(grid, blocks.states)
     label = int(momentum_labels(grid, sea))
     whole = whole_sector_matrix(grid, n_up, n_down)
@@ -954,8 +990,7 @@ def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
 
 
 def test_ground_space_without_matrix_fails_to_load(tmp_path):
-    grid = GridSpec.make(2, 2, u=4.0)
-    gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
+    gs = site_space(GridSpec.make(2, 2, u=4.0), 2, 2)
     # the fields saved before the sector matrix was stored
     write_fields(tmp_path / "bare.npys",
                  {"n_qubits": gs.n_qubits, "n_up": gs.n_up, "n_down": gs.n_down,
@@ -964,12 +999,14 @@ def test_ground_space_without_matrix_fails_to_load(tmp_path):
         GroundSpace.load(tmp_path / "bare.npys")
     with pytest.raises(ValueError, match="does not fit"):
         GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors,
-                    gs.matrix[:-1, :-1].tocsr())
+                    gs.matrix[:-1, :-1].tocsr(), matrix_rows=gs.matrix_rows)
+    # a kept matrix names its rows, even all of them
+    with pytest.raises(ValueError, match="matrix_rows"):
+        GroundSpace(gs.n_qubits, gs.n_up, gs.n_down, gs.energy, gs.vectors, gs.matrix)
 
 
 def test_ground_space_load_checks_the_key(tmp_path):
-    grid = GridSpec.make(2, 2, u=4.0)
-    gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
+    gs = site_space(GridSpec.make(2, 2, u=4.0), 2, 2)
     gs.save(tmp_path / "keyed.npys", key="real 2x2 u=4")
     gs.save(tmp_path / "plain.npys")
     loaded = GroundSpace.load(tmp_path / "keyed.npys", key="real 2x2 u=4")
@@ -998,8 +1035,8 @@ def test_cache_files_round_trip_bit_exactly(tmp_path, kind):
         saved = PoolTables.build(grid, sector_basis(grid.n_qubits, 3, 2))
     else:
         h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if kind == "ground-k"
-                       else (build_real(grid), None))
-        saved = ground_space(h, grid.n_qubits, 3, 2, symmetry,
+                       else (SiteHamiltonian(grid), translations(grid)))
+        saved = ground_space(h, symmetry, 3, 2,
                              keep_block_of=fermi_sea(grid, 3, 2).bitstring())
     saved.save(tmp_path / "first.npys", key=kind)
     loaded = type(saved).load(tmp_path / "first.npys", key=kind)
@@ -1020,30 +1057,32 @@ def assert_same_cache_fields(got, want) -> None:
             assert got[name] == value, name
 
 
-def test_whole_sector_rows_are_not_saved(tmp_path):
-    # a site-register space keeps the whole sector's matrix, whose rows say
-    # nothing its shape does not: the file leaves them out and loads them as
-    # every row, and a file that still holds them loads the same
+def test_whole_sector_rows_are_saved_and_needed(tmp_path):
+    # a site-register space keeps the whole sector's matrix, and its file
+    # names every row; a file that leaves them out, as one written while
+    # their absence meant every row, does not load
     grid = GridSpec.make(2, 4, u=4.0)
-    gs = ground_space(build_real(grid), grid.n_qubits, 4, 4)
+    gs = site_space(grid, 4, 4)
     gs.save(tmp_path / "space.npys", key="real 2x4")
     fields = read_fields(tmp_path / "space.npys", None)
-    assert "matrix_rows" not in fields
-    # the record where a file written before it was left out holds it
-    items = list(fields.items())
-    at = list(fields).index("blocks") + 1
-    rows = [("matrix_rows", np.arange(len(gs.states)))]
-    write_fields(tmp_path / "with-rows.npys", dict(items[:at] + rows + items[at:]))
-    for name in ("space.npys", "with-rows.npys"):
-        loaded = GroundSpace.load(tmp_path / name, key="real 2x4")
-        assert_same_cache_fields(loaded, gs)
-        np.testing.assert_array_equal(loaded.matrix_rows, np.arange(len(gs.states)))
+    np.testing.assert_array_equal(fields.pop("matrix_rows"), np.arange(len(gs.states)))
+    assert_same_cache_fields(GroundSpace.load(tmp_path / "space.npys", key="real 2x4"), gs)
+    write_fields(tmp_path / "without-rows.npys", fields)
+    with pytest.raises(ValueError, match="matrix_rows"):
+        GroundSpace.load(tmp_path / "without-rows.npys", key="real 2x4")
+
+
+def write_checked(handle, value) -> None:
+    """Write value's .npy record and its crc, as write_fields writes each."""
+    record = io.BytesIO()
+    write_array(record, value)
+    write_record(handle, record.getvalue())
 
 
 def test_cache_records_are_sized_before_anything_is_allocated(tmp_path):
     path = tmp_path / "huge.npys"
     with open(path, "wb") as handle:
-        write_array(handle, np.array(["huge"]))
+        write_checked(handle, np.array(["huge"]))
         write_array_header_1_0(handle, {"descr": "<f8", "fortran_order": False,
                                         "shape": (1 << 24,)})
         handle.write(bytes(64))
@@ -1064,7 +1103,7 @@ def test_cache_field_names_must_be_distinct_strings(tmp_path, names):
     path = tmp_path / "names.npys"
     with open(path, "wb") as handle:
         for record in (names, np.zeros(1), np.zeros(1)):
-            write_array(handle, record)
+            write_checked(handle, record)
     with pytest.raises(ValueError, match="distinct field names"):
         read_fields(path, None)
 
@@ -1130,7 +1169,7 @@ def test_perturbation_third_order_scaling():
         grid = GridSpec.make(2, 2, u=u)
         e0, e1, e2 = rs_perturbation(grid, 1, 1)
         h, _ = build_kspace(grid)
-        exact = ground_space(h, grid.n_qubits, 1, 1, point_group(grid)).energy
+        exact = ground_space(h, point_group(grid), 1, 1).energy
         results[u] = abs(exact - (e0 + e1 + e2))
     assert results[0.2] > 1e-10
     assert results[0.1] <= 0.25 * 1.2 * results[0.2]

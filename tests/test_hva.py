@@ -14,7 +14,6 @@ from vipsa.hamiltonians import (
     SectorHamiltonian,
     build_real,
     fidelity,
-    ground_space,
     onsite_interaction,
     spin_operators,
 )
@@ -27,6 +26,7 @@ from vipsa.statevector import (
     diagonal_values,
     sector_run,
 )
+from builds import site_space
 from oracles import adjoint_evaluation, basis_state, dense_pauli_sum
 from replay import (
     hva_circuit,
@@ -142,7 +142,7 @@ def test_angles_reject_wrong_length():
 
 def test_optimization_reaches_ground_state():
     grid = GridSpec.make(2, 2, u=2.0)
-    gs = ground_space(build_real(grid), grid.n_qubits, 2, 2)
+    gs = site_space(grid, 2, 2)
     config = VipsaConfig(max_inner_steps=2000, eps2=1e-6)
     result = hva_run(grid, config=config, reference=gs)
     assert len(result.records) <= 2001 + 1
@@ -176,7 +176,7 @@ def hva_problem(nx, ny, u, layers):
     h = build_real(grid)
     sector = SectorHamiltonian(h, grid.n_qubits, *filling)
     return (HvaAnsatz(grid, *filling, layers), sector,
-            ground_space(h, grid.n_qubits, *filling))
+            site_space(grid, *filling))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
@@ -224,7 +224,7 @@ def test_final_fidelity_is_that_of_the_returned_parameters(steps):
 
 def test_run_rejects_reference_over_another_sector():
     grid = GridSpec.make(2, 2, u=4.0)
-    other = ground_space(build_real(grid), grid.n_qubits, 3, 1)
+    other = site_space(grid, 3, 1)
     with pytest.raises(ValueError):
         hva_run(grid, 2, 2, config=VipsaConfig(max_inner_steps=1), layers=1, reference=other)
 
@@ -256,7 +256,7 @@ def test_run_with_a_reference_builds_no_pauli_strings(monkeypatch):
     # at every name a vipsa module looks them up by, a run handed its
     # reference gives the same records
     grid = GridSpec.make(2, 3, u=4.0)
-    reference = ground_space(build_real(grid), grid.n_qubits, 3, 3)
+    reference = site_space(grid, 3, 3)
 
     def run():
         return hva_run(grid, config=VipsaConfig(max_inner_steps=4), layers=2,
