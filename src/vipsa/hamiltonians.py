@@ -59,6 +59,11 @@ GROUND_DEGENERACY_TOL = 1e-8
 # the ground multiplets met here (4 states on 3x3 at half filling, 1 on 2x4),
 # and a larger multiplet doubles it (see _lowest_eigenpairs).
 GROUND_WINDOW = 6
+# eigsh tolerance of the one-vector solve that screens each Lanczos block of
+# ground_space (see _screen).  On 3x4 mode-register blocks of 71 000 states
+# it finds the block's lowest value to 10 digits in 0.8-1.2 s, where tol=0
+# takes 1.5-2.3 s and the full window about 4.8 s.
+SCREEN_TOL = 1e-6
 AMPLITUDE_DROP_TOL = 1e-12
 # Working set of sector_matrix's flip tables, in entries: a batch of tables
 # holds at most this many, and the states their nonzero entries select are
@@ -410,34 +415,62 @@ def sector_matrix(h: PauliSum, states: np.ndarray, n_qubits: int) -> scipy.spars
     return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def _lowest_eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest min(dim - 2, k) eigenpairs from Lanczos, for a window k of
-    GROUND_WINDOW doubled while all of them lie within GROUND_DEGENERACY_TOL
-    of the lowest.  Values ascend.
-
-    Each solve converges its window to machine precision (tol=0) from the
-    same fixed start vector, in a Krylov basis of min(dim, max(2k + 8, 20))
-    vectors: a restarted Lanczos solve costs about the window times the
-    basis it reorthogonalises against, so both follow k.
-    """
+def _lanczos(matrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of matrix from eigsh at tolerance tol, values
+    ascending, from a fixed start vector in a Krylov basis of
+    min(dim, max(2k + 8, 20)) vectors: a restarted Lanczos solve costs about
+    the window times the basis it reorthogonalises against, so both follow k.
+    eigsh is looked up at call time, so a patched (or traced) one sees
+    every solve."""
     # imported here, not with the module: a run that loads its ground space
     # from the cache solves nothing, and the import costs about 10 MiB
     import scipy.sparse.linalg
 
     dim = matrix.shape[0]
+    ncv = min(dim, max(2 * k + 8, 20))
+    # a fixed generic start vector makes the returned basis of a degenerate
+    # multiplet, and so every stored artifact, the same from run to run
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=tol, v0=v0)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _lowest_eigenpairs(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest min(dim - 2, k) eigenpairs from Lanczos, for a window k of
+    GROUND_WINDOW doubled while all of them lie within GROUND_DEGENERACY_TOL
+    of the lowest.  Values ascend.  Each solve converges its window to
+    machine precision (tol=0), as _lanczos says.
+    """
+    dim = matrix.shape[0]
     k = min(dim - 2, GROUND_WINDOW)
     while True:
-        ncv = min(dim, max(2 * k + 8, 20))
-        # a fixed generic start vector makes the returned basis of a degenerate
-        # multiplet, and so every stored artifact, the same from run to run
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=0, v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _lanczos(matrix, k, 0)
         if (vals <= vals[0] + GROUND_DEGENERACY_TOL).sum() < len(vals) or k == dim - 2:
             return vals, vecs
         # the whole returned window is degenerate; widen it
         k = min(dim - 2, 2 * k)
+
+
+def _screen(matrix) -> np.ndarray:
+    """[theta, theta - r] of one block: theta its lowest Ritz value from a
+    one-vector Lanczos solve (_lanczos, k = 1, tol SCREEN_TOL) and r the
+    residual |Hv - theta v| of its Ritz vector v, from one more mat-vec.
+
+    theta bounds the block's lowest eigenvalue from above, and some
+    eigenvalue lies within r of theta.  That it is the lowest, so that
+    theta - r bounds the lowest from below, is trusted to Lanczos from a
+    generic start, as the full window (_lowest_eigenpairs) trusts it to find
+    the block's lowest values.
+    """
+    # imported here, as in _lanczos; BLAS's norm scales as it sums, so a
+    # residual of entries near the float64 limit does not overflow
+    import scipy.linalg
+
+    (theta,), ritz = _lanczos(matrix, 1, SCREEN_TOL)
+    vector = ritz[:, 0]
+    residual = scipy.linalg.norm(matrix @ vector - theta * vector, check_finite=False)
+    return np.array([theta, theta - residual])
 
 
 # GroundSpace.blocks of a space solved without momentum labels: the site
@@ -454,10 +487,13 @@ class GroundSpace:
     cannot exist is a ValueError).  `matrix`, if kept, is H on the block at
     the ascending positions `matrix_rows` of `states` (None without a
     matrix), over its own bitstrings in sector order, so it applies H to any
-    vector given on the block.  `blocks` holds the total-momentum label
-    (lattice.momentum_labels) of each vector's block, UNLABELLED when the
-    sector was solved without them.  `save` and `load` keep these fields
-    plus an optional key naming their problem.
+    vector given on the block; its CSR arrays are checked (row pointers
+    rising from 0 to the entry count, columns in range, finite entries), so
+    a file that passes its crcs but not these is refused, not applied.
+    `blocks` holds the total-momentum label (lattice.momentum_labels) of
+    each vector's block, UNLABELLED when the sector was solved without them.
+    `save` and `load` keep these fields plus an optional key naming their
+    problem.
     """
 
     n_qubits: int
@@ -479,6 +515,17 @@ class GroundSpace:
                     or np.any((rows < 0) | (rows >= dim)) or self.matrix.shape != (len(rows),) * 2):
                 raise ValueError(f"sector matrix of shape {self.matrix.shape} does not fit "
                                  f"{len(rows)} ascending rows of {dim} sector states")
+            # a mat-vec trusts the CSR arrays: an index out of range is a
+            # read outside the vector, not an error
+            indptr, indices = self.matrix.indptr, self.matrix.indices
+            if (len(indptr) != len(rows) + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
+                    or len(self.matrix.data) != len(indices) or np.any(np.diff(indptr) < 0)
+                    or len(indices) and (indices.min() < 0 or indices.max() >= len(rows))):
+                raise ValueError("sector matrix is not a well-formed CSR: its row pointers "
+                                 "must rise from 0 to its entries, and its columns stay "
+                                 f"within its {len(rows)} rows")
+            if not np.isfinite(self.matrix.data).all():
+                raise ValueError("sector matrix has a non-finite entry")
         if self.vectors.shape[0] != dim:
             raise ValueError(f"ground vectors of length {self.vectors.shape[0]} do not fit "
                              f"{dim} sector states")
@@ -526,20 +573,24 @@ class GroundSpace:
                        data["blocks"], data["matrix_rows"])
 
 
-def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
+def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray | None]:
     """Lowest multiplet of one block's matrix: (values, vectors), values
     ascending within GROUND_DEGENERACY_TOL of the lowest, vectors over the
-    matrix's rows.
+    matrix's rows; or, for a block bound for Lanczos, its screen.
 
     A block whose off-diagonal entries are all rounding residue, at most
     AMPLITUDE_DROP_TOL times max(1, the largest |entry|), is read off its
     diagonal: unit vectors in ascending value, ties in row order.  Any other
     block's stored entries must connect it, or it is a ValueError.  It is
     solved dense up to DENSE_SECTOR_CUTOFF states (read at call time), or
-    when too small for a Lanczos window; above it, the lowest eigenpairs
-    come from Lanczos (see _lowest_eigenpairs), whose window widens until it
-    holds the block's whole lowest multiplet.  Its kept vectors are
-    orthonormalized together.
+    when too small for a Lanczos window, and its kept vectors are
+    orthonormalized together (_multiplet).  A larger block is screened, not
+    solved: the return is (_screen(matrix), None), its lowest Ritz value
+    theta and the bound theta - r.  Its multiplet, for a caller that needs
+    it, is _multiplet(*_lowest_eigenpairs(matrix)), from a Lanczos window
+    that widens until it holds the block's whole lowest multiplet; that
+    checks nothing again.  Values that are not finite, a screen's too, are
+    a ValueError.
     """
     dim = matrix.shape[0]
     residue = AMPLITUDE_DROP_TOL * max(1.0, np.abs(matrix.data).max(initial=0.0))
@@ -557,10 +608,19 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray]:
         if connected_components(pattern, directed=False, return_labels=False) > 1:
             raise ValueError("block is not connected: its Hamiltonian conserves a label "
                              "that the solve does not split by")
-        dense = dim <= DENSE_SECTOR_CUTOFF or dim <= GROUND_WINDOW + 2
-        values, vectors = np.linalg.eigh(matrix.toarray()) if dense else _lowest_eigenpairs(matrix)
+        if dim <= DENSE_SECTOR_CUTOFF or dim <= GROUND_WINDOW + 2:
+            values, vectors = np.linalg.eigh(matrix.toarray())
+        else:
+            values, vectors = _screen(matrix), None
     if not np.isfinite(values).all():
         raise ValueError("sector spectrum is not finite (float64 overflow)")
+    return (values, None) if vectors is None else _multiplet(values, vectors)
+
+
+def _multiplet(values: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """The values within GROUND_DEGENERACY_TOL of the lowest, ascending (ties
+    in column order), and their vectors: unit columns of a sparse identity
+    as they are, any others orthonormalized together."""
     order = np.argsort(values, kind="stable")
     keep = order[:int((values <= values[order[0]] + GROUND_DEGENERACY_TOL).sum())]
     if scipy.sparse.issparse(vectors):
@@ -636,7 +696,15 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
     h is the mode register's Pauli sum, which sector_matrix builds on each
     set of bitstrings, solved on the point group of its grid; or a
     SiteHamiltonian, solved on the translations of its own grid.  Any other
-    pairing is a ValueError.  Each block is solved as _block_ground says.
+    pairing is a ValueError.  Each block is checked, and solved or screened,
+    as _block_ground says.  A screened block (one bound for Lanczos) gets
+    its full window (_lowest_eigenpairs) only if its bound theta - r lies
+    within GROUND_DEGENERACY_TOL of the least value found, over every
+    screened theta and every solved block's lowest value.  A block above
+    that cannot hold a vector of the multiplet, as long as Lanczos finds its
+    lowest value (the trust the full window needs too), so the space is the
+    one a full window on every block gives, to the bit.  In the mode
+    register a screened block is held only while it may hold the level.
 
     With the point group, the sector splits into total-momentum blocks that
     h never mixes, and the blocks of one point-group class share their
@@ -691,11 +759,23 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
         blocks = ((members, rows, None, sector_matrix(h, states[rows], n_qubits))
                   for members in symmetry.classes(states, labels, kept_label)
                   for rows in [np.flatnonzero(labels == members[0][0])])
-    solved = []
+    solved, screened = [], []
+    least = np.inf  # the lowest screened theta or solved value so far
     for members, rows, basis, block in blocks:
         if members[0][0] == kept_label:
             matrix, matrix_rows = block, rows
-        solved.append((members, rows, basis, *_block_ground(block)))
+        values, vectors = _block_ground(block)
+        least = min(least, values[0])
+        if vectors is None:
+            screened.append((values[1], members, rows, basis, block))
+        else:
+            solved.append((members, rows, basis, values, vectors))
+        # a block the level cannot reach is dropped as soon as it is known,
+        # and the loop's name lets go of it before the next block is built
+        screened = [entry for entry in screened if entry[0] <= least + GROUND_DEGENERACY_TOL]
+        del block
+    for _, members, rows, basis, block in screened:
+        solved.append((members, rows, basis, *_multiplet(*_lowest_eigenpairs(block))))
     lowest = min(values[0] for *_, values, _ in solved)
     found = {}  # block label -> its parts' ground vectors over the sector
     for members, rows, basis, values, vectors in solved:

@@ -352,6 +352,31 @@ def plant_scalar_vector(path: Path) -> None:
     resave(path, n_qubits=read_fields(path, None)["n_qubits"].reshape(1))
 
 
+def plant_index_out_of_range(path: Path) -> None:
+    # one column far outside the kept matrix, with the record's crc made
+    # anew, as a faulty writer would leave it: a mat-vec on it reads outside
+    # the vector
+    indices = read_fields(path, None)["matrix_indices"].copy()
+    indices[5] = 10**6
+    resave(path, matrix_indices=indices)
+
+
+def plant_falling_row_pointer(path: Path, at: int = 0) -> None:
+    # two neighbouring row pointers of a non-empty row swapped: each stays
+    # between 0 and the entry count, but they fall
+    indptr = read_fields(path, None)["matrix_indptr"].copy()
+    rising = np.flatnonzero(np.diff(indptr[1:-1])) + 1
+    row = rising[at % len(rising)]
+    indptr[[row, row + 1]] = indptr[[row + 1, row]]
+    resave(path, matrix_indptr=indptr)
+
+
+def plant_nan_entry(path: Path, at: int = 0) -> None:
+    data = read_fields(path, None)["matrix_data"].copy()
+    data[at % len(data)] = np.nan
+    resave(path, matrix_data=data)
+
+
 def assert_same_artifacts(first: Path, again: Path) -> None:
     for name in ("trace.csv", "steps.csv", "manifest.json"):
         assert (again / name).read_bytes() == (first / name).read_bytes()
@@ -528,6 +553,61 @@ def test_a_flipped_byte_in_a_cache_file_is_rebuilt(tmp_path_factory, kind, offse
     assert {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()} == clean
 
 
+def test_a_crc_valid_column_out_of_range_is_rebuilt(tmp_path, capsys):
+    # a 2x2 ground file whose records all pass their crcs, but whose kept
+    # matrix has a column 10**6: its mat-vec would read outside the vector
+    # and end the run in a segfault (exit -11), so the load refuses the file
+    # and the run rebuilds it; the warm run is a child process, so a crash
+    # fails this test, not the session
+    code, first = run_config(tmp_path, "one", u=4.0, max_epochs=1)
+    clean = {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()}
+    artifacts = run_artifacts(first)
+    cache, = (tmp_path / "cache").glob("ground-*.npys")
+    plant_index_out_of_range(cache)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    again = subprocess.run([sys.executable, "-c", "import sys\nfrom vipsa.cli import main\n"
+                            f"sys.exit(main(['run', {str(tmp_path / 'one.cfg')!r}]))"],
+                           capture_output=True, text=True, env=env)
+    assert again.returncode == code == 2, again.stderr
+    assert run_artifacts(first) == artifacts
+    assert {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()} == clean
+
+
+@settings(max_examples=10, deadline=None)
+@given(ansatz=st.sampled_from(["vipsa", "hva"]), at=st.integers(0, 1 << 20),
+       plant=st.sampled_from(["column", "row pointer", "nan"]), above=st.booleans(),
+       reach=st.integers(0, 1 << 30))
+def test_a_malformed_kept_matrix_is_rebuilt(tmp_path_factory, ansatz, at, plant, above, reach):
+    # either register's 2x2 ground file (the adaptive run's sea block, the
+    # layered run's whole sector) with crc-valid records but a kept matrix
+    # that is not a well-formed CSR: one column out of range on either side,
+    # two row pointers that fall, or a NaN entry; the next run rebuilds the
+    # file and writes a clean-cache run's bytes
+    from vipsa.hamiltonians import GroundSpace
+
+    tmp_path = tmp_path_factory.mktemp("csr")
+    settings = {"u": 4.0, "ansatz": ansatz, "max_epochs": 1, "max_inner_steps": 2, "layers": 1}
+    code, first = run_config(tmp_path, "one", **settings)
+    clean = {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()}
+    path, = (tmp_path / "cache").glob("ground-*.npys")
+    if plant == "column":
+        fields = read_fields(path, None)
+        indices = fields["matrix_indices"].copy()
+        indices[at % len(indices)] = len(fields["matrix_rows"]) + reach if above else -1 - reach
+        resave(path, matrix_indices=indices)
+    elif plant == "row pointer":
+        plant_falling_row_pointer(path, at)
+    else:
+        plant_nan_entry(path, at)
+    # refused on load, before a mat-vec could read outside the vector
+    with pytest.raises(ValueError, match="sector matrix"):
+        GroundSpace.load(path)
+    again_code, again = run_config(tmp_path, "again", **settings)
+    assert again_code == code
+    assert_same_artifacts(first, again)
+    assert {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()} == clean
+
+
 def test_3x3_cache_file_holds_the_sea_block(tmp_path):
     # 3x3 U=6 (5,4): the sea's block is one of 9 blocks of 1764 states, and
     # its matrix stores 89 964 entries over the block's own rows, where the
@@ -637,7 +717,8 @@ UNUSABLE_FILES = (
         plant_old_format, plant_unlabelled, plant_whole_sector_matrix, plant_sector_rows_matrix,
         plant_label_for_rows, plant_misfit_matrix, plant_rows_out_of_range, plant_unsorted_rows,
         plant_rows_one_short, plant_misfit_vectors, plant_scalar_vector, plant_whole_sector_pool,
-        plant_sector_tables_under_the_block_key]]
+        plant_sector_tables_under_the_block_key, plant_index_out_of_range,
+        plant_falling_row_pointer, plant_nan_entry]]
     + [("pool", damage) for damage in FILE_DAMAGE + [
         plant_whole_sector_pool, plant_stray_position, plant_misaligned_offsets]])
 

@@ -286,10 +286,20 @@ def test_sector_ground_matches_full_dense():
     assert_ground_level(gs, np.linalg.eigvalsh(block), 1e-10, matrix=block)
 
 
+def block_multiplet(matrix, block_ground=hamiltonians._block_ground):
+    """_block_ground's multiplet of one block, a screened block's solved in
+    full as ground_space solves a block that may hold the level; bound to
+    _block_ground at import, so it can stand in for it."""
+    values, vectors = block_ground(matrix)
+    if vectors is None:
+        values, vectors = hamiltonians._multiplet(*hamiltonians._lowest_eigenpairs(matrix))
+    return values, vectors
+
+
 def block_space(grid, n_up, n_down, matrix) -> GroundSpace:
-    """The ground space _block_ground finds on the whole (n_up, n_down)
+    """The ground space block_multiplet finds on the whole (n_up, n_down)
     sector's matrix, which it keeps, solved as one block."""
-    values, vectors = hamiltonians._block_ground(matrix)
+    values, vectors = block_multiplet(matrix)
     return GroundSpace(grid.n_qubits, n_up, n_down, float(values[0]), vectors, matrix,
                        matrix_rows=np.arange(matrix.shape[0]))
 
@@ -370,22 +380,145 @@ def recorded_eigsh(monkeypatch) -> list[tuple[int, int, int]]:
 def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
     # the mode register's 8 label blocks fall in 6 point-group classes, and
     # the site register's 4 momentum blocks of the y ring in 3: K = 0, the
-    # pair K = 1 ~ 3, and K = 2
+    # pair K = 1 ~ 3, and K = 2; each class's block is screened by one
+    # one-vector solve, and only the first, K = 0, which holds the 1-fold
+    # ground level, gets the full window
     grid = GridSpec.make(2, 4, u=4.0)
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
                    else (SiteHamiltonian(grid), translations(grid)))
     seen = recorded_eigsh(monkeypatch)
     gs = ground_space(h, symmetry, 4, 4)
+    screens, windows = seen[:calls], seen[calls:]
     if register == "k":
         labels = symmetry.labels(gs.states)
         solved = sum(np.count_nonzero(labels == members[0][0])
                      for members in symmetry.classes(gs.states, labels))
     else:
         # the blocks cover the sector, K = 1 standing for K = 3 too
-        solved = len(gs.states) - seen[1][0]
-    assert len(seen) == calls and sum(dim for dim, _, _ in seen) == solved
-    # a window of 6 in a Krylov basis of max(2k + 8, 20) = 20 vectors
-    assert {(k, ncv) for _, k, ncv in seen} == {(6, 20)}
+        solved = len(gs.states) - screens[1][0]
+    assert sum(dim for dim, _, _ in screens) == solved
+    # one pair in a Krylov basis of max(2k + 8, 20) = 20 vectors, then a
+    # window of 6 in the same basis size
+    assert {(k, ncv) for _, k, ncv in screens} == {(1, 20)}
+    assert windows == [(screens[0][0], 6, 20)]
+
+
+def register_problem(grid, register):
+    """(H, symmetry) of the register's ground_space on grid."""
+    if register == "k":
+        return kspace_hamiltonian(grid), point_group(grid)
+    return SiteHamiltonian(grid), translations(grid)
+
+
+def unscreened_space(monkeypatch, grid, register, sector, keep_block_of=None) -> GroundSpace:
+    """The ground space with every block solved in full (block_multiplet),
+    none screened out."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hamiltonians, "_block_ground", block_multiplet)
+        return ground_space(*register_problem(grid, register), *sector,
+                            keep_block_of=keep_block_of)
+
+
+def assert_same_space(space, reference):
+    assert space.energy == reference.energy
+    arrays = [(space.vectors, reference.vectors), (space.blocks, reference.blocks)]
+    assert (space.matrix is None) == (reference.matrix is None)
+    if space.matrix is not None:
+        arrays.append((space.matrix_rows, reference.matrix_rows))
+        arrays += [(getattr(space.matrix, part), getattr(reference.matrix, part))
+                   for part in ("data", "indices", "indptr")]
+    for array, expected in arrays:
+        np.testing.assert_array_equal(array, expected)
+        assert array.dtype == expected.dtype
+
+
+# the benchmark's grids and couplings; 2x3's blocks (66-68 states in the
+# mode register, at most 136 in the site register) are solved dense at the
+# default cutoff, so it is lowered to screen them
+SCREENED_GRIDS = [((2, 3), (6.0, 5.75, 6.25, 5.5, 6.5), 10),
+                  ((2, 4), (4.0, 3.75, 4.25, 3.5, 4.5), None),
+                  ((3, 3), (6.0, 5.75, 6.25, 5.5, 6.5), None)]
+
+
+@pytest.mark.parametrize("register", ["k", "real"])
+@pytest.mark.parametrize("shape, couplings, cutoff", SCREENED_GRIDS)
+def test_screened_ground_space_is_the_unscreened_one(monkeypatch, shape, couplings, cutoff,
+                                                     register):
+    # the screen only drops blocks that hold no vector of the multiplet, and
+    # the blocks it keeps get the same window on the same matrix, so every
+    # field keeps its bits, with or without a kept block
+    if cutoff is not None:
+        monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", cutoff)
+    seen = recorded_eigsh(monkeypatch)
+    for u in couplings:
+        grid = GridSpec.make(*shape, u=u)
+        sector = default_filling(grid)
+        for keep in (None, fermi_sea(grid, *sector).bitstring()):
+            seen.clear()
+            space = ground_space(*register_problem(grid, register), *sector, keep_block_of=keep)
+            screens = sum(k == 1 for _, k, _ in seen)
+            assert 0 < len(seen) - screens < screens  # some block was screened out
+            assert_same_space(space, unscreened_space(monkeypatch, grid, register, sector, keep))
+
+
+@pytest.mark.parametrize("register, u", [("real", 0.0), ("k", 1e-9), ("real", 1e-9)])
+def test_a_multiplet_across_classes_keeps_every_class(monkeypatch, register, u):
+    # 3x3 (4,4) at (nearly) zero coupling: the 16-fold level spans all three
+    # classes, so each screened block may hold it and gets its full window
+    # (the mode register's blocks at U = 0 are diagonal, read off unscreened)
+    grid = GridSpec.make(3, 3, u=u)
+    seen = recorded_eigsh(monkeypatch)
+    space = ground_space(*register_problem(grid, register), 4, 4)
+    assert space.degeneracy == 16
+    assert seen == [(1764, 1, 20)] * 3 + [(1764, 6, 20)] * 3
+    assert_same_space(space, unscreened_space(monkeypatch, grid, register, (4, 4)))
+
+
+@pytest.mark.parametrize("register", ["k", "real"])
+def test_each_register_screens_each_class_once(monkeypatch, register):
+    # 3x3 (5,4) at U = 6: three classes of 1764-state blocks, one screen
+    # each, and one full window for the class of the 4-fold ground level;
+    # eigsh is looked up at call time, so a patched one sees every solve
+    grid = GridSpec.make(3, 3, u=6.0)
+    seen = recorded_eigsh(monkeypatch)
+    space = ground_space(*register_problem(grid, register), 5, 4)
+    assert seen == [(1764, 1, 20)] * 3 + [(1764, 6, 20)]
+    assert space.degeneracy == 4
+
+
+def disconnected(block):
+    """The block with its last row and column cut off from the rest."""
+    return scipy.sparse.block_diag((block[:-1, :-1], block[-1:, -1:]), format="csr")
+
+
+def overflowing(block):
+    """The block with one diagonal entry infinite, so its spectrum is not finite."""
+    block = block.tolil()
+    block[0, 0] = np.inf
+    return block.tocsr()
+
+
+@pytest.mark.parametrize("damage, message", [(disconnected, "not connected"),
+                                             (overflowing, "spectrum is not finite")])
+def test_a_screened_out_block_is_still_checked(monkeypatch, damage, message):
+    # 3x3 (5,4) at U = 6 in the mode register: the last class built, label
+    # 4's, lies 0.85 above the ground level and is screened out; damaged, it
+    # is refused as the block solved on its own is
+    grid = GridSpec.make(3, 3, u=6.0)
+    h, symmetry = register_problem(grid, "k")
+    states = sector_basis(grid.n_qubits, 5, 4)
+    labels = symmetry.labels(states)
+    last = sector_matrix(h, states[labels == 4], grid.n_qubits)
+    bound = hamiltonians._screen(last)[1]
+    assert bound > sea_block_space(grid, 5, 4).energy + 0.8
+    with pytest.raises(ValueError, match=message):
+        block_multiplet(damage(last))
+    build = hamiltonians.sector_matrix
+    monkeypatch.setattr(hamiltonians, "sector_matrix", lambda h, rows, n: (
+        damage(build(h, rows, n)) if labels[np.searchsorted(states, rows[0])] == 4
+        else build(h, rows, n)))
+    with pytest.raises(ValueError, match=message):
+        ground_space(h, symmetry, 5, 4)
 
 
 def test_ground_window_doubles_over_a_larger_multiplet(monkeypatch):
@@ -396,9 +529,10 @@ def test_ground_window_doubles_over_a_larger_multiplet(monkeypatch):
     states = sector_basis(grid.n_qubits, 2, 2)
     matrix = sector_matrix(h, states, grid.n_qubits)
     seen = recorded_eigsh(monkeypatch)
-    values, vectors = hamiltonians._block_ground(matrix)
-    # the first window, then its double, each in a basis of max(2k + 8, 20)
-    assert seen == [(784, 6, 20), (784, 12, 32)]
+    values, vectors = block_multiplet(matrix)
+    # the screen, then the first window and its double, each in a basis of
+    # max(2k + 8, 20)
+    assert seen == [(784, 1, 20), (784, 6, 20), (784, 12, 32)]
     assert vectors.shape[1] == 9
     lowest = np.linalg.eigvalsh(dense_sector_block(h, states, grid.n_qubits))[0]
     assert values[0] == pytest.approx(lowest, abs=1e-10)
@@ -736,7 +870,7 @@ def test_residue_only_blocks_are_read_off_the_diagonal(shape, sector, degeneracy
 def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     # 2x4 (4,4): 8 blocks of 608-628 states in 6 classes, (0,1) ~ (0,3) and
     # (1,1) ~ (1,3), labels 2 ~ 6 and 3 ~ 7; the kept block, label 6 or 7
-    # too, is its class's representative, so every block built is solved
+    # too, is its class's representative, so every block built is screened
     # once, and nothing builds the 4900-state sector
     grid = GridSpec.make(2, 4, u=4.0)
     h = build_kspace(grid)[0]
@@ -754,7 +888,7 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
         keep_block_of = None if keep is None else int(states[labels == keep][0])
         gs = ground_space(h, point_group(grid), 4, 4, keep_block_of=keep_block_of)
         assert built == per_class
-        assert [dim for dim, _, _ in seen] == per_class
+        assert [dim for dim, k, _ in seen if k == 1] == per_class
         assert (gs.matrix is not None) == (keep is not None)
         if keep is not None:
             np.testing.assert_array_equal(gs.matrix_rows, np.flatnonzero(labels == keep))
@@ -876,7 +1010,7 @@ def test_complex_momentum_blocks_solve_without_warnings(sector):
 def test_site_solve_builds_the_whole_sector_only_to_keep_it(monkeypatch):
     # 3x3 (5,4): nine momentum blocks of 1764 states in three classes, K = 0,
     # the four K on the zone's edges and the four on its corners; only each
-    # class's representative is solved, and H's rows are built once: at the
+    # class's representative is screened, and H's rows are built once: at the
     # 1764 orbit representatives, or over the whole sector when the space
     # keeps it, which then keeps that matrix
     grid = GridSpec.make(3, 3, u=6.0)
@@ -891,7 +1025,7 @@ def test_site_solve_builds_the_whole_sector_only_to_keep_it(monkeypatch):
         seen.clear()
         gs = ground_space(SiteHamiltonian(grid), translations(grid), 5, 4,
                           keep_block_of=keep)
-        assert [dim for dim, _, _ in seen] == [1764] * 3
+        assert [dim for dim, k, _ in seen if k == 1] == [1764] * 3
         assert built == [1764 if keep is None else 15876]
         assert gs.degeneracy == 4 and np.iscomplexobj(gs.vectors)
     whole = rows(SiteHamiltonian(grid), gs.states, np.arange(len(gs.states)))
