@@ -28,10 +28,8 @@ def main():
     sea = fermi_sea(grid, n_up, n_down)
     h_k = build_kspace(grid)[0]
     gs = ground_space(h_k, point_group(grid), n_up, n_down)
-    # any sector bitstring, the sea's say, keeps the site register's whole
-    # sector matrix
-    gs_real = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down,
-                           keep_block_of=sea.bitstring())
+    # keep holds the site register's whole sector matrix, as a layered run does
+    gs_real = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down, keep=True)
 
     # both registers are solved one momentum block at a time; the mode
     # register keeps no whole-sector matrix, the site-register space keeps

@@ -155,29 +155,21 @@ def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
             f"{grid.t!r} {grid.u!r} {n_up} {n_down}")
 
 
-def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep_block_of=None):
-    """The ground space in the requested register, solved one point-group
-    class at a time: the mode register on its total-momentum blocks, built
-    from its Pauli sum, the site register on its lattice-momentum blocks,
-    folded from rows of its hopping tables.  Given keep_block_of, the
-    mode register keeps the matrix of that bitstring's block and the site
-    register its whole sector's (see ground_space)."""
+def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep: bool = False):
+    """The ground space in the register named "k" or "real", kept as
+    ground_space keeps it."""
     from .hamiltonians import SiteHamiltonian, build_kspace, ground_space
     from .lattice import point_group, translations
 
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
                    else (SiteHamiltonian(grid), translations(grid)))
     with library_checks():
-        return ground_space(h, symmetry, n_up, n_down, keep_block_of)
+        return ground_space(h, symmetry, n_up, n_down, keep)
 
 
-def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path | None):
-    """A run's ground space, with the matrix its H comes from, reusing an
-    on-disk artifact.  sea_label is the Fermi sea's momentum label for the
-    mode register, whose space keeps the matrix and rows of the sea's block,
-    as every state of an adaptive run lives there; None picks the site
-    register, whose space keeps its whole sector, which holds the sea's
-    bitstring as it holds every other.
+def cached_ground_space(grid, n_up: int, n_down: int, register: str, cache_dir: Path | None):
+    """A run's ground space in the register named "k" or "real", with the
+    matrix ground_space keeps, reusing an on-disk artifact.
 
     The file stores its cache key, which names the kept block, that matrix
     and its rows, so a hit needs no Hamiltonian build; a file of another
@@ -185,21 +177,21 @@ def cached_ground_space(grid, n_up: int, n_down: int, sea_label, cache_dir: Path
     the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace
-    from .lattice import fermi_sea
+    from .lattice import fermi_sea, momentum_labels
 
-    register = "real" if sea_label is None else "k"
-    sea = fermi_sea(grid, n_up, n_down).bitstring()
     if cache_dir is None:
-        return solve_ground_space(grid, n_up, n_down, register, sea)
+        return solve_ground_space(grid, n_up, n_down, register, keep=True)
     # a site-register file holds the momentum-block solve's vectors, which
     # may be complex, and a matrix built from the hopping tables, whose
     # diagonal can differ by an ulp from a Pauli-sum build's, so its key
     # names both, and a file written under an older key is rebuilt
-    artifact = ("real from hopping tables solved on momentum blocks" if sea_label is None
-                else f"k solved on block {sea_label}")
+    artifact = "real from hopping tables solved on momentum blocks"
+    if register == "k":
+        artifact = ("k solved on block "
+                    f"{int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))}")
     return cache.cached(cache_dir, f"ground-{register}-{grid.label()}",
                         _grid_key(grid, n_up, n_down, artifact), GroundSpace,
-                        lambda: solve_ground_space(grid, n_up, n_down, register, sea),
+                        lambda: solve_ground_space(grid, n_up, n_down, register, keep=True),
                         lambda space: (space.n_qubits, space.n_up, space.n_down)
                         == (grid.n_qubits, n_up, n_down))
 
@@ -269,16 +261,16 @@ def cmd_run(args) -> int:
             raise OSError(f"{artifact} is not a file, so no run artifact can be written there")
 
     grid, (n_up, n_down) = run.grid, run.sector
-    # the Fermi sea's block, named once by the sea's label: the ground file
-    # keeps its matrix and rows, the pool file its bitstrings
-    sea_label = (int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
-                 if run.ansatz == "vipsa" else None)
-    ground = cached_ground_space(grid, n_up, n_down, sea_label, run.cache_dir)
+    ground = cached_ground_space(grid, n_up, n_down, "k" if run.ansatz == "vipsa" else "real",
+                                 run.cache_dir)
     print(f"{run.ansatz} on {grid.label()} "
           f"(U={grid.u:g}, t={grid.t:g}, sector ({n_up},{n_down})), "
           f"ED energy {ground.energy:.8f}")
 
     if run.ansatz == "vipsa":
+        # the Fermi sea's block: the ground file keeps its matrix and rows,
+        # the pool file its bitstrings
+        sea_label = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
         blocks = {"reference_block": label_momenta(grid, sea_label),
                   "ground_blocks": [label_momenta(grid, block) for block in ground.blocks],
                   "sector_states": len(ground.states), "block_states": len(ground.matrix_rows)}
@@ -362,15 +354,6 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
         raise CliError(f"bad sector '{text}', expected N_UP,N_DOWN like 5,4") from None
 
 
-def _ground_energy(grid, register: str, n_up: int, n_down: int) -> tuple[float, int]:
-    """(energy, degeneracy) of one register's ground space, solved without
-    keeping a matrix, so the mode register builds only its class blocks and
-    the site register only its rows at the orbit representatives.
-    The space is freed on return, before the next one is built."""
-    ground = solve_ground_space(grid, n_up, n_down, register)
-    return ground.energy, ground.degeneracy
-
-
 def cmd_ed(args) -> int:
     from .lattice import default_filling
     from .statevector import sector_basis
@@ -389,9 +372,16 @@ def cmd_ed(args) -> int:
         # an unwritable path fails here, before any Hamiltonian is built; the
         # header alone stands in until the rows are known
         _write_csv(Path(args.csv), header, [])
-    rows = [[f"{nx}x{ny}", grid.u, n_up, n_down, register,
-             *_ground_energy(grid, register, n_up, n_down)]
-            for grid in grids for register in registers]
+    rows = []
+    for grid in grids:
+        for register in registers:
+            # solved without keeping a matrix, so the mode register builds
+            # only its class blocks and the site register only its rows at
+            # the orbit representatives
+            ground = solve_ground_space(grid, n_up, n_down, register)
+            rows.append([f"{nx}x{ny}", grid.u, n_up, n_down, register,
+                         ground.energy, ground.degeneracy])
+            del ground  # freed before the next space is built
 
     widths = [6, 8, 5, 7, 9, 16, 11]
     print("".join(name.rjust(w) for name, w in zip(header, widths)))

@@ -376,8 +376,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         n_up, n_down = default_filling(grid)
     sea = fermi_sea(grid, n_up, n_down).bitstring()
     if reference is None:
-        reference = ground_space(build_kspace(grid)[0], point_group(grid), n_up, n_down,
-                                 keep_block_of=sea)
+        reference = ground_space(build_kspace(grid)[0], point_group(grid), n_up, n_down, keep=True)
     if (reference.n_qubits, reference.n_up, reference.n_down) != (grid.n_qubits, n_up, n_down):
         raise ValueError("reference ground space is not over the run's sector basis")
     # a labelled space keeps the rows of one momentum block: the sea's if they hold it

@@ -40,6 +40,7 @@ from .lattice import (
     axis_energies,
     axis_wavefunctions,
     enumerate_modes,
+    fermi_sea,
     hopping_edges,
     qubit_index,
 )
@@ -421,7 +422,8 @@ def _lanczos(matrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     min(dim, max(2k + 8, 20)) vectors: a restarted Lanczos solve costs about
     the window times the basis it reorthogonalises against, so both follow k.
     eigsh is looked up at call time, so a patched (or traced) one sees
-    every solve."""
+    every solve.  A solve that ARPACK fails (one that does not converge, say)
+    is a ValueError naming the block size."""
     # imported here, not with the module: a run that loads its ground space
     # from the cache solves nothing, and the import costs about 10 MiB
     import scipy.sparse.linalg
@@ -431,7 +433,10 @@ def _lanczos(matrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     # a fixed generic start vector makes the returned basis of a degenerate
     # multiplet, and so every stored artifact, the same from run to run
     v0 = np.random.default_rng(0).standard_normal(dim)
-    vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=tol, v0=v0)
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=tol, v0=v0)
+    except scipy.sparse.linalg.ArpackError as err:
+        raise ValueError(f"Lanczos failed on a block of {dim} states: {err}") from None
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
@@ -484,12 +489,14 @@ class GroundSpace:
 
     `vectors` has one column per ground state over `states`, the sorted
     sector bitstrings, which sector_basis derives from the sector (one that
-    cannot exist is a ValueError).  `matrix`, if kept, is H on the block at
-    the ascending positions `matrix_rows` of `states` (None without a
-    matrix), over its own bitstrings in sector order, so it applies H to any
-    vector given on the block; its CSR arrays are checked (row pointers
-    rising from 0 to the entry count, columns in range, finite entries), so
-    a file that passes its crcs but not these is refused, not applied.
+    cannot exist is a ValueError).  `matrix`, kept by ground_space's keep,
+    is H on the block at the ascending positions `matrix_rows` of `states`
+    (None without a matrix), over its own bitstrings in sector order, so it
+    applies H to any vector given on the block: the Fermi sea's momentum
+    block in the mode register, the whole sector in the site register.  Its
+    CSR arrays are checked (row pointers rising from 0 to the entry count,
+    columns in range, finite entries), so a file that passes its crcs but
+    not these is refused, not applied.
     `blocks` holds the total-momentum label (lattice.momentum_labels) of
     each vector's block, UNLABELLED when the sector was solved without them.
     `save` and `load` keep these fields plus an optional key naming their
@@ -689,7 +696,7 @@ def _momentum_blocks(rows_at, states: np.ndarray, symmetry: Translations):
 
 
 def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translations,
-                 n_up: int, n_down: int, keep_block_of: int | None = None) -> GroundSpace:
+                 n_up: int, n_down: int, keep: bool = False) -> GroundSpace:
     """Ground multiplet of the sector of symmetry.grid's register, degeneracy
     resolved at GROUND_DEGENERACY_TOL.
 
@@ -711,22 +718,23 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
     spectrum.  Each class's representative block is built by sector_matrix
     on its bitstrings and solved, and the signed permutations of its ground
     vectors are the other blocks'.  No whole-sector matrix is built.  The
-    representative is the class's smallest label, or, given the sector
-    bitstring keep_block_of, that bitstring's label in its class: the space
-    keeps that block's matrix over the block's own bitstrings, and the
-    block's rows (see GroundSpace), so every block built is solved.
+    representative is the class's smallest label, or, with keep, the Fermi
+    sea's label (lattice.fermi_sea) in its class: the space keeps that
+    block's matrix over the block's own bitstrings, and the block's rows
+    (see GroundSpace), so every block built is solved.  An adaptive run
+    lives in that block, as the state it grows from does.
 
     With the translations, each class's representative momentum block is
     folded from H's rows at the orbit representatives (see
     _momentum_blocks) and solved; its ground vectors are lifted onto the
     sector, and their signed permutations are the other blocks'.  The
-    vectors are complex unless every block holding one is real.  Given
-    keep_block_of, the space keeps the whole-sector matrix, the one set of
-    bitstrings holding it that h does not leave, built by h.rows over every
-    row, and the blocks are folded from its rows; otherwise h.rows builds
-    only the representatives' rows, about one in N_T, and no whole-sector
-    matrix is built.  The site register's blocks are not bitstring sets, so
-    its space is UNLABELLED.
+    vectors are complex unless every block holding one is real.  With keep,
+    the space keeps the whole-sector matrix, the one set of bitstrings
+    holding the sea that h does not leave, built by h.rows over every row,
+    and the blocks are folded from its rows; otherwise h.rows builds only
+    the representatives' rows, about one in N_T, and no whole-sector matrix
+    is built.  The site register's blocks are not bitstring sets, so its
+    space is UNLABELLED.
 
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
@@ -740,12 +748,10 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
         raise ValueError("sector diagonalization requires a Hermitian operator")
     n_qubits = symmetry.grid.n_qubits
     states = sector_basis(n_qubits, n_up, n_down)
-    if keep_block_of is not None and keep_block_of not in states:
-        raise ValueError(f"bitstring {keep_block_of:#x} is not in the ({n_up},{n_down}) sector")
     matrix = matrix_rows = kept_label = None
     if site:
         rows_at = partial(h.rows, states)
-        if keep_block_of is not None:
+        if keep:
             matrix_rows = np.arange(len(states))
             matrix = rows_at(matrix_rows)
             # the representatives' rows are sliced from it, not built again
@@ -753,8 +759,9 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
         blocks = _momentum_blocks(rows_at, states, symmetry)
     else:
         labels = symmetry.labels(states)
-        if keep_block_of is not None:
-            kept_label = int(symmetry.labels(keep_block_of))
+        if keep:
+            sea = fermi_sea(symmetry.grid, n_up, n_down).bitstring()
+            kept_label = int(symmetry.labels(sea))
         # built lazily, so only the block being solved is held
         blocks = ((members, rows, None, sector_matrix(h, states[rows], n_qubits))
                   for members in symmetry.classes(states, labels, kept_label)

@@ -205,9 +205,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
     if reference is None:
-        # any bitstring of the sector keeps the whole sector's matrix
-        reference = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down,
-                                 keep_block_of=int(sector_basis(grid.n_qubits, n_up, n_down)[0]))
+        reference = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down, keep=True)
     if (reference.n_qubits, reference.n_up, reference.n_down) != (grid.n_qubits, n_up, n_down):
         raise ValueError("reference ground space is not over the run's sector basis")
     if reference.matrix is None or len(reference.matrix_rows) != len(reference.states):

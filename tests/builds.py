@@ -66,8 +66,7 @@ def sea_block(grid: GridSpec, n_up: int, n_down: int) -> tuple[int, np.ndarray]:
 def sea_block_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
     """The mode-register ground space solved per point-group class,
     keeping the matrix of the Fermi sea's block, as a run solves it."""
-    space = ground_space(kspace_hamiltonian(grid), point_group(grid), n_up, n_down,
-                         keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
+    space = ground_space(kspace_hamiltonian(grid), point_group(grid), n_up, n_down, keep=True)
     _read_only(space.vectors, space.blocks, space.matrix_rows,
                space.matrix.data, space.matrix.indices, space.matrix.indptr)
     return space
@@ -77,8 +76,7 @@ def sea_block_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
 def site_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
     """The site-register ground space solved on its momentum blocks,
     keeping the whole sector's matrix, as a layered run solves it."""
-    space = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down,
-                         keep_block_of=fermi_sea(grid, n_up, n_down).bitstring())
+    space = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down, keep=True)
     _read_only(space.vectors, space.blocks, space.matrix_rows,
                space.matrix.data, space.matrix.indices, space.matrix.indptr)
     return space

@@ -54,7 +54,7 @@ def test_a_load_returns_aligned_arrays_with_the_bytes_numpy_reads(tmp_path, kind
         loaded = PoolTables.load(path)
         returned = {name: getattr(loaded, name) for name in ("states", "src", "dst", "sign", "offsets")}
     else:
-        cached_ground_space(grid, 5, 4, label, tmp_path)
+        cached_ground_space(grid, 5, 4, "k", tmp_path)
         path, = tmp_path.glob("ground-*.npys")
         loaded = GroundSpace.load(path)
         returned = {"vectors": loaded.vectors, "blocks": loaded.blocks,

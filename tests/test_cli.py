@@ -8,6 +8,7 @@ import subprocess
 import sys
 from io import BytesIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -616,7 +617,7 @@ def test_3x3_cache_file_holds_the_sea_block(tmp_path):
 
     grid = GridSpec.make(3, 3, u=6.0)
     label, block = sea_block(grid, 5, 4)
-    cached_ground_space(grid, 5, 4, label, tmp_path)
+    cached_ground_space(grid, 5, 4, "k", tmp_path)
     path, = tmp_path.glob("ground-k-3x3-*.npys")
     fields = read_fields(path, None)
     assert fields["matrix_data"].size == fields["matrix_indices"].size == 89964
@@ -731,7 +732,7 @@ def cache_2x2(tmp_path_factory):
 
     grid = GridSpec.make(2, 2, u=4.0)
     directory = tmp_path_factory.mktemp("cache")
-    cached_ground_space(grid, 2, 2, sea_block(grid, 2, 2)[0], directory)
+    cached_ground_space(grid, 2, 2, "k", directory)
     cached_pool_tables(grid, 2, 2, sea_block(grid, 2, 2), directory)
     return {path.name.split("-")[0]: (path.name, path.read_bytes(), str(read_fields(path)["key"]))
             for path in directory.iterdir()}
@@ -764,9 +765,8 @@ def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
     from vipsa.cli import cached_ground_space
 
     grid = GridSpec.make(2, 2, u=4.0)
-    labels = {"k": sea_block(grid, 2, 2)[0], "real": None}
-    cold = {register: cached_ground_space(grid, 2, 2, label, tmp_path)
-            for register, label in labels.items()}
+    cold = {register: cached_ground_space(grid, 2, 2, register, tmp_path)
+            for register in ("k", "real")}
 
     def refuse(*args, **kwargs):
         raise AssertionError("Hamiltonian built on a cache hit")
@@ -775,7 +775,7 @@ def test_warm_cache_skips_the_hamiltonian_build(tmp_path, monkeypatch):
     monkeypatch.setattr(hamiltonians, "build_real", refuse)
     monkeypatch.setattr(hamiltonians.SiteHamiltonian, "rows", refuse)
     for register, space in cold.items():
-        warm = cached_ground_space(grid, 2, 2, labels[register], tmp_path)
+        warm = cached_ground_space(grid, 2, 2, register, tmp_path)
         np.testing.assert_array_equal(warm.vectors, space.vectors)
 
 
@@ -973,7 +973,7 @@ def test_cold_3x3_ground_space_compiles_h_once(monkeypatch):
                         lambda h, states, n: built.append(len(states)) or build(h, states, n))
     grid = GridSpec.make(3, 3, u=6.0)
     label, block = sea_block(grid, 5, 4)
-    space = cached_ground_space(grid, 5, 4, label, None)
+    space = cached_ground_space(grid, 5, 4, "k", None)
     assert len(compiled) == 1 and len(built) == 3
     assert label == 3 and space.states[space.matrix_rows].tobytes() == block.tobytes()
     assert len(block) in built
@@ -1067,6 +1067,55 @@ def test_run_overflowing_hamiltonian_is_one_line(tmp_path, capsys, recwarn, ansa
     assert "non-finite" in one_error_line(capsys)
     assert not recwarn.list
     assert not any(cache.iterdir()) and not any(out.iterdir())
+
+
+def test_ed_lanczos_that_does_not_converge_is_one_line(capsys, monkeypatch):
+    # with every block bound for Lanczos, ARPACK leaves the 132-state site
+    # blocks of 2x3 at U = 1e-9 one vector short of their window
+    from vipsa import hamiltonians
+
+    monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
+    assert main(["ed", "--grid", "2x3", "--u", "1e-9", "--register", "real"]) == 1
+    assert "Lanczos failed on a block of 132 states" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
+def test_run_lanczos_failure_is_one_line(tmp_path, capsys, monkeypatch, ansatz):
+    # a failed ground solve writes no artifact and leaves no cache file,
+    # partial or whole
+    import scipy.sparse.linalg
+
+    from vipsa import hamiltonians
+
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                                      None, None)
+
+    monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    code, out = run_config(tmp_path, "out", nx=2, ny=3, ansatz=ansatz)
+    assert code == 1
+    assert "Lanczos failed" in one_error_line(capsys)
+    assert not any((tmp_path / "cache").iterdir()) and not any(out.iterdir())
+
+
+# the cache file names of the benchmark's seed-0 fills, as earlier versions
+# wrote them: a key that changes its bytes would miss every such file
+FILL_CACHE_FILES = [
+    ("nx = 3\nny = 3\nu = 6.0\nansatz = vipsa\nconvergence_window = 4\n",
+     ["ground-k-3x3-2d58b53cabdf.npys", "pool-3x3-d2dc531e6711.npys"]),
+    ("nx = 2\nny = 4\nu = 4.0\nansatz = hva\nconvergence_window = 3\n",
+     ["ground-real-2x4-a3dd765abdf5.npys"]),
+]
+
+
+@pytest.mark.parametrize("body, names", FILL_CACHE_FILES, ids=["adaptive_3x3", "hva_2x4"])
+def test_cache_file_names_are_stable(tmp_path, capsys, body, names):
+    config = write(tmp_path / "fill.cfg", body + "max_epochs = 1\nmax_inner_steps = 1\n"
+                   f"r = 1.0\nlayers = 1\ncache_dir = {tmp_path / 'cache'}\n"
+                   f"output = {tmp_path / 'fill'}\n")
+    assert main(["run", str(config)]) in (0, 2)
+    assert sorted(path.name for path in (tmp_path / "cache").iterdir()) == names
 
 
 @pytest.mark.parametrize("line", ["u = nan", "u = inf", "t = nan", "lr = nan",
@@ -1327,8 +1376,9 @@ def test_ed_warns_when_the_registers_disagree(tmp_path, capsys, u, warned):
 def test_ed_warns_when_the_degeneracies_disagree(capsys, monkeypatch):
     import vipsa.cli
 
-    monkeypatch.setattr(vipsa.cli, "_ground_energy",
-                        lambda grid, register, n_up, n_down: (-1.0, 1 if register == "k" else 2))
+    monkeypatch.setattr(vipsa.cli, "solve_ground_space",
+                        lambda grid, n_up, n_down, register: SimpleNamespace(
+                            energy=-1.0, degeneracy=1 if register == "k" else 2))
     assert main(["ed", "--grid", "2x2", "--u", "4", "--register", "both"]) == 0
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and "1 (k) against 2 (real)" in err

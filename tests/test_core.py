@@ -486,7 +486,7 @@ def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
 
     grid = GridSpec.make(2, 3, u=4.0)
     run = vipsa_run(grid, config=VipsaConfig(max_epochs=1))
-    cli = cached_ground_space(grid, 3, 3, sea_block(grid, 3, 3)[0], None)
+    cli = cached_ground_space(grid, 3, 3, "k", None)
     run.ground.save(tmp_path / "library.npys")
     cli.save(tmp_path / "cli.npys")
     assert (tmp_path / "library.npys").read_bytes() == (tmp_path / "cli.npys").read_bytes()
@@ -495,8 +495,7 @@ def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
 
 def test_run_rejects_reference_from_another_sector():
     grid = u4(2, 2)
-    other = ground_space(build_kspace(grid)[0], point_group(grid), 1, 2,
-                         keep_block_of=fermi_sea(grid, 1, 2).bitstring())
+    other = ground_space(build_kspace(grid)[0], point_group(grid), 1, 2, keep=True)
     with pytest.raises(ValueError):
         vipsa_run(grid, 2, 2, reference=other)
 
@@ -505,8 +504,7 @@ def test_run_rejects_a_complex_reference_matrix():
     # the run's states and generators are real, so a complex sector
     # Hamiltonian is refused rather than silently cut to its real part
     grid = u4(2, 2)
-    gs = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2,
-                      keep_block_of=fermi_sea(grid, 2, 2).bitstring())
+    gs = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2, keep=True)
     complex_gs = replace(gs, matrix=gs.matrix.astype(np.complex128))
     with pytest.raises(ValueError, match="complex"):
         vipsa_run(grid, 2, 2, reference=complex_gs)
@@ -527,18 +525,18 @@ def test_runs_reject_a_reference_without_its_matrix():
 
 def test_runs_refuse_a_matrix_of_another_block():
     # on 2x3 (3,3) the sea lies in the block of label 4: a space that keeps
-    # the ground block's matrix (label 0) fits neither an adaptive run, whose
-    # states live in the sea's block, nor a layered one, which needs the whole
-    # sector; nor does the site register's whole-sector matrix fit the former
+    # the ground block's matrix (label 0) in its place fits neither an
+    # adaptive run, whose states live in the sea's block, nor a layered one,
+    # which needs the whole sector; nor does the site register's whole-sector
+    # matrix fit the former
     from vipsa.hva import hva_run
 
     grid = u4(2, 3)
-    h = build_kspace(grid)[0]
     states = sector_basis(grid.n_qubits, 3, 3)
-    ground_block = int(states[momentum_labels(grid, states) == 0][0])
-    other = ground_space(h, point_group(grid), 3, 3, keep_block_of=ground_block)
-    kept_labels = set(momentum_labels(grid, states[other.matrix_rows]).tolist())
-    assert kept_labels == {0} != {int(momentum_labels(grid, fermi_sea(grid, 3, 3).bitstring()))}
+    rows = np.flatnonzero(momentum_labels(grid, states) == 0)
+    assert sea_block(grid, 3, 3)[0] == 4
+    other = replace(sea_block_space(grid, 3, 3), matrix_rows=rows,
+                    matrix=sector_matrix(build_kspace(grid)[0], states[rows], grid.n_qubits))
     whole = site_space(grid, 3, 3)
     for reference in (other, whole):
         with pytest.raises(ValueError, match="Fermi sea's momentum block"):
@@ -553,8 +551,7 @@ def test_run_refuses_pool_tables_over_another_basis():
     # block, label 0, are refused
     grid = u4(2, 3)
     states = sector_basis(grid.n_qubits, 3, 3)
-    reference = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3,
-                             keep_block_of=fermi_sea(grid, 3, 3).bitstring())
+    reference = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3, keep=True)
     for basis in (states, states[momentum_labels(grid, states) == 0]):
         with pytest.raises(ValueError, match="pool tables are not over the Fermi sea's"):
             vipsa_run(grid, 3, 3, reference=reference, pool=PoolTables.build(grid, basis))
@@ -566,8 +563,7 @@ def test_run_refuses_a_kept_matrix_of_another_shape():
     # the block's matrix cut one row short; the space itself refuses a
     # matrix that does not fit its block's rows, before the run starts
     grid = u4(2, 3)
-    reference = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3,
-                             keep_block_of=fermi_sea(grid, 3, 3).bitstring())
+    reference = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3, keep=True)
     _, php, _ = whole_sector_run_operands(grid, reference)
     assert reference.matrix.shape == (66, 66) and php.shape == (400, 400)
     for matrix in (php, reference.matrix[:-1, :-1].tocsr()):
@@ -712,9 +708,7 @@ def test_warm_adaptive_run_builds_no_pauli_strings(monkeypatch):
     # loads them, gives the same records and gates with the Jordan-Wigner
     # map and the Pauli-sum sector matrix made to raise
     grid = GridSpec.make(2, 2, u=4.0)
-    sea = fermi_sea(grid, 2, 2).bitstring()
-    reference = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2,
-                             keep_block_of=sea)
+    reference = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2, keep=True)
     pool = PoolTables.build(grid, sea_block(grid, 2, 2)[1])
 
     def run():

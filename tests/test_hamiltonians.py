@@ -410,13 +410,12 @@ def register_problem(grid, register):
     return SiteHamiltonian(grid), translations(grid)
 
 
-def unscreened_space(monkeypatch, grid, register, sector, keep_block_of=None) -> GroundSpace:
+def unscreened_space(monkeypatch, grid, register, sector, keep=False) -> GroundSpace:
     """The ground space with every block solved in full (block_multiplet),
     none screened out."""
     with monkeypatch.context() as patch:
         patch.setattr(hamiltonians, "_block_ground", block_multiplet)
-        return ground_space(*register_problem(grid, register), *sector,
-                            keep_block_of=keep_block_of)
+        return ground_space(*register_problem(grid, register), *sector, keep=keep)
 
 
 def assert_same_space(space, reference):
@@ -453,9 +452,9 @@ def test_screened_ground_space_is_the_unscreened_one(monkeypatch, shape, couplin
     for u in couplings:
         grid = GridSpec.make(*shape, u=u)
         sector = default_filling(grid)
-        for keep in (None, fermi_sea(grid, *sector).bitstring()):
+        for keep in (False, True):
             seen.clear()
-            space = ground_space(*register_problem(grid, register), *sector, keep_block_of=keep)
+            space = ground_space(*register_problem(grid, register), *sector, keep=keep)
             screens = sum(k == 1 for _, k, _ in seen)
             assert 0 < len(seen) - screens < screens  # some block was screened out
             assert_same_space(space, unscreened_space(monkeypatch, grid, register, sector, keep))
@@ -715,12 +714,11 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     grid = GridSpec.make(2, 3, u=4.0)
     h = build_kspace(grid)[0] if register == "k" else build_real(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    label = sea_block(grid, 3, 3)[0] if register == "k" else None
-    gs = cached_ground_space(grid, 3, 3, label, None)
+    gs = cached_ground_space(grid, 3, 3, register, None)
     fresh = sector_matrix(h, gs.states, grid.n_qubits)
     rows = np.arange(len(gs.states))
     if register == "k":
-        assert label == 4
+        assert sea_block(grid, 3, 3)[0] == 4
         rows = np.flatnonzero(momentum_labels(grid, gs.states) == 4)
         fresh = fresh[rows][:, rows]
     gs.save(tmp_path / "gs.npys")
@@ -732,6 +730,36 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
             np.testing.assert_array_equal(getattr(matrix, part), getattr(fresh, part))
             assert getattr(matrix, part).dtype == getattr(fresh, part).dtype
         assert matrix.shape == fresh.shape
+
+
+# (shape, U, sector) of the grids whose kept matrices are checked: 2x3
+# (3,3)'s sea lies in label 4, and its ground in label 0
+KEPT_SECTORS = [((2, 3), 4.0, (3, 3)), ((2, 4), 4.0, (4, 4)), ((3, 3), 6.0, (5, 4))]
+
+
+@pytest.mark.parametrize("register", ["k", "real"])
+@pytest.mark.parametrize("shape, u, sector", KEPT_SECTORS)
+def test_kept_matrix_is_the_block_a_run_lives_in(shape, u, sector, register):
+    # keep holds, to the bit, the mode register's sector_matrix of the
+    # Fermi sea's momentum block over that block's rows, and the site
+    # register's rows over its whole sector
+    grid = GridSpec.make(*shape, u=u)
+    if register == "k":
+        space = sea_block_space(grid, *sector)
+        sea_label = int(momentum_labels(grid, fermi_sea(grid, *sector).bitstring()))
+        rows = np.flatnonzero(momentum_labels(grid, space.states) == sea_label)
+        expected = sector_matrix(kspace_hamiltonian(grid), space.states[rows], grid.n_qubits)
+        if shape == (2, 3):
+            assert sea_label == 4 and space.blocks.tolist() == [0]
+    else:
+        space = site_space(grid, *sector)
+        rows = np.arange(len(space.states))
+        expected = SiteHamiltonian(grid).rows(space.states, rows)
+    np.testing.assert_array_equal(space.matrix_rows, rows)
+    assert space.matrix_rows.dtype == rows.dtype and space.matrix.shape == expected.shape
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(space.matrix, part), getattr(expected, part))
+        assert getattr(space.matrix, part).dtype == getattr(expected, part).dtype
 
 
 def test_ground_space_keeps_its_block_labels(tmp_path):
@@ -869,8 +897,8 @@ def test_residue_only_blocks_are_read_off_the_diagonal(shape, sector, degeneracy
 
 def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     # 2x4 (4,4): 8 blocks of 608-628 states in 6 classes, (0,1) ~ (0,3) and
-    # (1,1) ~ (1,3), labels 2 ~ 6 and 3 ~ 7; the kept block, label 6 or 7
-    # too, is its class's representative, so every block built is screened
+    # (1,1) ~ (1,3), labels 2 ~ 6 and 3 ~ 7; the kept block, the sea's, label
+    # 0, is its class's representative, so every block built is screened
     # once, and nothing builds the 4900-state sector
     grid = GridSpec.make(2, 4, u=4.0)
     h = build_kspace(grid)[0]
@@ -882,17 +910,17 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     states = sector_basis(grid.n_qubits, 4, 4)
     labels = momentum_labels(grid, states)
     per_class = [np.count_nonzero(labels == label) for label in (0, 1, 2, 3, 4, 5)]
-    for keep in (None, 0, 3, 6, 7):
+    assert sea_block(grid, 4, 4)[0] == 0
+    for keep in (False, True):
         built.clear()
         seen.clear()
-        keep_block_of = None if keep is None else int(states[labels == keep][0])
-        gs = ground_space(h, point_group(grid), 4, 4, keep_block_of=keep_block_of)
+        gs = ground_space(h, point_group(grid), 4, 4, keep=keep)
         assert built == per_class
         assert [dim for dim, k, _ in seen if k == 1] == per_class
-        assert (gs.matrix is not None) == (keep is not None)
-        if keep is not None:
-            np.testing.assert_array_equal(gs.matrix_rows, np.flatnonzero(labels == keep))
-            assert gs.matrix.shape == (np.count_nonzero(labels == keep),) * 2
+        assert (gs.matrix is not None) == keep
+        if keep:
+            np.testing.assert_array_equal(gs.matrix_rows, np.flatnonzero(labels == 0))
+            assert gs.matrix.shape == (per_class[0],) * 2
 
 
 # every boundary pair of the 2x2-3x3 grids and of their transposes
@@ -1020,13 +1048,12 @@ def test_site_solve_builds_the_whole_sector_only_to_keep_it(monkeypatch):
                         lambda h, states, positions: built.append(len(positions))
                         or rows(h, states, positions))
     seen = recorded_eigsh(monkeypatch)
-    for keep in (None, fermi_sea(grid, 5, 4).bitstring()):
+    for keep in (False, True):
         built.clear()
         seen.clear()
-        gs = ground_space(SiteHamiltonian(grid), translations(grid), 5, 4,
-                          keep_block_of=keep)
+        gs = ground_space(SiteHamiltonian(grid), translations(grid), 5, 4, keep=keep)
         assert [dim for dim, k, _ in seen if k == 1] == [1764] * 3
-        assert built == [1764 if keep is None else 15876]
+        assert built == [15876 if keep else 1764]
         assert gs.degeneracy == 4 and np.iscomplexobj(gs.vectors)
     whole = rows(SiteHamiltonian(grid), gs.states, np.arange(len(gs.states)))
     np.testing.assert_array_equal(gs.matrix_rows, np.arange(len(gs.states)))
@@ -1170,8 +1197,7 @@ def test_cache_files_round_trip_bit_exactly(tmp_path, kind):
     else:
         h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if kind == "ground-k"
                        else (SiteHamiltonian(grid), translations(grid)))
-        saved = ground_space(h, symmetry, 3, 2,
-                             keep_block_of=fermi_sea(grid, 3, 2).bitstring())
+        saved = ground_space(h, symmetry, 3, 2, keep=True)
     saved.save(tmp_path / "first.npys", key=kind)
     loaded = type(saved).load(tmp_path / "first.npys", key=kind)
     assert_same_cache_fields(loaded, saved)
