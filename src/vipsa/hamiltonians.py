@@ -33,6 +33,7 @@ from .fermions import (
 )
 from .lattice import (
     DOWN,
+    PERIODIC,
     UP,
     GridSpec,
     PointGroup,
@@ -42,6 +43,8 @@ from .lattice import (
     enumerate_modes,
     fermi_sea,
     hopping_edges,
+    label_momenta,
+    momentum_labels,
     qubit_index,
 )
 from .statevector import StateVector, _compiled_terms, _ladder_orbits, _parity, sector_basis
@@ -61,10 +64,18 @@ GROUND_DEGENERACY_TOL = 1e-8
 # and a larger multiplet doubles it (see _lowest_eigenpairs).
 GROUND_WINDOW = 6
 # eigsh tolerance of the one-vector solve that screens each Lanczos block of
-# ground_space (see _screen).  On 3x4 mode-register blocks of 71 000 states
-# it finds the block's lowest value to 10 digits in 0.8-1.2 s, where tol=0
-# takes 1.5-2.3 s and the full window about 4.8 s.
+# ground_space outside the Fermi sea's class (see _screen).  On 3x4
+# mode-register blocks of 71 000 states it finds the block's lowest value to
+# 10 digits in 0.8-1.2 s, where tol=0 takes 1.5-2.3 s and the full window
+# about 4.8 s.
 SCREEN_TOL = 1e-6
+# Restarts (ARPACK iterations) allowed to one eigsh solve, about 10 times the
+# most any converged solve here takes: 49, for the 16-fold level of 3x3 (4,4)
+# at U = 1e-9 (18 on the benchmark's grids, 25 on 3x4 (6,6)).  eigsh's
+# default, 10 times the block size, spins a 1764-state block that cannot
+# converge (3x3 at U = 1e303) for 16 s before it fails; this fails it in
+# about half a second.
+LANCZOS_MAXITER = 500
 AMPLITUDE_DROP_TOL = 1e-12
 # Working set of sector_matrix's flip tables, in entries: a batch of tables
 # holds at most this many, and the states their nonzero entries select are
@@ -139,27 +150,39 @@ def interaction_quadruples(grid: GridSpec) -> tuple[InteractionQuadruple, ...]:
     Every entry's conjugate partner (roles of created and annihilated modes
     swapped) is also in the table with the same amplitude, so summing
     amplitude * operator over the list gives the interaction directly.
+    Entries come in (up_to, down_to, down_from, up_from) order, the slots
+    of each ascending, the last fastest.
     """
     if grid.u == 0.0:
         return ()
-    fx = _axis_overlap(grid.nx, grid.bc_x)
-    fy = _axis_overlap(grid.ny, grid.bc_y)
-    ex = axis_energies(grid.nx, grid.bc_x, grid.t)
-    ey = axis_energies(grid.ny, grid.bc_y, grid.t)
-    quads = []
-    for a, b, c, d in itertools.product(range(grid.n_sites), repeat=4):
-        ax, ay = a % grid.nx, a // grid.nx
-        bx, by = b % grid.nx, b // grid.nx
-        cx, cy = c % grid.nx, c // grid.nx
-        dx, dy = d % grid.nx, d // grid.nx
-        v = grid.u * fx[ax, bx, cx, dx] * fy[ay, by, cy, dy]
-        if abs(v) <= AMPLITUDE_DROP_TOL * abs(grid.u):
-            continue
-        if abs(complex(v).imag) > 1e-12 * abs(v):
-            raise ValueError(f"interaction amplitude not real: {v}")
-        gap = (ex[ax] + ey[ay]) + (ex[bx] + ey[by]) - (ex[cx] + ey[cy]) - (ex[dx] + ey[dy])
-        quads.append(InteractionQuadruple(a, b, c, d, float(complex(v).real), float(gap)))
-    return tuple(quads)
+
+    def product(a, b):
+        # a * b rounded as numpy's complex scalars round it, with no fused
+        # multiply-add, which its complex array loops may use
+        if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+            return a * b
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+        return out
+
+    # every (a, b, c, d) of slots at once, a along the first axis
+    ys, xs = np.divmod(np.arange(grid.n_sites), grid.nx)
+    v = product(product(grid.u, _axis_overlap(grid.nx, grid.bc_x)[np.ix_(*[xs] * 4)]),
+                _axis_overlap(grid.ny, grid.bc_y)[np.ix_(*[ys] * 4)])
+    kept = np.abs(v) > AMPLITUDE_DROP_TOL * abs(grid.u)
+    v = v[kept]
+    unreal = np.abs(v.imag) > 1e-12 * np.abs(v)
+    if unreal.any():
+        raise ValueError(f"interaction amplitude not real: {v[unreal][0]}")
+    e = (axis_energies(grid.nx, grid.bc_x, grid.t)[xs]
+         + axis_energies(grid.ny, grid.bc_y, grid.t)[ys])
+    gap = (e[:, None, None, None] + e[None, :, None, None] - e[None, None, :, None]
+           - e[None, None, None, :])[kept]
+    slots = (index.tolist() for index in np.nonzero(kept))
+    return tuple(itertools.starmap(InteractionQuadruple,
+                                   zip(*slots, v.real.tolist(), gap.tolist())))
 
 
 def kinetic_kspace(grid: GridSpec) -> PauliSum:
@@ -421,9 +444,11 @@ def _lanczos(matrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     ascending, from a fixed start vector in a Krylov basis of
     min(dim, max(2k + 8, 20)) vectors: a restarted Lanczos solve costs about
     the window times the basis it reorthogonalises against, so both follow k.
-    eigsh is looked up at call time, so a patched (or traced) one sees
-    every solve.  A solve that ARPACK fails (one that does not converge, say)
-    is a ValueError naming the block size."""
+    eigsh gets the matrix's own product as a LinearOperator, the same
+    csr_matvec without a wrapped sparse matrix's matmat dispatch, and at
+    most LANCZOS_MAXITER restarts.  It is looked up at call time, so a
+    patched (or traced) one sees every solve.  A solve that ARPACK fails
+    (one that does not converge, say) is a ValueError naming the block size."""
     # imported here, not with the module: a run that loads its ground space
     # from the cache solves nothing, and the import costs about 10 MiB
     import scipy.sparse.linalg
@@ -433,8 +458,11 @@ def _lanczos(matrix, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     # a fixed generic start vector makes the returned basis of a degenerate
     # multiplet, and so every stored artifact, the same from run to run
     v0 = np.random.default_rng(0).standard_normal(dim)
+    operator = scipy.sparse.linalg.LinearOperator(matrix.shape, matvec=matrix.dot,
+                                                  dtype=matrix.dtype)
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", ncv=ncv, tol=tol, v0=v0)
+        vals, vecs = scipy.sparse.linalg.eigsh(operator, k=k, which="SA", ncv=ncv, tol=tol,
+                                               v0=v0, maxiter=LANCZOS_MAXITER)
     except scipy.sparse.linalg.ArpackError as err:
         raise ValueError(f"Lanczos failed on a block of {dim} states: {err}") from None
     order = np.argsort(vals)
@@ -580,10 +608,10 @@ class GroundSpace:
                        data["blocks"], data["matrix_rows"])
 
 
-def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray | None]:
+def _block_ground(matrix, screen: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Lowest multiplet of one block's matrix: (values, vectors), values
     ascending within GROUND_DEGENERACY_TOL of the lowest, vectors over the
-    matrix's rows; or, for a block bound for Lanczos, its screen.
+    matrix's rows; or, for a block bound for Lanczos and screen, its screen.
 
     A block whose off-diagonal entries are all rounding residue, at most
     AMPLITUDE_DROP_TOL times max(1, the largest |entry|), is read off its
@@ -591,11 +619,12 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray | None]:
     block's stored entries must connect it, or it is a ValueError.  It is
     solved dense up to DENSE_SECTOR_CUTOFF states (read at call time), or
     when too small for a Lanczos window, and its kept vectors are
-    orthonormalized together (_multiplet).  A larger block is screened, not
-    solved: the return is (_screen(matrix), None), its lowest Ritz value
-    theta and the bound theta - r.  Its multiplet, for a caller that needs
-    it, is _multiplet(*_lowest_eigenpairs(matrix)), from a Lanczos window
-    that widens until it holds the block's whole lowest multiplet; that
+    orthonormalized together (_multiplet).  A larger block is solved by a
+    Lanczos window that widens until it holds the block's whole lowest
+    multiplet (_lowest_eigenpairs), or, with screen, screened instead: the
+    return is (_screen(matrix), None), its lowest Ritz value theta and the
+    bound theta - r.  A screened block's multiplet, for a caller that needs
+    it, is _multiplet(*_lowest_eigenpairs(matrix)), the window's; that
     checks nothing again.  Values that are not finite, a screen's too, are
     a ValueError.
     """
@@ -617,8 +646,10 @@ def _block_ground(matrix) -> tuple[np.ndarray, np.ndarray | None]:
                              "that the solve does not split by")
         if dim <= DENSE_SECTOR_CUTOFF or dim <= GROUND_WINDOW + 2:
             values, vectors = np.linalg.eigh(matrix.toarray())
-        else:
+        elif screen:
             values, vectors = _screen(matrix), None
+        else:
+            values, vectors = _lowest_eigenpairs(matrix)
     if not np.isfinite(values).all():
         raise ValueError("sector spectrum is not finite (float64 overflow)")
     return (values, None) if vectors is None else _multiplet(values, vectors)
@@ -703,14 +734,25 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
     h is the mode register's Pauli sum, which sector_matrix builds on each
     set of bitstrings, solved on the point group of its grid; or a
     SiteHamiltonian, solved on the translations of its own grid.  Any other
-    pairing is a ValueError.  Each block is checked, and solved or screened,
-    as _block_ground says.  A screened block (one bound for Lanczos) gets
-    its full window (_lowest_eigenpairs) only if its bound theta - r lies
-    within GROUND_DEGENERACY_TOL of the least value found, over every
-    screened theta and every solved block's lowest value.  A block above
-    that cannot hold a vector of the multiplet, as long as Lanczos finds its
-    lowest value (the trust the full window needs too), so the space is the
-    one a full window on every block gives, to the bit.  In the mode
+    pairing is a ValueError.
+
+    The class of the Fermi sea's block (lattice.fermi_sea) comes first.  The
+    Gell-Mann-Low state, switched on adiabatically from the sea, keeps the
+    sea's momentum, so that class is where the ground level is looked for:
+    it holds it in the benchmark's 3x3 (5,4) and 2x4 (4,4) sectors and on
+    3x4 (6,6).  Its blocks are checked and solved as _block_ground says, a
+    block bound for Lanczos with its full window (_lowest_eigenpairs) at
+    once, unscreened.  Every other block is checked, and solved or
+    screened, as _block_ground says.  A screened block (one bound for
+    Lanczos) gets its full window only if its bound theta - r lies within
+    GROUND_DEGENERACY_TOL of the least value found so far: the sea class's
+    level, every screened theta and every solved block's lowest value.  A
+    block above that cannot hold a vector of the multiplet, as long as
+    Lanczos finds its lowest value (the trust the full window needs too), so
+    the space is the one a full window on every block gives, to the bit.
+    On 3x3 (5,4) each register spends one window and two screens.  Where the
+    sea's class does not hold the level (2x3 at half filling, 2x4 (3,2)),
+    its window is spent, and the class that does gets one more.  In the mode
     register a screened block is held only while it may hold the level.
 
     With the point group, the sector splits into total-momentum blocks that
@@ -746,32 +788,42 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
                          "on the translations of its own grid")
     if not site and not h.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
-    n_qubits = symmetry.grid.n_qubits
-    states = sector_basis(n_qubits, n_up, n_down)
+    grid = symmetry.grid
+    states = sector_basis(grid.n_qubits, n_up, n_down)
     matrix = matrix_rows = kept_label = None
+    sea_label = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
+
+    def away_from_sea(members) -> bool:
+        return sea_label not in dict(members)
+
     if site:
+        # the sea's lattice momentum: an open axis has no shift, and the mode
+        # label's component along it is a parity
+        lx, ly = label_momenta(grid, sea_label)
+        sea_label = ((lx if grid.bc_x == PERIODIC else 0)
+                     + grid.nx * (ly if grid.bc_y == PERIODIC else 0))
         rows_at = partial(h.rows, states)
         if keep:
             matrix_rows = np.arange(len(states))
             matrix = rows_at(matrix_rows)
             # the representatives' rows are sliced from it, not built again
             rows_at = matrix.__getitem__
-        blocks = _momentum_blocks(rows_at, states, symmetry)
+        blocks = sorted(_momentum_blocks(rows_at, states, symmetry),
+                        key=lambda block: away_from_sea(block[0]))
     else:
         labels = symmetry.labels(states)
         if keep:
-            sea = fermi_sea(symmetry.grid, n_up, n_down).bitstring()
-            kept_label = int(symmetry.labels(sea))
+            kept_label = sea_label
+        classes = sorted(symmetry.classes(states, labels, kept_label), key=away_from_sea)
         # built lazily, so only the block being solved is held
-        blocks = ((members, rows, None, sector_matrix(h, states[rows], n_qubits))
-                  for members in symmetry.classes(states, labels, kept_label)
-                  for rows in [np.flatnonzero(labels == members[0][0])])
+        blocks = ((members, rows, None, sector_matrix(h, states[rows], grid.n_qubits))
+                  for members in classes for rows in [np.flatnonzero(labels == members[0][0])])
     solved, screened = [], []
     least = np.inf  # the lowest screened theta or solved value so far
     for members, rows, basis, block in blocks:
         if members[0][0] == kept_label:
             matrix, matrix_rows = block, rows
-        values, vectors = _block_ground(block)
+        values, vectors = _block_ground(block, screen=away_from_sea(members))
         least = min(least, values[0])
         if vectors is None:
             screened.append((values[1], members, rows, basis, block))
@@ -792,16 +844,20 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
         if basis is not None:
             kept = basis @ kept
         for label, element in members:
-            images, signs = element.apply(states[rows])
             lifted = np.zeros((len(states), kept.shape[1]), dtype=kept.dtype)
-            lifted[np.searchsorted(states, images)] = signs[:, None] * kept
+            if label == members[0][0]:
+                # the representative's element is the identity, all signs +1
+                lifted[rows] = kept
+            else:
+                images, signs = element.apply(states[rows])
+                lifted[np.searchsorted(states, images)] = signs[:, None] * kept
             found.setdefault(label, []).append(lifted)
     order = sorted(found)
     vectors = np.concatenate([part for label in order for part in found[label]], axis=1)
     vector_blocks = None if site else np.repeat(
         order, [sum(part.shape[1] for part in found[label]) for label in order])
-    return GroundSpace(n_qubits, n_up, n_down, float(lowest), vectors, matrix, vector_blocks,
-                       matrix_rows)
+    return GroundSpace(grid.n_qubits, n_up, n_down, float(lowest), vectors, matrix,
+                       vector_blocks, matrix_rows)
 
 
 def fidelity(x: np.ndarray, gs: GroundSpace) -> float:

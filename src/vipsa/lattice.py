@@ -454,7 +454,9 @@ class Translations:
         takes that bitstring to its representative, 0 where it does not."""
         images = np.empty((len(self.shifts), len(states)), dtype=states.dtype)
         signs = np.empty(images.shape, dtype=np.int8)
-        for row, shift in enumerate(self.shifts):
+        # the first shift is the identity, which moves no bitstring
+        images[0], signs[0] = states, 1
+        for row, shift in enumerate(self.shifts[1:], 1):
             images[row], signs[row] = self.translation(shift).apply(states)
         smallest = images.min(axis=0)
         signs[images != smallest] = 0

@@ -21,6 +21,9 @@ are the earlier implementations of the mask-array kernels in
 `vipsa.fermions` and `vipsa.hamiltonians`, which must match them bit for
 bit.  `as_real_if_possible` is the earlier rule by which the per-string
 matrix was made real; `sector_matrix` folds it into its own assembly.
+`loop_interaction_quadruples` is the quadruple table built one (a, b, c, d)
+index tuple at a time, in numpy scalars, the reference whose every field
+`interaction_quadruples` must match to the bit.
 `lowest_sector_values` solves the library's sector matrix block by block
 with plain eigh and eigsh calls, the whole-sector reference for the
 ground-space solver's values and multiplet.  `rows_of_block` cuts P H P, H
@@ -34,6 +37,8 @@ start from.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -65,11 +70,21 @@ from vipsa.fermions import (
 from vipsa.hamiltonians import (
     AMPLITUDE_DROP_TOL,
     GROUND_DEGENERACY_TOL,
+    InteractionQuadruple,
+    _axis_overlap,
     interaction_quadruples,
     sector_basis,
     sector_matrix,
 )
-from vipsa.lattice import DOWN, UP, enumerate_modes, fermi_sea, hopping_edges, qubit_index
+from vipsa.lattice import (
+    DOWN,
+    UP,
+    axis_energies,
+    enumerate_modes,
+    fermi_sea,
+    hopping_edges,
+    qubit_index,
+)
 from vipsa.statevector import (
     SectorPhase,
     StateVector,
@@ -578,6 +593,30 @@ def per_string_sector_matrix(h, states, n_qubits: int):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim), dtype=np.complex128)
     return matrix.tocsr()
+
+
+def loop_interaction_quadruples(grid) -> tuple[InteractionQuadruple, ...]:
+    """interaction_quadruples(grid), one index tuple at a time."""
+    if grid.u == 0.0:
+        return ()
+    fx = _axis_overlap(grid.nx, grid.bc_x)
+    fy = _axis_overlap(grid.ny, grid.bc_y)
+    ex = axis_energies(grid.nx, grid.bc_x, grid.t)
+    ey = axis_energies(grid.ny, grid.bc_y, grid.t)
+    quads = []
+    for a, b, c, d in itertools.product(range(grid.n_sites), repeat=4):
+        ax, ay = a % grid.nx, a // grid.nx
+        bx, by = b % grid.nx, b // grid.nx
+        cx, cy = c % grid.nx, c // grid.nx
+        dx, dy = d % grid.nx, d // grid.nx
+        v = grid.u * fx[ax, bx, cx, dx] * fy[ay, by, cy, dy]
+        if abs(v) <= AMPLITUDE_DROP_TOL * abs(grid.u):
+            continue
+        if abs(complex(v).imag) > 1e-12 * abs(v):
+            raise ValueError(f"interaction amplitude not real: {v}")
+        gap = (ex[ax] + ey[ay]) + (ex[bx] + ey[by]) - (ex[cx] + ey[cy]) - (ex[dx] + ey[dy])
+        quads.append(InteractionQuadruple(a, b, c, d, float(complex(v).real), float(gap)))
+    return tuple(quads)
 
 
 def as_real_if_possible(matrix):

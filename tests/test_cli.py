@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from io import BytesIO
 from pathlib import Path
 from types import SimpleNamespace
@@ -926,9 +927,9 @@ def test_warm_run_labels_only_the_sea(tmp_path, capsys, monkeypatch):
     # folds its blocks from them
     pytest.param("vipsa", (2, 2), [12, 8, 8], id="vipsa"),
     pytest.param("hva", (2, 2), [36], id="hva"),
-    # 2x3 (3,3), 400 states: labels 0, 1, the sea's label 4 in place of
-    # label 2, whose class it shares, and 3
-    pytest.param("vipsa", (2, 3), [68, 68, 66, 66], id="vipsa-2x3"),
+    # 2x3 (3,3), 400 states: the sea's label 4 first, in place of label 2,
+    # whose class it shares, then labels 0, 1 and 3
+    pytest.param("vipsa", (2, 3), [66, 68, 68, 66], id="vipsa-2x3"),
 ])
 def test_cold_run_builds_the_sector_matrix_once(tmp_path, capsys, monkeypatch, ansatz, shape,
                                                 cold):
@@ -1077,6 +1078,17 @@ def test_ed_lanczos_that_does_not_converge_is_one_line(capsys, monkeypatch):
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
     assert main(["ed", "--grid", "2x3", "--u", "1e-9", "--register", "real"]) == 1
     assert "Lanczos failed on a block of 132 states" in one_error_line(capsys)
+
+
+def test_ed_that_cannot_converge_fails_within_seconds(capsys):
+    # no window of the 1764-state blocks converges at U = 1e303; eigsh's
+    # restarts are bounded, so the error line comes after about half a
+    # second, where eigsh's own bound of 10 per state spun for 16 s
+    start = time.perf_counter()
+    assert main(["ed", "--grid", "3x3", "--u", "1e303", "--register", "both"]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert one_error_line(capsys).startswith(
+        "error: Lanczos failed on a block of 1764 states: ARPACK error -1: No convergence (")
 
 
 @pytest.mark.parametrize("ansatz", ["vipsa", "hva"])

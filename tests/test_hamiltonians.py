@@ -52,7 +52,13 @@ from builds import (
     site_space,
     whole_sector_matrix,
 )
-from oracles import basis_state, dense_pauli_sum, dense_sector_block, lowest_sector_values
+from oracles import (
+    basis_state,
+    dense_pauli_sum,
+    dense_sector_block,
+    loop_interaction_quadruples,
+    lowest_sector_values,
+)
 from replay import kept_amplitudes, register_apply, register_expectation
 
 
@@ -130,6 +136,27 @@ def test_large_coupling_keeps_the_table(shape):
         values, multiplet = lowest_sector_values(build_real(grid), grid.n_qubits, 3, 3, how_many=6)
         assert k.energy == pytest.approx(values[0], abs=1e-9)
         assert k.degeneracy == multiplet.shape[1]
+
+
+# every boundary pair of the 2x2-3x4 grids and of their transposes
+QUADRUPLE_GRIDS = [(nx, ny, bc_x, bc_y)
+                   for nx, ny in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (3, 4), (4, 3)]
+                   for bc_x in (["open", "periodic"] if nx > 2 else ["open"])
+                   for bc_y in (["open", "periodic"] if ny > 2 else ["open"])]
+
+
+@pytest.mark.parametrize("u", [6.0, 5.75, -2.9, 1e-3, 0.0])
+@pytest.mark.parametrize("nx, ny, bc_x, bc_y", QUADRUPLE_GRIDS)
+def test_quadruple_table_is_the_index_loop_to_the_bit(nx, ny, bc_x, bc_y, u):
+    # the whole table at once rounds every amplitude and gap as the loop
+    # over index tuples does, in the same order (on 4x3 at U = 5.75 a fused
+    # complex product would move an amplitude by one ulp)
+    def fields(quads):
+        return [tuple((type(value), value.hex() if isinstance(value, float) else value)
+                      for value in dataclasses.astuple(quad)) for quad in quads]
+
+    grid = GridSpec(nx, ny, bc_x, bc_y, u=u)
+    assert fields(interaction_quadruples(grid)) == fields(loop_interaction_quadruples(grid))
 
 
 def test_quadruple_energy_gap_moves_kinetic_energy():
@@ -286,11 +313,11 @@ def test_sector_ground_matches_full_dense():
     assert_ground_level(gs, np.linalg.eigvalsh(block), 1e-10, matrix=block)
 
 
-def block_multiplet(matrix, block_ground=hamiltonians._block_ground):
+def block_multiplet(matrix, screen=True, block_ground=hamiltonians._block_ground):
     """_block_ground's multiplet of one block, a screened block's solved in
     full as ground_space solves a block that may hold the level; bound to
     _block_ground at import, so it can stand in for it."""
-    values, vectors = block_ground(matrix)
+    values, vectors = block_ground(matrix, screen)
     if vectors is None:
         values, vectors = hamiltonians._multiplet(*hamiltonians._lowest_eigenpairs(matrix))
     return values, vectors
@@ -380,27 +407,29 @@ def recorded_eigsh(monkeypatch) -> list[tuple[int, int, int]]:
 def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
     # the mode register's 8 label blocks fall in 6 point-group classes, and
     # the site register's 4 momentum blocks of the y ring in 3: K = 0, the
-    # pair K = 1 ~ 3, and K = 2; each class's block is screened by one
-    # one-vector solve, and only the first, K = 0, which holds the 1-fold
-    # ground level, gets the full window
+    # pair K = 1 ~ 3, and K = 2; the Fermi sea's class, K = 0, which holds
+    # the 1-fold ground level, is solved first with the full window, and
+    # each other class's block is screened by one one-vector solve
     grid = GridSpec.make(2, 4, u=4.0)
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
                    else (SiteHamiltonian(grid), translations(grid)))
     seen = recorded_eigsh(monkeypatch)
     gs = ground_space(h, symmetry, 4, 4)
-    screens, windows = seen[:calls], seen[calls:]
+    assert len(seen) == calls
+    window, *screens = seen
     if register == "k":
         labels = symmetry.labels(gs.states)
         solved = sum(np.count_nonzero(labels == members[0][0])
                      for members in symmetry.classes(gs.states, labels))
+        assert window[0] == np.count_nonzero(labels == 0)
     else:
         # the blocks cover the sector, K = 1 standing for K = 3 too
-        solved = len(gs.states) - screens[1][0]
-    assert sum(dim for dim, _, _ in screens) == solved
-    # one pair in a Krylov basis of max(2k + 8, 20) = 20 vectors, then a
-    # window of 6 in the same basis size
+        solved = len(gs.states) - screens[0][0]
+    assert sum(dim for dim, _, _ in seen) == solved
+    # a window of 6 in a Krylov basis of max(2k + 8, 20) = 20 vectors, then
+    # one pair per screen in the same basis size
+    assert window[1:] == (6, 20)
     assert {(k, ncv) for _, k, ncv in screens} == {(1, 20)}
-    assert windows == [(screens[0][0], 6, 20)]
 
 
 def register_problem(grid, register):
@@ -456,33 +485,65 @@ def test_screened_ground_space_is_the_unscreened_one(monkeypatch, shape, couplin
             seen.clear()
             space = ground_space(*register_problem(grid, register), *sector, keep=keep)
             screens = sum(k == 1 for _, k, _ in seen)
-            assert 0 < len(seen) - screens < screens  # some block was screened out
+            windows = len(seen) - screens
+            assert seen[0][1] == hamiltonians.GROUND_WINDOW  # the sea's class, unscreened
+            # the sea's class holds the level, except on 2x3 at half filling,
+            # whose level's class gets one more window
+            assert windows == (2 if shape == (2, 3) else 1)
+            # some block was screened out (2x3's site register screens one
+            # class, the level's)
+            assert windows - 1 < screens or (shape, register) == ((2, 3), "real")
             assert_same_space(space, unscreened_space(monkeypatch, grid, register, sector, keep))
 
 
 @pytest.mark.parametrize("register, u", [("real", 0.0), ("k", 1e-9), ("real", 1e-9)])
 def test_a_multiplet_across_classes_keeps_every_class(monkeypatch, register, u):
     # 3x3 (4,4) at (nearly) zero coupling: the 16-fold level spans all three
-    # classes, so each screened block may hold it and gets its full window
-    # (the mode register's blocks at U = 0 are diagonal, read off unscreened)
+    # classes; the sea's class gets its full window first, and each screened
+    # block may hold the level and gets its full window too (the mode
+    # register's blocks at U = 0 are diagonal, read off unscreened)
     grid = GridSpec.make(3, 3, u=u)
     seen = recorded_eigsh(monkeypatch)
     space = ground_space(*register_problem(grid, register), 4, 4)
     assert space.degeneracy == 16
-    assert seen == [(1764, 1, 20)] * 3 + [(1764, 6, 20)] * 3
+    assert seen == [(1764, 6, 20)] + [(1764, 1, 20)] * 2 + [(1764, 6, 20)] * 2
     assert_same_space(space, unscreened_space(monkeypatch, grid, register, (4, 4)))
 
 
 @pytest.mark.parametrize("register", ["k", "real"])
 def test_each_register_screens_each_class_once(monkeypatch, register):
-    # 3x3 (5,4) at U = 6: three classes of 1764-state blocks, one screen
-    # each, and one full window for the class of the 4-fold ground level;
-    # eigsh is looked up at call time, so a patched one sees every solve
+    # 3x3 (5,4) at U = 6: three classes of 1764-state blocks; the Fermi
+    # sea's, which holds the 4-fold ground level, gets the full window
+    # first, and each other class one screen; eigsh is looked up at call
+    # time, so a patched one sees every solve
     grid = GridSpec.make(3, 3, u=6.0)
     seen = recorded_eigsh(monkeypatch)
     space = ground_space(*register_problem(grid, register), 5, 4)
-    assert seen == [(1764, 1, 20)] * 3 + [(1764, 6, 20)]
+    assert seen == [(1764, 6, 20)] + [(1764, 1, 20)] * 2
     assert space.degeneracy == 4
+
+
+@pytest.mark.parametrize("register", ["k", "real"])
+@pytest.mark.parametrize("shape, sector, parity, windows", [
+    # the sea's class does not hold the level: its window is spent, and the
+    # level's class gets one more
+    ((2, 3), (3, 3), 0, 2), ((2, 4), (3, 2), 0, 2),
+    # the sea has odd parity along the open x axis, along which the site
+    # register has no shift; on 2x4 the 3-fold level spans two classes
+    ((2, 3), (2, 1), 1, 1), ((2, 4), (2, 1), 1, 2)])
+def test_the_sea_class_first_gives_the_unscreened_space(monkeypatch, shape, sector, parity,
+                                                        windows, register):
+    # blocks of 12-392 states, every one bound for Lanczos at this cutoff
+    monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 10)
+    grid = GridSpec.make(*shape, u=4.0)
+    assert sea_block(grid, *sector)[0] % 2 == parity  # the label's x part, mod 2
+    seen = recorded_eigsh(monkeypatch)
+    for keep in (False, True):
+        seen.clear()
+        space = ground_space(*register_problem(grid, register), *sector, keep=keep)
+        assert seen[0][1] == hamiltonians.GROUND_WINDOW  # the sea's class, unscreened
+        assert len(seen) - sum(k == 1 for _, k, _ in seen) == windows
+        assert_same_space(space, unscreened_space(monkeypatch, grid, register, sector, keep))
 
 
 def disconnected(block):
@@ -898,8 +959,9 @@ def test_residue_only_blocks_are_read_off_the_diagonal(shape, sector, degeneracy
 def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     # 2x4 (4,4): 8 blocks of 608-628 states in 6 classes, (0,1) ~ (0,3) and
     # (1,1) ~ (1,3), labels 2 ~ 6 and 3 ~ 7; the kept block, the sea's, label
-    # 0, is its class's representative, so every block built is screened
-    # once, and nothing builds the 4900-state sector
+    # 0, is its class's representative, so every block built is solved once,
+    # the sea's first by its window and every other by one screen, and
+    # nothing builds the 4900-state sector
     grid = GridSpec.make(2, 4, u=4.0)
     h = build_kspace(grid)[0]
     built = []
@@ -916,7 +978,7 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
         seen.clear()
         gs = ground_space(h, point_group(grid), 4, 4, keep=keep)
         assert built == per_class
-        assert [dim for dim, k, _ in seen if k == 1] == per_class
+        assert seen == [(per_class[0], 6, 20)] + [(dim, 1, 20) for dim in per_class[1:]]
         assert (gs.matrix is not None) == keep
         if keep:
             np.testing.assert_array_equal(gs.matrix_rows, np.flatnonzero(labels == 0))
@@ -1038,9 +1100,10 @@ def test_complex_momentum_blocks_solve_without_warnings(sector):
 def test_site_solve_builds_the_whole_sector_only_to_keep_it(monkeypatch):
     # 3x3 (5,4): nine momentum blocks of 1764 states in three classes, K = 0,
     # the four K on the zone's edges and the four on its corners; only each
-    # class's representative is screened, and H's rows are built once: at the
-    # 1764 orbit representatives, or over the whole sector when the space
-    # keeps it, which then keeps that matrix
+    # class's representative is solved, the Fermi sea's (K = (0, 1), an
+    # edge) by its window and the other two by a screen each, and H's rows
+    # are built once: at the 1764 orbit representatives, or over the whole
+    # sector when the space keeps it, which then keeps that matrix
     grid = GridSpec.make(3, 3, u=6.0)
     built = []
     rows = SiteHamiltonian.rows
@@ -1052,7 +1115,7 @@ def test_site_solve_builds_the_whole_sector_only_to_keep_it(monkeypatch):
         built.clear()
         seen.clear()
         gs = ground_space(SiteHamiltonian(grid), translations(grid), 5, 4, keep=keep)
-        assert [dim for dim, k, _ in seen if k == 1] == [1764] * 3
+        assert seen == [(1764, 6, 20)] + [(1764, 1, 20)] * 2
         assert built == [15876 if keep else 1764]
         assert gs.degeneracy == 4 and np.iscomplexobj(gs.vectors)
     whole = rows(SiteHamiltonian(grid), gs.states, np.arange(len(gs.states)))
