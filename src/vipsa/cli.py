@@ -282,17 +282,21 @@ def cmd_run(args) -> int:
         pool = (cached_pool_tables(grid, n_up, n_down,
                                    (sea_label, ground.states[ground.matrix_rows]), run.cache_dir)
                 if run.cache_dir else None)
-        result = vipsa_run(grid, n_up, n_down, run.config, reference=ground, pool=pool,
-                           progress=lambda r: print(
-                               f"  epoch {r.epoch}: E={r.energy:.8f} "
-                               f"fid={r.fidelity:.4f} max|g|={r.max_gradient:.2e} "
-                               f"selected {r.n_selected}"))
+        # a ValueError from here on (the optimizer's non-finite energy, say)
+        # is one error line, and no artifact is written
+        with library_checks():
+            result = vipsa_run(grid, n_up, n_down, run.config, reference=ground, pool=pool,
+                               progress=lambda r: print(
+                                   f"  epoch {r.epoch}: E={r.energy:.8f} "
+                                   f"fid={r.fidelity:.4f} max|g|={r.max_gradient:.2e} "
+                                   f"selected {r.n_selected}"))
         manifest_extra = {"pool_size": result.pool_size, **blocks}
         if result.status == "empty-pool":
             print("  empty pool: no off-diagonal scattering move has four distinct orbitals "
                   "and a nonzero kinetic gap, so no rotation can leave the Fermi sea")
     else:
-        result = hva_run(grid, n_up, n_down, run.config, layers=run.layers, reference=ground)
+        with library_checks():
+            result = hva_run(grid, n_up, n_down, run.config, layers=run.layers, reference=ground)
         manifest_extra = {"layers": run.layers}
         print(f"  {len(result.records) - 1} steps: E={result.final_energy:.8f} "
               f"fid={result.final_fidelity:.4f}")

@@ -98,6 +98,8 @@ class PoolTables:
 
     def __post_init__(self):
         offsets = self.offsets
+        if any(array.dtype.kind not in "iu" for array in (self.src, self.dst, offsets)):
+            raise ValueError("table positions and offsets must be integers")
         if len(offsets) != len(self.labels) + 1:
             raise ValueError(f"{len(offsets)} table offsets do not fit "
                              f"{len(self.labels)} pool labels")
@@ -237,12 +239,18 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResu
     less than eps2 between evaluations for convergence_window consecutive
     steps; an exactly stationary starting point converges immediately.  The
     best visited point is returned, so a pass can never raise the energy.
+    A non-finite energy or gradient (float64 overflow at a huge coupling,
+    say) is a ValueError naming it and its step.
     """
+    def finite(value, name: str, where: str):
+        if not np.isfinite(value).all():
+            raise ValueError(f"non-finite {name} at {where} (float64 overflow)")
+        return value
+
     thetas = np.array(thetas, dtype=float)
     energy, gradient = evaluate(thetas)
-    if not math.isfinite(energy):
-        raise RuntimeError(f"non-finite energy {energy} at the starting point")
-    grads = gradient()
+    finite(energy, f"energy {energy}", "the starting point")
+    grads = finite(gradient(), "gradient", "the starting point")
     if len(thetas) == 0 or np.abs(grads).max() == 0.0:
         return AdamResult(thetas, energy, np.array([energy]), 0, True)
 
@@ -259,8 +267,7 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResu
         thetas = thetas - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_STABILIZER)
         previous = energy
         energy, gradient = evaluate(thetas)
-        if not math.isfinite(energy):
-            raise RuntimeError(f"non-finite energy {energy} at inner step {step}")
+        finite(energy, f"energy {energy}", f"inner step {step}")
         energies.append(energy)
         steps = step
         if energy < best_energy:
@@ -270,7 +277,7 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResu
             converged = True
             break
         if step < config.max_inner_steps:
-            grads = gradient()
+            grads = finite(gradient(), "gradient", f"inner step {step}")
     return AdamResult(best_thetas, best_energy, np.array(energies), steps, converged)
 
 
@@ -385,8 +392,6 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     if block is None or UNLABELLED in reference.blocks or sea not in block:
         raise ValueError("reference ground space holds no sector matrix of the Fermi sea's "
                          "momentum block")
-    if np.iscomplexobj(h.data):
-        raise ValueError("reference sector matrix is complex; the run is real")
     if pool is None:
         pool = PoolTables.build(grid, block)
     if not np.array_equal(pool.states, block):

@@ -523,8 +523,8 @@ class GroundSpace:
     applies H to any vector given on the block: the Fermi sea's momentum
     block in the mode register, the whole sector in the site register.  Its
     CSR arrays are checked (row pointers rising from 0 to the entry count,
-    columns in range, finite entries), so a file that passes its crcs but
-    not these is refused, not applied.
+    columns in range, finite entries, and real ones in a labelled space), so
+    a file that passes its crcs but not these is refused, not applied.
     `blocks` holds the total-momentum label (lattice.momentum_labels) of
     each vector's block, UNLABELLED when the sector was solved without them.
     `save` and `load` keep these fields plus an optional key naming their
@@ -569,6 +569,11 @@ class GroundSpace:
         if self.blocks.shape != (self.degeneracy,):
             raise ValueError(f"{self.blocks.shape} block labels do not fit "
                              f"{self.degeneracy} ground vectors")
+        # the mode register's blocks are real, as an adaptive run's states are
+        if (self.matrix is not None and UNLABELLED not in self.blocks
+                and np.iscomplexobj(self.matrix.data)):
+            raise ValueError("a labelled space's sector matrix is complex; a mode-register "
+                             "block's is real")
 
     @property
     def states(self) -> np.ndarray:
@@ -666,14 +671,15 @@ def _multiplet(values: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     return values[keep], np.linalg.qr(vectors[:, keep])[0]
 
 
-def _momentum_blocks(rows_at, states: np.ndarray, symmetry: Translations):
-    """(members, rows, basis, block) of each point-group class of the site
-    register's momentum blocks (see Translations) that holds any state:
-    rows every sector position, basis the sparse isometry B from the
-    representative block K onto the sector, and block its matrix B^H H B.
-    A block whose entries above AMPLITUDE_DROP_TOL times max(1, its largest
-    |entry|) do not connect it is given as one entry per connected part,
-    each with its columns of B.
+def _momentum_blocks(rows_at, states: np.ndarray, symmetry: Translations, classes):
+    """Yield (members, rows, basis, block) of each of classes, point-group
+    classes of the site register's momentum blocks (see Translations), in
+    order, folding a class only once the one before is consumed and none
+    that holds no state: rows every sector position, basis the sparse
+    isometry B from the representative block K onto the sector, and block
+    its matrix B^H H B.  A block whose entries above AMPLITUDE_DROP_TOL times
+    max(1, its largest |entry|) do not connect it is given as one entry per
+    connected part, each with its columns of B.
 
     With F_K[rep(s), s] = (1/N_T) sum of e^{-iK.a} sigma_a(s) over the shifts
     a that take bitstring s to its orbit's representative, B = conj(F_K)^T
@@ -691,8 +697,7 @@ def _momentum_blocks(rows_at, states: np.ndarray, symmetry: Translations):
     reps, owner, signs = symmetry.orbits(states)
     at_reps = rows_at(reps)
     everything = np.arange(len(states))
-    blocks = []
-    for members in symmetry.classes():
+    for members in classes:
         characters = symmetry.characters(members[0][0])
         weights = sum(character * row for character, row in zip(characters, signs)) / len(signs)
         if not weights.imag.any():
@@ -718,12 +723,11 @@ def _momentum_blocks(rows_at, states: np.ndarray, symmetry: Translations):
         coupled = magnitude > AMPLITUDE_DROP_TOL * max(1.0, magnitude.max())
         n_parts, part = connected_components(coupled, directed=False)
         if n_parts == 1:
-            blocks.append((members, everything, basis, block))
+            yield members, everything, basis, block
             continue
         for index in range(n_parts):
             columns = np.flatnonzero(part == index)
-            blocks.append((members, everything, basis[:, columns], block[columns][:, columns]))
-    return blocks
+            yield members, everything, basis[:, columns], block[columns][:, columns]
 
 
 def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translations,
@@ -752,8 +756,9 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
     the space is the one a full window on every block gives, to the bit.
     On 3x3 (5,4) each register spends one window and two screens.  Where the
     sea's class does not hold the level (2x3 at half filling, 2x4 (3,2)),
-    its window is spent, and the class that does gets one more.  In the mode
-    register a screened block is held only while it may hold the level.
+    its window is spent, and the class that does gets one more.  A class's
+    blocks are built once the class before is done, and a screened block is
+    held only while it may hold the level, in both registers.
 
     With the point group, the sector splits into total-momentum blocks that
     h never mixes, and the blocks of one point-group class share their
@@ -768,15 +773,15 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
 
     With the translations, each class's representative momentum block is
     folded from H's rows at the orbit representatives (see
-    _momentum_blocks) and solved; its ground vectors are lifted onto the
-    sector, and their signed permutations are the other blocks'.  The
-    vectors are complex unless every block holding one is real.  With keep,
-    the space keeps the whole-sector matrix, the one set of bitstrings
-    holding the sea that h does not leave, built by h.rows over every row,
-    and the blocks are folded from its rows; otherwise h.rows builds only
-    the representatives' rows, about one in N_T, and no whole-sector matrix
-    is built.  The site register's blocks are not bitstring sets, so its
-    space is UNLABELLED.
+    _momentum_blocks), the sea's class first, and solved; its ground
+    vectors are lifted onto the sector, and their signed permutations are
+    the other blocks'.  The vectors are complex unless every block holding
+    one is real.  With keep, the space keeps the whole-sector matrix, the
+    one set of bitstrings holding the sea that h does not leave, built by
+    h.rows over every row, and the blocks are folded from its rows;
+    otherwise h.rows builds only the representatives' rows, about one in
+    N_T, and no whole-sector matrix is built.  The site register's blocks
+    are not bitstring sets, so its space is UNLABELLED.
 
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
@@ -808,8 +813,8 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
             matrix = rows_at(matrix_rows)
             # the representatives' rows are sliced from it, not built again
             rows_at = matrix.__getitem__
-        blocks = sorted(_momentum_blocks(rows_at, states, symmetry),
-                        key=lambda block: away_from_sea(block[0]))
+        blocks = _momentum_blocks(rows_at, states, symmetry,
+                                  sorted(symmetry.classes(), key=away_from_sea))
     else:
         labels = symmetry.labels(states)
         if keep:

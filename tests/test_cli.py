@@ -379,6 +379,12 @@ def plant_nan_entry(path: Path, at: int = 0) -> None:
     resave(path, matrix_data=data)
 
 
+def plant_complex_block_matrix(path: Path) -> None:
+    # the same values as complex128: a mode-register block's matrix is real,
+    # and the adaptive run that loads it is
+    resave(path, matrix_data=read_fields(path, None)["matrix_data"].astype(complex))
+
+
 def assert_same_artifacts(first: Path, again: Path) -> None:
     for name in ("trace.csv", "steps.csv", "manifest.json"):
         assert (again / name).read_bytes() == (first / name).read_bytes()
@@ -389,7 +395,7 @@ def assert_same_artifacts(first: Path, again: Path) -> None:
                                                   plant_unlabelled, plant_whole_sector_matrix,
                                                   plant_sector_rows_matrix, plant_rows_out_of_range,
                                                   plant_unsorted_rows, plant_rows_one_short,
-                                                  plant_label_for_rows])
+                                                  plant_label_for_rows, plant_complex_block_matrix])
 def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     from vipsa.hamiltonians import GroundSpace
 
@@ -689,9 +695,20 @@ def plant_misaligned_offsets(path: Path) -> None:
     resave(path, offsets=np.delete(offsets, 1))
 
 
+def plant_float_offsets(path: Path) -> None:
+    # the same values as float64: no slice can be cut at them
+    resave(path, offsets=read_fields(path, None)["offsets"].astype(float))
+
+
+def plant_float_positions(path: Path) -> None:
+    # the same values as float64: no gather can index by them
+    resave(path, src=read_fields(path, None)["src"].astype(float))
+
+
 @pytest.mark.parametrize("damage", FILE_DAMAGE + [plant_stray_position, plant_misaligned_offsets,
                                                   plant_whole_sector_pool,
-                                                  plant_sector_tables_under_the_block_key])
+                                                  plant_sector_tables_under_the_block_key,
+                                                  plant_float_offsets, plant_float_positions])
 def test_damaged_pool_tables_are_rebuilt(tmp_path, capsys, damage):
     from vipsa.core import PoolTables
 
@@ -720,9 +737,10 @@ UNUSABLE_FILES = (
         plant_label_for_rows, plant_misfit_matrix, plant_rows_out_of_range, plant_unsorted_rows,
         plant_rows_one_short, plant_misfit_vectors, plant_scalar_vector, plant_whole_sector_pool,
         plant_sector_tables_under_the_block_key, plant_index_out_of_range,
-        plant_falling_row_pointer, plant_nan_entry]]
+        plant_falling_row_pointer, plant_nan_entry, plant_complex_block_matrix]]
     + [("pool", damage) for damage in FILE_DAMAGE + [
-        plant_whole_sector_pool, plant_stray_position, plant_misaligned_offsets]])
+        plant_whole_sector_pool, plant_stray_position, plant_misaligned_offsets,
+        plant_float_offsets, plant_float_positions]])
 
 
 @pytest.fixture(scope="module")
@@ -1068,6 +1086,18 @@ def test_run_overflowing_hamiltonian_is_one_line(tmp_path, capsys, recwarn, ansa
     assert "non-finite" in one_error_line(capsys)
     assert not recwarn.list
     assert not any(cache.iterdir()) and not any(out.iterdir())
+
+
+def test_layered_run_at_a_huge_coupling_is_one_line(tmp_path, capsys):
+    # the interaction gate's gradient grows as U^2, so at U = 1e200 the
+    # first one is nan: the optimizer stops there, before any artifact
+    out = tmp_path / "out"
+    config = write(tmp_path / "huge.cfg", f"nx = 2\nny = 3\nu = 1e200\nansatz = hva\n"
+                                          f"layers = 2\nmax_inner_steps = 3\n"
+                                          f"output = {out}\ncache = off\n")
+    assert main(["run", str(config)]) == 1
+    assert one_error_line(capsys).startswith("error: non-finite gradient at the starting point")
+    assert not any(out.iterdir())
 
 
 def test_ed_lanczos_that_does_not_converge_is_one_line(capsys, monkeypatch):

@@ -315,8 +315,20 @@ def test_adam_returns_best_visited_point():
 
 
 def test_adam_rejects_non_finite_energy():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="non-finite energy nan at the starting point"):
         adam_minimize(np.zeros(1), lambda t: (float("nan"), lambda: np.ones(1)), VipsaConfig())
+
+
+@pytest.mark.parametrize("bad, where", [(0, "the starting point"), (1, "inner step 1")])
+def test_adam_rejects_non_finite_gradient(bad, where):
+    calls = []
+
+    def evaluate(thetas):
+        calls.append(None)
+        return 1.0 / len(calls), lambda: np.array([np.nan if len(calls) > bad else 1.0])
+
+    with pytest.raises(ValueError, match=f"non-finite gradient at {where}"):
+        adam_minimize(np.zeros(1), evaluate, VipsaConfig(max_inner_steps=5))
 
 
 def test_adam_is_deterministic():
@@ -502,12 +514,12 @@ def test_run_rejects_reference_from_another_sector():
 
 def test_run_rejects_a_complex_reference_matrix():
     # the run's states and generators are real, so a complex sector
-    # Hamiltonian is refused rather than silently cut to its real part
+    # Hamiltonian is refused rather than silently cut to its real part: a
+    # labelled space that keeps one cannot be made, nor loaded
     grid = u4(2, 2)
     gs = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2, keep=True)
-    complex_gs = replace(gs, matrix=gs.matrix.astype(np.complex128))
     with pytest.raises(ValueError, match="complex"):
-        vipsa_run(grid, 2, 2, reference=complex_gs)
+        vipsa_run(grid, 2, 2, reference=replace(gs, matrix=gs.matrix.astype(np.complex128)))
 
 
 def test_runs_reject_a_reference_without_its_matrix():

@@ -31,6 +31,7 @@ from vipsa.hamiltonians import (
 )
 from vipsa.lattice import (
     GridSpec,
+    Translations,
     default_filling,
     fermi_sea,
     momentum_labels,
@@ -521,6 +522,54 @@ def test_each_register_screens_each_class_once(monkeypatch, register):
     space = ground_space(*register_problem(grid, register), 5, 4)
     assert seen == [(1764, 6, 20)] + [(1764, 1, 20)] * 2
     assert space.degeneracy == 4
+
+
+@pytest.mark.parametrize("register", ["k", "real"])
+@pytest.mark.parametrize("shape, couplings, cutoff", SCREENED_GRIDS[1:])
+def test_every_screen_bounds_its_block_from_below(monkeypatch, shape, couplings, cutoff,
+                                                  register):
+    # theta - r bounds a block's lowest value from below only once the k = 1
+    # Lanczos has converged to it, not to the value above; SCREEN_TOL makes
+    # it so.  At tol 1e-3, ARPACK stops near the second value of the 3x3
+    # (5,4) mode block of label 4 at U = 6, and its bound lies above the first
+    screened = []
+    screen = hamiltonians._screen
+
+    def recorded(matrix):
+        values = screen(matrix)
+        screened.append((matrix, values[1]))
+        return values
+
+    monkeypatch.setattr(hamiltonians, "_screen", recorded)
+    for u in couplings:
+        grid = GridSpec.make(*shape, u=u)
+        ground_space(*register_problem(grid, register), *default_filling(grid))
+    assert len(screened) >= 2 * len(couplings)  # the two classes away from the sea, at least
+    for block, bound in screened:
+        assert bound <= hamiltonians._lowest_eigenpairs(block)[0][0]
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_the_site_register_folds_each_class_just_before_its_solve(monkeypatch, keep):
+    # 3x3 (5,4) at U = 6: each class's block is folded (one characters call)
+    # and solved (one _block_ground call per part) before the next class is
+    # folded, the sea's class first, unscreened; so a screened-out block is
+    # let go before the next one is built
+    grid = GridSpec.make(3, 3, u=6.0)
+    events = []
+    characters, block_ground = Translations.characters, hamiltonians._block_ground
+    with monkeypatch.context() as patch:
+        patch.setattr(Translations, "characters", lambda self, label: (
+            events.append(("fold", label)) or characters(self, label)))
+        patch.setattr(hamiltonians, "_block_ground", lambda matrix, screen=True: (
+            events.append(("solve", screen)) or block_ground(matrix, screen)))
+        space = ground_space(*register_problem(grid, "real"), 5, 4, keep=keep)
+    classes = translations(grid).classes()
+    assert [event for event, _ in events] == ["fold", "solve"] * len(classes)
+    assert [screen for event, screen in events if event == "solve"] == [False, True, True]
+    assert sorted(label for event, label in events if event == "fold") == sorted(
+        members[0][0] for members in classes)
+    assert_same_space(space, unscreened_space(monkeypatch, grid, "real", (5, 4), keep))
 
 
 @pytest.mark.parametrize("register", ["k", "real"])
