@@ -239,8 +239,9 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResu
     less than eps2 between evaluations for convergence_window consecutive
     steps; an exactly stationary starting point converges immediately.  The
     best visited point is returned, so a pass can never raise the energy.
-    A non-finite energy or gradient (float64 overflow at a huge coupling,
-    say) is a ValueError naming it and its step.
+    A non-finite energy, gradient or second moment of the gradient (float64
+    overflow at a huge coupling, say) is a ValueError naming it and its
+    step.
     """
     def finite(value, name: str, where: str):
         if not np.isfinite(value).all():
@@ -261,7 +262,9 @@ def adam_minimize(thetas: np.ndarray, evaluate, config: VipsaConfig) -> AdamResu
     steps, streak, converged = 0, 0, False
     for step in range(1, config.max_inner_steps + 1):
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads ** 2
+        with np.errstate(over="ignore"):  # refused just below
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads ** 2
+        finite(v, "second moment of the gradient", f"inner step {step}")
         m_hat = m / (1.0 - ADAM_BETA1 ** step)
         v_hat = v / (1.0 - ADAM_BETA2 ** step)
         thetas = thetas - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_STABILIZER)

@@ -121,8 +121,10 @@ class HvaAnsatz:
     Gate angles are derived from the reduced parameter vector: hopping gates
     take -t * theta of their matching, and each of the two interaction gates
     per layer takes theta_U / 2 on the full U sum.  Gradients are folded back
-    through the same map.  Each gate in `sector_gates` is an orbit table or a
-    diagonal phase over `states`, acting on the Slater amplitudes `x0` there.
+    through the same map.  Each gate in `sector_gates` is an orbit table, with
+    complex128 signs, or a diagonal phase over `states`, acting on the
+    Slater amplitudes `x0` there.  Every layer repeats the same gate
+    objects.
     """
 
     def __init__(self, grid: GridSpec, n_up: int, n_down: int, layers: int = 10):
@@ -141,6 +143,8 @@ class HvaAnsatz:
                 for spin in (UP, DOWN):
                     qubits = qubit_index(i, spin), qubit_index(j, spin)
                     orbit = sector_hopping_orbit(hopping_pair(*qubits), self.states)
+                    # complex signs, as the vector they rotate, so no product casts them
+                    orbit = orbit._replace(sign=orbit.sign.astype(np.complex128))
                     layer.append((orbit, offset, -grid.t))
         gates, offsets, scales = zip(*layer, layer[0])
         layers = self.layout.layers
@@ -217,11 +221,15 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
 
     def evaluate(params):
         # the gradient is taken at every evaluation, even the one that ends
-        # the pass, because every record stores its max|g|
+        # the pass, because every record stores its max|g|; adam_minimize
+        # refuses a non-finite energy or gradient, so numpy need not warn
+        # of the overflow that makes one
         thetas = ansatz.angles(params)
-        energy, x, b = sector_expectation(ansatz.x0, ansatz.sector_gates, thetas, reference.matrix)
-        fid = fidelity(x, reference)  # before the gradient sweep rotates x back
-        grads = ansatz.fold(sector_adjoint_sweep(ansatz.sector_gates, thetas, x, b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy, x, b = sector_expectation(ansatz.x0, ansatz.sector_gates, thetas,
+                                              reference.matrix)
+            fid = fidelity(x, reference)  # before the gradient sweep rotates x back
+            grads = ansatz.fold(sector_adjoint_sweep(ansatz.sector_gates, thetas, x, b))
         records.append(EpochRecord(len(records), float(np.abs(grads).max()), (),
                                    ansatz.n_params, 1, energy, fid))
         history.append(params.copy())

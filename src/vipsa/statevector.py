@@ -143,17 +143,18 @@ def _hopping_factors(pair):
 
 def _check_orbit(orbit: Orbit) -> None:
     """G^3 = -G exactly, so that h = iG has h^3 = h: the table's positions
-    are pairwise distinct across src and dst, every sign is +-1, and
-    |phase| = 1.  Then G is a sum of disjoint 2x2 blocks with G^2 = -1 on
-    each, which is what the closed-form rotation assumes."""
+    are pairwise distinct across src and dst, every sign is +-1, and the
+    phase is 1, -1, i or -i.  Then G is a sum of disjoint 2x2 blocks with
+    G^2 = -1 on each, which is what the closed-form rotation assumes, and
+    its backward coefficients are +-its forward ones (see _rotation)."""
     src, dst, sign, phase = orbit
     positions = np.concatenate((src, dst))
     if positions.size and np.bincount(positions).max() > 1:
         raise ValueError("orbit table repeats a position")
     if not np.all(np.abs(sign) == 1.0):
         raise ValueError("orbit table signs must be +-1")
-    if abs(phase) != 1.0:
-        raise ValueError("orbit table phase must have modulus 1")
+    if phase not in (1, -1, 1j, -1j):
+        raise ValueError("orbit table phase must be 1, -1, i or -i")
 
 
 def diagonal_values(d: PauliSum, n_qubits: int, states: np.ndarray | None = None) -> np.ndarray:
@@ -267,7 +268,9 @@ class Orbit(NamedTuple):
     G|states[src]> = phase*sign|states[dst]> and
     G|states[dst]> = -conj(phase)*sign|states[src]>, so G^2 = -1 on the
     orbits.  phase is 1 for a pool generator O - O† and -i for a hopping
-    generator -i(c†_i c_j + c†_j c_i).
+    generator -i(c†_i c_j + c†_j c_i).  The builders give float64 signs; a
+    table that only rotates complex vectors may hold them as complex128,
+    which saves each product with a vector a cast and gives the same bits.
     """
 
     src: np.ndarray
@@ -327,33 +330,43 @@ def register_orbit(generator, n_qubits: int) -> Orbit:
 
 
 def _rotation(orbit: Orbit, theta: float):
-    """(c, forward, backward) of exp(theta*G) on the orbit table.
+    """(c, forward, add) of exp(theta*G) on the orbit table.
 
     G^2 is minus the projector onto the 2-state orbits G connects (for a
     pool generator A = O - O†, A^2 = -(OO† + O†O)), so the exponential is a
     plane rotation on every orbit: c = cos(theta) on both ends, and across
     them forward = sin(theta)*phase*sign from src to dst and backward =
-    sin(theta)*conj(phase)*sign from dst to src.  Under a real phase the
-    two coefficient arrays are one, and they stay real, so a real vector
-    stays real.
+    sin(theta)*conj(phase)*sign from dst to src.  The phase is real or
+    imaginary, so backward is forward (add False) or -forward (add True),
+    and one coefficient array, in the sign table's dtype unless the phase
+    is complex, serves both ends.  Under a real phase and real signs it
+    stays real, so a real vector stays real.  Any other phase is a
+    ValueError, as _check_orbit refuses it.
     """
     _, _, sign, phase = orbit
-    s = math.sin(theta)
-    forward = s * phase * sign
-    backward = forward if phase == phase.conjugate() else s * phase.conjugate() * sign
-    return math.cos(theta), forward, backward
+    conjugate = phase.conjugate()
+    add = phase != conjugate
+    if add and phase != -conjugate:
+        raise ValueError("orbit table phase must be real or imaginary")
+    return math.cos(theta), math.sin(theta) * phase * sign, add
 
 
 def _rotate_pairs(x: np.ndarray, orbit: Orbit, v_src, v_dst, rotation) -> None:
     """Write the rotation of the gathered slices v_src = x[src], v_dst =
     x[dst] back into x: x[dst] = c*v_dst + forward*v_src and x[src] =
-    c*v_src - backward*v_dst, with the sums taken in place."""
-    c, forward, backward = rotation
+    c*v_src - backward*v_dst, taken as c*v_src + forward*v_dst where
+    backward = -forward, with the sums taken in place.  Negation commutes
+    with rounding, so that sum differs from the subtraction at most in the
+    sign of an exact zero."""
+    c, forward, add = rotation
     rotated = c * v_dst
     rotated += forward * v_src
     x[orbit.dst] = rotated
     rotated = c * v_src
-    rotated -= backward * v_dst
+    if add:
+        rotated += forward * v_dst
+    else:
+        rotated -= forward * v_dst
     x[orbit.src] = rotated
 
 
@@ -563,27 +576,37 @@ def sector_adjoint_sweep(gates, thetas, x: np.ndarray, b: np.ndarray) -> np.ndar
 
     Each gate's work is fused: an orbit gate gathers the src and dst slices
     of both vectors once, takes its overlap from them and rotates both back
-    with one set of coefficients; a phase gate builds its factors once for
-    both.  A gate at angle 0 is only overlapped, not rotated.  The
+    with one coefficient array; a phase gate builds its factors once for
+    both.  A gate at angle 0 is only overlapped, not rotated, and a
+    generator (the same gate object) met again before any gate has rotated
+    x and b since its overlap was taken reuses that overlap.  The
     arithmetic is that of sector_overlap followed by two rotate_sector
     calls, so the results are the same to the bit.
     """
     grads = np.zeros(len(gates))
+    unrotated = {}  # gradient by id(gate), of gates overlapped since the last rotation
     for pos in range(len(gates) - 1, -1, -1):
         gate, theta = gates[pos], thetas[pos]
         rotate = pos > 0 and theta != 0.0
+        if not rotate and id(gate) in unrotated:
+            grads[pos] = unrotated[id(gate)]
+            continue
         if isinstance(gate, SectorPhase):
             grads[pos] = 2.0 * sector_overlap(gate, b, x).real
             if rotate:
                 factors = _phase_factors(gate, -theta)
                 x *= factors
                 b *= factors
-            continue
-        src, dst = gate.src, gate.dst
-        x_src, x_dst, b_src, b_dst = x[src], x[dst], b[src], b[dst]
-        grads[pos] = 2.0 * _pair_overlap(gate, b_src, b_dst, x_src, x_dst).real
+        else:
+            src, dst = gate.src, gate.dst
+            x_src, x_dst, b_src, b_dst = x[src], x[dst], b[src], b[dst]
+            grads[pos] = 2.0 * _pair_overlap(gate, b_src, b_dst, x_src, x_dst).real
+            if rotate:
+                rotation = _rotation(gate, -theta)
+                _rotate_pairs(x, gate, x_src, x_dst, rotation)
+                _rotate_pairs(b, gate, b_src, b_dst, rotation)
         if rotate:
-            rotation = _rotation(gate, -theta)
-            _rotate_pairs(x, gate, x_src, x_dst, rotation)
-            _rotate_pairs(b, gate, b_src, b_dst, rotation)
+            unrotated.clear()
+        else:
+            unrotated[id(gate)] = grads[pos]
     return grads

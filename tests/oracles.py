@@ -12,6 +12,9 @@ single-particle hopping matrix; the library keeps neither.
 `per_gate_sweep` is the exception: it is the adjoint sweep written gate by
 gate through the library's own single-gate kernels, rotating every gate as
 `run_every_gate` does, the reference the fused sweep must match to the bit.
+`two_array_rotation` pins those kernels in turn: it is the orbit rotation
+as it was first written, with float64 signs and separate forward and
+backward coefficient arrays, which `rotate_orbit` must match value for value.
 `eager_adam_optimize` is likewise the library's ADAM pass as it ran before
 gradients were taken on demand.  So are the letter-tuple Pauli product, the
 staged letter-tuple Jordan-Wigner expansion, the per-term (x, z)-keyed
@@ -252,6 +255,25 @@ def rotate_every_gate(x, gate, theta) -> None:
         x *= _phase_factors(gate, theta)
     else:
         rotate_orbit(x, gate, theta)
+
+
+def two_array_rotation(x, orbit, theta) -> None:
+    """exp(theta*G) in place, as rotate_orbit computed it with two
+    coefficient arrays: float64 signs, forward = s*phase*sign from src to
+    dst, backward = s*conj(phase)*sign from dst to src, and the backward
+    term subtracted."""
+    src, dst, sign, phase = orbit
+    sign = np.real(sign).astype(np.float64)
+    s, c = math.sin(theta), math.cos(theta)
+    forward = s * phase * sign
+    backward = s * phase.conjugate() * sign
+    v_src, v_dst = x[src], x[dst]
+    rotated = c * v_dst
+    rotated += forward * v_src
+    x[dst] = rotated
+    rotated = c * v_src
+    rotated -= backward * v_dst
+    x[src] = rotated
 
 
 def run_every_gate(x0, gates, thetas):

@@ -1088,15 +1088,22 @@ def test_run_overflowing_hamiltonian_is_one_line(tmp_path, capsys, recwarn, ansa
     assert not any(cache.iterdir()) and not any(out.iterdir())
 
 
-def test_layered_run_at_a_huge_coupling_is_one_line(tmp_path, capsys):
-    # the interaction gate's gradient grows as U^2, so at U = 1e200 the
-    # first one is nan: the optimizer stops there, before any artifact
+@pytest.mark.parametrize("u, refused", [
+    ("1e78", "second moment of the gradient at inner step 2"),
+    ("1e154", "gradient at the starting point"),
+    ("1e200", "gradient at the starting point"),
+], ids=["1e78", "1e154", "1e200"])
+def test_layered_run_at_a_huge_coupling_is_one_line(tmp_path, capsys, recwarn, u, refused):
+    # the interaction gate's gradient grows as U^2: from U = 1e154 the
+    # first one is nan, and at U = 1e78 it is finite but its square, ADAM's
+    # second moment, is not; the optimizer stops there, before any artifact
     out = tmp_path / "out"
-    config = write(tmp_path / "huge.cfg", f"nx = 2\nny = 3\nu = 1e200\nansatz = hva\n"
+    config = write(tmp_path / "huge.cfg", f"nx = 2\nny = 3\nu = {u}\nansatz = hva\n"
                                           f"layers = 2\nmax_inner_steps = 3\n"
                                           f"output = {out}\ncache = off\n")
     assert main(["run", str(config)]) == 1
-    assert one_error_line(capsys).startswith("error: non-finite gradient at the starting point")
+    assert one_error_line(capsys).startswith(f"error: non-finite {refused}")
+    assert not recwarn.list
     assert not any(out.iterdir())
 
 

@@ -331,6 +331,13 @@ def test_adam_rejects_non_finite_gradient(bad, where):
         adam_minimize(np.zeros(1), evaluate, VipsaConfig(max_inner_steps=5))
 
 
+def test_adam_rejects_a_gradient_whose_square_overflows(recwarn):
+    # 1e200 is finite, but ADAM's second moment takes its square
+    with pytest.raises(ValueError, match="non-finite second moment of the gradient at inner step 1"):
+        adam_minimize(np.zeros(2), lambda t: (1.0, lambda: np.array([1.0, 1e200])), VipsaConfig())
+    assert not recwarn.list
+
+
 def test_adam_is_deterministic():
     config = VipsaConfig(max_inner_steps=50, eps2=1e-9)
 

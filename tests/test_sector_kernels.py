@@ -58,6 +58,7 @@ from oracles import (
     dense_pauli_sum,
     per_gate_sweep,
     run_every_gate,
+    two_array_rotation,
 )
 from replay import register_apply, register_screen_operands
 
@@ -156,28 +157,54 @@ def per_operator_orbit(factors, states):
     return np.flatnonzero(mask), _positions(states, state, "operator"), np.where(parity & 1, -1.0, 1.0)
 
 
-def test_tables_match_the_per_operator_builders():
-    # every 3x3 (5,4) pool table and every 2x4 (4,4) hopping table is
-    # bit-identical to the tables of the builders _ladder_orbits replaced
+@lru_cache(maxsize=None)
+def kernel_tables():
+    """(orbit table, the operator's factors, its sector's bitstrings) of
+    every 3x3 (5,4) pool operator and every 2x4 (4,4) hopping pair."""
     grid = GridSpec.make(3, 3, u=6.0)
     states = sector_basis(grid.n_qubits, 5, 4)
-    pool = build_pool(grid)
-    tables = [(sector_orbit(q.ladder_term(), states),
-               per_operator_orbit(q.ladder_term().factors, states))
-              for q in pool]
+    tables = [(sector_orbit(q.ladder_term(), states), q.ladder_term().factors, states)
+              for q in build_pool(grid)]
     grid = GridSpec.make(2, 4, u=4.0)
     states = sector_basis(grid.n_qubits, 4, 4)
     horizontal, vertical = hopping_edges(grid)
     for i, j in horizontal + vertical:
         for spin in (UP, DOWN):
             pair = hopping_pair(qubit_index(i, spin), qubit_index(j, spin))
-            tables.append((sector_hopping_orbit(pair, states),
-                           per_operator_orbit(pair[0].factors, states)))
-    assert len(pool) == 232 and len(tables) == 232 + 2 * 12
-    for orbit, expected in tables:
-        for got, want in zip(orbit[:3], expected):
+            tables.append((sector_hopping_orbit(pair, states), pair[0].factors, states))
+    return tables
+
+
+def test_tables_match_the_per_operator_builders():
+    # every 3x3 (5,4) pool table and every 2x4 (4,4) hopping table is
+    # bit-identical to the tables of the builders _ladder_orbits replaced
+    tables = kernel_tables()
+    assert len(tables) == 232 + 2 * 12
+    for orbit, factors, states in tables:
+        for got, want in zip(orbit[:3], per_operator_orbit(factors, states)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, complex_=st.booleans(), complex_signs=st.booleans(),
+       theta=st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi / 2]) | angles)
+def test_rotation_matches_the_two_array_formula(seed, complex_, complex_signs, theta):
+    # one coefficient array, added where the two-array form subtracted its
+    # negative, gives the same values on every table, with float or complex
+    # signs, real vectors made complex only where a sign or phase is
+    vectors = {}  # one per sector
+    for orbit, _, states in kernel_tables():
+        if complex_signs:
+            orbit = orbit._replace(sign=orbit.sign.astype(np.complex128))
+        if len(states) not in vectors:
+            vectors[len(states)] = random_sector_vector(states, seed, complex_)
+        x = vectors[len(states)]
+        x = x.astype(np.result_type(x, orbit.sign, orbit.phase))
+        expected = x.copy()
+        rotate_orbit(x, orbit, theta)
+        two_array_rotation(expected, orbit, theta)
+        np.testing.assert_array_equal(x, expected)
 
 
 @st.composite
@@ -367,6 +394,13 @@ def test_orbit_check_rejects_tables_that_are_not_disjoint_pairs():
         _check_orbit(Orbit(src, dst, np.array([1.0, 2.0]), -1j))
     with pytest.raises(ValueError, match="phase"):
         _check_orbit(Orbit(src, dst, sign, 2.0))
+    # a phase off the real and imaginary axes has no one-array rotation:
+    # the check refuses it, and so does the kernel, for an unchecked table
+    tilted = Orbit(src, dst, sign, complex(np.exp(0.3j)))
+    with pytest.raises(ValueError, match="phase"):
+        _check_orbit(tilted)
+    with pytest.raises(ValueError, match="real or imaginary"):
+        rotate_orbit(np.ones(4, dtype=complex), tilted, 0.5)
 
 
 def sweep_matches_per_gate(x0, gates, thetas, h):
@@ -512,23 +546,61 @@ def test_gates_at_angle_zero_change_no_value(shape, zero):
     sweep_matches_per_gate(ansatz.x0, ansatz.sector_gates, thetas, h)
 
 
+def count_overlaps(monkeypatch) -> list[str]:
+    """Names of the overlap kernels called from here on, one per call."""
+    calls = []
+    for name in ("_pair_overlap", "sector_overlap"):
+        def counted(*args, _name=name, _kernel=getattr(statevector, name)):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(statevector, name, counted)
+    return calls
+
+
 def test_gates_at_angle_zero_do_no_rotation(monkeypatch):
     # at the all-zero point neither the run nor the sweep builds a rotation,
-    # and every gate still gets its gradient
+    # every gate still gets its gradient, and the sweep takes one overlap per
+    # generator: 25 for the 260 gates of a 10-layer 2x4 circuit
     ansatz, hva_h = hva_gates(2, 2, 1)
+    layered, layered_h = hva_gates(2, 4, 10)
     _, _, sector, _, orbits = grid_problem(2, 2, 4.0)
     cases = [(ansatz.x0, ansatz.sector_gates, hva_h),
+             (layered.x0, layered.sector_gates, layered_h),
              (random_sector_vector(sector.states, 3), orbits, sector.matrix.real)]
     want = [per_gate_sweep(x0, gates, np.zeros(len(gates)), h) for x0, gates, h in cases]
+    assert len(layered.sector_gates) == 260
+    assert len({id(gate) for gate in layered.sector_gates}) == 25
 
     def refuse(*args):
         raise AssertionError("a gate at angle 0 was rotated")
 
     for name in ("_rotation", "_phase_factors"):
         monkeypatch.setattr(statevector, name, refuse)
+    overlaps = count_overlaps(monkeypatch)
     for (x0, gates, h), (want_energy, want_grads) in zip(cases, want):
         zeros = np.zeros(len(gates))
         assert np.array_equal(sector_run(x0, gates, zeros), x0)
+        overlaps.clear()
         energy, grads = adjoint_evaluation(x0, gates, zeros, h)
+        assert len(overlaps) == len({id(gate) for gate in gates})
         assert energy == want_energy
         np.testing.assert_array_equal(grads, want_grads)
+
+
+@pytest.mark.parametrize("between, n_overlaps", [(0.7, 4), (0.0, 3)])
+def test_a_rotation_between_two_copies_of_a_generator_takes_both_overlaps(
+        monkeypatch, between, n_overlaps):
+    # a hopping gate at angle 0, then another gate, then the same hopping
+    # gate again: its first overlap serves the second copy only if the
+    # gate between them did not rotate x and b
+    ansatz, h = hva_gates(2, 2, 1)
+    phase, hop, other = ansatz.sector_gates[:3]
+    gates = [phase, hop, other, hop]
+    thetas = np.array([0.4, 0.0, between, 0.0])
+    want_energy, want_grads = per_gate_sweep(ansatz.x0, gates, thetas, h)
+    overlaps = count_overlaps(monkeypatch)
+    energy, grads = adjoint_evaluation(ansatz.x0, gates, thetas, h)
+    assert len(overlaps) == n_overlaps
+    assert energy == want_energy
+    np.testing.assert_array_equal(grads, want_grads)
