@@ -102,14 +102,27 @@ def reading(path, key: str | None = None):
         raise ValueError(f"{path} does not hold the fields its load needs: {err!r}") from None
 
 
+@contextmanager
+def replacing(paths):
+    """Yield a {name}.{pid}.tmp path next to each of paths to write in its
+    place, renamed onto paths in order at the end, or all removed on any error."""
+    partial = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        yield partial
+        for written, path in zip(partial, paths):
+            os.replace(written, path)
+    except BaseException:
+        for written in partial:
+            written.unlink(missing_ok=True)
+        raise
+
+
 def cached(cache_dir, stem: str, key: str, kind, build, fits):
     """kind.load of the file for key in cache_dir (a Path), named by stem and
-    a digest of key, or build() saved there.  A file that load cannot use or
-    that fails fits is rebuilt and replaced; a new file is written next to
-    its final name and renamed into place, so a crash mid-write leaves no
-    partial file there.  That file is opened, and a final name held by
-    anything but a file is refused (OSError), before build() runs, so no
-    result is built that could not be kept."""
+    a digest of key, or build() saved there through `replacing`; a file that
+    load cannot use or that fails fits is rebuilt.  The new file is opened,
+    and a final name held by anything but a file refused (OSError), before
+    build() runs, so no result is built that could not be kept."""
     path = cache_dir / f"{stem}-{hashlib.sha256(key.encode()).hexdigest()[:12]}.npys"
     if path.exists():
         try:
@@ -117,15 +130,9 @@ def cached(cache_dir, stem: str, key: str, kind, build, fits):
                 return loaded
         except (OSError, ValueError):
             pass
-    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "wb") as handle:
-            if path.exists() and not path.is_file():
-                raise OSError(f"{path} is not a file, so no cache file can be put there")
-            result = build()
-            result.save(handle, key)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with replacing([path]) as (partial,), open(partial, "wb") as handle:
+        if path.exists() and not path.is_file():
+            raise OSError(f"{path} is not a file, so no cache file can be put there")
+        result = build()
+        result.save(handle, key)
     return result

@@ -5,7 +5,8 @@ call looks its function up at call time, where a hook that
 benchmarks/tracing.py sets on the defining module sees it.  Config files are
 plain ``key = value`` text; every value is checked by the library call that
 uses it before any computation starts, and nothing is written on a config
-error.
+error.  `main` renders every refusal, a ValueError from wherever it is
+raised or an OSError, as one ``error:`` line with exit code 1.
 """
 
 import argparse
@@ -27,13 +28,13 @@ class CliError(Exception):
 
 
 @contextmanager
-def library_checks(origin: str | None = None):
-    """Report the ValueError a library call raises on bad input as one
-    CliError line, prefixed with its origin if given."""
+def library_checks(origin: str):
+    """Report a library call's ValueError as one CliError line prefixed
+    with its origin, which the error's own text does not name."""
     try:
         yield
     except ValueError as err:
-        raise CliError(f"{origin}: {err}" if origin else str(err)) from None
+        raise CliError(f"{origin}: {err}") from None
 
 
 # ---------------------------------------------------------------- config ---
@@ -125,7 +126,9 @@ class Experiment:
         from .lattice import default_filling
         from .statevector import sector_basis
 
-        values = parse_config_text(Path(path).read_text(), path)
+        with library_checks(path):  # a file that is not UTF-8 text is a ValueError
+            text = Path(path).read_text()
+        values = parse_config_text(text, path)
         for key in ("nx", "ny"):
             if key not in values:
                 raise CliError(f"{path}: missing required key '{key}'")
@@ -163,8 +166,7 @@ def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep: bool =
 
     h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
                    else (SiteHamiltonian(grid), translations(grid)))
-    with library_checks():
-        return ground_space(h, symmetry, n_up, n_down, keep)
+    return ground_space(h, symmetry, n_up, n_down, keep)
 
 
 def cached_ground_space(grid, n_up: int, n_down: int, register: str, cache_dir: Path | None):
@@ -177,7 +179,7 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str, cache_dir: 
     the space is solved and nothing is read or written.
     """
     from .hamiltonians import GroundSpace
-    from .lattice import fermi_sea, momentum_labels
+    from .lattice import sea_label
 
     if cache_dir is None:
         return solve_ground_space(grid, n_up, n_down, register, keep=True)
@@ -187,8 +189,7 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str, cache_dir: 
     # names both, and a file written under an older key is rebuilt
     artifact = "real from hopping tables solved on momentum blocks"
     if register == "k":
-        artifact = ("k solved on block "
-                    f"{int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))}")
+        artifact = f"k solved on block {sea_label(grid, n_up, n_down)}"
     return cache.cached(cache_dir, f"ground-{register}-{grid.label()}",
                         _grid_key(grid, n_up, n_down, artifact), GroundSpace,
                         lambda: solve_ground_space(grid, n_up, n_down, register, keep=True),
@@ -222,21 +223,14 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 def _write_run(directory: Path, artifacts: dict) -> None:
     """Write each artifact, name -> (columns, rows) of a CSV or the text of
-    a file, next to its final name, then rename them into place in order,
-    the manifest last, so a failed write leaves the directory as it was."""
-    partial = {name: directory / f"{name}.{os.getpid()}.tmp" for name in artifacts}
-    try:
-        for name, content in artifacts.items():
+    a file, renamed into place in order by cache.replacing, the manifest
+    last, so a failed write leaves the directory as it was."""
+    with cache.replacing([directory / name for name in artifacts]) as partial:
+        for path, content in zip(partial, artifacts.values()):
             if isinstance(content, str):
-                partial[name].write_text(content)
+                path.write_text(content)
             else:
-                _write_csv(partial[name], *content)
-        for name in artifacts:
-            os.replace(partial[name], directory / name)
-    except BaseException:
-        for path in partial.values():
-            path.unlink(missing_ok=True)
-        raise
+                _write_csv(path, *content)
 
 
 def _format(value):
@@ -250,7 +244,7 @@ def cmd_run(args) -> int:
     run = Experiment.from_file(args.config)
     from .core import EPOCH_CSV_COLUMNS, epoch_csv_row, vipsa_run
     from .hva import hva_run
-    from .lattice import fermi_sea, label_momenta, momentum_labels
+    from .lattice import label_momenta, sea_label
 
     # a directory that cannot be made, or an artifact name taken by anything
     # but a file, fails here, before any Hamiltonian is built
@@ -270,33 +264,29 @@ def cmd_run(args) -> int:
     if run.ansatz == "vipsa":
         # the Fermi sea's block: the ground file keeps its matrix and rows,
         # the pool file its bitstrings
-        sea_label = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
-        blocks = {"reference_block": label_momenta(grid, sea_label),
+        sea = sea_label(grid, n_up, n_down)
+        blocks = {"reference_block": label_momenta(grid, sea),
                   "ground_blocks": [label_momenta(grid, block) for block in ground.blocks],
                   "sector_states": len(ground.states), "block_states": len(ground.matrix_rows)}
-        if sea_label not in ground.blocks:
+        if sea not in ground.blocks:
             print(f"warning: the Fermi sea lies in momentum block {blocks['reference_block']}, "
                   "which holds no ground state (the ground space lies in "
                   f"{', '.join(map(str, blocks['ground_blocks']))}), so the run cannot reach it",
                   file=sys.stderr)
         pool = (cached_pool_tables(grid, n_up, n_down,
-                                   (sea_label, ground.states[ground.matrix_rows]), run.cache_dir)
+                                   (sea, ground.states[ground.matrix_rows]), run.cache_dir)
                 if run.cache_dir else None)
-        # a ValueError from here on (the optimizer's non-finite energy, say)
-        # is one error line, and no artifact is written
-        with library_checks():
-            result = vipsa_run(grid, n_up, n_down, run.config, reference=ground, pool=pool,
-                               progress=lambda r: print(
-                                   f"  epoch {r.epoch}: E={r.energy:.8f} "
-                                   f"fid={r.fidelity:.4f} max|g|={r.max_gradient:.2e} "
-                                   f"selected {r.n_selected}"))
+        result = vipsa_run(grid, n_up, n_down, run.config, reference=ground, pool=pool,
+                           progress=lambda r: print(
+                               f"  epoch {r.epoch}: E={r.energy:.8f} "
+                               f"fid={r.fidelity:.4f} max|g|={r.max_gradient:.2e} "
+                               f"selected {r.n_selected}"))
         manifest_extra = {"pool_size": result.pool_size, **blocks}
         if result.status == "empty-pool":
             print("  empty pool: no off-diagonal scattering move has four distinct orbitals "
                   "and a nonzero kinetic gap, so no rotation can leave the Fermi sea")
     else:
-        with library_checks():
-            result = hva_run(grid, n_up, n_down, run.config, layers=run.layers, reference=ground)
+        result = hva_run(grid, n_up, n_down, run.config, layers=run.layers, reference=ground)
         manifest_extra = {"layers": run.layers}
         print(f"  {len(result.records) - 1} steps: E={result.final_energy:.8f} "
               f"fid={result.final_fidelity:.4f}")
@@ -367,10 +357,9 @@ def cmd_ed(args) -> int:
     registers = ("k", "real") if args.register == "both" else (args.register,)
     # every grid and the sector are checked before any Hamiltonian is built;
     # the sector depends only on the grid's shape, not on its coupling
-    with library_checks():
-        grids = [GridSpec.make(nx, ny, t=args.t, u=u) for u in couplings]
-        n_up, n_down = _parse_sector_arg(args.sector) if args.sector else default_filling(grids[0])
-        sector_basis(grids[0].n_qubits, n_up, n_down)
+    grids = [GridSpec.make(nx, ny, t=args.t, u=u) for u in couplings]
+    n_up, n_down = _parse_sector_arg(args.sector) if args.sector else default_filling(grids[0])
+    sector_basis(grids[0].n_qubits, n_up, n_down)
     header = ("grid", "u", "n_up", "n_down", "register", "energy", "degeneracy")
     if args.csv:
         # an unwritable path fails here, before any Hamiltonian is built; the
@@ -497,8 +486,7 @@ def cmd_pool_info(args) -> int:
     from .hamiltonians import interaction_quadruples
 
     nx, ny = _parse_grid_arg(args.grid)
-    with library_checks():
-        grid = GridSpec.make(nx, ny, t=args.t, u=args.u)
+    grid = GridSpec.make(nx, ny, t=args.t, u=args.u)
     table = interaction_quadruples(grid)
     counts = Counter(pool_class(q) for q in table)
     print(f"grid {grid.label()} ({grid.bc_x} x {grid.bc_y}), U={grid.u:g}")
@@ -567,8 +555,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except OSError as err:
-        # a file the command cannot read or write; the error's text names it
+    except (OSError, ValueError) as err:
+        # a file the command cannot read or write, named in the text, or refused input
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from .hamiltonians import (
     GroundSpace,
     InteractionQuadruple,
     build_kspace,
+    check_mode_coupling,
     fidelity,
     ground_space,
     interaction_quadruples,
@@ -360,7 +361,8 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
               reference: GroundSpace | None = None,
               pool: PoolTables | None = None,
               progress=None) -> RunResult:
-    """Full adaptive loop in the mode register of one grid.
+    """Full adaptive loop in the mode register of one grid, whose coupling
+    check_mode_coupling must pass, whatever reference is passed in.
 
     The reference ground space (for fidelities) is solved on the spot per
     point-group class as `vipsa run` solves it, unless a precomputed one is
@@ -381,6 +383,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
     none.  The result names the rotations by pool label, with their final
     angles.
     """
+    check_mode_coupling(grid)
     config = config or VipsaConfig()
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)

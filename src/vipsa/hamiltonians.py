@@ -25,6 +25,7 @@ from .fermions import (
     CREATE,
     LadderTerm,
     PauliSum,
+    _times,
     hopping_pair,
     jordan_wigner,
     jordan_wigner_images,
@@ -41,11 +42,10 @@ from .lattice import (
     axis_energies,
     axis_wavefunctions,
     enumerate_modes,
-    fermi_sea,
     hopping_edges,
     label_momenta,
-    momentum_labels,
     qubit_index,
+    sea_label,
 )
 from .statevector import StateVector, _compiled_terms, _ladder_orbits, _parity, sector_basis
 
@@ -77,6 +77,11 @@ SCREEN_TOL = 1e-6
 # about half a second.
 LANCZOS_MAXITER = 500
 AMPLITUDE_DROP_TOL = 1e-12
+# Largest |U| the mode register's H is solved at.  Its U/N momentum couplings
+# must cancel down to the exchange scale 4t^2/U, and float64 keeps about U eps
+# of each sum: 2x3 (3,3)'s two registers part by 4.1e-10 at 1e6, 1.9e-9 at
+# 1.5e6 and 8.4e-9 at 1e7, and at 1e20 the mode register's energy is -35137.
+MODE_COUPLING_LIMIT = 1e6
 # Working set of sector_matrix's flip tables, in entries: a batch of tables
 # holds at most this many, and the states their nonzero entries select are
 # sought this many (entry, state) pairs at a time.  At 2^16 the search and
@@ -155,22 +160,10 @@ def interaction_quadruples(grid: GridSpec) -> tuple[InteractionQuadruple, ...]:
     """
     if grid.u == 0.0:
         return ()
-
-    def product(a, b):
-        # a * b rounded as numpy's complex scalars round it, with no fused
-        # multiply-add, which its complex array loops may use
-        if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-            return a * b
-        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-        out.real = a.real * b.real - a.imag * b.imag
-        out.imag = a.real * b.imag + a.imag * b.real
-        return out
-
     # every (a, b, c, d) of slots at once, a along the first axis
     ys, xs = np.divmod(np.arange(grid.n_sites), grid.nx)
-    v = product(product(grid.u, _axis_overlap(grid.nx, grid.bc_x)[np.ix_(*[xs] * 4)]),
-                _axis_overlap(grid.ny, grid.bc_y)[np.ix_(*[ys] * 4)])
+    v = _times(_times(grid.u, _axis_overlap(grid.nx, grid.bc_x)[np.ix_(*[xs] * 4)]),
+               _axis_overlap(grid.ny, grid.bc_y)[np.ix_(*[ys] * 4)])
     kept = np.abs(v) > AMPLITUDE_DROP_TOL * abs(grid.u)
     v = v[kept]
     unreal = np.abs(v.imag) > 1e-12 * np.abs(v)
@@ -523,8 +516,8 @@ class GroundSpace:
     applies H to any vector given on the block: the Fermi sea's momentum
     block in the mode register, the whole sector in the site register.  Its
     CSR arrays are checked (row pointers rising from 0 to the entry count,
-    columns in range, finite entries, and real ones in a labelled space), so
-    a file that passes its crcs but not these is refused, not applied.
+    columns in range, finite real entries, as both registers' H has), so a
+    file that passes its crcs but not these is refused, not applied.
     `blocks` holds the total-momentum label (lattice.momentum_labels) of
     each vector's block, UNLABELLED when the sector was solved without them.
     `save` and `load` keep these fields plus an optional key naming their
@@ -561,6 +554,8 @@ class GroundSpace:
                                  f"within its {len(rows)} rows")
             if not np.isfinite(self.matrix.data).all():
                 raise ValueError("sector matrix has a non-finite entry")
+            if np.iscomplexobj(self.matrix.data):
+                raise ValueError("sector matrix is complex; both registers' H is real")
         if self.vectors.shape[0] != dim:
             raise ValueError(f"ground vectors of length {self.vectors.shape[0]} do not fit "
                              f"{dim} sector states")
@@ -569,11 +564,6 @@ class GroundSpace:
         if self.blocks.shape != (self.degeneracy,):
             raise ValueError(f"{self.blocks.shape} block labels do not fit "
                              f"{self.degeneracy} ground vectors")
-        # the mode register's blocks are real, as an adaptive run's states are
-        if (self.matrix is not None and UNLABELLED not in self.blocks
-                and np.iscomplexobj(self.matrix.data)):
-            raise ValueError("a labelled space's sector matrix is complex; a mode-register "
-                             "block's is real")
 
     @property
     def states(self) -> np.ndarray:
@@ -730,15 +720,22 @@ def _momentum_blocks(rows_at, states: np.ndarray, symmetry: Translations, classe
             yield members, everything, basis[:, columns], block[columns][:, columns]
 
 
+def check_mode_coupling(grid: GridSpec) -> None:
+    """Refuse (ValueError) a |U| above MODE_COUPLING_LIMIT: see there."""
+    if abs(grid.u) > MODE_COUPLING_LIMIT:
+        raise ValueError(f"|U| = {abs(grid.u):g} is above {MODE_COUPLING_LIMIT:g}, the largest "
+                         "coupling the mode register resolves")
+
+
 def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translations,
                  n_up: int, n_down: int, keep: bool = False) -> GroundSpace:
     """Ground multiplet of the sector of symmetry.grid's register, degeneracy
     resolved at GROUND_DEGENERACY_TOL.
 
     h is the mode register's Pauli sum, which sector_matrix builds on each
-    set of bitstrings, solved on the point group of its grid; or a
-    SiteHamiltonian, solved on the translations of its own grid.  Any other
-    pairing is a ValueError.
+    set of bitstrings, solved on the point group of its grid, whose coupling
+    check_mode_coupling must pass; or a SiteHamiltonian, solved on the
+    translations of its own grid.  Any other pairing is a ValueError.
 
     The class of the Fermi sea's block (lattice.fermi_sea) comes first.  The
     Gell-Mann-Low state, switched on adiabatically from the sea, keeps the
@@ -796,17 +793,17 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
     grid = symmetry.grid
     states = sector_basis(grid.n_qubits, n_up, n_down)
     matrix = matrix_rows = kept_label = None
-    sea_label = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
+    sea = sea_label(grid, n_up, n_down)
 
     def away_from_sea(members) -> bool:
-        return sea_label not in dict(members)
+        return sea not in dict(members)
 
     if site:
         # the sea's lattice momentum: an open axis has no shift, and the mode
         # label's component along it is a parity
-        lx, ly = label_momenta(grid, sea_label)
-        sea_label = ((lx if grid.bc_x == PERIODIC else 0)
-                     + grid.nx * (ly if grid.bc_y == PERIODIC else 0))
+        lx, ly = label_momenta(grid, sea)
+        sea = ((lx if grid.bc_x == PERIODIC else 0)
+               + grid.nx * (ly if grid.bc_y == PERIODIC else 0))
         rows_at = partial(h.rows, states)
         if keep:
             matrix_rows = np.arange(len(states))
@@ -816,9 +813,10 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
         blocks = _momentum_blocks(rows_at, states, symmetry,
                                   sorted(symmetry.classes(), key=away_from_sea))
     else:
+        check_mode_coupling(grid)
         labels = symmetry.labels(states)
         if keep:
-            kept_label = sea_label
+            kept_label = sea
         classes = sorted(symmetry.classes(states, labels, kept_label), key=away_from_sea)
         # built lazily, so only the block being solved is held
         blocks = ((members, rows, None, sector_matrix(h, states[rows], grid.n_qubits))

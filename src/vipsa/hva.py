@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdamResult, EpochRecord, VipsaConfig, adam_minimize
+from .core import EpochRecord, VipsaConfig, adam_minimize
 from .fermions import hopping_pair
 from .hamiltonians import (
     GroundSpace,
@@ -49,13 +49,12 @@ from .statevector import (
 
 Edge = tuple[int, int]
 
-# The all-zero point is exactly stationary: the reference state is real, every
-# generator is real, so each gradient component is the real part of a purely
-# imaginary number.  Optimizers normally leave it anyway because rounding noise
-# feeds ADAM's normalized step; this fixed offset plays that role without
-# making the trajectory machine-dependent.
+# The all-zero point is exactly stationary: H is real (GroundSpace refuses a
+# complex kept matrix), the reference state is real and every generator is
+# imaginary, so each gradient component is the real part of a purely
+# imaginary number, 0, and ADAM would never leave it.  It starts from this
+# fixed offset instead, which, unlike rounding noise, is the same on any machine.
 STATIONARY_KICK = 1e-2
-STATIONARY_TOL = 1e-12
 
 # Most gates a layered circuit may hold: HvaAnsatz keeps about 24 bytes per
 # gate, 53 at an evaluation's peak (tracemalloc on 2x2), so about 55 MB;
@@ -196,10 +195,10 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
             reference: GroundSpace | None = None) -> HvaResult:
     """Optimize all layer parameters from zero against the site-register model.
 
-    The exact all-zero point is evaluated and recorded first; since it is
-    stationary, the optimization proper starts from STATIONARY_KICK on every
-    parameter.  Each evaluation is recorded as a one-step EpochRecord, along
-    with the parameter vector itself so any intermediate state can be
+    The exact all-zero point, whose gradient is exactly 0 (STATIONARY_KICK),
+    is evaluated and recorded first; ADAM starts from STATIONARY_KICK on
+    every parameter.  Each evaluation is recorded as a one-step EpochRecord,
+    along with the parameter vector itself so any intermediate state can be
     reconstructed exactly.  Every evaluation runs on the sector vector.
     The sector Hamiltonian comes from the reference ground space, solved on
     the spot in the site register's momentum blocks unless passed in; one
@@ -235,11 +234,8 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
         history.append(params.copy())
         return energy, lambda: grads
 
-    start = np.zeros(ansatz.n_params)
-    _, gradient0 = evaluate(start)
-    if np.abs(gradient0()).max() <= STATIONARY_TOL:
-        start = np.full(ansatz.n_params, STATIONARY_KICK)
-    outcome: AdamResult = adam_minimize(start, evaluate, config)
+    evaluate(np.zeros(ansatz.n_params))
+    outcome = adam_minimize(np.full(ansatz.n_params, STATIONARY_KICK), evaluate, config)
     status = "converged" if outcome.converged else "exhausted"
     # adam returns the first minimum of outcome.energies, and its evaluations
     # are recorded after the zero point's, so that record holds the fidelity

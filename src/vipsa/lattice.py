@@ -299,6 +299,11 @@ def momentum_labels(grid: GridSpec, states) -> np.ndarray:
     return lx % mod_x + mod_x * (ly % mod_y)
 
 
+def sea_label(grid: GridSpec, n_up: int, n_down: int) -> int:
+    """The momentum_labels label of the (n_up, n_down) Fermi sea's bitstring."""
+    return int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
+
+
 def label_momenta(grid: GridSpec, label: int) -> tuple[int, int]:
     """The (lx, ly) components of a momentum_labels label."""
     ly, lx = divmod(int(label), _label_moduli(grid)[0])

@@ -24,7 +24,7 @@ from vipsa.hamiltonians import (
     ground_space,
     sector_matrix,
 )
-from vipsa.lattice import GridSpec, fermi_sea, momentum_labels, point_group, translations
+from vipsa.lattice import GridSpec, momentum_labels, point_group, sea_label, translations
 from vipsa.statevector import sector_basis
 
 
@@ -56,7 +56,7 @@ def sea_block(grid: GridSpec, n_up: int, n_down: int) -> tuple[int, np.ndarray]:
     sector bitstrings of its block, where every state of an adaptive run
     lives, from one momentum_labels pass over the sector."""
     states = sector_basis(grid.n_qubits, n_up, n_down)
-    label = int(momentum_labels(grid, fermi_sea(grid, n_up, n_down).bitstring()))
+    label = sea_label(grid, n_up, n_down)
     block = states[momentum_labels(grid, states) == label]
     _read_only(block)
     return label, block

@@ -19,10 +19,11 @@ from numpy.lib.format import dtype_to_descr, write_array, write_array_header_1_0
 
 from vipsa.cache import read_fields, write_fields, write_record
 from vipsa.cli import main
-from vipsa.lattice import GridSpec, fermi_sea
+from vipsa.hamiltonians import MODE_COUPLING_LIMIT
+from vipsa.lattice import GridSpec, fermi_sea, momentum_labels
 from vipsa.statevector import sector_basis
 
-from builds import sea_block, site_space
+from builds import kspace_hamiltonian, sea_block, site_space
 from replay import refuse_pauli_path
 
 
@@ -380,8 +381,7 @@ def plant_nan_entry(path: Path, at: int = 0) -> None:
 
 
 def plant_complex_block_matrix(path: Path) -> None:
-    # the same values as complex128: a mode-register block's matrix is real,
-    # and the adaptive run that loads it is
+    # the same values as complex128: both registers' H is real
     resave(path, matrix_data=read_fields(path, None)["matrix_data"].astype(complex))
 
 
@@ -413,6 +413,21 @@ def test_damaged_cache_is_rebuilt(tmp_path, capsys, damage):
     stamp = cache.stat().st_mtime_ns
     run_config(tmp_path, "third", u=4.0, max_epochs=1)
     assert cache.stat().st_mtime_ns == stamp  # the rebuilt file is a cache hit
+
+
+def test_a_complex_site_matrix_is_rebuilt(tmp_path, capsys):
+    # a layered run's ground file keeps the site register's sector matrix,
+    # which is as real as a mode-register block's
+    code, first = run_config(tmp_path, "one", u=4.0, ansatz="hva", layers=2, max_inner_steps=3)
+    cache, = (tmp_path / "cache").glob("ground-real-*.npys")
+    saved = cache.read_bytes()
+    plant_complex_block_matrix(cache)
+    again_code, again = run_config(tmp_path, "again", u=4.0, ansatz="hva", layers=2,
+                                   max_inner_steps=3)
+    assert again_code == code
+    assert_same_artifacts(first, again)
+    assert cache_files(tmp_path) == [cache.name]
+    assert cache.read_bytes() == saved  # rebuilt
 
 
 def plant_stored_basis(path: Path) -> None:
@@ -1069,23 +1084,71 @@ def test_ed_rejects_non_finite_couplings(capsys, argv):
     assert "must be finite" in one_error_line(capsys)
 
 
-@pytest.mark.parametrize("register", ["k", "real"])
-def test_ed_overflowing_hamiltonian_is_one_line(capsys, recwarn, register):
-    # U = 1e308 is finite, but the 2x2 sector matrix's sums overflow
+UNRESOLVED = "the largest coupling the mode register resolves"
+
+
+@pytest.mark.parametrize("register, refused", [("k", UNRESOLVED), ("real", "non-finite")],
+                         ids=["k", "real"])
+def test_ed_overflowing_hamiltonian_is_one_line(capsys, recwarn, register, refused):
+    # U = 1e308 is finite, but the 2x2 site sector matrix's sums overflow;
+    # the mode register refuses so large a coupling before it builds one
     assert main(["ed", "--grid", "2x2", "--u", "1e308", "--register", register]) == 1
-    assert "non-finite" in one_error_line(capsys)
+    assert refused in one_error_line(capsys)
     assert not recwarn.list
 
 
-@pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
-def test_run_overflowing_hamiltonian_is_one_line(tmp_path, capsys, recwarn, ansatz):
+@pytest.mark.parametrize("ansatz, u, refused", [("vipsa", "1e308", UNRESOLVED),
+                                                ("hva", "1e308", "non-finite"),
+                                                ("vipsa", "1e20", UNRESOLVED)],
+                         ids=["vipsa", "hva", "vipsa-1e20"])
+def test_run_overflowing_hamiltonian_is_one_line(tmp_path, capsys, recwarn, ansatz, u, refused):
+    # the mode register cannot resolve U = 1e20, so an adaptive run there
+    # would optimize against a wrong H and write its artifacts
     cache, out = tmp_path / "cache", tmp_path / "out"
-    config = write(tmp_path / "huge.cfg", f"nx = 2\nny = 3\nu = 1e308\nansatz = {ansatz}\n"
+    config = write(tmp_path / "huge.cfg", f"nx = 2\nny = 3\nu = {u}\nansatz = {ansatz}\n"
                                           f"output = {out}\ncache_dir = {cache}\n")
     assert main(["run", str(config)]) == 1
-    assert "non-finite" in one_error_line(capsys)
+    assert refused in one_error_line(capsys)
     assert not recwarn.list
     assert not any(cache.iterdir()) and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("register", ["k", "both"])
+@pytest.mark.parametrize("u", ["1e12", "1e20"])
+def test_ed_refuses_a_coupling_the_mode_register_cannot_resolve(capsys, recwarn, u, register):
+    # the mode register's U/N sums keep about U eps each, so at U = 1e20
+    # its ground energy would be -35137.42, against the site register's 0
+    assert main(["ed", "--grid", "2x3", "--u", u, "--register", register]) == 1
+    assert one_error_line(capsys) == (f"error: |U| = {float(u):g} is above 1e+06, {UNRESOLVED}\n")
+    assert not recwarn.list
+
+
+def test_the_site_register_solves_a_coupling_the_mode_register_refuses(capsys):
+    assert main(["ed", "--grid", "2x3", "--u", "1e20", "--register", "real"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[4:] == ["real", "0.00000000", "20"]
+
+
+def test_a_config_that_is_not_utf8_is_one_line(tmp_path, capsys):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(f"nx = 2\nny = 2\noutput = {out}\ncache_dir = {cache}\n".encode()
+                       + "# U in \xe9nergie units\n".encode("latin-1"))
+    assert main(["run", str(config)]) == 1
+    assert one_error_line(capsys).startswith(f"error: {config}: 'utf-8' codec can't decode")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cfg"]
+
+
+def test_a_refusal_from_any_library_call_is_one_line(capsys, monkeypatch):
+    # main renders every ValueError, not only those of calls a command wraps
+    from vipsa import hamiltonians
+
+    def refuse(grid):
+        raise ValueError(f"no table for {grid.label()}")
+
+    monkeypatch.setattr(hamiltonians, "interaction_quadruples", refuse)
+    assert main(["pool-info", "--grid", "2x2"]) == 1
+    assert one_error_line(capsys) == "error: no table for 2x2\n"
 
 
 @pytest.mark.parametrize("u, refused", [
@@ -1117,15 +1180,23 @@ def test_ed_lanczos_that_does_not_converge_is_one_line(capsys, monkeypatch):
     assert "Lanczos failed on a block of 132 states" in one_error_line(capsys)
 
 
-def test_ed_that_cannot_converge_fails_within_seconds(capsys):
-    # no window of the 1764-state blocks converges at U = 1e303; eigsh's
-    # restarts are bounded, so the error line comes after about half a
-    # second, where eigsh's own bound of 10 per state spun for 16 s
+def test_ed_that_cannot_converge_fails_within_seconds():
+    # no window of 3x3 (5,4)'s 1764-state mode block of label 0 converges at
+    # U = 1e303, a coupling `vipsa ed` refuses before any solve, so the block
+    # is built here; eigsh's restarts are bounded, so the error comes after
+    # about half a second, where eigsh's own bound of 10 per state spun for
+    # 16 s
+    from vipsa.hamiltonians import _lowest_eigenpairs, sector_matrix
+
+    grid = GridSpec.make(3, 3, u=1e303)
+    states = sector_basis(grid.n_qubits, 5, 4)
+    block = sector_matrix(kspace_hamiltonian(grid), states[momentum_labels(grid, states) == 0],
+                          grid.n_qubits)
     start = time.perf_counter()
-    assert main(["ed", "--grid", "3x3", "--u", "1e303", "--register", "both"]) == 1
+    with pytest.raises(ValueError, match=r"^Lanczos failed on a block of 1764 states: "
+                                         r"ARPACK error -1: No convergence \("):
+        _lowest_eigenpairs(block)
     assert time.perf_counter() - start < 2.0
-    assert one_error_line(capsys).startswith(
-        "error: Lanczos failed on a block of 1764 states: ARPACK error -1: No convergence (")
 
 
 @pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
@@ -1396,28 +1467,43 @@ def test_ed_registers_agree(capsys):
     assert by_key[("0", "k")] == pytest.approx(sea.energy, abs=1e-9)
 
 
-def test_ed_at_large_coupling_agrees_across_registers(tmp_path, capsys):
+@pytest.mark.parametrize("shape", ["2x3", "2x4"])
+def test_ed_at_large_coupling_agrees_across_registers(tmp_path, capsys, shape):
     # the Hermiticity, stray-amplitude and realness checks scale with the
-    # operator, so rounding residue in proportion to U does not trip them
+    # operator, so rounding residue in proportion to U does not trip them,
+    # and at the largest coupling the mode register is solved at, the two
+    # registers still agree
     target = tmp_path / "ed.csv"
-    assert main(["ed", "--grid", "2x3", "--u", "1e6", "--register", "both",
+    assert main(["ed", "--grid", shape, "--u", f"{MODE_COUPLING_LIMIT:g}", "--register", "both",
                  "--csv", str(target)]) == 0
-    energies = {row["register"]: float(row["energy"]) for row in read_csv(target)}
-    assert energies["k"] == pytest.approx(energies["real"], abs=1e-9)
+    assert capsys.readouterr().err == ""
+    k_row, real_row = read_csv(target)
+    assert float(k_row["energy"]) == pytest.approx(float(real_row["energy"]), abs=1e-9)
+    assert k_row["degeneracy"] == real_row["degeneracy"]
 
 
-@pytest.mark.parametrize("u, warned", [("1e9", True), ("4", False)])
-def test_ed_warns_when_the_registers_disagree(tmp_path, capsys, u, warned):
-    # at U = 1e9 rounding in proportion to U parts the two registers' energies
+@pytest.mark.parametrize("shift, warned", [(1e-8, True), (0.0, False)], ids=["apart", "equal"])
+def test_ed_warns_when_the_registers_disagree(tmp_path, capsys, monkeypatch, shift, warned):
+    # one register's energy moved by more than REGISTER_AGREEMENT_TOL is one
+    # warning line, after the table
+    import vipsa.cli
+
+    solve = vipsa.cli.solve_ground_space
+
+    def shifted(grid, n_up, n_down, register):
+        space = solve(grid, n_up, n_down, register)
+        return dataclasses.replace(space, energy=space.energy + shift * (register == "k"))
+
+    monkeypatch.setattr(vipsa.cli, "solve_ground_space", shifted)
     target = tmp_path / "ed.csv"
-    assert main(["ed", "--grid", "2x3", "--u", u, "--register", "both",
+    assert main(["ed", "--grid", "2x3", "--u", "4", "--register", "both",
                  "--csv", str(target)]) == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 3 and len(read_csv(target)) == 2
     if warned:
         assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
-        assert "2x3" in captured.err and "U=1e+09" in captured.err
-        assert "apart" in captured.err
+        assert "2x3" in captured.err and "U=4" in captured.err
+        assert "1.0e-08 apart" in captured.err
     else:
         assert captured.err == ""
 

@@ -522,11 +522,22 @@ def test_run_rejects_reference_from_another_sector():
 def test_run_rejects_a_complex_reference_matrix():
     # the run's states and generators are real, so a complex sector
     # Hamiltonian is refused rather than silently cut to its real part: a
-    # labelled space that keeps one cannot be made, nor loaded
+    # space of either register that keeps one cannot be made, nor loaded
     grid = u4(2, 2)
     gs = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2, keep=True)
     with pytest.raises(ValueError, match="complex"):
         vipsa_run(grid, 2, 2, reference=replace(gs, matrix=gs.matrix.astype(np.complex128)))
+    site = site_space(grid, 2, 2)
+    with pytest.raises(ValueError, match="complex"):
+        replace(site, matrix=site.matrix.astype(np.complex128))
+
+
+def test_run_refuses_a_coupling_the_mode_register_cannot_resolve():
+    # a ground file written before the bound, passed in as the reference,
+    # is refused too
+    reference = sea_block_space(u4(2, 2), 2, 2)
+    with pytest.raises(ValueError, match="above 1e\\+06, the largest coupling"):
+        vipsa_run(GridSpec.make(2, 2, u=-1e12), 2, 2, reference=reference)
 
 
 def test_runs_reject_a_reference_without_its_matrix():

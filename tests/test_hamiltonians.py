@@ -37,6 +37,7 @@ from vipsa.lattice import (
     momentum_labels,
     point_group,
     real_orbital_basis,
+    sea_label,
     translations,
 )
 from vipsa.statevector import (
@@ -856,11 +857,11 @@ def test_kept_matrix_is_the_block_a_run_lives_in(shape, u, sector, register):
     grid = GridSpec.make(*shape, u=u)
     if register == "k":
         space = sea_block_space(grid, *sector)
-        sea_label = int(momentum_labels(grid, fermi_sea(grid, *sector).bitstring()))
-        rows = np.flatnonzero(momentum_labels(grid, space.states) == sea_label)
+        label = sea_label(grid, *sector)
+        rows = np.flatnonzero(momentum_labels(grid, space.states) == label)
         expected = sector_matrix(kspace_hamiltonian(grid), space.states[rows], grid.n_qubits)
         if shape == (2, 3):
-            assert sea_label == 4 and space.blocks.tolist() == [0]
+            assert label == 4 and space.blocks.tolist() == [0]
     else:
         space = site_space(grid, *sector)
         rows = np.arange(len(space.states))

@@ -12,7 +12,9 @@ The library's own source and the tests are read too: no file imports a name
 it never uses, except a library module's one marked `# noqa: F401` that a
 hook names on that module, and no library module defines or imports a
 full-register helper that only tests used and that now lives in
-`tests/oracles.py` or `tests/replay.py`.
+`tests/oracles.py` or `tests/replay.py`.  Two rules keep one owner each:
+only `cache.py` renames a file into place, and no call site turns a
+ValueError into an error line without adding where it came from.
 """
 
 import ast
@@ -102,6 +104,49 @@ def test_every_import_is_used():
             if name not in used and not pinned:
                 unused.append(f"{module}:{line} {name}")
     assert not unused, unused
+
+
+def calls(tree):
+    """(dotted name, call node) of every call in the tree to a name or an
+    attribute of one, e.g. "os.replace" or "library_checks"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            target = node.func
+            parts = []
+            while isinstance(target, ast.Attribute):
+                parts.append(target.attr)
+                target = target.value
+            if isinstance(target, ast.Name):
+                yield ".".join([target.id, *reversed(parts)]), node
+
+
+def test_only_the_cache_module_renames_files_into_place():
+    # cache.replacing owns write-then-rename; a second copy of the rule
+    # could drift from it
+    found = [f"{module}:{node.lineno}" for module, tree, _ in source_modules()
+             for name, node in calls(tree) if name == "os.replace" and module != "vipsa.cache"]
+    assert not found, found
+
+
+def test_no_call_site_rewraps_a_refusal_without_its_origin():
+    # cli.main renders every ValueError as one error line, so a wrapper that
+    # catches one earlier earns its place only by naming where it came from:
+    # library_checks is called with an origin, and no handler of a
+    # ValueError raises the caught error's own text again
+    found = []
+    for module, tree, _ in source_modules():
+        found += [f"{module}:{node.lineno} library_checks()" for name, node in calls(tree)
+                  if name == "library_checks" and not (node.args or node.keywords)]
+        for handler in ast.walk(tree):
+            if not (isinstance(handler, ast.ExceptHandler) and handler.name
+                    and "ValueError" in ast.unparse(handler.type)):
+                continue
+            bare = {f"str({handler.name})", handler.name, f"f'{{{handler.name}}}'"}
+            for node in ast.walk(handler):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and any(ast.unparse(arg) in bare for arg in node.exc.args)):
+                    found.append(f"{module}:{node.lineno} re-raises {handler.name} bare")
+    assert not found, found
 
 
 # Test-only full-register helpers the library no longer keeps; a class

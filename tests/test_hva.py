@@ -123,6 +123,20 @@ def test_zero_parameters_are_stationary(shape, filling):
     assert np.max(np.abs(grads)) <= 1e-10
 
 
+@pytest.mark.parametrize("u", [0.0, 1.0, 4.0, 6.5, 1e3])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_the_recorded_zero_point_is_exactly_stationary(shape, u):
+    # hva_run starts ADAM at STATIONARY_KICK without looking at the zero
+    # point's gradient: H is real, x0 is real and every generator is
+    # imaginary, so that gradient is 0 to the bit
+    grid = GridSpec.make(*shape, u=u)
+    reference = site_space(grid, *default_filling(grid))
+    for layers in (1, 3, 10):
+        result = hva_run(grid, config=VipsaConfig(max_inner_steps=1), layers=layers,
+                         reference=reference)
+        assert result.records[0].max_gradient == 0.0
+
+
 def test_states_are_normalized_and_complex_off_axis():
     grid = GridSpec.make(2, 2, u=2.0)
     ansatz = HvaAnsatz(grid, 2, 2)
