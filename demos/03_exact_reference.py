@@ -13,23 +13,23 @@ import numpy as np
 from vipsa import (
     GridSpec,
     build_kspace,
+    build_real,
     default_filling,
     fermi_sea,
     ground_space,
     rs_perturbation,
 )
-from vipsa.hamiltonians import SiteHamiltonian, fidelity, sector_matrix
-from vipsa.lattice import point_group, translations
+from vipsa.hamiltonians import fidelity, sector_matrix
 
 
 def main():
     grid = GridSpec.make(2, 3, u=4.0)
     n_up, n_down = default_filling(grid)
     sea = fermi_sea(grid, n_up, n_down)
-    h_k = build_kspace(grid)[0]
-    gs = ground_space(h_k, point_group(grid), n_up, n_down)
+    h_k = build_kspace(grid)
+    gs = ground_space(h_k, n_up, n_down)
     # keep holds the site register's whole sector matrix, as a layered run does
-    gs_real = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down, keep=True)
+    gs_real = ground_space(build_real(grid), n_up, n_down, keep=True)
 
     # both registers are solved one momentum block at a time; the mode
     # register keeps no whole-sector matrix, the site-register space keeps
@@ -37,7 +37,7 @@ def main():
     print(f"Lowest sector eigenvalues of the {grid.label()} grid at "
           f"u = {grid.u:g}, filling ({n_up}, {n_down}):")
     k_values, r_values = (np.linalg.eigvalsh(matrix.toarray())[:6] for matrix in
-                          (sector_matrix(h_k, gs.states, grid.n_qubits), gs_real.matrix))
+                          (sector_matrix(h_k.pauli, gs.states, grid.n_qubits), gs_real.matrix))
     print(f"  {'mode register':>16} {'site register':>16} {'difference':>12}")
     for kv, rv in zip(k_values, r_values):
         print(f"  {kv:>16.10f} {rv:>16.10f} {abs(kv - rv):>12.2e}")
@@ -60,7 +60,7 @@ def main():
     for u in (0.1, 0.2, 0.4):
         grid = GridSpec.make(2, 4, u=u)
         e0, e1, e2 = rs_perturbation(grid, 4, 4)
-        exact = ground_space(build_kspace(grid)[0], point_group(grid), 4, 4).energy
+        exact = ground_space(build_kspace(grid), 4, 4).energy
         series = e0 + e1 + e2
         print(f"  {u:>5.2f} {series:>14.8f} {exact:>14.8f} "
               f"{abs(series - exact):>10.2e}")

@@ -23,18 +23,14 @@ from .core import VipsaConfig
 from .lattice import GridSpec
 
 
-class CliError(Exception):
-    """User-facing failure; rendered as one line on stderr, exit code 1."""
-
-
 @contextmanager
 def library_checks(origin: str):
-    """Report a library call's ValueError as one CliError line prefixed
-    with its origin, which the error's own text does not name."""
+    """Prefix a library call's ValueError with its origin, which the
+    error's own text does not name."""
     try:
         yield
     except ValueError as err:
-        raise CliError(f"{origin}: {err}") from None
+        raise ValueError(f"{origin}: {err}") from None
 
 
 # ---------------------------------------------------------------- config ---
@@ -91,16 +87,16 @@ def parse_config_text(text: str, origin: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CliError(f"{origin}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{origin}:{lineno}: expected 'key = value'")
         key, value = key.strip(), value.strip()
         if key not in CONFIG_SCHEMA:
-            raise CliError(f"{origin}:{lineno}: unknown key '{key}'")
+            raise ValueError(f"{origin}:{lineno}: unknown key '{key}'")
         if key in values:
-            raise CliError(f"{origin}:{lineno}: duplicate key '{key}'")
+            raise ValueError(f"{origin}:{lineno}: duplicate key '{key}'")
         try:
             values[key] = CONFIG_SCHEMA[key](value)
         except ValueError as err:
-            raise CliError(f"{origin}:{lineno}: bad value for {key}: {err}") from None
+            raise ValueError(f"{origin}:{lineno}: bad value for {key}: {err}") from None
     return values
 
 
@@ -131,9 +127,9 @@ class Experiment:
         values = parse_config_text(text, path)
         for key in ("nx", "ny"):
             if key not in values:
-                raise CliError(f"{path}: missing required key '{key}'")
+                raise ValueError(f"{path}: missing required key '{key}'")
         if ("n_up" in values) != ("n_down" in values):
-            raise CliError(f"{path}: set both n_up and n_down or neither")
+            raise ValueError(f"{path}: set both n_up and n_down or neither")
 
         def given(*keys):  # unset keys take the library's defaults
             return {key: values[key] for key in keys if key in values}
@@ -161,12 +157,10 @@ def _grid_key(grid, n_up: int, n_down: int, artifact: str) -> str:
 def solve_ground_space(grid, n_up: int, n_down: int, register: str, keep: bool = False):
     """The ground space in the register named "k" or "real", kept as
     ground_space keeps it."""
-    from .hamiltonians import SiteHamiltonian, build_kspace, ground_space
-    from .lattice import point_group, translations
+    from .hamiltonians import build_kspace, build_real, ground_space
 
-    h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
-                   else (SiteHamiltonian(grid), translations(grid)))
-    return ground_space(h, symmetry, n_up, n_down, keep)
+    build = build_kspace if register == "k" else build_real
+    return ground_space(build(grid), n_up, n_down, keep)
 
 
 def cached_ground_space(grid, n_up: int, n_down: int, register: str, cache_dir: Path | None):
@@ -327,7 +321,7 @@ def _parse_grid_arg(text: str) -> tuple[int, int]:
         nx, _, ny = text.partition("x")
         return int(nx), int(ny)
     except ValueError:
-        raise CliError(f"bad grid '{text}', expected NXxNY like 2x3") from None
+        raise ValueError(f"bad grid '{text}', expected NXxNY like 2x3") from None
 
 
 def _parse_u_list(text: str) -> list[float]:
@@ -336,7 +330,7 @@ def _parse_u_list(text: str) -> list[float]:
     except ValueError:
         couplings = []
     if not couplings:
-        raise CliError(f"bad coupling list '{text}', expected e.g. 2,4,6")
+        raise ValueError(f"bad coupling list '{text}', expected e.g. 2,4,6")
     return couplings
 
 
@@ -345,7 +339,7 @@ def _parse_sector_arg(text: str) -> tuple[int, int]:
         n_up, _, n_down = text.partition(",")
         return int(n_up), int(n_down)
     except ValueError:
-        raise CliError(f"bad sector '{text}', expected N_UP,N_DOWN like 5,4") from None
+        raise ValueError(f"bad sector '{text}', expected N_UP,N_DOWN like 5,4") from None
 
 
 def cmd_ed(args) -> int:
@@ -377,11 +371,10 @@ def cmd_ed(args) -> int:
             del ground  # freed before the next space is built
 
     widths = [6, 8, 5, 7, 9, 16, 11]
-    print("".join(name.rjust(w) for name, w in zip(header, widths)))
-    for row in rows:
-        cells = [str(row[0]), f"{row[1]:g}", str(row[2]), str(row[3]), row[4],
-                 f"{row[5]:.8f}", str(row[6])]
-        print("".join(cell.rjust(w) for cell, w in zip(cells, widths)))
+    for cells in [header, *([str(r[0]), f"{r[1]:g}", str(r[2]), str(r[3]), r[4],
+                             f"{r[5]:.8f}", str(r[6])] for r in rows)]:
+        # a space before every cell keeps one wider than its column apart from the last
+        print("".join(" " + cell.rjust(w - 1) for cell, w in zip(cells, widths)))
     if len(registers) == 2:
         for k_row, real_row in zip(rows[::2], rows[1::2]):
             gap = abs(k_row[5] - real_row[5])
@@ -400,7 +393,7 @@ def cmd_ed(args) -> int:
 
 def _load_run(directory: str) -> dict:
     """The parts of one run's artifacts that compare uses; a file that is
-    not what `vipsa run` writes is a CliError."""
+    not what `vipsa run` writes is a ValueError."""
     path = Path(directory)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
@@ -416,9 +409,9 @@ def _load_run(directory: str) -> dict:
                "fidelities": _fidelity_by_step(manifest["ansatz"], steps, trace)}
     except (ValueError, KeyError, TypeError, csv.Error) as err:
         detail = f"missing field {err}" if isinstance(err, KeyError) else str(err)
-        raise CliError(f"damaged run artifact in {path}: {detail}") from None
+        raise ValueError(f"damaged run artifact in {path}: {detail}") from None
     if not run["energies"]:
-        raise CliError(f"damaged run artifact in {path}: steps.csv has no rows")
+        raise ValueError(f"damaged run artifact in {path}: steps.csv has no rows")
     return run
 
 
@@ -437,9 +430,9 @@ def _fidelity_by_step(ansatz: str, steps: list[dict], trace: list[dict]) -> dict
 def cmd_compare(args) -> int:
     runs = [_load_run(d) for d in args.runs]
     if len({run["grid"] for run in runs}) > 1:
-        raise CliError("runs use different grids; comparison is meaningless")
+        raise ValueError("runs use different grids; comparison is meaningless")
     if len({run["sector"] for run in runs}) > 1:
-        raise CliError("runs use different fillings; comparison is meaningless")
+        raise ValueError("runs use different fillings; comparison is meaningless")
 
     for run in runs:
         run["errors"] = [e - run["reference"] for e in run["energies"]]
@@ -504,7 +497,7 @@ def cmd_pool_info(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a usage error exits 1 like any other user error, not argparse's 2
-        raise CliError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,9 +538,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader went away (e.g. piping a table into head); point the
         # descriptor at devnull so the interpreter's exit flush stays quiet

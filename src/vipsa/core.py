@@ -33,7 +33,6 @@ from .lattice import (
     default_filling,
     enumerate_modes,
     fermi_sea,
-    point_group,
 )
 from .statevector import (
     Orbit,
@@ -389,7 +388,7 @@ def vipsa_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None
         n_up, n_down = default_filling(grid)
     sea = fermi_sea(grid, n_up, n_down).bitstring()
     if reference is None:
-        reference = ground_space(build_kspace(grid)[0], point_group(grid), n_up, n_down, keep=True)
+        reference = ground_space(build_kspace(grid), n_up, n_down, keep=True)
     if (reference.n_qubits, reference.n_up, reference.n_down) != (grid.n_qubits, n_up, n_down):
         raise ValueError("reference ground space is not over the run's sector basis")
     # a labelled space keeps the rows of one momentum block: the sea's if they hold it

@@ -1,12 +1,12 @@
 """Hubbard Hamiltonians in both registers, with sector-exact reference tools.
 
-The same physical model is built twice: in real space as hopping plus on-site
-repulsion, and in the momentum-mode register as a diagonal kinetic part plus a
-table of two-body scattering quadruples.  The quadruple table doubles as the
-source of the variational operator pool, so it is exposed as first-class data
-rather than hidden inside the Pauli sum.  The site register's sector rows are
-built straight from its hopping tables (SiteHamiltonian); its Pauli sum
-(build_real) is kept as the operator the tests check those rows against.
+The same physical model is built twice, each as an H that names its grid: in
+real space as hopping plus on-site repulsion (SiteHamiltonian), and in the
+momentum-mode register as a diagonal kinetic part plus a table of two-body
+scattering quadruples (ModeHamiltonian), whose table doubles as the source
+of the variational operator pool.  The site register's sector rows are built
+straight from its hopping tables; its Pauli sum (SiteHamiltonian.pauli) is
+kept as the operator the tests check those rows against.
 
 Everything downstream (ground spaces, fidelities) works in a fixed
 (n_up, n_down) occupation sector.
@@ -14,7 +14,7 @@ Everything downstream (ground spaces, fidelities) works in a fixed
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse
@@ -37,15 +37,16 @@ from .lattice import (
     PERIODIC,
     UP,
     GridSpec,
-    PointGroup,
     Translations,
     axis_energies,
     axis_wavefunctions,
     enumerate_modes,
     hopping_edges,
     label_momenta,
+    point_group,
     qubit_index,
     sea_label,
+    translations,
 )
 from .statevector import StateVector, _compiled_terms, _ladder_orbits, _parity, sector_basis
 
@@ -185,12 +186,19 @@ def kinetic_kspace(grid: GridSpec) -> PauliSum:
     return PauliSum.merged(jordan_wigner_images(terms, grid.n_qubits))
 
 
-def build_kspace(grid: GridSpec) -> tuple[PauliSum, tuple[InteractionQuadruple, ...]]:
-    """Momentum-register Hamiltonian and its scattering-quadruple table."""
-    quads = interaction_quadruples(grid)
-    images = jordan_wigner_images([quad.ladder_term().scaled(quad.amplitude) for quad in quads],
-                                  grid.n_qubits)
-    return PauliSum.merged(kinetic_kspace(grid).masks(), images), quads
+@dataclass(frozen=True)
+class ModeHamiltonian:
+    """The mode register's H of `grid`, a Pauli sum sector_matrix builds blocks of."""
+
+    grid: GridSpec
+    pauli: PauliSum
+
+
+def build_kspace(grid: GridSpec) -> ModeHamiltonian:
+    """Momentum-register Hamiltonian: kinetic diagonal plus interaction_quadruples."""
+    images = jordan_wigner_images([quad.ladder_term().scaled(quad.amplitude)
+                                   for quad in interaction_quadruples(grid)], grid.n_qubits)
+    return ModeHamiltonian(grid, PauliSum.merged(kinetic_kspace(grid).masks(), images))
 
 
 def onsite_interaction(grid: GridSpec) -> PauliSum:
@@ -211,13 +219,6 @@ def _hopping_terms(grid: GridSpec) -> list[LadderTerm]:
             for term in hopping_pair(qubit_index(i, spin), qubit_index(j, spin), -grid.t)]
 
 
-def build_real(grid: GridSpec) -> PauliSum:
-    """Site-register Hamiltonian: -t nearest-neighbour hopping + U n_up n_down,
-    as a Pauli sum (SiteHamiltonian builds its sector rows without one)."""
-    return PauliSum.merged(jordan_wigner_images(_hopping_terms(grid), grid.n_qubits),
-                           onsite_interaction(grid).masks())
-
-
 def double_occupancy(states: np.ndarray) -> np.ndarray:
     """The count of doubly occupied sites of each site-register bitstring."""
     # up qubit 2i and down qubit 2i + 1 both set
@@ -226,10 +227,16 @@ def double_occupancy(states: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SiteHamiltonian:
-    """build_real's Hamiltonian of `grid`, built on a sector from its
+    """The site-register Hamiltonian of `grid`, built on a sector from its
     hopping tables, a given set of rows at a time, with no Pauli string."""
 
     grid: GridSpec
+
+    @cached_property
+    def pauli(self) -> PauliSum:
+        """H as a Pauli sum, built on first use, which no solve reads."""
+        return PauliSum.merged(jordan_wigner_images(_hopping_terms(self.grid), self.grid.n_qubits),
+                               onsite_interaction(self.grid).masks())
 
     def rows(self, states: np.ndarray, positions: np.ndarray) -> scipy.sparse.csr_matrix:
         """H's rows at the ascending positions of the sorted sector
@@ -243,11 +250,11 @@ class SiteHamiltonian:
         two terms give its two entries.  Exact zeros are not stored, as
         sector_matrix stores none, and the CSR has sorted indices and int32
         indptr and indices, as sector_matrix's does.  Every entry but the
-        diagonal is that of sector_matrix(build_real(grid), ...) to the
-        bit, and so is the diagonal when the products of U are exact (U a
-        multiple of 1/4, say); elsewhere the Pauli sum's diagonal rounds
-        U/4 sums differently, by a few ulps of the entry, and keeps a
-        rounding residue where this one stores an exact zero.
+        diagonal is that of sector_matrix(self.pauli, ...) to the bit, and
+        so is the diagonal when the products of U are exact (U a multiple
+        of 1/4, say); elsewhere the Pauli sum's diagonal rounds U/4 sums
+        differently, by a few ulps of the entry, and keeps a rounding
+        residue where this one stores an exact zero.
         """
         picked = states[positions]
         local = np.arange(len(positions), dtype=np.int32)
@@ -266,6 +273,11 @@ class SiteHamiltonian:
         columns = np.searchsorted(states, targets[stored]).astype(np.int32)
         return scipy.sparse.coo_matrix((data[stored], (rows[stored], columns)),
                                        shape=(len(positions), len(states))).tocsr()
+
+
+def build_real(grid: GridSpec) -> SiteHamiltonian:
+    """Site-register Hamiltonian: -t nearest-neighbour hopping + U n_up n_down."""
+    return SiteHamiltonian(grid)
 
 
 def spin_operators(n_sites: int) -> tuple[PauliSum, PauliSum]:
@@ -727,15 +739,15 @@ def check_mode_coupling(grid: GridSpec) -> None:
                          "coupling the mode register resolves")
 
 
-def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translations,
-                 n_up: int, n_down: int, keep: bool = False) -> GroundSpace:
-    """Ground multiplet of the sector of symmetry.grid's register, degeneracy
-    resolved at GROUND_DEGENERACY_TOL.
+def ground_space(h: ModeHamiltonian | SiteHamiltonian, n_up: int, n_down: int,
+                 keep: bool = False) -> GroundSpace:
+    """Ground multiplet of the (n_up, n_down) sector of h's register on
+    h.grid, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
-    h is the mode register's Pauli sum, which sector_matrix builds on each
-    set of bitstrings, solved on the point group of its grid, whose coupling
-    check_mode_coupling must pass; or a SiteHamiltonian, solved on the
-    translations of its own grid.  Any other pairing is a ValueError.
+    h's type picks the symmetry: a ModeHamiltonian, whose Pauli sum must be
+    Hermitian and whose coupling check_mode_coupling must pass, is solved on
+    the point group of its grid, and a SiteHamiltonian on its grid's
+    translations.  Anything else is a ValueError.
 
     The class of the Fermi sea's block (lattice.fermi_sea) comes first.  The
     Gell-Mann-Low state, switched on adiabatically from the sea, keeps the
@@ -760,7 +772,7 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
     With the point group, the sector splits into total-momentum blocks that
     h never mixes, and the blocks of one point-group class share their
     spectrum.  Each class's representative block is built by sector_matrix
-    on its bitstrings and solved, and the signed permutations of its ground
+    from h.pauli on its bitstrings and solved, and the signed permutations of its ground
     vectors are the other blocks'.  No whole-sector matrix is built.  The
     representative is the class's smallest label, or, with keep, the Fermi
     sea's label (lattice.fermi_sea) in its class: the space keeps that
@@ -783,14 +795,14 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
     The multiplet is every vector within GROUND_DEGENERACY_TOL of the lowest
     value, each on one block, in columns by block label, ascending in value.
     """
-    site = isinstance(symmetry, Translations)
-    if not (site and h == SiteHamiltonian(symmetry.grid)
-            or isinstance(symmetry, PointGroup) and isinstance(h, PauliSum)):
-        raise ValueError("a Pauli sum is solved on a point group, and a site Hamiltonian "
-                         "on the translations of its own grid")
-    if not site and not h.is_hermitian():
+    site = isinstance(h, SiteHamiltonian)
+    if not (site or isinstance(h, ModeHamiltonian)):
+        raise ValueError("ground_space solves a ModeHamiltonian or a SiteHamiltonian, "
+                         f"not {type(h).__name__}")
+    if not site and not h.pauli.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
-    grid = symmetry.grid
+    grid = h.grid
+    symmetry = translations(grid) if site else point_group(grid)
     states = sector_basis(grid.n_qubits, n_up, n_down)
     matrix = matrix_rows = kept_label = None
     sea = sea_label(grid, n_up, n_down)
@@ -819,7 +831,7 @@ def ground_space(h: PauliSum | SiteHamiltonian, symmetry: PointGroup | Translati
             kept_label = sea
         classes = sorted(symmetry.classes(states, labels, kept_label), key=away_from_sea)
         # built lazily, so only the block being solved is held
-        blocks = ((members, rows, None, sector_matrix(h, states[rows], grid.n_qubits))
+        blocks = ((members, rows, None, sector_matrix(h.pauli, states[rows], grid.n_qubits))
                   for members in classes for rows in [np.flatnonzero(labels == members[0][0])])
     solved, screened = [], []
     least = np.inf  # the lowest screened theta or solved value so far

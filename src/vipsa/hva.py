@@ -21,8 +21,7 @@ from .core import EpochRecord, VipsaConfig, adam_minimize
 from .fermions import hopping_pair
 from .hamiltonians import (
     GroundSpace,
-    SiteHamiltonian,
-    build_real,  # noqa: F401 - off the run path; benchmarks/tracing.py hooks it here
+    build_real,
     double_occupancy,
     fidelity,
     ground_space,
@@ -36,7 +35,6 @@ from .lattice import (
     hopping_edges,
     qubit_index,
     real_orbital_basis,
-    translations,
 )
 from .statevector import (
     SectorPhase,
@@ -208,7 +206,7 @@ def hva_run(grid: GridSpec, n_up: int | None = None, n_down: int | None = None,
     if n_up is None or n_down is None:
         n_up, n_down = default_filling(grid)
     if reference is None:
-        reference = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down, keep=True)
+        reference = ground_space(build_real(grid), n_up, n_down, keep=True)
     if (reference.n_qubits, reference.n_up, reference.n_down) != (grid.n_qubits, n_up, n_down):
         raise ValueError("reference ground space is not over the run's sector basis")
     if reference.matrix is None or len(reference.matrix_rows) != len(reference.states):

@@ -15,16 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from vipsa.fermions import PauliSum
 from vipsa.hamiltonians import (
     GroundSpace,
-    SiteHamiltonian,
+    ModeHamiltonian,
     build_kspace,
     build_real,
     ground_space,
     sector_matrix,
 )
-from vipsa.lattice import GridSpec, momentum_labels, point_group, sea_label, translations
+from vipsa.lattice import GridSpec, momentum_labels, sea_label
 from vipsa.statevector import sector_basis
 
 
@@ -34,17 +33,17 @@ def _read_only(*arrays) -> None:
 
 
 @lru_cache(maxsize=None)
-def kspace_hamiltonian(grid: GridSpec) -> PauliSum:
-    """build_kspace(grid)'s Pauli sum, whose arrays, compiled ones too, are
+def kspace_hamiltonian(grid: GridSpec) -> ModeHamiltonian:
+    """build_kspace(grid), whose Pauli sum's arrays, compiled ones too, are
     read-only like every PauliSum's."""
-    return build_kspace(grid)[0]
+    return build_kspace(grid)
 
 
 @lru_cache(maxsize=None)
 def whole_sector_matrix(grid: GridSpec, n_up: int, n_down: int):
     """The mode-register H over the whole (n_up, n_down) sector, as
     sector_matrix builds it on the sorted sector bitstrings."""
-    matrix = sector_matrix(kspace_hamiltonian(grid),
+    matrix = sector_matrix(kspace_hamiltonian(grid).pauli,
                            sector_basis(grid.n_qubits, n_up, n_down), grid.n_qubits)
     _read_only(matrix.data, matrix.indices, matrix.indptr)
     return matrix
@@ -66,7 +65,7 @@ def sea_block(grid: GridSpec, n_up: int, n_down: int) -> tuple[int, np.ndarray]:
 def sea_block_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
     """The mode-register ground space solved per point-group class,
     keeping the matrix of the Fermi sea's block, as a run solves it."""
-    space = ground_space(kspace_hamiltonian(grid), point_group(grid), n_up, n_down, keep=True)
+    space = ground_space(kspace_hamiltonian(grid), n_up, n_down, keep=True)
     _read_only(space.vectors, space.blocks, space.matrix_rows,
                space.matrix.data, space.matrix.indices, space.matrix.indptr)
     return space
@@ -76,7 +75,7 @@ def sea_block_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
 def site_space(grid: GridSpec, n_up: int, n_down: int) -> GroundSpace:
     """The site-register ground space solved on its momentum blocks,
     keeping the whole sector's matrix, as a layered run solves it."""
-    space = ground_space(SiteHamiltonian(grid), translations(grid), n_up, n_down, keep=True)
+    space = ground_space(build_real(grid), n_up, n_down, keep=True)
     _read_only(space.vectors, space.blocks, space.matrix_rows,
                space.matrix.data, space.matrix.indices, space.matrix.indptr)
     return space
@@ -90,7 +89,7 @@ def sector_reference(grid: GridSpec, register: str, n_up: int, n_down: int,
     sector: the lowest how_many values and the lowest multiplet's basis."""
     from oracles import lowest_sector_values  # oracles imports this module
 
-    h = kspace_hamiltonian(grid) if register == "k" else build_real(grid)
+    h = (kspace_hamiltonian(grid) if register == "k" else build_real(grid)).pauli
     values, multiplet = lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many)
     _read_only(values, multiplet)
     return values, multiplet

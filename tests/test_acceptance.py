@@ -195,7 +195,7 @@ def test_criterion_4_degeneracies_and_fidelity_sum(ground_3x3):
 def test_ground_vectors_each_live_on_one_block(ground_3x3):
     gs = ground_3x3[6.0]
     grid = GridSpec.make(3, 3, u=6.0)
-    matrix = sector_matrix(build_kspace(grid)[0], gs.states, grid.n_qubits)  # the whole sector
+    matrix = sector_matrix(build_kspace(grid).pauli, gs.states, grid.n_qubits)  # the whole sector
     labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)[1]
     owners = [np.unique(labels[column != 0]) for column in gs.vectors.T]
     assert all(len(owner) == 1 for owner in owners)
@@ -250,7 +250,7 @@ def test_criterion_6_first_selection_is_sound():
         sea = fermi_sea(grid, n_up, n_down)
         states = sector_basis(grid.n_qubits, n_up, n_down)
         x = (states == sum(1 << q for q in sea.occupied_qubits())).astype(float)
-        h_k, _ = build_kspace(grid)
+        h_k = build_kspace(grid).pauli
         pool = build_pool(grid)
         grads = pool_gradients(x, sector_matrix(h_k, states, grid.n_qubits),
                                [sector_orbit(q.ladder_term(), states) for q in pool])
@@ -312,7 +312,7 @@ def test_criterion_8_hva_zero_start_is_stationary():
         grid = GridSpec.make(nx, ny, u=4.0)
         n_up, n_down = default_filling(grid)
         ansatz = HvaAnsatz(grid, n_up, n_down, layers=10)
-        h = sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
+        h = sector_matrix(build_real(grid).pauli, ansatz.states, grid.n_qubits)
         _, per_gate = adjoint_evaluation(
             ansatz.x0, ansatz.sector_gates, ansatz.angles(np.zeros(ansatz.n_params)), h)
         grads = ansatz.fold(per_gate)

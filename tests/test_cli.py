@@ -270,7 +270,7 @@ def plant_whole_sector_matrix(path: Path) -> None:
     states = sector_basis(grid.n_qubits, 2, 2)
     fields = read_fields(path, None)
     del fields["key"]
-    whole = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
+    whole = sector_matrix(build_kspace(grid).pauli, states, grid.n_qubits)
     assert whole.nnz > fields["matrix_data"].size
     fields.update(states=states, matrix_rows=np.arange(len(states)),
                   matrix_shape=np.array(whole.shape), matrix_data=whole.data,
@@ -296,7 +296,7 @@ def plant_sector_rows_matrix(path: Path) -> None:
     label = int(momentum_labels(grid, states[rows[0]]))
     inside = np.zeros(len(states), dtype=bool)
     inside[rows] = True
-    whole = sector_matrix(build_kspace(grid)[0], states, grid.n_qubits)
+    whole = sector_matrix(build_kspace(grid).pauli, states, grid.n_qubits)
     php = rows_of_block(whole, inside)
     fields.update(states=states, matrix_block=np.array(label), matrix_shape=np.array(php.shape),
                   matrix_data=php.data, matrix_indices=php.indices, matrix_indptr=php.indptr)
@@ -848,7 +848,7 @@ def test_a_site_ground_file_of_the_pauli_sum_build_is_rebuilt(tmp_path, capsys, 
     grid = GridSpec.make(2, 3, u=0.3)
     tables = site_space(grid, 3, 3)
     pauli = dataclasses.replace(tables, matrix=hamiltonians.sector_matrix(
-        hamiltonians.build_real(grid), tables.states, grid.n_qubits))
+        hamiltonians.build_real(grid).pauli, tables.states, grid.n_qubits))
     assert abs(pauli.matrix - tables.matrix).max() > 0
     old_key = _grid_key(grid, 3, 3, "real solved on momentum blocks")
     (tmp_path / "cache").mkdir()
@@ -1190,8 +1190,8 @@ def test_ed_that_cannot_converge_fails_within_seconds():
 
     grid = GridSpec.make(3, 3, u=1e303)
     states = sector_basis(grid.n_qubits, 5, 4)
-    block = sector_matrix(kspace_hamiltonian(grid), states[momentum_labels(grid, states) == 0],
-                          grid.n_qubits)
+    block = sector_matrix(kspace_hamiltonian(grid).pauli,
+                          states[momentum_labels(grid, states) == 0], grid.n_qubits)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"^Lanczos failed on a block of 1764 states: "
                                          r"ARPACK error -1: No convergence \("):
@@ -1525,6 +1525,22 @@ def test_ed_free_3x3_is_the_fourfold_sea(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [(row[4], row[5], row[6]) for row in rows] == [("k", "-15.00000000", "4"),
                                                          ("real", "-15.00000000", "4")]
+
+
+def test_ed_table_parts_a_cell_wider_than_its_column(capsys, monkeypatch):
+    # an energy wider than its 16 characters still has a space before it, so
+    # the row splits into its 7 fields, and a row whose cells fit keeps its
+    # columns
+    import vipsa.cli
+
+    monkeypatch.setattr(vipsa.cli, "solve_ground_space",
+                        lambda grid, n_up, n_down, register: SimpleNamespace(
+                            energy=-8e20 if register == "k" else -1.5, degeneracy=4))
+    assert main(["ed", "--grid", "2x3", "--u", "4", "--register", "both"]) == 0
+    header, wide, fits = capsys.readouterr().out.splitlines()
+    assert wide.split() == ["2x3", "4", "3", "3", "k", "-800000000000000000000.00000000", "4"]
+    assert header == "  grid       u n_up n_down register          energy degeneracy"
+    assert fits == "   2x3       4    3      3     real     -1.50000000          4"
 
 
 def test_mode_register_ed_builds_one_block_per_class(capsys, monkeypatch):

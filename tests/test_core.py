@@ -38,7 +38,6 @@ from vipsa.lattice import (
     default_filling,
     fermi_sea,
     momentum_labels,
-    point_group,
 )
 from vipsa.statevector import (
     AnsatzCircuit,
@@ -215,7 +214,7 @@ def test_run_rejects_pool_tables_of_another_sector():
 
 def test_pool_gradients_match_finite_difference():
     grid = u4(2, 2)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid).pauli
     pool = build_pool(grid)
     psi, _ = sea_state(grid, 2, 2)
     grads = pool_gradients(psi.amplitudes.real, *register_screen_operands(grid, h))
@@ -231,7 +230,7 @@ def test_pool_gradients_match_finite_difference():
 
 def test_annihilating_operators_have_zero_gradient():
     grid = u4(3, 3)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid).pauli
     pool = build_pool(grid)
     x, states, sea = sea_vector(grid, 5, 4)
     occ_up = {m.slot for m in sea.occupied_up}
@@ -462,7 +461,7 @@ def test_run_records_match_full_register_replay():
     # a run cut after k epochs repeats the first k records, and its returned
     # circuit, replayed on the full register, gives the k-th record's numbers
     grid = GridSpec.make(2, 3, u=4.0)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid).pauli
     config = VipsaConfig(max_epochs=3, max_inner_steps=40)
     full = vipsa_run(grid, config=config)
     for epochs in range(1, len(full.records) + 1):
@@ -514,7 +513,7 @@ def test_library_run_solves_the_reference_a_cli_run_caches(tmp_path):
 
 def test_run_rejects_reference_from_another_sector():
     grid = u4(2, 2)
-    other = ground_space(build_kspace(grid)[0], point_group(grid), 1, 2, keep=True)
+    other = ground_space(build_kspace(grid), 1, 2, keep=True)
     with pytest.raises(ValueError):
         vipsa_run(grid, 2, 2, reference=other)
 
@@ -524,7 +523,7 @@ def test_run_rejects_a_complex_reference_matrix():
     # Hamiltonian is refused rather than silently cut to its real part: a
     # space of either register that keeps one cannot be made, nor loaded
     grid = u4(2, 2)
-    gs = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2, keep=True)
+    gs = ground_space(build_kspace(grid), 2, 2, keep=True)
     with pytest.raises(ValueError, match="complex"):
         vipsa_run(grid, 2, 2, reference=replace(gs, matrix=gs.matrix.astype(np.complex128)))
     site = site_space(grid, 2, 2)
@@ -546,7 +545,7 @@ def test_runs_reject_a_reference_without_its_matrix():
     from vipsa.hva import hva_run
 
     grid = u4(2, 2)
-    blocks = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2)
+    blocks = ground_space(build_kspace(grid), 2, 2)
     with pytest.raises(ValueError, match="no sector matrix"):
         vipsa_run(grid, 2, 2, reference=blocks)
     with pytest.raises(ValueError, match="no sector matrix"):
@@ -566,7 +565,7 @@ def test_runs_refuse_a_matrix_of_another_block():
     rows = np.flatnonzero(momentum_labels(grid, states) == 0)
     assert sea_block(grid, 3, 3)[0] == 4
     other = replace(sea_block_space(grid, 3, 3), matrix_rows=rows,
-                    matrix=sector_matrix(build_kspace(grid)[0], states[rows], grid.n_qubits))
+                    matrix=sector_matrix(build_kspace(grid).pauli, states[rows], grid.n_qubits))
     whole = site_space(grid, 3, 3)
     for reference in (other, whole):
         with pytest.raises(ValueError, match="Fermi sea's momentum block"):
@@ -581,7 +580,7 @@ def test_run_refuses_pool_tables_over_another_basis():
     # block, label 0, are refused
     grid = u4(2, 3)
     states = sector_basis(grid.n_qubits, 3, 3)
-    reference = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3, keep=True)
+    reference = ground_space(build_kspace(grid), 3, 3, keep=True)
     for basis in (states, states[momentum_labels(grid, states) == 0]):
         with pytest.raises(ValueError, match="pool tables are not over the Fermi sea's"):
             vipsa_run(grid, 3, 3, reference=reference, pool=PoolTables.build(grid, basis))
@@ -593,7 +592,7 @@ def test_run_refuses_a_kept_matrix_of_another_shape():
     # the block's matrix cut one row short; the space itself refuses a
     # matrix that does not fit its block's rows, before the run starts
     grid = u4(2, 3)
-    reference = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3, keep=True)
+    reference = ground_space(build_kspace(grid), 3, 3, keep=True)
     _, php, _ = whole_sector_run_operands(grid, reference)
     assert reference.matrix.shape == (66, 66) and php.shape == (400, 400)
     for matrix in (php, reference.matrix[:-1, :-1].tocsr()):
@@ -738,7 +737,7 @@ def test_warm_adaptive_run_builds_no_pauli_strings(monkeypatch):
     # loads them, gives the same records and gates with the Jordan-Wigner
     # map and the Pauli-sum sector matrix made to raise
     grid = GridSpec.make(2, 2, u=4.0)
-    reference = ground_space(build_kspace(grid)[0], point_group(grid), 2, 2, keep=True)
+    reference = ground_space(build_kspace(grid), 2, 2, keep=True)
     pool = PoolTables.build(grid, sea_block(grid, 2, 2)[1])
 
     def run():
@@ -758,7 +757,7 @@ def pauli_sum_expansion(shape, n_up, n_down, u):
     and of the interaction, both assembled from Pauli sums."""
     grid = GridSpec.make(*shape, u=u)
     x0, states, _ = sea_vector(grid, n_up, n_down)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid).pauli
     h0 = kinetic_kspace(grid)
     levels = sector_matrix(h0, states, grid.n_qubits).diagonal()
     image = sector_matrix(h - h0, states, grid.n_qubits) @ x0

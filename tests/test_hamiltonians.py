@@ -17,6 +17,7 @@ from vipsa.core import PoolTables, rs_perturbation
 from vipsa.fermions import PauliSum, hopping_pair, jordan_wigner_sum
 from vipsa.hamiltonians import (
     GroundSpace,
+    ModeHamiltonian,
     SectorHamiltonian,
     SiteHamiltonian,
     build_kspace,
@@ -81,7 +82,7 @@ def assert_ground_level(gs, spectrum, atol, matrix=None):
 
 def test_real_2x2_dense_shape():
     grid = GridSpec.make(2, 2, u=4.0)
-    h = build_real(grid)
+    h = build_real(grid).pauli
     assert h.is_hermitian()
     dense = dense_pauli_sum(h, grid.n_qubits)
     assert np.abs(dense.imag).max() < 1e-14
@@ -90,7 +91,7 @@ def test_real_2x2_dense_shape():
 
 def test_real_u0_ground_energy():
     grid = GridSpec.make(2, 2)
-    gs = ground_space(SiteHamiltonian(grid), translations(grid), 2, 2)
+    gs = ground_space(build_real(grid), 2, 2)
     assert gs.energy == pytest.approx(-4.0, abs=1e-10)
 
 
@@ -134,8 +135,9 @@ def test_large_coupling_keeps_the_table(shape):
         assert q_large.energy_gap == q_unit.energy_gap
     if shape == (2, 3):
         grid = GridSpec.make(*shape, u=1e5)
-        k = ground_space(build_kspace(grid)[0], point_group(grid), 3, 3)
-        values, multiplet = lowest_sector_values(build_real(grid), grid.n_qubits, 3, 3, how_many=6)
+        k = ground_space(build_kspace(grid), 3, 3)
+        values, multiplet = lowest_sector_values(build_real(grid).pauli, grid.n_qubits, 3, 3,
+                                                 how_many=6)
         assert k.energy == pytest.approx(values[0], abs=1e-9)
         assert k.degeneracy == multiplet.shape[1]
 
@@ -184,7 +186,7 @@ def test_quadruple_energy_gap_moves_kinetic_energy():
 
 def test_kspace_hermitian_and_real():
     grid = GridSpec.make(2, 3, u=4.0)
-    h, quads = build_kspace(grid)
+    h, quads = build_kspace(grid).pauli, interaction_quadruples(grid)
     assert h.is_hermitian()
     assert max(abs(complex(c).imag) for c, _ in h) < 1e-12
     assert all(abs(q.amplitude - 4.0 / 6.0) < 1e-12 for q in quads)
@@ -196,7 +198,7 @@ def test_register_spectra_agree(nx, ny):
     n_up = n_down = grid.n_sites // 2
     real_values, k_values = (
         lowest_sector_values(h, grid.n_qubits, n_up, n_down, how_many=10 ** 9)[0]
-        for h in (build_real(grid), build_kspace(grid)[0]))
+        for h in (build_real(grid).pauli, build_kspace(grid).pauli))
     assert len(real_values) == len(sector_basis(grid.n_qubits, n_up, n_down))
     np.testing.assert_allclose(real_values, k_values, atol=1e-9)
 
@@ -205,7 +207,7 @@ def test_register_spectra_agree(nx, ny):
 @pytest.mark.parametrize("register", ["k", "real"])
 def test_lowest_values_oracle_matches_the_whole_sector(register, dense_up_to):
     grid = GridSpec.make(2, 3, u=4.0)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    h = (build_kspace(grid) if register == "k" else build_real(grid)).pauli
     whole, vectors = np.linalg.eigh(
         sector_matrix(h, sector_basis(grid.n_qubits, 3, 3), grid.n_qubits).toarray())
     got, multiplet = lowest_sector_values(h, grid.n_qubits, 3, 3, how_many=6,
@@ -237,7 +239,7 @@ def test_spin_operator_expectations():
 
 def test_hamiltonian_commutes_with_spin():
     grid = GridSpec.make(2, 2, u=4.0)
-    h = dense_pauli_sum(build_real(grid), grid.n_qubits)
+    h = dense_pauli_sum(build_real(grid).pauli, grid.n_qubits)
     s_z, s_sq = spin_operators(grid.n_sites)
     for op in (s_z, s_sq):
         dense = dense_pauli_sum(op, grid.n_qubits)
@@ -281,7 +283,7 @@ def test_sector_basis_is_one_read_only_array_per_sector():
         first[0] = 0
     # a ground space derives its bitstrings, and stores none
     grid = GridSpec.make(2, 2, u=4.0)
-    gs = ground_space(SiteHamiltonian(grid), translations(grid), 2, 1)
+    gs = ground_space(build_real(grid), 2, 1)
     assert gs.states is first
 
 
@@ -303,9 +305,9 @@ def test_an_oversized_sector_is_refused_before_anything_is_allocated():
 
 def test_sector_ground_matches_full_dense():
     grid = GridSpec.make(2, 2, u=4.0)
-    gs = ground_space(SiteHamiltonian(grid), translations(grid), 2, 2)
+    gs = ground_space(build_real(grid), 2, 2)
     # independent solve: slice the sector block out of the full 256-dim matrix
-    full = dense_pauli_sum(build_real(grid), grid.n_qubits)
+    full = dense_pauli_sum(build_real(grid).pauli, grid.n_qubits)
     idx = np.arange(256)
     n_up = np.bitwise_count(idx & 0b01010101)
     n_down = np.bitwise_count(idx & 0b10101010)
@@ -335,7 +337,7 @@ def block_space(grid, n_up, n_down, matrix) -> GroundSpace:
 
 def test_iterative_solver_matches_dense(monkeypatch):
     grid = GridSpec.make(2, 3, u=4.0)
-    matrix = sector_matrix(build_real(grid), sector_basis(grid.n_qubits, 3, 3), grid.n_qubits)
+    matrix = sector_matrix(build_real(grid).pauli, sector_basis(grid.n_qubits, 3, 3), grid.n_qubits)
     dense = block_space(grid, 3, 3, matrix)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 10)
     krylov = block_space(grid, 3, 3, matrix)
@@ -347,9 +349,9 @@ def test_iterative_solver_matches_dense(monkeypatch):
 def test_iterative_ground_space_is_reproducible(monkeypatch):
     # the Lanczos start vector is fixed, so two solves agree bit for bit
     grid = GridSpec.make(2, 3, u=4.0)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    first, second = (ground_space(h, point_group(grid), 3, 3) for _ in range(2))
+    first, second = (ground_space(h, 3, 3) for _ in range(2))
     np.testing.assert_array_equal(first.vectors, second.vectors)
     assert first.energy == second.energy
 
@@ -357,36 +359,36 @@ def test_iterative_ground_space_is_reproducible(monkeypatch):
 def test_sectors_too_small_for_lanczos_are_solved_dense(monkeypatch):
     # a one-state sector (and one-state blocks) leave no room for a Lanczos window
     grid = GridSpec.make(2, 2, u=4.0)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid)
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
-    empty = ground_space(h, point_group(grid), 0, 0)
+    empty = ground_space(h, 0, 0)
     assert empty.degeneracy == 1 and empty.energy == pytest.approx(0.0, abs=1e-12)
-    single = ground_space(h, point_group(grid), 1, 0)
-    block = dense_sector_block(h, sector_basis(grid.n_qubits, 1, 0), grid.n_qubits)
+    single = ground_space(h, 1, 0)
+    block = dense_sector_block(h.pauli, sector_basis(grid.n_qubits, 1, 0), grid.n_qubits)
     assert_ground_level(single, np.linalg.eigvalsh(block), 1e-12, matrix=block)
 
 
 @pytest.mark.parametrize("cutoff", [400, 66, 0])  # all dense, mixed, all Lanczos
 def test_block_spectra_match_the_whole_sector(monkeypatch, cutoff):
     grid = GridSpec.make(2, 3, u=4.0)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid)
     states = sector_basis(grid.n_qubits, 3, 3)
-    matrix = sector_matrix(h, states, grid.n_qubits)
+    matrix = sector_matrix(h.pauli, states, grid.n_qubits)
     whole = np.linalg.eigvalsh(matrix.toarray())
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", cutoff)
-    gs = ground_space(h, point_group(grid), 3, 3)
+    gs = ground_space(h, 3, 3)
     assert_ground_level(gs, whole, 1e-10, matrix=matrix)
 
 
 def test_block_spectra_match_a_whole_sector_lanczos_solve():
     grid = GridSpec.make(2, 4, u=4.0)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid)
     states = sector_basis(grid.n_qubits, 4, 4)
-    matrix = sector_matrix(h, states, grid.n_qubits)
+    matrix = sector_matrix(h.pauli, states, grid.n_qubits)
     assert scipy.sparse.csgraph.connected_components(matrix, directed=False)[0] == 8
     whole = scipy.sparse.linalg.eigsh(matrix, k=12, which="SA", tol=0,
                                       v0=np.random.default_rng(0).standard_normal(len(states)))[0]
-    assert_ground_level(ground_space(h, point_group(grid), 4, 4), np.sort(whole),
+    assert_ground_level(ground_space(h, 4, 4), np.sort(whole),
                         1e-9, matrix=matrix)
 
 
@@ -413,16 +415,15 @@ def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
     # the 1-fold ground level, is solved first with the full window, and
     # each other class's block is screened by one one-vector solve
     grid = GridSpec.make(2, 4, u=4.0)
-    h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if register == "k"
-                   else (SiteHamiltonian(grid), translations(grid)))
     seen = recorded_eigsh(monkeypatch)
-    gs = ground_space(h, symmetry, 4, 4)
+    gs = ground_space(register_h(grid, register), 4, 4)
     assert len(seen) == calls
     window, *screens = seen
     if register == "k":
-        labels = symmetry.labels(gs.states)
+        group = point_group(grid)
+        labels = group.labels(gs.states)
         solved = sum(np.count_nonzero(labels == members[0][0])
-                     for members in symmetry.classes(gs.states, labels))
+                     for members in group.classes(gs.states, labels))
         assert window[0] == np.count_nonzero(labels == 0)
     else:
         # the blocks cover the sector, K = 1 standing for K = 3 too
@@ -434,11 +435,9 @@ def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
     assert {(k, ncv) for _, k, ncv in screens} == {(1, 20)}
 
 
-def register_problem(grid, register):
-    """(H, symmetry) of the register's ground_space on grid."""
-    if register == "k":
-        return kspace_hamiltonian(grid), point_group(grid)
-    return SiteHamiltonian(grid), translations(grid)
+def register_h(grid, register):
+    """The H of the register ("k" or "real") on grid, as its builder gives it."""
+    return kspace_hamiltonian(grid) if register == "k" else build_real(grid)
 
 
 def unscreened_space(monkeypatch, grid, register, sector, keep=False) -> GroundSpace:
@@ -446,7 +445,7 @@ def unscreened_space(monkeypatch, grid, register, sector, keep=False) -> GroundS
     none screened out."""
     with monkeypatch.context() as patch:
         patch.setattr(hamiltonians, "_block_ground", block_multiplet)
-        return ground_space(*register_problem(grid, register), *sector, keep=keep)
+        return ground_space(register_h(grid, register), *sector, keep=keep)
 
 
 def assert_same_space(space, reference):
@@ -485,7 +484,7 @@ def test_screened_ground_space_is_the_unscreened_one(monkeypatch, shape, couplin
         sector = default_filling(grid)
         for keep in (False, True):
             seen.clear()
-            space = ground_space(*register_problem(grid, register), *sector, keep=keep)
+            space = ground_space(register_h(grid, register), *sector, keep=keep)
             screens = sum(k == 1 for _, k, _ in seen)
             windows = len(seen) - screens
             assert seen[0][1] == hamiltonians.GROUND_WINDOW  # the sea's class, unscreened
@@ -506,7 +505,7 @@ def test_a_multiplet_across_classes_keeps_every_class(monkeypatch, register, u):
     # register's blocks at U = 0 are diagonal, read off unscreened)
     grid = GridSpec.make(3, 3, u=u)
     seen = recorded_eigsh(monkeypatch)
-    space = ground_space(*register_problem(grid, register), 4, 4)
+    space = ground_space(register_h(grid, register), 4, 4)
     assert space.degeneracy == 16
     assert seen == [(1764, 6, 20)] + [(1764, 1, 20)] * 2 + [(1764, 6, 20)] * 2
     assert_same_space(space, unscreened_space(monkeypatch, grid, register, (4, 4)))
@@ -520,7 +519,7 @@ def test_each_register_screens_each_class_once(monkeypatch, register):
     # time, so a patched one sees every solve
     grid = GridSpec.make(3, 3, u=6.0)
     seen = recorded_eigsh(monkeypatch)
-    space = ground_space(*register_problem(grid, register), 5, 4)
+    space = ground_space(register_h(grid, register), 5, 4)
     assert seen == [(1764, 6, 20)] + [(1764, 1, 20)] * 2
     assert space.degeneracy == 4
 
@@ -544,7 +543,7 @@ def test_every_screen_bounds_its_block_from_below(monkeypatch, shape, couplings,
     monkeypatch.setattr(hamiltonians, "_screen", recorded)
     for u in couplings:
         grid = GridSpec.make(*shape, u=u)
-        ground_space(*register_problem(grid, register), *default_filling(grid))
+        ground_space(register_h(grid, register), *default_filling(grid))
     assert len(screened) >= 2 * len(couplings)  # the two classes away from the sea, at least
     for block, bound in screened:
         assert bound <= hamiltonians._lowest_eigenpairs(block)[0][0]
@@ -564,7 +563,7 @@ def test_the_site_register_folds_each_class_just_before_its_solve(monkeypatch, k
             events.append(("fold", label)) or characters(self, label)))
         patch.setattr(hamiltonians, "_block_ground", lambda matrix, screen=True: (
             events.append(("solve", screen)) or block_ground(matrix, screen)))
-        space = ground_space(*register_problem(grid, "real"), 5, 4, keep=keep)
+        space = ground_space(register_h(grid, "real"), 5, 4, keep=keep)
     classes = translations(grid).classes()
     assert [event for event, _ in events] == ["fold", "solve"] * len(classes)
     assert [screen for event, screen in events if event == "solve"] == [False, True, True]
@@ -590,7 +589,7 @@ def test_the_sea_class_first_gives_the_unscreened_space(monkeypatch, shape, sect
     seen = recorded_eigsh(monkeypatch)
     for keep in (False, True):
         seen.clear()
-        space = ground_space(*register_problem(grid, register), *sector, keep=keep)
+        space = ground_space(register_h(grid, register), *sector, keep=keep)
         assert seen[0][1] == hamiltonians.GROUND_WINDOW  # the sea's class, unscreened
         assert len(seen) - sum(k == 1 for _, k, _ in seen) == windows
         assert_same_space(space, unscreened_space(monkeypatch, grid, register, sector, keep))
@@ -615,10 +614,10 @@ def test_a_screened_out_block_is_still_checked(monkeypatch, damage, message):
     # 4's, lies 0.85 above the ground level and is screened out; damaged, it
     # is refused as the block solved on its own is
     grid = GridSpec.make(3, 3, u=6.0)
-    h, symmetry = register_problem(grid, "k")
+    h = register_h(grid, "k")
     states = sector_basis(grid.n_qubits, 5, 4)
-    labels = symmetry.labels(states)
-    last = sector_matrix(h, states[labels == 4], grid.n_qubits)
+    labels = point_group(grid).labels(states)
+    last = sector_matrix(h.pauli, states[labels == 4], grid.n_qubits)
     bound = hamiltonians._screen(last)[1]
     assert bound > sea_block_space(grid, 5, 4).energy + 0.8
     with pytest.raises(ValueError, match=message):
@@ -628,14 +627,14 @@ def test_a_screened_out_block_is_still_checked(monkeypatch, damage, message):
         damage(build(h, rows, n)) if labels[np.searchsorted(states, rows[0])] == 4
         else build(h, rows, n)))
     with pytest.raises(ValueError, match=message):
-        ground_space(h, symmetry, 5, 4)
+        ground_space(h, 5, 4)
 
 
 def test_ground_window_doubles_over_a_larger_multiplet(monkeypatch):
     # 2x4 at U = 0 in the (2,2) sector: 784 site-register states in one
     # block, a 9-fold ground level, more than the first window holds
     grid = GridSpec.make(2, 4, u=0.0)
-    h = build_real(grid)
+    h = build_real(grid).pauli
     states = sector_basis(grid.n_qubits, 2, 2)
     matrix = sector_matrix(h, states, grid.n_qubits)
     seen = recorded_eigsh(monkeypatch)
@@ -653,10 +652,9 @@ def test_ground_space_matches_a_twelve_pair_solve(register):
     # every block solved with a twice wider window, 12 pairs in a 48-vector
     # basis, from the same start vector
     grid = GridSpec.make(2, 4, u=4.0)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
-    gs = (ground_space(h, point_group(grid), 4, 4) if register == "k"
-          else ground_space(SiteHamiltonian(grid), translations(grid), 4, 4))
-    matrix = sector_matrix(h, gs.states, grid.n_qubits)
+    h = build_kspace(grid) if register == "k" else build_real(grid)
+    gs = ground_space(h, 4, 4)
+    matrix = sector_matrix(h.pauli, gs.states, grid.n_qubits)
     labels = scipy.sparse.csgraph.connected_components(matrix, directed=False)[1]
     values, columns = [], []
     for block in np.unique(labels):
@@ -682,7 +680,7 @@ def test_ground_space_matches_a_twelve_pair_solve(register):
 
 def test_sector_block_oracle_matches_dense_slice():
     grid = GridSpec.make(2, 2, u=4.0)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid).pauli
     states = sector_basis(grid.n_qubits, 2, 2)
     full = dense_pauli_sum(h, grid.n_qubits)
     np.testing.assert_allclose(dense_sector_block(h, states, grid.n_qubits),
@@ -693,7 +691,7 @@ def test_sector_block_oracle_matches_dense_slice():
 @pytest.mark.parametrize("register", ["k", "real"])
 def test_sector_matrix_stores_only_nonzeros(shape, register):
     grid = GridSpec.make(*shape, u=4.0)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    h = (build_kspace(grid) if register == "k" else build_real(grid)).pauli
     states = sector_basis(grid.n_qubits, *default_filling(grid))
     matrix = sector_matrix(h, states, grid.n_qubits)
     assert matrix.nnz == matrix.count_nonzero()
@@ -706,7 +704,7 @@ def test_sector_matrix_drops_entries_left_zero_by_a_negligible_imaginary_part():
     # the purely imaginary 1e-10j hopping falls below 1e-12 of the U = 1e3
     # diagonal, so the matrix is made real; its entries must not stay as zeros
     grid = GridSpec.make(2, 2, u=1e3)
-    h = build_real(grid) + jordan_wigner_sum(hopping_pair(0, 6, 1e-10j), grid.n_qubits)
+    h = build_real(grid).pauli + jordan_wigner_sum(hopping_pair(0, 6, 1e-10j), grid.n_qubits)
     matrix = sector_matrix(h, sector_basis(grid.n_qubits, 2, 2), grid.n_qubits)
     assert matrix.data.dtype == np.float64 and matrix.data.flags.c_contiguous
     assert matrix.nnz == matrix.count_nonzero() == 222
@@ -730,7 +728,7 @@ def test_sector_matrix_build_peaks_near_the_matrix_size(register):
     # array at a time, so the build holds about 2.5 times the finished matrix;
     # a complex COO with intp indices, converted and then made real, held 6 times
     grid = GridSpec.make(2, 4, u=4.0)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    h = (build_kspace(grid) if register == "k" else build_real(grid)).pauli
     states = sector_basis(grid.n_qubits, *default_filling(grid))
     peak, size = build_peak(h, states, grid.n_qubits)
     assert peak <= 3.5 * size, f"peak {peak} bytes for a {size}-byte matrix"
@@ -744,7 +742,7 @@ def test_class_block_build_peaks_near_the_matrix_size():
     group = point_group(grid)
     labels = group.labels(states)
     label = group.classes(states, labels)[0][0][0]
-    peak, size = build_peak(kspace_hamiltonian(grid), states[labels == label], grid.n_qubits)
+    peak, size = build_peak(kspace_hamiltonian(grid).pauli, states[labels == label], grid.n_qubits)
     assert peak <= 3.5 * size, f"peak {peak} bytes for a {size}-byte matrix"
 
 
@@ -757,7 +755,7 @@ def test_sector_violation_detected():
 
 def test_ground_space_free_sea_and_fidelity():
     grid = GridSpec.make(2, 2)
-    gs = ground_space(kinetic_kspace(grid), point_group(grid), 2, 2)
+    gs = ground_space(ModeHamiltonian(grid, kinetic_kspace(grid)), 2, 2)
     assert gs.degeneracy == 4
     assert gs.energy == pytest.approx(-4.0, abs=1e-10)
 
@@ -823,7 +821,7 @@ def test_ground_space_keeps_the_sector_matrix(tmp_path, monkeypatch, register):
     from vipsa.cli import cached_ground_space
 
     grid = GridSpec.make(2, 3, u=4.0)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    h = (build_kspace(grid) if register == "k" else build_real(grid)).pauli
     monkeypatch.setattr(hamiltonians, "DENSE_SECTOR_CUTOFF", 0)
     gs = cached_ground_space(grid, 3, 3, register, None)
     fresh = sector_matrix(h, gs.states, grid.n_qubits)
@@ -859,7 +857,7 @@ def test_kept_matrix_is_the_block_a_run_lives_in(shape, u, sector, register):
         space = sea_block_space(grid, *sector)
         label = sea_label(grid, *sector)
         rows = np.flatnonzero(momentum_labels(grid, space.states) == label)
-        expected = sector_matrix(kspace_hamiltonian(grid), space.states[rows], grid.n_qubits)
+        expected = sector_matrix(kspace_hamiltonian(grid).pauli, space.states[rows], grid.n_qubits)
         if shape == (2, 3):
             assert label == 4 and space.blocks.tolist() == [0]
     else:
@@ -875,15 +873,15 @@ def test_kept_matrix_is_the_block_a_run_lives_in(shape, u, sector, register):
 
 def test_ground_space_keeps_its_block_labels(tmp_path):
     grid = GridSpec.make(3, 3, u=0.0)
-    h = kinetic_kspace(grid)
-    gs = ground_space(h, point_group(grid), 5, 4)
+    h = ModeHamiltonian(grid, kinetic_kspace(grid))
+    gs = ground_space(h, 5, 4)
     assert gs.matrix is None
     # the fourfold free sea: one down-spin hole in each of the four modes of
     # the -1 shell, one in each block of the middle class
     assert gs.blocks.tolist() == [1, 2, 3, 6]
     with pytest.raises(ValueError, match="sector matrix"):
         gs.save(tmp_path / "bare.npys")
-    kept = dataclasses.replace(gs, matrix=sector_matrix(h, gs.states, grid.n_qubits),
+    kept = dataclasses.replace(gs, matrix=sector_matrix(h.pauli, gs.states, grid.n_qubits),
                                matrix_rows=np.arange(len(gs.states)))
     kept.save(tmp_path / "gs.npys")
     np.testing.assert_array_equal(GroundSpace.load(tmp_path / "gs.npys").blocks, gs.blocks)
@@ -916,7 +914,7 @@ def test_momentum_labels_are_the_connected_blocks(grid):
     # AMPLITUDE_DROP_TOL times max(1, the largest |entry|)), each label is one
     # connected block of an interacting sector, and carries no off-diagonal
     # entry in a sector of one spin species, or at U = 0
-    h = build_kspace(grid)[0]
+    h = build_kspace(grid).pauli
     for n_up, n_down in [default_filling(grid), (2, 0), (0, grid.n_sites // 2)]:
         states = sector_basis(grid.n_qubits, n_up, n_down)
         matrix = abs(sector_matrix(h, states, grid.n_qubits))
@@ -937,7 +935,7 @@ def test_momentum_labels_are_the_connected_blocks(grid):
 @pytest.mark.parametrize("shape", MOMENTUM_GRIDS)
 def test_signed_maps_carry_block_matrices(shape):
     grid = GridSpec.make(*shape, u=4.0)
-    h = build_kspace(grid)[0]
+    h = build_kspace(grid).pauli
     group = point_group(grid)
     states = sector_basis(grid.n_qubits, *default_filling(grid))
     labels = group.labels(states)
@@ -959,9 +957,8 @@ def test_signed_maps_carry_block_matrices(shape):
                                       ((2, 4), 4.0), ((2, 4), -2.9), ((3, 3), 4.0)])
 def test_point_group_ground_space_matches_the_oracle(shape, u):
     grid = GridSpec.make(*shape, u=u)
-    h = build_kspace(grid)[0]
     n_up, n_down = default_filling(grid)
-    gs = ground_space(h, point_group(grid), n_up, n_down)
+    gs = ground_space(build_kspace(grid), n_up, n_down)
     whole = whole_sector_matrix(grid, n_up, n_down)
     spectrum, multiplet = sector_reference(grid, "k", n_up, n_down, how_many=6)
     assert_ground_level(gs, spectrum, 1e-10, matrix=whole)
@@ -990,14 +987,14 @@ def test_residue_only_blocks_are_read_off_the_diagonal(shape, sector, degeneracy
     # mix the ground states; an eigensolver on the whole block mixes them by
     # up to 4e-16 on 2x4 (7,0) and 3x3 (0,4), and moves the 3x3 energy by 2 ulp
     grid = GridSpec.make(*shape, u=4.0, bc_x="open", bc_y="open")
-    h = build_kspace(grid)[0]
+    h = build_kspace(grid)
     states = sector_basis(grid.n_qubits, *sector)
-    matrix = sector_matrix(h, states, grid.n_qubits)
+    matrix = sector_matrix(h.pauli, states, grid.n_qubits)
     diagonal = matrix.diagonal()
     residue = abs(matrix - scipy.sparse.diags(diagonal)).max()
     assert 0 < residue <= hamiltonians.AMPLITUDE_DROP_TOL
     block_values, block_vectors = hamiltonians._block_ground(matrix)
-    gs = ground_space(h, point_group(grid), *sector)
+    gs = ground_space(h, *sector)
     for energy, vectors in ((block_values[0], block_vectors), (gs.energy, gs.vectors)):
         assert energy == diagonal.min() and vectors.shape[1] == degeneracy
         rows, columns = np.nonzero(vectors)
@@ -1013,7 +1010,7 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     # the sea's first by its window and every other by one screen, and
     # nothing builds the 4900-state sector
     grid = GridSpec.make(2, 4, u=4.0)
-    h = build_kspace(grid)[0]
+    h = build_kspace(grid)
     built = []
     build = hamiltonians.sector_matrix
     monkeypatch.setattr(hamiltonians, "sector_matrix",
@@ -1026,7 +1023,7 @@ def test_point_group_solve_builds_one_block_per_class(monkeypatch):
     for keep in (False, True):
         built.clear()
         seen.clear()
-        gs = ground_space(h, point_group(grid), 4, 4, keep=keep)
+        gs = ground_space(h, 4, 4, keep=keep)
         assert built == per_class
         assert seen == [(per_class[0], 6, 20)] + [(dim, 1, 20) for dim in per_class[1:]]
         assert (gs.matrix is not None) == keep
@@ -1059,7 +1056,7 @@ def test_site_rows_match_the_pauli_sum_build(nx, ny, bc_x, bc_y):
     rng = np.random.default_rng(34)
     for u in (0.0, 4.0, 6.0, -2.5, 0.1, 0.3, -2.9):
         grid = GridSpec(nx, ny, bc_x, bc_y, u=u)
-        h = build_real(grid)
+        h = build_real(grid).pauli
         for sector in site_sectors(grid):
             states = sector_basis(grid.n_qubits, *sector)
             oracle = sector_matrix(h, states, grid.n_qubits)
@@ -1086,17 +1083,23 @@ def test_site_rows_match_the_pauli_sum_build(nx, ny, bc_x, bc_y):
                                                   getattr(built[positions], part))
 
 
-def test_site_hamiltonian_pairs_only_with_its_translations():
+@pytest.mark.parametrize("h", [build_kspace(GridSpec.make(2, 3, u=4.0)).pauli,
+                               build_real(GridSpec.make(2, 3, u=4.0)).pauli,
+                               None, GridSpec.make(2, 3, u=4.0)],
+                         ids=["mode-pauli-sum", "site-pauli-sum", "none", "grid"])
+def test_ground_space_solves_only_a_register_hamiltonian(h):
+    # the H's type names the register, and so the symmetry it is solved on;
+    # a bare Pauli sum names none, and nor does a grid
+    with pytest.raises(ValueError, match="^ground_space solves a ModeHamiltonian or a "
+                                         f"SiteHamiltonian, not {type(h).__name__}$"):
+        ground_space(h, 3, 3)
+
+
+def test_ground_space_refuses_a_non_hermitian_mode_hamiltonian():
     grid = GridSpec.make(2, 3, u=4.0)
-    other = GridSpec.make(2, 3, u=2.0)
-    # a Pauli sum pairs only with a point group, and neither register is
-    # solved without its symmetry
-    for h, symmetry in [(build_real(grid), translations(grid)), (SiteHamiltonian(grid), None),
-                        (SiteHamiltonian(grid), point_group(grid)),
-                        (SiteHamiltonian(grid), translations(other)),
-                        (build_kspace(grid)[0], None), (build_real(grid), None)]:
-        with pytest.raises(ValueError, match="translations of its own grid"):
-            ground_space(h, symmetry, 3, 3)
+    skew = PauliSum.from_terms([(1e-3j, ((0, "Z"),))])
+    with pytest.raises(ValueError, match="^sector diagonalization requires a Hermitian operator$"):
+        ground_space(ModeHamiltonian(grid, build_kspace(grid).pauli + skew), 3, 3)
 
 
 @pytest.mark.parametrize("u", [0.0, 2.0, 4.0, -2.9])
@@ -1106,7 +1109,7 @@ def test_site_momentum_blocks_match_the_whole_sector_solve(nx, ny, bc_x, bc_y, u
     h = build_real(grid)
     for sector in site_sectors(grid):
         values, whole = sector_reference(grid, "real", *sector, how_many=6)
-        blocked = ground_space(SiteHamiltonian(grid), translations(grid), *sector)
+        blocked = ground_space(h, *sector)
         assert blocked.energy == pytest.approx(values[0], abs=1e-10)
         assert blocked.degeneracy == whole.shape[1]
         assert blocked.matrix is None
@@ -1117,7 +1120,7 @@ def test_site_momentum_blocks_match_the_whole_sector_solve(nx, ny, bc_x, bc_y, u
         assert np.linalg.norm(outside, 2) <= 1e-8
         np.testing.assert_allclose(blocked.vectors.conj().T @ blocked.vectors,
                                    np.eye(blocked.degeneracy), rtol=0, atol=1e-10)
-        matrix = sector_matrix(h, blocked.states, grid.n_qubits)
+        matrix = sector_matrix(h.pauli, blocked.states, grid.n_qubits)
         residual = matrix @ blocked.vectors - blocked.energy * blocked.vectors
         assert np.linalg.norm(residual, axis=0).max() <= 1e-10
 
@@ -1143,7 +1146,7 @@ def test_complex_momentum_blocks_solve_without_warnings(sector):
     # check reads the blocks' sparsity, not their complex values.  The
     # energy is the mode register's
     grid = GridSpec.make(3, 3, u=4.0)
-    gs = ground_space(SiteHamiltonian(grid), translations(grid), *sector)
+    gs = ground_space(build_real(grid), *sector)
     assert gs.energy == pytest.approx(sea_block_space(grid, *sector).energy, abs=1e-10)
 
 
@@ -1164,7 +1167,7 @@ def test_site_solve_builds_the_whole_sector_only_to_keep_it(monkeypatch):
     for keep in (False, True):
         built.clear()
         seen.clear()
-        gs = ground_space(SiteHamiltonian(grid), translations(grid), 5, 4, keep=keep)
+        gs = ground_space(build_real(grid), 5, 4, keep=keep)
         assert seen == [(1764, 6, 20)] + [(1764, 1, 20)] * 2
         assert built == [15876 if keep else 1764]
         assert gs.degeneracy == 4 and np.iscomplexobj(gs.vectors)
@@ -1186,7 +1189,7 @@ def test_class_blocks_sliced_from_the_whole_sector_are_built_blocks(shape, secto
     # bit for bit, as its slice of the whole-sector matrix; that is why the
     # one-block matrix a run keeps gives the whole-sector matrix's H x
     grid = GridSpec.make(*shape, u=u)
-    h = build_kspace(grid)[0]
+    h = build_kspace(grid).pauli
     states = sector_basis(grid.n_qubits, *sector)
     whole = sector_matrix(h, states, grid.n_qubits)
     group = point_group(grid)
@@ -1240,10 +1243,9 @@ def test_keeping_the_matrix_saves_the_two_step_bytes(shape, u):
     import io
 
     grid = GridSpec.make(*shape, u=u)
-    h = build_kspace(grid)[0]
     n_up, n_down = default_filling(grid)
     sea = fermi_sea(grid, n_up, n_down).bitstring()
-    blocks = ground_space(h, point_group(grid), n_up, n_down)
+    blocks = ground_space(build_kspace(grid), n_up, n_down)
     labels = momentum_labels(grid, blocks.states)
     label = int(momentum_labels(grid, sea))
     whole = whole_sector_matrix(grid, n_up, n_down)
@@ -1308,9 +1310,8 @@ def test_cache_files_round_trip_bit_exactly(tmp_path, kind):
     if kind == "pool":
         saved = PoolTables.build(grid, sector_basis(grid.n_qubits, 3, 2))
     else:
-        h, symmetry = ((build_kspace(grid)[0], point_group(grid)) if kind == "ground-k"
-                       else (SiteHamiltonian(grid), translations(grid)))
-        saved = ground_space(h, symmetry, 3, 2, keep=True)
+        build = build_kspace if kind == "ground-k" else build_real
+        saved = ground_space(build(grid), 3, 2, keep=True)
     saved.save(tmp_path / "first.npys", key=kind)
     loaded = type(saved).load(tmp_path / "first.npys", key=kind)
     assert_same_cache_fields(loaded, saved)
@@ -1383,7 +1384,7 @@ def test_cache_field_names_must_be_distinct_strings(tmp_path, names):
 
 def test_sector_hamiltonian_fast_apply():
     grid = GridSpec.make(2, 3, u=4.0)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid).pauli
     fast = SectorHamiltonian(h, grid.n_qubits, 3, 3)
     rng = np.random.default_rng(11)
     amps = np.zeros(1 << grid.n_qubits, dtype=np.complex128)
@@ -1422,8 +1423,8 @@ def test_perturbation_registers_agree():
 
     free = GridSpec.make(2, 2)
     states = sector_basis(grid.n_qubits, 1, 1)
-    h0 = dense_sector_block(build_real(free), states, grid.n_qubits)
-    h1 = dense_sector_block(build_real(grid), states, grid.n_qubits) - h0
+    h0 = dense_sector_block(build_real(free).pauli, states, grid.n_qubits)
+    h1 = dense_sector_block(build_real(grid).pauli, states, grid.n_qubits) - h0
     _, w, order = real_orbital_basis(free)
     phi = slater_amplitudes(w, [order[0]], [order[0]], states)
     levels, vectors = np.linalg.eigh(h0)
@@ -1441,8 +1442,7 @@ def test_perturbation_third_order_scaling():
     for u in (0.1, 0.2):
         grid = GridSpec.make(2, 2, u=u)
         e0, e1, e2 = rs_perturbation(grid, 1, 1)
-        h, _ = build_kspace(grid)
-        exact = ground_space(h, point_group(grid), 1, 1).energy
+        exact = ground_space(build_kspace(grid), 1, 1).energy
         results[u] = abs(exact - (e0 + e1 + e2))
     assert results[0.2] > 1e-10
     assert results[0.1] <= 0.25 * 1.2 * results[0.2]

@@ -149,11 +149,12 @@ def test_no_call_site_rewraps_a_refusal_without_its_origin():
     assert not found, found
 
 
-# Test-only full-register helpers the library no longer keeps; a class
-# member is named Class.member.
+# Test-only full-register helpers the library no longer keeps, and CliError,
+# whose rendering cli.main gives every ValueError; a class member is named
+# Class.member.
 DELETED = ("basis_state", "apply_pauli_sum", "expectation", "slater_statevector",
            "circuit_gradient", "multiply_letters", "commutes", "_mask_product",
-           "hopping_matrix", "HvaAnsatz.sector_state")
+           "hopping_matrix", "HvaAnsatz.sector_state", "CliError")
 
 
 def bound_names(node) -> list[str]:
@@ -210,21 +211,41 @@ Path(sys.argv[4]).write_text(json.dumps(tracer.dump()))
 """
 
 
+# Installs the tracer and solves both registers' ED on 2x2 at U = 4.
+TRACED_ED = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import tracing
+from vipsa.cli import main
+tracer = tracing.Tracer()
+tracer.install()
+assert main(["ed", "--grid", "2x2", "--u", "4", "--register", "both"]) == 0
+Path(sys.argv[2]).write_text(json.dumps(tracer.dump()))
+"""
+
+
+def run_traced(tmp_path: Path, script: str, *args) -> dict:
+    """The tracer's dump from a child interpreter that runs script with the
+    tracing module's directory, then args, then a dump path in tmp_path as
+    its arguments."""
+    dump = tmp_path / "dump.json"
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", script, str(TRACING.parent),
+                            *map(str, args), str(dump)], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(dump.read_text())
+
+
 @pytest.mark.parametrize("ansatz", ["vipsa", "hva"])
 def test_a_traced_run_sees_its_screens_and_fidelities(tmp_path, ansatz):
     settings = (f"nx = 2\nny = 2\nu = 4.0\nansatz = {ansatz}\ncache_dir = {tmp_path / 'cache'}\n"
                 "max_epochs = 2\nmax_inner_steps = 3\nlayers = 2\n")
     for name in ("fill", "run"):
         (tmp_path / f"{name}.cfg").write_text(settings + f"output = {tmp_path / name}\n")
-    dump = tmp_path / "dump.json"
-    source = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [source, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACING.parent),
-                            str(tmp_path / "fill.cfg"), str(tmp_path / "run.cfg"), str(dump)],
-                           env=env, capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
-    traced = json.loads(dump.read_text())
+    traced = run_traced(tmp_path, TRACED_RUN, tmp_path / "fill.cfg", tmp_path / "run.cfg")
     names = [span[0] for span in traced["spans"]]
     assert "cli.cache_save" not in names  # the traced run is warm
     with open(tmp_path / "run" / "trace.csv", newline="") as handle:
@@ -235,3 +256,13 @@ def test_a_traced_run_sees_its_screens_and_fidelities(tmp_path, ansatz):
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert names.count("core.screen") == records  # every epoch screens once
         assert traced["facts"]["pool_size"] == manifest["pool_size"]
+
+
+def test_a_traced_ed_names_the_register_of_each_solve(tmp_path):
+    # each register's H comes from a builder the tracer hooks, so each
+    # ground_space span names its register from its first argument
+    traced = run_traced(tmp_path, TRACED_ED)
+    spans = traced["spans"]
+    assert [attrs["register"] for name, *_, attrs in spans
+            if name == "hamiltonians.ground_space"] == ["k", "real"]
+    assert [span[0] for span in spans].count("hamiltonians.build_h") == 2

@@ -117,7 +117,7 @@ def slater_reference_energy(grid, n_up, n_down):
 def test_zero_parameters_are_stationary(shape, filling):
     grid = GridSpec.make(*shape, u=2.0)
     ansatz = HvaAnsatz(grid, *filling)
-    sector = SectorHamiltonian(build_real(grid), grid.n_qubits, *filling)
+    sector = SectorHamiltonian(build_real(grid).pauli, grid.n_qubits, *filling)
     energy, grads = hva_energy_and_gradient(ansatz, np.zeros(ansatz.n_params), sector.apply)
     assert energy == pytest.approx(slater_reference_energy(grid, *filling), abs=1e-10)
     assert np.max(np.abs(grads)) <= 1e-10
@@ -187,7 +187,7 @@ def test_trajectory_conserves_spin():
 def hva_problem(nx, ny, u, layers):
     grid = GridSpec.make(nx, ny, u=u)
     filling = default_filling(grid)
-    h = build_real(grid)
+    h = build_real(grid).pauli
     sector = SectorHamiltonian(h, grid.n_qubits, *filling)
     return (HvaAnsatz(grid, *filling, layers), sector,
             site_space(grid, *filling))

@@ -172,9 +172,9 @@ def test_builders_match_the_dict_built_sums(grid):
     # both registers: the mask-array builders against the per-term expansion
     # summed in dicts, to the bit and to the compiled bytes
     for got, want in [(kinetic_kspace(grid), dict_kinetic_kspace(grid)),
-                      (build_kspace(grid)[0], dict_build_kspace(grid)),
+                      (build_kspace(grid).pauli, dict_build_kspace(grid)),
                       (onsite_interaction(grid), dict_onsite_interaction(grid)),
-                      (build_real(grid), dict_build_real(grid))]:
+                      (build_real(grid).pauli, dict_build_real(grid))]:
         assert_same_sum(got, want, grid.n_qubits)
 
 
@@ -192,7 +192,7 @@ def test_the_drop_measures_a_coefficient_as_pythons_abs_does():
 
 
 def test_the_shared_hamiltonian_is_read_only():
-    h = kspace_hamiltonian(GridSpec.make(3, 3, u=6.0))
+    h = kspace_hamiltonian(GridSpec.make(3, 3, u=6.0)).pauli
     for array in (*h.masks(), *_compiled_terms(h, 18)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
@@ -216,7 +216,7 @@ def oracle_matrix(h, states, n_qubits: int):
 @pytest.mark.parametrize("register", ["k", "real"])
 def test_sector_matrix_matches_the_per_string_oracle(shape, u, register):
     grid = GridSpec.make(*shape, u=u)
-    h = build_kspace(grid)[0] if register == "k" else build_real(grid)
+    h = (build_kspace(grid) if register == "k" else build_real(grid)).pauli
     states = sector_basis(grid.n_qubits, *default_filling(grid))
     got = sector_matrix(h, states, grid.n_qubits)
     assert got.data.dtype == np.float64
@@ -228,7 +228,7 @@ def test_3x3_blocks_match_the_per_string_oracle():
     # the blocks a cold 3x3 U=6 (5,4) fill builds: each point-group class's
     # representative, and the Fermi sea's block, which is none of them
     grid = GridSpec.make(3, 3, u=6.0)
-    h = kspace_hamiltonian(grid)
+    h = kspace_hamiltonian(grid).pauli
     states = sector_basis(grid.n_qubits, 5, 4)
     group = point_group(grid)
     labels = group.labels(states)
@@ -258,11 +258,11 @@ def test_every_boundary_pair_matches_the_per_string_oracle(grid, register):
     # whole default sector
     n_up, n_down = default_filling(grid)
     if register == "k":
-        h = kspace_hamiltonian(grid)
+        h = kspace_hamiltonian(grid).pauli
         states = (sea_block(grid, n_up, n_down)[1] if grid.n_sites == 9
                   else sector_basis(grid.n_qubits, n_up, n_down))
     else:
-        h = build_real(grid)
+        h = build_real(grid).pauli
         states = sector_basis(grid.n_qubits, n_up, n_down)
     got = sector_matrix(h, states, grid.n_qubits)
     assert_same_csr(got, oracle_matrix(h, states, grid.n_qubits))
@@ -373,7 +373,8 @@ def test_complex_entries_keep_a_complex_matrix(imaginary, complex_entries):
     # relative cut, and one of 1e-8 is above it
     grid = GridSpec.make(2, 2, u=1e3)
     states = sector_basis(grid.n_qubits, *default_filling(grid))
-    h = build_real(grid) + jordan_wigner_sum(hopping_pair(0, 2, imaginary * 1j), grid.n_qubits)
+    h = build_real(grid).pauli + jordan_wigner_sum(hopping_pair(0, 2, imaginary * 1j),
+                                                   grid.n_qubits)
     got = sector_matrix(h, states, grid.n_qubits)
     assert got.data.dtype == (np.complex128 if complex_entries else np.float64)
     assert got.indptr.dtype == got.indices.dtype == np.int32
@@ -394,7 +395,7 @@ def test_an_operator_leaving_the_sector_on_some_states_raises():
     # elsewhere its amplitude leaves the sector
     grid = GridSpec.make(2, 2, u=1e3)
     states = sector_basis(grid.n_qubits, 2, 2)
-    h = build_real(grid)
+    h = build_real(grid).pauli
     tolerance = AMPLITUDE_DROP_TOL * 1e3  # the identity's n_sites U/4 is the largest coefficient
     for size, leaves in [(10 * tolerance, True), (0.1 * tolerance, False)]:
         leaky = h + PauliSum.from_terms([(size, ((0, "X"), (2, "X")))])
@@ -412,7 +413,7 @@ def test_an_overflowing_sector_matrix_raises_without_a_warning():
     # at U = 1e308 the 2x2 coefficients are finite, but their sums are not
     grid = GridSpec.make(2, 2, u=1e308)
     states = sector_basis(grid.n_qubits, *default_filling(grid))
-    for h in (build_kspace(grid)[0], build_real(grid)):
+    for h in (build_kspace(grid).pauli, build_real(grid).pauli):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="non-finite"):

@@ -446,7 +446,7 @@ def test_orbit_rejects_operator_leaving_the_sector():
 @lru_cache(maxsize=None)
 def grid_problem(nx, ny, u):
     grid = GridSpec.make(nx, ny, u=u)
-    h, _ = build_kspace(grid)
+    h = build_kspace(grid).pauli
     sector = SectorHamiltonian(h, grid.n_qubits, *default_filling(grid))
     pool = build_pool(grid)
     orbits = [sector_orbit(q.ladder_term(), sector.states) for q in pool]
@@ -509,7 +509,7 @@ def test_fused_sweep_matches_per_gate_sweep_on_pool_circuits(shape, seed, n_gate
 def hva_gates(nx, ny, layers):
     grid = GridSpec.make(nx, ny, u=3.0)
     ansatz = HvaAnsatz(grid, *default_filling(grid), layers)
-    return ansatz, sector_matrix(build_real(grid), ansatz.states, grid.n_qubits)
+    return ansatz, sector_matrix(build_real(grid).pauli, ansatz.states, grid.n_qubits)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
