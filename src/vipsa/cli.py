@@ -180,10 +180,13 @@ def cached_ground_space(grid, n_up: int, n_down: int, register: str, cache_dir: 
     # a site-register file holds the momentum-block solve's vectors, which
     # may be complex, and a matrix built from the hopping tables, whose
     # diagonal can differ by an ulp from a Pauli-sum build's, so its key
-    # names both, and a file written under an older key is rebuilt
+    # names both; a mode-register file's blocks are labels packed like mode
+    # slots, which an older packing wrote otherwise on an open x axis of 3
+    # or more, so its key names the packing; a file written under an older
+    # key is rebuilt
     artifact = "real from hopping tables solved on momentum blocks"
     if register == "k":
-        artifact = f"k solved on block {sea_label(grid, n_up, n_down)}"
+        artifact = f"k solved on block {sea_label(grid, n_up, n_down)} of labels lx + nx*ly"
     return cache.cached(cache_dir, f"ground-{register}-{grid.label()}",
                         _grid_key(grid, n_up, n_down, artifact), GroundSpace,
                         lambda: solve_ground_space(grid, n_up, n_down, register, keep=True),

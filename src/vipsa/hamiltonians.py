@@ -42,7 +42,9 @@ from .lattice import (
     axis_wavefunctions,
     enumerate_modes,
     hopping_edges,
+    label_classes,
     label_momenta,
+    momentum_labels,
     point_group,
     qubit_index,
     sea_label,
@@ -80,9 +82,12 @@ LANCZOS_MAXITER = 500
 AMPLITUDE_DROP_TOL = 1e-12
 # Largest |U| the mode register's H is solved at.  Its U/N momentum couplings
 # must cancel down to the exchange scale 4t^2/U, and float64 keeps about U eps
-# of each sum: 2x3 (3,3)'s two registers part by 4.1e-10 at 1e6, 1.9e-9 at
-# 1.5e6 and 8.4e-9 at 1e7, and at 1e20 the mode register's energy is -35137.
-MODE_COUPLING_LIMIT = 1e6
+# of each sum, so the registers part by a gap that scatters from one U to the
+# next and grows with U.  At every coupling sampled up to this one, 2x2, 2x3,
+# 3x2, 2x4 and 3x3 agree within the CLI's REGISTER_AGREEMENT_TOL (3x3 (5,4) by
+# up to 5.8e-10); 3x3 parts by 1.7e-9 at 3.6e5 and 2x3 by 8.4e-9 at 1e7, and
+# at 1e20 the mode register's energy is -35137.
+MODE_COUPLING_LIMIT = 2e5
 # Working set of sector_matrix's flip tables, in entries: a batch of tables
 # holds at most this many, and the states their nonzero entries select are
 # sought this many (entry, state) pairs at a time.  At 2^16 the search and
@@ -744,10 +749,13 @@ def ground_space(h: ModeHamiltonian | SiteHamiltonian, n_up: int, n_down: int,
     """Ground multiplet of the (n_up, n_down) sector of h's register on
     h.grid, degeneracy resolved at GROUND_DEGENERACY_TOL.
 
-    h's type picks the symmetry: a ModeHamiltonian, whose Pauli sum must be
-    Hermitian and whose coupling check_mode_coupling must pass, is solved on
-    the point group of its grid, and a SiteHamiltonian on its grid's
-    translations.  Anything else is a ValueError.
+    h's type picks the momentum blocks: a ModeHamiltonian, whose Pauli sum
+    must be Hermitian and whose coupling check_mode_coupling must pass, is
+    solved on the total-momentum blocks of its grid (lattice.momentum_labels),
+    and a SiteHamiltonian on its grid's translations.  Anything else is a
+    ValueError.  Either way the blocks are labelled like mode slots, and
+    lattice.label_classes splits the labels into the classes of the grid's
+    point group, whose blocks share their spectrum.
 
     The class of the Fermi sea's block (lattice.fermi_sea) comes first.  The
     Gell-Mann-Low state, switched on adiabatically from the sea, keeps the
@@ -769,18 +777,17 @@ def ground_space(h: ModeHamiltonian | SiteHamiltonian, n_up: int, n_down: int,
     blocks are built once the class before is done, and a screened block is
     held only while it may hold the level, in both registers.
 
-    With the point group, the sector splits into total-momentum blocks that
-    h never mixes, and the blocks of one point-group class share their
-    spectrum.  Each class's representative block is built by sector_matrix
-    from h.pauli on its bitstrings and solved, and the signed permutations of its ground
-    vectors are the other blocks'.  No whole-sector matrix is built.  The
-    representative is the class's smallest label, or, with keep, the Fermi
-    sea's label (lattice.fermi_sea) in its class: the space keeps that
-    block's matrix over the block's own bitstrings, and the block's rows
-    (see GroundSpace), so every block built is solved.  An adaptive run
-    lives in that block, as the state it grows from does.
+    In the mode register, each class's representative block is built by
+    sector_matrix from h.pauli on its bitstrings and solved, and the signed
+    permutations of its ground vectors are the other blocks'.  No
+    whole-sector matrix is built.  The representative is the class's
+    smallest label, or, with keep, the Fermi sea's label (lattice.fermi_sea)
+    in its class: the space keeps that block's matrix over the block's own
+    bitstrings, and the block's rows (see GroundSpace), so every block built
+    is solved.  An adaptive run lives in that block, as the state it grows
+    from does.
 
-    With the translations, each class's representative momentum block is
+    In the site register, each class's representative momentum block is
     folded from H's rows at the orbit representatives (see
     _momentum_blocks), the sea's class first, and solved; its ground
     vectors are lifted onto the sector, and their signed permutations are
@@ -802,15 +809,12 @@ def ground_space(h: ModeHamiltonian | SiteHamiltonian, n_up: int, n_down: int,
     if not site and not h.pauli.is_hermitian():
         raise ValueError("sector diagonalization requires a Hermitian operator")
     grid = h.grid
-    symmetry = translations(grid) if site else point_group(grid)
     states = sector_basis(grid.n_qubits, n_up, n_down)
     matrix = matrix_rows = kept_label = None
     sea = sea_label(grid, n_up, n_down)
-
-    def away_from_sea(members) -> bool:
-        return sea not in dict(members)
-
     if site:
+        symmetry = translations(grid)
+        labels = symmetry.labels
         # the sea's lattice momentum: an open axis has no shift, and the mode
         # label's component along it is a parity
         lx, ly = label_momenta(grid, sea)
@@ -822,20 +826,27 @@ def ground_space(h: ModeHamiltonian | SiteHamiltonian, n_up: int, n_down: int,
             matrix = rows_at(matrix_rows)
             # the representatives' rows are sliced from it, not built again
             rows_at = matrix.__getitem__
-        blocks = _momentum_blocks(rows_at, states, symmetry,
-                                  sorted(symmetry.classes(), key=away_from_sea))
+        blocks = partial(_momentum_blocks, rows_at, states, symmetry)
     else:
         check_mode_coupling(grid)
-        labels = symmetry.labels(states)
+        state_labels = momentum_labels(grid, states)
+        labels = np.unique(state_labels).tolist()
         if keep:
             kept_label = sea
-        classes = sorted(symmetry.classes(states, labels, kept_label), key=away_from_sea)
-        # built lazily, so only the block being solved is held
-        blocks = ((members, rows, None, sector_matrix(h.pauli, states[rows], grid.n_qubits))
-                  for members in classes for rows in [np.flatnonzero(labels == members[0][0])])
+
+        def blocks(classes):
+            # built lazily, so only the block being solved is held
+            return ((members, rows, None, sector_matrix(h.pauli, states[rows], grid.n_qubits))
+                    for members in classes
+                    for rows in [np.flatnonzero(state_labels == members[0][0])])
+
+    def away_from_sea(members) -> bool:
+        return sea not in dict(members)
+
+    classes = sorted(label_classes(labels, point_group(grid), kept_label), key=away_from_sea)
     solved, screened = [], []
     least = np.inf  # the lowest screened theta or solved value so far
-    for members, rows, basis, block in blocks:
+    for members, rows, basis, block in blocks(classes):
         if members[0][0] == kept_label:
             matrix, matrix_rows = block, rows
         values, vectors = _block_ground(block, screen=away_from_sea(members))

@@ -223,7 +223,8 @@ def fermi_sea(grid: GridSpec, n_up: int, n_down: int) -> FermiSea:
 
 
 def default_filling(grid: GridSpec) -> tuple[int, int]:
-    """Half filling, except 3x3 where the benchmark sector is (5, 4)."""
+    """Half filling: (n/2, n/2) for an even site count n, and ((n+1)/2,
+    n/2) for an odd one, such as 3x3's (5, 4)."""
     n = grid.n_sites
     if n % 2 == 1:
         return (n + 1) // 2, n // 2
@@ -271,24 +272,20 @@ def real_orbital_basis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, list[int
 
 
 # ---------------------------------------------------------------------------
-# total momentum and the point group of the mode register
-
-
-def _label_moduli(grid: GridSpec) -> tuple[int, int]:
-    """Modulus of each label component: L on a periodic axis, 2 on an open one."""
-    return (grid.nx if grid.bc_x == PERIODIC else 2, grid.ny if grid.bc_y == PERIODIC else 2)
+# total momentum of the mode register, and the point group of both registers
 
 
 def momentum_labels(grid: GridSpec, states) -> np.ndarray:
-    """Total-momentum label of each mode-register bitstring, as lx + Mx*ly.
+    """Total-momentum label of each mode-register bitstring, packed like a
+    mode slot as lx + nx*ly.
 
     lx sums the x mode number m of every occupied mode, either spin, mod L on
     a periodic axis and mod 2 on an open one, where a standing wave has
-    parity (-1)^m under reflection; ly likewise, and Mx is the x modulus.
-    The mode-register Hamiltonian conserves both, so it never couples two
-    bitstrings with different labels.
+    parity (-1)^m under reflection; ly likewise.  The mode-register
+    Hamiltonian conserves both, so it never couples two bitstrings with
+    different labels, and a point-group element maps the block of label l
+    onto the block of label image[l], as it maps mode slots.
     """
-    mod_x, mod_y = _label_moduli(grid)
     states = np.asarray(states)
     lx = np.zeros(states.shape, dtype=np.int64)
     ly = np.zeros(states.shape, dtype=np.int64)
@@ -296,7 +293,8 @@ def momentum_labels(grid: GridSpec, states) -> np.ndarray:
         count = np.bitwise_count(states & (3 << 2 * slot))
         lx += (slot % grid.nx) * count
         ly += (slot // grid.nx) * count
-    return lx % mod_x + mod_x * (ly % mod_y)
+    return lx % (grid.nx if grid.bc_x == PERIODIC else 2) + grid.nx * (
+        ly % (grid.ny if grid.bc_y == PERIODIC else 2))
 
 
 def sea_label(grid: GridSpec, n_up: int, n_down: int) -> int:
@@ -305,15 +303,16 @@ def sea_label(grid: GridSpec, n_up: int, n_down: int) -> int:
 
 
 def label_momenta(grid: GridSpec, label: int) -> tuple[int, int]:
-    """The (lx, ly) components of a momentum_labels label."""
-    ly, lx = divmod(int(label), _label_moduli(grid)[0])
+    """The (lx, ly) components of a momentum label lx + nx*ly."""
+    ly, lx = divmod(int(label), grid.nx)
     return lx, ly
 
 
 @dataclass(frozen=True)
 class SlotPermutation:
-    """One point-group element as a permutation of mode slots: the modes of
-    slot s move to slot image[s], both spins alike."""
+    """One point-group element or translation as a permutation of slots,
+    mode slots in the mode register and sites in the site register: the
+    orbitals of slot s move to slot image[s], both spins alike."""
 
     image: tuple[int, ...]
 
@@ -333,51 +332,21 @@ class SlotPermutation:
         return images, np.where(odd, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class PointGroup:
-    """The mode register's total-momentum blocks and the point group that
-    permutes them.
-
-    `elements` lists every group element once, the identity first: k -> -k
-    on any set of periodic axes, each combined with x <-> y on a square grid
-    whose two axes share a boundary condition.  The mode-register
-    Hamiltonian commutes with each element's signed permutation, so blocks
-    one element maps onto each other have the same spectrum.
-    """
-
-    grid: GridSpec
-    elements: tuple[SlotPermutation, ...]
-
-    def labels(self, states) -> np.ndarray:
-        return momentum_labels(self.grid, states)
-
-    def classes(self, states: np.ndarray, labels: np.ndarray,
-                first: int | None = None) -> list[list[tuple[int, SlotPermutation]]]:
-        """The labels present, split into point-group classes, in the order
-        of their smallest labels.  A class lists (label, element) for each
-        member, its representative first and the others in ascending label
-        order; the element maps the representative onto that member, and
-        the representative's own is the identity.  The representative is
-        the label `first` in its class and the smallest label in any other."""
-        present, seed_rows = np.unique(labels, return_index=True)
-        images = {element: dict(zip(present.tolist(),
-                                    self.labels(element.apply(states[seed_rows])[0]).tolist()))
-                  for element in self.elements}
-        return _classes(present.tolist(), self.elements,
-                        lambda element, label: images[element][label], first)
-
-
-def _classes(labels: list[int], elements: tuple[SlotPermutation, ...], image,
-             first: int | None = None) -> list[list[tuple[int, SlotPermutation]]]:
-    """The ascending labels split into the classes of elements (the identity
-    first), as PointGroup.classes lists them; image(element, label) is the
-    label an element maps a label onto."""
+def label_classes(labels: list[int], elements: tuple[SlotPermutation, ...],
+                  first: int | None = None) -> list[list[tuple[int, SlotPermutation]]]:
+    """The ascending momentum labels split into the classes of elements, the
+    identity first, in the order of their smallest labels.  A class lists
+    (label, element) for each member, its representative first and the
+    others in ascending label order; the element maps the representative
+    onto that member, as it maps a mode slot (element.image[label]), and the
+    representative's own is the identity.  The representative is the label
+    `first` in its class and the smallest label in any other."""
 
     def orbit(representative: int) -> dict[int, SlotPermutation]:
         # the identity comes first, so the representative is the first key
         members: dict[int, SlotPermutation] = {}
         for element in elements:
-            members.setdefault(image(element, representative), element)
+            members.setdefault(element.image[representative], element)
         return members
 
     classes, seen = [], set()
@@ -393,8 +362,16 @@ def _classes(labels: list[int], elements: tuple[SlotPermutation, ...], image,
     return classes
 
 
-def point_group(grid: GridSpec) -> PointGroup:
-    """The point group of the grid's mode register (see PointGroup)."""
+def point_group(grid: GridSpec) -> tuple[SlotPermutation, ...]:
+    """The point group of both registers, every element once, the identity
+    first: k -> -k on any set of periodic axes, each combined with x <-> y on
+    a square grid whose two axes share a boundary condition.  An element
+    permutes mode slots in the mode register and sites in the site register
+    (through the same image), and maps the momentum block of label l onto
+    that of image[l] in either.  Each register's Hamiltonian commutes with
+    each element's signed permutation, so blocks one element maps onto each
+    other have the same spectrum; label_classes splits labels by it.
+    """
     flips_x = (False, True) if grid.bc_x == PERIODIC else (False,)
     flips_y = (False, True) if grid.bc_y == PERIODIC else (False,)
     swaps = (False, True) if grid.nx == grid.ny and grid.bc_x == grid.bc_y else (False,)
@@ -408,7 +385,7 @@ def point_group(grid: GridSpec) -> PointGroup:
                     mx, my = (-mx % grid.nx if flip_x else mx), (-my % grid.ny if flip_y else my)
                     image.append(my + grid.nx * mx if swap else mx + grid.nx * my)
                 elements.append(SlotPermutation(tuple(image)))
-    return PointGroup(grid, tuple(dict.fromkeys(elements)))
+    return tuple(dict.fromkeys(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +394,8 @@ def point_group(grid: GridSpec) -> PointGroup:
 
 @dataclass(frozen=True)
 class Translations:
-    """The site register's lattice translations, the momentum blocks they
-    define, and the point group that permutes those blocks.
+    """The site register's lattice translations and the momentum blocks they
+    define.
 
     `shifts` lists each translation's (ax, ay), the identity first: every
     shift along a periodic axis, none along an open one.  A momentum K =
@@ -426,15 +403,18 @@ class Translations:
     likewise ky, is labelled like a mode slot, kx + nx*ky; its block is the
     image of the projector P_K = (1/N_T) sum_a e^{-iK.a} U_a, with U_a the
     signed site permutation of shift a.  The site Hamiltonian commutes with
-    every U_a, so it never mixes two blocks.  `elements` is the point group
-    of point_group(grid), acting on sites as it acts on mode slots there; an
-    element maps block K onto block image[K], so blocks it maps onto each
-    other have the same spectrum.
+    every U_a, so it never mixes two blocks, and an element of
+    point_group(grid) maps block K onto block image[K].
     """
 
     grid: GridSpec
     shifts: tuple[tuple[int, int], ...]
-    elements: tuple[SlotPermutation, ...]
+
+    @property
+    def labels(self) -> list[int]:
+        """The momentum labels, ascending: one per shift, as the shifts
+        and the momenta range over the same values."""
+        return sorted(ax + self.grid.nx * ay for ax, ay in self.shifts)
 
     def translation(self, shift: tuple[int, int]) -> SlotPermutation:
         """The site permutation (x, y) -> (x + ax, y + ay), modulo the axis lengths."""
@@ -468,17 +448,9 @@ class Translations:
         reps, owner = np.unique(np.searchsorted(states, smallest), return_inverse=True)
         return reps, owner, signs
 
-    def classes(self) -> list[list[tuple[int, SlotPermutation]]]:
-        """The momentum labels split into point-group classes, as
-        PointGroup.classes lists them, each class's smallest label its
-        representative."""
-        return _classes(sorted(ax + self.grid.nx * ay for ax, ay in self.shifts), self.elements,
-                        lambda element, label: element.image[label])
-
 
 def translations(grid: GridSpec) -> Translations:
-    """The site register's translations and point group (see Translations)."""
+    """The site register's translations (see Translations)."""
     xs = range(grid.nx) if grid.bc_x == PERIODIC else (0,)
     ys = range(grid.ny) if grid.bc_y == PERIODIC else (0,)
-    return Translations(grid, tuple((ax, ay) for ay in ys for ax in xs),
-                        point_group(grid).elements)
+    return Translations(grid, tuple((ax, ay) for ay in ys for ax in xs))

@@ -869,6 +869,36 @@ def test_a_site_ground_file_of_the_pauli_sum_build_is_rebuilt(tmp_path, capsys, 
     assert run_artifacts(first) == run_artifacts(warm) == run_artifacts(uncached)
 
 
+def test_a_mode_ground_file_of_the_older_label_packing_is_rebuilt(tmp_path, capsys):
+    # open/open 3x3 (2,1) at U = 4: the sea lies at (1, 0), label 1 under
+    # both packings, and the ground level at (1, 0) and (0, 1), labels 1 and
+    # 3, which the older lx + 2*ly packing stored as 1 and 2.  A ground file
+    # written then, under that time's key, reads (0, 1) as (2, 0) now; only
+    # the key's text tells it apart, so the run rebuilds it and writes what
+    # a cold run does
+    from vipsa import cache, hamiltonians
+    from vipsa.cli import _grid_key, solve_ground_space
+    from vipsa.lattice import label_momenta, sea_label
+
+    grid = GridSpec(3, 3, "open", "open", u=4.0)
+    run = {"nx": 3, "ny": 3, "bc_x": "open", "bc_y": "open", "n_up": 2, "n_down": 1,
+           "max_epochs": 1, "max_inner_steps": 2}
+    assert sea_label(grid, 2, 1) == 1
+    space = solve_ground_space(grid, 2, 1, "k", keep=True)
+    assert space.blocks.tolist() == [1, 3]
+    packed = np.array([lx + 2 * ly for lx, ly in (label_momenta(grid, b) for b in space.blocks)])
+    (tmp_path / "cache").mkdir()
+    cache.cached(tmp_path / "cache", f"ground-k-{grid.label()}",
+                 _grid_key(grid, 2, 1, "k solved on block 1"), hamiltonians.GroundSpace,
+                 lambda: dataclasses.replace(space, blocks=packed), lambda space: True)
+    _, cold = run_config(tmp_path, "cold", cache=tmp_path / "empty", **run)
+    _, planted = run_config(tmp_path, "planted", **run)
+    manifest = json.loads((planted / "manifest.json").read_text())
+    assert manifest["reference_block"] == [1, 0]
+    assert manifest["ground_blocks"] == [[1, 0], [0, 1]]
+    assert run_artifacts(planted) == run_artifacts(cold)
+
+
 def test_site_ed_and_a_cold_layered_run_build_no_pauli_strings(tmp_path, capsys, monkeypatch):
     # with the Jordan-Wigner map and the Pauli-sum sector matrix made to
     # raise at every name a vipsa module looks them up by, the site
@@ -1119,7 +1149,8 @@ def test_ed_refuses_a_coupling_the_mode_register_cannot_resolve(capsys, recwarn,
     # the mode register's U/N sums keep about U eps each, so at U = 1e20
     # its ground energy would be -35137.42, against the site register's 0
     assert main(["ed", "--grid", "2x3", "--u", u, "--register", register]) == 1
-    assert one_error_line(capsys) == (f"error: |U| = {float(u):g} is above 1e+06, {UNRESOLVED}\n")
+    assert one_error_line(capsys) == (f"error: |U| = {float(u):g} is above "
+                                      f"{MODE_COUPLING_LIMIT:g}, {UNRESOLVED}\n")
     assert not recwarn.list
 
 
@@ -1220,10 +1251,11 @@ def test_run_lanczos_failure_is_one_line(tmp_path, capsys, monkeypatch, ansatz):
 
 
 # the cache file names of the benchmark's seed-0 fills, as earlier versions
-# wrote them: a key that changes its bytes would miss every such file
+# wrote them: a key that changes its bytes would miss every such file.  The
+# mode-register ground file's key names the lx + nx*ly label packing
 FILL_CACHE_FILES = [
     ("nx = 3\nny = 3\nu = 6.0\nansatz = vipsa\nconvergence_window = 4\n",
-     ["ground-k-3x3-2d58b53cabdf.npys", "pool-3x3-d2dc531e6711.npys"]),
+     ["ground-k-3x3-75829a6ad114.npys", "pool-3x3-d2dc531e6711.npys"]),
     ("nx = 2\nny = 4\nu = 4.0\nansatz = hva\nconvergence_window = 3\n",
      ["ground-real-2x4-a3dd765abdf5.npys"]),
 ]
@@ -1467,7 +1499,7 @@ def test_ed_registers_agree(capsys):
     assert by_key[("0", "k")] == pytest.approx(sea.energy, abs=1e-9)
 
 
-@pytest.mark.parametrize("shape", ["2x3", "2x4"])
+@pytest.mark.parametrize("shape", ["2x3", "2x4", "3x3"])
 def test_ed_at_large_coupling_agrees_across_registers(tmp_path, capsys, shape):
     # the Hermiticity, stray-amplitude and realness checks scale with the
     # operator, so rounding residue in proportion to U does not trip them,

@@ -23,6 +23,7 @@ from vipsa.core import (
 )
 from vipsa.fermions import jordan_wigner
 from vipsa.hamiltonians import (
+    MODE_COUPLING_LIMIT,
     build_kspace,
     fidelity,
     ground_space,
@@ -535,7 +536,7 @@ def test_run_refuses_a_coupling_the_mode_register_cannot_resolve():
     # a ground file written before the bound, passed in as the reference,
     # is refused too
     reference = sea_block_space(u4(2, 2), 2, 2)
-    with pytest.raises(ValueError, match="above 1e\\+06, the largest coupling"):
+    with pytest.raises(ValueError, match=f"above {MODE_COUPLING_LIMIT:g}, the largest coupling"):
         vipsa_run(GridSpec.make(2, 2, u=-1e12), 2, 2, reference=reference)
 
 

@@ -35,6 +35,7 @@ from vipsa.lattice import (
     Translations,
     default_filling,
     fermi_sea,
+    label_classes,
     momentum_labels,
     point_group,
     real_orbital_basis,
@@ -420,10 +421,9 @@ def test_one_lanczos_solve_per_block(monkeypatch, register, calls):
     assert len(seen) == calls
     window, *screens = seen
     if register == "k":
-        group = point_group(grid)
-        labels = group.labels(gs.states)
+        labels = momentum_labels(grid, gs.states)
         solved = sum(np.count_nonzero(labels == members[0][0])
-                     for members in group.classes(gs.states, labels))
+                     for members in label_classes(np.unique(labels).tolist(), point_group(grid)))
         assert window[0] == np.count_nonzero(labels == 0)
     else:
         # the blocks cover the sector, K = 1 standing for K = 3 too
@@ -564,7 +564,7 @@ def test_the_site_register_folds_each_class_just_before_its_solve(monkeypatch, k
         patch.setattr(hamiltonians, "_block_ground", lambda matrix, screen=True: (
             events.append(("solve", screen)) or block_ground(matrix, screen)))
         space = ground_space(register_h(grid, "real"), 5, 4, keep=keep)
-    classes = translations(grid).classes()
+    classes = label_classes(translations(grid).labels, point_group(grid))
     assert [event for event, _ in events] == ["fold", "solve"] * len(classes)
     assert [screen for event, screen in events if event == "solve"] == [False, True, True]
     assert sorted(label for event, label in events if event == "fold") == sorted(
@@ -616,7 +616,7 @@ def test_a_screened_out_block_is_still_checked(monkeypatch, damage, message):
     grid = GridSpec.make(3, 3, u=6.0)
     h = register_h(grid, "k")
     states = sector_basis(grid.n_qubits, 5, 4)
-    labels = point_group(grid).labels(states)
+    labels = momentum_labels(grid, states)
     last = sector_matrix(h.pauli, states[labels == 4], grid.n_qubits)
     bound = hamiltonians._screen(last)[1]
     assert bound > sea_block_space(grid, 5, 4).energy + 0.8
@@ -739,9 +739,8 @@ def test_class_block_build_peaks_near_the_matrix_size():
     # builds it, under the same bound
     grid = GridSpec.make(3, 3, u=6.0)
     states = sector_basis(grid.n_qubits, 5, 4)
-    group = point_group(grid)
-    labels = group.labels(states)
-    label = group.classes(states, labels)[0][0][0]
+    labels = momentum_labels(grid, states)
+    label = label_classes(np.unique(labels).tolist(), point_group(grid))[0][0][0]
     peak, size = build_peak(kspace_hamiltonian(grid).pauli, states[labels == label], grid.n_qubits)
     assert peak <= 3.5 * size, f"peak {peak} bytes for a {size}-byte matrix"
 
@@ -936,13 +935,12 @@ def test_momentum_labels_are_the_connected_blocks(grid):
 def test_signed_maps_carry_block_matrices(shape):
     grid = GridSpec.make(*shape, u=4.0)
     h = build_kspace(grid).pauli
-    group = point_group(grid)
     states = sector_basis(grid.n_qubits, *default_filling(grid))
-    labels = group.labels(states)
+    labels = momentum_labels(grid, states)
     blocks = {label: states[labels == label] for label in np.unique(labels).tolist()}
     matrices = {label: sector_matrix(h, block, grid.n_qubits) for label, block in blocks.items()}
     for label, block in blocks.items():
-        for element in group.elements:
+        for element in point_group(grid):
             images, signs = element.apply(block)
             target = int(momentum_labels(grid, images[0]))
             # P[i, j] = sign_j when bitstring j of this block maps to bitstring i of the target
@@ -1131,7 +1129,7 @@ def test_the_site_hamiltonian_commutes_with_its_symmetries(nx, ny, bc_x, bc_y):
     states = sector_basis(grid.n_qubits, 2, 1)
     matrix = SiteHamiltonian(grid).rows(states, np.arange(len(states)))
     group = translations(grid)
-    for element in [group.translation(shift) for shift in group.shifts] + list(group.elements):
+    for element in [group.translation(shift) for shift in group.shifts] + list(point_group(grid)):
         images, signs = element.apply(states)
         perm = scipy.sparse.csr_matrix((signs, (np.searchsorted(states, images),
                                                 np.arange(len(states)))), shape=matrix.shape)
@@ -1192,9 +1190,8 @@ def test_class_blocks_sliced_from_the_whole_sector_are_built_blocks(shape, secto
     h = build_kspace(grid).pauli
     states = sector_basis(grid.n_qubits, *sector)
     whole = sector_matrix(h, states, grid.n_qubits)
-    group = point_group(grid)
-    labels = group.labels(states)
-    for members in group.classes(states, labels):
+    labels = momentum_labels(grid, states)
+    for members in label_classes(np.unique(labels).tolist(), point_group(grid)):
         rows = np.flatnonzero(labels == members[0][0])
         sliced = whole[rows][:, rows]
         built = sector_matrix(h, states[rows], grid.n_qubits)

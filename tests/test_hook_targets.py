@@ -24,14 +24,18 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import vipsa
+
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "vipsa"
+# the package the suite imports, wherever it was imported from
+SOURCE = Path(vipsa.__file__).resolve().parent
 
 
 def load_tracing():
@@ -71,6 +75,15 @@ def source_modules():
         if path.name != "__init__.py":
             text = path.read_text()
             yield f"vipsa.{path.stem}", ast.parse(text), text.splitlines()
+
+
+def test_the_scans_see_every_module():
+    # a scan that found no module would pass every check that reads it
+    importlib.import_module("vipsa.cli")
+    loaded = {name for name in sys.modules if name.startswith("vipsa.")}
+    packaged = {f"vipsa.{info.name}" for info in pkgutil.iter_modules(vipsa.__path__)}
+    scanned = {module for module, _, _ in source_modules()}
+    assert "vipsa.lattice" in loaded <= packaged == scanned, (loaded, packaged, scanned)
 
 
 def suite_files():
@@ -149,12 +162,14 @@ def test_no_call_site_rewraps_a_refusal_without_its_origin():
     assert not found, found
 
 
-# Test-only full-register helpers the library no longer keeps, and CliError,
-# whose rendering cli.main gives every ValueError; a class member is named
-# Class.member.
+# Test-only full-register helpers the library no longer keeps; CliError,
+# whose rendering cli.main gives every ValueError; and the mode register's
+# second class rule, which lattice.label_classes replaced for both
+# registers.  A class member is named Class.member.
 DELETED = ("basis_state", "apply_pauli_sum", "expectation", "slater_statevector",
            "circuit_gradient", "multiply_letters", "commutes", "_mask_product",
-           "hopping_matrix", "HvaAnsatz.sector_state", "CliError")
+           "hopping_matrix", "HvaAnsatz.sector_state", "CliError", "PointGroup",
+           "_label_moduli", "Translations.elements", "Translations.classes")
 
 
 def bound_names(node) -> list[str]:

@@ -11,6 +11,7 @@ from vipsa.lattice import (
     enumerate_modes,
     fermi_sea,
     hopping_edges,
+    label_classes,
     label_momenta,
     momentum_labels,
     point_group,
@@ -185,6 +186,14 @@ def test_momentum_labels_sum_the_occupied_mode_numbers():
     labels = momentum_labels(grid, np.array(list(cases), dtype=np.uint32))
     assert [label_momenta(grid, label) for label in labels] == list(cases.values())
     assert labels.tolist() == [lx + 2 * ly for lx, ly in cases.values()]
+    # an open x axis of 3: lx is still a parity, but the label is packed
+    # like a mode slot, lx + 3*ly
+    grid = GridSpec(3, 3, "open", "periodic")
+    cases = {up(2, 0): (0, 0), up(1, 0): (1, 0), down(1, 2): (1, 2),
+             up(1, 1) | down(2, 2) | up(1, 2): (0, 2)}  # 1 + 2 + 1 mod 2, 1 + 2 + 2 mod 3
+    labels = momentum_labels(grid, np.array(list(cases), dtype=np.uint32))
+    assert [label_momenta(grid, label) for label in labels] == list(cases.values())
+    assert labels.tolist() == [lx + 3 * ly for lx, ly in cases.values()]
 
 
 def inversion_sign(state: int, image: tuple[int, ...]) -> tuple[int, float]:
@@ -205,12 +214,12 @@ def inversion_sign(state: int, image: tuple[int, ...]) -> tuple[int, float]:
 def test_point_group_elements_are_signed_permutations(shape, n_elements):
     grid = GridSpec.make(*shape)
     group = point_group(grid)
-    assert len(group.elements) == n_elements
-    assert group.elements[0].image == tuple(range(grid.n_sites))  # the identity first
+    assert len(group) == n_elements
+    assert group[0].image == tuple(range(grid.n_sites))  # the identity first
     states = sector_basis(grid.n_qubits, 2, 3)
     picked = states[np.random.default_rng(1).choice(len(states), min(len(states), 40),
                                                      replace=False)]
-    for element in group.elements:
+    for element in group:
         assert sorted(element.image) == list(range(grid.n_sites))
         images, signs = element.apply(picked)
         expected = [inversion_sign(int(state), element.image) for state in picked]
@@ -218,6 +227,22 @@ def test_point_group_elements_are_signed_permutations(shape, n_elements):
         assert signs.tolist() == [sign for _, sign in expected]
         # the image of a whole sector is the sector again
         assert np.array_equal(np.sort(element.apply(states)[0]), states)
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec.make(2, 2), GridSpec.make(2, 3), GridSpec.make(3, 2), GridSpec.make(2, 4),
+    GridSpec.make(3, 3), GridSpec.make(3, 4), GridSpec(3, 3, "open", "periodic"),
+    GridSpec(3, 3, "open", "open"), GridSpec(3, 4, "open", "periodic"),
+], ids=lambda grid: f"{grid.label()}-{grid.bc_x}-{grid.bc_y}")
+def test_elements_map_momentum_labels_as_they_map_slots(grid):
+    # labels are packed like mode slots, so an element's image of a label
+    # is the label of its images; with an open x axis of 3 or more, a label
+    # packed as lx + 2*ly would break this
+    states = sector_basis(grid.n_qubits, 2, 2)
+    labels = momentum_labels(grid, states)
+    for element in point_group(grid):
+        assert np.array_equal(momentum_labels(grid, element.apply(states)[0]),
+                              np.array(element.image)[labels])
 
 
 @pytest.mark.parametrize("shape, sector, classes", [
@@ -230,12 +255,12 @@ def test_point_group_classes(shape, sector, classes):
     grid = GridSpec.make(*shape)
     group = point_group(grid)
     states = sector_basis(grid.n_qubits, *sector)
-    labels = group.labels(states)
-    found = group.classes(states, labels)
+    labels = momentum_labels(grid, states)
+    found = label_classes(np.unique(labels).tolist(), group)
     assert [[label for label, _ in members] for members in found] == classes
     for members in found:
         rep = members[0][0]
-        assert members[0][1] is group.elements[0]
+        assert members[0][1] is group[0]
         block = states[labels == rep]
         for label, element in members:
             # each element carries the representative block onto its member's
@@ -270,8 +295,8 @@ def test_translation_blocks_and_their_classes(nx, ny, bc_x, bc_y, n_shifts, clas
     grid = GridSpec(nx, ny, bc_x, bc_y)
     group = translations(grid)
     assert len(group.shifts) == n_shifts and group.shifts[0] == (0, 0)
-    assert group.elements == point_group(grid).elements
-    found = group.classes()
+    elements = point_group(grid)
+    found = label_classes(group.labels, elements)
     assert [[label for label, _ in members] for members in found] == classes
     states = sector_basis(grid.n_qubits, 2, 1)
     vector = np.random.default_rng(3).standard_normal(len(states))
@@ -283,7 +308,7 @@ def test_translation_blocks_and_their_classes(nx, ny, bc_x, bc_y, n_shifts, clas
         np.testing.assert_allclose(projected(group, label, block, states), block,
                                    rtol=0, atol=1e-12)
     for members in found:
-        assert members[0][1] is group.elements[0]
+        assert members[0][1] is elements[0]
         for label, element in members:
             # each element carries the representative's block onto its member's
             images, signs = element.apply(states)

@@ -40,7 +40,7 @@ from vipsa.hamiltonians import (
     sector_matrix,
     spin_operators,
 )
-from vipsa.lattice import GridSpec, default_filling, point_group
+from vipsa.lattice import GridSpec, default_filling, label_classes, momentum_labels, point_group
 from vipsa.statevector import _compiled_terms, sector_basis
 
 from builds import kspace_hamiltonian, sea_block
@@ -230,9 +230,9 @@ def test_3x3_blocks_match_the_per_string_oracle():
     grid = GridSpec.make(3, 3, u=6.0)
     h = kspace_hamiltonian(grid).pauli
     states = sector_basis(grid.n_qubits, 5, 4)
-    group = point_group(grid)
-    labels = group.labels(states)
-    representatives = [members[0][0] for members in group.classes(states, labels)]
+    labels = momentum_labels(grid, states)
+    representatives = [members[0][0]
+                       for members in label_classes(np.unique(labels).tolist(), point_group(grid))]
     sea_label, sea_states = sea_block(grid, 5, 4)
     assert sea_label not in representatives
     for states in [states[labels == label] for label in representatives] + [sea_states]:
